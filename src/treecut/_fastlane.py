@@ -10,10 +10,11 @@ over flat int64 arrays, in one of two implementations:
 Either is used only when a conservative a-priori bound proves every
 intermediate value fits in 64 bits, so results are exact whenever a lane
 engages; otherwise (values over the bound, tables over
-``_MAX_TABLE_BYTES``) callers fall back to the arbitrary-precision Python
-lane, which is also the only one that records witnesses.  Which lane is
+``_MAX_TABLE_BYTES``) callers fall back to the Python least-budget sweep
+of ``treecut.solver``, exact at any size.  Witnesses come from neither:
+they need the choice records of ``treecut.solver.solve``.  Which lane is
 faster is the caller's choice: ``python_is_faster`` says when the numpy
-kernel would lose to the Python lane (tiny trees, and deep, thin ones on
+kernel would lose to the Python sweep (tiny trees, and deep, thin ones on
 which a level holds too few vertices to pay for its numpy calls), and
 ``treecut.solver`` then does not call it.
 
@@ -181,7 +182,7 @@ if NUMBA_AVAILABLE:
 # alone.  Both folds over children are associative and commutative, so
 # every vertex of a level folds its children in pairs, all at once, in
 # ceil(log2(degree)) rounds; decisions do not depend on the fold order
-# (witnesses would, and they come from the Python lane).  A subtree of s
+# (witnesses would, and they come from ``solver.solve``).  A subtree of s
 # vertices holds at most s parts, so a level's tables and each merge's
 # output keep only the rows its subtree sizes can fill (the tree-knapsack
 # bound), which keeps ``k_max`` on a 3000-vertex star to a 2 MB peak
@@ -196,24 +197,29 @@ _NP_INF = np.int64(1) << np.int64(61)
 _NP_CHUNK_BYTES = 1 << 25
 # Speed rule of the numpy lane, in microseconds measured on a 2-core VM:
 # a level costs the sweep up to ~500 us of numpy calls (its pairwise merge
-# rounds included) however few vertices it holds, while the Python lane
-# spends about 8 + 2 (kappa+1)(lam+1) us per vertex and threshold.
+# rounds included) however few vertices it holds, while the Python
+# decision sweep (``treecut.solver._least_budgets``) spends about
+# 1 + 1.65 (kappa+1)(lam+1) us per vertex and threshold.  Its cost grows
+# faster than the table size on bushy trees, from about 1 us per cell at
+# 3-5 parts to 1.3-2.2 us at 60 parts and 4 outliers.  The slope is that
+# of the large tables, so at small budgets the rule overrates the sweep's
+# cost up to twofold and leaves trees near the break-even to numpy.
 _NP_LEVEL_US = 500
-_PY_VERTEX_US = 8
-_PY_CELL_US = 2
+_PY_VERTEX_US = 1
+_PY_CELL_US = 1.65
 
 
 def _too_deep(tree, kappa: int, lam: int, thresholds: int = 1) -> bool:
-    """Whether the tree has more levels than the Python lane's estimated
+    """Whether the tree has more levels than the Python sweep's estimated
     time pays for in the numpy lane: tiny trees, paths, caterpillars, and
-    at 2 parts and no outliers any tree averaging fewer than about 35
+    at 2 parts and no outliers any tree averaging fewer than about 80
     vertices per level.  Walks up from the deepest vertex, at most as many
     steps as the levels paid for."""
     n = tree.vertex_count
     python_us = n * thresholds * (_PY_VERTEX_US + _PY_CELL_US * (kappa + 1) * (lam + 1))
     parent = tree.parent_idx
     u = tree.order_idx[0]  # last in BFS order, so as deep as any vertex
-    for _ in range(python_us // _NP_LEVEL_US):
+    for _ in range(int(python_us // _NP_LEVEL_US)):
         u = parent[u]
         if u < 0:
             return False
@@ -221,9 +227,9 @@ def _too_deep(tree, kappa: int, lam: int, thresholds: int = 1) -> bool:
 
 
 def python_is_faster(tree, kappa: int, lam: int, thresholds: int = 1) -> bool:
-    """Whether the Python lane should answer instead of the int64 lane:
+    """Whether the Python sweep should answer instead of the int64 lane:
     where numba is missing and the numpy kernel would spend more on the
-    tree's levels than the Python lane on its vertices (see
+    tree's levels than the Python sweep on its vertices (see
     ``_too_deep``).  The compiled lane has no per-level cost to pay for,
     so where numba is installed every tree goes to it."""
     return not NUMBA_AVAILABLE and _too_deep(tree, kappa, lam, thresholds)

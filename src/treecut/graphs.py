@@ -349,12 +349,15 @@ def forest_from_graph(graph: WeightedGraph):
                 " expected a forest")
         parent[ru] = rv
 
+    # one pass over the edges, each to its component, in input order
+    comp_edges = {}
+    for ui, vi, cost, _d in graph.edges:
+        comp_edges.setdefault(find(ui), []).append((graph.ids[ui], graph.ids[vi], cost))
+
     trees = []
     for members in graph.components():
-        member_set = set(members)
         vertices = [(v, graph.weight(v), graph.potential(v)) for v in members]
-        edges = [(u, v, cost) for u, v, cost, _d in graph.edge_records()
-                 if u in member_set and v in member_set]
+        edges = comp_edges.get(find(graph.index[members[0]]), [])
         trees.append(build_rooted_tree(vertices, edges,
                                        _max_weight_root(members, graph)))
     return Forest(tuple(trees))

@@ -228,6 +228,13 @@ def _tree_spec(spec: ProblemSpec, tree: RootedTree) -> ProblemSpec:
                        spec.use_potentials, forb)
 
 
+def _map_trees(fn, trees, threads: int) -> list:
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, trees))
+    return [fn(t) for t in trees]
+
+
 def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True,
                   threads: int = 1):
     """Decide the problem on a forest by folding per-tree feasibility grids:
@@ -238,21 +245,8 @@ def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True,
     if not trees or spec.parts > n_total:
         return False, None
 
-    tabs = None
-    if want_witness:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                tabs = list(pool.map(lambda t: solve(t, _tree_spec(spec, t)), trees))
-        else:
-            tabs = [solve(t, _tree_spec(spec, t)) for t in trees]
-        rows = [t.root_row() for t in tabs]
-    else:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                rows = list(pool.map(
-                    lambda t: root_feasibility(t, _tree_spec(spec, t)), trees))
-        else:
-            rows = [root_feasibility(t, _tree_spec(spec, t)) for t in trees]
+    rows = _map_trees(lambda t: root_feasibility(t, _tree_spec(spec, t)),
+                      trees, threads)
 
     kappa = min(spec.parts, n_total)
     lam = min(spec.outliers, n_total)
@@ -288,6 +282,9 @@ def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True,
     feasible = bool(combined[kappa][lam])
     if not feasible or not want_witness:
         return feasible, None
+
+    # the witness needs every tree's choice records, so only now
+    tabs = _map_trees(lambda t: solve(t, _tree_spec(spec, t)), trees, threads)
 
     budgets = [None] * len(trees)
     ck, cl = kappa, lam
@@ -378,13 +375,16 @@ def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
         groups.setdefault(find(v), []).append(v)
     components = sorted(groups.values(), key=lambda g: str(sorted_ids(g)[0]))
 
+    # one pass over the edges, each to its component, in input order
+    comp_edges = {}
+    for u, v, c in forest_edges:
+        comp_edges.setdefault(find(u), []).append((u, v, c))
+
     trees = []
     for members in components:
-        member_set = set(members)
         vertices = [(v, graph.weight(v), graph.potential(v) + extra_potential[v])
                     for v in members]
-        edges = [(u, v, c) for u, v, c in forest_edges
-                 if u in member_set and v in member_set]
+        edges = comp_edges.get(find(members[0]), [])
         root = _component_root(members, graph)
         trees.append(build_rooted_tree(vertices, edges, root))
 

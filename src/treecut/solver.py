@@ -25,16 +25,21 @@ per-combination-step decrement would over-charge vertices with three or
 more children and is rejected by the brute-force oracle (see the erratum
 regression in the acceptance suite).
 
-Pure decision queries (``root_feasibility``, ``decide``, ``decide_batch``)
-first try an int64 lane (``treecut._fastlane``): numba where it is
-installed, numpy otherwise.  It computes the same tables without
-backtracking records and engages only when a conservative bound proves
-64-bit arithmetic cannot overflow.  Values over that bound, every witness,
-and, where numba is missing, the trees on which the numpy kernel would be
-slower (tiny ones, and deep, thin ones; see
-``_fastlane.python_is_faster``) run through this module's Python lane,
-which is the authoritative implementation and the only one that supports
-witness reconstruction.
+Decision queries (``root_feasibility``, ``decide``, ``decide_batch``, and
+through them the forest fold and ``k_max``) take one of three paths:
+
+* the numba kernel of ``treecut._fastlane``, where numba is installed;
+* otherwise its numpy kernel, one batch of array operations per tree level;
+* this module's least-budget sweep (``_least_budgets``), one vertex at a
+  time on Python ints: where numba is missing, the trees on which the
+  numpy kernel would be slower (tiny ones, and deep, thin ones; see
+  ``_fastlane.python_is_faster``), and everywhere the values over the
+  int64 bound.
+
+The int64 kernels engage only when a conservative bound proves 64-bit
+arithmetic cannot overflow.  The ``DpTables`` loops below (``solve``) keep
+every vertex's full grids and the choice records, and run only for
+witnesses (``treecut.witness``) and for callers that read the tables.
 """
 
 from __future__ import annotations
@@ -361,23 +366,145 @@ def solve(tree: RootedTree, spec: ProblemSpec, record_choices: bool = True) -> D
     O((outliers+1)^2 * parts^2 * n) time.
     """
     T = DpTables(tree, spec, record_choices)
-    _sweep(T, keep_rows=True)
+    _sweep(T)
     return T
 
 
-def _sweep(T: DpTables, keep_rows: bool) -> None:
+def _sweep(T: DpTables) -> None:
     children = T.tree.children_idx
     for u in T.tree.order_idx:
-        kids = children[u]
-        if kids:
+        if children[u]:
             _gamma_row(T, u)
             _mu_row(T, u)
-            if not keep_rows:
-                # only the parent reads a vertex's rows
-                for v in kids:
-                    T._gamma[v] = T._mu[v] = None
         else:
             _leaf_rows(T, u)
+
+
+# -- the decision sweep ------------------------------------------------------
+#
+# Decisions read only the root's feasibility bits, so they skip the
+# DpTables grids and choice records above, which exist for witnesses, and
+# run the same recurrences in the smaller state of the numpy lane (see
+# ``treecut._fastlane``):
+#
+# * mu is monotone in the outlier budget, so a vertex keeps only the least
+#   sufficient budget per part count (``lam + 1`` when no budget in range
+#   suffices), and combining the children's mu is a (min,+) product over
+#   the part count alone;
+# * a subtree of s vertices holds at most s parts, so its cut-charge table
+#   keeps ``min(kappa, s)`` rows (row i holds i + 1 parts), the
+#   tree-knapsack bound on the merge work;
+# * a vertex's tables are dropped once its parent has read them.
+#
+# Cut-charge tables are flat row-major lists of Python ints, exact at any
+# size.  An infeasible cell holds ``inf`` or more plus charges, still
+# above every finite value and every threshold, so no cell needs a test
+# for infinity.  The (min,+) products run from index plans built once per
+# table shape and call.
+
+
+def _min_plus_plan(ny: int, nx: int, rows: int, cols: int) -> list:
+    """Flat index pairs ``(p, q)`` of ``out[c][l] = min Y[i][j] + X[c-i][l-j]``
+    over ``ny`` and ``nx`` rows of ``cols`` columns, one list per output
+    cell ``(c, l)`` with ``c < rows``, in row-major order."""
+    return [[(i * cols + j, (c - i) * cols + l - j)
+             for i in range(max(0, c - nx + 1), min(c + 1, ny))
+             for j in range(l + 1)]
+            for c in range(rows) for l in range(cols)]
+
+
+def _least_budgets(tree: RootedTree, spec: ProblemSpec) -> list:
+    """Least outlier budget at the root per part count: ``out[k]`` for
+    ``k <= kappa`` is the smallest ``l <= lam`` with ``mu[root][k][l]``, or
+    ``lam + 1`` when there is none (``kappa`` and ``lam`` clamped to the
+    vertex count)."""
+    n = tree.vertex_count
+    for v in spec.forbidden_outliers:
+        if v not in tree.index:
+            raise UnknownVertexId(f"forbidden outlier {v!r} is not in the tree")
+    forb = {tree.index[v] for v in spec.forbidden_outliers}
+    kappa = min(spec.parts, n)
+    lam = min(spec.outliers, n)
+    lp1 = none = lam + 1
+    a, b = spec.xi.numerator, spec.xi.denominator
+    w_sub = tree.subtree_weight_scaled
+    c_s = tree.cost_scaled
+    size = tree.subtree_size
+    # the charge of cutting each parent edge, and the threshold test of a
+    # part topped at each vertex (a leaf passes it iff thr >= 0)
+    if spec.use_potentials:
+        eps = [a * w + b * (c - p)
+               for w, c, p in zip(w_sub, c_s, tree.subtree_potential_scaled)]
+    else:
+        eps = [a * w + b * c for w, c in zip(w_sub, c_s)]
+    thr = [e - 2 * b * c for e, c in zip(eps, c_s)]
+    # a cell sums the charges of cut vertices none of which lies below
+    # another, so a finite cell lies in [-b * P, a * W + b * C] and a
+    # threshold is at most a * W: over W, C, P, totals of weight, cost
+    # and potential, a cell holding inf stays above both
+    c_total, p_total = tree.scaled_totals()
+    inf = a * w_sub[tree.root] + b * (c_total + p_total) + 1
+
+    cut_plans = {}   # rows -> (row, column) of each flat cell
+    gamma_plans = {}
+    mu_plans = {}
+    leaf = [0] * lp1
+    G = [None] * n   # cut-charge tables
+    M = [None] * n   # least budgets by part count
+    children = tree.children_idx
+    for u in tree.order_idx:
+        kids = children[u]
+        if not kids:
+            # its own part alone, or the leaf itself as the outlier
+            G[u] = leaf
+            M[u] = [none if u in forb else 1, 0 if thr[u] >= 0 else none]
+            continue
+        Y = U = None
+        for v in kids:
+            e = eps[v]
+            g, mv = G[v], M[v]
+            G[v] = M[v] = None
+            # row i (i + 1 parts with u's): the child joins u's part, or
+            # its edge is cut at charge e with i parts in its subtree;
+            # cut off, a subtree of s vertices fills one row more, row s
+            if size[v] < kappa:
+                g = g + [inf] * lp1
+            rx = len(g) // lp1
+            plan = cut_plans.get(rx)
+            if plan is None:
+                plan = cut_plans[rx] = [(i, l) for i in range(rx) for l in range(lp1)]
+            X = [e if e < x and l >= mv[i] else x for x, (i, l) in zip(g, plan)]
+            if Y is None:
+                Y, U = X, mv
+                continue
+            ry = len(Y) // lp1
+            plan = gamma_plans.get((ry, rx))
+            if plan is None:
+                plan = gamma_plans[ry, rx] = _min_plus_plan(
+                    ry, rx, min(kappa, ry + rx - 1), lp1)
+            Y = [min([Y[p] + X[q] for p, q in cell]) for cell in plan]
+            if lam:
+                plan = mu_plans.get((len(U), len(mv)))
+                if plan is None:
+                    plan = mu_plans[len(U), len(mv)] = _min_plus_plan(
+                        len(U), len(mv), min(kappa + 1, len(U) + len(mv) - 1), 1)
+                U = [min([U[p] + mv[q] for p, q in cell]) for cell in plan]
+        # u covered: the least budget whose cut charge passes the threshold
+        # test (charges fall as the budget grows) ...
+        t = thr[u]
+        if lam:
+            ok = [x <= t for x in Y]
+            m = [none] + [lp1 - sum(ok[i:i + lp1]) for i in range(0, len(Y), lp1)]
+            # ... or u the outlier, one unit on top of its children's budget
+            if u not in forb:
+                for k, need in enumerate(U):
+                    if need < m[k] - 1:
+                        m[k] = need + 1
+        else:
+            m = [none] + [0 if x <= t else none for x in Y]
+        G[u] = Y
+        M[u] = m
+    return M[tree.root]
 
 
 def root_feasibility(tree: RootedTree, spec: ProblemSpec) -> list:
@@ -398,10 +525,8 @@ def root_feasibility(tree: RootedTree, spec: ProblemSpec) -> list:
                                  spec.use_potentials, spec.forbidden_outliers)
         if row is not None:
             return row
-    # the Python lane, holding rows only until the parent has read them
-    T = DpTables(tree, spec, record_choices=False)
-    _sweep(T, keep_rows=False)
-    return [list(r) for r in T.root_row()]
+    least = _least_budgets(tree, spec)
+    return [[1 if l >= need else 0 for l in range(lam + 1)] for need in least]
 
 
 def decide(tree: RootedTree, spec: ProblemSpec) -> bool:

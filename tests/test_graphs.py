@@ -1,4 +1,5 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -14,6 +15,7 @@ from treecut import (
     RootedTree,
     SelfLoop,
     WeightedGraph,
+    build_rooted_tree,
     forest_from_graph,
     load_instance,
     similarity_spanning_tree,
@@ -176,3 +178,39 @@ class TestForestFromGraph:
         forest = forest_from_graph(g)
         assert len(forest.trees) == 2
         assert {t.root_id for t in forest.trees} == {"a", "c"}
+
+    def test_many_components_match_per_component_builds(self):
+        # 4000 components of 1-4 vertices, ids shuffled across them and
+        # edges interleaved in random order: each tree keeps its vertex
+        # order, its edges in input order and its heaviest root
+        rng = random.Random(9)
+        ids = rng.sample(range(100000), 16000)
+        comps, edges_of, vertices = [], [], []
+        for _ in range(4000):
+            size = rng.randint(1, 4)
+            members = [ids.pop() for _ in range(size)]
+            comps.append(members)
+            edges_of.append([(members[rng.randrange(i)], members[i], rng.randint(1, 5))
+                             for i in range(1, size)])
+            vertices += [(v, rng.randint(1, 3), rng.randint(0, 1)) for v in members]
+        pending = [list(reversed(e)) for e in edges_of]
+        order = [c for c, e in enumerate(edges_of) for _ in e]
+        rng.shuffle(order)
+        g = WeightedGraph(vertices, [(u, v, c, None) for u, v, c in
+                                     (pending[i].pop() for i in order)])
+
+        forest = forest_from_graph(g)
+        weight = {v: w for v, w, _p in vertices}
+        potential = {v: p for v, _w, p in vertices}
+        want = []
+        for members, edges in sorted(zip(comps, edges_of), key=lambda ce: min(ce[0])):
+            members = sorted(members)
+            root = max(members, key=lambda v: (weight[v], -v))
+            want.append(build_rooted_tree(
+                [(v, weight[v], potential[v]) for v in members], edges, root))
+        assert len(forest.trees) == 4000
+        for got, tree in zip(forest.trees, want):
+            assert got.ids == tree.ids
+            assert got.root_id == tree.root_id
+            assert got.children_idx == tree.children_idx
+            assert got.to_json() == tree.to_json()

@@ -222,6 +222,39 @@ class TestForest:
         assert ok
         assert len(wit.residue) <= 2
 
+    def test_witness_tables_only_for_feasible_forests(self, monkeypatch):
+        # the per-tree root rows decide first; the choice records a witness
+        # needs are built only once the fold says feasible
+        import treecut.search as search
+
+        solved = []
+        monkeypatch.setattr(search, "solve", lambda t, spec: solved.append(t)
+                            or solve(t, spec))
+        rng = random.Random(45)
+        outcomes = set()
+        for _ in range(30):
+            trees = [random_tree(rng, rng.randint(1, 6)) for _ in range(3)]
+            forest = Forest(tuple(
+                build_rooted_tree([(f"{i}-{v}", t.weight(v)) for v in t.vertex_ids()],
+                                  [(f"{i}-{t.parent_of(v)}", f"{i}-{v}", t.parent_edge_cost(v))
+                                   for v in t.vertex_ids() if t.parent_of(v) is not None],
+                                  f"{i}-{t.root_id}")
+                for i, t in enumerate(trees)))
+            spec = ProblemSpec(Fraction(rng.randint(0, 6), 2), rng.randint(1, 5),
+                               rng.randint(0, 2))
+            solved.clear()
+            ok, wit = decide_forest(forest, spec)
+            assert ok == decide_forest(forest, spec, want_witness=False)[0]
+            outcomes.add(ok)
+            if ok:
+                assert solved == list(forest.trees)
+                assert len(wit.parts) == spec.parts
+                assert len(wit.residue) <= spec.outliers
+                assert wit.max_expansion <= spec.xi
+            else:
+                assert solved == [] and wit is None
+        assert outcomes == {True, False}
+
     def test_overlapping_ids_rejected(self):
         t1 = build_rooted_tree([("a", 1)], [], "a")
         t2 = build_rooted_tree([("a", 1)], [], "a")

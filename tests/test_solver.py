@@ -1,4 +1,5 @@
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -20,7 +21,7 @@ from treecut import (
     root_feasibility,
     solve,
 )
-from treecut import _fastlane
+from treecut import _fastlane, solver
 
 
 class TestProblemSpec:
@@ -344,10 +345,10 @@ class TestLaneAgreement:
         assert not _fastlane._too_deep(path, 60, 4)
         # a star is one level below its centre
         assert not _fastlane._too_deep(star, 2, 1)
-        # at 20 parts and no outliers, ten thresholds pay for exactly one
-        # level per vertex, nine for fewer
-        assert not _fastlane._too_deep(path, 20, 0, 10)
-        assert _fastlane._too_deep(path, 20, 0, 9)
+        # at 20 parts and no outliers, fifteen thresholds pay for every
+        # level, fourteen for fewer
+        assert not _fastlane._too_deep(path, 20, 0, 15)
+        assert _fastlane._too_deep(path, 20, 0, 14)
 
         calls = []
         for name in ("root_row", "decide_many"):
@@ -366,6 +367,104 @@ class TestLaneAgreement:
         assert _fastlane.python_is_faster(path, 2, 1) != _fastlane.NUMBA_AVAILABLE
         monkeypatch.setattr(_fastlane, "NUMBA_AVAILABLE", True)
         assert not _fastlane.python_is_faster(path, 2, 1)
+
+
+def _sweep_row(tree, spec):
+    """Root feasibility bits from the least-budget decision sweep."""
+    lam = min(spec.outliers, tree.vertex_count)
+    return [[1 if l >= need else 0 for l in range(lam + 1)]
+            for need in solver._least_budgets(tree, spec)]
+
+
+def _table_row(tree, spec):
+    return [list(r) for r in solve(tree, spec, record_choices=False).root_row()]
+
+
+class TestLeastBudgetSweep:
+    """The Python decision sweep against the witness tables' root row."""
+
+    @staticmethod
+    def _tree(rng, n, shape, use_pot):
+        if shape == "path":
+            parents = list(range(n - 1))
+        elif shape == "star":
+            parents = [0] * (n - 1)
+        elif shape == "caterpillar":
+            spine = max(1, n // 2)
+            parents = list(range(spine - 1)) + [rng.randrange(spine)
+                                                 for _ in range(spine, n)]
+        else:
+            parents = [rng.randrange(i) for i in range(1, n)]
+        return build_rooted_tree(
+            [(i, rng.randint(1, 5), rng.randint(0, 4) if use_pot else 0)
+             for i in range(n)],
+            [(p, i, rng.randint(1, 5)) for i, p in enumerate(parents, start=1)],
+            rng.randrange(n))
+
+    @pytest.mark.parametrize("seed,shape", enumerate(["path", "star", "caterpillar",
+                                                      "random"]))
+    def test_matches_the_table_root_row(self, seed, shape):
+        # potentials make cut charges negative; on the smaller trees kappa
+        # and lam run up to n, as k_max asks, and past it
+        rng = random.Random(30 + seed)
+        for trial in range(120):
+            n = rng.randint(1, 60 if trial % 4 == 0 else 12)
+            use_pot = trial % 3 == 0
+            t = self._tree(rng, n, shape, use_pot)
+            forb = frozenset(v for v in range(n) if rng.random() < 0.15)
+            whole = (n, n + 2) if n <= 12 else ()
+            parts = rng.choice((1, 2, 3, 5) + whole)
+            outliers = rng.choice((0, 1, 2, 4) + whole)
+            xi = (Fraction(0) if trial % 7 == 0
+                  else Fraction(rng.randint(0, 15), rng.randint(1, 5)))
+            spec = ProblemSpec(xi, parts, outliers, use_pot, forb)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = _table_row(t, spec)
+            assert _sweep_row(t, spec) == want
+
+    def test_root_outlier_with_every_part_below(self):
+        # a potential no cut can pay keeps the root out of every part, so
+        # all kappa parts lie among its children's subtrees
+        t = build_rooted_tree([("r", 1, 100)] + [(v, 1) for v in "xyz"],
+                              [("r", v, 1) for v in "xyz"], "r")
+        for kappa in (1, 2, 3):
+            spec = ProblemSpec(1, kappa, 1, use_potentials=True)
+            assert _sweep_row(t, spec) == _table_row(t, spec)
+            assert _sweep_row(t, spec)[kappa] == [0, kappa == 3]
+            assert _sweep_row(t, spec.with_xi(0))[kappa] == [0, 0]
+
+    def test_unknown_forbidden_id(self):
+        spec = ProblemSpec(1, 2, 1, forbidden_outliers=frozenset({"x", "nope"}))
+        with pytest.raises(UnknownVertexId):
+            solver._least_budgets(star_tree(), spec)
+
+    def test_huge_numbers_stay_exact(self):
+        # the 2^200-scaled star is over the int64 bound; the sweep answers it
+        # with Python ints, and scaling every quantity changes no answer
+        big = 1 << 200
+        base = star_tree()
+        scaled_up = build_rooted_tree(
+            [(v, base.weight(v) * big) for v in base.vertex_ids()],
+            [("r", leaf, big) for leaf in ("x", "y", "z")], "r")
+        for kappa, lam, xi in [(2, 0, 1), (4, 0, 3), (4, 0, Fraction(5, 2)),
+                               (2, 1, Fraction(1, 3)), (3, 2, 0), (4, 4, 2)]:
+            spec = ProblemSpec(xi, kappa, lam)
+            assert _sweep_row(scaled_up, spec) == _table_row(scaled_up, spec)
+            assert _sweep_row(scaled_up, spec) == _sweep_row(base, spec)
+            assert root_feasibility(scaled_up, spec) == _sweep_row(scaled_up, spec)
+
+    def test_batch_on_a_path_matches_single_decisions(self):
+        # one threshold at a time the solver hands a path to the sweep
+        t = path_tree(range(40), weights=[1 + i % 3 for i in range(40)],
+                      costs=[1 + i % 4 for i in range(39)], root=0)
+        spec = ProblemSpec(0, 3, 2, forbidden_outliers=frozenset({5, 17}))
+        assert _fastlane.python_is_faster(t, 3, 2) != _fastlane.NUMBA_AVAILABLE
+        xis = [Fraction(a, b) for a in range(0, 9) for b in (1, 2, 5)]
+        singles = [decide(t, spec.with_xi(x)) for x in xis]
+        assert decide_batch(t, spec, xis) == singles
+        assert singles == [_table_row(t, spec.with_xi(x))[3][2] == 1 for x in xis]
+        assert any(singles) and not all(singles)
 
 
 class TestAgainstOracle:
