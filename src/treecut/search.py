@@ -4,14 +4,20 @@ part count, forests, and the semi-supervised reduction.
 Exact minimization never enumerates candidate ratios.  Every achievable
 maximum expansion is a fraction whose reduced denominator is at most the
 scaled total vertex weight W, and two such fractions differ by at least
-1/W^2.  Bisecting the decision procedure down to an interval shorter than
-that and rounding the midpoint with a continued-fraction (Stern-Brocot)
-step therefore recovers the optimum exactly; one verification probe at the
-result and one at its Farey predecessor guard against bugs.
+1/W^2.  The search opens at an achievable threshold: the largest expansion
+of one explicit partition with no residue (see ``_opening_bound``), so a
+``no`` there can only mean a broken DP.  If the Farey predecessor of that
+threshold is infeasible, the threshold is the optimum and no bisection
+runs.  Otherwise the predecessor becomes the upper end, and bisecting the
+decision procedure down to an interval shorter than 1/W^2 and rounding
+the midpoint with a continued-fraction (Stern-Brocot) step recovers the
+optimum exactly; one verification probe at the result and one at its
+Farey predecessor guard against bugs.
 """
 
 from __future__ import annotations
 
+import heapq
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -68,8 +74,13 @@ class OptimizationResult:
 
 
 def _farey_predecessor(x: Fraction, limit: int) -> Fraction | None:
-    """Largest fraction with denominator <= limit strictly below x > 0."""
+    """Largest fraction with denominator <= limit strictly below x > 0.
+
+    ``x`` itself must have a reduced denominator of at most ``limit``.
+    """
     a, b = x.numerator, x.denominator
+    if b > limit:
+        raise InvalidInput(f"{x} has a denominator above the limit {limit}")
     if a <= 0:
         return None
     if b == 1:
@@ -114,15 +125,95 @@ def _instance_trees(instance):
     return instance.trees if isinstance(instance, Forest) else (instance,)
 
 
+def _balanced_partition(tree: RootedTree, parts: int, use_potentials: bool):
+    """An explicit partition of the whole tree into ``1 <= parts <= n``
+    connected parts, with no residue.
+
+    Walking children before parents, a vertex's parent edge is cut once the
+    uncut weight below it reaches W/parts.  That cuts at most ``parts - 1``
+    edges, since every piece cut off weighs at least W/parts and the root's
+    piece is not empty; any cuts still missing go to the edges of least
+    cost per subtree weight.  Any ``parts - 1`` distinct edges leave
+    exactly ``parts`` pieces, so the result satisfies every outlier budget
+    and forbidden set.
+    """
+    parent = tree.parent_idx
+    w_sub = tree.subtree_weight_scaled
+    total = w_sub[tree.root]
+    need = parts - 1
+    below = list(tree.weight_scaled)
+    is_cut = [False] * tree.vertex_count
+    cuts = 0
+    for u in tree.order_idx:  # children precede parents
+        p = parent[u]
+        if p < 0:
+            continue
+        if below[u] * parts >= total:
+            is_cut[u] = True
+            cuts += 1
+        else:
+            below[p] += below[u]
+    if cuts < need:
+        c_s = tree.cost_scaled
+        rest = sorted((v for v in range(tree.vertex_count)
+                       if parent[v] >= 0 and not is_cut[v]),
+                      key=lambda v: Fraction(c_s[v], w_sub[v]))
+        for v in rest[:need - cuts]:
+            is_cut[v] = True
+
+    head = [0] * tree.vertex_count
+    groups = {}
+    for u in reversed(tree.order_idx):  # parents precede children
+        h = u if parent[u] < 0 or is_cut[u] else head[parent[u]]
+        head[u] = h
+        groups.setdefault(h, []).append(tree.ids[u])
+    return make_subpartition(tree, groups.values(), frozenset(), use_potentials)
+
+
+def _opening_bound(trees, parts: int, use_potentials: bool):
+    """Threshold at which the search opens, and whether it is achievable.
+
+    With at least one part per tree, each tree gets one part and the extra
+    parts go, one at a time, to the tree with the most weight per part; the
+    bound is the largest expansion of the resulting explicit partition, so
+    the decision must say yes there.  With fewer parts than trees the bound
+    is total cost (plus potential) over the least vertex weight, which is
+    feasible whenever anything is.
+    """
+    if parts < len(trees):
+        cost_total = sum((t.total_edge_cost() for t in trees), Fraction(0))
+        if use_potentials:
+            cost_total += sum((t.total_potential() for t in trees), Fraction(0))
+        return cost_total / min(t.min_weight() for t in trees), False
+    share = [1] * len(trees)
+    heap = [(-t.total_weight(), i) for i, t in enumerate(trees)
+            if t.vertex_count > 1]
+    heapq.heapify(heap)
+    for _ in range(parts - len(trees)):
+        _, i = heapq.heappop(heap)
+        share[i] += 1
+        if share[i] < trees[i].vertex_count:
+            heapq.heappush(heap, (-trees[i].total_weight() / share[i], i))
+    return max(_balanced_partition(t, k, use_potentials).max_expansion
+               for t, k in zip(trees, share)), True
+
+
 def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
            tol=None, use_potentials: bool = False,
            forbidden_outliers=frozenset(), threads: int = 1) -> OptimizationResult:
     """Minimize the expansion threshold for a tree or forest.
 
-    Exact mode returns the true minimum as a reduced fraction; tolerance
-    mode bisects until the bracketing interval is no longer than ``tol``
-    and returns its feasible upper end.  The witness attains the returned
-    threshold.
+    Both modes open at the largest expansion of an explicit partition
+    whenever there are at least as many parts as trees (with fewer, at
+    total cost over the least vertex weight).  Exact mode returns the true
+    minimum as a reduced fraction: it first probes the Farey predecessor
+    of the opening bound, which settles the search when it is infeasible,
+    and otherwise bisects below it.  Tolerance mode bisects until the
+    bracketing interval is no longer than ``tol`` and returns its feasible
+    upper end.  The witness attains the returned threshold.
+
+    Raises :class:`MonotonicityViolation` when the decisions contradict
+    each other or the explicit partition's threshold.
     """
     if mode not in ("exact", "tol"):
         raise InvalidInput(f"mode must be 'exact' or 'tol', got {mode!r}")
@@ -148,13 +239,11 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
     if parts > n_total:
         return OptimizationResult(None, None, probe.calls, mode, tol)
 
-    cost_total = sum((t.total_edge_cost() for t in trees), Fraction(0))
-    if use_potentials:
-        cost_total += sum((t.total_potential() for t in trees), Fraction(0))
-    weight_min = min(t.min_weight() for t in trees)
-    hi = cost_total / weight_min
-
+    hi, achievable = _opening_bound(trees, parts, use_potentials)
     if not probe(hi):
+        if achievable:
+            raise MonotonicityViolation(
+                f"decision said no at {hi}, the expansion of an explicit partition")
         return OptimizationResult(None, None, probe.calls, mode, tol)
 
     zero = Fraction(0)
@@ -171,15 +260,22 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
         xi_star = hi
     else:
         denom_limit = max(t.subtree_weight_scaled[t.root] for t in trees)
-        gap = Fraction(1, denom_limit * denom_limit)
         lo = zero
-        while hi - lo >= gap:
-            mid = (lo + hi) / 2
-            if probe(mid):
-                hi = mid
-            else:
-                lo = mid
-        xi_star = ((lo + hi) / 2).limit_denominator(denom_limit)
+        prev = _farey_predecessor(hi, denom_limit) if achievable else None
+        if prev is not None and not probe(prev):
+            # nothing achievable lies strictly between prev and hi
+            lo, xi_star = prev, hi
+        else:
+            if prev is not None:
+                hi = prev
+            gap = Fraction(1, denom_limit * denom_limit)
+            while hi - lo >= gap:
+                mid = (lo + hi) / 2
+                if probe(mid):
+                    hi = mid
+                else:
+                    lo = mid
+            xi_star = ((lo + hi) / 2).limit_denominator(denom_limit)
         if not (lo < xi_star <= hi) or not probe(xi_star):
             raise MonotonicityViolation(
                 f"recovered threshold {xi_star} failed verification")

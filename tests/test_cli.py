@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -226,7 +227,10 @@ class TestEntryPoint:
         proc = subprocess.run(
             [sys.executable, "-m", "treecut", "decide", "--xi", "1",
              "--parts", "2", "--outliers", "0", "--input", tree_file],
-            capture_output=True, text=True)
+            capture_output=True, text=True,
+            # the package may be on this process's path only (pytest's
+            # pythonpath setting), not installed
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["feasible"] is True
 

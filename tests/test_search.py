@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,11 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
-from conftest import path_tree, random_tree, star_tree
+from conftest import path_tree, prufer_edges, random_tree, star_tree
 from treecut import (
     Forest,
     InvalidInput,
     LambdaTooSmall,
+    MonotonicityViolation,
     NotForestAfterDeletion,
     PrecollisionError,
     ProblemSpec,
@@ -27,7 +29,8 @@ from treecut import (
     tree_as_graph,
     validate_subpartition,
 )
-from treecut.search import _farey_predecessor
+from treecut.oracle import EnumerationBudget
+from treecut.search import _balanced_partition, _farey_predecessor, _opening_bound
 
 
 class TestFareyPredecessor:
@@ -41,11 +44,20 @@ class TestFareyPredecessor:
     def test_known_values(self, x, limit, expected):
         assert _farey_predecessor(x, limit) == expected
 
+    @pytest.mark.parametrize("x,limit", [
+        (Fraction(3, 7), 2), (Fraction(5, 11), 3), (Fraction(2, 9), 4),
+    ])
+    def test_rejects_denominators_above_the_limit(self, x, limit):
+        with pytest.raises(InvalidInput):
+            _farey_predecessor(x, limit)
+
     @settings(max_examples=200, deadline=None)
     @given(st.integers(1, 400), st.integers(1, 400), st.integers(1, 40))
     def test_is_the_farey_neighbor(self, p, q, limit):
         x = Fraction(p, q)
         if x.denominator > limit:
+            with pytest.raises(InvalidInput):
+                _farey_predecessor(x, limit)
             return
         prev = _farey_predecessor(x, limit)
         assert prev < x
@@ -135,6 +147,148 @@ class TestMinXi:
         assert res.xi_star == oracle_min_xi(t, 2, 0)
         # the optimum is an actual expansion: 7/11 over min(1/3, 2/5)
         assert res.xi_star == Fraction(7, 11) / Fraction(1, 3)
+
+
+def _labelled_tree(rng, n, prefix, pmax=0):
+    ids = [f"{prefix}{i}" for i in range(n)]
+    seq = [rng.randrange(n) for _ in range(max(0, n - 2))]
+    vertices = [(v, rng.randint(1, 4), rng.randint(0, pmax)) for v in ids]
+    edges = [(ids[u], ids[v], rng.randint(1, 4)) for u, v in prufer_edges(seq, n)]
+    return build_rooted_tree(vertices, edges, ids[rng.randrange(n)])
+
+
+_BIG_BUDGET = EnumerationBudget(max_vertices=10, max_parts=10)
+
+
+def _forest_oracle_min_xi(trees, parts, outliers, use_pot, forbidden):
+    """Least maximum expansion over every split of the budgets across the
+    trees, each tree answered by ``oracle_min_xi``; a tree given no part
+    must be all residue."""
+    options = []
+    for t in trees:
+        forb = frozenset(v for v in forbidden if v in t.index)
+        opts = []
+        if t.vertex_count <= outliers and not forb:
+            opts.append((0, t.vertex_count, None))
+        for k in range(1, min(parts, t.vertex_count) + 1):
+            for l in range(outliers + 1):
+                x = oracle_min_xi(t, k, l, use_potentials=use_pot,
+                                  forbidden_outliers=forb, budget=_BIG_BUDGET)
+                if x is not None:
+                    opts.append((k, l, x))
+        options.append(opts)
+    best = None
+    stack = [(0, 0, 0, None)]
+    while stack:
+        i, k, l, worst = stack.pop()
+        if i == len(trees):
+            if k == parts and (best is None or worst < best):
+                best = worst
+            continue
+        for dk, dl, x in options[i]:
+            if k + dk <= parts and l + dl <= outliers:
+                w = worst if x is None or (worst is not None and worst >= x) else x
+                stack.append((i + 1, k + dk, l + dl, w))
+    return best
+
+
+class TestOpeningBound:
+    def test_bound_partition_is_valid(self):
+        rng = random.Random(47)
+        for _ in range(60):
+            n = rng.randint(1, 12)
+            use_pot = rng.random() < 0.5
+            t = _labelled_tree(rng, n, "v", pmax=3 if use_pot else 0)
+            for parts in range(1, n + 1):
+                sub = _balanced_partition(t, parts, use_pot)
+                spec = ProblemSpec(sub.max_expansion, parts, 0, use_pot)
+                assert validate_subpartition(t, spec, sub) == []
+
+    def test_matches_oracle_on_trees_and_forests(self):
+        # every route through the search: the bound already optimal, the
+        # bisection below it, the forest fallback with fewer parts than
+        # trees, and no admissible subpartition at all
+        rng = random.Random(48)
+        seen = set()
+        for trial in range(60):
+            use_pot = rng.random() < 0.4
+            pmax = 3 if use_pot else 0
+            if trial % 2:
+                sizes = [rng.randint(1, 4) for _ in range(rng.randint(2, 3))]
+                trees = tuple(_labelled_tree(rng, m, f"t{i}-", pmax)
+                              for i, m in enumerate(sizes))
+                instance = Forest(trees)
+            else:
+                trees = (_labelled_tree(rng, rng.randint(1, 9), "v", pmax),)
+                instance = trees[0]
+            n = sum(t.vertex_count for t in trees)
+            ids = [v for t in trees for v in t.vertex_ids()]
+            forbidden = frozenset(v for v in ids if rng.random() < 0.2)
+            lam = rng.randint(0, 2)
+            for parts in range(1, n + 2):
+                if len(trees) == 1:
+                    expected = oracle_min_xi(trees[0], parts, lam,
+                                             use_potentials=use_pot,
+                                             forbidden_outliers=forbidden,
+                                             budget=_BIG_BUDGET)
+                else:
+                    expected = _forest_oracle_min_xi(trees, parts, lam, use_pot,
+                                                     forbidden)
+                got = min_xi(instance, parts, lam, use_potentials=use_pot,
+                             forbidden_outliers=forbidden)
+                assert got.xi_star == expected
+                if expected is None:
+                    seen.add("infeasible")
+                    continue
+                assert got.witness.max_expansion == expected
+                assert len(got.witness.parts) == parts
+                assert len(got.witness.residue) <= lam
+                assert not got.witness.residue & forbidden
+                hi, achievable = _opening_bound(trees, parts, use_pot)
+                if not achievable:
+                    seen.add("fallback")
+                elif expected == hi:
+                    seen.add("bound optimal")
+                else:
+                    seen.add("bisection")
+        assert seen == {"infeasible", "fallback", "bound optimal", "bisection"}
+
+    def test_star_bound_is_optimal_in_three_probes(self):
+        # all singletons: yes at the bound, no at zero, no at its predecessor
+        res = min_xi(star_tree(), 4, 0)
+        assert res.xi_star == 3
+        assert res.probes == 3
+
+    def test_long_path_probe_count(self):
+        rng = random.Random(49)
+        n = 2000
+        t = path_tree([f"v{i}" for i in range(n)],
+                      weights=[rng.randint(1, 9) for _ in range(n)],
+                      costs=[rng.randint(1, 9) for _ in range(n - 1)])
+        hi, achievable = _opening_bound((t,), 3, False)
+        assert achievable
+        w = t.subtree_weight_scaled[t.root]
+        bits = (math.ceil(hi * w * w) - 1).bit_length()  # ceil(log2(hi W^2))
+        res = min_xi(t, 3, 2)
+        # the bound, zero and its predecessor, at most `bits` bisection
+        # steps, then the verification at xi* and at its predecessor
+        assert res.probes <= bits + 5
+        assert res.probes < 32
+
+    def test_no_at_the_bound_is_a_broken_dp(self, monkeypatch):
+        import treecut.search as search
+
+        monkeypatch.setattr(search, "decide", lambda tree, spec: False)
+        with pytest.raises(MonotonicityViolation):
+            min_xi(star_tree(), 2, 0)
+        monkeypatch.setattr(search, "decide_forest",
+                            lambda forest, spec, **kw: (False, None))
+        two = Forest((path_tree(("a", "b")), path_tree(("c", "d"))))
+        with pytest.raises(MonotonicityViolation):
+            min_xi(two, 2, 0)
+        # with fewer parts than trees the opening bound is not achievable,
+        # so a no there still means infeasible
+        assert min_xi(two, 1, 2).xi_star is None
 
 
 class TestKMax:
