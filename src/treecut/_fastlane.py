@@ -1,26 +1,23 @@
-"""Int64 decision kernels.
+"""Int64 decision kernel.
 
-Compute the same tables as ``treecut.solver`` (no backtracking records)
-over flat int64 arrays, in one of two implementations:
+Compute the same decisions as ``treecut.solver`` (no backtracking records)
+over flat int64 arrays with numpy, one batch of array operations per tree
+level (``_np_sweep``).
 
-* numba, where it is installed: compiled per-vertex loops (``_dp_fill``);
-* numpy otherwise: one batch of array operations per tree level
-  (``_np_sweep``).
-
-Either is used only when a conservative a-priori bound proves every
-intermediate value fits in 64 bits, so results are exact whenever a lane
+It is used only when a conservative a-priori bound proves every
+intermediate value fits in 64 bits, so results are exact whenever it
 engages; otherwise (values over the bound, tables over
 ``_MAX_TABLE_BYTES``) callers fall back to the Python least-budget sweep
-of ``treecut.solver``, exact at any size.  Witnesses come from neither:
-they need the choice records of ``treecut.solver.solve``.  Which lane is
-faster is the caller's choice: ``python_is_faster`` says when the numpy
-kernel would lose to the Python sweep (tiny trees, and deep, thin ones on
-which a level holds too few vertices to pay for its numpy calls), and
+of ``treecut.solver``, exact at any size.  Witnesses do not come from it:
+they need the choice records of ``treecut.solver.solve``.  Which path is
+faster is the caller's choice: ``python_is_faster`` says when the kernel
+would lose to the Python sweep (tiny trees, and deep, thin ones on which a
+level holds too few vertices to pay for its numpy calls), and
 ``treecut.solver`` then does not call it.
 
 Any finite table value is a sum of at most ``parts + outliers`` edge
 charges, so ``(parts + outliers + 2) * max_charge`` bounds every quantity
-the kernels compare or add.
+the kernel compares or adds.
 
 Vertices arrive relabeled in BFS order (see ``RootedTree.dense_arrays``):
 position 0 is the root, every vertex's children occupy the contiguous
@@ -36,143 +33,11 @@ import numpy as np
 
 from .errors import UnknownVertexId
 
-try:
-    from numba import njit
-
-    NUMBA_AVAILABLE = True
-except ImportError:  # numba is an optional extra; numpy serves instead
-    NUMBA_AVAILABLE = False
-
-INF64 = np.int64(1) << np.int64(62)
 _SAFE_LIMIT = 1 << 60
 _MAX_TABLE_BYTES = 1 << 31
 
 
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True)
-    def _dp_fill(cstart, cend, w_sub, p_sub, c_edge,
-                 a, b, kappa, lam, use_pot, forb, gamma, mu):
-        n = cstart.shape[0]
-        kp1 = kappa + 1
-        lp1 = lam + 1
-        X = np.empty((kp1, lp1), np.int64)
-        Ya = np.empty((kp1, lp1), np.int64)
-        Yb = np.empty((kp1, lp1), np.int64)
-        Ua = np.empty((kp1, lp1), np.uint8)
-        Ub = np.empty((kp1, lp1), np.uint8)
-        for u in range(n - 1, -1, -1):
-            cs = cstart[u]
-            ce = cend[u]
-            if cs == ce:
-                # leaf base case
-                for l in range(lp1):
-                    mu[u, 0, l] = 1 if (l >= 1 and forb[u] == 0) else 0
-                    gamma[u, 0, l] = INF64
-                num = b * c_edge[u]
-                if use_pot:
-                    num += b * p_sub[u]
-                ok = num <= a * w_sub[u]
-                for k in range(1, kp1):
-                    for l in range(lp1):
-                        gamma[u, k, l] = 0 if k == 1 else INF64
-                        mu[u, k, l] = 1 if (k == 1 and ok) else 0
-                continue
-
-            # fold children into the cut-charge row
-            Y = Ya
-            Ynext = Yb
-            for v in range(cs, ce):
-                eps = a * w_sub[v] + b * c_edge[v]
-                if use_pot:
-                    eps -= b * p_sub[v]
-                for k in range(1, kp1):
-                    for l in range(lp1):
-                        g = gamma[v, k, l]
-                        if mu[v, k - 1, l] == 1 and eps <= g:
-                            X[k, l] = eps
-                        else:
-                            X[k, l] = g
-                if v == cs:
-                    for k in range(1, kp1):
-                        for l in range(lp1):
-                            Y[k, l] = X[k, l]
-                else:
-                    for k in range(1, kp1):
-                        for l in range(lp1):
-                            best = INF64
-                            for lp in range(l + 1):
-                                for kq in range(1, k + 1):
-                                    yv = Y[kq, lp]
-                                    if yv >= INF64:
-                                        continue
-                                    xv = X[k + 1 - kq, l - lp]
-                                    if xv >= INF64:
-                                        continue
-                                    s = yv + xv
-                                    if s < best:
-                                        best = s
-                            Ynext[k, l] = best
-                    tmp = Y
-                    Y = Ynext
-                    Ynext = tmp
-            for l in range(lp1):
-                gamma[u, 0, l] = INF64
-            for k in range(1, kp1):
-                for l in range(lp1):
-                    gamma[u, k, l] = Y[k, l]
-
-            # feasibility via the threshold test ...
-            thr = a * w_sub[u] - b * c_edge[u]
-            if use_pot:
-                thr -= b * p_sub[u]
-            for l in range(lp1):
-                mu[u, 0, l] = 0
-            for k in range(1, kp1):
-                for l in range(lp1):
-                    g = gamma[u, k, l]
-                    mu[u, k, l] = 1 if (g < INF64 and g <= thr) else 0
-
-            # ... or by spending one budget unit on u and combining children
-            Uc = Ua
-            Un = Ub
-            for k in range(kp1):
-                for l in range(lp1):
-                    Uc[k, l] = mu[cs, k, l]
-            for v in range(cs + 1, ce):
-                for k in range(kp1):
-                    for l in range(lp1):
-                        if l >= 1 and Un[k, l - 1] == 1:
-                            Un[k, l] = 1
-                            continue
-                        hit = 0
-                        for kq in range(k + 1):
-                            for lp in range(l + 1):
-                                if Uc[kq, lp] == 1 and mu[v, k - kq, l - lp] == 1:
-                                    hit = 1
-                                    break
-                            if hit == 1:
-                                break
-                        Un[k, l] = hit
-                tmp2 = Uc
-                Uc = Un
-                Un = tmp2
-            if forb[u] == 0:
-                for k in range(kp1):
-                    for l in range(1, lp1):
-                        if mu[u, k, l] == 0 and Uc[k, l - 1] == 1:
-                            mu[u, k, l] = 1
-
-    @njit(cache=True)
-    def _decide_many(cstart, cend, w_sub, p_sub, c_edge,
-                     a_arr, b_arr, kappa, lam, use_pot, forb, gamma, mu, out):
-        for j in range(a_arr.shape[0]):
-            _dp_fill(cstart, cend, w_sub, p_sub, c_edge,
-                     a_arr[j], b_arr[j], kappa, lam, use_pot, forb, gamma, mu)
-            out[j] = mu[0, kappa, lam]
-
-
-# -- numpy lane ------------------------------------------------------------
+# -- the kernel ------------------------------------------------------------
 #
 # The same recurrences, one tree level per step, deepest level first.
 # Three facts keep the batches small.  mu is monotone in the outlier
@@ -195,7 +60,7 @@ if NUMBA_AVAILABLE:
 
 _NP_INF = np.int64(1) << np.int64(61)
 _NP_CHUNK_BYTES = 1 << 25
-# Speed rule of the numpy lane, in microseconds measured on a 2-core VM:
+# Speed rule of the kernel, in microseconds measured on a 2-core VM:
 # a level costs the sweep up to ~500 us of numpy calls (its pairwise merge
 # rounds included) however few vertices it holds, while the Python
 # decision sweep (``treecut.solver._least_budgets``) spends about
@@ -209,12 +74,13 @@ _PY_VERTEX_US = 1
 _PY_CELL_US = 1.65
 
 
-def _too_deep(tree, kappa: int, lam: int, thresholds: int = 1) -> bool:
+def python_is_faster(tree, kappa: int, lam: int, thresholds: int = 1) -> bool:
     """Whether the tree has more levels than the Python sweep's estimated
-    time pays for in the numpy lane: tiny trees, paths, caterpillars, and
-    at 2 parts and no outliers any tree averaging fewer than about 80
-    vertices per level.  Walks up from the deepest vertex, at most as many
-    steps as the levels paid for."""
+    time pays for in the numpy kernel, so the Python sweep should answer
+    instead: tiny trees, paths, caterpillars, and at 2 parts and no
+    outliers any tree averaging fewer than about 80 vertices per level.
+    Walks up from the deepest vertex, at most as many steps as the levels
+    paid for."""
     n = tree.vertex_count
     python_us = n * thresholds * (_PY_VERTEX_US + _PY_CELL_US * (kappa + 1) * (lam + 1))
     parent = tree.parent_idx
@@ -224,15 +90,6 @@ def _too_deep(tree, kappa: int, lam: int, thresholds: int = 1) -> bool:
         if u < 0:
             return False
     return True
-
-
-def python_is_faster(tree, kappa: int, lam: int, thresholds: int = 1) -> bool:
-    """Whether the Python sweep should answer instead of the int64 lane:
-    where numba is missing and the numpy kernel would spend more on the
-    tree's levels than the Python sweep on its vertices (see
-    ``_too_deep``).  The compiled lane has no per-level cost to pay for,
-    so where numba is installed every tree goes to it."""
-    return not NUMBA_AVAILABLE and _too_deep(tree, kappa, lam, thresholds)
 
 
 def _min_plus_gamma(Y, X, rows):
@@ -360,7 +217,7 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
 
 
 def available() -> bool:
-    """True: an int64 lane exists everywhere (numba if installed, else numpy)."""
+    """True: the int64 kernel needs only numpy, so it exists everywhere."""
     return True
 
 
@@ -387,26 +244,23 @@ def _table_ok(tree, kappa, lam) -> bool:
     return tree.vertex_count * (kappa + 1) * (lam + 1) * 8 <= _MAX_TABLE_BYTES
 
 
-def _tables(tree, kappa, lam):
-    gamma = np.empty((tree.vertex_count, kappa + 1, lam + 1), dtype=np.int64)
-    mu = np.empty((tree.vertex_count, kappa + 1, lam + 1), dtype=np.uint8)
-    return gamma, mu
-
-
 def _engages(tree, xis, kappa: int, lam: int) -> bool:
-    """The guards every int64 lane keeps: no value may come near 2^60, and
-    the per-vertex tables the numba kernel allocates stay under
-    ``_MAX_TABLE_BYTES``."""
+    """The kernel's guards: no value may come near 2^60, and its largest
+    level table stays under ``_MAX_TABLE_BYTES``.  That table holds
+    width x rows x (lam + 1) int64 cells per threshold, at most
+    ``n (kappa + 1)(lam + 1) 8`` bytes, the product ``_table_ok`` checks."""
     a_max = max(x.numerator for x in xis)
     b_max = max(x.denominator for x in xis)
     return (_bound_ok(tree, a_max, b_max, kappa, lam)
             and _table_ok(tree, kappa, lam))
 
 
-def numpy_root_row(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
-                   forbidden_ids) -> list | None:
-    """``root_row`` computed by the numpy kernel, or None when it cannot
-    engage (see ``root_row`` for the contract)."""
+def root_row(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
+             forbidden_ids) -> list | None:
+    """Root feasibility grid ``row[k][l]`` for ``k <= kappa``, ``l <= lam``:
+    a list of ``kappa + 1`` rows, each a list of ``lam + 1`` ints 0/1, the
+    shape every path of ``treecut.solver.root_feasibility`` returns.  None
+    when the kernel cannot engage."""
     if not _engages(tree, (xi,), kappa, lam):
         return None
     least = _np_sweep(tree.dense_arrays(), _forb_array(tree, forbidden_ids),
@@ -416,12 +270,12 @@ def numpy_root_row(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
     return [[1 if l >= need else 0 for l in range(lam + 1)] for need in least]
 
 
-def numpy_decide_many(tree, xis, kappa: int, lam: int, use_pot: bool,
-                      forbidden_ids) -> list | None:
-    """``decide_many`` computed by the numpy kernel, or None when it
-    cannot engage.  Thresholds share each sweep, in chunks small enough that
-    one level's table and the per-vertex charges each stay within
-    ``_NP_CHUNK_BYTES``."""
+def decide_many(tree, xis, kappa: int, lam: int, use_pot: bool,
+                forbidden_ids) -> list | None:
+    """Batched decisions over thresholds, or None when the kernel cannot
+    engage (any single threshold out of bounds disqualifies the batch).
+    Thresholds share each sweep, in chunks small enough that one level's
+    table and the per-vertex charges each stay within ``_NP_CHUNK_BYTES``."""
     if not xis:
         return []
     if not _engages(tree, xis, kappa, lam):
@@ -443,56 +297,6 @@ def numpy_decide_many(tree, xis, kappa: int, lam: int, use_pot: bool,
     return out
 
 
-def root_row(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
-             forbidden_ids) -> list | None:
-    """Root feasibility grid ``row[k][l]`` for ``k <= kappa``, ``l <= lam``:
-    a list of ``kappa + 1`` rows, each a list of ``lam + 1`` ints 0/1, the
-    shape every lane of ``treecut.solver.root_feasibility`` returns.  None
-    when the lane cannot engage."""
-    if not NUMBA_AVAILABLE:
-        return numpy_root_row(tree, xi, kappa, lam, use_pot, forbidden_ids)
-    a, b = xi.numerator, xi.denominator
-    if not _engages(tree, (xi,), kappa, lam):
-        return None
-    gamma, mu = _tables(tree, kappa, lam)
-    dense = tree.dense_arrays()
-    _dp_fill(dense["cstart"], dense["cend"],
-             dense["w_sub"], dense["p_sub"], dense["c_edge"],
-             np.int64(a), np.int64(b), np.int64(kappa), np.int64(lam),
-             use_pot, _forb_array(tree, forbidden_ids), gamma, mu)
-    return [[int(mu[0, k, l]) for l in range(lam + 1)] for k in range(kappa + 1)]
-
-
-def decide_many(tree, xis, kappa: int, lam: int, use_pot: bool,
-                forbidden_ids) -> list | None:
-    """Batched decisions over thresholds, or None when the lane cannot
-    engage (any single threshold out of bounds disqualifies the batch)."""
-    if not NUMBA_AVAILABLE:
-        return numpy_decide_many(tree, xis, kappa, lam, use_pot, forbidden_ids)
-    if not xis:
-        return []
-    if not _engages(tree, xis, kappa, lam):
-        return None
-    gamma, mu = _tables(tree, kappa, lam)
-    dense = tree.dense_arrays()
-    a_arr = np.array([x.numerator for x in xis], dtype=np.int64)
-    b_arr = np.array([x.denominator for x in xis], dtype=np.int64)
-    out = np.zeros(len(xis), dtype=np.uint8)
-    _decide_many(dense["cstart"], dense["cend"],
-                 dense["w_sub"], dense["p_sub"], dense["c_edge"],
-                 a_arr, b_arr, np.int64(kappa), np.int64(lam),
-                 use_pot, _forb_array(tree, forbidden_ids), gamma, mu, out)
-    return [bool(v) for v in out]
-
-
 def warm_up() -> None:
-    """Force numba's JIT compilation on a toy instance (timing benchmarks
-    call this so compilation never lands inside a measured region); the
-    numpy lane compiles nothing."""
-    if not NUMBA_AVAILABLE:
-        return
-    from .tree import build_rooted_tree
-
-    tiny = build_rooted_tree([("a", 1), ("b", 1)], [("a", "b", 1)], "a")
-    root_row(tiny, Fraction(1), 1, 1, False, frozenset())
-    decide_many(tiny, [Fraction(1), Fraction(0)], 1, 1, True, frozenset())
+    """Nothing to do: the numpy kernel compiles nothing (kept for timing
+    harnesses that warm the kernel before a measured region)."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .errors import InvalidInput, TreecutError
@@ -49,13 +48,6 @@ def _rational(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _default_threads() -> int:
-    env = os.environ.get("TREECUT_THREADS", "").strip()
-    if env.isdigit() and int(env) >= 1:
-        return int(env)
-    return 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="treecut",
@@ -80,8 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="add vertex potentials to cut numerators")
         p.add_argument("--forbid", action="append", default=[],
                        help="comma-separated vertex ids that must be covered")
-        p.add_argument("--threads", type=int, default=_default_threads(),
-                       help="worker threads for independent subproblems")
 
     p = sub.add_parser("decide", help="answer one threshold query")
     common(p, with_xi=True, with_parts=True)
@@ -108,9 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "threads", 1) < 1:
-        print("treecut: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except TreecutError as exc:
@@ -161,7 +148,7 @@ def _cmd_decide(args) -> int:
         graph = instance if isinstance(instance, WeightedGraph) else tree_as_graph(instance)
         feasible, witness = decide_semisupervised(
             graph, frozenset(require), forbid, args.xi, args.parts,
-            args.outliers, threads=args.threads)
+            args.outliers)
     else:
         spec = ProblemSpec(args.xi, args.parts, args.outliers,
                            args.potentials, forbid)
@@ -191,7 +178,7 @@ def _cmd_optimize(args) -> int:
     forbid = frozenset(_resolve_ids(_split_ids(args.forbid), ids))
     result = min_xi(instance, args.parts, args.outliers, mode=args.mode,
                     tol=args.tol, use_potentials=args.potentials,
-                    forbidden_outliers=forbid, threads=args.threads)
+                    forbidden_outliers=forbid)
     payload = {
         "xi_star": format_rational(result.xi_star) if result.feasible else None,
         "witness": result.witness.to_json() if result.witness else None,
@@ -225,7 +212,7 @@ def _cmd_cluster(args) -> int:
     forbid = frozenset(_resolve_ids(_split_ids(args.forbid), ids))
     result = min_xi(backbone, args.parts, args.outliers, mode=args.mode,
                     tol=args.tol, use_potentials=args.potentials,
-                    forbidden_outliers=forbid, threads=args.threads)
+                    forbidden_outliers=forbid)
 
     edges = []
     for tree in trees:

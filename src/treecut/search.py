@@ -18,7 +18,6 @@ Farey predecessor guard against bugs.
 from __future__ import annotations
 
 import heapq
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -200,7 +199,7 @@ def _opening_bound(trees, parts: int, use_potentials: bool):
 
 def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
            tol=None, use_potentials: bool = False,
-           forbidden_outliers=frozenset(), threads: int = 1) -> OptimizationResult:
+           forbidden_outliers=frozenset()) -> OptimizationResult:
     """Minimize the expansion threshold for a tree or forest.
 
     Both modes open at the largest expansion of an explicit partition
@@ -230,7 +229,7 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
     def raw_decide(xi: Fraction) -> bool:
         spec = ProblemSpec(xi, parts, outliers, use_potentials, forbidden_outliers)
         if isinstance(instance, Forest):
-            ans, _ = decide_forest(instance, spec, want_witness=False, threads=threads)
+            ans, _ = decide_forest(instance, spec, want_witness=False)
             return ans
         return decide(instance, spec)
 
@@ -287,8 +286,7 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
     spec_star = ProblemSpec(xi_star, parts, outliers, use_potentials,
                             forbidden_outliers)
     if isinstance(instance, Forest):
-        _, witness = decide_forest(instance, spec_star, want_witness=True,
-                                   threads=threads)
+        _, witness = decide_forest(instance, spec_star, want_witness=True)
     else:
         witness = reconstruct_subpartition(instance, spec_star,
                                            solve(instance, spec_star))
@@ -324,15 +322,7 @@ def _tree_spec(spec: ProblemSpec, tree: RootedTree) -> ProblemSpec:
                        spec.use_potentials, forb)
 
 
-def _map_trees(fn, trees, threads: int) -> list:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, trees))
-    return [fn(t) for t in trees]
-
-
-def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True,
-                  threads: int = 1):
+def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True):
     """Decide the problem on a forest by folding per-tree feasibility grids:
     parts and outlier budget are split across trees, with no extra charge at
     tree boundaries.  Returns ``(feasible, witness_or_None)``."""
@@ -341,8 +331,7 @@ def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True,
     if not trees or spec.parts > n_total:
         return False, None
 
-    rows = _map_trees(lambda t: root_feasibility(t, _tree_spec(spec, t)),
-                      trees, threads)
+    rows = [root_feasibility(t, _tree_spec(spec, t)) for t in trees]
 
     kappa = min(spec.parts, n_total)
     lam = min(spec.outliers, n_total)
@@ -380,7 +369,7 @@ def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True,
         return feasible, None
 
     # the witness needs every tree's choice records, so only now
-    tabs = _map_trees(lambda t: solve(t, _tree_spec(spec, t)), trees, threads)
+    tabs = [solve(t, _tree_spec(spec, t)) for t in trees]
 
     budgets = [None] * len(trees)
     ck, cl = kappa, lam
@@ -410,8 +399,7 @@ def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True,
 
 
 def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
-                          parts: int, outliers: int, want_witness: bool = True,
-                          threads: int = 1):
+                          parts: int, outliers: int, want_witness: bool = True):
     """Decide the problem on a general graph where ``required_outliers``
     must be uncovered and ``forbidden_outliers`` must be covered.
 
@@ -487,7 +475,7 @@ def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
     spec = ProblemSpec(xi, parts, outliers - len(s1), use_potentials=True,
                        forbidden_outliers=s2)
     feasible, wit = decide_forest(Forest(tuple(trees)), spec,
-                                  want_witness=want_witness, threads=threads)
+                                  want_witness=want_witness)
     if not feasible or wit is None:
         return feasible, None
 

@@ -26,17 +26,16 @@ more children and is rejected by the brute-force oracle (see the erratum
 regression in the acceptance suite).
 
 Decision queries (``root_feasibility``, ``decide``, ``decide_batch``, and
-through them the forest fold and ``k_max``) take one of three paths:
+through them the forest fold and ``k_max``) take one of two paths:
 
-* the numba kernel of ``treecut._fastlane``, where numba is installed;
-* otherwise its numpy kernel, one batch of array operations per tree level;
+* the numpy int64 kernel of ``treecut._fastlane``, one batch of array
+  operations per tree level;
 * this module's least-budget sweep (``_least_budgets``), one vertex at a
-  time on Python ints: where numba is missing, the trees on which the
-  numpy kernel would be slower (tiny ones, and deep, thin ones; see
-  ``_fastlane.python_is_faster``), and everywhere the values over the
-  int64 bound.
+  time on Python ints: the trees on which the numpy kernel would be slower
+  (tiny ones, and deep, thin ones; see ``_fastlane.python_is_faster``),
+  and the values over the int64 bound.
 
-The int64 kernels engage only when a conservative bound proves 64-bit
+The int64 kernel engages only when a conservative bound proves 64-bit
 arithmetic cannot overflow.  The ``DpTables`` loops below (``solve``) keep
 every vertex's full grids and the choice records, and run only for
 witnesses (``treecut.witness``) and for callers that read the tables.
@@ -509,9 +508,9 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec) -> list:
 
 def root_feasibility(tree: RootedTree, spec: ProblemSpec) -> list:
     """Feasibility bits ``row[k][l]`` at the root for all k, l in table
-    range, computed by the fastest exact lane available.
+    range, computed by the faster exact path.
 
-    Every lane returns the same shape: a list of ``kappa + 1`` rows, one
+    Both paths return the same shape: a list of ``kappa + 1`` rows, one
     per part count, each a list of ``lam + 1`` ints 0/1 (``kappa`` and
     ``lam`` being the budgets clamped to the vertex count).
     """
@@ -541,7 +540,7 @@ def decide_batch(tree: RootedTree, spec: ProblemSpec, xis) -> list[bool]:
     """Decide one instance at many thresholds (shared tree and budgets).
 
     Equivalent to ``[decide(tree, spec.with_xi(x)) for x in xis]`` but runs
-    the compiled kernel once over the whole batch when it applies.
+    the numpy kernel once over the whole batch when it applies.
     """
     from . import _fastlane
 

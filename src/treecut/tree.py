@@ -176,7 +176,7 @@ class RootedTree:
         return list(reversed(self.order_idx))
 
     def dense_arrays(self):
-        """Numpy form of the tree for the int64 kernels (cached).
+        """Numpy form of the tree for the int64 kernel (cached).
 
         Vertices are relabeled by BFS position, which makes each vertex's
         children a contiguous range ``[cstart, cend)`` and the bottom-up

@@ -32,7 +32,6 @@ from treecut import (
     solve,
     validate_subpartition,
 )
-from treecut import _fastlane
 from treecut.search import _tree_spec
 from treecut.solver import root_feasibility
 
@@ -92,7 +91,6 @@ def oracle_data(suite):
 def sweep(suite, oracle_data):
     """Decision sweep of every instance x cell x candidate threshold against
     the brute force; also records threshold-monotonicity of the answers."""
-    _fastlane.warm_up()
     start = time.perf_counter()
     mismatches = 0
     xi_mono_violations = 0
@@ -284,7 +282,6 @@ def test_criterion_5_semisupervised_correctness():
 
 
 def test_criterion_6_linear_runtime():
-    _fastlane.warm_up()
     rng = random.Random(SEED + 6)
     sizes = (10**3, 10**4, 10**5, 10**6)
     spec = ProblemSpec(Fraction(1, 2), 3, 2)

@@ -209,18 +209,6 @@ class TestErrors:
         assert code == 2
         assert "JSON" in err
 
-    def test_bad_threads(self, capsys, tree_file):
-        code, _, _ = run_cli(capsys, "decide", "--xi", "1", "--parts", "1",
-                             "--outliers", "0", "--threads", "0",
-                             "--input", tree_file)
-        assert code == 2
-
-    def test_threads_flag_accepted(self, capsys, tree_file):
-        code, _, _ = run_cli(capsys, "decide", "--xi", "1", "--parts", "2",
-                             "--outliers", "0", "--threads", "2",
-                             "--input", tree_file)
-        assert code == 0
-
 
 class TestEntryPoint:
     def test_module_invocation(self, tree_file):
@@ -233,12 +221,3 @@ class TestEntryPoint:
             env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["feasible"] is True
-
-    def test_env_threads(self, tree_file):
-        proc = subprocess.run(
-            [sys.executable, "-m", "treecut", "optimize", "--parts", "2",
-             "--outliers", "0", "--input", tree_file],
-            capture_output=True, text=True,
-            env={"PATH": "", "TREECUT_THREADS": "2",
-                 "PYTHONPATH": ":".join(sys.path)})
-        assert proc.returncode == 0

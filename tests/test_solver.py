@@ -210,8 +210,8 @@ class TestLaneAgreement:
             fast = _fastlane.root_row(t, spec.xi, min(spec.parts, n),
                                       min(spec.outliers, n), use_pot, forb)
             slow = solve(t, spec, record_choices=False).root_row()
-            assert fast == [list(r) for r in slow] or fast == [
-                [int(x) for x in row] for row in slow]
+            assert fast == [[int(x) for x in row] for row in slow]
+            assert all(type(x) is int for row in fast for x in row)
 
     def test_batch_matches_single(self):
         rng = random.Random(21)
@@ -223,7 +223,7 @@ class TestLaneAgreement:
         assert batch == singles
 
     def test_huge_numbers_fall_back_to_exact_python(self):
-        # values near 2^200 disqualify the compiled lane; answers must still
+        # values near 2^200 disqualify the int64 kernel; answers must still
         # be exact, so scaling every quantity must not change any decision
         big = 1 << 200
         base = star_tree()
@@ -242,12 +242,10 @@ class TestLaneAgreement:
 
     @pytest.mark.parametrize("chunk_bytes", [None, 1])
     def test_numpy_kernel_matches_python_lane(self, monkeypatch, chunk_bytes):
-        # the numpy kernel is the int64 lane wherever numba is missing; call
-        # it directly so it stays tested where numba is installed, on every
-        # shape, the deep and tiny ones the solver hands to the Python lane
-        # too.  Potentials make cut charges negative, so an infinite cell
-        # plus a charge must stay infinite.  chunk_bytes=1 sweeps one
-        # threshold at a time.
+        # call the kernel directly, on every shape, the deep and tiny ones
+        # the solver hands to the Python lane too.  Potentials make cut
+        # charges negative, so an infinite cell plus a charge must stay
+        # infinite.  chunk_bytes=1 sweeps one threshold at a time.
         if chunk_bytes is not None:
             monkeypatch.setattr(_fastlane, "_NP_CHUNK_BYTES", chunk_bytes)
         rng = random.Random(22)
@@ -269,9 +267,9 @@ class TestLaneAgreement:
             xis = [Fraction(rng.randint(0, 12), rng.randint(1, 5)) for _ in range(5)]
             tables = [solve(t, ProblemSpec(x, kappa, lam, use_pot, forb),
                             record_choices=False) for x in xis]
-            row = _fastlane.numpy_root_row(t, xis[0], kappa, lam, use_pot, forb)
+            row = _fastlane.root_row(t, xis[0], kappa, lam, use_pot, forb)
             assert row == [list(r) for r in tables[0].root_row()]
-            assert _fastlane.numpy_decide_many(t, xis, kappa, lam, use_pot, forb) \
+            assert _fastlane.decide_many(t, xis, kappa, lam, use_pot, forb) \
                 == [tab.feasible for tab in tables]
 
     def test_numpy_kernel_min_plus_products(self):
@@ -332,23 +330,22 @@ class TestLaneAgreement:
         assert _fastlane.decide_many(t, [Fraction(1)], n, 0, False, ()) is None
 
     def test_python_lane_answers_tiny_and_deep_thin_trees(self, monkeypatch):
-        # without numba the solver sends a tree to the Python lane when the
-        # numpy kernel would spend more on its levels than the Python lane
-        # on its vertices; the compiled lane takes every tree
+        # the solver sends a tree to the Python lane when the numpy kernel
+        # would spend more on its levels than the Python lane on its vertices
         n = 200
         path = path_tree(range(n), root=0)
         star = star_tree(leaves=range(n))
-        assert _fastlane._too_deep(path, 2, 1)
-        assert _fastlane._too_deep(star_tree(), 2, 1)
+        assert _fastlane.python_is_faster(path, 2, 1)
+        assert _fastlane.python_is_faster(star_tree(), 2, 1)
         # enough thresholds, or large enough budgets, pay for every level
-        assert not _fastlane._too_deep(path, 2, 1, 50)
-        assert not _fastlane._too_deep(path, 60, 4)
+        assert not _fastlane.python_is_faster(path, 2, 1, 50)
+        assert not _fastlane.python_is_faster(path, 60, 4)
         # a star is one level below its centre
-        assert not _fastlane._too_deep(star, 2, 1)
+        assert not _fastlane.python_is_faster(star, 2, 1)
         # at 20 parts and no outliers, fifteen thresholds pay for every
         # level, fourteen for fewer
-        assert not _fastlane._too_deep(path, 20, 0, 15)
-        assert _fastlane._too_deep(path, 20, 0, 14)
+        assert not _fastlane.python_is_faster(path, 20, 0, 15)
+        assert _fastlane.python_is_faster(path, 20, 0, 14)
 
         calls = []
         for name in ("root_row", "decide_many"):
@@ -362,11 +359,36 @@ class TestLaneAgreement:
             assert decide_batch(t, spec, [0, 1]) == [
                 decide(t, spec.with_xi(x)) for x in (0, 1)]
         lane_trees = [t for t in (path, star) if any(c is t for c in calls)]
-        assert lane_trees == ([path, star] if _fastlane.NUMBA_AVAILABLE else [star])
+        assert lane_trees == [star]
+
+    def test_every_path_returns_the_same_types(self):
+        # root_feasibility returns a list of lists of 0/1 Python ints, and
+        # decide/decide_batch exact bools, from the numpy kernel (a star),
+        # the least-budget sweep (a path) and over the int64 bound alike
+        n = 200
+        star = star_tree(leaves=range(n))
+        path = path_tree(range(n), root=0)
+        big = 1 << 200
+        base = star_tree()
+        scaled_up = build_rooted_tree(
+            [(v, base.weight(v) * big) for v in base.vertex_ids()],
+            [("r", leaf, big) for leaf in ("x", "y", "z")], "r")
+        spec = ProblemSpec(1, 2, 1)
+        assert _fastlane.root_row(star, spec.xi, 2, 1, False, ()) is not None
         assert not _fastlane.python_is_faster(star, 2, 1)
-        assert _fastlane.python_is_faster(path, 2, 1) != _fastlane.NUMBA_AVAILABLE
-        monkeypatch.setattr(_fastlane, "NUMBA_AVAILABLE", True)
-        assert not _fastlane.python_is_faster(path, 2, 1)
+        assert _fastlane.python_is_faster(path, 2, 1)
+        assert _fastlane.root_row(scaled_up, spec.xi, 2, 1, False, ()) is None
+        for t in (star, path, scaled_up):
+            row = root_feasibility(t, spec)
+            assert type(row) is list and len(row) == 3
+            for r in row:
+                assert type(r) is list and len(r) == 2
+                for cell in r:
+                    assert type(cell) is int and cell in (0, 1)
+            assert type(decide(t, spec)) is bool
+            answers = decide_batch(t, spec, [0, 1, 3])
+            assert type(answers) is list
+            assert all(type(a) is bool for a in answers)
 
 
 def _sweep_row(tree, spec):
@@ -459,7 +481,7 @@ class TestLeastBudgetSweep:
         t = path_tree(range(40), weights=[1 + i % 3 for i in range(40)],
                       costs=[1 + i % 4 for i in range(39)], root=0)
         spec = ProblemSpec(0, 3, 2, forbidden_outliers=frozenset({5, 17}))
-        assert _fastlane.python_is_faster(t, 3, 2) != _fastlane.NUMBA_AVAILABLE
+        assert _fastlane.python_is_faster(t, 3, 2)
         xis = [Fraction(a, b) for a in range(0, 9) for b in (1, 2, 5)]
         singles = [decide(t, spec.with_xi(x)) for x in xis]
         assert decide_batch(t, spec, xis) == singles
