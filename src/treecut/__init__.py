@@ -49,7 +49,6 @@ from .search import (
     min_xi,
 )
 from .solver import (
-    DpTables,
     ProblemSpec,
     decide,
     decide_batch,

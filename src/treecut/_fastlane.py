@@ -6,13 +6,14 @@ level (``_np_sweep``).
 
 It is used only when a conservative a-priori bound proves every
 intermediate value fits in 64 bits, so results are exact whenever it
-engages; otherwise (values over the bound, tables over
-``_MAX_TABLE_BYTES``) callers fall back to the Python least-budget sweep
-of ``treecut.solver``, exact at any size.  Witnesses do not come from it:
-they need the choice records of ``treecut.solver.solve``.  Which path is
-faster is the caller's choice: ``python_is_faster`` says when the kernel
-would lose to the Python sweep (tiny trees, and deep, thin ones on which a
-level holds too few vertices to pay for its numpy calls), and
+engages; otherwise (values over the bound, a sweep whose memory figure,
+``_sweep_bytes``, is over ``_MAX_TABLE_BYTES``) callers fall back to the
+Python least-budget sweep of ``treecut.solver``, exact at any size.
+Witnesses do not come from it: ``treecut.solver.solve`` runs that Python
+sweep keeping its tables, and ``treecut.witness`` replays them.  Which
+path is faster is the caller's choice: ``python_is_faster`` says when the
+kernel would lose to the Python sweep (tiny trees, and deep, thin ones on
+which a level holds too few vertices to pay for its numpy calls), and
 ``treecut.solver`` then does not call it.
 
 Any finite table value is a sum of at most ``parts + outliers`` edge
@@ -47,7 +48,7 @@ _MAX_TABLE_BYTES = 1 << 31
 # alone.  Both folds over children are associative and commutative, so
 # every vertex of a level folds its children in pairs, all at once, in
 # ceil(log2(degree)) rounds; decisions do not depend on the fold order
-# (witnesses would, and they come from ``solver.solve``).  A subtree of s
+# (witnesses would, and they come from the Python sweep).  A subtree of s
 # vertices holds at most s parts, so a level's tables and each merge's
 # output keep only the rows its subtree sizes can fill (the tree-knapsack
 # bound), which keeps ``k_max`` on a 3000-vertex star to a 2 MB peak
@@ -240,19 +241,42 @@ def _forb_array(tree, forbidden_ids):
     return forb
 
 
-def _table_ok(tree, kappa, lam) -> bool:
-    return tree.vertex_count * (kappa + 1) * (lam + 1) * 8 <= _MAX_TABLE_BYTES
+# Memory figure of a sweep, per threshold.  A level's table holds width x
+# min(kappa, largest subtree in the level) x (lam + 1) int64 cells; while
+# it is built, the level below (grown by a row), the cut choices, the
+# pairs and outputs of each merge round of ``_fold_runs`` and the sums
+# inside ``_min_plus_gamma`` coexist with it, and the least-budget arrays
+# add up to two cells per table row.  The figure allows ``_LEVEL_COPIES``
+# copies of the largest level table, ``_VERTEX_WORDS`` int64 per vertex
+# for the charges, thresholds and their temporaries, and ``_FIXED_BYTES``
+# that do not grow with the tree.  Measured with tracemalloc (numpy 2.4)
+# on stars, paths, caterpillars, random trees and brooms of 400-16,501
+# vertices, with parts up to n and up to 20 outliers, the peak of one
+# threshold's ``root_row`` stayed within 53% of the figure; stars come
+# closest, as their fold items are as many as the level is wide.
+_LEVEL_COPIES = 32
+_VERTEX_WORDS = 8
+_FIXED_BYTES = 1 << 20
+
+
+def _sweep_bytes(tree, kappa: int, lam: int) -> int:
+    """Bytes one threshold's sweep may hold at once, beyond the fixed
+    ``_FIXED_BYTES``: ``_LEVEL_COPIES`` copies of the largest level table
+    and ``_VERTEX_WORDS`` int64 per vertex."""
+    dense = tree.dense_arrays()
+    width = np.diff(dense["level_end"], prepend=0)
+    cells = int((width * np.minimum(kappa, dense["level_size"])).max()) * (lam + 1)
+    return 8 * (_LEVEL_COPIES * cells + _VERTEX_WORDS * tree.vertex_count)
 
 
 def _engages(tree, xis, kappa: int, lam: int) -> bool:
-    """The kernel's guards: no value may come near 2^60, and its largest
-    level table stays under ``_MAX_TABLE_BYTES``.  That table holds
-    width x rows x (lam + 1) int64 cells per threshold, at most
-    ``n (kappa + 1)(lam + 1) 8`` bytes, the product ``_table_ok`` checks."""
+    """The kernel's guards: no value may come near 2^60, and one
+    threshold's sweep stays under ``_MAX_TABLE_BYTES``.  The bound runs
+    first, so that oversized ints never reach ``dense_arrays``."""
     a_max = max(x.numerator for x in xis)
     b_max = max(x.denominator for x in xis)
     return (_bound_ok(tree, a_max, b_max, kappa, lam)
-            and _table_ok(tree, kappa, lam))
+            and _sweep_bytes(tree, kappa, lam) <= _MAX_TABLE_BYTES)
 
 
 def root_row(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
@@ -274,18 +298,16 @@ def decide_many(tree, xis, kappa: int, lam: int, use_pot: bool,
                 forbidden_ids) -> list | None:
     """Batched decisions over thresholds, or None when the kernel cannot
     engage (any single threshold out of bounds disqualifies the batch).
-    Thresholds share each sweep, in chunks small enough that one level's
-    table and the per-vertex charges each stay within ``_NP_CHUNK_BYTES``."""
+    Thresholds share each sweep, in chunks small enough that the sweep's
+    memory figure (``_sweep_bytes`` per threshold) stays within
+    ``_NP_CHUNK_BYTES``."""
     if not xis:
         return []
     if not _engages(tree, xis, kappa, lam):
         return None
     dense = tree.dense_arrays()
     forb = _forb_array(tree, forbidden_ids)
-    ends = dense["level_end"]
-    width = max(hi - lo for lo, hi in zip([0] + ends[:-1], ends))
-    per_threshold = 8 * max(width * (kappa + 1) * (lam + 1), 2 * tree.vertex_count)
-    chunk = max(1, _NP_CHUNK_BYTES // per_threshold)
+    chunk = max(1, _NP_CHUNK_BYTES // _sweep_bytes(tree, kappa, lam))
     out = []
     for j in range(0, len(xis), chunk):
         part = xis[j:j + chunk]

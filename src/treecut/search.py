@@ -314,8 +314,8 @@ def k_max(tree: RootedTree, xi, outliers: int, use_potentials: bool = False,
 
 
 def _tree_spec(spec: ProblemSpec, tree: RootedTree) -> ProblemSpec:
-    # splitting parts/budget across trees routinely exceeds one tree's size;
-    # clamp up front so per-tree solves don't warn about it
+    # splitting parts/budget across trees routinely exceeds one tree's
+    # size; clamping to it changes no answer
     forb = frozenset(v for v in spec.forbidden_outliers if v in tree.index)
     return ProblemSpec(spec.xi, min(spec.parts, tree.vertex_count),
                        min(spec.outliers, tree.vertex_count),
@@ -368,7 +368,7 @@ def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True):
     if not feasible or not want_witness:
         return feasible, None
 
-    # the witness needs every tree's choice records, so only now
+    # the witness needs every tree's kept tables, so only now
     tabs = [solve(t, _tree_spec(spec, t)) for t in trees]
 
     budgets = [None] * len(trees)

@@ -36,25 +36,19 @@ through them the forest fold and ``k_max``) take one of two paths:
   and the values over the int64 bound.
 
 The int64 kernel engages only when a conservative bound proves 64-bit
-arithmetic cannot overflow.  The ``DpTables`` loops below (``solve``) keep
-every vertex's full grids and the choice records, and run only for
-witnesses (``treecut.witness``) and for callers that read the tables.
+arithmetic cannot overflow.  Witnesses come from the same Python sweep:
+``solve`` runs it keeping every vertex's tables and partial folds, and
+``treecut.witness`` replays one witness top down from them.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInput, RootHasNoParentEdge, UnknownVertexId
 from .tree import RootedTree
-from .values import INFINITY, ScaledValue, parse_rational
-
-# mu branch markers (backtracking)
-INFEASIBLE = 0
-BRANCH_GAMMA = 1    # u is covered; witness comes from the gamma tables
-BRANCH_RESIDUE = 2  # u is an outlier; witness combines the children
+from .values import ScaledValue, parse_rational
 
 
 @dataclass(frozen=True)
@@ -88,303 +82,9 @@ class ProblemSpec:
                            self.use_potentials, self.forbidden_outliers)
 
 
-class DpTables:
-    """Per-vertex DP grids plus the backtracking records that drive witness
-    reconstruction.
-
-    Table dimensions are clamped to the vertex count: more parts than
-    vertices is unsatisfiable and a larger outlier budget cannot change any
-    answer.  ``feasible`` reads the root cell at the requested budgets.
-    """
-
-    def __init__(self, tree: RootedTree, spec: ProblemSpec, record_choices: bool = True):
-        n = tree.vertex_count
-        for v in spec.forbidden_outliers:
-            if v not in tree.index:
-                raise UnknownVertexId(f"forbidden outlier {v!r} is not in the tree")
-        if spec.parts > n or spec.outliers > n:
-            warnings.warn(
-                f"clamping table sizes to n={n} (parts={spec.parts}, "
-                f"outliers={spec.outliers}); answers are unaffected",
-                stacklevel=3,
-            )
-        self.tree = tree
-        self.spec = spec
-        self.kappa = min(spec.parts, n)
-        self.lam = min(spec.outliers, n)
-        self.a = spec.xi.numerator
-        self.b = spec.xi.denominator
-        self.use_pot = spec.use_potentials
-        self.forb = frozenset(tree.index[v] for v in spec.forbidden_outliers)
-        self.record_choices = record_choices
-
-        self._gamma = [None] * n
-        self._mu = [None] * n
-        self._mu_branch = [None] * n if record_choices else None
-        self._xcut = [None] * n if record_choices else None
-        self._ysplit = [None] * n if record_choices else None
-        self._usplit = [None] * n if record_choices else None
-
-    # -- public views ---------------------------------------------------
-
-    @property
-    def feasible(self) -> bool:
-        if self.spec.parts > self.tree.vertex_count:
-            return False
-        return bool(self._mu[self.tree.root][self.spec.parts][self.lam])
-
-    def gamma_value(self, vertex, k: int, l: int) -> ScaledValue:
-        """Cheapest cut charge at ``vertex`` for ``k`` parts and outlier
-        budget ``l``, in units of 1/(tree.scale * xi.denominator)."""
-        row = self._gamma[self.tree._idx(vertex)]
-        return ScaledValue(row[k][l])
-
-    def mu_value(self, vertex, k: int, l: int) -> bool:
-        return bool(self._mu[self.tree._idx(vertex)][k][l])
-
-    def root_row(self) -> tuple:
-        """Feasibility bits at the root for every (k, l) in table range."""
-        return tuple(tuple(row) for row in self._mu[self.tree.root])
-
-    def same_tables(self, other: "DpTables") -> bool:
-        """Exact cell-by-cell equality of both grids (same tree required)."""
-        if self.tree.vertex_count != other.tree.vertex_count:
-            return False
-        if (self.kappa, self.lam) != (other.kappa, other.lam):
-            return False
-        return self._gamma == other._gamma and self._mu == other._mu
-
-
-def fill_leaf_rows(tables: DpTables, vertex) -> None:
-    """Base case for a childless vertex: one part containing the leaf costs
-    nothing and is feasible iff its parent edge passes the threshold test;
-    the leaf may instead be the sole outlier of its subtree."""
-    _leaf_rows(tables, tables.tree._idx(vertex))
-
-
-def fill_gamma_row(tables: DpTables, vertex) -> None:
-    """Combine complete child rows into the cut-charge row of ``vertex``
-    (children folded left to right, splitting parts and budget)."""
-    _gamma_row(tables, tables.tree._idx(vertex))
-
-
-def fill_mu_row(tables: DpTables, vertex) -> None:
-    """Derive the feasibility row of ``vertex`` from its cut-charge row and
-    the children's feasibility rows."""
-    _mu_row(tables, tables.tree._idx(vertex))
-
-
-def _leaf_rows(T: DpTables, u: int) -> None:
-    tree = T.tree
-    kap, lam = T.kappa, T.lam
-    gamma = [[None] * (lam + 1) for _ in range(kap + 1)]
-    gamma[1] = [0] * (lam + 1)
-    mu = [[0] * (lam + 1) for _ in range(kap + 1)]
-    rec = T.record_choices
-    branch = [[INFEASIBLE] * (lam + 1) for _ in range(kap + 1)] if rec else None
-
-    if u not in T.forb:
-        for l in range(1, lam + 1):
-            mu[0][l] = 1
-            if rec:
-                branch[0][l] = BRANCH_RESIDUE
-
-    numerator = T.b * tree.cost_scaled[u]
-    if T.use_pot:
-        numerator += T.b * tree.subtree_potential_scaled[u]
-    if numerator <= T.a * tree.subtree_weight_scaled[u]:
-        for l in range(lam + 1):
-            mu[1][l] = 1
-            if rec:
-                branch[1][l] = BRANCH_GAMMA
-
-    T._gamma[u] = gamma
-    T._mu[u] = mu
-    if rec:
-        T._mu_branch[u] = branch
-        T._xcut[u] = []
-        T._ysplit[u] = []
-        T._usplit[u] = []
-
-
-def _gamma_row(T: DpTables, u: int) -> None:
-    tree = T.tree
-    kap, lam = T.kappa, T.lam
-    a, b = T.a, T.b
-    w_sub = tree.subtree_weight_scaled
-    p_sub = tree.subtree_potential_scaled
-    c_s = tree.cost_scaled
-    children = tree.children_idx[u]
-    rec = T.record_choices
-    xcuts = [] if rec else None
-    ysplits = [] if rec else None
-
-    Y = None
-    for ci, v in enumerate(children):
-        eps = a * w_sub[v] + b * c_s[v]
-        if T.use_pot:
-            eps -= b * p_sub[v]
-        gv = T._gamma[v]
-        mv = T._mu[v]
-        X = [None] * (kap + 1)
-        xc = [[False] * (lam + 1) for _ in range(kap + 1)] if rec else None
-        for k in range(1, kap + 1):
-            grow = gv[k]
-            mrow = mv[k - 1]
-            xrow = [None] * (lam + 1)
-            for l in range(lam + 1):
-                g = grow[l]
-                if mrow[l] and (g is None or eps <= g):
-                    xrow[l] = eps
-                    if rec:
-                        xc[k][l] = True
-                else:
-                    xrow[l] = g
-            X[k] = xrow
-        if rec:
-            xcuts.append(xc)
-
-        if ci == 0:
-            Y = X
-            if rec:
-                ysplits.append(None)
-            continue
-
-        Ynew = [None] * (kap + 1)
-        ys = [[None] * (lam + 1) for _ in range(kap + 1)] if rec else None
-        for k in range(1, kap + 1):
-            yrow = [None] * (lam + 1)
-            for l in range(lam + 1):
-                best = None
-                barg = None
-                for lp in range(l + 1):
-                    for kp in range(1, k + 1):
-                        yv = Y[kp][lp]
-                        if yv is None:
-                            continue
-                        xv = X[k + 1 - kp][l - lp]
-                        if xv is None:
-                            continue
-                        s = yv + xv
-                        if best is None or s < best:
-                            best = s
-                            barg = (kp, lp)
-                yrow[l] = best
-                if rec:
-                    ys[k][l] = barg
-            Ynew[k] = yrow
-        Y = Ynew
-        if rec:
-            ysplits.append(ys)
-
-    gamma = [[None] * (lam + 1)]
-    gamma.extend(Y[k] for k in range(1, kap + 1))
-    T._gamma[u] = gamma
-    if rec:
-        T._xcut[u] = xcuts
-        T._ysplit[u] = ysplits
-
-
-def _mu_row(T: DpTables, u: int) -> None:
-    tree = T.tree
-    kap, lam = T.kappa, T.lam
-    children = tree.children_idx[u]
-    rec = T.record_choices
-
-    threshold = T.a * tree.subtree_weight_scaled[u] - T.b * tree.cost_scaled[u]
-    if T.use_pot:
-        threshold -= T.b * tree.subtree_potential_scaled[u]
-
-    gamma = T._gamma[u]
-    mu = [[0] * (lam + 1) for _ in range(kap + 1)]
-    branch = [[INFEASIBLE] * (lam + 1) for _ in range(kap + 1)] if rec else None
-    for k in range(1, kap + 1):
-        grow = gamma[k]
-        for l in range(lam + 1):
-            g = grow[l]
-            if g is not None and g <= threshold:
-                mu[k][l] = 1
-                if rec:
-                    branch[k][l] = BRANCH_GAMMA
-
-    U = [row[:] for row in T._mu[children[0]]]
-    usplits = [None] if rec else None
-    for ci in range(1, len(children)):
-        mv = T._mu[children[ci]]
-        Unew = [[0] * (lam + 1) for _ in range(kap + 1)]
-        us = [[None] * (lam + 1) for _ in range(kap + 1)] if rec else None
-        for k in range(kap + 1):
-            urow_new = Unew[k]
-            for l in range(lam + 1):
-                if l and urow_new[l - 1]:
-                    # more budget never hurts; reuse the cheaper combination
-                    urow_new[l] = 1
-                    if rec:
-                        us[k][l] = us[k][l - 1]
-                    continue
-                hit = None
-                for kp in range(k + 1):
-                    urow = U[kp]
-                    mrow = mv[k - kp]
-                    for lp in range(l + 1):
-                        if urow[lp] and mrow[l - lp]:
-                            hit = (kp, lp)
-                            break
-                    if hit:
-                        break
-                if hit:
-                    urow_new[l] = 1
-                    if rec:
-                        us[k][l] = hit
-        U = Unew
-        if rec:
-            usplits.append(us)
-
-    if u not in T.forb:
-        for k in range(kap + 1):
-            murow = mu[k]
-            urow = U[k]
-            for l in range(1, lam + 1):
-                if not murow[l] and urow[l - 1]:
-                    murow[l] = 1
-                    if rec:
-                        branch[k][l] = BRANCH_RESIDUE
-
-    T._mu[u] = mu
-    if rec:
-        T._mu_branch[u] = branch
-        T._usplit[u] = usplits
-
-
-def solve(tree: RootedTree, spec: ProblemSpec, record_choices: bool = True) -> DpTables:
-    """Run the full bottom-up sweep and return the populated tables.
-
-    ``tables.feasible`` answers the decision problem; with
-    ``record_choices`` (the default) the tables can be fed to
-    ``treecut.witness.reconstruct_subpartition``.  Runs in
-    O((outliers+1)^2 * parts^2 * n) time.
-    """
-    T = DpTables(tree, spec, record_choices)
-    _sweep(T)
-    return T
-
-
-def _sweep(T: DpTables) -> None:
-    children = T.tree.children_idx
-    for u in T.tree.order_idx:
-        if children[u]:
-            _gamma_row(T, u)
-            _mu_row(T, u)
-        else:
-            _leaf_rows(T, u)
-
-
-# -- the decision sweep ------------------------------------------------------
+# -- the least-budget sweep -------------------------------------------------
 #
-# Decisions read only the root's feasibility bits, so they skip the
-# DpTables grids and choice records above, which exist for witnesses, and
-# run the same recurrences in the smaller state of the numpy lane (see
-# ``treecut._fastlane``):
+# The DP in the small state of the numpy lane (see ``treecut._fastlane``):
 #
 # * mu is monotone in the outlier budget, so a vertex keeps only the least
 #   sufficient budget per part count (``lam + 1`` when no budget in range
@@ -393,13 +93,42 @@ def _sweep(T: DpTables) -> None:
 # * a subtree of s vertices holds at most s parts, so its cut-charge table
 #   keeps ``min(kappa, s)`` rows (row i holds i + 1 parts), the
 #   tree-knapsack bound on the merge work;
-# * a vertex's tables are dropped once its parent has read them.
+# * a decision drops a vertex's tables once its parent has read them;
+#   ``solve`` keeps them, with the partial folds over each vertex's
+#   children, for the witness replay.
 #
 # Cut-charge tables are flat row-major lists of Python ints, exact at any
 # size.  An infeasible cell holds ``inf`` or more plus charges, still
 # above every finite value and every threshold, so no cell needs a test
 # for infinity.  The (min,+) products run from index plans built once per
 # table shape and call.
+
+
+class WitnessTables:
+    """The tables ``solve`` keeps of the least-budget sweep, from which
+    ``treecut.witness`` replays a witness without rerunning any fold.
+
+    Per vertex ``u``: ``G[u]``, its flat cut-charge table with ``lam + 1``
+    columns (row i holds i + 1 parts, u's own among them); ``M[u]``, its
+    least budgets by part count; and, when u has children ``c0, c1, ...``,
+    ``folds[u][i - 1] = (Y, U, X)`` for each ``i >= 1``: the cut-charge
+    table and least budgets of the children before ``ci`` folded together,
+    and ``ci``'s table as a child of u (row i holds i + 1 parts, u's
+    among them, whether ci joins u's part or its edge is cut).  ``eps`` is
+    each parent edge's cut charge, ``thr`` each vertex's threshold test.
+    ``feasible`` answers the decision problem at the spec's budgets.
+    """
+
+    def __init__(self, tree: RootedTree, spec: ProblemSpec):
+        self.tree = tree
+        self.spec = spec
+        self.lam = min(spec.outliers, tree.vertex_count)
+
+    @property
+    def feasible(self) -> bool:
+        if self.spec.parts > self.tree.vertex_count:
+            return False
+        return self.M[self.tree.root][self.spec.parts] <= self.lam
 
 
 def _min_plus_plan(ny: int, nx: int, rows: int, cols: int) -> list:
@@ -412,11 +141,13 @@ def _min_plus_plan(ny: int, nx: int, rows: int, cols: int) -> list:
             for c in range(rows) for l in range(cols)]
 
 
-def _least_budgets(tree: RootedTree, spec: ProblemSpec) -> list:
+def _least_budgets(tree: RootedTree, spec: ProblemSpec,
+                   keep: WitnessTables | None = None) -> list:
     """Least outlier budget at the root per part count: ``out[k]`` for
     ``k <= kappa`` is the smallest ``l <= lam`` with ``mu[root][k][l]``, or
     ``lam + 1`` when there is none (``kappa`` and ``lam`` clamped to the
-    vertex count)."""
+    vertex count).  With ``keep``, every vertex's tables and partial folds
+    are stored there instead of being dropped."""
     n = tree.vertex_count
     for v in spec.forbidden_outliers:
         if v not in tree.index:
@@ -450,6 +181,7 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec) -> list:
     leaf = [0] * lp1
     G = [None] * n   # cut-charge tables
     M = [None] * n   # least budgets by part count
+    folds = [None] * n if keep is not None else None
     children = tree.children_idx
     for u in tree.order_idx:
         kids = children[u]
@@ -459,10 +191,12 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec) -> list:
             M[u] = [none if u in forb else 1, 0 if thr[u] >= 0 else none]
             continue
         Y = U = None
+        kept = [] if folds is not None else None
         for v in kids:
             e = eps[v]
             g, mv = G[v], M[v]
-            G[v] = M[v] = None
+            if kept is None:
+                G[v] = M[v] = None
             # row i (i + 1 parts with u's): the child joins u's part, or
             # its edge is cut at charge e with i parts in its subtree;
             # cut off, a subtree of s vertices fills one row more, row s
@@ -476,6 +210,9 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec) -> list:
             if Y is None:
                 Y, U = X, mv
                 continue
+            if kept is not None:
+                # U goes unused with no outlier budget: no vertex is residue
+                kept.append((Y, U, X))
             ry = len(Y) // lp1
             plan = gamma_plans.get((ry, rx))
             if plan is None:
@@ -488,6 +225,8 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec) -> list:
                     plan = mu_plans[len(U), len(mv)] = _min_plus_plan(
                         len(U), len(mv), min(kappa + 1, len(U) + len(mv) - 1), 1)
                 U = [min([U[p] + mv[q] for p, q in cell]) for cell in plan]
+        if kept:
+            folds[u] = kept
         # u covered: the least budget whose cut charge passes the threshold
         # test (charges fall as the budget grows) ...
         t = thr[u]
@@ -503,7 +242,24 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec) -> list:
             m = [none] + [0 if x <= t else none for x in Y]
         G[u] = Y
         M[u] = m
+    if keep is not None:
+        keep.G, keep.M, keep.folds, keep.eps, keep.thr = G, M, folds, eps, thr
     return M[tree.root]
+
+
+def solve(tree: RootedTree, spec: ProblemSpec) -> WitnessTables:
+    """Run the least-budget sweep keeping every vertex's tables.
+
+    ``tables.feasible`` answers the decision problem, and
+    ``treecut.witness.reconstruct_subpartition`` replays a witness from
+    the tables.  Takes the sweep's time; the tables kept are the ones the
+    sweep builds, at most three cut-charge tables per vertex.
+    """
+    tables = WitnessTables(tree, spec)
+    _least_budgets(tree, spec, keep=tables)
+    return tables
+
+
 
 
 def root_feasibility(tree: RootedTree, spec: ProblemSpec) -> list:
@@ -581,17 +337,10 @@ def edge_charge(tree: RootedTree, xi, vertex, use_potentials: bool = False) -> S
 
 __all__ = [
     "ProblemSpec",
-    "DpTables",
+    "WitnessTables",
     "solve",
     "decide",
     "decide_batch",
     "root_feasibility",
     "edge_charge",
-    "fill_leaf_rows",
-    "fill_gamma_row",
-    "fill_mu_row",
-    "INFINITY",
-    "BRANCH_GAMMA",
-    "BRANCH_RESIDUE",
-    "INFEASIBLE",
 ]

@@ -184,7 +184,7 @@ class RootedTree:
         sequentially.  BFS also keeps each depth contiguous: depth 0 is
         position 0, depth ``d > 0`` occupies ``[level_end[d-1],
         level_end[d])``, and the children of one depth are exactly the
-        next.
+        next.  ``level_size`` holds each depth's largest subtree size.
         """
         if self._dense_cache is None:
             import numpy as np
@@ -203,7 +203,9 @@ class RootedTree:
             level_end = [1]
             while level_end[-1] < bfs.size:
                 level_end.append(below[level_end[-1] - 1])
+            size = np.array(self.subtree_size, dtype=np.int64)[bfs]
             self._dense_cache = {
+                "level_size": np.maximum.reduceat(size, [0] + level_end[:-1]),
                 "pos": pos,
                 "w_sub": w_sub,
                 "p_sub": p_sub,

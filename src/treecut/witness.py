@@ -1,10 +1,11 @@
 """Witness subpartitions: reconstruction from DP tables and validation.
 
-A witness is an explicit list of vertex sets.  Reconstruction walks the
-backtracking records stored during the forward DP sweep; it never re-runs
-any minimization, so the witness is exactly the one the recorded
-tie-breaking picked.  Validation re-checks every problem constraint from
-scratch with exact arithmetic and reports violations as data.
+A witness is an explicit list of vertex sets.  Reconstruction replays the
+least-budget sweep top down from the tables ``treecut.solver.solve``
+keeps: at each cell it visits it reads the choice off the kept tables and
+partial folds, under fixed tie-breaking, and never reruns a fold.
+Validation re-checks every problem constraint from scratch with exact
+arithmetic and reports violations as data.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyPart, TableMismatch
-from .solver import BRANCH_GAMMA, BRANCH_RESIDUE, DpTables, ProblemSpec
+from .solver import ProblemSpec, WitnessTables
 from .tree import RootedTree
 
 
@@ -85,18 +86,16 @@ def make_subpartition(tree: RootedTree, parts, residue,
 
 
 def reconstruct_subpartition(tree: RootedTree, spec: ProblemSpec,
-                             tables: DpTables):
+                             tables: WitnessTables):
     """Rebuild one witness from the tables, or return None if infeasible.
 
     Raises TableMismatch unless the tables were produced for exactly this
-    tree and spec with choice recording enabled.
+    tree and spec.
     """
     if tables.tree is not tree:
         raise TableMismatch("tables belong to a different tree")
     if tables.spec != spec:
         raise TableMismatch("tables were computed for a different spec")
-    if not tables.record_choices:
-        raise TableMismatch("tables were built without choice records")
     if not tables.feasible:
         return None
     parts_idx, residue_idx = _collect(tables, spec.parts, tables.lam)
@@ -106,16 +105,22 @@ def reconstruct_subpartition(tree: RootedTree, spec: ProblemSpec,
     return make_subpartition(tree, parts, residue, spec.use_potentials)
 
 
-def _collect(tables: DpTables, k0: int, l0: int):
-    """Iterative backtrack over the recorded choices.
+def _collect(tables: WitnessTables, k0: int, l0: int):
+    """Iterative top-down replay of the sweep's choices.
 
-    Two task kinds: ``mu`` resolves a feasibility cell (either opening a new
-    part rooted at the cell's vertex or sending the vertex to the residue
-    and splitting budgets across children); ``gamma`` grows an existing part
-    downward, cutting or keeping each child edge as recorded.
+    Two task kinds: ``mu`` resolves a feasibility cell, ``k`` parts within
+    outlier budget ``l`` below ``u``: u tops a new part when ``k >= 1`` and
+    its cut-charge cell passes u's threshold test, and otherwise u goes to
+    the residue and ``(k, l - 1)`` is split across its children.
+    ``gamma`` grows an existing part downward through a cut-charge cell,
+    splitting ``(k, l)`` across the children and cutting or keeping each
+    child edge.  Children are visited in order, so parts come out in a
+    fixed order.
     """
     tree = tables.tree
     children_of = tree.children_idx
+    lp1 = tables.lam + 1
+    G, M, folds, eps, thr = tables.G, tables.M, tables.folds, tables.eps, tables.thr
     parts: list[set] = []
     residue: set = set()
     # task: (is_gamma, vertex, k, l, part_slot)
@@ -125,24 +130,24 @@ def _collect(tables: DpTables, k0: int, l0: int):
         kids = children_of[u]
         d = len(kids)
         if not is_gamma:
-            br = tables._mu_branch[u][k][l]
-            if br == BRANCH_GAMMA:
-                parts.append({u})
-                stack.append((True, u, k, l, len(parts) - 1))
-            elif br == BRANCH_RESIDUE:
-                residue.add(u)
-                if d == 0:
-                    continue
-                ck, cl = k, l - 1
-                for ci in range(d - 1, 0, -1):
-                    kp, lp = tables._usplit[u][ci][ck][cl]
-                    # pushed deepest-child first, so pops run in child order
-                    stack.append((False, kids[ci], ck - kp, cl - lp, -1))
-                    ck, cl = kp, lp
-                stack.append((False, kids[0], ck, cl, -1))
-            else:
+            if k >= len(M[u]) or M[u][k] > l:
                 raise TableMismatch(
                     f"backtrack reached an infeasible cell (k={k}, l={l})")
+            g = G[u]
+            if k and (k - 1) * lp1 < len(g) and g[(k - 1) * lp1 + l] <= thr[u]:
+                parts.append({u})
+                stack.append((True, u, k, l, len(parts) - 1))
+                continue
+            residue.add(u)
+            ck, cl = k, l - 1
+            for ci in range(d - 1, 0, -1):
+                _, U, _ = folds[u][ci - 1]
+                kp, lp = _residue_split(U, M[kids[ci]], ck)
+                # pushed deepest-child first, so pops run in child order
+                stack.append((False, kids[ci], ck - kp, cl - lp, -1))
+                ck, cl = kp, lp
+            if d:
+                stack.append((False, kids[0], ck, cl, -1))
         else:
             if slot >= 0 and u not in parts[slot]:
                 parts[slot].add(u)
@@ -151,17 +156,54 @@ def _collect(tables: DpTables, k0: int, l0: int):
             ck, cl = k, l
             portions = []
             for ci in range(d - 1, 0, -1):
-                kp, lp = tables._ysplit[u][ci][ck][cl]
+                Y, _, X = folds[u][ci - 1]
+                kp, lp = _part_split(Y, X, ck, cl, lp1)
                 portions.append((ci, ck + 1 - kp, cl - lp))
                 ck, cl = kp, lp
             portions.append((0, ck, cl))
             for ci, pk, pl in portions:
                 child = kids[ci]
-                if tables._xcut[u][ci][pk][pl]:
+                if _cut_off(G[child], M[child], eps[child], pk - 1, pl, lp1):
                     stack.append((False, child, pk - 1, pl, -1))
                 else:
                     stack.append((True, child, pk, pl, slot))
     return parts, residue
+
+
+def _part_split(Y, X, k: int, l: int, lp1: int):
+    """The split of a cut-charge cell ``(k, l)`` between the children
+    folded so far (``Y``) and the next one (``X``): the first strict
+    minimum of ``Y[kp][lp] + X[k + 1 - kp][l - lp]`` over ``lp`` in
+    ``0..l`` (outer) and ``kp`` in ``1..k`` (inner), as parts counted with
+    u's own; rows a table does not hold are infinite."""
+    lo = max(1, k + 1 - len(X) // lp1)
+    hi = min(k, len(Y) // lp1)
+    best = arg = None
+    for lp in range(l + 1):
+        for kp in range(lo, hi + 1):
+            s = Y[(kp - 1) * lp1 + lp] + X[(k - kp) * lp1 + l - lp]
+            if best is None or s < best:
+                best, arg = s, (kp, lp)
+    return arg
+
+
+def _residue_split(U, Mc, k: int):
+    """The split of ``k`` parts of a residue vertex's children between
+    those folded so far (least budgets ``U``) and the next one (``Mc``),
+    made at the least budget ``l'`` with which they hold ``k`` parts: the
+    first ``kp`` with ``U[kp] + Mc[k - kp] <= l'``, and ``lp = U[kp]``.
+    Any budget above ``l'`` goes to the next child."""
+    lo = max(0, k + 1 - len(Mc))
+    need = [U[kp] + Mc[k - kp] for kp in range(lo, min(k + 1, len(U)))]
+    kp = lo + need.index(min(need))
+    return kp, U[kp]
+
+
+def _cut_off(g, m, e, i: int, l: int, lp1: int) -> bool:
+    """Whether a child with cut-charge table ``g``, least budgets ``m`` and
+    edge charge ``e`` is cut off with ``i`` parts below it, rather than
+    joined to its parent's part, in row ``i`` at budget ``l``: a tie cuts."""
+    return l >= m[i] and (i * lp1 >= len(g) or e <= g[i * lp1 + l])
 
 
 VIOLATION_PART_COUNT = "part-count"

@@ -15,6 +15,7 @@ from fractions import Fraction
 import pytest
 
 import _brute
+import _grid
 from conftest import broom_tree, prufer_edges, random_tree
 from treecut import (
     Forest,
@@ -212,9 +213,9 @@ def test_criterion_4_variant_degeneration(suite, oracle_data):
         floor = data["mins"][kappa][lam]
         xi = floor if floor is not None else rng.choice(data["ratios"])
         base_spec = ProblemSpec(xi, kappa, lam)
-        base = solve(tree, base_spec)
-        with_pot = solve(tree, ProblemSpec(xi, kappa, lam, use_potentials=True))
-        with_empty_forbidden = solve(
+        base = _grid.solve(tree, base_spec)
+        with_pot = _grid.solve(tree, ProblemSpec(xi, kappa, lam, use_potentials=True))
+        with_empty_forbidden = _grid.solve(
             tree, ProblemSpec(xi, kappa, lam, forbidden_outliers=frozenset()))
         assert base.same_tables(with_pot), "zero potentials changed a table"
         assert base.same_tables(with_empty_forbidden), "empty forbidden set changed a table"
@@ -326,7 +327,7 @@ def test_criterion_7_monotonicity(suite, oracle_data, sweep):
     for i, (tree, data) in enumerate(zip(suite, oracle_data)):
         ratios = data["ratios"]
         xi = ratios[len(ratios) // 2]
-        tab = solve(tree, ProblemSpec(xi, 3, 2), record_choices=False)
+        tab = _grid.solve(tree, ProblemSpec(xi, 3, 2), record_choices=False)
         for v in tree.vertex_ids():
             for k in range(tab.kappa + 1):
                 for l in range(tab.lam):
@@ -338,8 +339,8 @@ def test_criterion_7_monotonicity(suite, oracle_data, sweep):
         table_checks += 1
         if i % 25 == 0 and len(ratios) >= 2:
             lo, hi = sorted(rng.sample(ratios, 2))
-            t_lo = solve(tree, ProblemSpec(lo, 3, 2), record_choices=False)
-            t_hi = solve(tree, ProblemSpec(hi, 3, 2), record_choices=False)
+            t_lo = _grid.solve(tree, ProblemSpec(lo, 3, 2), record_choices=False)
+            t_hi = _grid.solve(tree, ProblemSpec(hi, 3, 2), record_choices=False)
             for v in tree.vertex_ids():
                 for k in range(t_lo.kappa + 1):
                     for l in range(t_lo.lam + 1):
@@ -353,7 +354,7 @@ def test_criterion_7_monotonicity(suite, oracle_data, sweep):
 def _printed_residue_combination(tree, spec, tables):
     """Root feasibility under the erratum reading of the residue recursion:
     one unit of outlier budget is burned at EVERY child combination step,
-    not once for the uncovered root."""
+    not once for the uncovered root.  Reads the grid DP's tables."""
     root = tree.root
     kids = tree.children_idx[root]
     kappa, lam = tables.kappa, tables.lam
@@ -393,9 +394,11 @@ def test_criterion_8_erratum_regression():
     assert len(tree.children_of(tree.root_id)) >= 3
     spec = ProblemSpec(Fraction(2, 5), 3, 4)
     tables = solve(tree, spec)
+    grid = _grid.solve(tree, spec)
 
     adopted = tables.feasible
-    printed = bool(_printed_residue_combination(tree, spec, tables)[3][4])
+    assert adopted == grid.feasible
+    printed = bool(_printed_residue_combination(tree, spec, grid)[3][4])
     reference = oracle_decide(tree, spec)
 
     assert adopted != printed, "instance fails to separate the two readings"

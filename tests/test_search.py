@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import _brute
+import _grid
 from conftest import path_tree, prufer_edges, random_tree, star_tree
 from treecut import (
     Forest,
@@ -361,7 +362,7 @@ class TestForest:
             xi = Fraction(rng.randint(0, 4), rng.randint(1, 3))
             spec = ProblemSpec(xi, min(3, t.vertex_count), 2)
             ok, _ = decide_forest(Forest((t,)), spec)
-            tab = solve(t, spec, record_choices=False)
+            tab = _grid.solve(t, spec, record_choices=False)
             assert ok == tab.feasible
             # whole grid agrees cell for cell
             from treecut.search import _tree_spec

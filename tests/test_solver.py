@@ -1,11 +1,12 @@
 import random
-import warnings
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 import _brute
+import _grid
 from conftest import broom_tree, path_tree, random_tree, star_tree
 from treecut import (
     INFINITY,
@@ -17,6 +18,7 @@ from treecut import (
     decide,
     decide_batch,
     edge_charge,
+    k_max,
     oracle_decide,
     root_feasibility,
     solve,
@@ -58,7 +60,7 @@ class TestEdgeCharge:
 class TestGammaRows:
     def test_unit_star_values(self):
         t = star_tree()
-        tab = solve(t, ProblemSpec(1, 4, 0))
+        tab = _grid.solve(t, ProblemSpec(1, 4, 0))
         assert tab.gamma_value("r", 1, 0) == 0
         assert tab.gamma_value("r", 2, 0) == 2
         assert tab.gamma_value("r", 4, 0) == 6
@@ -66,7 +68,7 @@ class TestGammaRows:
     def test_infeasible_cut_is_infinite(self):
         # at threshold 0 the leaf part cannot pay its edge, so two parts fail
         t = path_tree(("a", "b"), root="b")
-        tab = solve(t, ProblemSpec(0, 2, 0))
+        tab = _grid.solve(t, ProblemSpec(0, 2, 0))
         assert tab.gamma_value("b", 2, 0) == INFINITY
         assert not tab.feasible
 
@@ -74,7 +76,7 @@ class TestGammaRows:
         rng = random.Random(2)
         for _ in range(10):
             t = random_tree(rng, rng.randint(2, 8))
-            tab = solve(t, ProblemSpec(Fraction(3, 2), t.vertex_count, 2))
+            tab = _grid.solve(t, ProblemSpec(Fraction(3, 2), t.vertex_count, 2))
             for v in t.vertex_ids():
                 size = t.subtree_vertex_count(v)
                 for k in range(size + 1, tab.kappa + 1):
@@ -86,19 +88,19 @@ class TestGammaRows:
 class TestMuRows:
     def test_unit_star_threshold_branch(self):
         t = star_tree()
-        tab = solve(t, ProblemSpec(1, 2, 0))
+        tab = _grid.solve(t, ProblemSpec(1, 2, 0))
         assert tab.mu_value("r", 2, 0)
 
     def test_whole_subtree_as_residue(self):
         t = path_tree(("a", "b", "c"), root="c")
-        tab = solve(t, ProblemSpec(0, 1, 3))
+        tab = _grid.solve(t, ProblemSpec(0, 1, 3))
         assert tab.mu_value("c", 0, 3)
         assert not tab.mu_value("c", 0, 2)
 
     def test_forbidden_vertex_blocks_residue(self):
         t = path_tree(("a", "b", "c"), root="c")
         spec = ProblemSpec(0, 1, 2, forbidden_outliers=frozenset({"b"}))
-        tab = solve(t, spec)
+        tab = _grid.solve(t, spec)
         # the only witness keeps everything covered: one part, empty residue
         assert tab.mu_value("c", 1, 2)
         assert tab.gamma_value("c", 1, 2) == 0
@@ -110,7 +112,7 @@ class TestMuRows:
         for _ in range(10):
             t = random_tree(rng, rng.randint(1, 8))
             n = t.vertex_count
-            tab = solve(t, ProblemSpec(1, min(3, n), n))
+            tab = _grid.solve(t, ProblemSpec(1, min(3, n), n))
             for v in t.vertex_ids():
                 size = t.subtree_vertex_count(v)
                 for l in range(tab.lam + 1):
@@ -121,13 +123,13 @@ class TestLeafRows:
     @pytest.mark.parametrize("cost,expected", [(1, True), (2, False)])
     def test_leaf_feasibility(self, cost, expected):
         t = build_rooted_tree([("r", 1), ("u", 1)], [("r", "u", cost)], "r")
-        tab = solve(t, ProblemSpec(1, 1, 0))
+        tab = _grid.solve(t, ProblemSpec(1, 1, 0))
         assert tab.mu_value("u", 1, 0) == expected
 
     def test_forbidden_leaf_cannot_be_residue(self):
         t = path_tree(("u", "r"), root="r")
         spec = ProblemSpec(1, 1, 1, forbidden_outliers=frozenset({"u"}))
-        tab = solve(t, spec)
+        tab = _grid.solve(t, spec)
         for l in range(tab.lam + 1):
             assert not tab.mu_value("u", 0, l)
 
@@ -158,18 +160,13 @@ class TestDecide:
         with pytest.raises(UnknownVertexId):
             decide_batch(star_tree(), spec, [0, 1])
 
-    def test_clamp_warning(self):
-        t = path_tree(("a", "b"))
-        with pytest.warns(UserWarning):
-            solve(t, ProblemSpec(1, 1, 99))
-
 
 class TestTableInvariants:
     def test_monotone_in_budget(self):
         rng = random.Random(9)
         for _ in range(15):
             t = random_tree(rng, rng.randint(2, 9))
-            tab = solve(t, ProblemSpec(Fraction(2, 3), 3, 3))
+            tab = _grid.solve(t, ProblemSpec(Fraction(2, 3), 3, 3))
             for v in t.vertex_ids():
                 for k in range(tab.kappa + 1):
                     for l in range(tab.lam):
@@ -182,9 +179,9 @@ class TestTableInvariants:
         for _ in range(10):
             t = random_tree(rng, rng.randint(1, 8))
             xi = Fraction(rng.randint(0, 8), rng.randint(1, 5))
-            base = solve(t, ProblemSpec(xi, 3, 2))
-            with_pot = solve(t, ProblemSpec(xi, 3, 2, use_potentials=True))
-            with_forb = solve(t, ProblemSpec(xi, 3, 2, forbidden_outliers=frozenset()))
+            base = _grid.solve(t, ProblemSpec(xi, 3, 2))
+            with_pot = _grid.solve(t, ProblemSpec(xi, 3, 2, use_potentials=True))
+            with_forb = _grid.solve(t, ProblemSpec(xi, 3, 2, forbidden_outliers=frozenset()))
             assert base.same_tables(with_pot)
             assert base.same_tables(with_forb)
 
@@ -209,7 +206,7 @@ class TestLaneAgreement:
             spec = ProblemSpec(xi, min(3, n), 2, use_pot, forb)
             fast = _fastlane.root_row(t, spec.xi, min(spec.parts, n),
                                       min(spec.outliers, n), use_pot, forb)
-            slow = solve(t, spec, record_choices=False).root_row()
+            slow = _grid.solve(t, spec, record_choices=False).root_row()
             assert fast == [[int(x) for x in row] for row in slow]
             assert all(type(x) is int for row in fast for x in row)
 
@@ -265,8 +262,8 @@ class TestLaneAgreement:
             kappa = min(rng.choice((1, 2, 3, 5, 12)), n)
             lam = min(rng.choice((0, 1, 2, 4)), n)
             xis = [Fraction(rng.randint(0, 12), rng.randint(1, 5)) for _ in range(5)]
-            tables = [solve(t, ProblemSpec(x, kappa, lam, use_pot, forb),
-                            record_choices=False) for x in xis]
+            tables = [_grid.solve(t, ProblemSpec(x, kappa, lam, use_pot, forb),
+                                  record_choices=False) for x in xis]
             row = _fastlane.root_row(t, xis[0], kappa, lam, use_pot, forb)
             assert row == [list(r) for r in tables[0].root_row()]
             assert _fastlane.decide_many(t, xis, kappa, lam, use_pot, forb) \
@@ -322,12 +319,58 @@ class TestLaneAgreement:
             assert got.shape[2] == 1 + (max(counts) - 1).bit_length()
 
     def test_tables_over_the_size_gate_fall_back(self):
-        # parts = n on 20000 vertices would need 3.2 GB of int64 tables
+        # outliers = n on a 20000-vertex star: the leaves' level alone
+        # would hold 20000 x 20001 int64 cells, 3.2 GB
         n = 20000
         t = build_rooted_tree([(i, 1) for i in range(n)],
                               [(0, i, 1) for i in range(1, n)], 0)
-        assert _fastlane.root_row(t, Fraction(1), n, 0, False, ()) is None
-        assert _fastlane.decide_many(t, [Fraction(1)], n, 0, False, ()) is None
+        assert _fastlane.root_row(t, Fraction(1), n, n, False, ()) is None
+        assert _fastlane.decide_many(t, [Fraction(1)], n, n, False, ()) is None
+
+    def test_kernel_takes_k_max_on_a_wide_star(self, monkeypatch):
+        # parts = n on a 16,500-leaf star: every level table is n cells
+        # wide or less, so the kernel engages (n (n + 1) cells would not fit)
+        leaves = 16500
+        star = star_tree(leaves=range(1, leaves + 1), center=0)
+        rows = []
+        lane = _fastlane.root_row
+        monkeypatch.setattr(_fastlane, "root_row",
+                            lambda *args: rows.append(lane(*args)) or rows[-1])
+        # the centre's part needs j >= (leaves - 3) / 4 leaves to keep its
+        # expansion (leaves - j) / (j + 1) within 3; every other leaf is a
+        # part of its own
+        j = -(-(leaves - 3) // 4)
+        assert k_max(star, 3, 0) == 1 + leaves - j
+        assert len(rows) == 1 and rows[0] is not None
+
+    def test_sweep_peak_stays_within_the_memory_figure(self):
+        # tracemalloc sees numpy's buffers; parts up to n
+        rng = random.Random(25)
+        n = 150
+        half = n // 2
+        shapes = {
+            "star": [0] * (n - 1),
+            "path": list(range(n - 1)),
+            "caterpillar": list(range(half - 1)) + [rng.randrange(half)
+                                                    for _ in range(half, n)],
+            "random": [rng.randrange(i) for i in range(1, n)],
+            "broom": [0] + list(range(1, half - 1)) + [0] * (n - half),
+        }
+        for name, parents in shapes.items():
+            t = build_rooted_tree([(i, rng.randint(1, 3)) for i in range(n)],
+                                  [(p, i, rng.randint(1, 3))
+                                   for i, p in enumerate(parents, 1)], 0)
+            t.dense_arrays()
+            for kappa, lam in ((3, 20), (n, 3)):
+                figure = _fastlane._FIXED_BYTES + _fastlane._sweep_bytes(t, kappa, lam)
+                tracemalloc.start()
+                try:
+                    row = _fastlane.root_row(t, Fraction(3), kappa, lam, False, ())
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert row is not None
+                assert peak <= figure, (name, kappa, lam, peak, figure)
 
     def test_python_lane_answers_tiny_and_deep_thin_trees(self, monkeypatch):
         # the solver sends a tree to the Python lane when the numpy kernel
@@ -355,7 +398,7 @@ class TestLaneAgreement:
         spec = ProblemSpec(1, 2, 1)
         for t in (path, star):
             assert root_feasibility(t, spec) == [
-                list(r) for r in solve(t, spec, record_choices=False).root_row()]
+                list(r) for r in _grid.solve(t, spec, record_choices=False).root_row()]
             assert decide_batch(t, spec, [0, 1]) == [
                 decide(t, spec.with_xi(x)) for x in (0, 1)]
         lane_trees = [t for t in (path, star) if any(c is t for c in calls)]
@@ -399,11 +442,11 @@ def _sweep_row(tree, spec):
 
 
 def _table_row(tree, spec):
-    return [list(r) for r in solve(tree, spec, record_choices=False).root_row()]
+    return [list(r) for r in _grid.solve(tree, spec, record_choices=False).root_row()]
 
 
 class TestLeastBudgetSweep:
-    """The Python decision sweep against the witness tables' root row."""
+    """The Python decision sweep against the grid DP's root row."""
 
     @staticmethod
     def _tree(rng, n, shape, use_pot):
@@ -440,10 +483,7 @@ class TestLeastBudgetSweep:
             xi = (Fraction(0) if trial % 7 == 0
                   else Fraction(rng.randint(0, 15), rng.randint(1, 5)))
             spec = ProblemSpec(xi, parts, outliers, use_pot, forb)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                want = _table_row(t, spec)
-            assert _sweep_row(t, spec) == want
+            assert _sweep_row(t, spec) == _table_row(t, spec)
 
     def test_root_outlier_with_every_part_below(self):
         # a potential no cut can pay keeps the root out of every part, so
@@ -518,28 +558,6 @@ class TestAgainstOracle:
                         floor = mins[kappa][lam]
                         assert oracle_decide(t, spec) == (
                             floor is not None and xi >= floor)
-
-
-class TestRowFillers:
-    def test_incremental_fill_matches_solve(self):
-        from treecut import DpTables
-        from treecut.solver import fill_gamma_row, fill_leaf_rows, fill_mu_row
-        from treecut.tree import processing_order
-
-        rng = random.Random(55)
-        for _ in range(10):
-            t = random_tree(rng, rng.randint(1, 8))
-            spec = ProblemSpec(Fraction(rng.randint(0, 4), rng.randint(1, 3)),
-                               min(3, t.vertex_count), 1)
-            manual = DpTables(t, spec)
-            for v in processing_order(t):
-                if t.children_of(v):
-                    fill_gamma_row(manual, v)
-                    fill_mu_row(manual, v)
-                else:
-                    fill_leaf_rows(manual, v)
-            assert manual.same_tables(solve(t, spec))
-            assert manual.feasible == solve(t, spec).feasible
 
 
 class TestDeepTrees:

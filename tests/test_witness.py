@@ -1,22 +1,29 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
 import _brute
+import _grid
 from conftest import path_tree, random_tree, star_tree
 from treecut import (
     EmptyPart,
+    Forest,
     ProblemSpec,
     Subpartition,
     TableMismatch,
     build_rooted_tree,
+    decide_forest,
     expansion,
     make_subpartition,
+    min_xi,
+    oracle_min_xi,
     reconstruct_subpartition,
     solve,
     validate_subpartition,
 )
+from treecut.oracle import EnumerationBudget
 from treecut.witness import (
     VIOLATION_COVERAGE,
     VIOLATION_DISCONNECTED,
@@ -103,8 +110,6 @@ class TestReconstruct:
             reconstruct_subpartition(other, spec, tab)
         with pytest.raises(TableMismatch):
             reconstruct_subpartition(t, ProblemSpec(1, 1, 0), tab)
-        with pytest.raises(TableMismatch):
-            reconstruct_subpartition(t, spec, solve(t, spec, record_choices=False))
 
     def test_deterministic(self):
         rng = random.Random(7)
@@ -153,6 +158,144 @@ class TestRoundTrip:
             root_part = next(p for p in sub.parts if t.root_id in p)
             if t.root_id not in sub.residue:
                 assert expansion(t, root_part) <= spec.xi
+
+
+def _tied_tree(rng, n, use_pot, prefix=""):
+    """A random tree with weights and costs in 1..3 and potentials in
+    0..2, so that equal charges and sums, and so ties, are common."""
+    return build_rooted_tree(
+        [(f"{prefix}{i}", rng.randint(1, 3), rng.randint(0, 2) if use_pot else 0)
+         for i in range(n)],
+        [(f"{prefix}{rng.randrange(i)}", f"{prefix}{i}", rng.randint(1, 3))
+         for i in range(1, n)],
+        f"{prefix}{rng.randrange(n)}")
+
+
+def _mirrored_tree(rng):
+    """A root above two or three copies of one random piece of 1..3
+    vertices: the copies' tables are equal, so every choice between them
+    ties."""
+    m = rng.randint(1, 3)
+    piece = [(rng.randint(1, 3), rng.randint(0, 3)) for _ in range(m)]
+    above = [rng.randrange(i) for i in range(1, m)]
+    costs = [rng.randint(1, 3) for _ in range(m)]
+    vertices = [("r", rng.randint(1, 3), rng.randint(0, 3))]
+    edges = []
+    for c in range(rng.randint(2, 3)):
+        vertices += [(f"{c}-{i}", w, p) for i, (w, p) in enumerate(piece)]
+        edges.append(("r", f"{c}-0", costs[0]))
+        edges += [(f"{c}-{q}", f"{c}-{i}", costs[i]) for i, q in enumerate(above, 1)]
+    return build_rooted_tree(vertices, edges, "r")
+
+
+class TestReplayMatchesGrid:
+    def test_witnesses_equal_the_grid_dp_witnesses(self, monkeypatch):
+        # the replay from the sweep's tables picks, cell by cell, the choice
+        # the grid DP records (tests/_grid.py), so the two witnesses agree
+        # part for part and in part order, ties included
+        def same_as_grid(t, spec):
+            got = reconstruct_subpartition(t, spec, solve(t, spec))
+            assert got == _grid.witness(t, spec, _grid.solve(t, spec)), (t.ids, spec)
+            return got
+
+        # a root with two mirrored paths: each path either goes whole as a
+        # part or keeps its top in the root's part and sends its leaf, whose
+        # potential makes cutting it pay, to the residue.  One of each ties;
+        # the cut-charge split takes the least budget first
+        t = build_rooted_tree(
+            [("r", 1, 1), ("a", 3, 3), ("a2", 1, 3), ("b", 3, 3), ("b2", 1, 3)],
+            [("r", "a", 1), ("a", "a2", 1), ("r", "b", 1), ("b", "b2", 1)], "r")
+        sub = same_as_grid(t, ProblemSpec(Fraction(7, 4), 2, 1, True))
+        assert sub.parts == (frozenset({"r", "b"}), frozenset({"a", "a2"}))
+        # a root no part can hold, over a 2-path and a leaf: with 3
+        # outliers either the path or the leaf could be the residue, and
+        # the residue split is made at the least budget, which keeps the path
+        t = build_rooted_tree([("u", 1, 10), ("c", 1), ("x", 1), ("y", 1)],
+                              [("u", "c", 1), ("c", "x", 1), ("u", "y", 1)], "u")
+        sub = same_as_grid(t, ProblemSpec(1, 1, 3, True))
+        assert sub.parts == (frozenset({"c", "x"}),)
+        assert sub.residue == frozenset({"u", "y"})
+
+        rng = random.Random(61)
+        budget = EnumerationBudget(max_vertices=12, max_parts=13)
+        feasible = 0
+        for trial in range(2000):
+            if trial % 4:
+                n = rng.randint(1, 12)
+                use_pot = rng.random() < 0.4
+                t = _tied_tree(rng, n, use_pot)
+            else:
+                t, use_pot = _mirrored_tree(rng), True
+                n = t.vertex_count
+            forb = frozenset(v for v in t.vertex_ids() if rng.random() < 0.15)
+            parts, outliers = rng.randint(1, n + 1), rng.randint(0, 3)
+            floor = oracle_min_xi(t, parts, outliers, use_potentials=use_pot,
+                                  forbidden_outliers=forb, budget=budget)
+            if floor is None:
+                xis = [Fraction(rng.randint(0, 12), rng.randint(1, 4))]
+            else:
+                xis = [floor, floor + Fraction(rng.randint(1, 8), rng.randint(1, 4))]
+            for xi in xis:
+                spec = ProblemSpec(xi, parts, outliers, use_pot, forb)
+                feasible += same_as_grid(t, spec) is not None
+        assert feasible > 3000
+
+        # forests: the same fold over per-tree rows, with each tree's witness
+        # from the grid DP instead
+        import treecut.search as search
+
+        cases = []
+        for _ in range(150):
+            trees = tuple(_tied_tree(rng, rng.randint(1, 6), rng.random() < 0.4, f"{i}-")
+                          for i in range(rng.randint(2, 3)))
+            forest = Forest(trees)
+            total = forest.vertex_count
+            forb = frozenset(v for t in trees for v in t.vertex_ids() if rng.random() < 0.15)
+            parts, outliers = rng.randint(1, total + 1), rng.randint(0, 3)
+            best = min_xi(forest, parts, outliers, use_potentials=True,
+                          forbidden_outliers=forb).xi_star
+            xis = [Fraction(rng.randint(0, 12), rng.randint(1, 4))]
+            if best is not None:
+                xis += [best, best + Fraction(rng.randint(1, 8), rng.randint(1, 4))]
+            for xi in xis:
+                spec = ProblemSpec(xi, parts, outliers, True, forb)
+                cases.append((forest, spec, decide_forest(forest, spec)))
+        monkeypatch.setattr(search, "solve", _grid.solve)
+        monkeypatch.setattr(search, "_collect", _grid._collect)
+        witnesses = 0
+        for forest, spec, got in cases:
+            assert got == decide_forest(forest, spec), spec
+            witnesses += got[1] is not None
+        assert witnesses > 200
+
+
+class TestWitnessCost:
+    def test_witness_on_a_long_path(self):
+        n = 10**5
+        t = build_rooted_tree([(i, 1 + i % 3) for i in range(n)],
+                              [(i - 1, i, 1 + i % 2) for i in range(1, n)], 0)
+        spec = ProblemSpec(Fraction(1, 2), 3, 2)
+        sub = reconstruct_subpartition(t, spec, solve(t, spec))
+        assert validate_subpartition(t, spec, sub) == []
+        assert len(sub.parts) == 3
+
+    def test_kept_tables_stay_under_a_kilobyte_per_vertex(self):
+        # the sweep's own tables and partial folds, nothing more: about
+        # 0.47 KB per vertex here (Python 3.11), where full grids with
+        # choice records took 2.4 KB
+        rng = random.Random(62)
+        n = 10**4
+        t = build_rooted_tree([(i, rng.randint(1, 4)) for i in range(n)],
+                              [(rng.randrange(i), i, rng.randint(1, 4)) for i in range(1, n)], 0)
+        spec = ProblemSpec(Fraction(1, 2), 3, 2)
+        tracemalloc.start()
+        try:
+            tables = solve(t, spec)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert tables.feasible
+        assert retained < 1000 * n
 
 
 class TestValidate:
