@@ -281,17 +281,16 @@ def _engages(tree, xis, kappa: int, lam: int) -> bool:
 
 def root_row(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
              forbidden_ids) -> list | None:
-    """Root feasibility grid ``row[k][l]`` for ``k <= kappa``, ``l <= lam``:
-    a list of ``kappa + 1`` rows, each a list of ``lam + 1`` ints 0/1, the
-    shape every path of ``treecut.solver.root_feasibility`` returns.  None
-    when the kernel cannot engage."""
+    """Least outlier budget at the root per part count: a list of
+    ``kappa + 1`` Python ints, ``lam + 1`` where no budget up to ``lam``
+    suffices, as ``treecut.solver._least_budgets`` returns.  None when the
+    kernel cannot engage."""
     if not _engages(tree, (xi,), kappa, lam):
         return None
-    least = _np_sweep(tree.dense_arrays(), _forb_array(tree, forbidden_ids),
-                      np.array([xi.numerator], dtype=np.int64),
-                      np.array([xi.denominator], dtype=np.int64),
-                      kappa, lam, use_pot)[0].tolist()
-    return [[1 if l >= need else 0 for l in range(lam + 1)] for need in least]
+    return _np_sweep(tree.dense_arrays(), _forb_array(tree, forbidden_ids),
+                     np.array([xi.numerator], dtype=np.int64),
+                     np.array([xi.denominator], dtype=np.int64),
+                     kappa, lam, use_pot)[0].tolist()
 
 
 def decide_many(tree, xis, kappa: int, lam: int, use_pot: bool,

@@ -28,7 +28,7 @@ from .errors import (
     UnknownVertexId,
 )
 from .search import Forest
-from .tree import RootedTree, build_rooted_tree, tree_from_json
+from .tree import RootedTree, build_rooted_forest, tree_from_json
 from .values import parse_rational
 from .witness import sorted_ids
 
@@ -288,76 +288,27 @@ def similarity_spanning_tree(graph: WeightedGraph):
             x = parent[x]
         return x
 
-    chosen = []  # edge indices in acceptance order
+    chosen = []  # (u, v, cost) in acceptance order
     for _d, _lo, _hi, eidx in ranked:
-        ui, vi, _c, _dd = graph.edges[eidx]
+        ui, vi, cost, _dd = graph.edges[eidx]
         ru, rv = find(ui), find(vi)
         if ru != rv:
             parent[ru] = rv
-            chosen.append(eidx)
+            chosen.append((graph.ids[ui], graph.ids[vi], cost))
 
-    comp_edges = {}
-    for eidx in chosen:
-        root = find(graph.edges[eidx][0])
-        comp_edges.setdefault(root, []).append(eidx)
-
-    trees = []
-    for members in graph.components():
-        root_idx = find(graph.index[members[0]])
-        vertices = [(v, graph.weight(v), graph.potential(v)) for v in members]
-        edges = []
-        for eidx in comp_edges.get(root_idx, []):
-            ui, vi, cost, _dd = graph.edges[eidx]
-            edges.append((graph.ids[ui], graph.ids[vi], cost))
-        root = _max_weight_root(members, graph)
-        trees.append(build_rooted_tree(vertices, edges, root))
-
+    trees = build_rooted_forest(list(zip(graph.ids, graph.weights, graph.potentials)),
+                                chosen)
     if len(trees) == 1:
         return trees[0]
     return Forest(tuple(trees))
-
-
-def _max_weight_root(members, graph: WeightedGraph):
-    best = members[0]
-    for v in members[1:]:
-        if graph.weight(v) > graph.weight(best):
-            best = v
-    return best
 
 
 def forest_from_graph(graph: WeightedGraph):
     """Interpret an already-acyclic graph as a :class:`Forest` (one rooted
     tree per component, rooted at the heaviest vertex, ties to the smallest
     id).  Raises :class:`NotForestAfterDeletion` if the graph has a cycle."""
-    from .errors import NotForestAfterDeletion
-
     if graph.vertex_count == 0:
         raise EmptyGraph("cannot build a forest with no vertices")
-    parent = list(range(graph.vertex_count))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for ui, vi, _c, _d in graph.edges:
-        ru, rv = find(ui), find(vi)
-        if ru == rv:
-            raise NotForestAfterDeletion(
-                f"graph has a cycle through {graph.ids[ui]!r}-{graph.ids[vi]!r};"
-                " expected a forest")
-        parent[ru] = rv
-
-    # one pass over the edges, each to its component, in input order
-    comp_edges = {}
-    for ui, vi, cost, _d in graph.edges:
-        comp_edges.setdefault(find(ui), []).append((graph.ids[ui], graph.ids[vi], cost))
-
-    trees = []
-    for members in graph.components():
-        vertices = [(v, graph.weight(v), graph.potential(v)) for v in members]
-        edges = comp_edges.get(find(graph.index[members[0]]), [])
-        trees.append(build_rooted_tree(vertices, edges,
-                                       _max_weight_root(members, graph)))
-    return Forest(tuple(trees))
+    return Forest(tuple(build_rooted_forest(
+        list(zip(graph.ids, graph.weights, graph.potentials)),
+        [(u, v, cost) for u, v, cost, _d in graph.edge_records()])))

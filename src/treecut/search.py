@@ -1,6 +1,13 @@
 """Drivers above the decision DP: exact threshold minimization, maximum
 part count, forests, and the semi-supervised reduction.
 
+All of them read each tree's least budgets (``solver._root_least``): per
+part count, the smallest outlier budget that makes it feasible.
+``k_max`` scans them, and a forest folds its trees' vectors into one
+(``decide_forest``).  The semi-supervised reduction deletes the required
+outliers and hands the remaining forest, built by
+``tree.build_rooted_forest``, to that fold.
+
 Exact minimization never enumerates candidate ratios.  Every achievable
 maximum expansion is a fraction whose reduced denominator is at most the
 scaled total vertex weight W, and two such fractions differ by at least
@@ -25,14 +32,14 @@ from .errors import (
     InvalidInput,
     LambdaTooSmall,
     MonotonicityViolation,
-    NotForestAfterDeletion,
     PrecollisionError,
     UnknownVertexId,
 )
-from .solver import ProblemSpec, decide, root_feasibility, solve
-from .tree import RootedTree, build_rooted_tree
+from .solver import ProblemSpec, _root_least, decide, solve
+from .tree import RootedTree, build_rooted_forest
 from .values import parse_rational
-from .witness import Subpartition, _collect, make_subpartition, reconstruct_subpartition, sorted_ids
+from .witness import (Subpartition, _collect, expansion, make_subpartition,
+                      reconstruct_subpartition, sorted_ids)
 
 
 @dataclass(frozen=True)
@@ -305,12 +312,9 @@ def k_max(tree: RootedTree, xi, outliers: int, use_potentials: bool = False,
     n = tree.vertex_count
     spec = ProblemSpec(parse_rational(xi), n, outliers, use_potentials,
                        forbidden_outliers)
-    row = root_feasibility(tree, spec)
+    least = _root_least(tree, spec)
     lam = min(outliers, n)
-    for k in range(n, 0, -1):
-        if row[k][lam]:
-            return k
-    return 0
+    return next((k for k in range(n, 0, -1) if least[k] <= lam), 0)
 
 
 def _tree_spec(spec: ProblemSpec, tree: RootedTree) -> ProblemSpec:
@@ -323,79 +327,64 @@ def _tree_spec(spec: ProblemSpec, tree: RootedTree) -> ProblemSpec:
 
 
 def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True):
-    """Decide the problem on a forest by folding per-tree feasibility grids:
-    parts and outlier budget are split across trees, with no extra charge at
-    tree boundaries.  Returns ``(feasible, witness_or_None)``."""
+    """Decide the problem on a forest: parts and outlier budget are split
+    across trees, with no extra charge at tree boundaries.  Returns
+    ``(feasible, witness_or_None)``.
+
+    Each tree answers with its least budgets per part count, and the fold
+    keeps the least budget with which the trees so far hold each part
+    count: ``C'[k] = min C[kp] + B[k - kp]``, one (min,+) product over the
+    part count per tree.  The witness splits the budgets back, giving
+    each tree, last first, the fewest parts left to the trees before it
+    that still fit."""
     trees = forest.trees
     n_total = forest.vertex_count
     if not trees or spec.parts > n_total:
         return False, None
 
-    rows = [root_feasibility(t, _tree_spec(spec, t)) for t in trees]
-
     kappa = min(spec.parts, n_total)
     lam = min(spec.outliers, n_total)
+    none = lam + 1
 
-    def mu_of(i: int, k: int, l: int) -> int:
-        ni = trees[i].vertex_count
-        if k > ni:
-            return 0
-        return rows[i][k][min(l, ni, spec.outliers)]
+    def least(tree):
+        # a tree's own "none" is its clamped budget plus one, which may lie
+        # within lam; part counts beyond the tree's size are infeasible
+        tree_spec = _tree_spec(spec, tree)
+        out = [b if b <= tree_spec.outliers else none
+               for b in _root_least(tree, tree_spec)]
+        return out + [none] * (kappa + 1 - len(out))
 
-    combined = [[mu_of(0, k, l) for l in range(lam + 1)] for k in range(kappa + 1)]
-    back = []
-    for i in range(1, len(trees)):
-        nxt = [[0] * (lam + 1) for _ in range(kappa + 1)]
-        ptr = [[None] * (lam + 1) for _ in range(kappa + 1)]
-        for k in range(kappa + 1):
-            for l in range(lam + 1):
-                hit = None
-                for kp in range(k + 1):
-                    row = combined[kp]
-                    for lp in range(l + 1):
-                        if row[lp] and mu_of(i, k - kp, l - lp):
-                            hit = (kp, lp)
-                            break
-                    if hit:
-                        break
-                if hit:
-                    nxt[k][l] = 1
-                    ptr[k][l] = hit
-        combined = nxt
-        back.append(ptr)
+    rows = [least(t) for t in trees]
+    folds = [rows[0]]  # folds[i]: trees 0 to i together
+    for B in rows[1:]:
+        C = folds[-1]
+        folds.append([min(none, min(C[kp] + B[k - kp] for kp in range(k + 1)))
+                      for k in range(kappa + 1)])
 
-    feasible = bool(combined[kappa][lam])
+    feasible = folds[-1][kappa] <= lam
     if not feasible or not want_witness:
         return feasible, None
 
-    # the witness needs every tree's kept tables, so only now
-    tabs = [solve(t, _tree_spec(spec, t)) for t in trees]
-
-    budgets = [None] * len(trees)
+    budgets = []
     ck, cl = kappa, lam
-    for i in range(len(trees) - 1, 0, -1):
-        kp, lp = back[i - 1][ck][cl]
-        budgets[i] = (ck - kp, cl - lp)
-        ck, cl = kp, lp
-    budgets[0] = (ck, cl)
+    for C, B in zip(reversed(folds[:-1]), reversed(rows[1:])):
+        kp = next(kp for kp in range(ck + 1) if C[kp] + B[ck - kp] <= cl)
+        budgets.append((ck - kp, cl - C[kp]))
+        ck, cl = kp, C[kp]
+    budgets.append((ck, cl))
 
-    all_parts = []
-    all_residue = set()
-    expansions = []
-    for i, tree in enumerate(trees):
-        ki, li = budgets[i]
-        li = min(li, tree.vertex_count, spec.outliers)
-        parts_idx, residue_idx = _collect(tabs[i], ki, li)
+    # the witness needs every tree's kept tables, so only now
+    parts, residue, expansions = [], set(), []
+    for tree, (ki, li) in zip(trees, reversed(budgets)):
+        tab = solve(tree, _tree_spec(spec, tree))
+        parts_idx, residue_idx = _collect(tab, ki, min(li, tab.lam))
         for p in parts_idx:
             part = frozenset(tree.ids[j] for j in p)
-            all_parts.append(part)
-            sub = make_subpartition(tree, [part], frozenset(), spec.use_potentials)
-            expansions.append(sub.per_part_expansion[0])
-        all_residue |= {tree.ids[j] for j in residue_idx}
-
-    witness = Subpartition(tuple(all_parts), frozenset(all_residue),
-                           tuple(expansions), max(expansions))
-    return True, witness
+            parts.append(part)
+            expansions.append(expansion(tree, part, spec.use_potentials))
+        residue.update(tree.ids[j] for j in residue_idx)
+    return True, Subpartition(tuple(parts), frozenset(residue),
+                              tuple(expansions), max(expansions))
 
 
 def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
@@ -439,42 +428,15 @@ def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
         else:
             forest_edges.append((u, v, cost))
 
-    comp = {v: v for v in survivors}
-
-    def find(x):
-        while comp[x] != x:
-            comp[x] = comp[comp[x]]
-            x = comp[x]
-        return x
-
-    for u, v, _cost in forest_edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            raise NotForestAfterDeletion(
-                f"cycle through {u!r}-{v!r} survives the deletion")
-        comp[ru] = rv
-
-    groups = {}
-    for v in survivors:
-        groups.setdefault(find(v), []).append(v)
-    components = sorted(groups.values(), key=lambda g: str(sorted_ids(g)[0]))
-
-    # one pass over the edges, each to its component, in input order
-    comp_edges = {}
-    for u, v, c in forest_edges:
-        comp_edges.setdefault(find(u), []).append((u, v, c))
-
-    trees = []
-    for members in components:
-        vertices = [(v, graph.weight(v), graph.potential(v) + extra_potential[v])
-                    for v in members]
-        edges = comp_edges.get(find(members[0]), [])
-        root = _component_root(members, graph)
-        trees.append(build_rooted_tree(vertices, edges, root))
+    trees = build_rooted_forest(
+        [(v, graph.weight(v), graph.potential(v) + extra_potential[v])
+         for v in survivors], forest_edges)
+    # trees, and so the witness's parts, go by least id as a string
+    trees.sort(key=lambda t: str(t.ids[0]))
 
     spec = ProblemSpec(xi, parts, outliers - len(s1), use_potentials=True,
                        forbidden_outliers=s2)
-    feasible, wit = decide_forest(Forest(tuple(trees)), spec,
+    feasible, wit = decide_forest(Forest(trees), spec,
                                   want_witness=want_witness)
     if not feasible or wit is None:
         return feasible, None
@@ -485,13 +447,3 @@ def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
     witness = Subpartition(wit.parts, frozenset(wit.residue | s1),
                            expansions, max(expansions))
     return True, witness
-
-
-def _component_root(members, graph):
-    """Deterministic root: maximum weight, ties to the smallest id."""
-    ordered = sorted_ids(members)
-    best = ordered[0]
-    for v in ordered[1:]:
-        if graph.weight(v) > graph.weight(best):
-            best = v
-    return best

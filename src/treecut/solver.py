@@ -25,8 +25,11 @@ per-combination-step decrement would over-charge vertices with three or
 more children and is rejected by the brute-force oracle (see the erratum
 regression in the acceptance suite).
 
-Decision queries (``root_feasibility``, ``decide``, ``decide_batch``, and
-through them the forest fold and ``k_max``) take one of two paths:
+A decision query answers with the root's least budgets: per part count,
+the smallest outlier budget that makes it feasible (``_root_least``).
+``decide``, ``k_max`` and the forest fold read them directly;
+``root_feasibility`` alone expands them into a 0/1 grid.  They come from
+one of two paths (``decide_batch`` batches the first):
 
 * the numpy int64 kernel of ``treecut._fastlane``, one batch of array
   operations per tree level;
@@ -260,36 +263,38 @@ def solve(tree: RootedTree, spec: ProblemSpec) -> WitnessTables:
     return tables
 
 
-
-
-def root_feasibility(tree: RootedTree, spec: ProblemSpec) -> list:
-    """Feasibility bits ``row[k][l]`` at the root for all k, l in table
-    range, computed by the faster exact path.
-
-    Both paths return the same shape: a list of ``kappa + 1`` rows, one
-    per part count, each a list of ``lam + 1`` ints 0/1 (``kappa`` and
-    ``lam`` being the budgets clamped to the vertex count).
-    """
+def _root_least(tree: RootedTree, spec: ProblemSpec) -> list:
+    """Least outlier budget at the root per part count, ``kappa + 1``
+    Python ints with ``lam + 1`` for "no budget suffices" (``kappa`` and
+    ``lam`` clamped to the vertex count), from the faster exact path."""
     from . import _fastlane
 
     n = tree.vertex_count
     kappa = min(spec.parts, n)
     lam = min(spec.outliers, n)
     if not _fastlane.python_is_faster(tree, kappa, lam):
-        row = _fastlane.root_row(tree, spec.xi, kappa, lam,
-                                 spec.use_potentials, spec.forbidden_outliers)
-        if row is not None:
-            return row
-    least = _least_budgets(tree, spec)
-    return [[1 if l >= need else 0 for l in range(lam + 1)] for need in least]
+        least = _fastlane.root_row(tree, spec.xi, kappa, lam,
+                                   spec.use_potentials, spec.forbidden_outliers)
+        if least is not None:
+            return least
+    return _least_budgets(tree, spec)
+
+
+def root_feasibility(tree: RootedTree, spec: ProblemSpec) -> list:
+    """Feasibility bits ``row[k][l]`` at the root for all k, l in table
+    range: a list of ``kappa + 1`` rows, one per part count, each a list of
+    ``lam + 1`` ints 0/1 (``kappa`` and ``lam`` being the budgets clamped
+    to the vertex count), expanded from the least budgets."""
+    lam = min(spec.outliers, tree.vertex_count)
+    return [[1 if l >= need else 0 for l in range(lam + 1)]
+            for need in _root_least(tree, spec)]
 
 
 def decide(tree: RootedTree, spec: ProblemSpec) -> bool:
     """Answer the decision problem without materializing a witness."""
     if spec.parts > tree.vertex_count:
         return False
-    row = root_feasibility(tree, spec)
-    return bool(row[spec.parts][min(spec.outliers, tree.vertex_count)])
+    return _root_least(tree, spec)[spec.parts] <= min(spec.outliers, tree.vertex_count)
 
 
 def decide_batch(tree: RootedTree, spec: ProblemSpec, xis) -> list[bool]:

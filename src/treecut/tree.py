@@ -20,6 +20,7 @@ from .errors import (
     InvalidInput,
     NonPositiveVertexWeight,
     NotATree,
+    NotForestAfterDeletion,
     UnknownVertexId,
 )
 from .values import format_rational, parse_rational
@@ -344,6 +345,49 @@ def build_rooted_tree(vertices, edges, root) -> RootedTree:
     order = list(reversed(bfs))
     return RootedTree(ids, index, root_idx, parent, children, order,
                       scale, w_s, c_s, p_s)
+
+
+def build_rooted_forest(vertices, edges) -> list:
+    """Build one :class:`RootedTree` per connected component of an acyclic
+    graph.
+
+    ``vertices`` is a sequence of ``(id, weight, potential)`` with numeric
+    weights; ``edges`` of ``(u, v, cost)`` between declared vertices.  Each
+    tree keeps its vertices and its edges in the given order and is rooted
+    at its heaviest vertex, ties going to the first; trees come out in
+    order of their first vertex.
+
+    Raises :class:`NotForestAfterDeletion` if the edges close a cycle.
+    """
+    index = {entry[0]: i for i, entry in enumerate(vertices)}
+    parent = list(range(len(vertices)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v, _cost in edges:
+        ru, rv = find(index[u]), find(index[v])
+        if ru == rv:
+            raise NotForestAfterDeletion(
+                f"cycle through {u!r}-{v!r}; the graph is not a forest")
+        parent[ru] = rv
+
+    # dicts keep insertion order: components by first vertex, and each
+    # component's vertices and edges in input order
+    members = {}
+    for i, entry in enumerate(vertices):
+        members.setdefault(find(i), []).append(entry)
+    comp_edges = {}
+    for edge in edges:
+        comp_edges.setdefault(find(index[edge[0]]), []).append(edge)
+
+    # max keeps the first of equal weights
+    return [build_rooted_tree(group, comp_edges.get(comp, ()),
+                              max(group, key=lambda entry: entry[1])[0])
+            for comp, group in members.items()]
 
 
 def processing_order(tree: RootedTree) -> tuple:

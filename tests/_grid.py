@@ -11,13 +11,17 @@ compare ``treecut``'s witnesses with the ones its recorded choices give.
 
 ``solve(tree, spec)`` fills the grids; ``witness(tree, spec, tables)``
 backtracks one witness from them (None when infeasible).
+``decide_forest(forest, spec)`` folds the trees' root grids cell by cell
+with back pointers, the forest fold ``treecut.search`` ran before it
+folded least budgets, with each tree's witness from these grids.
 """
 
 from treecut.errors import TableMismatch, UnknownVertexId
+from treecut.search import _tree_spec
 from treecut.solver import ProblemSpec
 from treecut.tree import RootedTree
 from treecut.values import ScaledValue
-from treecut.witness import make_subpartition
+from treecut.witness import Subpartition, make_subpartition
 
 # mu branch markers (backtracking)
 INFEASIBLE = 0
@@ -291,8 +295,6 @@ def _sweep(T: DpTables) -> None:
             _leaf_rows(T, u)
 
 
-
-
 def witness(tree: RootedTree, spec: ProblemSpec, tables: DpTables):
     """The witness the recorded choices give, or None if infeasible."""
     if not tables.feasible:
@@ -360,3 +362,77 @@ def _collect(tables: DpTables, k0: int, l0: int):
                 else:
                     stack.append((True, child, pk, pl, slot))
     return parts, residue
+
+
+def decide_forest(forest, spec: ProblemSpec, want_witness: bool = True):
+    """Decide the problem on a forest by folding per-tree feasibility grids:
+    parts and outlier budget are split across trees, with no extra charge at
+    tree boundaries.  Returns ``(feasible, witness_or_None)``."""
+    trees = forest.trees
+    n_total = forest.vertex_count
+    if not trees or spec.parts > n_total:
+        return False, None
+
+    tabs = [solve(t, _tree_spec(spec, t)) for t in trees]
+    rows = [[list(r) for r in tab.root_row()] for tab in tabs]
+
+    kappa = min(spec.parts, n_total)
+    lam = min(spec.outliers, n_total)
+
+    def mu_of(i: int, k: int, l: int) -> int:
+        ni = trees[i].vertex_count
+        if k > ni:
+            return 0
+        return rows[i][k][min(l, ni, spec.outliers)]
+
+    combined = [[mu_of(0, k, l) for l in range(lam + 1)] for k in range(kappa + 1)]
+    back = []
+    for i in range(1, len(trees)):
+        nxt = [[0] * (lam + 1) for _ in range(kappa + 1)]
+        ptr = [[None] * (lam + 1) for _ in range(kappa + 1)]
+        for k in range(kappa + 1):
+            for l in range(lam + 1):
+                hit = None
+                for kp in range(k + 1):
+                    row = combined[kp]
+                    for lp in range(l + 1):
+                        if row[lp] and mu_of(i, k - kp, l - lp):
+                            hit = (kp, lp)
+                            break
+                    if hit:
+                        break
+                if hit:
+                    nxt[k][l] = 1
+                    ptr[k][l] = hit
+        combined = nxt
+        back.append(ptr)
+
+    feasible = bool(combined[kappa][lam])
+    if not feasible or not want_witness:
+        return feasible, None
+
+    budgets = [None] * len(trees)
+    ck, cl = kappa, lam
+    for i in range(len(trees) - 1, 0, -1):
+        kp, lp = back[i - 1][ck][cl]
+        budgets[i] = (ck - kp, cl - lp)
+        ck, cl = kp, lp
+    budgets[0] = (ck, cl)
+
+    all_parts = []
+    all_residue = set()
+    expansions = []
+    for i, tree in enumerate(trees):
+        ki, li = budgets[i]
+        li = min(li, tree.vertex_count, spec.outliers)
+        parts_idx, residue_idx = _collect(tabs[i], ki, li)
+        for p in parts_idx:
+            part = frozenset(tree.ids[j] for j in p)
+            all_parts.append(part)
+            sub = make_subpartition(tree, [part], frozenset(), spec.use_potentials)
+            expansions.append(sub.per_part_expansion[0])
+        all_residue |= {tree.ids[j] for j in residue_idx}
+
+    witness = Subpartition(tuple(all_parts), frozenset(all_residue),
+                           tuple(expansions), max(expansions))
+    return True, witness

@@ -199,18 +199,27 @@ class TestForestFromGraph:
         g = WeightedGraph(vertices, [(u, v, c, None) for u, v, c in
                                      (pending[i].pop() for i in order)])
 
-        forest = forest_from_graph(g)
         weight = {v: w for v, w, _p in vertices}
         potential = {v: p for v, _w, p in vertices}
-        want = []
-        for members, edges in sorted(zip(comps, edges_of), key=lambda ce: min(ce[0])):
-            members = sorted(members)
-            root = max(members, key=lambda v: (weight[v], -v))
-            want.append(build_rooted_tree(
-                [(v, weight[v], potential[v]) for v in members], edges, root))
-        assert len(forest.trees) == 4000
-        for got, tree in zip(forest.trees, want):
-            assert got.ids == tree.ids
-            assert got.root_id == tree.root_id
-            assert got.children_idx == tree.children_idx
-            assert got.to_json() == tree.to_json()
+
+        def want(order):
+            trees = []
+            for members, edges in sorted(zip(comps, edges_of), key=lambda ce: min(ce[0])):
+                members = sorted(members)
+                root = max(members, key=lambda v: (weight[v], -v))
+                trees.append(build_rooted_tree(
+                    [(v, weight[v], potential[v]) for v in members], order(edges), root))
+            return trees
+
+        # the spanning tree keeps each component whole, its edges in the
+        # order Kruskal accepts them: by distance 1/cost, then endpoints
+        kruskal = lambda edges: sorted(edges, key=lambda e: (Fraction(1, e[2]),
+                                                             min(e[:2]), max(e[:2])))
+        for forest, order in ((forest_from_graph(g), list),
+                              (similarity_spanning_tree(g), kruskal)):
+            assert isinstance(forest, Forest) and len(forest.trees) == 4000
+            for got, tree in zip(forest.trees, want(order)):
+                assert got.ids == tree.ids
+                assert got.root_id == tree.root_id
+                assert got.children_idx == tree.children_idx
+                assert got.to_json() == tree.to_json()

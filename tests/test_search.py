@@ -466,6 +466,18 @@ class TestSemiSupervised:
         ok, _ = decide_semisupervised(square, {"a"}, frozenset(), 2, 1, 1)
         assert ok
 
+    def test_components_ordered_by_least_id_as_a_string(self):
+        # deleting the hub 5 leaves components whose least ids are 2 and
+        # 10; as strings "10" sorts before "2", so its part comes first
+        graph = WeightedGraph(
+            [(v, 1, 0) for v in (2, 3, 5, 10, 11)],
+            [(2, 3, 1, None), (3, 5, 1, None), (5, 11, 1, None), (10, 11, 1, None)])
+        ok, wit = decide_semisupervised(graph, {5}, frozenset(), Fraction(1, 2), 2, 1)
+        assert ok
+        assert wit.parts == (frozenset({10, 11}), frozenset({2, 3}))
+        assert wit.residue == frozenset({5})
+        assert wit.per_part_expansion == (Fraction(1, 2), Fraction(1, 2))
+
     def test_degenerate_case_equals_tree_decision(self):
         rng = random.Random(45)
         for _ in range(12):

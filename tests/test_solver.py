@@ -204,11 +204,12 @@ class TestLaneAgreement:
             forb = frozenset(v for v in t.vertex_ids() if rng.random() < 0.2)
             xi = Fraction(rng.randint(0, 6), rng.randint(1, 4))
             spec = ProblemSpec(xi, min(3, n), 2, use_pot, forb)
+            lam = min(spec.outliers, n)
             fast = _fastlane.root_row(t, spec.xi, min(spec.parts, n),
-                                      min(spec.outliers, n), use_pot, forb)
+                                      lam, use_pot, forb)
             slow = _grid.solve(t, spec, record_choices=False).root_row()
-            assert fast == [[int(x) for x in row] for row in slow]
-            assert all(type(x) is int for row in fast for x in row)
+            assert _least_row(fast, lam) == [[int(x) for x in row] for row in slow]
+            assert all(type(x) is int for x in fast)
 
     def test_batch_matches_single(self):
         rng = random.Random(21)
@@ -264,8 +265,8 @@ class TestLaneAgreement:
             xis = [Fraction(rng.randint(0, 12), rng.randint(1, 5)) for _ in range(5)]
             tables = [_grid.solve(t, ProblemSpec(x, kappa, lam, use_pot, forb),
                                   record_choices=False) for x in xis]
-            row = _fastlane.root_row(t, xis[0], kappa, lam, use_pot, forb)
-            assert row == [list(r) for r in tables[0].root_row()]
+            least = _fastlane.root_row(t, xis[0], kappa, lam, use_pot, forb)
+            assert _least_row(least, lam) == [list(r) for r in tables[0].root_row()]
             assert _fastlane.decide_many(t, xis, kappa, lam, use_pot, forb) \
                 == [tab.feasible for tab in tables]
 
@@ -434,11 +435,16 @@ class TestLaneAgreement:
             assert all(type(a) is bool for a in answers)
 
 
+def _least_row(least, lam):
+    """Least budgets per part count expanded into root feasibility bits,
+    the shape of the grid DP's root row."""
+    return [[1 if l >= need else 0 for l in range(lam + 1)] for need in least]
+
+
 def _sweep_row(tree, spec):
     """Root feasibility bits from the least-budget decision sweep."""
-    lam = min(spec.outliers, tree.vertex_count)
-    return [[1 if l >= need else 0 for l in range(lam + 1)]
-            for need in solver._least_budgets(tree, spec)]
+    return _least_row(solver._least_budgets(tree, spec),
+                      min(spec.outliers, tree.vertex_count))
 
 
 def _table_row(tree, spec):

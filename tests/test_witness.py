@@ -189,7 +189,7 @@ def _mirrored_tree(rng):
 
 
 class TestReplayMatchesGrid:
-    def test_witnesses_equal_the_grid_dp_witnesses(self, monkeypatch):
+    def test_witnesses_equal_the_grid_dp_witnesses(self):
         # the replay from the sweep's tables picks, cell by cell, the choice
         # the grid DP records (tests/_grid.py), so the two witnesses agree
         # part for part and in part order, ties included
@@ -229,8 +229,11 @@ class TestReplayMatchesGrid:
                 n = t.vertex_count
             forb = frozenset(v for v in t.vertex_ids() if rng.random() < 0.15)
             parts, outliers = rng.randint(1, n + 1), rng.randint(0, 3)
-            floor = oracle_min_xi(t, parts, outliers, use_potentials=use_pot,
-                                  forbidden_outliers=forb, budget=budget)
+            floor = min_xi(t, parts, outliers, use_potentials=use_pot,
+                           forbidden_outliers=forb).xi_star
+            if trial % 10 == 0:
+                assert floor == oracle_min_xi(t, parts, outliers, use_potentials=use_pot,
+                                              forbidden_outliers=forb, budget=budget)
             if floor is None:
                 xis = [Fraction(rng.randint(0, 12), rng.randint(1, 4))]
             else:
@@ -240,33 +243,55 @@ class TestReplayMatchesGrid:
                 feasible += same_as_grid(t, spec) is not None
         assert feasible > 3000
 
-        # forests: the same fold over per-tree rows, with each tree's witness
-        # from the grid DP instead
-        import treecut.search as search
 
-        cases = []
-        for _ in range(150):
-            trees = tuple(_tied_tree(rng, rng.randint(1, 6), rng.random() < 0.4, f"{i}-")
-                          for i in range(rng.randint(2, 3)))
-            forest = Forest(trees)
+def _tied_forest(rng, trees, size, use_pot):
+    return Forest(tuple(_tied_tree(rng, rng.randint(1, size), use_pot, f"{i}-")
+                        for i in range(trees)))
+
+
+class TestForestFoldMatchesGrid:
+    def test_least_budget_fold_equals_the_grid_fold(self):
+        # the least-budget fold splits parts and budget across trees as the
+        # grid fold's back pointers do (tests/_grid.py), so feasibility and
+        # witness agree, part order included
+        rng = random.Random(64)
+        cases = witnesses = 0
+        for _ in range(1000):
+            use_pot = rng.random() < 0.5
+            forest = _tied_forest(rng, rng.randint(2, 5), 5, use_pot)
             total = forest.vertex_count
-            forb = frozenset(v for t in trees for v in t.vertex_ids() if rng.random() < 0.15)
-            parts, outliers = rng.randint(1, total + 1), rng.randint(0, 3)
-            best = min_xi(forest, parts, outliers, use_potentials=True,
+            forb = frozenset(v for t in forest.trees for v in t.vertex_ids()
+                             if rng.random() < 0.15)
+            parts, outliers = rng.randint(1, total + 1), rng.randint(0, 5)
+            best = min_xi(forest, parts, outliers, use_potentials=use_pot,
                           forbidden_outliers=forb).xi_star
             xis = [Fraction(rng.randint(0, 12), rng.randint(1, 4))]
             if best is not None:
                 xis += [best, best + Fraction(rng.randint(1, 8), rng.randint(1, 4))]
             for xi in xis:
-                spec = ProblemSpec(xi, parts, outliers, True, forb)
-                cases.append((forest, spec, decide_forest(forest, spec)))
-        monkeypatch.setattr(search, "solve", _grid.solve)
-        monkeypatch.setattr(search, "_collect", _grid._collect)
-        witnesses = 0
-        for forest, spec, got in cases:
-            assert got == decide_forest(forest, spec), spec
-            witnesses += got[1] is not None
-        assert witnesses > 200
+                spec = ProblemSpec(xi, parts, outliers, use_pot, forb)
+                got = decide_forest(forest, spec)
+                assert got == _grid.decide_forest(forest, spec), spec
+                cases += 1
+                witnesses += got[1] is not None
+        assert cases > 2500 and witnesses > 1800
+
+    def test_many_trees_and_large_budgets(self):
+        # 200 trees of 1-5 vertices at 50 parts and 20 outliers: the grid
+        # fold does 200 steps over 51 x 21 cells, with up to that many
+        # splits each.  A tree needs a part or all its vertices as
+        # outliers, so no threshold makes 200 trees feasible there
+        rng = random.Random(65)
+        forest = _tied_forest(rng, 200, 5, True)
+        spec = ProblemSpec(2, 50, 20, True)
+        assert decide_forest(forest, spec) == _grid.decide_forest(forest, spec) \
+            == (False, None)
+        # 20 trees at 30 parts and 8 outliers, feasible at the optimum
+        forest = _tied_forest(rng, 20, 5, True)
+        best = min_xi(forest, 30, 8, use_potentials=True).xi_star
+        spec = ProblemSpec(best, 30, 8, True)
+        got = decide_forest(forest, spec)
+        assert got[0] and got == _grid.decide_forest(forest, spec)
 
 
 class TestWitnessCost:
