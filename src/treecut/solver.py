@@ -29,14 +29,15 @@ A decision query answers with the root's least budgets: per part count,
 the smallest outlier budget that makes it feasible (``_root_least``).
 ``decide``, ``k_max`` and the forest fold read them directly;
 ``root_feasibility`` alone expands them into a 0/1 grid.  They come from
-one of two paths (``decide_batch`` batches the first):
+one of three sweeps, whichever the cost rule ``_fastlane.lane`` prices
+lowest (``decide_batch`` batches the numpy ones):
 
-* the numpy int64 kernel of ``treecut._fastlane``, one batch of array
-  operations per tree level;
+* the numpy int64 level sweep of ``treecut._fastlane``, one batch of
+  array operations per tree level: wide, shallow trees;
+* its chain sweep, one batch per heavy-path round and table row: deep,
+  thin trees such as paths and caterpillars;
 * this module's least-budget sweep (``_least_budgets``), one vertex at a
-  time on Python ints: the trees on which the numpy kernel would be slower
-  (tiny ones, and deep, thin ones; see ``_fastlane.python_is_faster``),
-  and the values over the int64 bound.
+  time on Python ints: tiny trees, and the values over the int64 bound.
 
 The int64 kernel engages only when a conservative bound proves 64-bit
 arithmetic cannot overflow.  Witnesses come from the same Python sweep:
@@ -87,7 +88,7 @@ class ProblemSpec:
 
 # -- the least-budget sweep -------------------------------------------------
 #
-# The DP in the small state of the numpy lane (see ``treecut._fastlane``):
+# The DP in the small state of the numpy sweeps (see ``treecut._fastlane``):
 #
 # * mu is monotone in the outlier budget, so a vertex keeps only the least
 #   sufficient budget per part count (``lam + 1`` when no budget in range
@@ -272,7 +273,7 @@ def _root_least(tree: RootedTree, spec: ProblemSpec) -> list:
     n = tree.vertex_count
     kappa = min(spec.parts, n)
     lam = min(spec.outliers, n)
-    if not _fastlane.python_is_faster(tree, kappa, lam):
+    if _fastlane.lane(tree, (spec.xi,), kappa, lam, spec.use_potentials) != "python":
         least = _fastlane.root_row(tree, spec.xi, kappa, lam,
                                    spec.use_potentials, spec.forbidden_outliers)
         if least is not None:
@@ -311,7 +312,7 @@ def decide_batch(tree: RootedTree, spec: ProblemSpec, xis) -> list[bool]:
     n = tree.vertex_count
     kappa = min(spec.parts, n)
     lam = min(spec.outliers, n)
-    if not _fastlane.python_is_faster(tree, kappa, lam, len(xis)):
+    if _fastlane.lane(tree, xis, kappa, lam, spec.use_potentials) != "python":
         answers = _fastlane.decide_many(tree, xis, kappa, lam,
                                         spec.use_potentials, spec.forbidden_outliers)
         if answers is not None:

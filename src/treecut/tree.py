@@ -207,6 +207,7 @@ class RootedTree:
             size = np.array(self.subtree_size, dtype=np.int64)[bfs]
             self._dense_cache = {
                 "level_size": np.maximum.reduceat(size, [0] + level_end[:-1]),
+                "size": size,
                 "pos": pos,
                 "w_sub": w_sub,
                 "p_sub": p_sub,
@@ -217,8 +218,94 @@ class RootedTree:
             }
         return self._dense_cache
 
+    def heavy_paths(self):
+        """Heavy-path rounds of the dense layout, for the chain sweep of
+        ``treecut._fastlane`` (built on first use, cached with
+        ``dense_arrays``).
+
+        A vertex's heavy child is its child with the largest subtree, the
+        first of equal ones.  A heavy path starts at the root or at a
+        light child and follows heavy children down to a leaf.  Round
+        ``r`` holds the vertices with ``r`` light edges above them, so
+        there are at most ``log2(n) + 1`` rounds.  Each round is a dict:
+
+        * ``vert``: the round's BFS positions, each path contiguous from
+          its top down to its leaf, paths ordered by the round position
+          of their top's parent (then by top), so that the tops of round
+          ``r + 1`` come grouped by parent;
+        * ``top``: round positions of the path tops;
+        * ``reach``: steps from each vertex down to its path's leaf;
+        * ``lpar``, ``lcount``: the round positions that have light
+          children (the tops of round ``r + 1``, in order), and how many.
+        """
+        dense = self.dense_arrays()
+        if "rounds" not in dense:
+            dense["rounds"] = _heavy_path_rounds(dense)
+        return dense["rounds"]
+
     def __repr__(self):
         return f"RootedTree(n={self.vertex_count}, root={self.root_id!r})"
+
+
+def _heavy_path_rounds(dense) -> list:
+    """The rounds of ``RootedTree.heavy_paths``, in O(n log n) array
+    operations: pointer jumping finds each vertex's path top, and one pass
+    per light depth climbs from every top to the next."""
+    import numpy as np
+
+    size = dense["size"]
+    n = size.size
+    kids = dense["cend"] - dense["cstart"]
+    pos = np.arange(n)
+    parent = np.zeros(n, dtype=np.int64)
+    parent[1:] = np.repeat(pos, kids)
+    inner = np.flatnonzero(kids)
+    first = dense["cstart"][inner] - 1
+    # children ranges tile [1, n): the heavy child is the first of the
+    # largest subtrees in its parent's range
+    largest = np.repeat(np.maximum.reduceat(size[1:], first), kids[inner])
+    heavy = np.minimum.reduceat(np.where(size[1:] == largest, pos[1:], n), first)
+    is_top = np.ones(n, dtype=bool)
+    is_top[heavy] = False
+    top = np.where(is_top, pos, parent)
+    while True:
+        jumped = top[top]
+        if np.array_equal(jumped, top):
+            break
+        top = jumped
+    light = np.zeros(n, dtype=np.int64)
+    idx = np.flatnonzero(top)
+    cur = top[idx]
+    while idx.size:
+        light[idx] += 1
+        cur = top[parent[cur]]
+        keep = np.flatnonzero(cur)
+        idx, cur = idx[keep], cur[keep]
+
+    grouped = np.argsort(light, kind="stable")
+    bounds = np.searchsorted(light[grouped], np.arange(int(light.max()) + 2))
+    rpos = np.empty(n, dtype=np.int64)
+    rounds = []
+    for r in range(bounds.size - 1):
+        vert = grouped[bounds[r]:bounds[r + 1]]
+        if r:
+            # BFS positions grow down a path, and lexsort is stable
+            vert = vert[np.lexsort((top[vert], rpos[parent[top[vert]]]))]
+        m = vert.size
+        rpos[vert] = np.arange(m)
+        t = top[vert]
+        start = np.flatnonzero(np.diff(t, prepend=-1))
+        end = np.append(start[1:], m) - 1
+        rounds.append({"vert": vert, "top": start,
+                       "reach": np.repeat(end, end - start + 1) - np.arange(m)})
+    for here, below in zip(rounds, rounds[1:]):
+        # the tops' parents, ascending: one run per parent
+        par = rpos[parent[below["vert"][below["top"]]]]
+        first = np.flatnonzero(np.diff(par, prepend=-1))
+        here["lpar"] = par[first]
+        here["lcount"] = np.diff(np.append(first, par.size))
+    rounds[-1]["lpar"] = rounds[-1]["lcount"] = np.zeros(0, dtype=np.int64)
+    return rounds
 
 
 def _as_number(value):

@@ -1,3 +1,4 @@
+import itertools
 import random
 import tracemalloc
 from fractions import Fraction
@@ -24,6 +25,50 @@ from treecut import (
     solve,
 )
 from treecut import _fastlane, solver
+
+
+def _shaped_tree(rng, n, shape, use_pot):
+    """A tree of ``n`` vertices rooted at vertex 0, the end of any path
+    or spine: a path, a star, a caterpillar (legs on the first half), a
+    broom (a handle, then a star at its end), a spider (up to five legs
+    from the root) or a random recursive tree."""
+    half = max(1, n // 2)
+    if shape == "path":
+        parents = list(range(n - 1))
+    elif shape == "star":
+        parents = [0] * (n - 1)
+    elif shape == "caterpillar":
+        parents = list(range(half - 1)) + [rng.randrange(half) for _ in range(half, n)]
+    elif shape == "broom":
+        parents = list(range(half - 1)) + [half - 1] * (n - half)
+    elif shape == "spider":
+        legs = rng.randint(1, 5)
+        parents = [0 if i <= legs else i - legs for i in range(1, n)]
+    else:
+        parents = [rng.randrange(i) for i in range(1, n)]
+    return build_rooted_tree(
+        [(i, rng.randint(1, 5), rng.randint(0, 4) if use_pot else 0) for i in range(n)],
+        [(p, i, rng.randint(1, 5)) for i, p in enumerate(parents, start=1)], 0)
+
+
+_SHAPES = ("path", "star", "caterpillar", "broom", "spider", "random")
+
+
+def _force_sweep(monkeypatch, sweep):
+    """Make ``_fastlane`` answer with the numpy sweep ``sweep`` ("level"
+    or "chain") wherever it engages, whatever the cost rule prices."""
+    costs = _fastlane._sweep_costs
+    monkeypatch.setattr(_fastlane, "_sweep_costs", lambda *args: {
+        name: us for name, us in costs(*args).items() if name in ("python", sweep)})
+
+
+def _scaled_star():
+    """The unit star with every quantity scaled by 2^200, over the int64
+    bound."""
+    big = 1 << 200
+    base = star_tree()
+    return build_rooted_tree([(v, base.weight(v) * big) for v in base.vertex_ids()],
+                             [("r", leaf, big) for leaf in ("x", "y", "z")], "r")
 
 
 class TestProblemSpec:
@@ -241,11 +286,19 @@ class TestLaneAgreement:
     @pytest.mark.parametrize("chunk_bytes", [None, 1])
     def test_numpy_kernel_matches_python_lane(self, monkeypatch, chunk_bytes):
         # call the kernel directly, on every shape, the deep and tiny ones
-        # the solver hands to the Python lane too.  Potentials make cut
-        # charges negative, so an infinite cell plus a charge must stay
-        # infinite.  chunk_bytes=1 sweeps one threshold at a time.
+        # the solver hands to the Python lane too, through each numpy
+        # sweep.  Potentials make cut charges negative, so an infinite
+        # cell plus a charge must stay infinite.  chunk_bytes=1 sweeps one
+        # threshold at a time.
         if chunk_bytes is not None:
             monkeypatch.setattr(_fastlane, "_NP_CHUNK_BYTES", chunk_bytes)
+        for sweep in ("level", "chain"):
+            with monkeypatch.context() as patch:
+                _force_sweep(patch, sweep)
+                self._numpy_kernel_matches_grid()
+
+    @staticmethod
+    def _numpy_kernel_matches_grid():
         rng = random.Random(22)
         for trial in range(60):
             n = rng.randint(1, 60)
@@ -313,7 +366,8 @@ class TestLaneAgreement:
                 return (grown,)
 
             (got,) = _fastlane._fold_runs(
-                np.array(counts), (np.array(values).reshape(-1, 1, 1),), (0,), merge)
+                _fastlane._fold_plan(np.array(counts)),
+                (np.array(values).reshape(-1, 1, 1),), (0,), merge)
             ends = np.cumsum(counts).tolist()
             assert got[:, 0, 0].tolist() == [sum(values[e - c:e])
                                              for c, e in zip(counts, ends)]
@@ -345,7 +399,9 @@ class TestLaneAgreement:
         assert len(rows) == 1 and rows[0] is not None
 
     def test_sweep_peak_stays_within_the_memory_figure(self):
-        # tracemalloc sees numpy's buffers; parts up to n
+        # tracemalloc sees numpy's buffers; parts up to n, both numpy
+        # sweeps, and potentials that make the chain sweep's z non-zero
+        # (its doubling scans keep composite z's)
         rng = random.Random(25)
         n = 150
         half = n // 2
@@ -357,72 +413,76 @@ class TestLaneAgreement:
             "random": [rng.randrange(i) for i in range(1, n)],
             "broom": [0] + list(range(1, half - 1)) + [0] * (n - half),
         }
+        sweeps = ((_fastlane._np_sweep, _fastlane._sweep_bytes),
+                  (_fastlane._chain_sweep, _fastlane._chain_bytes))
         for name, parents in shapes.items():
-            t = build_rooted_tree([(i, rng.randint(1, 3)) for i in range(n)],
+            t = build_rooted_tree([(i, rng.randint(1, 3), i % 4) for i in range(n)],
                                   [(p, i, rng.randint(1, 3))
                                    for i, p in enumerate(parents, 1)], 0)
-            t.dense_arrays()
-            for kappa, lam in ((3, 20), (n, 3)):
-                figure = _fastlane._FIXED_BYTES + _fastlane._sweep_bytes(t, kappa, lam)
-                tracemalloc.start()
-                try:
-                    row = _fastlane.root_row(t, Fraction(3), kappa, lam, False, ())
-                    _, peak = tracemalloc.get_traced_memory()
-                finally:
-                    tracemalloc.stop()
-                assert row is not None
-                assert peak <= figure, (name, kappa, lam, peak, figure)
+            t.heavy_paths()
+            dense = t.dense_arrays()
+            forb = _fastlane._forb_array(t, ())
+            for (kappa, lam), (xi, use_pot) in itertools.product(
+                    ((3, 20), (n, 3)), ((Fraction(3), False), (Fraction(1, 3), True))):
+                a, b = np.array([xi.numerator]), np.array([xi.denominator])
+                for sweep, figure in sweeps:
+                    bound = _fastlane._FIXED_BYTES + figure(t, kappa, lam)
+                    tracemalloc.start()
+                    try:
+                        sweep(dense, forb, a, b, kappa, lam, use_pot)
+                        _, peak = tracemalloc.get_traced_memory()
+                    finally:
+                        tracemalloc.stop()
+                    assert peak <= bound, (name, sweep.__name__, kappa, lam, peak, bound)
 
     def test_python_lane_answers_tiny_and_deep_thin_trees(self, monkeypatch):
-        # the solver sends a tree to the Python lane when the numpy kernel
-        # would spend more on its levels than the Python lane on its vertices
-        n = 200
-        path = path_tree(range(n), root=0)
-        star = star_tree(leaves=range(n))
-        assert _fastlane.python_is_faster(path, 2, 1)
-        assert _fastlane.python_is_faster(star_tree(), 2, 1)
-        # enough thresholds, or large enough budgets, pay for every level
-        assert not _fastlane.python_is_faster(path, 2, 1, 50)
-        assert not _fastlane.python_is_faster(path, 60, 4)
-        # a star is one level below its centre
-        assert not _fastlane.python_is_faster(star, 2, 1)
-        # at 20 parts and no outliers, fifteen thresholds pay for every
-        # level, fourteen for fewer
-        assert not _fastlane.python_is_faster(path, 20, 0, 15)
-        assert _fastlane.python_is_faster(path, 20, 0, 14)
+        # the cost rule sends tiny trees and values over the int64 bound to
+        # the Python sweep, deep, thin trees to the chain sweep and wide,
+        # shallow ones to the level sweep
+        one = [Fraction(1)]
+        assert _fastlane.lane(star_tree(), one, 2, 1) == "python"
+        assert _fastlane.lane(path_tree(range(6), root=0), one, 3, 2) == "python"
+        assert _fastlane.lane(_scaled_star(), one, 2, 1) == "python"
+        n = 100_000
+        rng = random.Random(28)
+        assert _fastlane.lane(path_tree(range(n), root=0), one, 5, 3) == "chain"
+        caterpillar = _shaped_tree(rng, n // 10, "caterpillar", False)
+        assert _fastlane.lane(caterpillar, one, 5, 3) == "chain"
+        assert _fastlane.lane(star_tree(leaves=range(1, n), center=0), one, 2, 0) == "level"
 
+        # every lane answers as the grid does
+        n = 200
+        trees = {"chain": path_tree(range(n), root=0), "level": star_tree(leaves=range(n)),
+                 "python": star_tree()}
         calls = []
         for name in ("root_row", "decide_many"):
             lane = getattr(_fastlane, name)
             monkeypatch.setattr(_fastlane, name, lambda *args, lane=lane:
                                 calls.append(args[0]) or lane(*args))
         spec = ProblemSpec(1, 2, 1)
-        for t in (path, star):
+        for want, t in trees.items():
+            assert _fastlane.lane(t, [spec.xi], 2, 1) == want
             assert root_feasibility(t, spec) == [
                 list(r) for r in _grid.solve(t, spec, record_choices=False).root_row()]
             assert decide_batch(t, spec, [0, 1]) == [
                 decide(t, spec.with_xi(x)) for x in (0, 1)]
-        lane_trees = [t for t in (path, star) if any(c is t for c in calls)]
-        assert lane_trees == [star]
+        lane_trees = [name for name, t in trees.items() if any(c is t for c in calls)]
+        assert lane_trees == ["chain", "level"]
 
     def test_every_path_returns_the_same_types(self):
         # root_feasibility returns a list of lists of 0/1 Python ints, and
-        # decide/decide_batch exact bools, from the numpy kernel (a star),
-        # the least-budget sweep (a path) and over the int64 bound alike
+        # decide/decide_batch exact bools, from the level sweep (a star),
+        # the chain sweep (a path), the least-budget sweep (a tiny star)
+        # and over the int64 bound alike
         n = 200
-        star = star_tree(leaves=range(n))
-        path = path_tree(range(n), root=0)
-        big = 1 << 200
-        base = star_tree()
-        scaled_up = build_rooted_tree(
-            [(v, base.weight(v) * big) for v in base.vertex_ids()],
-            [("r", leaf, big) for leaf in ("x", "y", "z")], "r")
+        trees = {"level": star_tree(leaves=range(n)), "chain": path_tree(range(n), root=0),
+                 "python": star_tree()}
         spec = ProblemSpec(1, 2, 1)
-        assert _fastlane.root_row(star, spec.xi, 2, 1, False, ()) is not None
-        assert not _fastlane.python_is_faster(star, 2, 1)
-        assert _fastlane.python_is_faster(path, 2, 1)
+        for want, t in trees.items():
+            assert _fastlane.lane(t, [spec.xi], 2, 1) == want
+        scaled_up = _scaled_star()
         assert _fastlane.root_row(scaled_up, spec.xi, 2, 1, False, ()) is None
-        for t in (star, path, scaled_up):
+        for t in (*trees.values(), scaled_up):
             row = root_feasibility(t, spec)
             assert type(row) is list and len(row) == 3
             for r in row:
@@ -433,6 +493,121 @@ class TestLaneAgreement:
             answers = decide_batch(t, spec, [0, 1, 3])
             assert type(answers) is list
             assert all(type(a) is bool for a in answers)
+            assert decide_batch(t, spec, []) == []
+
+
+class TestChainSweep:
+    """The heavy-path chain sweep against the least-budget sweep and the
+    grid DP."""
+
+    def test_matches_the_python_lane(self, monkeypatch):
+        # called directly, and through root_row and decide_many forced onto
+        # it, one threshold per sweep and all at once: potentials (so that
+        # light subtrees cut off to outliers make z non-zero), forbidden
+        # vertices (which break the least-budget scan), parts from 1 to n
+        # and up to 7 outliers
+        _force_sweep(monkeypatch, "chain")
+        rng = random.Random(26)
+        for trial in range(240):
+            shape = _SHAPES[trial % len(_SHAPES)]
+            n = rng.randint(1, 40 if trial % 4 else 12)
+            use_pot = trial % 3 != 2
+            t = _shaped_tree(rng, n, shape, use_pot)
+            forb = frozenset(v for v in range(n) if rng.random() < 0.15)
+            kappa = rng.randint(1, n)
+            lam = min(rng.randint(0, 7), n)
+            xis = [Fraction(rng.randint(0, 12), rng.randint(1, 5)) for _ in range(3)]
+            t.heavy_paths()
+            got = _fastlane._chain_sweep(
+                t.dense_arrays(), _fastlane._forb_array(t, forb),
+                np.array([x.numerator for x in xis]), np.array([x.denominator for x in xis]),
+                kappa, lam, use_pot).tolist()
+            for xi, row in zip(xis, got):
+                spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
+                assert row == [min(w, lam + 1) for w in solver._least_budgets(t, spec)]
+                if n <= 12:
+                    assert _least_row(row, lam) == _table_row(t, spec)
+            assert _fastlane.root_row(t, xis[0], kappa, lam, use_pot, forb) == got[0]
+            with monkeypatch.context() as patch:
+                patch.setattr(_fastlane, "_NP_CHUNK_BYTES", 1 if trial % 2 else 1 << 25)
+                assert _fastlane.decide_many(t, xis, kappa, lam, use_pot, forb) == [
+                    row[kappa] <= lam for row in got]
+
+    def test_long_paths_scan_in_rounds_of_many_paths(self):
+        # spiders and brooms put many long paths in one round (bucketed
+        # suffix minima, or doubling scans with potentials); deep
+        # caterpillars with potentials compose z's over many steps
+        rng = random.Random(29)
+        for trial in range(24):
+            shape = ("spider", "broom", "caterpillar", "random")[trial % 4]
+            n = rng.randint(60, 300)
+            use_pot = trial % 2 == 0
+            t = _shaped_tree(rng, n, shape, use_pot)
+            forb = frozenset(v for v in range(n) if rng.random() < 0.02)
+            kappa = rng.choice((2, 4, 9))
+            lam = rng.choice((1, 3, 6))
+            xi = Fraction(rng.randint(0, 4), rng.randint(1, 3))
+            spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
+            t.heavy_paths()
+            got = _fastlane._chain_sweep(
+                t.dense_arrays(), _fastlane._forb_array(t, forb),
+                np.array([xi.numerator]), np.array([xi.denominator]), kappa, lam, use_pot)
+            assert got[0].tolist() == [min(w, lam + 1) for w in solver._least_budgets(t, spec)]
+
+    def test_budget_product(self):
+        # against its definition, on rows with infinite cells and negative
+        # charges: an infinite cell plus a negative charge must come out
+        # exactly infinite
+        rng = random.Random(30)
+        inf = int(_fastlane._NP_INF)
+        for _ in range(40):
+            lp1 = rng.randint(1, 6)
+            z, x = ([rng.choice((inf, rng.randint(-9, 9))) for _ in range(lp1)]
+                    for _ in range(2))
+            got = _fastlane._min_plus_budget(np.array([z]), np.array([x]))
+            assert got[0].tolist() == [
+                min([z[lp] + x[l - lp] for lp in range(l + 1)
+                     if z[lp] < inf and x[l - lp] < inf], default=inf)
+                for l in range(lp1)]
+
+    def test_k_max_on_a_deep_tree_takes_the_chain_sweep(self, monkeypatch):
+        # parts = n and 20 outliers on a 60-vertex caterpillar: the chain
+        # sweep answers, as the least-budget sweep does
+        rng = random.Random(27)
+        n = 60
+        t = _shaped_tree(rng, n, "caterpillar", False)
+        assert _fastlane.lane(t, [Fraction(3)], n, 20) == "chain"
+        ran = []
+        sweep = _fastlane._chain_sweep
+        monkeypatch.setattr(_fastlane, "_chain_sweep",
+                            lambda *args: ran.append(args) or sweep(*args))
+        least = solver._least_budgets(t, ProblemSpec(3, n, 20))
+        assert k_max(t, 3, 20) == next((k for k in range(n, 0, -1) if least[k] <= 20), 0)
+        assert len(ran) == 1
+
+    def test_scan_sums_stay_within_int64_at_the_gate(self):
+        # the least-budget scan sums q <= lam + 1 over a round's m
+        # vertices; the memory gate admits m (lam + 1) <= 2^31 / 96 row
+        # cells, and at the largest lam it admits on paths up to 10^5
+        # vertices the sums stay far inside int64.  At lam = n every
+        # vertex-free sum is as large as it gets.
+        for n in (10, 1000, 100_000):
+            t = path_tree(range(n), root=0)
+            lo, hi = 0, n
+            while lo < hi:
+                mid = (lo + hi + 1) // 2
+                if _fastlane._chain_bytes(t, 1, mid) <= _fastlane._MAX_TABLE_BYTES:
+                    lo = mid
+                else:
+                    hi = mid - 1
+            assert n * (lo + 2) < 1 << 40
+        t = path_tree(range(40), weights=[1 + i % 3 for i in range(40)], root=0)
+        t.heavy_paths()
+        for kappa in (1, 5, 40):
+            spec = ProblemSpec(Fraction(1, 2), kappa, 40)
+            got = _fastlane._chain_sweep(t.dense_arrays(), _fastlane._forb_array(t, ()),
+                                         np.array([1]), np.array([2]), kappa, 40, False)
+            assert got[0].tolist() == [min(w, 41) for w in solver._least_budgets(t, spec)]
 
 
 def _least_row(least, lam):
@@ -523,11 +698,12 @@ class TestLeastBudgetSweep:
             assert root_feasibility(scaled_up, spec) == _sweep_row(scaled_up, spec)
 
     def test_batch_on_a_path_matches_single_decisions(self):
-        # one threshold at a time the solver hands a path to the sweep
+        # the chain sweep answers a 40-vertex path one threshold at a time
+        # and all at once
         t = path_tree(range(40), weights=[1 + i % 3 for i in range(40)],
                       costs=[1 + i % 4 for i in range(39)], root=0)
         spec = ProblemSpec(0, 3, 2, forbidden_outliers=frozenset({5, 17}))
-        assert _fastlane.python_is_faster(t, 3, 2)
+        assert _fastlane.lane(t, [Fraction(0)], 3, 2) == "chain"
         xis = [Fraction(a, b) for a in range(0, 9) for b in (1, 2, 5)]
         singles = [decide(t, spec.with_xi(x)) for x in xis]
         assert decide_batch(t, spec, xis) == singles

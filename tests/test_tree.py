@@ -210,3 +210,37 @@ class TestDenseLayout:
             for u in range(t.vertex_count):
                 for c in t.children_idx[u]:
                     assert pos[c] > pos[u]
+
+    def test_heavy_paths_follow_the_largest_first_child(self):
+        # against a walk over the tree's lists: each heavy path runs top
+        # down through first largest children to a leaf, round r holds the
+        # vertices r light edges below the root, and each round's light
+        # children are the next round's tops, grouped by parent
+        rng = random.Random(4)
+        for trial in range(40):
+            n = rng.randint(1, 30)
+            t = random_tree(rng, n) if trial % 3 else path_tree(range(n), root=0)
+            pos = t.dense_arrays()["pos"]
+            at = {int(p): u for u, p in enumerate(pos)}
+            heavy = {u: max(kids, key=lambda c: (t.subtree_size[c], -kids.index(c)))
+                     for u, kids in enumerate(t.children_idx) if kids}
+            depth = {t.root: 0}
+            for u in reversed(t.order_idx):
+                for c in t.children_idx[u]:
+                    depth[c] = depth[u] + (heavy[u] != c)
+            rounds = t.heavy_paths()
+            assert sorted(at[int(p)] for r in rounds for p in r["vert"]) == list(range(n))
+            for r, rnd in enumerate(rounds):
+                verts = [at[int(p)] for p in rnd["vert"]]
+                assert all(depth[u] == r for u in verts)
+                tops = set(rnd["top"].tolist())
+                for i, u in enumerate(verts):
+                    if i + 1 in tops or i + 1 == len(verts):
+                        assert rnd["reach"][i] == 0 and not t.children_idx[u]
+                    else:
+                        assert heavy[u] == verts[i + 1]
+                        assert rnd["reach"][i] == rnd["reach"][i + 1] + 1
+                below = rounds[r + 1] if r + 1 < len(rounds) else None
+                light = [at[int(below["vert"][i])] for i in below["top"]] if below else []
+                assert [t.parent_idx[c] for c in light] == [
+                    verts[i] for i, k in zip(rnd["lpar"], rnd["lcount"]) for _ in range(k)]
