@@ -29,7 +29,7 @@ from .errors import (
 )
 from .search import Forest
 from .tree import RootedTree, build_rooted_forest, tree_from_json
-from .values import parse_rational
+from .values import parse_number, parse_rational
 from .witness import sorted_ids
 
 
@@ -175,8 +175,8 @@ def graph_from_json(data: dict) -> WeightedGraph:
         if "id" not in v or "weight" not in v:
             raise ParseError(f"vertex #{i} needs 'id' and 'weight'")
         try:
-            vertices.append((v["id"], parse_rational(v["weight"]),
-                             parse_rational(v.get("potential", 0))))
+            vertices.append((v["id"], parse_number(v["weight"]),
+                             parse_number(v.get("potential", 0))))
         except ValueError as exc:
             raise ParseError(f"vertex #{i}: {exc}") from exc
     edges = []
@@ -184,8 +184,8 @@ def graph_from_json(data: dict) -> WeightedGraph:
         if "u" not in e or "v" not in e or "cost" not in e:
             raise ParseError(f"edge #{i} needs 'u', 'v' and 'cost'")
         try:
-            dist = parse_rational(e["distance"]) if "distance" in e else None
-            edges.append((e["u"], e["v"], parse_rational(e["cost"]), dist))
+            dist = parse_number(e["distance"]) if "distance" in e else None
+            edges.append((e["u"], e["v"], parse_number(e["cost"]), dist))
         except ValueError as exc:
             raise ParseError(f"edge #{i}: {exc}") from exc
     return WeightedGraph(vertices, edges)
@@ -213,10 +213,10 @@ def graph_from_csv(path) -> WeightedGraph:
             try:
                 u = row[iu].strip()
                 v = row[iv].strip()
-                cost = parse_rational(row[ic].strip())
+                cost = parse_number(row[ic].strip())
                 dist = None
                 if idist is not None and idist < len(row) and row[idist].strip():
-                    dist = parse_rational(row[idist].strip())
+                    dist = parse_number(row[idist].strip())
             except (IndexError, ValueError) as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             if cost <= 0:
