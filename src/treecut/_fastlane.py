@@ -19,8 +19,9 @@ exact at any size.  Witnesses do not come from them: ``treecut.solver.solve``
 runs that Python sweep keeping its tables, and ``treecut.witness`` replays
 them.  One cost rule, ``lane``, prices the three sweeps from the tree's
 shape, the budgets and the threshold count, and names the cheapest that
-engages; ``treecut.solver`` asks it, and ``root_row`` and ``decide_many``
-run the cheaper numpy sweep.
+engages; ``treecut.solver`` asks it, ``treecut.search`` sizes its
+bisection rounds by its estimates (``cost_us``, ``fits``), and
+``root_row`` and ``decide_many`` run the cheaper numpy sweep.
 
 Any finite table value is a sum of at most ``parts + outliers`` edge
 charges, so ``(parts + outliers + 2) * max_charge`` bounds every quantity
@@ -666,6 +667,14 @@ def _chain_us(tree, kappa, lam, thresholds, use_pot):
             + c[6] * lp1 * fcalls + c[7] * lp1 * lp1 * thresholds * fpairs)
 
 
+def fits(tree, xis, kappa: int, lam: int) -> bool:
+    """Whether a numpy sweep may take thresholds ``xis``: no value it
+    computes may come near 2^60 (``_bound_ok`` on their largest numerator
+    and denominator)."""
+    return _bound_ok(tree, max(x.numerator for x in xis),
+                     max(x.denominator for x in xis), kappa, lam)
+
+
 def _sweep_costs(tree, xis, kappa: int, lam: int, use_pot: bool) -> dict:
     """Estimated microseconds of each sweep that engages, by name
     (``"python"``, ``"level"``, ``"chain"``).  A numpy sweep engages
@@ -673,11 +682,7 @@ def _sweep_costs(tree, xis, kappa: int, lam: int, use_pot: bool) -> dict:
     stays under ``_MAX_TABLE_BYTES``; the bound runs first, so that
     oversized ints never reach ``dense_arrays``.  No threshold costs
     nothing."""
-    if not xis:
-        return {"python": 0}
-    a_max = max(x.numerator for x in xis)
-    b_max = max(x.denominator for x in xis)
-    if not _bound_ok(tree, a_max, b_max, kappa, lam):
+    if not xis or not fits(tree, xis, kappa, lam):
         return {"python": 0}
     costs = {"python": _python_us(tree, kappa, lam, len(xis))}
     if costs["python"] < _NP_FLOOR_US:
@@ -700,6 +705,11 @@ def lane(tree, xis, kappa: int, lam: int, use_pot: bool = False) -> str:
     return min(costs, key=costs.get)
 
 
+def cost_us(tree, xis, kappa: int, lam: int, use_pot: bool = False) -> float:
+    """Estimated microseconds of the sweep that ``lane`` names."""
+    return min(_sweep_costs(tree, xis, kappa, lam, use_pot).values())
+
+
 def _numpy_sweep(tree, xis, kappa, lam, use_pot):
     """The cheaper numpy sweep that engages, with its memory figure, or
     None."""
@@ -710,16 +720,6 @@ def _numpy_sweep(tree, xis, kappa, lam, use_pot):
     if min(costs, key=costs.get) == "chain":
         return _chain_sweep, _chain_bytes(tree, kappa, lam)
     return _np_sweep, _sweep_bytes(tree, kappa, lam)
-
-
-def _forb_array(tree, forbidden_ids):
-    pos = tree.dense_arrays()["pos"]
-    forb = np.zeros(tree.vertex_count, dtype=np.uint8)
-    for vid in forbidden_ids:
-        if vid not in tree.index:
-            raise UnknownVertexId(f"forbidden outlier {vid!r} is not in the tree")
-        forb[pos[tree.index[vid]]] = 1
-    return forb
 
 
 def root_row(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,

@@ -13,18 +13,33 @@ maximum expansion is a fraction whose reduced denominator is at most the
 scaled total vertex weight W, and two such fractions differ by at least
 1/W^2.  The search opens at an achievable threshold: the largest expansion
 of one explicit partition with no residue (see ``_opening_bound``), so a
-``no`` there can only mean a broken DP.  If the Farey predecessor of that
-threshold is infeasible, the threshold is the optimum and no bisection
-runs.  Otherwise the predecessor becomes the upper end, and bisecting the
-decision procedure down to an interval shorter than 1/W^2 and rounding
-the midpoint with a continued-fraction (Stern-Brocot) step recovers the
-optimum exactly; one verification probe at the result and one at its
-Farey predecessor guard against bugs.
+``no`` there can only mean a broken DP.  It decides that threshold and its
+Farey predecessor in one sweep; if the predecessor is infeasible, the
+threshold is the optimum and no bisection runs.  Otherwise the
+predecessor becomes the upper end, and bisecting the decision procedure
+down to an interval shorter than 1/W^2 and rounding the midpoint with a
+continued-fraction (Stern-Brocot) step recovers the optimum exactly; one
+more sweep verifies the result and its Farey predecessor, to guard
+against bugs.
+
+The bisection runs in rounds (``_bisect``): a round of j halvings decides
+the 2^j - 1 evenly spaced inner thresholds of the bracket in one batched
+sweep (``solver.decide_batch``), which a numpy sweep can take for less
+than j sweeps of one threshold, and keeps the cell between the last
+``no`` and the first ``yes``.  On a tree the cost rule picks the j with
+the least estimated time per halving; a forest decides each threshold by
+itself, one halving per sweep.  No round does more halvings than the
+search still needs, so the search ends on the bracket that one-threshold
+halvings would reach, and its answers and witnesses do not depend on j.
+Zero is decided only while no threshold has said ``no``, since any ``no``
+above zero rules it out: once the bisection has shortened the bracket
+sixteenfold with every answer ``yes``, or else at the end.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,7 +50,7 @@ from .errors import (
     PrecollisionError,
     UnknownVertexId,
 )
-from .solver import ProblemSpec, _root_least, decide, solve
+from .solver import ProblemSpec, _root_least, decide_batch, solve
 from .tree import RootedTree, build_rooted_forest
 from .values import parse_rational
 from .witness import (Subpartition, _collect, expansion, make_subpartition,
@@ -66,13 +81,16 @@ class Forest:
 @dataclass(frozen=True)
 class OptimizationResult:
     """Outcome of threshold minimization.  ``xi_star`` is None when no
-    subpartition satisfies the combinatorial constraints at any threshold."""
+    subpartition satisfies the combinatorial constraints at any threshold.
+    ``probes`` counts the distinct thresholds decided, ``sweeps`` the
+    decision calls that decided them."""
 
     xi_star: Fraction | None
     witness: Subpartition | None
     probes: int
     mode: str
     tol: Fraction | None = None
+    sweeps: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -97,34 +115,101 @@ def _farey_predecessor(x: Fraction, limit: int) -> Fraction | None:
 
 
 class _Prober:
-    """Memoized decision probe with a monotonicity tripwire: a ``yes`` above
-    a ``no`` would mean the DP is broken, so the search aborts loudly rather
-    than return garbage."""
+    """Memoized batched decision probe with a monotonicity tripwire: a
+    ``yes`` below a ``no``, within one batch or across batches, would mean
+    the DP is broken, so the search aborts loudly rather than return
+    garbage.
 
-    def __init__(self, fn):
+    ``fn`` decides a list of thresholds in one call, at most ``batch`` of
+    them when ``batch`` is set.  ``calls`` counts the distinct thresholds
+    decided and ``sweeps`` the calls of ``fn``."""
+
+    def __init__(self, fn, batch=None):
         self.fn = fn
+        self.batch = batch
         self.cache = {}
         self.calls = 0
+        self.sweeps = 0
         self.max_no = None
         self.min_yes = None
 
-    def __call__(self, xi: Fraction) -> bool:
-        if xi in self.cache:
-            return self.cache[xi]
-        ans = self.fn(xi)
-        self.calls += 1
-        self.cache[xi] = ans
-        if ans:
-            if self.min_yes is None or xi < self.min_yes:
-                self.min_yes = xi
-        else:
-            if self.max_no is None or xi > self.max_no:
-                self.max_no = xi
-        if (self.min_yes is not None and self.max_no is not None
-                and self.min_yes < self.max_no):
-            raise MonotonicityViolation(
-                f"decision said yes at {self.min_yes} but no at {self.max_no}")
-        return ans
+    def __call__(self, xis) -> list[bool]:
+        todo = list(dict.fromkeys(x for x in xis if x not in self.cache))
+        step = self.batch or max(1, len(todo))
+        for i in range(0, len(todo), step):
+            part = todo[i:i + step]
+            answers = self.fn(part)
+            self.calls += len(part)
+            self.sweeps += 1
+            for xi, ans in zip(part, answers):
+                self.cache[xi] = ans
+                if ans:
+                    if self.min_yes is None or xi < self.min_yes:
+                        self.min_yes = xi
+                elif self.max_no is None or xi > self.max_no:
+                    self.max_no = xi
+            if (self.min_yes is not None and self.max_no is not None
+                    and self.min_yes < self.max_no):
+                raise MonotonicityViolation(
+                    f"decision said yes at {self.min_yes} but no at {self.max_no}")
+        return [self.cache[xi] for xi in xis]
+
+
+# a round decides at most 2^4 - 1 thresholds; rounds of up to 2^6 - 1
+# took as long on the optimize-exact benchmark
+_MAX_HALVINGS = 4
+
+
+def _bisect(probe, lo, hi, need, tree, spec):
+    """The bracket ``(lo, hi)`` halved ``need`` times, in rounds.
+
+    A round of j halvings decides the 2^j - 1 evenly spaced inner
+    thresholds of the bracket in one sweep and keeps the cell between the
+    last ``no`` and the first ``yes``, where j one-threshold halvings
+    would end.  On a ``tree``, j (at most ``_MAX_HALVINGS``) is the one
+    whose sweep the cost rule prices lowest per halving; it is priced in
+    the first round and again when a round's thresholds leave the int64
+    bound (the Python sweep's cost grows with its thresholds, so it halves
+    once per sweep).  A forest (``tree`` None) halves once per sweep.
+
+    While every threshold says yes, the lower end is left undecided until
+    the bracket is ``2^_MAX_HALVINGS`` times shorter; then it is decided
+    too, and a yes there returns the bracket ``(lo, lo)``.
+    """
+    from . import _fastlane
+
+    if tree is not None:
+        kappa = min(spec.parts, tree.vertex_count)
+        lam = min(spec.outliers, tree.vertex_count)
+
+    def every(xs, j):
+        # round j's thresholds among the 2^most - 1 of the widest round
+        k = (len(xs) + 1) >> j
+        return xs[k - 1::k]
+
+    width = None if tree is not None else 1
+    start = hi - lo
+    while need:
+        most = min(width or _MAX_HALVINGS, need)
+        step = (hi - lo) / (1 << most)
+        xs = [lo + step * i for i in range(1, 1 << most)]
+        if width is None or most > 1 and not _fastlane.fits(tree, xs, kappa, lam):
+            width = min(range(1, most + 1), key=lambda j: _fastlane.cost_us(
+                tree, every(xs, j), kappa, lam, spec.use_potentials) / j)
+            xs = every(xs, width)
+        answers = probe(xs)
+        first = answers.index(True) if True in answers else len(xs)
+        if first:
+            lo = xs[first - 1]
+        if first < len(xs):
+            hi = xs[first]
+        need -= len(xs).bit_length()
+        if lo not in probe.cache and (hi - lo) * (1 << _MAX_HALVINGS) <= start:
+            # an optimum this far below the bracket's top is rare unless
+            # it is the lower end itself
+            if probe([lo])[0]:
+                return lo, lo
+    return lo, hi
 
 
 def _instance_trees(instance):
@@ -212,11 +297,17 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
     Both modes open at the largest expansion of an explicit partition
     whenever there are at least as many parts as trees (with fewer, at
     total cost over the least vertex weight).  Exact mode returns the true
-    minimum as a reduced fraction: it first probes the Farey predecessor
-    of the opening bound, which settles the search when it is infeasible,
-    and otherwise bisects below it.  Tolerance mode bisects until the
-    bracketing interval is no longer than ``tol`` and returns its feasible
-    upper end.  The witness attains the returned threshold.
+    minimum as a reduced fraction: it decides the opening bound and its
+    Farey predecessor in one sweep, which settles the search when the
+    predecessor is infeasible, and otherwise bisects below it until the
+    bracket is shorter than 1/W^2.  Tolerance mode bisects until the
+    bracket is no longer than ``tol`` and returns its feasible upper end.
+    Either way the bisection runs in rounds of up to ``_MAX_HALVINGS``
+    halvings per sweep (``_bisect``), capped at the halvings still needed,
+    so it ends on the bracket that one-threshold halvings would reach.
+    Zero is decided only while no threshold has said no.  Exact mode
+    verifies the result and its Farey predecessor in one more sweep.  The
+    witness attains the returned threshold.
 
     Raises :class:`MonotonicityViolation` when the decisions contradict
     each other or the explicit partition's threshold.
@@ -231,73 +322,73 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
             raise InvalidInput(f"tol must be positive, got {tol}")
 
     trees = _instance_trees(instance)
-    n_total = sum(t.vertex_count for t in trees)
-
-    def raw_decide(xi: Fraction) -> bool:
-        spec = ProblemSpec(xi, parts, outliers, use_potentials, forbidden_outliers)
-        if isinstance(instance, Forest):
-            ans, _ = decide_forest(instance, spec, want_witness=False)
-            return ans
-        return decide(instance, spec)
-
-    probe = _Prober(raw_decide)
-
-    if parts > n_total:
-        return OptimizationResult(None, None, probe.calls, mode, tol)
+    if parts > sum(t.vertex_count for t in trees):
+        return OptimizationResult(None, None, 0, mode, tol)
 
     hi, achievable = _opening_bound(trees, parts, use_potentials)
-    if not probe(hi):
+    spec = ProblemSpec(hi, parts, outliers, use_potentials, forbidden_outliers)
+    forest = isinstance(instance, Forest)
+    if forest:
+        # a forest decides one threshold per call
+        probe = _Prober(lambda xis: [decide_forest(instance, spec.with_xi(xis[0]),
+                                                   want_witness=False)[0]], batch=1)
+    else:
+        probe = _Prober(lambda xis: decide_batch(instance, spec, xis))
+
+    def result(xi_star, witness=None):
+        return OptimizationResult(xi_star, witness, probe.calls, mode, tol,
+                                  probe.sweeps)
+
+    denom_limit = max(t.subtree_weight_scaled[t.root] for t in trees)
+    prev = (_farey_predecessor(hi, denom_limit)
+            if achievable and mode == "exact" else None)
+    opening = probe([hi] if prev is None else [hi, prev])
+    if not opening[0]:
         if achievable:
             raise MonotonicityViolation(
                 f"decision said no at {hi}, the expansion of an explicit partition")
-        return OptimizationResult(None, None, probe.calls, mode, tol)
+        return result(None)
 
-    zero = Fraction(0)
-    if probe(zero):
-        xi_star = zero
-    elif mode == "tol":
-        lo = zero
-        while hi - lo > tol:
-            mid = (lo + hi) / 2
-            if probe(mid):
-                hi = mid
-            else:
-                lo = mid
+    lo = Fraction(0)
+    tree = None if forest else instance
+    if mode == "tol":
+        # halvings until hi - lo <= tol
+        lo, hi = _bisect(probe, lo, hi, max(0, math.ceil(hi / tol) - 1).bit_length(),
+                         tree, spec)
         xi_star = hi
+    elif prev is not None and not opening[1]:
+        # nothing achievable lies strictly between prev and hi
+        lo, xi_star = prev, hi
     else:
-        denom_limit = max(t.subtree_weight_scaled[t.root] for t in trees)
-        lo = zero
-        prev = _farey_predecessor(hi, denom_limit) if achievable else None
-        if prev is not None and not probe(prev):
-            # nothing achievable lies strictly between prev and hi
-            lo, xi_star = prev, hi
-        else:
-            if prev is not None:
-                hi = prev
-            gap = Fraction(1, denom_limit * denom_limit)
-            while hi - lo >= gap:
-                mid = (lo + hi) / 2
-                if probe(mid):
-                    hi = mid
-                else:
-                    lo = mid
-            xi_star = ((lo + hi) / 2).limit_denominator(denom_limit)
-        if not (lo < xi_star <= hi) or not probe(xi_star):
+        if prev is not None:
+            hi = prev
+        gap = Fraction(1, denom_limit * denom_limit)
+        # halvings until hi - lo < gap
+        lo, hi = _bisect(probe, lo, hi, math.floor(hi / gap).bit_length(), tree, spec)
+        xi_star = ((lo + hi) / 2).limit_denominator(denom_limit)
+
+    if probe.max_no is None and probe([Fraction(0)])[0]:
+        xi_star = Fraction(0)
+    elif mode == "exact":
+        if not lo < xi_star <= hi:
             raise MonotonicityViolation(
                 f"recovered threshold {xi_star} failed verification")
         prev = _farey_predecessor(xi_star, denom_limit)
-        if prev is not None and prev >= 0 and probe(prev):
+        check = probe([xi_star] if prev is None else [xi_star, prev])
+        if not check[0]:
+            raise MonotonicityViolation(
+                f"recovered threshold {xi_star} failed verification")
+        if prev is not None and check[1]:
             raise MonotonicityViolation(
                 f"predecessor {prev} of {xi_star} is feasible; optimum is wrong")
 
-    spec_star = ProblemSpec(xi_star, parts, outliers, use_potentials,
-                            forbidden_outliers)
-    if isinstance(instance, Forest):
+    spec_star = spec.with_xi(xi_star)
+    if forest:
         _, witness = decide_forest(instance, spec_star, want_witness=True)
     else:
         witness = reconstruct_subpartition(instance, spec_star,
                                            solve(instance, spec_star))
-    return OptimizationResult(xi_star, witness, probe.calls, mode, tol)
+    return result(xi_star, witness)
 
 
 def k_max(tree: RootedTree, xi, outliers: int, use_potentials: bool = False,

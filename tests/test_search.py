@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import _bisection
 import _brute
 import _grid
 from conftest import path_tree, prufer_edges, random_tree, star_tree
@@ -75,20 +76,45 @@ class TestProbeTripwire:
         from treecut.search import _Prober
 
         # yes at 1/2 but no at 3/4 can only mean a solver bug
-        broken = _Prober(lambda xi: xi == Fraction(1, 2))
-        assert broken(Fraction(1, 2))
+        broken = _Prober(lambda xis: [xi == Fraction(1, 2) for xi in xis])
+        assert broken([Fraction(1, 2)]) == [True]
         with pytest.raises(MonotonicityViolation):
-            broken(Fraction(3, 4))
+            broken([Fraction(3, 4)])
+
+    def test_yes_below_no_within_one_batch(self):
+        from treecut.search import _Prober
+
+        broken = _Prober(lambda xis: [xi == Fraction(1, 2) for xi in xis])
+        with pytest.raises(MonotonicityViolation):
+            broken([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
+        # answers that agree with monotonicity pass in any order
+        fine = _Prober(lambda xis: [xi >= Fraction(1, 2) for xi in xis])
+        assert fine([Fraction(3, 4), Fraction(1, 4), Fraction(1, 2)]) == [True, False, True]
 
     def test_caches_and_counts_probes(self):
         from treecut.search import _Prober
 
         calls = []
-        prober = _Prober(lambda xi: (calls.append(xi), True)[1])
-        prober(Fraction(1))
-        prober(Fraction(1))
+        prober = _Prober(lambda xis: [(calls.append(xi), True)[1] for xi in xis])
+        prober([Fraction(1)])
+        prober([Fraction(1)])
         assert prober.calls == 1
+        assert prober.sweeps == 1
         assert calls == [Fraction(1)]
+        # a batch decides only what is not cached, in one sweep
+        assert prober([Fraction(2), Fraction(1), Fraction(3)]) == [True] * 3
+        assert (prober.calls, prober.sweeps) == (3, 2)
+        assert calls == [Fraction(1), Fraction(2), Fraction(3)]
+
+    def test_batch_cap_splits_sweeps(self):
+        from treecut.search import _Prober
+
+        sizes = []
+        prober = _Prober(lambda xis: (sizes.append(len(xis)), [True] * len(xis))[1],
+                         batch=1)
+        prober([Fraction(1), Fraction(2)])
+        assert sizes == [1, 1]
+        assert (prober.calls, prober.sweeps) == (2, 2)
 
 
 class TestMinXi:
@@ -97,7 +123,9 @@ class TestMinXi:
         assert res.xi_star == 1
         assert res.witness is not None
         assert res.mode == "exact"
-        assert res.probes >= 3
+        # the bound and its predecessor, in one sweep
+        assert res.probes >= 2
+        assert res.sweeps == 1
 
     def test_star_whole_tree(self):
         assert min_xi(star_tree(), 1, 1).xi_star == 0
@@ -254,11 +282,13 @@ class TestOpeningBound:
                     seen.add("bisection")
         assert seen == {"infeasible", "fallback", "bound optimal", "bisection"}
 
-    def test_star_bound_is_optimal_in_three_probes(self):
-        # all singletons: yes at the bound, no at zero, no at its predecessor
+    def test_star_bound_is_optimal_in_one_sweep(self):
+        # all singletons: yes at the bound, no at its predecessor, decided
+        # together; that no settles zero
         res = min_xi(star_tree(), 4, 0)
         assert res.xi_star == 3
-        assert res.probes == 3
+        assert res.probes == 2
+        assert res.sweeps == 1
 
     def test_long_path_probe_count(self):
         rng = random.Random(49)
@@ -271,15 +301,20 @@ class TestOpeningBound:
         w = t.subtree_weight_scaled[t.root]
         bits = (math.ceil(hi * w * w) - 1).bit_length()  # ceil(log2(hi W^2))
         res = min_xi(t, 3, 2)
-        # the bound, zero and its predecessor, at most `bits` bisection
-        # steps, then the verification at xi* and at its predecessor
+        # the bound and its predecessor, at most `bits` midpoints (the cost
+        # rule halves this path about once per sweep), the verification
+        # at xi* and at its predecessor, and zero
         assert res.probes <= bits + 5
         assert res.probes < 32
+        # the bound with its predecessor, at most `bits` rounds, the
+        # verification pair, and zero
+        assert res.sweeps <= bits + 3
 
     def test_no_at_the_bound_is_a_broken_dp(self, monkeypatch):
         import treecut.search as search
 
-        monkeypatch.setattr(search, "decide", lambda tree, spec: False)
+        monkeypatch.setattr(search, "decide_batch",
+                            lambda tree, spec, xis: [False] * len(xis))
         with pytest.raises(MonotonicityViolation):
             min_xi(star_tree(), 2, 0)
         monkeypatch.setattr(search, "decide_forest",
@@ -290,6 +325,101 @@ class TestOpeningBound:
         # with fewer parts than trees the opening bound is not achievable,
         # so a no there still means infeasible
         assert min_xi(two, 1, 2).xi_star is None
+
+
+def _shaped_tree(rng, n, shape, pmax=0, prefix=""):
+    """A tree of ``n`` vertices shaped as a path, star, caterpillar (half
+    the vertices on the spine) or random recursive tree."""
+    if shape == "path":
+        parents = list(range(n - 1))
+    elif shape == "star":
+        parents = [0] * (n - 1)
+    elif shape == "caterpillar":
+        spine = max(1, n // 2)
+        parents = list(range(spine - 1)) + [rng.randrange(spine) for _ in range(spine, n)]
+    else:
+        parents = [rng.randrange(i) for i in range(1, n)]
+    ids = [f"{prefix}{i}" for i in range(n)]
+    vertices = [(v, rng.randint(1, 9), rng.randint(0, pmax)) for v in ids]
+    edges = [(ids[p], ids[i], rng.randint(1, 9)) for i, p in enumerate(parents, start=1)]
+    return build_rooted_tree(vertices, edges, ids[rng.randrange(n)])
+
+
+class TestBatchedSearch:
+    """``min_xi`` decides rounds of thresholds per sweep; it must end where
+    the one-threshold bisection of ``_bisection`` ends."""
+
+    SHAPES = ("path", "star", "caterpillar", "recursive")
+
+    def _same(self, instance, parts, lam, mode="exact", tol=None, use_pot=False,
+              forbidden=frozenset()):
+        want_xi, want_witness, _ = _bisection.min_xi(instance, parts, lam, mode, tol,
+                                                     use_pot, forbidden)
+        got = min_xi(instance, parts, lam, mode, tol, use_pot, forbidden)
+        assert got.xi_star == want_xi
+        assert got.witness == want_witness
+        return got
+
+    def test_matches_one_threshold_bisection(self):
+        rng = random.Random(71)
+        seen = set()
+        for i in range(300):
+            shape = self.SHAPES[i % 4]
+            pmax = rng.choice((0, 3))
+            if i % 5 == 4:
+                instance = Forest([_shaped_tree(rng, rng.randint(1, 10), shape, pmax, f"t{j}_")
+                                   for j in range(rng.randint(2, 4))])
+                ids = [v for t in instance.trees for v in t.ids]
+            else:
+                instance = _shaped_tree(rng, rng.choice((2, 7, 30, 120, 300)), shape, pmax)
+                ids = list(instance.ids)
+            parts = rng.randint(1, min(5, len(ids)))
+            lam = rng.randint(0, 3)
+            forbidden = (frozenset(rng.sample(ids, min(3, len(ids))))
+                         if rng.random() < 0.3 else frozenset())
+            mode = "tol" if i % 3 == 2 else "exact"
+            tol = Fraction(1, rng.choice((3, 64, 1000))) if mode == "tol" else None
+            got = self._same(instance, parts, lam, mode, tol, pmax > 0, forbidden)
+            seen.add("batched" if got.probes > got.sweeps + 1 else "one by one")
+            seen.add("zero" if got.xi_star == 0 else "positive")
+        assert seen == {"batched", "one by one", "zero", "positive"}
+
+    def test_rounds_leaving_the_int64_bound_narrow(self, monkeypatch):
+        import treecut.search as search
+
+        # weights and costs near 10^5: the rounds' denominators outgrow
+        # the int64 bound part way down, and the width is priced again
+        rng = random.Random(5)
+        n = 300
+        vertices = [(i, rng.randint(1, 10 ** 5), rng.randint(0, 10 ** 5)) for i in range(n)]
+        edges = [(rng.randrange(i), i, rng.randint(1, 10 ** 5)) for i in range(1, n)]
+        t = build_rooted_tree(vertices, edges, 0)
+        sizes = []
+        batch = search.decide_batch
+        monkeypatch.setattr(search, "decide_batch",
+                            lambda tree, spec, xis: (sizes.append(len(xis)),
+                                                     batch(tree, spec, xis))[1])
+        self._same(t, 3, 2, use_pot=True)
+        rounds = sizes[1:-1]  # between the opening and the verification pairs
+        assert rounds == sorted(rounds, reverse=True)
+        assert rounds[0] > 1 and rounds[-1] == 1
+
+    def test_zero_optimum_below_a_positive_opening(self):
+        # fewer parts than trees, with the budget to leave a tree out: the
+        # opening is positive and zero is feasible, decided once the
+        # bracket is 16 times shorter rather than after the last halving
+        trees = Forest([path_tree((f"{j}a", f"{j}b", f"{j}c")) for j in range(3)])
+        for mode, tol in (("exact", None), ("tol", Fraction(1, 1000))):
+            res = self._same(trees, 2, 3, mode, tol)
+            assert res.xi_star == 0
+            # the bound, four halvings and zero
+            assert res.sweeps == 6
+
+    def test_batching_engages(self):
+        rng = random.Random(3)
+        t = _shaped_tree(rng, 1000, "recursive", pmax=3)
+        res = self._same(t, 3, 2, use_pot=True)
+        assert res.sweeps * 3 <= res.probes
 
 
 class TestKMax:
