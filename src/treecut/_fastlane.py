@@ -30,7 +30,9 @@ the kernel compares or adds.
 Vertices arrive relabeled in BFS order (see ``RootedTree.dense_arrays``):
 position 0 is the root, every vertex's children occupy the contiguous
 range ``[cstart[u], cend[u])``, each depth is a contiguous range, and
-scanning positions downward visits children before parents.
+scanning positions downward visits children before parents.  A forest's
+layout marks position 0 ``virtual_root``: both sweeps then end by folding
+the trees' least budgets alone (``_fold_least``), with no cut-charge rows.
 """
 
 from __future__ import annotations
@@ -177,6 +179,17 @@ def _fold_children(G, M, e, plan, rows, kappa, none):
     return _fold_runs(plan, (np.where(cut, e, G), M), (_NP_INF, none), merge)
 
 
+def _fold_least(M, plan, kappa, none):
+    """The virtual root's fold: its children's least budgets ``M`` (one run
+    that ``plan`` pairs) folded into an ``(nb, kappa + 1)`` array of least
+    budgets, with no cut-charge rows."""
+    def merge(left, right):
+        return (_min_plus_mu(left[0], right[0],
+                             min(kappa + 1, left[0].shape[2] + right[0].shape[2] - 1), none),)
+
+    return _fold_runs(plan, (M,), (none,), merge)[0][0]
+
+
 def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
     """Least sufficient outlier budget at the root, ``out[j, k]`` for
     threshold ``a_arr[j] / b_arr[j]`` and ``k`` parts; a value over
@@ -191,6 +204,8 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
     # for i below the subtree size) and least budgets by part count
     G = M = None
     for d in range(len(level_end) - 1, -1, -1):
+        if not d and dense.get("virtual_root"):
+            return _fold_least(M, _cached_plan(dense, ("level", 0), kids[:1]), kappa, none)
         lo = level_end[d - 1] if d else 0
         hi = level_end[d]
         width = hi - lo
@@ -329,6 +344,10 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
     Gt = Mt = None  # the round below's path tops: cut-charge rows, least budgets
     for r in range(len(rounds) - 1, -1, -1):
         rnd = rounds[r]
+        if not r and dense.get("virtual_root"):
+            # the root alone: below it, each tree tops a path
+            return _fold_least(Mt, _cached_plan(dense, ("round", 0), rnd["lcount"]),
+                               kappa, none)
         vert, top, lpar = rnd["vert"], rnd["top"], rnd["lpar"]
         m = vert.size
         rows = min(kappa, int(size[vert[top]].max()))
@@ -435,7 +454,7 @@ def _bound_ok(tree, a: int, b: int, kappa: int, lam: int) -> bool:
 
 def _forb_array(tree, forbidden_ids):
     pos = tree.dense_arrays()["pos"]
-    forb = np.zeros(tree.vertex_count, dtype=np.uint8)
+    forb = np.zeros(pos.size, dtype=np.uint8)
     for vid in forbidden_ids:
         if vid not in tree.index:
             raise UnknownVertexId(f"forbidden outlier {vid!r} is not in the tree")

@@ -1,12 +1,15 @@
 """Drivers above the decision DP: exact threshold minimization, maximum
 part count, forests, and the semi-supervised reduction.
 
-All of them read each tree's least budgets (``solver._root_least``): per
+All of them read the root's least budgets (``solver._root_least``): per
 part count, the smallest outlier budget that makes it feasible.
-``k_max`` scans them, and a forest folds its trees' vectors into one
-(``decide_forest``).  The semi-supervised reduction deletes the required
-outliers and hands the remaining forest, built by
-``tree.build_rooted_forest``, to that fold.
+``k_max`` scans them.  A forest is decided as one tree: its
+``Forest.layout`` hangs the trees below a virtual root that never tops a
+part and spends no outlier unit, so the sweeps fold the trees' least
+budgets there by a (min,+) product over the part count and read the
+answer at the part budget (``decide_forest``).  The semi-supervised
+reduction deletes the required outliers and hands the remaining forest,
+built by ``tree.build_rooted_forest``, to ``decide_forest``.
 
 Exact minimization never enumerates candidate ratios.  Every achievable
 maximum expansion is a fraction whose reduced denominator is at most the
@@ -26,11 +29,11 @@ The bisection runs in rounds (``_bisect``): a round of j halvings decides
 the 2^j - 1 evenly spaced inner thresholds of the bracket in one batched
 sweep (``solver.decide_batch``), which a numpy sweep can take for less
 than j sweeps of one threshold, and keeps the cell between the last
-``no`` and the first ``yes``.  On a tree the cost rule picks the j with
-the least estimated time per halving; a forest decides each threshold by
-itself, one halving per sweep.  No round does more halvings than the
-search still needs, so the search ends on the bracket that one-threshold
-halvings would reach, and its answers and witnesses do not depend on j.
+``no`` and the first ``yes``.  The cost rule picks the j with the least
+estimated time per halving, on a tree or a forest's layout alike.  No
+round does more halvings than the search still needs, so the search
+ends on the bracket that one-threshold halvings would reach, and its
+answers and witnesses do not depend on j.
 Zero is decided only while no threshold has said ``no``, since any ``no``
 above zero rules it out: once the bisection has shortened the bracket
 sixteenfold with every answer ``yes``, or else at the end.
@@ -42,6 +45,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import (
     InvalidInput,
@@ -50,11 +54,11 @@ from .errors import (
     PrecollisionError,
     UnknownVertexId,
 )
-from .solver import ProblemSpec, _root_least, decide_batch, solve
-from .tree import RootedTree, build_rooted_forest
+from .solver import ProblemSpec, _root_least, decide, decide_batch, solve
+from .tree import ForestLayout, RootedTree, build_rooted_forest, forest_layout
 from .values import parse_rational
-from .witness import (Subpartition, _collect, expansion, make_subpartition,
-                      reconstruct_subpartition, sorted_ids)
+from .witness import (Subpartition, make_subpartition, reconstruct_subpartition,
+                      sorted_ids)
 
 
 @dataclass(frozen=True)
@@ -76,6 +80,12 @@ class Forest:
     @property
     def vertex_count(self) -> int:
         return sum(t.vertex_count for t in self.trees)
+
+    @cached_property
+    def layout(self) -> ForestLayout:
+        """The trees as one tree under a virtual root
+        (``tree.forest_layout``), built on first use and kept."""
+        return forest_layout(self.trees)
 
 
 @dataclass(frozen=True)
@@ -120,13 +130,11 @@ class _Prober:
     the DP is broken, so the search aborts loudly rather than return
     garbage.
 
-    ``fn`` decides a list of thresholds in one call, at most ``batch`` of
-    them when ``batch`` is set.  ``calls`` counts the distinct thresholds
-    decided and ``sweeps`` the calls of ``fn``."""
+    ``fn`` decides a list of thresholds in one call.  ``calls`` counts the
+    distinct thresholds decided and ``sweeps`` the calls of ``fn``."""
 
-    def __init__(self, fn, batch=None):
+    def __init__(self, fn):
         self.fn = fn
-        self.batch = batch
         self.cache = {}
         self.calls = 0
         self.sweeps = 0
@@ -135,13 +143,11 @@ class _Prober:
 
     def __call__(self, xis) -> list[bool]:
         todo = list(dict.fromkeys(x for x in xis if x not in self.cache))
-        step = self.batch or max(1, len(todo))
-        for i in range(0, len(todo), step):
-            part = todo[i:i + step]
-            answers = self.fn(part)
-            self.calls += len(part)
+        if todo:
+            answers = self.fn(todo)
+            self.calls += len(todo)
             self.sweeps += 1
-            for xi, ans in zip(part, answers):
+            for xi, ans in zip(todo, answers):
                 self.cache[xi] = ans
                 if ans:
                     if self.min_yes is None or xi < self.min_yes:
@@ -166,11 +172,11 @@ def _bisect(probe, lo, hi, need, tree, spec):
     A round of j halvings decides the 2^j - 1 evenly spaced inner
     thresholds of the bracket in one sweep and keeps the cell between the
     last ``no`` and the first ``yes``, where j one-threshold halvings
-    would end.  On a ``tree``, j (at most ``_MAX_HALVINGS``) is the one
-    whose sweep the cost rule prices lowest per halving; it is priced in
-    the first round and again when a round's thresholds leave the int64
-    bound (the Python sweep's cost grows with its thresholds, so it halves
-    once per sweep).  A forest (``tree`` None) halves once per sweep.
+    would end.  j (at most ``_MAX_HALVINGS``) is the one whose sweep of
+    ``tree`` (a forest's layout, for a forest) the cost rule prices lowest
+    per halving; it is priced in the first round and again when a round's
+    thresholds leave the int64 bound (the Python sweep's cost grows with
+    its thresholds, so it halves once per sweep).
 
     While every threshold says yes, the lower end is left undecided until
     the bracket is ``2^_MAX_HALVINGS`` times shorter; then it is decided
@@ -178,16 +184,15 @@ def _bisect(probe, lo, hi, need, tree, spec):
     """
     from . import _fastlane
 
-    if tree is not None:
-        kappa = min(spec.parts, tree.vertex_count)
-        lam = min(spec.outliers, tree.vertex_count)
+    kappa = min(spec.parts, tree.vertex_count)
+    lam = min(spec.outliers, tree.vertex_count)
 
     def every(xs, j):
         # round j's thresholds among the 2^most - 1 of the widest round
         k = (len(xs) + 1) >> j
         return xs[k - 1::k]
 
-    width = None if tree is not None else 1
+    width = None
     start = hi - lo
     while need:
         most = min(width or _MAX_HALVINGS, need)
@@ -327,13 +332,8 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
 
     hi, achievable = _opening_bound(trees, parts, use_potentials)
     spec = ProblemSpec(hi, parts, outliers, use_potentials, forbidden_outliers)
-    forest = isinstance(instance, Forest)
-    if forest:
-        # a forest decides one threshold per call
-        probe = _Prober(lambda xis: [decide_forest(instance, spec.with_xi(xis[0]),
-                                                   want_witness=False)[0]], batch=1)
-    else:
-        probe = _Prober(lambda xis: decide_batch(instance, spec, xis))
+    tree = instance.layout if isinstance(instance, Forest) else instance
+    probe = _Prober(lambda xis: decide_batch(tree, spec, xis))
 
     def result(xi_star, witness=None):
         return OptimizationResult(xi_star, witness, probe.calls, mode, tol,
@@ -350,7 +350,6 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
         return result(None)
 
     lo = Fraction(0)
-    tree = None if forest else instance
     if mode == "tol":
         # halvings until hi - lo <= tol
         lo, hi = _bisect(probe, lo, hi, max(0, math.ceil(hi / tol) - 1).bit_length(),
@@ -383,11 +382,7 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
                 f"predecessor {prev} of {xi_star} is feasible; optimum is wrong")
 
     spec_star = spec.with_xi(xi_star)
-    if forest:
-        _, witness = decide_forest(instance, spec_star, want_witness=True)
-    else:
-        witness = reconstruct_subpartition(instance, spec_star,
-                                           solve(instance, spec_star))
+    witness = reconstruct_subpartition(tree, spec_star, solve(tree, spec_star))
     return result(xi_star, witness)
 
 
@@ -408,74 +403,25 @@ def k_max(tree: RootedTree, xi, outliers: int, use_potentials: bool = False,
     return next((k for k in range(n, 0, -1) if least[k] <= lam), 0)
 
 
-def _tree_spec(spec: ProblemSpec, tree: RootedTree) -> ProblemSpec:
-    # splitting parts/budget across trees routinely exceeds one tree's
-    # size; clamping to it changes no answer
-    forb = frozenset(v for v in spec.forbidden_outliers if v in tree.index)
-    return ProblemSpec(spec.xi, min(spec.parts, tree.vertex_count),
-                       min(spec.outliers, tree.vertex_count),
-                       spec.use_potentials, forb)
-
-
 def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True):
     """Decide the problem on a forest: parts and outlier budget are split
     across trees, with no extra charge at tree boundaries.  Returns
     ``(feasible, witness_or_None)``.
 
-    Each tree answers with its least budgets per part count, and the fold
-    keeps the least budget with which the trees so far hold each part
-    count: ``C'[k] = min C[kp] + B[k - kp]``, one (min,+) product over the
-    part count per tree.  The witness splits the budgets back, giving
-    each tree, last first, the fewest parts left to the trees before it
-    that still fit."""
-    trees = forest.trees
-    n_total = forest.vertex_count
-    if not trees or spec.parts > n_total:
+    One decision on the forest's layout, where the virtual root folds the
+    trees' least budgets: ``C'[k] = min C[kp] + B[k - kp]``, one (min,+)
+    product over the part count per tree.  Only when it is feasible and a
+    witness is wanted does one ``solve`` of the layout keep the tables,
+    from which the replay splits the budgets back, giving each tree, last
+    first, the fewest parts left to the trees before it that still fit."""
+    if spec.parts > forest.vertex_count:  # an empty forest too
         return False, None
-
-    kappa = min(spec.parts, n_total)
-    lam = min(spec.outliers, n_total)
-    none = lam + 1
-
-    def least(tree):
-        # a tree's own "none" is its clamped budget plus one, which may lie
-        # within lam; part counts beyond the tree's size are infeasible
-        tree_spec = _tree_spec(spec, tree)
-        out = [b if b <= tree_spec.outliers else none
-               for b in _root_least(tree, tree_spec)]
-        return out + [none] * (kappa + 1 - len(out))
-
-    rows = [least(t) for t in trees]
-    folds = [rows[0]]  # folds[i]: trees 0 to i together
-    for B in rows[1:]:
-        C = folds[-1]
-        folds.append([min(none, min(C[kp] + B[k - kp] for kp in range(k + 1)))
-                      for k in range(kappa + 1)])
-
-    feasible = folds[-1][kappa] <= lam
-    if not feasible or not want_witness:
-        return feasible, None
-
-    budgets = []
-    ck, cl = kappa, lam
-    for C, B in zip(reversed(folds[:-1]), reversed(rows[1:])):
-        kp = next(kp for kp in range(ck + 1) if C[kp] + B[ck - kp] <= cl)
-        budgets.append((ck - kp, cl - C[kp]))
-        ck, cl = kp, C[kp]
-    budgets.append((ck, cl))
-
-    # the witness needs every tree's kept tables, so only now
-    parts, residue, expansions = [], set(), []
-    for tree, (ki, li) in zip(trees, reversed(budgets)):
-        tab = solve(tree, _tree_spec(spec, tree))
-        parts_idx, residue_idx = _collect(tab, ki, min(li, tab.lam))
-        for p in parts_idx:
-            part = frozenset(tree.ids[j] for j in p)
-            parts.append(part)
-            expansions.append(expansion(tree, part, spec.use_potentials))
-        residue.update(tree.ids[j] for j in residue_idx)
-    return True, Subpartition(tuple(parts), frozenset(residue),
-                              tuple(expansions), max(expansions))
+    layout = forest.layout
+    if not decide(layout, spec):
+        return False, None
+    if not want_witness:
+        return True, None
+    return True, reconstruct_subpartition(layout, spec, solve(layout, spec))
 
 
 def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,

@@ -27,10 +27,14 @@ regression in the acceptance suite).
 
 A decision query answers with the root's least budgets: per part count,
 the smallest outlier budget that makes it feasible (``_root_least``).
-``decide``, ``k_max`` and the forest fold read them directly;
-``root_feasibility`` alone expands them into a 0/1 grid.  They come from
-one of three sweeps, whichever the cost rule ``_fastlane.lane`` prices
-lowest (``decide_batch`` batches the numpy ones):
+``decide`` and ``k_max`` read them directly; ``root_feasibility`` alone
+expands them into a 0/1 grid.  A forest is decided as one tree, its
+``tree.ForestLayout``: there the root is virtual, never tops a part and
+spends no outlier unit, and every sweep folds only the trees' least
+budgets at it, a (min,+) product over the part count with no cut-charge
+table.  The least budgets come from one of three sweeps, whichever the
+cost rule ``_fastlane.lane`` prices lowest (``decide_batch`` batches the
+numpy ones):
 
 * the numpy int64 level sweep of ``treecut._fastlane``, one batch of
   array operations per tree level: wide, shallow trees;
@@ -118,8 +122,11 @@ class WitnessTables:
     ``folds[u][i - 1] = (Y, U, X)`` for each ``i >= 1``: the cut-charge
     table and least budgets of the children before ``ci`` folded together,
     and ``ci``'s table as a child of u (row i holds i + 1 parts, u's
-    among them, whether ci joins u's part or its edge is cut).  ``eps`` is
-    each parent edge's cut charge, ``thr`` each vertex's threshold test.
+    among them, whether ci joins u's part or its edge is cut).  A virtual
+    root keeps no cut-charge table, and ``folds[root][i - 1]`` holds only
+    the least budgets of the trees before tree i folded together.
+    ``eps`` is each parent edge's cut charge, ``thr`` each vertex's
+    threshold test.
     ``feasible`` answers the decision problem at the spec's budgets.
     """
 
@@ -151,7 +158,8 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
     ``k <= kappa`` is the smallest ``l <= lam`` with ``mu[root][k][l]``, or
     ``lam + 1`` when there is none (``kappa`` and ``lam`` clamped to the
     vertex count).  With ``keep``, every vertex's tables and partial folds
-    are stored there instead of being dropped."""
+    are stored there instead of being dropped.  A virtual root only folds
+    its children's least budgets."""
     n = tree.vertex_count
     for v in spec.forbidden_outliers:
         if v not in tree.index:
@@ -182,12 +190,24 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
     cut_plans = {}   # rows -> (row, column) of each flat cell
     gamma_plans = {}
     mu_plans = {}
+
+    def fold_mu(U, mv):
+        plan = mu_plans.get((len(U), len(mv)))
+        if plan is None:
+            plan = mu_plans[len(U), len(mv)] = _min_plus_plan(
+                len(U), len(mv), min(kappa + 1, len(U) + len(mv) - 1), 1)
+        return [min([U[p] + mv[q] for p, q in cell]) for cell in plan]
+
     leaf = [0] * lp1
-    G = [None] * n   # cut-charge tables
-    M = [None] * n   # least budgets by part count
-    folds = [None] * n if keep is not None else None
+    slots = len(w_sub)  # a virtual root's entry too
+    G = [None] * slots   # cut-charge tables
+    M = [None] * slots   # least budgets by part count
+    folds = [None] * slots if keep is not None else None
     children = tree.children_idx
-    for u in tree.order_idx:
+    order = tree.order_idx
+    if tree.virtual_root:
+        order = order[:-1]  # the root comes last
+    for u in order:
         kids = children[u]
         if not kids:
             # its own part alone, or the leaf itself as the outlier
@@ -224,11 +244,7 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
                     ry, rx, min(kappa, ry + rx - 1), lp1)
             Y = [min([Y[p] + X[q] for p, q in cell]) for cell in plan]
             if lam:
-                plan = mu_plans.get((len(U), len(mv)))
-                if plan is None:
-                    plan = mu_plans[len(U), len(mv)] = _min_plus_plan(
-                        len(U), len(mv), min(kappa + 1, len(U) + len(mv) - 1), 1)
-                U = [min([U[p] + mv[q] for p, q in cell]) for cell in plan]
+                U = fold_mu(U, mv)
         if kept:
             folds[u] = kept
         # u covered: the least budget whose cut charge passes the threshold
@@ -246,9 +262,20 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
             m = [none] + [0 if x <= t else none for x in Y]
         G[u] = Y
         M[u] = m
+    root = tree.root
+    if tree.virtual_root:
+        # no part, no outlier unit: the trees' least budgets folded alone
+        U, *rest = (M[v] for v in children[root])
+        kept = []
+        for mv in rest:
+            kept.append(U)
+            U = fold_mu(U, mv)
+        M[root] = [min(x, none) for x in U]
+        if folds is not None:
+            folds[root] = kept
     if keep is not None:
         keep.G, keep.M, keep.folds, keep.eps, keep.thr = G, M, folds, eps, thr
-    return M[tree.root]
+    return M[root]
 
 
 def solve(tree: RootedTree, spec: ProblemSpec) -> WitnessTables:

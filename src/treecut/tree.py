@@ -61,6 +61,9 @@ class RootedTree:
         "_totals_cache",
     )
 
+    # position 0 of the BFS order is a real vertex (see ForestLayout)
+    virtual_root = False
+
     def __init__(self, ids, index, parent_idx, bfs, cend, level_end, scale,
                  weight_scaled, cost_scaled, potential_scaled,
                  subtree_weight_scaled, subtree_potential_scaled, subtree_size):
@@ -239,6 +242,9 @@ class RootedTree:
         * ``reach``: steps from each vertex down to its path's leaf;
         * ``lpar``, ``lcount``: the round positions that have light
           children (the tops of round ``r + 1``, in order), and how many.
+
+        A virtual root has no heavy child, so round 0 is the root alone
+        and every tree of a forest tops its own paths in round 1.
         """
         dense = self.dense_arrays()
         if "rounds" not in dense:
@@ -268,7 +274,8 @@ def _heavy_path_rounds(dense) -> list:
     largest = np.repeat(np.maximum.reduceat(size[1:], first), kids[inner])
     heavy = np.minimum.reduceat(np.where(size[1:] == largest, pos[1:], n), first)
     is_top = np.ones(n, dtype=bool)
-    is_top[heavy] = False
+    # a virtual root (position 0, with children) has no heavy child
+    is_top[heavy[1:] if dense.get("virtual_root") else heavy] = False
     top = np.where(is_top, pos, parent)
     while True:
         jumped = top[top]
@@ -557,6 +564,90 @@ def build_rooted_forest(vertices, edges) -> list:
     return [build_rooted_tree(group, comp_edges.get(comp, ()),
                               max(group, key=lambda entry: entry[1])[0])
             for comp, group in members.items()]
+
+
+class ForestLayout(RootedTree):
+    """Disjoint rooted trees laid out as one tree under a virtual root
+    whose children are the trees' roots; built by :func:`forest_layout`.
+
+    The virtual root is not a vertex.  It has no id and no weight, so
+    ``ids``, ``index`` and ``vertex_count`` cover the trees' vertices
+    only, while the per-vertex lists hold one more entry, the root's, at
+    index ``vertex_count``: weight, cost and potential 0, subtree size
+    ``vertex_count``, subtree weight and potential the sums of the
+    trees'.  The sweeps never let it top a part or spend an outlier unit
+    on it: they fold only its children's least budgets there.
+
+    Each tree keeps its own scaled units, so ``scale`` is None.  No value
+    of one tree is ever added to or compared with a value of another,
+    since only least budgets, which count vertices, cross the root, and a
+    part's expansion is a ratio of values of one tree; the root's sums
+    bound every tree's totals, which is all that the int64 bound and the
+    sweeps' infinity read from them.
+    """
+
+    __slots__ = ()
+    virtual_root = True
+
+    def dense_arrays(self):
+        """``RootedTree.dense_arrays``, marked ``virtual_root`` for the
+        sweeps: BFS position 0 is the virtual root."""
+        dense = super().dense_arrays()
+        dense["virtual_root"] = True
+        return dense
+
+    def __repr__(self):
+        return f"ForestLayout(n={self.vertex_count}, trees={self._cend[0] - 1})"
+
+
+def forest_layout(trees) -> ForestLayout:
+    """One or more trees with disjoint ids as a :class:`ForestLayout`.
+
+    Tree ``t``'s vertices keep their indices, offset by the vertex counts
+    of the trees before it.  In the BFS order the root comes first, then
+    the trees' roots in order, and each depth below lists the trees'
+    vertices of that depth tree by tree (a stable sort of the trees' BFS
+    orders by depth), so every vertex's children stay one contiguous
+    range in input edge order.
+    """
+    import numpy as np
+
+    n = sum(t.vertex_count for t in trees)
+    root = n
+    ids, parent, weight, cost, pot, w_sub, p_sub, size = ([] for _ in range(8))
+    bfs, depth, kids = [], [], []  # the trees' BFS orders, one after another
+    off = 0
+    for t in trees:
+        ids += t.ids
+        parent += [p + off for p in t.parent_idx]
+        parent[off + t.root] = root
+        weight += t.weight_scaled
+        cost += t.cost_scaled
+        pot += t.potential_scaled
+        w_sub += t.subtree_weight_scaled
+        p_sub += t.subtree_potential_scaled
+        size += t.subtree_size
+        bfs += [u + off for u in t._bfs]
+        lo = 0
+        for d, hi in enumerate(t._level_end):
+            depth += [d] * (hi - lo)
+            lo = hi
+        kids += [e - s for s, e in zip([1] + t._cend, t._cend)]
+        off += t.vertex_count
+    parent.append(-1)
+    weight.append(0)
+    cost.append(0)
+    pot.append(0)
+    w_sub.append(sum(t.subtree_weight_scaled[t.root] for t in trees))
+    p_sub.append(sum(t.subtree_potential_scaled[t.root] for t in trees))
+    size.append(n)
+    depth = np.array(depth)
+    order = np.argsort(depth, kind="stable")
+    bfs = [root] + np.array(bfs)[order].tolist()
+    cend = list(accumulate([len(trees)] + np.array(kids)[order].tolist(), initial=1))[1:]
+    level_end = list(accumulate([1] + np.bincount(depth).tolist()))
+    return ForestLayout(ids, dict(zip(ids, range(n))), parent, bfs, cend, level_end,
+                        None, weight, cost, pot, w_sub, p_sub, size)
 
 
 def processing_order(tree: RootedTree) -> tuple:

@@ -124,7 +124,10 @@ def _collect(tables: WitnessTables, k0: int, l0: int):
     parts: list[set] = []
     residue: set = set()
     # task: (is_gamma, vertex, k, l, part_slot)
-    stack = [(False, tree.root, k0, l0, -1)]
+    if tree.virtual_root:
+        stack = _tree_tasks(tables, k0, l0)
+    else:
+        stack = [(False, tree.root, k0, l0, -1)]
     while stack:
         is_gamma, u, k, l, slot = stack.pop()
         kids = children_of[u]
@@ -168,6 +171,27 @@ def _collect(tables: WitnessTables, k0: int, l0: int):
                 else:
                     stack.append((True, child, pk, pl, slot))
     return parts, residue
+
+
+def _tree_tasks(tables: WitnessTables, k: int, l: int) -> list:
+    """A virtual root's split of ``k`` parts and budget ``l`` across the
+    trees below it, as ``mu`` tasks with the first tree's on top.  Trees
+    are visited last first: each takes the most parts with which the
+    trees before it still fit (the first ``kp`` for them, in ascending
+    order, with ``C[kp] + B[k - kp] <= l``) and all the budget they leave;
+    its replay is entered at no more budget than its vertex count."""
+    tree = tables.tree
+    kids = tree.children_idx[tree.root]
+    size = tree.subtree_size
+    tasks = []
+    for ci in range(len(kids) - 1, 0, -1):
+        C, B = tables.folds[tree.root][ci - 1], tables.M[kids[ci]]
+        kp = next(kp for kp in range(max(0, k + 1 - len(B)), min(k + 1, len(C)))
+                  if C[kp] + B[k - kp] <= l)
+        tasks.append((False, kids[ci], k - kp, min(l - C[kp], size[kids[ci]]), -1))
+        k, l = kp, C[kp]
+    tasks.append((False, kids[0], k, min(l, size[kids[0]]), -1))
+    return tasks
 
 
 def _part_split(Y, X, k: int, l: int, lp1: int):

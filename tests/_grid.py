@@ -14,14 +14,20 @@ backtracks one witness from them (None when infeasible).
 ``decide_forest(forest, spec)`` folds the trees' root grids cell by cell
 with back pointers, the forest fold ``treecut.search`` ran before it
 folded least budgets, with each tree's witness from these grids.
+``fold_forest(forest, spec)`` is the least-budget fold it ran next,
+before a forest was decided as one tree under a virtual root: each
+tree's least budgets by themselves, folded one tree at a time by a 1-D
+(min,+) product over the part count, split back by first fit, and each
+tree's witness from its own ``treecut.solver.solve``.
 """
 
 from treecut.errors import TableMismatch, UnknownVertexId
-from treecut.search import _tree_spec
-from treecut.solver import ProblemSpec
+from treecut.solver import ProblemSpec, _root_least
+from treecut.solver import solve as solve_tree
 from treecut.tree import RootedTree
 from treecut.values import ScaledValue
-from treecut.witness import Subpartition, make_subpartition
+from treecut.witness import Subpartition, _collect as collect_tree
+from treecut.witness import expansion, make_subpartition
 
 # mu branch markers (backtracking)
 INFEASIBLE = 0
@@ -436,3 +442,78 @@ def decide_forest(forest, spec: ProblemSpec, want_witness: bool = True):
     witness = Subpartition(tuple(all_parts), frozenset(all_residue),
                            tuple(expansions), max(expansions))
     return True, witness
+
+
+def _tree_spec(spec: ProblemSpec, tree: RootedTree) -> ProblemSpec:
+    # splitting parts/budget across trees routinely exceeds one tree's
+    # size; clamping to it changes no answer
+    forb = frozenset(v for v in spec.forbidden_outliers if v in tree.index)
+    return ProblemSpec(spec.xi, min(spec.parts, tree.vertex_count),
+                       min(spec.outliers, tree.vertex_count),
+                       spec.use_potentials, forb)
+
+
+def forest_folds(forest, spec: ProblemSpec):
+    """Each tree's least budgets by itself (``rows``) and their prefix
+    folds (``folds[i]``: trees 0 to i together, ``C'[k] = min C[kp] +
+    B[k - kp]``), ``kappa + 1`` entries each with ``lam + 1`` for "no
+    budget suffices" (``kappa`` and ``lam`` clamped to the forest's
+    vertex count, ``spec.parts`` at most that)."""
+    n_total = forest.vertex_count
+    kappa = min(spec.parts, n_total)
+    lam = min(spec.outliers, n_total)
+    none = lam + 1
+
+    def least(tree):
+        # a tree's own "none" is its clamped budget plus one, which may lie
+        # within lam; part counts beyond the tree's size are infeasible
+        tree_spec = _tree_spec(spec, tree)
+        out = [b if b <= tree_spec.outliers else none
+               for b in _root_least(tree, tree_spec)]
+        return out + [none] * (kappa + 1 - len(out))
+
+    rows = [least(t) for t in forest.trees]
+    folds = [rows[0]]
+    for B in rows[1:]:
+        C = folds[-1]
+        folds.append([min(none, min(C[kp] + B[k - kp] for kp in range(k + 1)))
+                      for k in range(kappa + 1)])
+    return rows, folds
+
+
+def fold_forest(forest, spec: ProblemSpec, want_witness: bool = True):
+    """Decide the problem on a forest by folding each tree's least budgets
+    one tree at a time (``forest_folds``).  The witness splits the
+    budgets back, giving each tree, last first, the fewest parts left to
+    the trees before it that still fit, and all the budget they leave,
+    and replays each tree from its own tables.  Returns ``(feasible,
+    witness_or_None)``."""
+    trees = forest.trees
+    if not trees or spec.parts > forest.vertex_count:
+        return False, None
+    kappa = min(spec.parts, forest.vertex_count)
+    lam = min(spec.outliers, forest.vertex_count)
+    rows, folds = forest_folds(forest, spec)
+    feasible = folds[-1][kappa] <= lam
+    if not feasible or not want_witness:
+        return feasible, None
+
+    budgets = []
+    ck, cl = kappa, lam
+    for C, B in zip(reversed(folds[:-1]), reversed(rows[1:])):
+        kp = next(kp for kp in range(ck + 1) if C[kp] + B[ck - kp] <= cl)
+        budgets.append((ck - kp, cl - C[kp]))
+        ck, cl = kp, C[kp]
+    budgets.append((ck, cl))
+
+    parts, residue, expansions = [], set(), []
+    for tree, (ki, li) in zip(trees, reversed(budgets)):
+        tab = solve_tree(tree, _tree_spec(spec, tree))
+        parts_idx, residue_idx = collect_tree(tab, ki, min(li, tab.lam))
+        for p in parts_idx:
+            part = frozenset(tree.ids[j] for j in p)
+            parts.append(part)
+            expansions.append(expansion(tree, part, spec.use_potentials))
+        residue.update(tree.ids[j] for j in residue_idx)
+    return True, Subpartition(tuple(parts), frozenset(residue),
+                              tuple(expansions), max(expansions))

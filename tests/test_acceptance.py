@@ -33,7 +33,6 @@ from treecut import (
     solve,
     validate_subpartition,
 )
-from treecut.search import _tree_spec
 from treecut.solver import root_feasibility
 
 SEED = 20250809
@@ -220,10 +219,11 @@ def test_criterion_4_variant_degeneration(suite, oracle_data):
         assert base.same_tables(with_pot), "zero potentials changed a table"
         assert base.same_tables(with_empty_forbidden), "empty forbidden set changed a table"
         # single-tree forest: the combined grid equals the tree grid
-        ok_forest, _ = decide_forest(Forest((tree,)), base_spec, want_witness=False)
+        forest = Forest((tree,))
+        ok_forest, _ = decide_forest(forest, base_spec, want_witness=False)
         assert ok_forest == base.feasible
         tree_row = [list(r) for r in base.root_row()]
-        forest_row = root_feasibility(tree, _tree_spec(base_spec, tree))
+        forest_row = root_feasibility(forest.layout, base_spec)
         assert forest_row == tree_row
         cells += 1
     print(f"\nACCEPTANCE 4 PASS: potentials=0, forbidden=empty and single-tree "

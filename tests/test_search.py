@@ -106,16 +106,6 @@ class TestProbeTripwire:
         assert (prober.calls, prober.sweeps) == (3, 2)
         assert calls == [Fraction(1), Fraction(2), Fraction(3)]
 
-    def test_batch_cap_splits_sweeps(self):
-        from treecut.search import _Prober
-
-        sizes = []
-        prober = _Prober(lambda xis: (sizes.append(len(xis)), [True] * len(xis))[1],
-                         batch=1)
-        prober([Fraction(1), Fraction(2)])
-        assert sizes == [1, 1]
-        assert (prober.calls, prober.sweeps) == (2, 2)
-
 
 class TestMinXi:
     def test_two_vertex_path(self):
@@ -313,12 +303,11 @@ class TestOpeningBound:
     def test_no_at_the_bound_is_a_broken_dp(self, monkeypatch):
         import treecut.search as search
 
+        # a forest's search decides its layout through decide_batch too
         monkeypatch.setattr(search, "decide_batch",
                             lambda tree, spec, xis: [False] * len(xis))
         with pytest.raises(MonotonicityViolation):
             min_xi(star_tree(), 2, 0)
-        monkeypatch.setattr(search, "decide_forest",
-                            lambda forest, spec, **kw: (False, None))
         two = Forest((path_tree(("a", "b")), path_tree(("c", "d"))))
         with pytest.raises(MonotonicityViolation):
             min_xi(two, 2, 0)
@@ -366,23 +355,26 @@ class TestBatchedSearch:
         for i in range(300):
             shape = self.SHAPES[i % 4]
             pmax = rng.choice((0, 3))
-            if i % 5 == 4:
-                instance = Forest([_shaped_tree(rng, rng.randint(1, 10), shape, pmax, f"t{j}_")
-                                   for j in range(rng.randint(2, 4))])
+            kind = "forest" if i % 5 in (1, 4) else "tree"
+            if kind == "forest":
+                instance = Forest([_shaped_tree(rng, rng.choice((1, 3, 10, 40)), shape, pmax,
+                                                f"t{j}_")
+                                   for j in range(rng.randint(2, 6))])
                 ids = [v for t in instance.trees for v in t.ids]
             else:
                 instance = _shaped_tree(rng, rng.choice((2, 7, 30, 120, 300)), shape, pmax)
                 ids = list(instance.ids)
-            parts = rng.randint(1, min(5, len(ids)))
+            parts = rng.randint(1, min(8, len(ids)))
             lam = rng.randint(0, 3)
             forbidden = (frozenset(rng.sample(ids, min(3, len(ids))))
                          if rng.random() < 0.3 else frozenset())
             mode = "tol" if i % 3 == 2 else "exact"
             tol = Fraction(1, rng.choice((3, 64, 1000))) if mode == "tol" else None
             got = self._same(instance, parts, lam, mode, tol, pmax > 0, forbidden)
-            seen.add("batched" if got.probes > got.sweeps + 1 else "one by one")
+            seen.add((kind, "batched" if got.probes > got.sweeps + 1 else "one by one"))
             seen.add("zero" if got.xi_star == 0 else "positive")
-        assert seen == {"batched", "one by one", "zero", "positive"}
+        assert seen == {("tree", "batched"), ("tree", "one by one"), ("forest", "batched"),
+                        ("forest", "one by one"), "zero", "positive"}
 
     def test_rounds_leaving_the_int64_bound_narrow(self, monkeypatch):
         import treecut.search as search
@@ -412,8 +404,9 @@ class TestBatchedSearch:
         for mode, tol in (("exact", None), ("tol", Fraction(1, 1000))):
             res = self._same(trees, 2, 3, mode, tol)
             assert res.xi_star == 0
-            # the bound, four halvings and zero
-            assert res.sweeps == 6
+            # the bound, one round of four halvings (15 thresholds, all
+            # yes) and zero
+            assert (res.sweeps, res.probes) == (3, 17)
 
     def test_batching_engages(self):
         rng = random.Random(3)
@@ -494,10 +487,9 @@ class TestForest:
             ok, _ = decide_forest(Forest((t,)), spec)
             tab = _grid.solve(t, spec, record_choices=False)
             assert ok == tab.feasible
-            # whole grid agrees cell for cell
-            from treecut.search import _tree_spec
+            # whole grid agrees cell for cell, read at the virtual root
             from treecut.solver import root_feasibility
-            assert root_feasibility(t, _tree_spec(spec, t)) == [
+            assert root_feasibility(Forest((t,)).layout, spec) == [
                 list(r) for r in tab.root_row()]
 
     def test_budget_splits_across_trees(self):
@@ -508,8 +500,9 @@ class TestForest:
         assert len(wit.residue) <= 2
 
     def test_witness_tables_only_for_feasible_forests(self, monkeypatch):
-        # the per-tree root rows decide first; the choice records a witness
-        # needs are built only once the fold says feasible
+        # the layout's least budgets decide first; the tables a witness
+        # needs are built, by one solve of the layout, only once the
+        # virtual root's fold says feasible
         import treecut.search as search
 
         solved = []
@@ -532,13 +525,33 @@ class TestForest:
             assert ok == decide_forest(forest, spec, want_witness=False)[0]
             outcomes.add(ok)
             if ok:
-                assert solved == list(forest.trees)
+                assert solved == [forest.layout]
                 assert len(wit.parts) == spec.parts
                 assert len(wit.residue) <= spec.outliers
                 assert wit.max_expansion <= spec.xi
             else:
                 assert solved == [] and wit is None
         assert outcomes == {True, False}
+
+    def test_unknown_forbidden_id_raises_as_on_a_tree(self):
+        spec = ProblemSpec(1, 2, 0, forbidden_outliers={"zzz"})
+        with pytest.raises(UnknownVertexId):
+            decide(path_tree(("a", "b")), spec)
+        for want_witness in (True, False):
+            with pytest.raises(UnknownVertexId):
+                decide_forest(self._two_edges(), spec, want_witness=want_witness)
+        with pytest.raises(UnknownVertexId):
+            min_xi(self._two_edges(), 2, 0, forbidden_outliers={"zzz"})
+
+    def test_virtual_root_tops_no_part_and_spends_no_budget(self):
+        # n single-vertex trees at xi = 0: n parts cover them, n - 1 parts
+        # need one outlier, and the root itself needs neither
+        n = 12
+        forest = Forest(tuple(build_rooted_tree([(v, 1)], [], v) for v in range(n)))
+        assert decide_forest(forest, ProblemSpec(0, n, 0))[0]
+        assert decide_forest(forest, ProblemSpec(0, n - 1, 0)) == (False, None)
+        ok, wit = decide_forest(forest, ProblemSpec(0, n - 1, 1))
+        assert ok and len(wit.parts) == n - 1 and len(wit.residue) == 1
 
     def test_overlapping_ids_rejected(self):
         t1 = build_rooted_tree([("a", 1)], [], "a")

@@ -11,6 +11,7 @@ import _grid
 from conftest import broom_tree, path_tree, random_tree, star_tree
 from treecut import (
     INFINITY,
+    Forest,
     InvalidInput,
     ProblemSpec,
     RootHasNoParentEdge,
@@ -709,6 +710,122 @@ class TestLeastBudgetSweep:
         assert decide_batch(t, spec, xis) == singles
         assert singles == [_table_row(t, spec.with_xi(x))[3][2] == 1 for x in xis]
         assert any(singles) and not all(singles)
+
+
+def _forest(rng, sizes, use_pot):
+    """One tree of each size, of random shapes, with ids ``(tree, vertex)``
+    and weights and costs over denominators drawn per tree, so that the
+    trees' scaled units differ."""
+    trees = []
+    for j, n in enumerate(sizes):
+        t = _shaped_tree(rng, n, rng.choice(_SHAPES), use_pot)
+        dw, dc = rng.choice((1, 2, 3)), rng.choice((1, 2, 5))
+        trees.append(build_rooted_tree(
+            [((j, v), t.weight(v) / dw, t.potential(v) / dc) for v in t.vertex_ids()],
+            [((j, t.parent_of(v)), (j, v), t.parent_edge_cost(v) / dc)
+             for v in t.vertex_ids() if t.parent_of(v) is not None],
+            (j, t.root_id)))
+    return Forest(tuple(trees))
+
+
+def _numpy_least(tree, forb, xis, kappa, lam, use_pot):
+    """Least budgets at the root from each numpy sweep, called directly:
+    level first, then chain."""
+    tree.heavy_paths()
+    args = (tree.dense_arrays(), _fastlane._forb_array(tree, forb),
+            np.array([x.numerator for x in xis]), np.array([x.denominator for x in xis]),
+            kappa, lam, use_pot)
+    return [sweep(*args).tolist() for sweep in (_fastlane._np_sweep, _fastlane._chain_sweep)]
+
+
+class TestForestLayout:
+    """A forest decided as one tree under a virtual root, in every lane,
+    against the fold of its trees' least budgets one tree at a time."""
+
+    def test_lanes_match_the_per_tree_fold(self, monkeypatch):
+        # potentials, forbidden vertices, parts up to n and past the
+        # trees' sizes, single-vertex trees; directly, and through
+        # root_row and decide_many forced onto each numpy sweep
+        rng = random.Random(90)
+        for trial in range(150):
+            forest = _forest(rng, [rng.choice((1, 2, 5, 12, 30))
+                                   for _ in range(rng.randint(1, 7))], trial % 3 != 2)
+            layout = forest.layout
+            n = layout.vertex_count
+            use_pot = trial % 3 != 2
+            forb = frozenset(v for v in layout.ids if rng.random() < 0.1)
+            kappa = rng.randint(1, n)
+            lam = min(rng.randint(0, 6), n)
+            xis = [Fraction(rng.randint(0, 12), rng.randint(1, 5)) for _ in range(3)]
+            level, chain = _numpy_least(layout, forb, xis, kappa, lam, use_pot)
+            for xi, row_level, row_chain in zip(xis, level, chain):
+                spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
+                want = _grid.forest_folds(forest, spec)[1][-1]
+                assert solver._least_budgets(layout, spec) == want
+                assert row_level == row_chain == want
+            for sweep, rows in (("level", level), ("chain", chain)):
+                with monkeypatch.context() as patch:
+                    _force_sweep(patch, sweep)
+                    assert _fastlane.root_row(layout, xis[0], kappa, lam, use_pot,
+                                              forb) == rows[0]
+                    assert _fastlane.decide_many(layout, xis, kappa, lam, use_pot, forb) \
+                        == [row[kappa] <= lam for row in rows]
+
+    def test_one_tree_gives_its_own_least_budgets(self):
+        rng = random.Random(91)
+        for trial in range(60):
+            use_pot = trial % 2 == 0
+            forest = _forest(rng, [rng.randint(1, 40)], use_pot)
+            (t,), layout = forest.trees, forest.layout
+            n = t.vertex_count
+            forb = frozenset(v for v in t.ids if rng.random() < 0.1)
+            kappa, lam = rng.randint(1, n), min(rng.randint(0, 5), n)
+            xi = Fraction(rng.randint(0, 12), rng.randint(1, 5))
+            spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
+            want = solver._least_budgets(t, spec)
+            assert solver._least_budgets(layout, spec) == want
+            assert _numpy_least(layout, forb, [xi], kappa, lam, use_pot) == [[want], [want]]
+
+    def test_virtual_root_tops_no_part_and_spends_no_budget(self):
+        # n single-vertex trees at xi = 0: n parts, or n - 1 parts and one
+        # outlier, and never fewer
+        n = 9
+        layout = Forest(tuple(build_rooted_tree([(v, 1)], [], v) for v in range(n))).layout
+        for lam in (0, 1, 2):
+            want = [max(0, n - k) if n - k <= lam else lam + 1 for k in range(n + 1)]
+            assert solver._least_budgets(layout, ProblemSpec(0, n, lam)) == want
+            assert _numpy_least(layout, (), [Fraction(0)], n, lam, False) == [[want], [want]]
+        tables = solve(layout, ProblemSpec(0, n, 1))
+        assert tables.G[layout.root] is None
+        assert tables.M[layout.root] == [2, 2, 2, 2, 2, 2, 2, 2, 1, 0]
+
+    def test_heavy_paths_start_below_the_root(self):
+        forest = _forest(random.Random(92), [5, 1, 8], False)
+        rounds = forest.layout.heavy_paths()
+        assert rounds[0]["vert"].tolist() == [0]
+        assert rounds[0]["lcount"].tolist() == [3]
+        assert rounds[1]["vert"][rounds[1]["top"]].tolist() == [1, 2, 3]
+
+    def test_a_batch_of_a_wide_forest_is_one_sweep(self, monkeypatch):
+        # 15 thresholds over 500 trees of 2-4 vertices: one numpy sweep of
+        # the layout, with the answers of the Python sweep
+        rng = random.Random(93)
+        forest = _forest(rng, [rng.randint(2, 4) for _ in range(500)], False)
+        layout = forest.layout
+        spec = ProblemSpec(0, 700, 2)
+        xis = [Fraction(i, 4) for i in range(1, 16)]
+        ran = []
+        for name in ("_np_sweep", "_chain_sweep"):
+            sweep = getattr(_fastlane, name)
+            monkeypatch.setattr(_fastlane, name,
+                                lambda *args, sweep=sweep: ran.append(sweep) or sweep(*args))
+        got = decide_batch(layout, spec, xis)
+        assert len(ran) == 1
+        # the answers turn to yes once, where the Python sweep turns
+        first = got.index(True)
+        assert first and got == [i >= first for i in range(15)]
+        assert [solver._least_budgets(layout, spec.with_xi(x))[700] <= 2
+                for x in xis[first - 1:first + 1]] == [False, True]
 
 
 class TestAgainstOracle:

@@ -251,9 +251,10 @@ def _tied_forest(rng, trees, size, use_pot):
 
 class TestForestFoldMatchesGrid:
     def test_least_budget_fold_equals_the_grid_fold(self):
-        # the least-budget fold splits parts and budget across trees as the
-        # grid fold's back pointers do (tests/_grid.py), so feasibility and
-        # witness agree, part order included
+        # the virtual root's fold splits parts and budget across trees as
+        # the grid fold's back pointers and the 1-D fold's first fit do
+        # (tests/_grid.py), so feasibility and witness agree, part order
+        # included
         rng = random.Random(64)
         cases = witnesses = 0
         for _ in range(1000):
@@ -272,6 +273,7 @@ class TestForestFoldMatchesGrid:
                 spec = ProblemSpec(xi, parts, outliers, use_pot, forb)
                 got = decide_forest(forest, spec)
                 assert got == _grid.decide_forest(forest, spec), spec
+                assert got == _grid.fold_forest(forest, spec), spec
                 cases += 1
                 witnesses += got[1] is not None
         assert cases > 2500 and witnesses > 1800
@@ -292,6 +294,23 @@ class TestForestFoldMatchesGrid:
         spec = ProblemSpec(best, 30, 8, True)
         got = decide_forest(forest, spec)
         assert got[0] and got == _grid.decide_forest(forest, spec)
+
+    @pytest.mark.parametrize("trees,parts,outliers", [(200, 220, 20), (200, 400, 20),
+                                                      (60, 50, 20)])
+    def test_large_budgets_match_the_1d_fold(self, trees, parts, outliers):
+        # feasible at the optimum, with budgets the grid fold is too slow
+        # for: the same witness as each tree's own replay, part order
+        # included, and nothing feasible just below
+        rng = random.Random(trees + parts)
+        forest = _tied_forest(rng, trees, 5, True)
+        best = min_xi(forest, parts, outliers, use_potentials=True).xi_star
+        spec = ProblemSpec(best, parts, outliers, True)
+        got = decide_forest(forest, spec)
+        assert got[0] and got == _grid.fold_forest(forest, spec)
+        below = spec.with_xi(best - Fraction(1, 10 ** 6)) if best else None
+        if below is not None:
+            assert decide_forest(forest, below) == _grid.fold_forest(forest, below) \
+                == (False, None)
 
 
 class TestWitnessCost:
