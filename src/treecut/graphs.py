@@ -29,7 +29,7 @@ from .errors import (
 )
 from .search import Forest
 from .tree import RootedTree, build_rooted_forest, tree_from_json
-from .values import parse_number, parse_rational
+from .values import parse_number
 from .witness import sorted_ids
 
 
@@ -38,6 +38,10 @@ class WeightedGraph:
     positive similarity costs and optional per-edge distance overrides.
 
     Vertices are ordered by id at construction; edges keep input order.
+    Every value is stored exactly as :func:`values.parse_number` reads it:
+    an int where the value is integral, a :class:`Fraction` otherwise, so
+    integral columns reach the tree builder as ints and are neither parsed
+    nor scaled there again.
     """
 
     __slots__ = ("ids", "index", "weights", "potentials", "edges", "adj")
@@ -49,8 +53,8 @@ class WeightedGraph:
         for vid, w, p in vertices:
             if vid in by_id:
                 raise InvalidInput(f"duplicate vertex id {vid!r}")
-            w = parse_rational(w)
-            p = parse_rational(p)
+            w = parse_number(w)
+            p = parse_number(p)
             if w <= 0:
                 raise NonPositiveVertexWeight(f"vertex {vid!r} has weight {w}")
             if p < 0:
@@ -75,11 +79,11 @@ class WeightedGraph:
             if key in seen:
                 raise DuplicateEdge(f"duplicate edge {u!r}-{v!r}")
             seen.add(key)
-            cost = parse_rational(cost)
+            cost = parse_number(cost)
             if cost <= 0:
                 raise InvalidInput(f"edge {u!r}-{v!r} needs positive cost, got {cost}")
             if dist is not None:
-                dist = parse_rational(dist)
+                dist = parse_number(dist)
                 if dist <= 0:
                     raise InvalidInput(f"edge {u!r}-{v!r} needs positive distance, got {dist}")
             eidx = len(self.edges)
@@ -98,10 +102,10 @@ class WeightedGraph:
     def vertex_ids(self) -> tuple:
         return tuple(self.ids)
 
-    def weight(self, vertex) -> Fraction:
+    def weight(self, vertex) -> int | Fraction:
         return self.weights[self._idx(vertex)]
 
-    def potential(self, vertex) -> Fraction:
+    def potential(self, vertex) -> int | Fraction:
         return self.potentials[self._idx(vertex)]
 
     def has_potentials(self) -> bool:
@@ -234,7 +238,7 @@ def graph_from_csv(path) -> WeightedGraph:
                 vertex_ids.append(vid)
     if not vertex_ids:
         raise ParseError(f"{path}: no edges")
-    vertices = [(vid, Fraction(1), Fraction(0)) for vid in vertex_ids]
+    vertices = [(vid, 1, 0) for vid in vertex_ids]
     try:
         return WeightedGraph(vertices, [(u, v, c, d) for u, v, c, d, _ in rows])
     except (SelfLoop, DuplicateEdge) as exc:
@@ -246,7 +250,8 @@ def load_instance(path, fmt: str | None = None):
 
     JSON objects carrying a ``root`` key become a :class:`RootedTree`;
     JSON without a root and any CSV become a :class:`WeightedGraph`.
-    Rationals are preserved exactly.
+    Rationals are preserved exactly; a graph keeps each integral value as
+    an int and every other value as a :class:`Fraction`.
     """
     path = Path(path)
     if fmt is None:
@@ -269,15 +274,44 @@ def similarity_spanning_tree(graph: WeightedGraph):
     minimum spanning tree of distance 1/cost (or the explicit distance
     override).  Ties break on (distance, smaller endpoint, larger endpoint),
     so the result is deterministic.  Returns a single tree for a connected
-    graph, otherwise a :class:`Forest` with one tree per component."""
+    graph, otherwise a :class:`Forest` with one tree per component.
+
+    Kruskal's order is found on int keys: each distinct ``(cost,
+    distance)`` pair gets its exact distance once, the distinct distances
+    are sorted once, and every edge sorts by ``(rank, lo, hi, edge
+    index)``.  Equal distances share a rank whichever form they came in,
+    so the order is the one of the exact distances.  The graph's values
+    go to the tree builder as they are."""
     if graph.vertex_count == 0:
         raise EmptyGraph("cannot build a spanning tree with no vertices")
+    trees = build_rooted_forest(list(zip(graph.ids, graph.weights, graph.potentials)),
+                                _kruskal_edges(graph))
+    if len(trees) == 1:
+        return trees[0]
+    return Forest(tuple(trees))
 
-    ranked = []
-    for eidx, (ui, vi, cost, dist) in enumerate(graph.edges):
-        d = dist if dist is not None else 1 / cost
-        lo, hi = (ui, vi) if ui <= vi else (vi, ui)
-        ranked.append((d, lo, hi, eidx))
+
+def _distance_ranks(edges) -> list:
+    """Each edge's rank among the distinct exact distances, smallest 0."""
+    slots = {}  # (cost, distance override) -> slot, in first-seen order
+    edge_slot = [slots.setdefault((cost, dist), len(slots))
+                 for _ui, _vi, cost, dist in edges]
+    # Fraction(1, cost), not 1 / cost: an int cost would give a float
+    dists = [Fraction(1, cost) if dist is None else dist for cost, dist in slots]
+    order = sorted(range(len(dists)), key=dists.__getitem__)
+    slot_rank = [0] * len(dists)
+    rank = 0
+    for prev, s in zip(order, order[1:]):
+        rank += dists[prev] < dists[s]
+        slot_rank[s] = rank
+    return [slot_rank[s] for s in edge_slot]
+
+
+def _kruskal_edges(graph: WeightedGraph) -> list:
+    """The spanning forest's edges ``(u, v, cost)`` in acceptance order."""
+    ranked = [(rank, ui, vi, eidx) if ui <= vi else (rank, vi, ui, eidx)
+              for eidx, (rank, (ui, vi, _c, _d))
+              in enumerate(zip(_distance_ranks(graph.edges), graph.edges))]
     ranked.sort()
 
     parent = list(range(graph.vertex_count))
@@ -289,18 +323,13 @@ def similarity_spanning_tree(graph: WeightedGraph):
         return x
 
     chosen = []  # (u, v, cost) in acceptance order
-    for _d, _lo, _hi, eidx in ranked:
+    for _r, _lo, _hi, eidx in ranked:
         ui, vi, cost, _dd = graph.edges[eidx]
         ru, rv = find(ui), find(vi)
         if ru != rv:
             parent[ru] = rv
             chosen.append((graph.ids[ui], graph.ids[vi], cost))
-
-    trees = build_rooted_forest(list(zip(graph.ids, graph.weights, graph.potentials)),
-                                chosen)
-    if len(trees) == 1:
-        return trees[0]
-    return Forest(tuple(trees))
+    return chosen
 
 
 def forest_from_graph(graph: WeightedGraph):

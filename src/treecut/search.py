@@ -453,7 +453,7 @@ def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
     if not survivors:
         return False, None
 
-    extra_potential = {v: Fraction(0) for v in survivors}
+    extra_potential = {v: 0 for v in survivors}
     forest_edges = []
     for u, v, cost, _dist in graph.edge_records():
         if u in s1 and v in s1:
