@@ -44,7 +44,7 @@ class WeightedGraph:
     nor scaled there again.
     """
 
-    __slots__ = ("ids", "index", "weights", "potentials", "edges", "adj")
+    __slots__ = ("ids", "index", "weights", "potentials", "edges")
 
     def __init__(self, vertices, edges):
         # vertices: iterable of (id, weight, potential); edges: (u, v, cost, dist|None)
@@ -66,7 +66,6 @@ class WeightedGraph:
         self.potentials = [by_id[vid][1] for vid in self.ids]
 
         self.edges = []
-        self.adj = [[] for _ in self.ids]
         seen = set()
         for u, v, cost, dist in edges:
             if u not in self.index or v not in self.index:
@@ -86,10 +85,7 @@ class WeightedGraph:
                 dist = parse_number(dist)
                 if dist <= 0:
                     raise InvalidInput(f"edge {u!r}-{v!r} needs positive distance, got {dist}")
-            eidx = len(self.edges)
             self.edges.append((ui, vi, cost, dist))
-            self.adj[ui].append((vi, eidx))
-            self.adj[vi].append((ui, eidx))
 
     @property
     def vertex_count(self) -> int:
@@ -125,6 +121,10 @@ class WeightedGraph:
     def components(self) -> list:
         """Connected components as lists of ids, each ordered by id, ordered
         by their smallest member."""
+        adj = [[] for _ in self.ids]
+        for ui, vi, _cost, _dist in self.edges:
+            adj[ui].append(vi)
+            adj[vi].append(ui)
         seen = [False] * len(self.ids)
         comps = []
         for start in range(len(self.ids)):
@@ -136,7 +136,7 @@ class WeightedGraph:
             while stack:
                 u = stack.pop()
                 members.append(self.ids[u])
-                for v, _e in self.adj[u]:
+                for v in adj[u]:
                     if not seen[v]:
                         seen[v] = True
                         stack.append(v)

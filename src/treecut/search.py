@@ -13,17 +13,23 @@ built by ``tree.build_rooted_forest``, to ``decide_forest``.
 
 Exact minimization never enumerates candidate ratios.  Every achievable
 maximum expansion is a fraction whose reduced denominator is at most the
-scaled total vertex weight W, and two such fractions differ by at least
-1/W^2.  The search opens at an achievable threshold: the largest expansion
-of one explicit partition with no residue (see ``_opening_bound``), so a
-``no`` there can only mean a broken DP.  It decides that threshold and its
-Farey predecessor in one sweep; if the predecessor is infeasible, the
-threshold is the optimum and no bisection runs.  Otherwise the
-predecessor becomes the upper end, and bisecting the decision procedure
-down to an interval shorter than 1/W^2 and rounding the midpoint with a
-continued-fraction (Stern-Brocot) step recovers the optimum exactly; one
-more sweep verifies the result and its Farey predecessor, to guard
-against bugs.
+scaled total vertex weight W: a member of the Farey sequence of order W,
+extended past 1.  The optimum is the least such fraction at which the
+decision says yes.  The search opens at an achievable threshold: the
+largest expansion of one explicit partition with no residue (see
+``_opening_bound``), so a ``no`` there can only mean a broken DP.  It
+decides that threshold, its Farey predecessor and the first bisection
+round below the predecessor in one sweep; if the predecessor is
+infeasible, the threshold is the optimum and no bisection runs.
+Otherwise the predecessor becomes the upper end and the bisection goes
+on below it.  Once the bracket (lo, hi] holds no more fractions of
+order W than a round has thresholds, the round decides those fractions
+instead, with the one at or below lo (``_farey_run``): the first ``yes``
+is the optimum, and the ``no`` before it is its Farey predecessor.  The
+result and its predecessor are verified against the decisions, which
+then sit in the cache; only a bisection that ran out of halvings first
+(its bracket shorter than 1/W^2, so holding the optimum alone as the
+Farey successor of lo) spends one more sweep on them.
 
 The bisection runs in rounds (``_bisect``): a round of j halvings decides
 the 2^j - 1 evenly spaced inner thresholds of the bracket in one batched
@@ -31,12 +37,13 @@ sweep (``solver.decide_batch``), which a numpy sweep can take for less
 than j sweeps of one threshold, and keeps the cell between the last
 ``no`` and the first ``yes``.  The cost rule picks the j with the least
 estimated time per halving, on a tree or a forest's layout alike.  No
-round does more halvings than the search still needs, so the search
-ends on the bracket that one-threshold halvings would reach, and its
-answers and witnesses do not depend on j.
+round does more halvings than the search still needs, so a tolerance
+search ends on the bracket that one-threshold halvings would reach, and
+its answers and witnesses do not depend on j.
 Zero is decided only while no threshold has said ``no``, since any ``no``
 above zero rules it out: once the bisection has shortened the bracket
-sixteenfold with every answer ``yes``, or else at the end.
+sixteenfold with every answer ``yes``, in a finishing round whose
+bracket starts at zero, or else at the end.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, cmp_to_key
 
 from .errors import (
     InvalidInput,
@@ -124,6 +131,49 @@ def _farey_predecessor(x: Fraction, limit: int) -> Fraction | None:
     return Fraction((a * q - 1) // b, q)
 
 
+def _farey_bracket(x: Fraction, limit: int) -> tuple[Fraction, Fraction]:
+    """The consecutive fractions ``p <= x < q`` with denominators at most
+    ``limit``, for any ``x >= 0``.
+
+    A Stern-Brocot descent toward ``x`` that takes each run of moves to
+    the same side in one step, so it needs O(log limit) integer steps
+    whatever the denominator of ``x``.
+    """
+    num, den = x.numerator, x.denominator
+    a, b, c, d = 0, 1, 1, 0  # a/b <= x < c/d, with b*c - a*d = 1
+    while True:
+        # the left end over every mediant at or below x
+        k = (num * b - a * den) // (c * den - num * d)
+        if d:
+            k = min(k, (limit - b) // d)
+        a, b = a + k * c, b + k * d
+        # then the right end over every mediant above x
+        j = (limit - d) // b
+        below = num * b - a * den
+        if below:
+            j = min(j, (c * den - num * d - 1) // below)
+        c, d = c + j * a, d + j * b
+        if not k and not j:
+            return Fraction(a, b), Fraction(c, d)
+
+
+def _farey_run(lo: Fraction, hi: Fraction, limit: int, cap: int):
+    """The fraction with denominator at most ``limit`` at or below ``lo``,
+    then those in ``(lo, hi]`` in increasing order; None when the latter
+    are more than ``cap``.  The next terms come from the Farey recurrence,
+    which holds past 1 too."""
+    p, q = _farey_bracket(lo, limit)
+    a, b, c, d = p.numerator, p.denominator, q.numerator, q.denominator
+    run = [p]
+    while c * hi.denominator <= hi.numerator * d:
+        if len(run) > cap:
+            return None
+        run.append(Fraction(c, d))
+        k = (limit + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return run
+
+
 class _Prober:
     """Memoized batched decision probe with a monotonicity tripwire: a
     ``yes`` below a ``no``, within one batch or across batches, would mean
@@ -166,21 +216,22 @@ class _Prober:
 _MAX_HALVINGS = 4
 
 
-def _bisect(probe, lo, hi, need, tree, spec):
-    """The bracket ``(lo, hi)`` halved ``need`` times, in rounds.
+def _round(lo, hi, need, width, tree, spec, limit):
+    """The thresholds of the next round in the bracket ``(lo, hi)``, its
+    width, and whether it finishes the search.
 
-    A round of j halvings decides the 2^j - 1 evenly spaced inner
-    thresholds of the bracket in one sweep and keeps the cell between the
-    last ``no`` and the first ``yes``, where j one-threshold halvings
-    would end.  j (at most ``_MAX_HALVINGS``) is the one whose sweep of
+    A round of j halvings takes the 2^j - 1 evenly spaced inner
+    thresholds of the bracket, where j one-threshold halvings would end.
+    j (at most ``_MAX_HALVINGS`` and ``need``) is ``width``, or when that
+    is None or the thresholds leave the int64 bound, the j whose sweep of
     ``tree`` (a forest's layout, for a forest) the cost rule prices lowest
-    per halving; it is priced in the first round and again when a round's
-    thresholds leave the int64 bound (the Python sweep's cost grows with
-    its thresholds, so it halves once per sweep).
+    per halving (the Python sweep's cost grows with its thresholds, so it
+    halves once per sweep).
 
-    While every threshold says yes, the lower end is left undecided until
-    the bracket is ``2^_MAX_HALVINGS`` times shorter; then it is decided
-    too, and a yes there returns the bracket ``(lo, lo)``.
+    With a denominator ``limit`` (exact mode), a bracket ``(lo, hi]`` that
+    holds no more fractions of that order than the round has thresholds
+    gets a finishing round instead: those fractions, after the one at or
+    below ``lo`` (``_farey_run``).
     """
     from . import _fastlane
 
@@ -192,22 +243,47 @@ def _bisect(probe, lo, hi, need, tree, spec):
         k = (len(xs) + 1) >> j
         return xs[k - 1::k]
 
+    most = min(width or _MAX_HALVINGS, need)
+    step = (hi - lo) / (1 << most)
+    xs = [lo + step * i for i in range(1, 1 << most)]
+    if width is None or most > 1 and not _fastlane.fits(tree, xs, kappa, lam):
+        width = min(range(1, most + 1), key=lambda j: _fastlane.cost_us(
+            tree, every(xs, j), kappa, lam, spec.use_potentials) / j)
+        xs = every(xs, width)
+    if limit is not None:
+        run = _farey_run(lo, hi, limit, len(xs))
+        if run is not None:
+            return run, width, True
+    return xs, width, False
+
+
+def _bisect(probe, lo, hi, need, tree, spec, limit):
+    """The bracket ``(lo, hi)`` halved ``need`` times, in rounds
+    (``_round``), each decided in one sweep, keeping the cell between the
+    last ``no`` and the first ``yes``.
+
+    ``limit`` is the denominator bound W in exact mode and None in
+    tolerance mode.  A finishing round (exact mode only) returns at once:
+    its first ``yes`` is the optimum and the fraction before it, which
+    said ``no``, its Farey predecessor.
+
+    While every threshold says yes, the lower end is left undecided until
+    the bracket is ``2^_MAX_HALVINGS`` times shorter; then it is decided
+    too, and a yes there returns the bracket ``(lo, lo)``.  A finishing
+    round decides an undecided lower end, zero, with its fractions.
+    """
     width = None
     start = hi - lo
     while need:
-        most = min(width or _MAX_HALVINGS, need)
-        step = (hi - lo) / (1 << most)
-        xs = [lo + step * i for i in range(1, 1 << most)]
-        if width is None or most > 1 and not _fastlane.fits(tree, xs, kappa, lam):
-            width = min(range(1, most + 1), key=lambda j: _fastlane.cost_us(
-                tree, every(xs, j), kappa, lam, spec.use_potentials) / j)
-            xs = every(xs, width)
+        xs, width, finish = _round(lo, hi, need, width, tree, spec, limit)
         answers = probe(xs)
         first = answers.index(True) if True in answers else len(xs)
         if first:
             lo = xs[first - 1]
         if first < len(xs):
             hi = xs[first]
+        if finish:
+            return lo, hi
         need -= len(xs).bit_length()
         if lo not in probe.cache and (hi - lo) * (1 << _MAX_HALVINGS) <= start:
             # an optimum this far below the bracket's top is rare unless
@@ -229,9 +305,10 @@ def _balanced_partition(tree: RootedTree, parts: int, use_potentials: bool):
     uncut weight below it reaches W/parts.  That cuts at most ``parts - 1``
     edges, since every piece cut off weighs at least W/parts and the root's
     piece is not empty; any cuts still missing go to the edges of least
-    cost per subtree weight.  Any ``parts - 1`` distinct edges leave
-    exactly ``parts`` pieces, so the result satisfies every outlier budget
-    and forbidden set.
+    cost per subtree weight, compared by cross-multiplying the scaled
+    ints, the lower vertex index first among equal ratios.  Any
+    ``parts - 1`` distinct edges leave exactly ``parts`` pieces, so the
+    result satisfies every outlier budget and forbidden set.
     """
     parent = tree.parent_idx
     w_sub = tree.subtree_weight_scaled
@@ -251,10 +328,13 @@ def _balanced_partition(tree: RootedTree, parts: int, use_potentials: bool):
             below[p] += below[u]
     if cuts < need:
         c_s = tree.cost_scaled
-        rest = sorted((v for v in range(tree.vertex_count)
-                       if parent[v] >= 0 and not is_cut[v]),
-                      key=lambda v: Fraction(c_s[v], w_sub[v]))
-        for v in rest[:need - cuts]:
+
+        def dearer(u, v):  # sign of c_s[u]/w_sub[u] - c_s[v]/w_sub[v]
+            return c_s[u] * w_sub[v] - c_s[v] * w_sub[u]
+
+        # the cheapest, lower index first among equal ratios
+        rest = (v for v in range(tree.vertex_count) if parent[v] >= 0 and not is_cut[v])
+        for v in heapq.nsmallest(need - cuts, rest, key=cmp_to_key(dearer)):
             is_cut[v] = True
 
     head = [0] * tree.vertex_count
@@ -302,17 +382,20 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
     Both modes open at the largest expansion of an explicit partition
     whenever there are at least as many parts as trees (with fewer, at
     total cost over the least vertex weight).  Exact mode returns the true
-    minimum as a reduced fraction: it decides the opening bound and its
-    Farey predecessor in one sweep, which settles the search when the
-    predecessor is infeasible, and otherwise bisects below it until the
-    bracket is shorter than 1/W^2.  Tolerance mode bisects until the
-    bracket is no longer than ``tol`` and returns its feasible upper end.
-    Either way the bisection runs in rounds of up to ``_MAX_HALVINGS``
-    halvings per sweep (``_bisect``), capped at the halvings still needed,
-    so it ends on the bracket that one-threshold halvings would reach.
-    Zero is decided only while no threshold has said no.  Exact mode
-    verifies the result and its Farey predecessor in one more sweep.  The
-    witness attains the returned threshold.
+    minimum as a reduced fraction: it decides the opening bound, its Farey
+    predecessor and the first bisection round below the predecessor in one
+    sweep, which settles the search when the predecessor is infeasible.
+    Otherwise it bisects below the predecessor until the bracket holds no
+    more fractions of order W than a round has thresholds, and decides
+    those in a finishing round; the least of them that says yes is the
+    optimum.  Tolerance mode bisects until the bracket is no longer than
+    ``tol`` and returns its feasible upper end.  Either way the bisection
+    runs in rounds of up to ``_MAX_HALVINGS`` halvings per sweep
+    (``_bisect``), capped at the halvings still needed.  Zero is decided
+    only while no threshold has said no.  Exact mode verifies that the
+    decision says yes at the result and no at its Farey predecessor; after
+    a finishing round both answers come from the cache.  The witness
+    attains the returned threshold.
 
     Raises :class:`MonotonicityViolation` when the decisions contradict
     each other or the explicit partition's threshold.
@@ -340,35 +423,39 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
                                   probe.sweeps)
 
     denom_limit = max(t.subtree_weight_scaled[t.root] for t in trees)
-    prev = (_farey_predecessor(hi, denom_limit)
-            if achievable and mode == "exact" else None)
-    opening = probe([hi] if prev is None else [hi, prev])
+    exact = mode == "exact"
+    prev = _farey_predecessor(hi, denom_limit) if achievable and exact else None
+    top = hi if prev is None else prev
+    if exact:
+        # halvings until the bracket is shorter than 1/W^2
+        need = math.floor(top * denom_limit * denom_limit).bit_length()
+    else:
+        # halvings until hi - lo <= tol
+        need = max(0, math.ceil(hi / tol) - 1).bit_length()
+    ahead = []
+    if prev:
+        # the first round below prev rides along; when prev says yes,
+        # _bisect finds its answers in the cache
+        ahead = _round(Fraction(0), prev, need, None, tree, spec, denom_limit)[0]
+    opening = probe([hi] if prev is None else [hi, prev, *ahead])
     if not opening[0]:
         if achievable:
             raise MonotonicityViolation(
                 f"decision said no at {hi}, the expansion of an explicit partition")
         return result(None)
 
-    lo = Fraction(0)
-    if mode == "tol":
-        # halvings until hi - lo <= tol
-        lo, hi = _bisect(probe, lo, hi, max(0, math.ceil(hi / tol) - 1).bit_length(),
-                         tree, spec)
-        xi_star = hi
-    elif prev is not None and not opening[1]:
+    if prev is not None and not opening[1]:
         # nothing achievable lies strictly between prev and hi
         lo, xi_star = prev, hi
     else:
-        if prev is not None:
-            hi = prev
-        gap = Fraction(1, denom_limit * denom_limit)
-        # halvings until hi - lo < gap
-        lo, hi = _bisect(probe, lo, hi, math.floor(hi / gap).bit_length(), tree, spec)
-        xi_star = ((lo + hi) / 2).limit_denominator(denom_limit)
+        lo, hi = _bisect(probe, Fraction(0), top, need, tree, spec,
+                         denom_limit if exact else None)
+        # the least fraction of order W above the last no
+        xi_star = _farey_bracket(lo, denom_limit)[1] if exact else hi
 
     if probe.max_no is None and probe([Fraction(0)])[0]:
         xi_star = Fraction(0)
-    elif mode == "exact":
+    elif exact:
         if not lo < xi_star <= hi:
             raise MonotonicityViolation(
                 f"recovered threshold {xi_star} failed verification")

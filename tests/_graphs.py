@@ -25,7 +25,7 @@ from treecut.witness import sorted_ids
 
 
 class ReferenceGraph(WeightedGraph):
-    __slots__ = ()
+    __slots__ = ("adj",)
 
     def __init__(self, vertices, edges):
         order = sorted_ids([v[0] for v in vertices])

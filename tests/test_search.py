@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import _bisection
 import _brute
 import _grid
-from conftest import path_tree, prufer_edges, random_tree, star_tree
+from conftest import broom_tree, path_tree, prufer_edges, random_tree, star_tree
 from treecut import (
     Forest,
     InvalidInput,
@@ -32,7 +32,14 @@ from treecut import (
     validate_subpartition,
 )
 from treecut.oracle import EnumerationBudget
-from treecut.search import _balanced_partition, _farey_predecessor, _opening_bound
+from treecut.search import (
+    _balanced_partition,
+    _farey_bracket,
+    _farey_predecessor,
+    _farey_run,
+    _opening_bound,
+)
+from treecut.witness import make_subpartition
 
 
 class TestFareyPredecessor:
@@ -68,6 +75,83 @@ class TestFareyPredecessor:
         for den in range(1, limit + 1):
             num = (x.numerator * den - 1) // x.denominator
             assert Fraction(num, den) <= prev or Fraction(num, den) >= x
+
+
+def _farey_upto(limit, top):
+    """Every fraction in [0, top] with denominator at most ``limit``, in
+    increasing order, by brute force."""
+    return sorted({Fraction(p, q) for q in range(1, limit + 1)
+                   for p in range(top * q + 1)})
+
+
+def _bracket_points(limit):
+    """x = 0, points past 1, members of F_limit, and points whose
+    denominators are far above ``limit``."""
+    xs = [Fraction(0), Fraction(1), Fraction(7, 2), Fraction(5), Fraction(limit, 1)]
+    xs += [f for f in _farey_upto(limit, 2) if f.denominator == limit or f < Fraction(1, 3)]
+    xs += [Fraction(p, 10 ** 12 + 39) for p in (1, 3 * 10 ** 11, 10 ** 12, 2 * 10 ** 12 + 5)]
+    xs += [Fraction(2 ** 40 + 1, 2 ** 40), Fraction(1, 2 ** 50), Fraction(3, 2) - Fraction(1, 2 ** 45)]
+    return xs
+
+
+class TestFareyBracket:
+    @pytest.mark.parametrize("limit", [1, 2, 3, 7, 12, 30])
+    def test_matches_brute_force(self, limit):
+        for x in _bracket_points(limit):
+            seq = _farey_upto(limit, math.floor(x) + 2)
+            want = (max(f for f in seq if f <= x), min(f for f in seq if f > x))
+            assert _farey_bracket(x, limit) == want, x
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 10 ** 13), st.integers(1, 10 ** 12), st.integers(1, 30))
+    def test_random_points(self, p, q, limit):
+        x = Fraction(p, q)
+        lo, hi = _farey_bracket(x, limit)
+        assert lo <= x < hi
+        assert lo.denominator <= limit and hi.denominator <= limit
+        # Farey neighbours: nothing of order limit lies strictly between
+        assert hi.numerator * lo.denominator - lo.numerator * hi.denominator == 1
+        assert lo.denominator + hi.denominator > limit
+
+    def test_agrees_with_the_predecessor(self):
+        for limit in (1, 5, 17):
+            for x in _farey_upto(limit, 3)[1:]:
+                assert _farey_bracket(x, limit)[0] == x
+                assert _farey_bracket(x - Fraction(1, 10 ** 9), limit)[0] == \
+                    _farey_predecessor(x, limit)
+
+
+class TestFareyRun:
+    @pytest.mark.parametrize("limit", [1, 2, 5, 9, 30])
+    def test_lists_the_bracket_in_order(self, limit):
+        seq = _farey_upto(limit, 4)
+        rng = random.Random(limit)
+        points = _bracket_points(limit)
+        pairs = [(a, b) for a in points for b in points if a < b <= 3]
+        pairs += [(f, f + Fraction(1, 10 ** 6)) for f in seq[:20]]
+        for lo, hi in rng.sample(pairs, min(len(pairs), 150)):
+            inside = [f for f in seq if lo < f <= hi]
+            below = max(f for f in seq if f <= lo)
+            for cap in range(len(inside) + 2):
+                run = _farey_run(lo, hi, limit, cap)
+                if len(inside) > cap:
+                    assert run is None
+                else:
+                    assert run == [below] + inside
+            if hi in seq:
+                assert _farey_run(lo, hi, limit, len(inside))[-1] == hi
+
+    def test_empty_bracket_gives_the_fraction_below(self):
+        assert _farey_run(Fraction(0), Fraction(1, 8), 7, 0) == [Fraction(0)]
+        assert _farey_run(Fraction(1, 3), Fraction(1, 3) + Fraction(1, 100), 4, 0) == \
+            [Fraction(1, 3)]
+        assert _farey_run(Fraction(2, 7), Fraction(1, 3), 4, 0) is None
+
+    def test_past_one(self):
+        # F_3 from 2/3 to 2: the recurrence crosses the integers
+        assert _farey_run(Fraction(2, 3), Fraction(2), 3, 10) == [
+            Fraction(2, 3), Fraction(1), Fraction(4, 3), Fraction(3, 2),
+            Fraction(5, 3), Fraction(2)]
 
 
 class TestProbeTripwire:
@@ -211,6 +295,42 @@ def _forest_oracle_min_xi(trees, parts, outliers, use_pot, forbidden):
     return best
 
 
+def _fraction_sort_partition(tree, parts, use_potentials):
+    """``_balanced_partition`` as it ranked the missing cuts before: a
+    stable sort of every uncut edge by the Fraction cost / subtree
+    weight."""
+    parent = tree.parent_idx
+    w_sub = tree.subtree_weight_scaled
+    total = w_sub[tree.root]
+    need = parts - 1
+    below = list(tree.weight_scaled)
+    is_cut = [False] * tree.vertex_count
+    cuts = 0
+    for u in tree.order_idx:
+        p = parent[u]
+        if p < 0:
+            continue
+        if below[u] * parts >= total:
+            is_cut[u] = True
+            cuts += 1
+        else:
+            below[p] += below[u]
+    if cuts < need:
+        c_s = tree.cost_scaled
+        rest = sorted((v for v in range(tree.vertex_count)
+                       if parent[v] >= 0 and not is_cut[v]),
+                      key=lambda v: Fraction(c_s[v], w_sub[v]))
+        for v in rest[:need - cuts]:
+            is_cut[v] = True
+    head = [0] * tree.vertex_count
+    groups = {}
+    for u in reversed(tree.order_idx):
+        h = u if parent[u] < 0 or is_cut[u] else head[parent[u]]
+        head[u] = h
+        groups.setdefault(h, []).append(tree.ids[u])
+    return make_subpartition(tree, groups.values(), frozenset(), use_potentials)
+
+
 class TestOpeningBound:
     def test_bound_partition_is_valid(self):
         rng = random.Random(47)
@@ -222,6 +342,37 @@ class TestOpeningBound:
                 sub = _balanced_partition(t, parts, use_pot)
                 spec = ProblemSpec(sub.max_expansion, parts, 0, use_pot)
                 assert validate_subpartition(t, spec, sub) == []
+
+    def test_integer_selection_matches_the_fraction_sort(self):
+        # stars and brooms leave every cut to the cost ranking; costs and
+        # weights from {1, 2} tie many ratios
+        rng = random.Random(50)
+        trees = [star_tree(leaves=tuple(f"l{i}" for i in range(k))) for k in (1, 5, 12)]
+        trees.append(broom_tree())
+        for _ in range(40):
+            n = rng.randint(2, 40)
+            shape = rng.choice(("star", "broom", "recursive", "path"))
+            if shape == "broom":
+                handle = rng.randint(1, n - 1)
+                parents = list(range(-1, handle - 1)) + [handle - 1] * (n - handle)
+            elif shape == "star":
+                parents = [-1] + [0] * (n - 1)
+            elif shape == "path":
+                parents = list(range(-1, n - 1))
+            else:
+                parents = [-1] + [rng.randrange(i) for i in range(1, n)]
+            ids = [f"v{i}" for i in range(n)]
+            vertices = [(v, rng.choice((1, 2)), rng.choice((0, 0, 1))) for v in ids]
+            edges = [(ids[p], ids[i], rng.choice((1, 2, 4))) for i, p in enumerate(parents)
+                     if p >= 0]
+            trees.append(build_rooted_tree(vertices, edges, ids[rng.randrange(n)]))
+        for t in trees:
+            for parts in range(1, t.vertex_count + 1):
+                for use_pot in (False, True):
+                    want = _fraction_sort_partition(t, parts, use_pot)
+                    got = _balanced_partition(t, parts, use_pot)
+                    assert got == want
+                    assert got.parts == want.parts
 
     def test_matches_oracle_on_trees_and_forests(self):
         # every route through the search: the bound already optimal, the
@@ -274,10 +425,11 @@ class TestOpeningBound:
 
     def test_star_bound_is_optimal_in_one_sweep(self):
         # all singletons: yes at the bound, no at its predecessor, decided
-        # together; that no settles zero
+        # together with the first round below it (one threshold on a tree
+        # this small); that no settles zero
         res = min_xi(star_tree(), 4, 0)
         assert res.xi_star == 3
-        assert res.probes == 2
+        assert res.probes == 3
         assert res.sweeps == 1
 
     def test_long_path_probe_count(self):
@@ -392,7 +544,9 @@ class TestBatchedSearch:
                             lambda tree, spec, xis: (sizes.append(len(xis)),
                                                      batch(tree, spec, xis))[1])
         self._same(t, 3, 2, use_pot=True)
-        rounds = sizes[1:-1]  # between the opening and the verification pairs
+        # between the opening and the last sweep: the finishing round, or
+        # the verification pair after a bisection that ran out of halvings
+        rounds = sizes[1:-1]
         assert rounds == sorted(rounds, reverse=True)
         assert rounds[0] > 1 and rounds[-1] == 1
 
@@ -413,6 +567,154 @@ class TestBatchedSearch:
         t = _shaped_tree(rng, 1000, "recursive", pmax=3)
         res = self._same(t, 3, 2, use_pot=True)
         assert res.sweeps * 3 <= res.probes
+
+
+class _Recorder:
+    """Every round ``min_xi`` builds (``_round``'s thresholds, width and
+    finishing flag) and every sweep it runs, in order."""
+
+    def __init__(self, monkeypatch, answer=None):
+        import treecut.search as search
+
+        self.events = []
+        batch, build = search.decide_batch, search._round
+
+        def decide_batch(tree, spec, xis):
+            self.events.append(("sweep", list(xis)))
+            return (answer or batch)(tree, spec, xis)
+
+        def round_(*args):
+            got = build(*args)
+            self.events.append(("round", got))
+            return got
+
+        monkeypatch.setattr(search, "decide_batch", decide_batch)
+        monkeypatch.setattr(search, "_round", round_)
+
+    def finishing(self):
+        """Thresholds of every finishing round, with the number of sweeps
+        that followed it."""
+        return [(e[1][0], sum(f[0] == "sweep" for f in self.events[i + 1:]))
+                for i, e in enumerate(self.events) if e[0] == "round" and e[1][2]]
+
+
+class TestFinishingRound:
+    """Exact searches end on a round that decides fractions of order W."""
+
+    def test_matches_one_threshold_bisection_and_stays_in_order_w(self, monkeypatch):
+        rng = random.Random(72)
+        seen = set()
+        for i in range(120):
+            shape = TestBatchedSearch.SHAPES[i % 4]
+            pmax = rng.choice((0, 3))
+            if i % 3 == 1:
+                instance = Forest([_shaped_tree(rng, rng.choice((1, 3, 10, 40)), shape, pmax,
+                                                f"t{j}_")
+                                   for j in range(rng.randint(2, 5))])
+                trees = instance.trees
+            else:
+                instance = _shaped_tree(rng, rng.choice((2, 7, 30, 120)), shape, pmax)
+                trees = (instance,)
+            # the largest tree's W, not the forest's
+            limit = max(t.subtree_weight_scaled[t.root] for t in trees)
+            parts = rng.randint(1, min(8, instance.vertex_count))
+            lam = rng.randint(0, 3)
+            want_xi, want_witness, _ = _bisection.min_xi(instance, parts, lam,
+                                                         use_potentials=pmax > 0)
+            rec = _Recorder(monkeypatch)
+            got = min_xi(instance, parts, lam, use_potentials=pmax > 0)
+            monkeypatch.undo()
+            assert (got.xi_star, got.witness) == (want_xi, want_witness)
+            assert got.sweeps == sum(e[0] == "sweep" for e in rec.events)
+            for xs, after in rec.finishing():
+                assert all(x.denominator <= limit for x in xs)
+                assert xs == sorted(xs)
+                # the round's own sweep at most; verification is cached
+                assert after <= 1
+                if after and xs[-1] >= want_xi:
+                    assert want_xi in xs
+                    seen.add("finished")
+                if len(trees) > 1 and any(x.denominator > 1 for x in xs):
+                    seen.add("forest")
+            if rec.finishing() and len(trees) > 1:
+                assert sum(t.subtree_weight_scaled[t.root] for t in trees) > limit
+        assert seen == {"finished", "forest"}
+
+    def test_zero_above_an_undecided_lower_end_with_no_fraction_inside(self):
+        from treecut.search import _bisect, _Prober
+
+        # W = 4 and hi = 1/5 < 1/W: (0, hi] holds no fraction of order 4,
+        # so the round decides zero alone, and its yes is the optimum
+        t = star_tree()
+        spec = ProblemSpec(Fraction(1), 2, 0)
+        hi = Fraction(1, 5)
+        probe = _Prober(lambda xis: [True] * len(xis))
+        assert _bisect(probe, Fraction(0), hi, math.floor(hi * 16).bit_length(),
+                       t, spec, 4) == (0, 0)
+        assert (list(probe.cache), probe.sweeps) == ([Fraction(0)], 1)
+        # a no at zero as well contradicts the yes at hi: the bracket comes
+        # back with no fraction of order 4 inside, which min_xi rejects
+        probe = _Prober(lambda xis: [x > 0 for x in xis])
+        assert _bisect(probe, Fraction(0), hi, 2, t, spec, 4) == (0, hi)
+
+    def test_opening_settles_the_search_with_the_first_round_aboard(self, monkeypatch):
+        rng = random.Random(73)
+        seen = set()
+        for i in range(60):
+            t = _shaped_tree(rng, rng.choice((7, 30, 120)), TestBatchedSearch.SHAPES[i % 4],
+                             rng.choice((0, 3)))
+            parts = rng.randint(2, 6)
+            use_pot = rng.random() < 0.5
+            hi, _ = _opening_bound((t,), parts, use_pot)
+            rec = _Recorder(monkeypatch)
+            got = min_xi(t, parts, 1, use_potentials=use_pot)
+            monkeypatch.undo()
+            kind, (ahead, _width, _finish) = rec.events[0]
+            assert kind == "round"
+            prev = _farey_predecessor(hi, t.subtree_weight_scaled[t.root])
+            assert rec.events[1] == ("sweep", [hi, prev, *ahead])
+            if got.xi_star == hi:
+                # prev said no: one sweep, the first round's thresholds in it
+                assert (got.sweeps, got.probes) == (1, 2 + len(ahead))
+                seen.add("settled")
+            else:
+                # prev said yes: _bisect builds the same first round and
+                # finds every answer in the cache
+                assert rec.events[2] == ("round", rec.events[0][1])
+                later = [x for e in rec.events[3:] if e[0] == "sweep" for x in e[1]]
+                assert not set(ahead) & set(later)
+                seen.add("bisected")
+        assert seen == {"settled", "bisected"}
+
+    def test_contradictions_inside_a_finishing_round_raise(self, monkeypatch):
+        import treecut.search as search
+
+        t = _shaped_tree(random.Random(74), 120, "recursive", pmax=3)
+        rec = _Recorder(monkeypatch)
+        want = min_xi(t, 3, 2, use_potentials=True).xi_star
+        monkeypatch.undo()
+        (last, after), = rec.finishing()
+        # its own sweep decides every fraction of the round, up to xi*,
+        # below a dyadic hi
+        assert after == 1 and rec.events[-1] == ("sweep", last)
+        assert len(last) >= 3 and last[-1] == want
+        batch = search.decide_batch
+
+        def broken(lie):
+            def answer(tree, spec, xis):
+                if xis == last:
+                    return [lie(x) for x in xis]
+                return batch(tree, spec, xis)
+            return answer
+
+        # yes below a no within the finishing batch trips the prober
+        monkeypatch.setattr(search, "decide_batch", broken(lambda x: x == last[1]))
+        with pytest.raises(MonotonicityViolation, match="said yes"):
+            min_xi(t, 3, 2, use_potentials=True)
+        # no everywhere in it leaves no fraction to verify below the yes at hi
+        monkeypatch.setattr(search, "decide_batch", broken(lambda x: False))
+        with pytest.raises(MonotonicityViolation, match="failed verification"):
+            min_xi(t, 3, 2, use_potentials=True)
 
 
 class TestKMax:
