@@ -17,11 +17,12 @@ engage; otherwise (values over the bound, a sweep whose memory figure,
 callers fall back to the Python least-budget sweep of ``treecut.solver``,
 exact at any size.  Witnesses do not come from them: ``treecut.solver.solve``
 runs that Python sweep keeping its tables, and ``treecut.witness`` replays
-them.  One cost rule, ``lane``, prices the three sweeps from the tree's
-shape, the budgets and the threshold count, and names the cheapest that
-engages; ``treecut.solver`` asks it, ``treecut.search`` sizes its
-bisection rounds by its estimates (``cost_us``, ``fits``), and
-``root_row`` and ``decide_many`` run the cheaper numpy sweep.
+them.  One cost rule, ``lane``, prices the two numpy sweeps from the
+tree's shape, the budgets and the threshold count, and names the cheaper
+that engages, or the Python sweep when neither does; ``root_row`` and
+``decide_many`` run the sweep it names and return None for the Python
+one, and ``treecut.search`` sizes its bisection rounds by its estimates
+(``cost_us``, ``fits``).
 
 Any finite table value is a sum of at most ``parts + outliers`` edge
 charges, so ``(parts + outliers + 2) * max_charge`` bounds every quantity
@@ -557,13 +558,9 @@ def _chain_bytes(tree, kappa: int, lam: int) -> int:
 
 # -- the cost rule -----------------------------------------------------------
 #
-# Each sweep's time is priced as a sum of counts the code can observe, each
-# times a constant in microseconds:
+# Each numpy sweep's time is priced as a sum of counts the code can
+# observe, each times a constant in microseconds:
 #
-# * the Python sweep (``treecut.solver._least_budgets``), per threshold:
-#   per vertex; per cut-charge cell (min(kappa, subtree + 1) rows of
-#   lam + 1 per vertex); per cell pair of the (min,+) products that fold
-#   each child after the first into its siblings;
 # * the level sweep: per sweep; per level; per table cell of each level
 #   and of its children, per threshold; per numpy call of the merge rounds
 #   (one per table row and budget); per cell pair of the merges, per
@@ -581,17 +578,18 @@ def _chain_bytes(tree, kappa: int, lam: int) -> int:
 # stars, caterpillars, brooms, spiders and random recursive trees of
 # 3-10,000 vertices, 1-20 parts (up to n below 3000 vertices), 0-10
 # outliers and 1-16 thresholds, with and without potentials.  On 149
-# other such sweeps the rule's picks took 1.6% longer than the fastest
-# sweep each time would have; one estimate in two was within 0.5-1.6x
-# of the measured time (0.85-1.4x for the numpy sweeps).
-_PY_US = (8.8, 0.13, 0.29)        # vertex, cut cell, product cell pair
+# other such sweeps one estimate in two was within 0.85-1.4x of the
+# measured time.
+#
+# The Python sweep is not priced: it decides only where no numpy sweep
+# engages.  It is faster on trees of a few dozen vertices, but no
+# workload that times decisions holds one, and its estimate was the
+# loosest of the three.
 _LEVEL_US = (73, 51, 0.020, 13, 0.0020)  # sweep, level, cell, merge call
 #                                          and cell pair
 _CHAIN_US = (75, 43, 0.027, 10, 0.014, 0.00024, 21, 0.0041)  # round, row,
 #   row cell, light product call and cell pair, doubling step cell, light
 #   fold call and cell pair
-# The least a numpy sweep costs: one round of two rows, or two levels.
-_NP_FLOOR_US = 160
 
 
 def _fold_terms(rows, child_rows, children, merges):
@@ -612,21 +610,6 @@ def _cached(dense, key, kappa, build):
     if kappa not in cache:
         cache[kappa] = build()
     return cache[kappa]
-
-
-def _python_terms(tree, kappa):
-    dense = tree.dense_arrays()
-
-    def build():
-        size = dense["size"]
-        kids = dense["cend"] - dense["cstart"]
-        parent = np.repeat(np.arange(size.size), kids)
-        later = np.arange(1, size.size) != dense["cstart"][parent]
-        cut = np.minimum(kappa, size + 1)
-        return (size.size, int(cut.sum()),
-                int((cut[1:] * np.minimum(kappa, size[parent]))[later].sum()))
-
-    return _cached(dense, "python_terms", kappa, build)
 
 
 def _numpy_terms(tree, kappa):
@@ -654,13 +637,6 @@ def _numpy_terms(tree, kappa):
         }
 
     return _cached(dense, "numpy_terms", kappa, build)
-
-
-def _python_us(tree, kappa, lam, thresholds):
-    v, cells, pairs = _python_terms(tree, kappa)
-    lp1 = lam + 1
-    c = _PY_US
-    return thresholds * (c[0] * v + c[1] * lp1 * cells + c[2] * lp1 * lp1 * pairs)
 
 
 def _level_us(tree, kappa, lam, thresholds):
@@ -695,19 +671,14 @@ def fits(tree, xis, kappa: int, lam: int) -> bool:
 
 
 def _sweep_costs(tree, xis, kappa: int, lam: int, use_pot: bool) -> dict:
-    """Estimated microseconds of each sweep that engages, by name
-    (``"python"``, ``"level"``, ``"chain"``).  A numpy sweep engages
-    when no value may come near 2^60 and one threshold's memory figure
-    stays under ``_MAX_TABLE_BYTES``; the bound runs first, so that
-    oversized ints never reach ``dense_arrays``.  No threshold costs
-    nothing."""
+    """Estimated microseconds of each numpy sweep that engages, by name
+    (``"level"``, ``"chain"``): none when a value may come near 2^60, and
+    a sweep only when one threshold's memory figure stays under
+    ``_MAX_TABLE_BYTES``.  The bound runs first, so that oversized ints
+    never reach ``dense_arrays``.  No threshold engages none."""
     if not xis or not fits(tree, xis, kappa, lam):
-        return {"python": 0}
-    costs = {"python": _python_us(tree, kappa, lam, len(xis))}
-    if costs["python"] < _NP_FLOOR_US:
-        # no numpy sweep can win; their arrays stay unbuilt
-        costs["level"] = costs["chain"] = _NP_FLOOR_US
-        return costs
+        return {}
+    costs = {}
     if _sweep_bytes(tree, kappa, lam) <= _MAX_TABLE_BYTES:
         costs["level"] = _level_us(tree, kappa, lam, len(xis))
     if _chain_bytes(tree, kappa, lam) <= _MAX_TABLE_BYTES:
@@ -716,27 +687,27 @@ def _sweep_costs(tree, xis, kappa: int, lam: int, use_pot: bool) -> dict:
 
 
 def lane(tree, xis, kappa: int, lam: int, use_pot: bool = False) -> str:
-    """The sweep to answer thresholds ``xis`` with: ``"python"`` (the
-    least-budget sweep of ``treecut.solver``), ``"level"`` or
-    ``"chain"``, whichever the cost rule prices lowest among those that
-    engage."""
+    """The sweep to answer thresholds ``xis`` with: ``"level"`` or
+    ``"chain"``, whichever the cost rule prices lower among those that
+    engage, or ``"python"`` (the least-budget sweep of ``treecut.solver``)
+    when neither does."""
     costs = _sweep_costs(tree, xis, kappa, lam, use_pot)
-    return min(costs, key=costs.get)
+    return min(costs, key=costs.get) if costs else "python"
 
 
 def cost_us(tree, xis, kappa: int, lam: int, use_pot: bool = False) -> float:
-    """Estimated microseconds of the sweep that ``lane`` names."""
-    return min(_sweep_costs(tree, xis, kappa, lam, use_pot).values())
+    """Estimated microseconds of the sweep that ``lane`` names; 0 for the
+    Python sweep, which is not priced."""
+    return min(_sweep_costs(tree, xis, kappa, lam, use_pot).values(), default=0)
 
 
 def _numpy_sweep(tree, xis, kappa, lam, use_pot):
     """The cheaper numpy sweep that engages, with its memory figure, or
     None."""
-    costs = _sweep_costs(tree, xis, kappa, lam, use_pot)
-    del costs["python"]
-    if not costs:
+    picked = lane(tree, xis, kappa, lam, use_pot)
+    if picked == "python":
         return None
-    if min(costs, key=costs.get) == "chain":
+    if picked == "chain":
         return _chain_sweep, _chain_bytes(tree, kappa, lam)
     return _np_sweep, _sweep_bytes(tree, kappa, lam)
 

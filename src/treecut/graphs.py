@@ -28,7 +28,7 @@ from .errors import (
     UnknownVertexId,
 )
 from .search import Forest
-from .tree import RootedTree, build_rooted_forest, tree_from_json
+from .tree import RootedTree, build_rooted_forest, json_vertices_edges, tree_from_json
 from .values import parse_number
 from .witness import sorted_ids
 
@@ -174,64 +174,58 @@ def tree_as_graph(tree: RootedTree) -> WeightedGraph:
 def graph_from_json(data: dict) -> WeightedGraph:
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ParseError("graph JSON needs 'vertices' and 'edges'")
-    vertices = []
-    for i, v in enumerate(data["vertices"]):
-        if "id" not in v or "weight" not in v:
-            raise ParseError(f"vertex #{i} needs 'id' and 'weight'")
+    return WeightedGraph(*json_vertices_edges(data, distance=True))
+
+
+def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
+    return ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
+
+
+def _csv_edges(path, reader) -> list:
+    """The ``(u, v, cost, distance)`` rows of an edge CSV's reader."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ParseError(f"{path}: empty CSV") from None
+    cols = [h.strip().lower() for h in header]
+    for required in ("u", "v", "cost"):
+        if required not in cols:
+            raise ParseError(f"{path}: header must name 'u', 'v', 'cost'")
+    iu, iv, ic = cols.index("u"), cols.index("v"), cols.index("cost")
+    idist = cols.index("distance") if "distance" in cols else None
+    rows = []
+    for lineno, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
         try:
-            vertices.append((v["id"], parse_number(v["weight"]),
-                             parse_number(v.get("potential", 0))))
-        except ValueError as exc:
-            raise ParseError(f"vertex #{i}: {exc}") from exc
-    edges = []
-    for i, e in enumerate(data["edges"]):
-        if "u" not in e or "v" not in e or "cost" not in e:
-            raise ParseError(f"edge #{i} needs 'u', 'v' and 'cost'")
-        try:
-            dist = parse_number(e["distance"]) if "distance" in e else None
-            edges.append((e["u"], e["v"], parse_number(e["cost"]), dist))
-        except ValueError as exc:
-            raise ParseError(f"edge #{i}: {exc}") from exc
-    return WeightedGraph(vertices, edges)
+            u = row[iu].strip()
+            v = row[iv].strip()
+            cost = parse_number(row[ic].strip())
+            dist = None
+            if idist is not None and idist < len(row) and row[idist].strip():
+                dist = parse_number(row[idist].strip())
+        except (IndexError, ValueError) as exc:
+            raise ParseError(f"{path}:{lineno}: {exc}") from exc
+        if cost <= 0:
+            raise ParseError(f"{path}:{lineno}: cost must be positive, got {cost}")
+        if dist is not None and dist <= 0:
+            raise ParseError(f"{path}:{lineno}: distance must be positive, got {dist}")
+        rows.append((u, v, cost, dist))
+    return rows
 
 
 def graph_from_csv(path) -> WeightedGraph:
     """Edge list CSV with a header: ``u,v,cost[,distance]``.  Vertices are
     inferred from endpoints with weight 1; ids stay strings."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty CSV") from None
-        cols = [h.strip().lower() for h in header]
-        for required in ("u", "v", "cost"):
-            if required not in cols:
-                raise ParseError(f"{path}: header must name 'u', 'v', 'cost'")
-        iu, iv, ic = cols.index("u"), cols.index("v"), cols.index("cost")
-        idist = cols.index("distance") if "distance" in cols else None
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            try:
-                u = row[iu].strip()
-                v = row[iv].strip()
-                cost = parse_number(row[ic].strip())
-                dist = None
-                if idist is not None and idist < len(row) and row[idist].strip():
-                    dist = parse_number(row[idist].strip())
-            except (IndexError, ValueError) as exc:
-                raise ParseError(f"{path}:{lineno}: {exc}") from exc
-            if cost <= 0:
-                raise ParseError(f"{path}:{lineno}: cost must be positive, got {cost}")
-            if dist is not None and dist <= 0:
-                raise ParseError(f"{path}:{lineno}: distance must be positive, got {dist}")
-            rows.append((u, v, cost, dist, lineno))
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = _csv_edges(path, csv.reader(fh))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
 
     vertex_ids = []
     seen = set()
-    for u, v, _c, _d, _ln in rows:
+    for u, v, _c, _d in rows:
         for vid in (u, v):
             if vid not in seen:
                 seen.add(vid)
@@ -240,7 +234,7 @@ def graph_from_csv(path) -> WeightedGraph:
         raise ParseError(f"{path}: no edges")
     vertices = [(vid, 1, 0) for vid in vertex_ids]
     try:
-        return WeightedGraph(vertices, [(u, v, c, d) for u, v, c, d, _ in rows])
+        return WeightedGraph(vertices, rows)
     except (SelfLoop, DuplicateEdge) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -261,7 +255,9 @@ def load_instance(path, fmt: str | None = None):
     if fmt == "csv":
         return graph_from_csv(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(path, exc) from exc
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}") from exc
     if isinstance(data, dict) and "root" in data:

@@ -225,8 +225,9 @@ def _round(lo, hi, need, width, tree, spec, limit):
     j (at most ``_MAX_HALVINGS`` and ``need``) is ``width``, or when that
     is None or the thresholds leave the int64 bound, the j whose sweep of
     ``tree`` (a forest's layout, for a forest) the cost rule prices lowest
-    per halving (the Python sweep's cost grows with its thresholds, so it
-    halves once per sweep).
+    per halving.  The Python sweep, which decides where no numpy sweep
+    engages, is priced at 0 and so halves once per sweep (its cost grows
+    with its thresholds).
 
     With a denominator ``limit`` (exact mode), a bracket ``(lo, hi]`` that
     holds no more fractions of that order than the round has thresholds

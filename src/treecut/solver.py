@@ -32,19 +32,20 @@ expands them into a 0/1 grid.  A forest is decided as one tree, its
 ``tree.ForestLayout``: there the root is virtual, never tops a part and
 spends no outlier unit, and every sweep folds only the trees' least
 budgets at it, a (min,+) product over the part count with no cut-charge
-table.  The least budgets come from one of three sweeps, whichever the
-cost rule ``_fastlane.lane`` prices lowest (``decide_batch`` batches the
-numpy ones):
+table.  The least budgets come from one of three sweeps (``decide_batch``
+batches the numpy ones):
 
 * the numpy int64 level sweep of ``treecut._fastlane``, one batch of
   array operations per tree level: wide, shallow trees;
 * its chain sweep, one batch per heavy-path round and table row: deep,
   thin trees such as paths and caterpillars;
 * this module's least-budget sweep (``_least_budgets``), one vertex at a
-  time on Python ints: tiny trees, and the values over the int64 bound.
+  time on Python ints: only where no numpy sweep engages, for values
+  over the int64 bound or tables over the kernel's memory gate.
 
-The int64 kernel engages only when a conservative bound proves 64-bit
-arithmetic cannot overflow.  Witnesses come from the same Python sweep:
+The cost rule ``_fastlane.lane`` picks the cheaper numpy sweep that
+engages.  The int64 kernel engages only when a conservative bound proves
+64-bit arithmetic cannot overflow.  Witnesses come from the Python sweep:
 ``solve`` runs it keeping every vertex's tables and partial folds, and
 ``treecut.witness`` replays one witness top down from them.
 """
@@ -294,18 +295,14 @@ def solve(tree: RootedTree, spec: ProblemSpec) -> WitnessTables:
 def _root_least(tree: RootedTree, spec: ProblemSpec) -> list:
     """Least outlier budget at the root per part count, ``kappa + 1``
     Python ints with ``lam + 1`` for "no budget suffices" (``kappa`` and
-    ``lam`` clamped to the vertex count), from the faster exact path."""
+    ``lam`` clamped to the vertex count), from a numpy sweep, or from the
+    Python sweep where none engages."""
     from . import _fastlane
 
     n = tree.vertex_count
-    kappa = min(spec.parts, n)
-    lam = min(spec.outliers, n)
-    if _fastlane.lane(tree, (spec.xi,), kappa, lam, spec.use_potentials) != "python":
-        least = _fastlane.root_row(tree, spec.xi, kappa, lam,
-                                   spec.use_potentials, spec.forbidden_outliers)
-        if least is not None:
-            return least
-    return _least_budgets(tree, spec)
+    least = _fastlane.root_row(tree, spec.xi, min(spec.parts, n), min(spec.outliers, n),
+                               spec.use_potentials, spec.forbidden_outliers)
+    return _least_budgets(tree, spec) if least is None else least
 
 
 def root_feasibility(tree: RootedTree, spec: ProblemSpec) -> list:
@@ -337,14 +334,11 @@ def decide_batch(tree: RootedTree, spec: ProblemSpec, xis) -> list[bool]:
     if spec.parts > tree.vertex_count:
         return [False] * len(xis)
     n = tree.vertex_count
-    kappa = min(spec.parts, n)
-    lam = min(spec.outliers, n)
-    if _fastlane.lane(tree, xis, kappa, lam, spec.use_potentials) != "python":
-        answers = _fastlane.decide_many(tree, xis, kappa, lam,
-                                        spec.use_potentials, spec.forbidden_outliers)
-        if answers is not None:
-            return answers
-    return [decide(tree, spec.with_xi(x)) for x in xis]
+    answers = _fastlane.decide_many(tree, xis, min(spec.parts, n), min(spec.outliers, n),
+                                    spec.use_potentials, spec.forbidden_outliers)
+    if answers is None:
+        return [decide(tree, spec.with_xi(x)) for x in xis]
+    return answers
 
 
 def edge_charge(tree: RootedTree, xi, vertex, use_potentials: bool = False) -> ScaledValue:

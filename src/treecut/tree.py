@@ -21,6 +21,7 @@ from .errors import (
     NonPositiveVertexWeight,
     NotATree,
     NotForestAfterDeletion,
+    ParseError,
     UnknownVertexId,
 )
 from .values import format_rational, parse_number, parse_rational
@@ -684,33 +685,62 @@ def scale_instance(tree: RootedTree, xi) -> tuple[RootedTree, tuple[int, int]]:
     return scaled, (int(xi * factor), factor)
 
 
+def _json_id(value):
+    """A vertex id from JSON: a string, number, bool or null, since an
+    array or object cannot key a vertex."""
+    if isinstance(value, (list, dict)):
+        raise ValueError(f"vertex id must be a string or number, got {value!r}")
+    return value
+
+
+def _json_entries(data: dict, key: str, what: str, required: tuple):
+    """Each index and entry of ``data[key]``, checked to be a JSON array
+    of objects (``what #i`` in messages) holding the keys ``required``."""
+    entries = data[key]
+    if not isinstance(entries, list):
+        raise ParseError(f"{key!r} must be a JSON array")
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict) or any(k not in entry for k in required):
+            names = ", ".join(map(repr, required[:-1])) + f" and {required[-1]!r}"
+            raise ParseError(f"{what} #{i} needs {names}")
+        yield i, entry
+
+
+def json_vertices_edges(data: dict, distance: bool = False):
+    """The vertices ``(id, weight, potential)`` and edges ``(u, v, cost)``
+    of a tree or graph JSON object, numbers read by ``parse_number``; with
+    ``distance``, each edge ends with its ``distance`` or None."""
+    vertices = []
+    for i, v in _json_entries(data, "vertices", "vertex", ("id", "weight")):
+        try:
+            vertices.append((_json_id(v["id"]), parse_number(v["weight"]),
+                             parse_number(v.get("potential", 0))))
+        except ValueError as exc:
+            raise ParseError(f"vertex #{i}: {exc}") from exc
+    edges = []
+    for i, e in _json_entries(data, "edges", "edge", ("u", "v", "cost")):
+        try:
+            edge = (_json_id(e["u"]), _json_id(e["v"]), parse_number(e["cost"]))
+            if distance:
+                edge += (parse_number(e["distance"]) if "distance" in e else None,)
+        except ValueError as exc:
+            raise ParseError(f"edge #{i}: {exc}") from exc
+        edges.append(edge)
+    return vertices, edges
+
+
 def tree_from_json(data: dict) -> RootedTree:
     """Build a tree from the JSON schema:
     ``{"root": id, "vertices": [{"id", "weight", "potential"?}],
     "edges": [{"u", "v", "cost"}]}`` with rationals as numbers, decimal
     strings, or ``"p/q"`` strings."""
-    from .errors import ParseError
-
     if not isinstance(data, dict):
         raise ParseError("tree JSON must be an object")
     for key in ("root", "vertices", "edges"):
         if key not in data:
             raise ParseError(f"tree JSON is missing {key!r}")
-    vertices = []
-    for i, v in enumerate(data["vertices"]):
-        if "id" not in v or "weight" not in v:
-            raise ParseError(f"vertex #{i} needs 'id' and 'weight'")
-        try:
-            vertices.append((v["id"], parse_number(v["weight"]),
-                             parse_number(v.get("potential", 0))))
-        except ValueError as exc:
-            raise ParseError(f"vertex #{i}: {exc}") from exc
-    edges = []
-    for i, e in enumerate(data["edges"]):
-        if "u" not in e or "v" not in e or "cost" not in e:
-            raise ParseError(f"edge #{i} needs 'u', 'v' and 'cost'")
-        try:
-            edges.append((e["u"], e["v"], parse_number(e["cost"])))
-        except ValueError as exc:
-            raise ParseError(f"edge #{i}: {exc}") from exc
-    return build_rooted_tree(vertices, edges, data["root"])
+    try:
+        root = _json_id(data["root"])
+    except ValueError as exc:
+        raise ParseError(f"root: {exc}") from exc
+    return build_rooted_tree(*json_vertices_edges(data), root)

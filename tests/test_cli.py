@@ -38,6 +38,13 @@ def triangle_csv(tmp_path):
     return str(p)
 
 
+def _tree_json(**fields) -> bytes:
+    """A two-vertex tree's JSON file, with ``fields`` replaced."""
+    tree = {"root": "a", "vertices": [{"id": "a", "weight": 1}, {"id": "b", "weight": 1}],
+            "edges": [{"u": "a", "v": "b", "cost": 1}], **fields}
+    return json.dumps(tree).encode()
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -202,13 +209,41 @@ class TestErrors:
         assert code == 2
         assert err
 
-    def test_malformed_json(self, capsys, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text("{broken")
+    @pytest.mark.parametrize("name, content, says", [
+        pytest.param("bad.json", b"{broken", "JSON", id="broken"),
+        # entries that are not objects, as a tree and as a graph
+        pytest.param("bad.json", _tree_json(vertices=[1, 2]), "vertex #0 needs",
+                     id="int-vertices"),
+        pytest.param("bad.json", _tree_json(edges=[5]), "edge #0 needs", id="int-edges"),
+        pytest.param("bad.json", _tree_json(vertices=5), "'vertices' must be a JSON array",
+                     id="int-vertex-list"),
+        pytest.param("bad.json", json.dumps({"vertices": [1], "edges": []}).encode(),
+                     "vertex #0 needs", id="graph-int-vertices"),
+        pytest.param("bad.json", json.dumps({"vertices": [], "edges": [5]}).encode(),
+                     "edge #0 needs", id="graph-int-edges"),
+        # ids that are arrays or objects cannot key a vertex
+        pytest.param("bad.json", _tree_json(root=["a"]), "root: vertex id", id="list-root"),
+        pytest.param("bad.json", _tree_json(vertices=[{"id": ["a"], "weight": 1}]),
+                     "vertex #0: vertex id", id="list-id"),
+        pytest.param("bad.json", _tree_json(edges=[{"u": ["a"], "v": "b", "cost": 1}]),
+                     "edge #0: vertex id", id="list-u"),
+        pytest.param("bad.json", _tree_json(edges=[{"u": "a", "v": {}, "cost": 1}]),
+                     "edge #0: vertex id", id="object-v"),
+        pytest.param("bad.json",
+                     json.dumps({"vertices": [{"id": ["a"], "weight": 1}], "edges": []}).encode(),
+                     "vertex #0: vertex id", id="graph-list-id"),
+        # text that is not UTF-8
+        pytest.param("bad.json", _tree_json().replace(b'"b"', b'"\xe9"'), "not UTF-8",
+                     id="latin-1-json"),
+        pytest.param("bad.csv", b"u,v,cost\na,\xe9,1\n", "not UTF-8", id="latin-1-csv"),
+    ])
+    def test_malformed_json(self, capsys, tmp_path, name, content, says):
+        p = tmp_path / name
+        p.write_bytes(content)
         code, _, err = run_cli(capsys, "decide", "--xi", "1", "--parts", "1",
                                "--outliers", "0", "--input", str(p))
         assert code == 2
-        assert "JSON" in err
+        assert err.startswith("treecut: ") and says in err
 
 
 class TestEntryPoint:

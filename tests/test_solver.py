@@ -21,6 +21,7 @@ from treecut import (
     decide_batch,
     edge_charge,
     k_max,
+    min_xi,
     oracle_decide,
     root_feasibility,
     solve,
@@ -60,7 +61,7 @@ def _force_sweep(monkeypatch, sweep):
     or "chain") wherever it engages, whatever the cost rule prices."""
     costs = _fastlane._sweep_costs
     monkeypatch.setattr(_fastlane, "_sweep_costs", lambda *args: {
-        name: us for name, us in costs(*args).items() if name in ("python", sweep)})
+        name: us for name, us in costs(*args).items() if name == sweep})
 
 
 def _scaled_star():
@@ -436,13 +437,10 @@ class TestLaneAgreement:
                         tracemalloc.stop()
                     assert peak <= bound, (name, sweep.__name__, kappa, lam, peak, bound)
 
-    def test_python_lane_answers_tiny_and_deep_thin_trees(self, monkeypatch):
-        # the cost rule sends tiny trees and values over the int64 bound to
-        # the Python sweep, deep, thin trees to the chain sweep and wide,
-        # shallow ones to the level sweep
+    def test_lanes_for_deep_thin_wide_and_oversized_trees(self, monkeypatch):
+        # values over the int64 bound go to the Python sweep, deep, thin
+        # trees to the chain sweep and wide, shallow ones to the level sweep
         one = [Fraction(1)]
-        assert _fastlane.lane(star_tree(), one, 2, 1) == "python"
-        assert _fastlane.lane(path_tree(range(6), root=0), one, 3, 2) == "python"
         assert _fastlane.lane(_scaled_star(), one, 2, 1) == "python"
         n = 100_000
         rng = random.Random(28)
@@ -454,12 +452,18 @@ class TestLaneAgreement:
         # every lane answers as the grid does
         n = 200
         trees = {"chain": path_tree(range(n), root=0), "level": star_tree(leaves=range(n)),
-                 "python": star_tree()}
-        calls = []
+                 "python": _scaled_star()}
+        calls = []  # the trees a numpy sweep answered
         for name in ("root_row", "decide_many"):
             lane = getattr(_fastlane, name)
-            monkeypatch.setattr(_fastlane, name, lambda *args, lane=lane:
-                                calls.append(args[0]) or lane(*args))
+
+            def record(*args, lane=lane):
+                out = lane(*args)
+                if out is not None:
+                    calls.append(args[0])
+                return out
+
+            monkeypatch.setattr(_fastlane, name, record)
         spec = ProblemSpec(1, 2, 1)
         for want, t in trees.items():
             assert _fastlane.lane(t, [spec.xi], 2, 1) == want
@@ -473,17 +477,16 @@ class TestLaneAgreement:
     def test_every_path_returns_the_same_types(self):
         # root_feasibility returns a list of lists of 0/1 Python ints, and
         # decide/decide_batch exact bools, from the level sweep (a star),
-        # the chain sweep (a path), the least-budget sweep (a tiny star)
-        # and over the int64 bound alike
+        # the chain sweep (a path) and the least-budget sweep (over the
+        # int64 bound) alike
         n = 200
         trees = {"level": star_tree(leaves=range(n)), "chain": path_tree(range(n), root=0),
-                 "python": star_tree()}
+                 "python": _scaled_star()}
         spec = ProblemSpec(1, 2, 1)
         for want, t in trees.items():
             assert _fastlane.lane(t, [spec.xi], 2, 1) == want
-        scaled_up = _scaled_star()
-        assert _fastlane.root_row(scaled_up, spec.xi, 2, 1, False, ()) is None
-        for t in (*trees.values(), scaled_up):
+        assert _fastlane.root_row(trees["python"], spec.xi, 2, 1, False, ()) is None
+        for t in trees.values():
             row = root_feasibility(t, spec)
             assert type(row) is list and len(row) == 3
             for r in row:
@@ -495,6 +498,77 @@ class TestLaneAgreement:
             assert type(answers) is list
             assert all(type(a) is bool for a in answers)
             assert decide_batch(t, spec, []) == []
+
+
+class TestPythonLane:
+    """The least-budget sweep decides wherever no numpy sweep engages:
+    both memory figures over the gate, or a value over the int64 bound."""
+
+    def test_tables_over_the_gate_take_the_python_sweep(self, monkeypatch):
+        rng = random.Random(41)
+        monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", 0)
+        least_budgets = solver._least_budgets
+        runs = []
+        monkeypatch.setattr(solver, "_least_budgets",
+                            lambda *args: runs.append(args[1]) or least_budgets(*args))
+        for shape in _SHAPES:
+            use_pot = shape in ("caterpillar", "random")
+            t = _shaped_tree(rng, 9, shape, use_pot)
+            n = t.vertex_count
+            for parts, lam in ((1, 0), (2, 1), (3, 2), (n, 1)):
+                spec = ProblemSpec(Fraction(rng.randint(0, 12), rng.randint(1, 4)),
+                                   parts, lam, use_pot)
+                xis = [Fraction(j, 2) for j in range(8)]
+                assert _fastlane.lane(t, xis, parts, lam, use_pot) == "python"
+                assert _fastlane.cost_us(t, xis, parts, lam, use_pot) == 0
+                runs.clear()
+                assert decide(t, spec) == _grid.solve(t, spec, record_choices=False).feasible
+                assert decide_batch(t, spec, xis) == [
+                    _grid.solve(t, spec.with_xi(x), record_choices=False).feasible for x in xis]
+                assert len(runs) == 1 + len(xis)
+                grid = _grid.solve(t, ProblemSpec(spec.xi, n, lam, use_pot),
+                                   record_choices=False).root_row()
+                assert k_max(t, spec.xi, lam, use_pot) == max(
+                    (k for k in range(1, n + 1) if grid[k][lam]), default=0)
+
+    def test_a_threshold_over_the_bound_falls_back_alone(self, monkeypatch):
+        # one threshold past the int64 bound takes the batch off the numpy
+        # sweeps; decided one by one, those that fit still reach root_row
+        t = _shaped_tree(random.Random(43), 30, "random", True)
+        spec = ProblemSpec(1, 3, 2, True)
+        huge = Fraction(1 << 62)
+        xis = [Fraction(0), Fraction(1, 3), huge, Fraction(5)]
+        assert not _fastlane.fits(t, xis, 3, 2) and _fastlane.fits(t, xis[:2] + xis[3:], 3, 2)
+        answered = {}  # threshold -> whether a numpy sweep answered it
+        root_row = _fastlane.root_row
+
+        def record(tree, xi, *args):
+            out = root_row(tree, xi, *args)
+            answered[xi] = out is not None
+            return out
+
+        monkeypatch.setattr(_fastlane, "root_row", record)
+        assert decide_batch(t, spec, xis) == [
+            _grid.solve(t, spec.with_xi(x), record_choices=False).feasible for x in xis]
+        assert answered == {x: x != huge for x in xis}
+
+    def test_search_halves_once_per_python_sweep(self, monkeypatch):
+        import treecut.search as search
+
+        t = _shaped_tree(random.Random(47), 40, "random", True)
+        want = min_xi(t, 3, 2, use_potentials=True)
+        monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", 0)
+        sizes = []
+        batch = search.decide_batch
+        monkeypatch.setattr(search, "decide_batch",
+                            lambda tree, spec, xis: sizes.append(len(xis)) or batch(tree, spec, xis))
+        got = min_xi(t, 3, 2, use_potentials=True)
+        assert (got.xi_star, got.witness) == (want.xi_star, want.witness)
+        # the opening sweep: the bound, its predecessor and one halving
+        # below it; then one threshold per sweep, and a finishing round of
+        # one fraction and the one at or below the bracket's lower end
+        assert sizes[0] == 3 and set(sizes[1:-1]) == {1} and sizes[-1] <= 2
+        assert got.sweeps == len(sizes) > want.sweeps
 
 
 class TestChainSweep:

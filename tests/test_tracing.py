@@ -1,13 +1,16 @@
 """The benchmark's tracer wraps treecut functions by module and attribute
-name; a rename in ``src/treecut`` would make ``--trace 1`` fail in
-``Tracer.install``.  This loads the tracer by path and resolves every name
-it wraps."""
+name, and its worker calls treecut functions by name; a rename in
+``src/treecut`` would make ``--trace 1`` fail in ``Tracer.install``, or
+every benchmark run fail in its set-up.  This loads the tracer by path and
+resolves every name it wraps, and every name the worker reaches."""
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+WORKER = TRACING.parent / "worker.py"
 
 
 def _load_tracing():
@@ -26,3 +29,26 @@ def test_every_traced_name_resolves():
             assert hasattr(owner, part), (module_name, attr, span)
             owner = getattr(owner, part)
         assert callable(owner), (module_name, attr, span)
+
+
+def test_every_name_the_worker_reaches_resolves():
+    # the worker names the package ``treecut`` in its set-up (which calls
+    # ``_fastlane.warm_up``) and ``tc`` in its ops
+    import treecut
+    import treecut._fastlane  # noqa: F401
+    import treecut.cli  # noqa: F401
+
+    names = set()
+    for node in ast.walk(ast.parse(WORKER.read_text())):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in ("tc", "treecut"):
+            names.add(".".join(reversed(parts)))
+    assert {"_fastlane.warm_up", "_fastlane.available"} <= names
+    for name in names:
+        owner = treecut
+        for part in name.split("."):
+            assert hasattr(owner, part), name
+            owner = getattr(owner, part)
