@@ -148,7 +148,7 @@ def _cmd_decide(args) -> int:
         graph = instance if isinstance(instance, WeightedGraph) else tree_as_graph(instance)
         feasible, witness = decide_semisupervised(
             graph, frozenset(require), forbid, args.xi, args.parts,
-            args.outliers)
+            args.outliers, use_potentials=args.potentials)
     else:
         spec = ProblemSpec(args.xi, args.parts, args.outliers,
                            args.potentials, forbid)

@@ -104,9 +104,6 @@ class WeightedGraph:
     def potential(self, vertex) -> int | Fraction:
         return self.potentials[self._idx(vertex)]
 
-    def has_potentials(self) -> bool:
-        return any(self.potentials)
-
     def _idx(self, vertex) -> int:
         try:
             return self.index[vertex]

@@ -13,37 +13,40 @@ built by ``tree.build_rooted_forest``, to ``decide_forest``.
 
 Exact minimization never enumerates candidate ratios.  Every achievable
 maximum expansion is a fraction whose reduced denominator is at most the
-scaled total vertex weight W: a member of the Farey sequence of order W,
-extended past 1.  The optimum is the least such fraction at which the
-decision says yes.  The search opens at an achievable threshold: the
-largest expansion of one explicit partition with no residue (see
-``_opening_bound``), so a ``no`` there can only mean a broken DP.  It
-decides that threshold, its Farey predecessor and the first bisection
-round below the predecessor in one sweep; if the predecessor is
-infeasible, the threshold is the optimum and no bisection runs.
-Otherwise the predecessor becomes the upper end and the bisection goes
-on below it.  Once the bracket (lo, hi] holds no more fractions of
+scaled total vertex weight W of the largest tree: a member of the Farey
+sequence of order W, extended past 1.  So the decision at a threshold is
+the decision at its Farey floor, the largest such fraction at or below
+it, and the search decides floors only (``_Prober``), which keeps the
+values a sweep computes of the order of the tree's own; the bracket it
+keeps stays dyadic.  The optimum is the least fraction of order W at
+which the decision says yes.  The search opens at an achievable
+threshold: the largest expansion of one explicit partition with no
+residue (see ``_opening_bound``), so a ``no`` there can only mean a
+broken DP.  It decides that threshold, its Farey predecessor and the
+first bisection round below the predecessor in one sweep; if the
+predecessor is infeasible, the threshold is the optimum and no bisection
+runs.  Otherwise the predecessor becomes the upper end and the bisection
+goes on below it.  Once the bracket (lo, hi] holds no more fractions of
 order W than a round has thresholds, the round decides those fractions
 instead, with the one at or below lo (``_farey_run``): the first ``yes``
-is the optimum, and the ``no`` before it is its Farey predecessor.  The
-result and its predecessor are verified against the decisions, which
-then sit in the cache; only a bisection that ran out of halvings first
-(its bracket shorter than 1/W^2, so holding the optimum alone as the
-Farey successor of lo) spends one more sweep on them.
+is the optimum, and the ``no`` before it is its Farey predecessor.  A
+bisection that runs out of halvings first ends on a bracket shorter than
+1/W^2, and the floors of its ends are the optimum and its predecessor.
+Either way the verification reads both answers from the cache.
 
 The bisection runs in rounds (``_bisect``): a round of j halvings decides
 the 2^j - 1 evenly spaced inner thresholds of the bracket in one batched
 sweep (``solver.decide_batch``), which a numpy sweep can take for less
 than j sweeps of one threshold, and keeps the cell between the last
 ``no`` and the first ``yes``.  The cost rule picks the j with the least
-estimated time per halving, on a tree or a forest's layout alike.  No
-round does more halvings than the search still needs, so a tolerance
-search ends on the bracket that one-threshold halvings would reach, and
-its answers and witnesses do not depend on j.
+estimated time per halving, once per search, on a tree or a forest's
+layout alike.  No round does more halvings than the search still needs,
+so a tolerance search ends on the bracket that one-threshold halvings
+would reach, and its answers and witnesses do not depend on j.
 Zero is decided only while no threshold has said ``no``, since any ``no``
 above zero rules it out: once the bisection has shortened the bracket
-sixteenfold with every answer ``yes``, in a finishing round whose
-bracket starts at zero, or else at the end.
+sixteenfold with every answer ``yes``, in a round with a threshold whose
+floor is zero, or else at the end.
 """
 
 from __future__ import annotations
@@ -115,20 +118,14 @@ class OptimizationResult:
 
 
 def _farey_predecessor(x: Fraction, limit: int) -> Fraction | None:
-    """Largest fraction with denominator <= limit strictly below x > 0.
-
-    ``x`` itself must have a reduced denominator of at most ``limit``.
-    """
-    a, b = x.numerator, x.denominator
-    if b > limit:
+    """Largest fraction with denominator <= limit strictly below x > 0,
+    which must have a denominator of at most ``limit`` too: the Farey
+    floor of ``x - 1/(limit * x.denominator)``."""
+    if x.denominator > limit:
         raise InvalidInput(f"{x} has a denominator above the limit {limit}")
-    if a <= 0:
+    if x <= 0:
         return None
-    if b == 1:
-        return Fraction(a * limit - 1, limit)
-    q0 = pow(a, -1, b)
-    q = q0 + ((limit - q0) // b) * b
-    return Fraction((a * q - 1) // b, q)
+    return _farey_bracket(x - Fraction(1, limit * x.denominator), limit)[0]
 
 
 def _farey_bracket(x: Fraction, limit: int) -> tuple[Fraction, Fraction]:
@@ -180,18 +177,25 @@ class _Prober:
     the DP is broken, so the search aborts loudly rather than return
     garbage.
 
+    Each threshold is replaced by its Farey floor of order ``limit``
+    (``floor``) before it is cached, deduplicated, counted and decided.
     ``fn`` decides a list of thresholds in one call.  ``calls`` counts the
-    distinct thresholds decided and ``sweeps`` the calls of ``fn``."""
+    distinct floors decided and ``sweeps`` the calls of ``fn``."""
 
-    def __init__(self, fn):
+    def __init__(self, fn, limit: int):
         self.fn = fn
+        self.limit = limit
         self.cache = {}
         self.calls = 0
         self.sweeps = 0
         self.max_no = None
         self.min_yes = None
 
+    def floor(self, x: Fraction) -> Fraction:
+        return _farey_bracket(x, self.limit)[0]
+
     def __call__(self, xis) -> list[bool]:
+        xis = [self.floor(x) for x in xis]
         todo = list(dict.fromkeys(x for x in xis if x not in self.cache))
         if todo:
             answers = self.fn(todo)
@@ -216,23 +220,22 @@ class _Prober:
 _MAX_HALVINGS = 4
 
 
-def _round(lo, hi, need, width, tree, spec, limit):
+def _round(probe, lo, hi, need, width, tree, spec, exact):
     """The thresholds of the next round in the bracket ``(lo, hi)``, its
     width, and whether it finishes the search.
 
     A round of j halvings takes the 2^j - 1 evenly spaced inner
     thresholds of the bracket, where j one-threshold halvings would end.
     j (at most ``_MAX_HALVINGS`` and ``need``) is ``width``, or when that
-    is None or the thresholds leave the int64 bound, the j whose sweep of
+    is None, the j whose sweep of the floors ``probe`` will decide on
     ``tree`` (a forest's layout, for a forest) the cost rule prices lowest
     per halving.  The Python sweep, which decides where no numpy sweep
-    engages, is priced at 0 and so halves once per sweep (its cost grows
-    with its thresholds).
+    engages, is priced at 0 and so halves once per sweep.
 
-    With a denominator ``limit`` (exact mode), a bracket ``(lo, hi]`` that
-    holds no more fractions of that order than the round has thresholds
-    gets a finishing round instead: those fractions, after the one at or
-    below ``lo`` (``_farey_run``).
+    In exact mode, a bracket ``(lo, hi]`` that holds no more fractions of
+    the probe's order than the round has thresholds gets a finishing round
+    instead: those fractions, after the one at or below ``lo``
+    (``_farey_run``).
     """
     from . import _fastlane
 
@@ -247,36 +250,36 @@ def _round(lo, hi, need, width, tree, spec, limit):
     most = min(width or _MAX_HALVINGS, need)
     step = (hi - lo) / (1 << most)
     xs = [lo + step * i for i in range(1, 1 << most)]
-    if width is None or most > 1 and not _fastlane.fits(tree, xs, kappa, lam):
+    if width is None:
+        floors = [probe.floor(x) for x in xs]
         width = min(range(1, most + 1), key=lambda j: _fastlane.cost_us(
-            tree, every(xs, j), kappa, lam, spec.use_potentials) / j)
+            tree, every(floors, j), kappa, lam, spec.use_potentials) / j)
         xs = every(xs, width)
-    if limit is not None:
-        run = _farey_run(lo, hi, limit, len(xs))
+    if exact:
+        run = _farey_run(lo, hi, probe.limit, len(xs))
         if run is not None:
             return run, width, True
     return xs, width, False
 
 
-def _bisect(probe, lo, hi, need, tree, spec, limit):
+def _bisect(probe, lo, hi, need, tree, spec, exact):
     """The bracket ``(lo, hi)`` halved ``need`` times, in rounds
     (``_round``), each decided in one sweep, keeping the cell between the
     last ``no`` and the first ``yes``.
 
-    ``limit`` is the denominator bound W in exact mode and None in
-    tolerance mode.  A finishing round (exact mode only) returns at once:
-    its first ``yes`` is the optimum and the fraction before it, which
-    said ``no``, its Farey predecessor.
+    A finishing round (``exact`` mode only) returns at once: its first
+    ``yes`` is the optimum and the fraction before it, which said ``no``,
+    its Farey predecessor.
 
     While every threshold says yes, the lower end is left undecided until
     the bracket is ``2^_MAX_HALVINGS`` times shorter; then it is decided
-    too, and a yes there returns the bracket ``(lo, lo)``.  A finishing
-    round decides an undecided lower end, zero, with its fractions.
+    too, and a yes there returns the bracket ``(lo, lo)``.  A round with a
+    threshold whose floor is zero decides an undecided lower end, zero.
     """
     width = None
     start = hi - lo
     while need:
-        xs, width, finish = _round(lo, hi, need, width, tree, spec, limit)
+        xs, width, finish = _round(probe, lo, hi, need, width, tree, spec, exact)
         answers = probe(xs)
         first = answers.index(True) if True in answers else len(xs)
         if first:
@@ -286,7 +289,7 @@ def _bisect(probe, lo, hi, need, tree, spec, limit):
         if finish:
             return lo, hi
         need -= len(xs).bit_length()
-        if lo not in probe.cache and (hi - lo) * (1 << _MAX_HALVINGS) <= start:
+        if probe.floor(lo) not in probe.cache and (hi - lo) * (1 << _MAX_HALVINGS) <= start:
             # an optimum this far below the bracket's top is rare unless
             # it is the lower end itself
             if probe([lo])[0]:
@@ -382,10 +385,11 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
 
     Both modes open at the largest expansion of an explicit partition
     whenever there are at least as many parts as trees (with fewer, at
-    total cost over the least vertex weight).  Exact mode returns the true
-    minimum as a reduced fraction: it decides the opening bound, its Farey
-    predecessor and the first bisection round below the predecessor in one
-    sweep, which settles the search when the predecessor is infeasible.
+    total cost over the least vertex weight), and decide every threshold
+    at its Farey floor of order W.  Exact mode returns the true minimum as
+    a reduced fraction: it decides the opening bound, its predecessor and
+    the first bisection round below that in one sweep, which settles the
+    search when the predecessor is infeasible.
     Otherwise it bisects below the predecessor until the bracket holds no
     more fractions of order W than a round has thresholds, and decides
     those in a finishing round; the least of them that says yes is the
@@ -394,9 +398,8 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
     runs in rounds of up to ``_MAX_HALVINGS`` halvings per sweep
     (``_bisect``), capped at the halvings still needed.  Zero is decided
     only while no threshold has said no.  Exact mode verifies that the
-    decision says yes at the result and no at its Farey predecessor; after
-    a finishing round both answers come from the cache.  The witness
-    attains the returned threshold.
+    decision says yes at the result and no at its Farey predecessor, from
+    the cache.  The witness attains the returned threshold.
 
     Raises :class:`MonotonicityViolation` when the decisions contradict
     each other or the explicit partition's threshold.
@@ -417,13 +420,13 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
     hi, achievable = _opening_bound(trees, parts, use_potentials)
     spec = ProblemSpec(hi, parts, outliers, use_potentials, forbidden_outliers)
     tree = instance.layout if isinstance(instance, Forest) else instance
-    probe = _Prober(lambda xis: decide_batch(tree, spec, xis))
+    denom_limit = max(t.subtree_weight_scaled[t.root] for t in trees)
+    probe = _Prober(lambda xis: decide_batch(tree, spec, xis), denom_limit)
 
     def result(xi_star, witness=None):
         return OptimizationResult(xi_star, witness, probe.calls, mode, tol,
                                   probe.sweeps)
 
-    denom_limit = max(t.subtree_weight_scaled[t.root] for t in trees)
     exact = mode == "exact"
     prev = _farey_predecessor(hi, denom_limit) if achievable and exact else None
     top = hi if prev is None else prev
@@ -437,7 +440,7 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
     if prev:
         # the first round below prev rides along; when prev says yes,
         # _bisect finds its answers in the cache
-        ahead = _round(Fraction(0), prev, need, None, tree, spec, denom_limit)[0]
+        ahead = _round(probe, Fraction(0), prev, need, None, tree, spec, True)[0]
     opening = probe([hi] if prev is None else [hi, prev, *ahead])
     if not opening[0]:
         if achievable:
@@ -447,25 +450,22 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
 
     if prev is not None and not opening[1]:
         # nothing achievable lies strictly between prev and hi
-        lo, xi_star = prev, hi
+        lo = prev
     else:
-        lo, hi = _bisect(probe, Fraction(0), top, need, tree, spec,
-                         denom_limit if exact else None)
-        # the least fraction of order W above the last no
-        xi_star = _farey_bracket(lo, denom_limit)[1] if exact else hi
+        lo, hi = _bisect(probe, Fraction(0), top, need, tree, spec, exact)
 
     if probe.max_no is None and probe([Fraction(0)])[0]:
         xi_star = Fraction(0)
-    elif exact:
-        if not lo < xi_star <= hi:
+    elif not exact:
+        xi_star = hi
+    else:
+        # the least fraction of order W above the last no; the probe holds
+        # its answer and its predecessor's, the floors of hi and lo
+        prev, xi_star = _farey_bracket(lo, denom_limit)
+        if xi_star > hi or not probe([xi_star])[0]:
             raise MonotonicityViolation(
                 f"recovered threshold {xi_star} failed verification")
-        prev = _farey_predecessor(xi_star, denom_limit)
-        check = probe([xi_star] if prev is None else [xi_star, prev])
-        if not check[0]:
-            raise MonotonicityViolation(
-                f"recovered threshold {xi_star} failed verification")
-        if prev is not None and check[1]:
+        if probe([prev])[0]:
             raise MonotonicityViolation(
                 f"predecessor {prev} of {xi_star} is feasible; optimum is wrong")
 
@@ -513,15 +513,17 @@ def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True):
 
 
 def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
-                          parts: int, outliers: int, want_witness: bool = True):
+                          parts: int, outliers: int, want_witness: bool = True,
+                          use_potentials: bool = False):
     """Decide the problem on a general graph where ``required_outliers``
     must be uncovered and ``forbidden_outliers`` must be covered.
 
     Deleting the required set must leave a forest.  Each deleted vertex
     spends one unit of the outlier budget; its incident edge costs turn
     into potentials on the surviving endpoints, so expansions computed on
-    the forest equal expansions on the original graph.  The returned
-    witness lives on the original graph.
+    the forest equal expansions on the original graph.  The graph's own
+    vertex potentials count only with ``use_potentials``, as in
+    ``ProblemSpec``.  The returned witness lives on the original graph.
     """
     xi = parse_rational(xi)
     known = set(graph.vertex_ids())
@@ -554,7 +556,8 @@ def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
             forest_edges.append((u, v, cost))
 
     trees = build_rooted_forest(
-        [(v, graph.weight(v), graph.potential(v) + extra_potential[v])
+        [(v, graph.weight(v),
+          extra_potential[v] + (graph.potential(v) if use_potentials else 0))
          for v in survivors], forest_edges)
     # trees, and so the witness's parts, go by least id as a string
     trees.sort(key=lambda t: str(t.ids[0]))
@@ -566,8 +569,7 @@ def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
     if not feasible or wit is None:
         return feasible, None
 
-    use_graph_pot = graph.has_potentials()
-    expansions = tuple(graph.expansion(p, use_potentials=use_graph_pot)
+    expansions = tuple(graph.expansion(p, use_potentials=use_potentials)
                        for p in wit.parts)
     witness = Subpartition(wit.parts, frozenset(wit.residue | s1),
                            expansions, max(expansions))

@@ -89,6 +89,23 @@ class TestDecide:
         data = json.loads(out)
         assert data["witness"]["residue"] == ["b"]
 
+    def test_potentials_flag_on_graph_input(self, capsys, tmp_path):
+        # vertex potentials count only with --potentials, as for optimize
+        p = tmp_path / "abc.json"
+        p.write_text(json.dumps({
+            "vertices": [{"id": "a", "weight": 1, "potential": 5},
+                         {"id": "b", "weight": 1}, {"id": "c", "weight": 1}],
+            "edges": [{"u": "a", "v": "b", "cost": 1}, {"u": "b", "v": "c", "cost": 1}],
+        }))
+        budgets = ["--parts", "2", "--outliers", "0", "--input", str(p)]
+        for flag, xi_star in (((), "1/1"), (("--potentials",), "3/1")):
+            code, out, _ = run_cli(capsys, "optimize", *budgets, *flag)
+            assert (code, json.loads(out)["xi_star"]) == (0, xi_star)
+            code, out, _ = run_cli(capsys, "decide", "--xi", xi_star, *budgets, *flag)
+            assert code == 0
+            assert json.loads(out)["witness"]["max_expansion"] == xi_star
+        assert run_cli(capsys, "decide", "--xi", "1", *budgets, "--potentials")[0] == 1
+
     def test_graph_input_must_be_forest_without_requirements(self, capsys,
                                                              triangle_csv):
         code, _, err = run_cli(capsys, "decide", "--xi", "1", "--parts", "1",

@@ -2,6 +2,7 @@
 in ``tests/_graphs.py``, exact ranking of spanning-tree edges, and equal
 errors whatever form a token takes."""
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -135,9 +136,12 @@ class TestMatchesFractionReference:
             forbid = frozenset(rng.sample(survivors, rng.randint(0, 1)))
             parts = rng.randint(1, 3)
             outliers = len(hubs) + rng.randint(0, 2)
-            for xi in (Fraction(1, 4), Fraction(3, 4), Fraction(3, 2), 3, 10):
-                got = decide_semisupervised(g, hubs, forbid, xi, parts, outliers)
-                want = decide_semisupervised(ref, hubs, forbid, xi, parts, outliers)
+            for xi, pot in itertools.product(
+                    (Fraction(1, 4), Fraction(3, 4), Fraction(3, 2), 3, 10), (False, True)):
+                got = decide_semisupervised(g, hubs, forbid, xi, parts, outliers,
+                                            use_potentials=pot)
+                want = decide_semisupervised(ref, hubs, forbid, xi, parts, outliers,
+                                             use_potentials=pot)
                 assert got[0] == want[0]
                 if want[1] is None:
                     assert got[1] is None

@@ -160,7 +160,7 @@ class TestProbeTripwire:
         from treecut.search import _Prober
 
         # yes at 1/2 but no at 3/4 can only mean a solver bug
-        broken = _Prober(lambda xis: [xi == Fraction(1, 2) for xi in xis])
+        broken = _Prober(lambda xis: [xi == Fraction(1, 2) for xi in xis], 4)
         assert broken([Fraction(1, 2)]) == [True]
         with pytest.raises(MonotonicityViolation):
             broken([Fraction(3, 4)])
@@ -168,18 +168,18 @@ class TestProbeTripwire:
     def test_yes_below_no_within_one_batch(self):
         from treecut.search import _Prober
 
-        broken = _Prober(lambda xis: [xi == Fraction(1, 2) for xi in xis])
+        broken = _Prober(lambda xis: [xi == Fraction(1, 2) for xi in xis], 4)
         with pytest.raises(MonotonicityViolation):
             broken([Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)])
         # answers that agree with monotonicity pass in any order
-        fine = _Prober(lambda xis: [xi >= Fraction(1, 2) for xi in xis])
+        fine = _Prober(lambda xis: [xi >= Fraction(1, 2) for xi in xis], 4)
         assert fine([Fraction(3, 4), Fraction(1, 4), Fraction(1, 2)]) == [True, False, True]
 
     def test_caches_and_counts_probes(self):
         from treecut.search import _Prober
 
         calls = []
-        prober = _Prober(lambda xis: [(calls.append(xi), True)[1] for xi in xis])
+        prober = _Prober(lambda xis: [(calls.append(xi), True)[1] for xi in xis], 4)
         prober([Fraction(1)])
         prober([Fraction(1)])
         assert prober.calls == 1
@@ -426,10 +426,11 @@ class TestOpeningBound:
     def test_star_bound_is_optimal_in_one_sweep(self):
         # all singletons: yes at the bound, no at its predecessor, decided
         # together with the first round below it (15 thresholds, priced on
-        # a numpy sweep); that no settles zero
+        # a numpy sweep, whose Farey floors of order 4 are 13 fractions
+        # below the predecessor); that no settles zero
         res = min_xi(star_tree(), 4, 0)
         assert res.xi_star == 3
-        assert res.probes == 17
+        assert res.probes == 15
         assert res.sweeps == 1
 
     def test_long_path_probe_count(self):
@@ -486,6 +487,59 @@ def _shaped_tree(rng, n, shape, pmax=0, prefix=""):
     return build_rooted_tree(vertices, edges, ids[rng.randrange(n)])
 
 
+def _rational_tree(rng, n, prefix=""):
+    """A random recursive tree with rational weights, costs and, on about
+    half its vertices, potentials."""
+    def value(least):
+        return Fraction(rng.randint(least, 9), rng.choice((1, 2, 3, 5)))
+
+    ids = [f"{prefix}{i}" for i in range(n)]
+    vertices = [(v, value(1), value(0) if rng.random() < 0.5 else 0) for v in ids]
+    edges = [(ids[rng.randrange(i)], ids[i], value(1)) for i in range(1, n)]
+    return build_rooted_tree(vertices, edges, ids[rng.randrange(n)])
+
+
+class TestFareyFloor:
+    """Every achievable maximum expansion has a denominator of at most W,
+    the largest tree's scaled weight, so a decision at x equals the
+    decision at the largest such fraction at or below x; the search
+    decides those floors only."""
+
+    def test_decision_at_x_equals_decision_at_its_floor(self):
+        rng = random.Random(75)
+        seen = set()
+        for i in range(120):
+            if i % 3 == 2:
+                instance = Forest([_rational_tree(rng, rng.randint(1, 6), f"t{j}_")
+                                   for j in range(rng.randint(2, 4))])
+                trees = instance.trees
+            else:
+                instance = _rational_tree(rng, rng.randint(1, 9))
+                trees = (instance,)
+            limit = max(t.subtree_weight_scaled[t.root] for t in trees)
+            ids = [v for t in trees for v in t.ids]
+            spec = ProblemSpec(0, rng.randint(1, min(4, len(ids))), rng.randint(0, 2),
+                               rng.random() < 0.5,
+                               frozenset(rng.sample(ids, rng.randint(0, min(2, len(ids))))))
+
+            def decides(x):
+                if len(trees) > 1:
+                    return decide_forest(instance, spec.with_xi(x), want_witness=False)[0]
+                return decide(instance, spec.with_xi(x))
+
+            for _ in range(6):
+                # a fraction of order W, a point just off one, or any point
+                f = Fraction(rng.randint(0, 6 * limit), rng.randint(1, limit))
+                x = rng.choice((f, f + Fraction(1, 10 ** 12 + 39), f - Fraction(1, 10 ** 12 + 39),
+                                Fraction(rng.randint(0, 10 ** 10), rng.randint(1, 10 ** 9))))
+                x = max(x, Fraction(0))
+                floor = _farey_bracket(x, limit)[0]
+                answer = decides(x)
+                assert answer == decides(floor), (x, floor)
+                seen.add((answer, floor == x))
+        assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
 class TestBatchedSearch:
     """``min_xi`` decides rounds of thresholds per sweep; it must end where
     the one-threshold bisection of ``_bisection`` ends."""
@@ -528,27 +582,40 @@ class TestBatchedSearch:
         assert seen == {("tree", "batched"), ("tree", "one by one"), ("forest", "batched"),
                         ("forest", "one by one"), "zero", "positive"}
 
-    def test_rounds_leaving_the_int64_bound_narrow(self, monkeypatch):
+    def test_rounds_stay_in_the_int64_bound(self, monkeypatch):
+        import treecut._fastlane as fastlane
         import treecut.search as search
 
-        # weights and costs near 10^5: the rounds' denominators outgrow
-        # the int64 bound part way down, and the width is priced again
+        # weights and costs near 10^5: the dyadic bisection points outgrow
+        # the int64 bound part way down, but their Farey floors do not
         rng = random.Random(5)
         n = 300
         vertices = [(i, rng.randint(1, 10 ** 5), rng.randint(0, 10 ** 5)) for i in range(n)]
         edges = [(rng.randrange(i), i, rng.randint(1, 10 ** 5)) for i in range(1, n)]
         t = build_rooted_tree(vertices, edges, 0)
-        sizes = []
-        batch = search.decide_batch
-        monkeypatch.setattr(search, "decide_batch",
-                            lambda tree, spec, xis: (sizes.append(len(xis)),
-                                                     batch(tree, spec, xis))[1])
+        limit = t.subtree_weight_scaled[t.root]
+        swept, lanes = [], []
+        batch, many = search.decide_batch, fastlane.decide_many
+
+        def decide_batch(tree, spec, xis):
+            swept.append(list(xis))
+            return batch(tree, spec, xis)
+
+        def decide_many(*args):
+            answers = many(*args)
+            lanes.append(answers is not None)
+            return answers
+
+        monkeypatch.setattr(search, "decide_batch", decide_batch)
+        monkeypatch.setattr(fastlane, "decide_many", decide_many)
         self._same(t, 3, 2, use_pot=True)
-        # between the opening and the last sweep: the finishing round, or
-        # the verification pair after a bisection that ran out of halvings
-        rounds = sizes[1:-1]
-        assert rounds == sorted(rounds, reverse=True)
-        assert rounds[0] > 1 and rounds[-1] == 1
+        monkeypatch.undo()
+        # every sweep of the search on numpy, none in the Python sweep
+        assert len(lanes) >= len(swept) and all(lanes)
+        assert all(x.denominator <= limit for xs in swept for x in xs)
+        # deciding the dyadic points themselves takes 42 sweeps here, 38 of
+        # them of one threshold on the Python sweep
+        assert len(swept) <= 12
 
     def test_zero_optimum_below_a_positive_opening(self):
         # fewer parts than trees, with the budget to leave a tree out: the
@@ -619,13 +686,22 @@ class TestFinishingRound:
             limit = max(t.subtree_weight_scaled[t.root] for t in trees)
             parts = rng.randint(1, min(8, instance.vertex_count))
             lam = rng.randint(0, 3)
-            want_xi, want_witness, _ = _bisection.min_xi(instance, parts, lam,
+            mode, tol = "exact", None
+            if i % 5 == 4:
+                mode, tol = "tol", Fraction(1, (3, 64, 1000)[i % 3])
+            want_xi, want_witness, _ = _bisection.min_xi(instance, parts, lam, mode, tol,
                                                          use_potentials=pmax > 0)
             rec = _Recorder(monkeypatch)
-            got = min_xi(instance, parts, lam, use_potentials=pmax > 0)
+            got = min_xi(instance, parts, lam, mode, tol, use_potentials=pmax > 0)
             monkeypatch.undo()
             assert (got.xi_star, got.witness) == (want_xi, want_witness)
+            swept = [x for e in rec.events if e[0] == "sweep" for x in e[1]]
             assert got.sweeps == sum(e[0] == "sweep" for e in rec.events)
+            # every sweep of either mode decides Farey floors of order W
+            assert all(x.denominator <= limit for x in swept)
+            if mode == "tol":
+                assert not rec.finishing()
+                seen.add("tol")
             for xs, after in rec.finishing():
                 assert all(x.denominator <= limit for x in xs)
                 assert xs == sorted(xs)
@@ -638,7 +714,7 @@ class TestFinishingRound:
                     seen.add("forest")
             if rec.finishing() and len(trees) > 1:
                 assert sum(t.subtree_weight_scaled[t.root] for t in trees) > limit
-        assert seen == {"finished", "forest"}
+        assert seen == {"finished", "forest", "tol"}
 
     def test_zero_above_an_undecided_lower_end_with_no_fraction_inside(self):
         from treecut.search import _bisect, _Prober
@@ -648,14 +724,14 @@ class TestFinishingRound:
         t = star_tree()
         spec = ProblemSpec(Fraction(1), 2, 0)
         hi = Fraction(1, 5)
-        probe = _Prober(lambda xis: [True] * len(xis))
+        probe = _Prober(lambda xis: [True] * len(xis), 4)
         assert _bisect(probe, Fraction(0), hi, math.floor(hi * 16).bit_length(),
-                       t, spec, 4) == (0, 0)
+                       t, spec, True) == (0, 0)
         assert (list(probe.cache), probe.sweeps) == ([Fraction(0)], 1)
         # a no at zero as well contradicts the yes at hi: the bracket comes
         # back with no fraction of order 4 inside, which min_xi rejects
-        probe = _Prober(lambda xis: [x > 0 for x in xis])
-        assert _bisect(probe, Fraction(0), hi, 2, t, spec, 4) == (0, hi)
+        probe = _Prober(lambda xis: [x > 0 for x in xis], 4)
+        assert _bisect(probe, Fraction(0), hi, 2, t, spec, True) == (0, hi)
 
     def test_opening_settles_the_search_with_the_first_round_aboard(self, monkeypatch):
         rng = random.Random(73)
@@ -671,18 +747,22 @@ class TestFinishingRound:
             monkeypatch.undo()
             kind, (ahead, _width, _finish) = rec.events[0]
             assert kind == "round"
-            prev = _farey_predecessor(hi, t.subtree_weight_scaled[t.root])
-            assert rec.events[1] == ("sweep", [hi, prev, *ahead])
+            limit = t.subtree_weight_scaled[t.root]
+            prev = _farey_predecessor(hi, limit)
+            # the sweep decides the distinct Farey floors of its thresholds
+            floors = list(dict.fromkeys(_farey_bracket(x, limit)[0]
+                                        for x in [hi, prev, *ahead]))
+            assert rec.events[1] == ("sweep", floors)
             if got.xi_star == hi:
                 # prev said no: one sweep, the first round's thresholds in it
-                assert (got.sweeps, got.probes) == (1, 2 + len(ahead))
+                assert (got.sweeps, got.probes) == (1, len(floors))
                 seen.add("settled")
             else:
                 # prev said yes: _bisect builds the same first round and
                 # finds every answer in the cache
                 assert rec.events[2] == ("round", rec.events[0][1])
                 later = [x for e in rec.events[3:] if e[0] == "sweep" for x in e[1]]
-                assert not set(ahead) & set(later)
+                assert not set(floors) & set(later)
                 seen.add("bisected")
         assert seen == {"settled", "bisected"}
 
@@ -694,27 +774,35 @@ class TestFinishingRound:
         want = min_xi(t, 3, 2, use_potentials=True).xi_star
         monkeypatch.undo()
         (last, after), = rec.finishing()
-        # its own sweep decides every fraction of the round, up to xi*,
-        # below a dyadic hi
-        assert after == 1 and rec.events[-1] == ("sweep", last)
-        assert len(last) >= 3 and last[-1] == want
+        # its own sweep decides the fractions of the round strictly between
+        # the Farey floors of lo and of a dyadic hi, which earlier sweeps
+        # decided: no at the first, yes at the last, xi*
+        decided = {x for e in rec.events[:-1] if e[0] == "sweep" for x in e[1]}
+        fresh = last[1:-1]
+        assert last[0] in decided and last[-1] in decided and last[-1] == want
+        assert after == 1 and rec.events[-1] == ("sweep", fresh)
+        assert len(fresh) >= 2 and not decided & set(fresh)
         batch = search.decide_batch
 
         def broken(lie):
             def answer(tree, spec, xis):
-                if xis == last:
+                if xis == fresh:
                     return [lie(x) for x in xis]
                 return batch(tree, spec, xis)
             return answer
 
         # yes below a no within the finishing batch trips the prober
-        monkeypatch.setattr(search, "decide_batch", broken(lambda x: x == last[1]))
+        monkeypatch.setattr(search, "decide_batch", broken(lambda x: x == fresh[0]))
         with pytest.raises(MonotonicityViolation, match="said yes"):
             min_xi(t, 3, 2, use_potentials=True)
-        # no everywhere in it leaves no fraction to verify below the yes at hi
-        monkeypatch.setattr(search, "decide_batch", broken(lambda x: False))
-        with pytest.raises(MonotonicityViolation, match="failed verification"):
+        monkeypatch.setattr(search, "decide_batch", broken(lambda x: x != fresh[-1]))
+        with pytest.raises(MonotonicityViolation, match="said yes"):
             min_xi(t, 3, 2, use_potentials=True)
+        # the batch lies strictly between a cached no and a cached yes, so
+        # answers that agree with monotonicity cannot contradict them: no
+        # everywhere in it puts the optimum at the cached yes
+        monkeypatch.setattr(search, "decide_batch", broken(lambda x: False))
+        assert min_xi(t, 3, 2, use_potentials=True).xi_star == want
 
 
 class TestKMax:
@@ -925,18 +1013,27 @@ class TestSemiSupervised:
 
     def test_degenerate_case_equals_tree_decision(self):
         rng = random.Random(45)
-        for _ in range(12):
-            t = random_tree(rng, rng.randint(2, 8))
+        seen = set()
+        for i in range(16):
+            # vertex potentials count only when asked for, as on a tree
+            t = _shaped_tree(rng, rng.randint(2, 8), TestBatchedSearch.SHAPES[i % 4], pmax=3)
             graph = tree_as_graph(t)
-            xi = Fraction(rng.randint(0, 4), rng.randint(1, 3))
             kappa = rng.randint(1, 3)
             lam = rng.randint(0, 2)
-            ok, wit = decide_semisupervised(graph, frozenset(), frozenset(),
-                                            xi, kappa, lam)
-            assert ok == decide(t, ProblemSpec(xi, kappa, lam))
-            if ok:
-                spec = ProblemSpec(xi, kappa, lam)
-                assert validate_subpartition(t, spec, wit) == []
+            # each setting's optimum, where the other one may say no
+            xis = {min_xi(t, kappa, lam, use_potentials=p).xi_star for p in (False, True)}
+            for xi in xis - {None}:
+                answers = []
+                for use_pot in (False, True):
+                    spec = ProblemSpec(xi, kappa, lam, use_pot)
+                    ok, wit = decide_semisupervised(graph, frozenset(), frozenset(), xi,
+                                                    kappa, lam, use_potentials=use_pot)
+                    assert ok == decide(t, spec)
+                    if ok:
+                        assert validate_subpartition(t, spec, wit) == []
+                    answers.append(ok)
+                seen.add(tuple(answers))
+        assert seen == {(True, True), (True, False)}
 
     def test_matches_graph_brute_force(self):
         rng = random.Random(46)

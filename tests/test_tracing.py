@@ -52,3 +52,37 @@ def test_every_name_the_worker_reaches_resolves():
         for part in name.split("."):
             assert hasattr(owner, part), name
             owner = getattr(owner, part)
+
+
+def test_lane_counts_read_the_sweep_arguments(monkeypatch):
+    # ``_lane_count`` reads the tree, thresholds and budgets of
+    # ``root_row``/``decide_many`` by position; its counts are the cells
+    # behind ``solver.cells`` and the engaged ratio
+    import random
+    from fractions import Fraction
+
+    from conftest import random_tree
+    from treecut import ProblemSpec, _fastlane, decide
+    from treecut.solver import decide_batch
+
+    tracing = _load_tracing()
+    tree = random_tree(random.Random(8), 20)
+    spec = ProblemSpec(1, 2, 1)
+    cells = 20 * 3 * 2
+
+    def traced_counts():
+        tracer = tracing.Tracer(tracing.LANE_ONLY)
+        tracer.install()
+        try:
+            decide(tree, spec)
+            decide_batch(tree, spec, [Fraction(1, 2), 1, 2])
+        finally:
+            tracer.uninstall()
+        return [(name, count) for name, _s, _e, _p, _op, count in tracer.spans]
+
+    assert traced_counts() == [("fastlane.root_row", cells),
+                               ("fastlane.decide_many", 3 * cells)]
+    # no numpy sweep engages: the lanes return None and count nothing
+    monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", 0)
+    assert traced_counts() == [("fastlane.root_row", None), ("fastlane.decide_many", None)] + \
+        [("fastlane.root_row", None)] * 3
