@@ -43,6 +43,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import UnknownVertexId
+from .tree import part_cap
 
 _SAFE_LIMIT = 1 << 60
 _MAX_TABLE_BYTES = 1 << 31
@@ -62,7 +63,10 @@ _MAX_TABLE_BYTES = 1 << 31
 # vertices holds at most s parts, so a level's tables and each merge's
 # output keep only the rows its subtree sizes can fill (the tree-knapsack
 # bound), which keeps ``k_max`` on a 3000-vertex star to a 2 MB peak
-# where full ``parts + 1`` rows would take 518 MB.
+# where full ``parts + 1`` rows would take 518 MB.  Below a virtual root
+# no vertex keeps more rows than a tree of the forest can hold parts in
+# a feasible split (``_row_cap``): rows up to the cap read only rows up
+# to it, so the root's fold is the same for every part count.
 #
 # Finite values stay inside (-2^60, 2^60) by ``_bound_ok``.  Infinity is
 # 2^61, so a sum with an infinite operand is at least 2^60 (even when the
@@ -191,6 +195,18 @@ def _fold_least(M, plan, kappa, none):
     return _fold_runs(plan, (M,), (none,), merge)[0][0]
 
 
+def _row_cap(dense, kappa, lam):
+    """The most rows a vertex keeps: ``kappa``, or below a virtual root
+    the forest's ``tree.part_cap``; 1 where that is 0, since every root
+    entry is then ``none`` whatever the trees hold.  The trees' rows still
+    add up to ``kappa`` or more, so the root's fold has ``kappa + 1``
+    entries."""
+    if not dense.get("virtual_root"):
+        return kappa
+    trees = dense["size"][dense["cstart"][0]:dense["cend"][0]].tolist()
+    return max(1, part_cap(trees, kappa, lam))
+
+
 def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
     """Least sufficient outlier budget at the root, ``out[j, k]`` for
     threshold ``a_arr[j] / b_arr[j]`` and ``k`` parts; a value over
@@ -201,6 +217,7 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
     nb = a_arr.shape[0]
     lp1 = lam + 1
     none = lp1
+    cap = _row_cap(dense, kappa, lam)
     # the level below: shifted cut-charge rows (row i holds i + 1 parts,
     # for i below the subtree size) and least budgets by part count
     G = M = None
@@ -210,7 +227,7 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
         lo = level_end[d - 1] if d else 0
         hi = level_end[d]
         width = hi - lo
-        rows = min(kappa, int(dense["level_size"][d]))
+        rows = min(cap, int(dense["level_size"][d]))
         # a childless vertex folds nothing: its own part alone, and no
         # parts among its children
         Y = np.full((width, nb, rows, lp1), _NP_INF)
@@ -222,7 +239,7 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
             par = np.flatnonzero(counts)
             Yf, Uf = _fold_children(G, M, eps[hi:level_end[d + 1]],
                                     _cached_plan(dense, ("level", d), counts[par]),
-                                    rows, kappa, none)
+                                    rows, cap, none)
             Y[par, :, :Yf.shape[2]] = Yf
             U[par, :, :Uf.shape[2]] = Uf
         m = np.empty((width, nb, rows + 1), dtype=np.int64)
@@ -342,6 +359,7 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
     lp1 = lam + 1
     none = lp1
     budgets = np.arange(lp1)
+    cap = _row_cap(dense, kappa, lam)
     Gt = Mt = None  # the round below's path tops: cut-charge rows, least budgets
     for r in range(len(rounds) - 1, -1, -1):
         rnd = rounds[r]
@@ -351,7 +369,7 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
                                kappa, none)
         vert, top, lpar = rnd["vert"], rnd["top"], rnd["lpar"]
         m = vert.size
-        rows = min(kappa, int(size[vert[top]].max()))
+        rows = min(cap, int(size[vert[top]].max()))
         e_r, t_r = eps[vert], thr[vert]
         free = forb[vert] == 0
         end = rnd["reach"] == 0
@@ -361,7 +379,7 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
             below = rounds[r + 1]
             Z, U = _fold_children(Gt, Mt, eps[below["vert"][below["top"]]],
                                   _cached_plan(dense, ("round", r), rnd["lcount"]),
-                                  rows, kappa, none)
+                                  rows, cap, none)
             Gt = Mt = None
             q[lpar] = np.minimum(U[:, :, 0] + 1, none)
             if Z[:, :, 0].any():

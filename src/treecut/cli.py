@@ -23,7 +23,7 @@ from .graphs import (
     tree_as_graph,
 )
 from .search import Forest, decide_semisupervised, k_max, min_xi
-from .solver import ProblemSpec, solve
+from .solver import ProblemSpec, decide, solve
 from .tree import RootedTree
 from .values import format_rational, parse_rational
 from .witness import reconstruct_subpartition, sorted_ids
@@ -152,9 +152,10 @@ def _cmd_decide(args) -> int:
     else:
         spec = ProblemSpec(args.xi, args.parts, args.outliers,
                            args.potentials, forbid)
-        tables = solve(instance, spec)
-        feasible = tables.feasible
-        witness = reconstruct_subpartition(instance, spec, tables) if feasible else None
+        # the witness tables only for a yes, as decide_forest does
+        feasible = decide(instance, spec)
+        witness = (reconstruct_subpartition(instance, spec, solve(instance, spec))
+                   if feasible else None)
 
     payload = {"feasible": feasible}
     if witness is not None:

@@ -65,7 +65,7 @@ from .errors import (
     UnknownVertexId,
 )
 from .solver import ProblemSpec, _root_least, decide, decide_batch, solve
-from .tree import ForestLayout, RootedTree, build_rooted_forest, forest_layout
+from .tree import ForestLayout, RootedTree, build_rooted_forest, forest_layout, part_cap
 from .values import parse_rational
 from .witness import (Subpartition, make_subpartition, reconstruct_subpartition,
                       sorted_ids)
@@ -301,6 +301,15 @@ def _instance_trees(instance):
     return instance.trees if isinstance(instance, Forest) else (instance,)
 
 
+def _too_few_parts(trees, parts: int, outliers: int) -> bool:
+    """Whether no split of ``parts`` parts among ``trees`` is feasible,
+    from the vertex counts alone: more parts than vertices, or more trees
+    that must hold a part than there are parts (``tree.part_cap``)."""
+    sizes = [t.vertex_count for t in trees]
+    n = sum(sizes)
+    return parts > n or not part_cap(sizes, parts, min(outliers, n))
+
+
 def _balanced_partition(tree: RootedTree, parts: int, use_potentials: bool):
     """An explicit partition of the whole tree into ``1 <= parts <= n``
     connected parts, with no residue.
@@ -383,7 +392,10 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
            forbidden_outliers=frozenset()) -> OptimizationResult:
     """Minimize the expansion threshold for a tree or forest.
 
-    Both modes open at the largest expansion of an explicit partition
+    It answers infeasible before deciding any threshold when there are
+    more parts than vertices, or more trees that must hold a part (those
+    of more than ``outliers`` vertices) than parts.  Otherwise both modes
+    open at the largest expansion of an explicit partition
     whenever there are at least as many parts as trees (with fewer, at
     total cost over the least vertex weight), and decide every threshold
     at its Farey floor of order W.  Exact mode returns the true minimum as
@@ -413,12 +425,14 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
         if tol <= 0:
             raise InvalidInput(f"tol must be positive, got {tol}")
 
+    # the budgets are checked before the vertex counts can answer no
+    spec = ProblemSpec(0, parts, outliers, use_potentials, forbidden_outliers)
     trees = _instance_trees(instance)
-    if parts > sum(t.vertex_count for t in trees):
+    if _too_few_parts(trees, parts, outliers):
         return OptimizationResult(None, None, 0, mode, tol)
 
     hi, achievable = _opening_bound(trees, parts, use_potentials)
-    spec = ProblemSpec(hi, parts, outliers, use_potentials, forbidden_outliers)
+    spec = spec.with_xi(hi)
     tree = instance.layout if isinstance(instance, Forest) else instance
     denom_limit = max(t.subtree_weight_scaled[t.root] for t in trees)
     probe = _Prober(lambda xis: decide_batch(tree, spec, xis), denom_limit)
@@ -501,8 +515,12 @@ def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True):
     product over the part count per tree.  Only when it is feasible and a
     witness is wanted does one ``solve`` of the layout keep the tables,
     from which the replay splits the budgets back, giving each tree, last
-    first, the fewest parts left to the trees before it that still fit."""
-    if spec.parts > forest.vertex_count:  # an empty forest too
+    first, the fewest parts left to the trees before it that still fit.
+    Below the root no tree keeps rows for more parts than it can hold in
+    a feasible split (``tree.part_cap``).  When more trees must hold a
+    part than ``spec.parts`` allows, the answer is no before the layout
+    is built."""
+    if _too_few_parts(forest.trees, spec.parts, spec.outliers):  # an empty forest too
         return False, None
     layout = forest.layout
     if not decide(layout, spec):

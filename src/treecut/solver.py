@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInput, RootHasNoParentEdge, UnknownVertexId
-from .tree import RootedTree
+from .tree import RootedTree, part_cap
 from .values import ScaledValue, parse_rational
 
 
@@ -101,7 +101,9 @@ class ProblemSpec:
 #   the part count alone;
 # * a subtree of s vertices holds at most s parts, so its cut-charge table
 #   keeps ``min(kappa, s)`` rows (row i holds i + 1 parts), the
-#   tree-knapsack bound on the merge work;
+#   tree-knapsack bound on the merge work; below a virtual root, ``kappa``
+#   gives way to the most parts a tree holds in a feasible split
+#   (``tree.part_cap``), and rows up to that read only rows up to it;
 # * a decision drops a vertex's tables once its parent has read them;
 #   ``solve`` keeps them, with the partial folds over each vertex's
 #   children, for the witness replay.
@@ -160,7 +162,7 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
     ``lam + 1`` when there is none (``kappa`` and ``lam`` clamped to the
     vertex count).  With ``keep``, every vertex's tables and partial folds
     are stored there instead of being dropped.  A virtual root only folds
-    its children's least budgets."""
+    its children's least budgets, whose rows stop at ``tree.part_cap``."""
     n = tree.vertex_count
     for v in spec.forbidden_outliers:
         if v not in tree.index:
@@ -173,6 +175,14 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
     w_sub = tree.subtree_weight_scaled
     c_s = tree.cost_scaled
     size = tree.subtree_size
+    children = tree.children_idx
+    root = tree.root
+    cap = kappa
+    if tree.virtual_root:
+        # 1 where nothing is feasible: the root's entries are none anyway;
+        # the trees' rows add up to kappa or more, so the root keeps
+        # kappa + 1 entries
+        cap = max(1, part_cap([size[v] for v in children[root]], kappa, lam))
     # the charge of cutting each parent edge, and the threshold test of a
     # part topped at each vertex (a leaf passes it iff thr >= 0)
     if spec.use_potentials:
@@ -192,11 +202,12 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
     gamma_plans = {}
     mu_plans = {}
 
-    def fold_mu(U, mv):
-        plan = mu_plans.get((len(U), len(mv)))
+    def fold_mu(U, mv, rows):
+        key = len(U), len(mv), rows
+        plan = mu_plans.get(key)
         if plan is None:
-            plan = mu_plans[len(U), len(mv)] = _min_plus_plan(
-                len(U), len(mv), min(kappa + 1, len(U) + len(mv) - 1), 1)
+            plan = mu_plans[key] = _min_plus_plan(
+                len(U), len(mv), min(rows, len(U) + len(mv) - 1), 1)
         return [min([U[p] + mv[q] for p, q in cell]) for cell in plan]
 
     leaf = [0] * lp1
@@ -204,7 +215,6 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
     G = [None] * slots   # cut-charge tables
     M = [None] * slots   # least budgets by part count
     folds = [None] * slots if keep is not None else None
-    children = tree.children_idx
     order = tree.order_idx
     if tree.virtual_root:
         order = order[:-1]  # the root comes last
@@ -225,7 +235,7 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
             # row i (i + 1 parts with u's): the child joins u's part, or
             # its edge is cut at charge e with i parts in its subtree;
             # cut off, a subtree of s vertices fills one row more, row s
-            if size[v] < kappa:
+            if size[v] < cap:
                 g = g + [inf] * lp1
             rx = len(g) // lp1
             plan = cut_plans.get(rx)
@@ -242,10 +252,10 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
             plan = gamma_plans.get((ry, rx))
             if plan is None:
                 plan = gamma_plans[ry, rx] = _min_plus_plan(
-                    ry, rx, min(kappa, ry + rx - 1), lp1)
+                    ry, rx, min(cap, ry + rx - 1), lp1)
             Y = [min([Y[p] + X[q] for p, q in cell]) for cell in plan]
             if lam:
-                U = fold_mu(U, mv)
+                U = fold_mu(U, mv, cap + 1)
         if kept:
             folds[u] = kept
         # u covered: the least budget whose cut charge passes the threshold
@@ -263,14 +273,13 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
             m = [none] + [0 if x <= t else none for x in Y]
         G[u] = Y
         M[u] = m
-    root = tree.root
     if tree.virtual_root:
         # no part, no outlier unit: the trees' least budgets folded alone
         U, *rest = (M[v] for v in children[root])
         kept = []
         for mv in rest:
             kept.append(U)
-            U = fold_mu(U, mv)
+            U = fold_mu(U, mv, kappa + 1)
         M[root] = [min(x, none) for x in U]
         if folds is not None:
             folds[root] = kept

@@ -601,6 +601,22 @@ class ForestLayout(RootedTree):
         return f"ForestLayout(n={self.vertex_count}, trees={self._cend[0] - 1})"
 
 
+def part_cap(sizes, kappa: int, lam: int) -> int:
+    """The most parts any one of trees of ``sizes`` vertices holds in a
+    feasible split of ``kappa`` parts at outlier budget ``lam`` (both
+    clamped to the forest's vertex count), or 0 when no split is
+    feasible.
+
+    A tree of more than ``lam`` vertices must hold a part, or all its
+    vertices would be outliers.  With ``need`` such trees, a tree holds at
+    most ``kappa - need + 1`` parts (``kappa`` when need is 0), and
+    ``need > kappa`` leaves every split infeasible."""
+    need = sum(s > lam for s in sizes)
+    if need > kappa:
+        return 0
+    return kappa - need + 1 if need else kappa
+
+
 def forest_layout(trees) -> ForestLayout:
     """One or more trees with disjoint ids as a :class:`ForestLayout`.
 

@@ -179,7 +179,9 @@ def _tree_tasks(tables: WitnessTables, k: int, l: int) -> list:
     are visited last first: each takes the most parts with which the
     trees before it still fit (the first ``kp`` for them, in ascending
     order, with ``C[kp] + B[k - kp] <= l``) and all the budget they leave;
-    its replay is entered at no more budget than its vertex count."""
+    its replay is entered at no more budget than its vertex count.  A
+    tree's ``B`` stops at ``tree.part_cap`` parts, which no feasible
+    split exceeds, so the split is the one full rows would give."""
     tree = tables.tree
     kids = tree.children_idx[tree.root]
     size = tree.subtree_size

@@ -1,16 +1,20 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import path_tree, star_tree
+from conftest import path_tree, random_tree, star_tree
 from treecut import (
     ProblemSpec,
+    cli,
     make_subpartition,
     min_xi,
+    reconstruct_subpartition,
+    solve,
     tree_from_json,
     validate_subpartition,
 )
@@ -65,6 +69,28 @@ class TestDecide:
                                "--outliers", "0", "--input", tree_file)
         assert code == 1
         assert json.loads(out) == {"feasible": False}
+
+    def test_tree_decide_solves_only_a_yes(self, capsys, monkeypatch, tmp_path):
+        # the witness tables are built only when the answer is yes, and
+        # the output is what the tables alone give
+        tree = random_tree(random.Random(14), 30)
+        path = tmp_path / "tree.json"
+        path.write_text(json.dumps(tree.to_json()))
+        solved = []
+        monkeypatch.setattr(cli, "solve", lambda *a: solved.append(a) or solve(*a))
+        best = min_xi(tree, 3, 2).xi_star
+        for xi in (best, best - Fraction(1, 1000), Fraction(0)):
+            spec = ProblemSpec(xi, 3, 2)
+            tables = solve(tree, spec)
+            want = {"feasible": tables.feasible}
+            if tables.feasible:
+                want["witness"] = reconstruct_subpartition(tree, spec, tables).to_json()
+            code, out, _ = run_cli(capsys, "decide", "--xi", str(xi), "--parts", "3",
+                                   "--outliers", "2", "--input", str(path))
+            assert code == (0 if tables.feasible else 1)
+            assert json.loads(out) == json.loads(json.dumps(want))
+            assert len(solved) == tables.feasible
+            solved.clear()
 
     def test_forbid_flag(self, capsys, tmp_path):
         hub = tmp_path / "hub.json"

@@ -31,6 +31,7 @@ from treecut import (
     tree_as_graph,
     validate_subpartition,
 )
+from treecut import _fastlane, search, solver
 from treecut.oracle import EnumerationBudget
 from treecut.search import (
     _balanced_partition,
@@ -932,6 +933,35 @@ class TestForest:
                 decide_forest(self._two_edges(), spec, want_witness=want_witness)
         with pytest.raises(UnknownVertexId):
             min_xi(self._two_edges(), 2, 0, forbidden_outliers={"zzz"})
+
+    def test_more_trees_needing_a_part_than_parts_is_a_no_before_any_work(
+            self, monkeypatch):
+        # three trees of more than `outliers` vertices must hold a part
+        # each, so two parts fit no split: the answer comes from the vertex
+        # counts, with no layout, opening bound, pricing or sweep
+        forest = Forest(tuple(path_tree((f"{i}a", f"{i}b", f"{i}c")) for i in range(3)))
+        graph = WeightedGraph([(v, 1, 0) for v in "abcdefgh"],
+                              [(u, v, 1, None) for u, v in zip("abcdefg", "bcdefgh")])
+
+        def ran(*args, **kwargs):
+            raise AssertionError("work ran for an infeasible part count")
+
+        for owner, name in ((search, "forest_layout"), (search, "_opening_bound"),
+                            (_fastlane, "_sweep_costs"), (_fastlane, "_np_sweep"),
+                            (_fastlane, "_chain_sweep"), (solver, "_least_budgets")):
+            monkeypatch.setattr(owner, name, ran)
+        for outliers in (0, 1, 2):
+            for want_witness in (True, False):
+                assert decide_forest(forest, ProblemSpec(9, 2, outliers),
+                                     want_witness) == (False, None)
+            for mode, tol in (("exact", None), ("tol", Fraction(1, 8))):
+                res = min_xi(forest, 2, outliers, mode=mode, tol=tol)
+                assert (res.xi_star, res.witness, res.probes, res.sweeps) == \
+                    (None, None, 0, 0)
+        # deleting c and f leaves three 2-vertex trees and one outlier unit
+        assert decide_semisupervised(graph, {"c", "f"}, frozenset(), 9, 2, 3) \
+            == (False, None)
+        assert "layout" not in vars(forest)
 
     def test_virtual_root_tops_no_part_and_spends_no_budget(self):
         # n single-vertex trees at xi = 0: n parts cover them, n - 1 parts

@@ -27,6 +27,7 @@ from treecut import (
     solve,
 )
 from treecut import _fastlane, solver
+from treecut.tree import part_cap
 
 
 def _shaped_tree(rng, n, shape, use_pot):
@@ -818,18 +819,34 @@ class TestForestLayout:
 
     def test_lanes_match_the_per_tree_fold(self, monkeypatch):
         # potentials, forbidden vertices, parts up to n and past the
-        # trees' sizes, single-vertex trees; directly, and through
-        # root_row and decide_many forced onto each numpy sweep
+        # trees' sizes, single-vertex trees; then forests with several
+        # trees of more than lam vertices, which cap every tree's rows
+        # (tree.part_cap), at kappa from below their count up to n;
+        # directly, and through root_row and decide_many forced onto each
+        # numpy sweep.  solve keeps no table below the root with more rows
+        # than the cap
         rng = random.Random(90)
-        for trial in range(150):
-            forest = _forest(rng, [rng.choice((1, 2, 5, 12, 30))
-                                   for _ in range(rng.randint(1, 7))], trial % 3 != 2)
+        binds = too_few = 0
+        for trial in range(230):
+            use_pot = trial % 3 != 2
+            capped = trial >= 150
+            sizes = [rng.choice((3, 8, 12, 30) if capped else (1, 2, 5, 12, 30))
+                     for _ in range(rng.randint(3 if capped else 1, 7))]
+            forest = _forest(rng, sizes, use_pot)
             layout = forest.layout
             n = layout.vertex_count
-            use_pot = trial % 3 != 2
             forb = frozenset(v for v in layout.ids if rng.random() < 0.1)
-            kappa = rng.randint(1, n)
-            lam = min(rng.randint(0, 6), n)
+            if capped:
+                lam = rng.randint(0, 6)
+                need = sum(s > lam for s in sizes)
+                kappa = rng.randint(max(1, need - 2), min(n, rng.choice((need + 8, n))))
+            else:
+                kappa = rng.randint(1, n)
+                lam = min(rng.randint(0, 6), n)
+            cap = part_cap(sizes, kappa, lam)
+            binds += 0 < cap < min(kappa, max(sizes))
+            too_few += not cap
+            cap = max(cap, 1)
             xis = [Fraction(rng.randint(0, 12), rng.randint(1, 5)) for _ in range(3)]
             level, chain = _numpy_least(layout, forb, xis, kappa, lam, use_pot)
             for xi, row_level, row_chain in zip(xis, level, chain):
@@ -837,6 +854,13 @@ class TestForestLayout:
                 want = _grid.forest_folds(forest, spec)[1][-1]
                 assert solver._least_budgets(layout, spec) == want
                 assert row_level == row_chain == want
+            tables = solve(layout, ProblemSpec(xis[0], kappa, lam, use_pot, forb))
+            lp1 = lam + 1
+            for u in range(n):
+                held = [len(tables.G[u]) // lp1, len(tables.M[u]) - 1]
+                for Y, U, X in tables.folds[u] or ():
+                    held += [len(Y) // lp1, len(X) // lp1, len(U) - 1]
+                assert max(held) <= cap
             for sweep, rows in (("level", level), ("chain", chain)):
                 with monkeypatch.context() as patch:
                     _force_sweep(patch, sweep)
@@ -844,6 +868,7 @@ class TestForestLayout:
                                               forb) == rows[0]
                     assert _fastlane.decide_many(layout, xis, kappa, lam, use_pot, forb) \
                         == [row[kappa] <= lam for row in rows]
+        assert binds >= 100 and too_few >= 8
 
     def test_one_tree_gives_its_own_least_budgets(self):
         rng = random.Random(91)

@@ -57,20 +57,27 @@ def test_every_name_the_worker_reaches_resolves():
 def test_lane_counts_read_the_sweep_arguments(monkeypatch):
     # ``_lane_count`` reads the tree, thresholds and budgets of
     # ``root_row``/``decide_many`` by position; its counts are the cells
-    # behind ``solver.cells`` and the engaged ratio
+    # behind ``solver.cells`` and the engaged ratio.  On a forest's layout
+    # the calls still pass kappa, although the sweeps keep rows only up
+    # to ``tree.part_cap`` below the virtual root
     import random
     from fractions import Fraction
 
-    from conftest import random_tree
-    from treecut import ProblemSpec, _fastlane, decide
+    from conftest import path_tree, random_tree
+    from treecut import Forest, ProblemSpec, _fastlane, decide
     from treecut.solver import decide_batch
+    from treecut.tree import part_cap
 
     tracing = _load_tracing()
     tree = random_tree(random.Random(8), 20)
     spec = ProblemSpec(1, 2, 1)
-    cells = 20 * 3 * 2
+    # three trees of more than one vertex need a part each: at most 2 of
+    # the 4 parts in any tree
+    layout = Forest(tuple(path_tree([f"{i}{v}" for v in "abcdef"]) for i in range(3))).layout
+    forest_spec = ProblemSpec(1, 4, 1)
+    assert part_cap([6, 6, 6], 4, 1) == 2
 
-    def traced_counts():
+    def traced_counts(tree, spec):
         tracer = tracing.Tracer(tracing.LANE_ONLY)
         tracer.install()
         try:
@@ -80,9 +87,12 @@ def test_lane_counts_read_the_sweep_arguments(monkeypatch):
             tracer.uninstall()
         return [(name, count) for name, _s, _e, _p, _op, count in tracer.spans]
 
-    assert traced_counts() == [("fastlane.root_row", cells),
-                               ("fastlane.decide_many", 3 * cells)]
+    for instance, budgets, cells in ((tree, spec, 20 * 3 * 2),
+                                     (layout, forest_spec, 18 * 5 * 2)):
+        assert traced_counts(instance, budgets) == [("fastlane.root_row", cells),
+                                                    ("fastlane.decide_many", 3 * cells)]
     # no numpy sweep engages: the lanes return None and count nothing
     monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", 0)
-    assert traced_counts() == [("fastlane.root_row", None), ("fastlane.decide_many", None)] + \
+    assert traced_counts(tree, spec) == [("fastlane.root_row", None),
+                                         ("fastlane.decide_many", None)] + \
         [("fastlane.root_row", None)] * 3

@@ -24,6 +24,7 @@ from treecut import (
     validate_subpartition,
 )
 from treecut.oracle import EnumerationBudget
+from treecut.tree import part_cap
 from treecut.witness import (
     VIOLATION_COVERAGE,
     VIOLATION_DISCONNECTED,
@@ -256,7 +257,7 @@ class TestForestFoldMatchesGrid:
         # (tests/_grid.py), so feasibility and witness agree, part order
         # included
         rng = random.Random(64)
-        cases = witnesses = 0
+        cases = witnesses = capped = capped_witnesses = 0
         for _ in range(1000):
             use_pot = rng.random() < 0.5
             forest = _tied_forest(rng, rng.randint(2, 5), 5, use_pot)
@@ -264,6 +265,13 @@ class TestForestFoldMatchesGrid:
             forb = frozenset(v for t in forest.trees for v in t.vertex_ids()
                              if rng.random() < 0.15)
             parts, outliers = rng.randint(1, total + 1), rng.randint(0, 5)
+            # a tree of more than `outliers` vertices must hold a part, so
+            # no tree keeps rows past tree.part_cap, which binds below
+            # min(kappa, the largest tree's size)
+            sizes = [t.vertex_count for t in forest.trees]
+            kappa = min(parts, total)
+            cap = part_cap(sizes, kappa, min(outliers, total))
+            binds = 0 < cap < min(kappa, max(sizes))
             best = min_xi(forest, parts, outliers, use_potentials=use_pot,
                           forbidden_outliers=forb).xi_star
             xis = [Fraction(rng.randint(0, 12), rng.randint(1, 4))]
@@ -276,7 +284,11 @@ class TestForestFoldMatchesGrid:
                 assert got == _grid.fold_forest(forest, spec), spec
                 cases += 1
                 witnesses += got[1] is not None
+                capped += binds
+                capped_witnesses += binds and got[1] is not None
         assert cases > 2500 and witnesses > 1800
+        # the cap binds in more than one case in eight
+        assert capped * 8 > cases and capped_witnesses > 300
 
     def test_many_trees_and_large_budgets(self):
         # 200 trees of 1-5 vertices at 50 parts and 20 outliers: the grid
