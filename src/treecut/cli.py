@@ -25,7 +25,7 @@ from .graphs import (
 from .search import Forest, decide_semisupervised, k_max, min_xi
 from .solver import ProblemSpec, decide, solve
 from .tree import RootedTree
-from .values import format_rational, parse_rational
+from .values import format_rational, format_scaled, parse_rational
 from .witness import reconstruct_subpartition, sorted_ids
 
 _PART_COLORS = (
@@ -222,7 +222,7 @@ def _cmd_cluster(args) -> int:
                 edges.append({
                     "u": tree.ids[u],
                     "v": tree.ids[c],
-                    "cost": format_rational(tree.parent_edge_cost(tree.ids[c])),
+                    "cost": format_scaled(tree.cost_scaled[c], tree.scale),
                 })
     payload = {
         "spanning_tree": {"components": len(trees), "edges": edges},
@@ -258,7 +258,7 @@ def render_dot(trees, witness) -> str:
     for tree in trees:
         for u in tree._bfs_order():
             for c in tree.children_idx[u]:
-                cost = format_rational(tree.parent_edge_cost(tree.ids[c]))
+                cost = format_scaled(tree.cost_scaled[c], tree.scale)
                 lines.append(
                     f"  {_dot_id(tree.ids[u])} -- {_dot_id(tree.ids[c])}"
                     f" [label=\"{cost}\"];")

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from .errors import (
@@ -28,8 +30,14 @@ from .errors import (
     UnknownVertexId,
 )
 from .search import Forest
-from .tree import RootedTree, build_rooted_forest, json_vertices_edges, tree_from_json
-from .values import parse_number
+from .tree import (
+    RootedTree,
+    build_rooted_forest,
+    json_columns,
+    json_vertices_edges,
+    tree_from_json,
+)
+from .values import least_numerator, parse_number, parse_numbers
 from .witness import sorted_ids
 
 
@@ -86,6 +94,51 @@ class WeightedGraph:
                 if dist <= 0:
                     raise InvalidInput(f"edge {u!r}-{v!r} needs positive distance, got {dist}")
             self.edges.append((ui, vi, cost, dist))
+
+    @classmethod
+    def _from_columns(cls, ids, weights, potentials, us, vs, costs, dists):
+        """A graph from columns a reader has already parsed (``dists`` holds
+        None where an edge has no distance), checked in bulk; where a check
+        fails, the constructor ``cls`` runs on them and names the first
+        fault."""
+        graph = cls.__new__(cls)
+        if graph._set_columns(ids, weights, potentials, us, vs, costs, dists):
+            return graph
+        return cls(list(zip(ids, weights, potentials)), list(zip(us, vs, costs, dists)))
+
+    def _set_columns(self, ids, weights, potentials, us, vs, costs, dists) -> bool:
+        """Take parsed columns if every check holds, each checked in bulk;
+        False, with nothing set, if one fails."""
+        n, m = len(ids), len(us)
+        order = sorted_ids(ids)
+        try:
+            index = dict(zip(order, range(n)))
+            ui = [index[u] for u in us]
+            vi = [index[v] for v in vs]
+        except (KeyError, TypeError):
+            return False
+        if len(index) != n or any(map(operator.eq, ui, vi)):
+            return False  # a duplicate id or a self-loop
+        if n and (least_numerator(weights) <= 0 or least_numerator(potentials) < 0):
+            return False
+        given = [d for d in dists if d is not None]
+        if (m and least_numerator(costs) <= 0) or (given and least_numerator(given) <= 0):
+            return False
+        # with no self-loop, an edge repeats iff an arc does, either way round
+        arcs = set(zip(ui, vi))
+        if len(arcs) != m or not arcs.isdisjoint(zip(vi, ui)):
+            return False
+        if order != ids:
+            at = dict(zip(ids, range(n)))
+            perm = [at[vid] for vid in order]
+            weights = list(map(weights.__getitem__, perm))
+            potentials = list(map(potentials.__getitem__, perm))
+        self.ids = order
+        self.index = index
+        self.weights = weights
+        self.potentials = potentials
+        self.edges = list(zip(ui, vi, costs, dists))
+        return True
 
     @property
     def vertex_count(self) -> int:
@@ -171,15 +224,19 @@ def tree_as_graph(tree: RootedTree) -> WeightedGraph:
 def graph_from_json(data: dict) -> WeightedGraph:
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ParseError("graph JSON needs 'vertices' and 'edges'")
-    return WeightedGraph(*json_vertices_edges(data, distance=True))
+    columns = json_columns(data, distance=True)
+    if columns is None:
+        return WeightedGraph(*json_vertices_edges(data, distance=True))
+    return WeightedGraph._from_columns(*columns)
 
 
 def _not_utf8(path, exc: UnicodeDecodeError) -> ParseError:
     return ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})")
 
 
-def _csv_edges(path, reader) -> list:
-    """The ``(u, v, cost, distance)`` rows of an edge CSV's reader."""
+def _csv_header(path, reader) -> tuple:
+    """The column positions of ``u``, ``v``, ``cost`` and ``distance``
+    (None if absent) named by an edge CSV's header row."""
     try:
         header = next(reader)
     except StopIteration:
@@ -188,10 +245,40 @@ def _csv_edges(path, reader) -> list:
     for required in ("u", "v", "cost"):
         if required not in cols:
             raise ParseError(f"{path}: header must name 'u', 'v', 'cost'")
-    iu, iv, ic = cols.index("u"), cols.index("v"), cols.index("cost")
     idist = cols.index("distance") if "distance" in cols else None
-    rows = []
-    for lineno, row in enumerate(reader, start=2):
+    return cols.index("u"), cols.index("v"), cols.index("cost"), idist
+
+
+def _csv_columns(rows, iu, iv, ic, idist):
+    """The columns ``(us, vs, costs, distances)`` of an edge CSV's rows
+    after the header, or None where any check fails: then
+    :func:`_csv_edges` names the first fault.  Empty rows are skipped."""
+    if not all(rows):
+        rows = [row for row in rows if row]
+    try:
+        us = [row[iu].strip() for row in rows]
+        vs = [row[iv].strip() for row in rows]
+        costs = parse_numbers([row[ic] for row in rows])
+        cells = [] if idist is None else [row[idist] if idist < len(row) else ""
+                                          for row in rows]
+        given = [i for i, cell in enumerate(cells) if cell and not cell.isspace()]
+        parsed = parse_numbers([cells[i] for i in given])
+    except (IndexError, ValueError):
+        return None
+    if (rows and least_numerator(costs) <= 0) or (given and least_numerator(parsed) <= 0):
+        return None
+    dists = [None] * len(rows)
+    for i, d in zip(given, parsed):
+        dists[i] = d
+    return us, vs, costs, dists
+
+
+def _csv_edges(path, rows, iu, iv, ic, idist):
+    """:func:`_csv_columns` one row at a time, raising
+    :class:`ParseError` for the first fault; rows of blank cells are
+    skipped."""
+    us, vs, costs, dists = [], [], [], []
+    for lineno, row in enumerate(rows, start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         try:
@@ -207,31 +294,40 @@ def _csv_edges(path, reader) -> list:
             raise ParseError(f"{path}:{lineno}: cost must be positive, got {cost}")
         if dist is not None and dist <= 0:
             raise ParseError(f"{path}:{lineno}: distance must be positive, got {dist}")
-        rows.append((u, v, cost, dist))
-    return rows
+        us.append(u)
+        vs.append(v)
+        costs.append(cost)
+        dists.append(dist)
+    return us, vs, costs, dists
 
 
 def graph_from_csv(path) -> WeightedGraph:
     """Edge list CSV with a header: ``u,v,cost[,distance]``.  Vertices are
-    inferred from endpoints with weight 1; ids stay strings."""
+    inferred from endpoints with weight 1; ids stay strings.  A UTF-8
+    byte order mark before the header is skipped."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = _csv_edges(path, csv.reader(fh))
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = _csv_header(path, reader)
+            rows = []
+            try:
+                rows.extend(reader)
+            except (csv.Error, UnicodeDecodeError):
+                # a fault in the rows before the unreadable one comes first
+                _csv_edges(path, rows, *header)
+                raise
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
+    columns = _csv_columns(rows, *header)
+    us, vs, costs, dists = columns or _csv_edges(path, rows, *header)
 
-    vertex_ids = []
-    seen = set()
-    for u, v, _c, _d in rows:
-        for vid in (u, v):
-            if vid not in seen:
-                seen.add(vid)
-                vertex_ids.append(vid)
+    vertex_ids = list(dict.fromkeys(chain.from_iterable(zip(us, vs))))
     if not vertex_ids:
         raise ParseError(f"{path}: no edges")
-    vertices = [(vid, 1, 0) for vid in vertex_ids]
+    n = len(vertex_ids)
     try:
-        return WeightedGraph(vertices, rows)
+        return WeightedGraph._from_columns(vertex_ids, [1] * n, [0] * n,
+                                           us, vs, costs, dists)
     except (SelfLoop, DuplicateEdge) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
 
@@ -252,7 +348,7 @@ def load_instance(path, fmt: str | None = None):
     if fmt == "csv":
         return graph_from_csv(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:
         raise _not_utf8(path, exc) from exc
     except json.JSONDecodeError as exc:

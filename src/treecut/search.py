@@ -544,11 +544,10 @@ def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
     ``ProblemSpec``.  The returned witness lives on the original graph.
     """
     xi = parse_rational(xi)
-    known = set(graph.vertex_ids())
     s1 = frozenset(required_outliers)
     s2 = frozenset(forbidden_outliers)
     for v in s1 | s2:
-        if v not in known:
+        if v not in graph.index:
             raise UnknownVertexId(f"constraint vertex {v!r} is not in the graph")
     if s1 & s2:
         raise PrecollisionError(
@@ -557,26 +556,28 @@ def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
         raise LambdaTooSmall(
             f"outlier budget {outliers} cannot cover {len(s1)} required outliers")
 
-    survivors = [v for v in graph.vertex_ids() if v not in s1]
+    out = {graph.index[v] for v in s1}
+    ids = graph.ids
+    survivors = [i for i in range(len(ids)) if i not in out]
     if not survivors:
         return False, None
 
-    extra_potential = {v: 0 for v in survivors}
+    # by index, in the graph's vertex and edge order
+    extra_potential = [0] * len(ids)
     forest_edges = []
-    for u, v, cost, _dist in graph.edge_records():
-        if u in s1 and v in s1:
-            continue
-        if u in s1:
-            extra_potential[v] += cost
-        elif v in s1:
-            extra_potential[u] += cost
+    for ui, vi, cost, _dist in graph.edges:
+        if ui in out:
+            if vi not in out:
+                extra_potential[vi] += cost
+        elif vi in out:
+            extra_potential[ui] += cost
         else:
-            forest_edges.append((u, v, cost))
+            forest_edges.append((ids[ui], ids[vi], cost))
 
     trees = build_rooted_forest(
-        [(v, graph.weight(v),
-          extra_potential[v] + (graph.potential(v) if use_potentials else 0))
-         for v in survivors], forest_edges)
+        [(ids[i], graph.weights[i],
+          extra_potential[i] + (graph.potentials[i] if use_potentials else 0))
+         for i in survivors], forest_edges)
     # trees, and so the witness's parts, go by least id as a string
     trees.sort(key=lambda t: str(t.ids[0]))
 

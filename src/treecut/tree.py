@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     UnknownVertexId,
 )
-from .values import format_rational, parse_number, parse_rational
+from .values import format_rational, parse_number, parse_numbers, parse_rational
 
 
 class RootedTree:
@@ -318,25 +318,14 @@ def _heavy_path_rounds(dense) -> list:
     return rounds
 
 
-def _lcm_of_denominators(values) -> int:
-    d = 1
-    for f in values:
-        if type(f) is int:
-            continue
-        q = f.denominator
-        if q != 1:
-            d = d * q // math.gcd(d, q)
-    return d
-
-
 def _column(values: list) -> tuple[list, int]:
-    """An input column as ints where integral and Fractions otherwise,
-    with the least common denominator; a column of ints is returned as
-    it is, with denominator 1."""
-    if set(map(type, values)) <= {int}:
+    """An input column as ints where integral and Fractions otherwise
+    (:func:`values.parse_numbers`), with the least common denominator; a
+    column of ints is returned as it is, with denominator 1."""
+    parsed = parse_numbers(values)
+    if parsed is values:
         return values, 1
-    values = [parse_number(v) for v in values]
-    return values, _lcm_of_denominators(values)
+    return parsed, math.lcm(*{v.denominator for v in parsed if type(v) is not int})
 
 
 def _scaled(values: list, scale: int) -> list:
@@ -405,13 +394,14 @@ def _flat_build(vertices, edges, root):
         potentials, dp = _column([entry[2] if len(entry) == 3 else 0
                                   for entry in vertices])
     costs, dc = _column([edge[2] for edge in edges])
+    scale = math.lcm(dw, dp, dc)
+    weights = _scaled(weights, scale)
+    potentials = _scaled(potentials, scale)
+    costs = _scaled(costs, scale)
     if min(weights) <= 0 or min(potentials) < 0 or (m and min(costs) < 0):
         return None
     us = [index[edge[0]] for edge in edges]
     vs = [index[edge[1]] for edge in edges]
-    scale = math.lcm(dw, dp, dc)
-    weights = _scaled(weights, scale)
-    potentials = _scaled(potentials, scale)
 
     # CSR adjacency by counting sort: the arcs of vertex x lead to nbr
     # at cost arc_cost over [start[x], start[x + 1]), in input edge order
@@ -424,7 +414,7 @@ def _flat_build(vertices, edges, root):
     fill = start[:-1]
     nbr = [0] * (2 * m)
     arc_cost = [0] * (2 * m)
-    for u, v, c in zip(us, vs, _scaled(costs, scale)):
+    for u, v, c in zip(us, vs, costs):
         k = fill[u]
         fill[u] = k + 1
         nbr[k] = v
@@ -722,10 +712,65 @@ def _json_entries(data: dict, key: str, what: str, required: tuple):
         yield i, entry
 
 
+def json_columns(data: dict, distance: bool = False):
+    """The columns ``(ids, weights, potentials, us, vs, costs,
+    distances)`` of a tree or graph JSON object, numbers read by
+    :func:`values.parse_numbers` (``distances`` holds None where an edge
+    has none, and is None without ``distance``), or None where any check
+    fails: then :func:`_json_vertices_edges` names the first fault.
+
+    Each field is one comprehension over its entries; entry and id types
+    are checked once per distinct type."""
+    vertices, edges = data["vertices"], data["edges"]
+    if not (isinstance(vertices, list) and isinstance(edges, list)):
+        return None
+    vkinds, ekinds = set(map(type, vertices)), set(map(type, edges))
+    if not all(issubclass(kind, dict) for kind in vkinds | ekinds):
+        return None
+    # a dict subclass may answer a missing key, so test its keys
+    if vkinds - {dict} and not all("id" in v and "weight" in v for v in vertices):
+        return None
+    if ekinds - {dict} and not all("u" in e and "v" in e and "cost" in e for e in edges):
+        return None
+    try:
+        ids = [v["id"] for v in vertices]
+        weights = parse_numbers([v["weight"] for v in vertices])
+        potentials = parse_numbers([v.get("potential", 0) for v in vertices])
+        us = [e["u"] for e in edges]
+        vs = [e["v"] for e in edges]
+        costs = parse_numbers([e["cost"] for e in edges])
+        dists = None
+        if distance:
+            dists = [None] * len(edges)
+            given = [i for i, e in enumerate(edges) if "distance" in e]
+            for i, d in zip(given, parse_numbers([edges[i]["distance"] for i in given])):
+                dists[i] = d
+    except (KeyError, TypeError, ValueError):
+        return None
+    if any(issubclass(kind, (list, dict))
+           for kind in set(map(type, ids)) | set(map(type, us)) | set(map(type, vs))):
+        return None  # an array or object cannot key a vertex
+    return ids, weights, potentials, us, vs, costs, dists
+
+
 def json_vertices_edges(data: dict, distance: bool = False):
     """The vertices ``(id, weight, potential)`` and edges ``(u, v, cost)``
     of a tree or graph JSON object, numbers read by ``parse_number``; with
-    ``distance``, each edge ends with its ``distance`` or None."""
+    ``distance``, each edge ends with its ``distance`` or None.
+
+    Read a column at a time by :func:`json_columns`; the per-entry reader
+    runs only when that fails, to raise the first fault in input order."""
+    columns = json_columns(data, distance)
+    if columns is None:
+        return _json_vertices_edges(data, distance)
+    ids, weights, potentials, us, vs, costs, dists = columns
+    edges = zip(us, vs, costs, dists) if distance else zip(us, vs, costs)
+    return list(zip(ids, weights, potentials)), list(edges)
+
+
+def _json_vertices_edges(data: dict, distance: bool = False):
+    """:func:`json_vertices_edges` one entry and one value at a time,
+    raising :class:`ParseError` for the first fault in input order."""
     vertices = []
     for i, v in _json_entries(data, "vertices", "vertex", ("id", "weight")):
         try:

@@ -9,6 +9,8 @@ Floating point is never used in comparisons.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 
 
@@ -56,9 +58,81 @@ def parse_number(value):
     return f.numerator if f.denominator == 1 else f
 
 
+def parse_numbers(values: list) -> list:
+    """``[parse_number(v) for v in values]``, a column at a time: the same
+    values, and the same error for the first token that fails.
+
+    A column of ints is returned as it is, and one of ints and Fractions
+    has its integral Fractions made ints.  A column of strings is joined
+    and checked once: if every token is a non-empty run of ASCII digits,
+    each goes through ``int``; if the text holds only ASCII digits, signs
+    and slashes, each distinct token is read once, by :func:`_token`.  Any
+    other column is read token by token, strings by :func:`_token` and
+    every other token by :func:`parse_number`, so whitespace, ``_``,
+    non-ASCII digits, decimals, floats and bools behave as there.
+    """
+    kinds = set(map(type, values))
+    if kinds <= {int}:
+        return values
+    if kinds <= {int, Fraction}:  # parsed already
+        return [v.numerator if type(v) is Fraction and v.denominator == 1 else v
+                for v in values]
+    if kinds == {str}:
+        text = "".join(values)
+        if text.isascii():
+            if text.isdigit() and all(values):
+                return list(map(int, values))
+            if text.translate(_SIGNS_AND_SLASHES).isdigit():
+                # a Fraction takes about 1 us to build; first occurrences
+                # keep the column's order, so the first fault raises
+                known = {s: _token(s) for s in dict.fromkeys(values)}
+                return list(map(known.__getitem__, values))
+    return [_token(v) if type(v) is str else parse_number(v) for v in values]
+
+
+_SIGNS_AND_SLASHES = str.maketrans("", "", "+-/")
+
+
+def _token(text: str):
+    """:func:`parse_number` of a string.  An optionally signed run of ASCII
+    digits goes through ``int``, and ``"p/q"`` with such a ``p`` and a
+    non-zero run of ASCII digits ``q`` makes the Fraction from two ints;
+    every other string goes through :func:`parse_number`."""
+    p, slash, q = text.partition("/")
+    digits = p[1:] if p[:1] in ("+", "-") else p
+    if digits.isdigit() and text.isascii() and (not slash or q.isdigit()):
+        try:
+            if not slash:
+                return int(text)
+            den = int(q)
+            if den:
+                f = Fraction(int(p), den)
+                return f.numerator if f.denominator == 1 else f
+        except ValueError:  # past the int string-conversion limit
+            pass
+    return parse_number(text)
+
+
+_NUMERATOR = operator.attrgetter("numerator")
+
+
+def least_numerator(values) -> int:
+    """The least numerator of a non-empty column of ints and Fractions.
+    Its sign is the sign of the column's minimum, since denominators are
+    positive, and no Fraction is compared to find it."""
+    return min(map(_NUMERATOR, values))
+
+
 def format_rational(value: Fraction) -> str:
     """Render a Fraction as an exact ``"p/q"`` string (q always present)."""
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_scaled(value: int, scale: int) -> str:
+    """``format_rational(Fraction(value, scale))`` for ints, without
+    building the Fraction: both reduced by their gcd."""
+    g = math.gcd(value, scale)
+    return f"{value // g}/{scale // g}"
 
 
 class ScaledValue:
