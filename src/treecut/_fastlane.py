@@ -34,6 +34,17 @@ range ``[cstart[u], cend[u])``, each depth is a contiguous range, and
 scanning positions downward visits children before parents.  A forest's
 layout marks position 0 ``virtual_root``: both sweeps then end by folding
 the trees' least budgets alone (``_fold_least``), with no cut-charge rows.
+
+Every array of both sweeps puts the vertex axis last: cut-charge tables
+are ``(rows, lam + 1, thresholds, vertices)``, least budgets ``(rows + 1,
+thresholds, vertices)``, charges ``(thresholds, vertices)`` and the chain
+sweep's row arrays ``(lam + 1, thresholds, vertices)``.  Once the part
+and outlier budgets are fixed the work per vertex is constant, so the
+sweeps' time goes to moving numpy data: with the many vertices of a level
+or round innermost and contiguous, each (min,+) product, threshold test
+and scan walks long runs of memory, where a vertex-first layout gives
+every numpy call runs of ``lam + 1`` cells.  Only the returned rows are
+``(thresholds, parts + 1)``.
 """
 
 from __future__ import annotations
@@ -68,6 +79,14 @@ _MAX_TABLE_BYTES = 1 << 31
 # a feasible split (``_row_cap``): rows up to the cap read only rows up
 # to it, so the root's fold is the same for every part count.
 #
+# A level's cut-charge table is laid out ``(rows, lam + 1, thresholds,
+# vertices)`` and its least budgets ``(rows + 1, thresholds, vertices)``,
+# so each product, test and count runs along the whole level (see the
+# module docstring).  Row merges work along axis 0 and the budget product
+# along axis -3.  Gathers of vertices go through ``np.take(x, idx,
+# axis=-1)``, which keeps the vertex axis innermost; ``x[..., idx]``
+# would lay the gathered axis out outermost in memory.
+#
 # Finite values stay inside (-2^60, 2^60) by ``_bound_ok``.  Infinity is
 # 2^61, so a sum with an infinite operand is at least 2^60 (even when the
 # other operand is a negative charge) and is reset to infinity, and two
@@ -77,35 +96,59 @@ _NP_INF = np.int64(1) << np.int64(61)
 _NP_CHUNK_BYTES = 1 << 25
 
 
+def _min_plus_budget(z, x):
+    """``out[l] = min z[lp] + x[l - lp]`` over ``lp <= l``: the (min,+)
+    product over the budget axis (-3, before thresholds and vertices),
+    broadcast over the axes before it, with sums at or over 2^60 reset to
+    infinity."""
+    lp1 = z.shape[-3]
+    out = z[..., :1, :, :] + x
+    if lp1 > 1:
+        tmp = np.empty_like(out)
+        for lp in range(1, lp1):
+            dst, t = out[..., lp:, :, :], tmp[..., lp:, :, :]
+            np.add(z[..., lp:lp + 1, :, :], x[..., :lp1 - lp, :, :], out=t)
+            np.minimum(dst, t, out=dst)
+    np.putmask(out, out >= _SAFE_LIMIT, _NP_INF)
+    return out
+
+
 def _min_plus_gamma(Y, X, rows):
     """``out[c, l] = min Y[i, lp] + X[c - i, l - lp]`` for ``c < rows``,
-    over shifted cut-charge rows (row ``i`` holds ``i + 1`` parts)."""
-    out = np.full(Y.shape[:2] + (rows, Y.shape[3]), _NP_INF)
-    for i in range(min(Y.shape[2], rows)):
-        span = min(X.shape[2], rows - i)
-        dst = out[:, :, i:i + span]
-        np.minimum(dst, _min_plus_budget(Y[:, :, i, None], X[:, :, :span]), out=dst)
+    over shifted cut-charge rows (axis 0; row ``i`` holds ``i + 1``
+    parts) and budgets (axis 1)."""
+    out = np.full((rows,) + Y.shape[1:], _NP_INF)
+    for i in range(min(Y.shape[0], rows)):
+        span = min(X.shape[0], rows - i)
+        dst = out[i:i + span]
+        np.minimum(dst, _min_plus_budget(Y[i], X[:span]), out=dst)
     return out
 
 
 def _min_plus_mu(U, M, rows, none):
-    """``out[k] = min U[i] + M[k - i]`` for ``k < rows``: the least budget
-    with which two groups of subtrees hold ``k`` parts between them."""
-    out = np.full(U.shape[:2] + (rows,), none, dtype=U.dtype)
-    for i in range(min(U.shape[2], rows)):
-        span = min(M.shape[2], rows - i)
-        dst = out[:, :, i:i + span]
-        np.minimum(dst, U[:, :, i, None] + M[:, :, :span], out=dst)
+    """``out[k] = min U[i] + M[k - i]`` for ``k < rows`` (axis 0): the
+    least budget with which two groups of subtrees hold ``k`` parts
+    between them."""
+    out = np.full((rows,) + U.shape[1:], none, dtype=U.dtype)
+    for i in range(min(U.shape[0], rows)):
+        span = min(M.shape[0], rows - i)
+        dst = out[i:i + span]
+        np.minimum(dst, U[i] + M[:span], out=dst)
     return out
 
 
 def _grow(a, rows, fill):
-    """``a`` with axis 2 padded to ``rows`` entries of ``fill``."""
-    if a.shape[2] >= rows:
+    """``a`` with axis 0 padded to ``rows`` entries of ``fill``."""
+    if a.shape[0] >= rows:
         return a
-    out = np.full(a.shape[:2] + (rows,) + a.shape[3:], fill, dtype=a.dtype)
-    out[:, :, :a.shape[2]] = a
+    out = np.full((rows,) + a.shape[1:], fill, dtype=a.dtype)
+    out[:a.shape[0]] = a
     return out
+
+
+def _take(x, idx):
+    """``x[..., idx]`` for a slice or an index array, vertex axis last."""
+    return x[..., idx] if isinstance(idx, slice) else np.take(x, idx, axis=-1)
 
 
 def _fold_plan(counts):
@@ -125,38 +168,44 @@ def _fold_plan(counts):
 
 def _cached_plan(dense, key, counts):
     """``_fold_plan(counts)``, kept with the dense arrays under ``key`` (a
-    tree level or heavy-path round, whose counts never change)."""
+    tree level or heavy-path round, whose counts never change) when it
+    holds a merge round; an empty plan costs one ``max`` to rebuild, less
+    than the entry that would keep it."""
     plans = dense.setdefault("fold_plans", {})
-    if key not in plans:
-        plans[key] = _fold_plan(counts)
-    return plans[key]
+    plan = plans.get(key)
+    if plan is None:
+        plan = _fold_plan(counts)
+        if plan:
+            plans[key] = plan
+    return plan
 
 
 def _fold_runs(plan, items, fills, merge):
     """Fold each run of consecutive items into one item, merging
     neighbours pairwise round by round as ``plan`` (``_fold_plan``) pairs
-    them.  ``items`` is a tuple of arrays indexed along axis 0 whose axis
-    2 may grow in a merge; unmerged items are padded with ``fills`` to
-    match."""
+    them.  ``items`` is a tuple of arrays indexed along the last axis
+    whose axis 0 may grow in a merge; unmerged items are padded with
+    ``fills`` to match."""
     for li, keep, slot in plan:
-        merged = merge(tuple(x[li] for x in items), tuple(x[li + 1] for x in items))
-        items = tuple(_grow(x[keep], mx.shape[2], fill)
+        merged = merge(tuple(np.take(x, li, axis=-1) for x in items),
+                       tuple(np.take(x, li + 1, axis=-1) for x in items))
+        items = tuple(_grow(np.take(x, keep, axis=-1), mx.shape[0], fill)
                       for x, mx, fill in zip(items, merged, fills))
         for x, mx in zip(items, merged):
-            x[slot] = mx
+            x[..., slot] = mx
     return items
 
 
 def _charges(dense, a_arr, b_arr, use_pot):
     """The charge of cutting each parent edge, and the threshold test of a
     part topped at each vertex (a leaf passes it iff thr >= 0), per
-    vertex and threshold."""
-    a = a_arr[None, :]
-    b = b_arr[None, :]
-    eps = a * dense["w_sub"][:, None] + b * dense["c_edge"][:, None]
-    thr = a * dense["w_sub"][:, None] - b * dense["c_edge"][:, None]
+    threshold and vertex."""
+    a = a_arr[:, None]
+    b = b_arr[:, None]
+    eps = a * dense["w_sub"] + b * dense["c_edge"]
+    thr = a * dense["w_sub"] - b * dense["c_edge"]
     if use_pot:
-        pot = b * dense["p_sub"][:, None]
+        pot = b * dense["p_sub"]
         eps -= pot
         thr -= pot
     return eps, thr
@@ -169,30 +218,30 @@ def _fold_children(G, M, e, plan, rows, kappa, none):
     (``rows + 1`` least budgets)."""
     # a child cut off with all its s vertices as parts fills row s; the
     # child joins its parent's part, or its edge is cut at charge e
-    G = _grow(G, min(kappa, G.shape[2] + 1), _NP_INF)
-    e = e[:, :, None, None]
-    cut = (np.arange(G.shape[3]) >= M[:, :, :G.shape[2], None]) & (e <= G)
+    G = _grow(G, min(kappa, G.shape[0] + 1), _NP_INF)
+    budgets = np.arange(G.shape[1])[:, None, None]
+    cut = (budgets >= M[:G.shape[0], None]) & (e <= G)
 
     def merge(left, right):
         # a subtree of s vertices holds at most s parts, so the rows that
         # can be finite add up, up to ``rows``
         return (_min_plus_gamma(left[0], right[0],
-                                min(rows, left[0].shape[2] + right[0].shape[2] - 1)),
+                                min(rows, left[0].shape[0] + right[0].shape[0] - 1)),
                 _min_plus_mu(left[1], right[1],
-                             min(rows + 1, left[1].shape[2] + right[1].shape[2] - 1), none))
+                             min(rows + 1, left[1].shape[0] + right[1].shape[0] - 1), none))
 
     return _fold_runs(plan, (np.where(cut, e, G), M), (_NP_INF, none), merge)
 
 
 def _fold_least(M, plan, kappa, none):
     """The virtual root's fold: its children's least budgets ``M`` (one run
-    that ``plan`` pairs) folded into an ``(nb, kappa + 1)`` array of least
-    budgets, with no cut-charge rows."""
+    that ``plan`` pairs) folded into a ``(thresholds, kappa + 1)`` array
+    of least budgets, with no cut-charge rows."""
     def merge(left, right):
         return (_min_plus_mu(left[0], right[0],
-                             min(kappa + 1, left[0].shape[2] + right[0].shape[2] - 1), none),)
+                             min(kappa + 1, left[0].shape[0] + right[0].shape[0] - 1), none),)
 
-    return _fold_runs(plan, (M,), (none,), merge)[0][0]
+    return _fold_runs(plan, (M,), (none,), merge)[0][..., 0].T
 
 
 def _row_cap(dense, kappa, lam):
@@ -230,24 +279,24 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
         rows = min(cap, int(dense["level_size"][d]))
         # a childless vertex folds nothing: its own part alone, and no
         # parts among its children
-        Y = np.full((width, nb, rows, lp1), _NP_INF)
-        Y[:, :, 0, :] = 0
-        U = np.full((width, nb, rows + 1), none, dtype=np.int64)
-        U[:, :, 0] = 0
+        Y = np.full((rows, lp1, nb, width), _NP_INF)
+        Y[0] = 0
+        U = np.full((rows + 1, nb, width), none, dtype=np.int64)
+        U[0] = 0
         if G is not None:
             counts = kids[lo:hi]
             par = np.flatnonzero(counts)
-            Yf, Uf = _fold_children(G, M, eps[hi:level_end[d + 1]],
+            Yf, Uf = _fold_children(G, M, eps[:, hi:level_end[d + 1]],
                                     _cached_plan(dense, ("level", d), counts[par]),
                                     rows, cap, none)
-            Y[par, :, :Yf.shape[2]] = Yf
-            U[par, :, :Uf.shape[2]] = Uf
-        m = np.empty((width, nb, rows + 1), dtype=np.int64)
-        m[:, :, 0] = none
-        m[:, :, 1:] = lp1 - np.count_nonzero(Y <= thr[lo:hi, :, None, None], axis=3)
-        np.minimum(m, np.where(forb[lo:hi, None, None] == 0, U + 1, none), out=m)
+            Y[:Yf.shape[0], ..., par] = Yf
+            U[:Uf.shape[0], ..., par] = Uf
+        m = np.empty((rows + 1, nb, width), dtype=np.int64)
+        m[0] = none
+        m[1:] = lp1 - np.count_nonzero(Y <= thr[:, lo:hi], axis=1)
+        np.minimum(m, np.where(forb[lo:hi] == 0, U + 1, none), out=m)
         G, M = Y, m
-    return M[0]
+    return M[..., 0].T
 
 
 # -- the chain sweep --------------------------------------------------------
@@ -273,6 +322,14 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
 # and each row is one scan of affine maps along all paths of the round
 # at once, from each path's leaf up.
 #
+# As in the level sweep, the round's vertices come last: a row array
+# (the row being scanned, z, the composite z's) is ``(lam + 1,
+# thresholds, vertices)``, a row of least budgets and the q's ``(thresholds,
+# vertices)``, and the tables of the path tops and of the vertices with
+# light children ``(rows, lam + 1, thresholds, vertices)``, so that each
+# scan, product and test runs along the round's vertices, and the scans
+# accumulate along the last axis.
+#
 # * M: the maps x -> min(P, q + x) compose by adding q's, so M_u[k] is the
 #   least P_t + (the q's from u down to t) over t at or below u.  That is
 #   one suffix ``np.minimum.accumulate`` over the round of P + Q, less Q,
@@ -292,18 +349,6 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
 # z is finite and non-increasing in the budget, as every cut-charge row
 # is, so z * C_h[i] is e_h + z[l - M_h[i]]: one gather.  Every (min,+)
 # product saturates to infinity, as in the level sweep.
-
-
-def _min_plus_budget(z, x):
-    """``out[..., l] = min z[..., lp] + x[..., l - lp]`` over ``lp <= l``:
-    the (min,+) product over the budget axis (the last)."""
-    lp1 = z.shape[-1]
-    out = z[..., :1] + x
-    for lp in range(1, lp1):
-        dst = out[..., lp:]
-        np.minimum(dst, z[..., lp, None] + x[..., :lp1 - lp], out=dst)
-    out[out >= _SAFE_LIMIT] = _NP_INF
-    return out
 
 
 def _doubling_steps(rnd):
@@ -358,7 +403,7 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
     nb = a_arr.shape[0]
     lp1 = lam + 1
     none = lp1
-    budgets = np.arange(lp1)
+    budgets = np.arange(lp1)[:, None, None]
     cap = _row_cap(dense, kappa, lam)
     Gt = Mt = None  # the round below's path tops: cut-charge rows, least budgets
     for r in range(len(rounds) - 1, -1, -1):
@@ -370,91 +415,91 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
         vert, top, lpar = rnd["vert"], rnd["top"], rnd["lpar"]
         m = vert.size
         rows = min(cap, int(size[vert[top]].max()))
-        e_r, t_r = eps[vert], thr[vert]
+        e_r, t_r = np.take(eps, vert, axis=-1), np.take(thr, vert, axis=-1)
         free = forb[vert] == 0
         end = rnd["reach"] == 0
-        q = np.ones((m, nb), dtype=np.int64)
+        q = np.ones((nb, m), dtype=np.int64)
         z = None  # the all-zero z's stay implicit
         if lpar.size:
             below = rounds[r + 1]
-            Z, U = _fold_children(Gt, Mt, eps[below["vert"][below["top"]]],
+            Z, U = _fold_children(Gt, Mt, np.take(eps, below["vert"][below["top"]], axis=-1),
                                   _cached_plan(dense, ("round", r), rnd["lcount"]),
                                   rows, cap, none)
             Gt = Mt = None
-            q[lpar] = np.minimum(U[:, :, 0] + 1, none)
-            if Z[:, :, 0].any():
-                z = np.zeros((m, nb, lp1), dtype=np.int64)
-                z[lpar] = Z[:, :, 0]
+            q[:, lpar] = np.minimum(U[0] + 1, none)
+            if Z[0].any():
+                z = np.zeros((lp1, nb, m), dtype=np.int64)
+                z[..., lpar] = Z[0]
             h = lpar + 1  # their heavy children
             lfree = free[lpar]
-            Xh = np.empty((lpar.size, nb, rows, lp1), dtype=np.int64)
-            Mh = np.empty((lpar.size, nb, rows), dtype=np.int64)
-        q[end | ~free] = none
-        Q = np.cumsum(q, axis=0) - q
+            Xh = np.empty((rows, lp1, nb, lpar.size), dtype=np.int64)
+            Mh = np.empty((rows, nb, lpar.size), dtype=np.int64)
+        q[:, end | ~free] = none
+        Q = np.cumsum(q, axis=-1) - q
         zs = []
         if z is not None:
             steps = _doubling_steps(rnd)
             zc = z.copy()
-            zc[end] = _NP_INF  # a leaf's map is constant
+            zc[..., end] = _NP_INF  # a leaf's map is constant
             for v, down in steps:
-                zs.append(zc[v].copy())
-                zc[v] = _min_plus_budget(zs[-1], zc[down])
+                zs.append(np.array(_take(zc, v)))  # a copy: zc changes below
+                zc[..., v] = _min_plus_budget(zs[-1], _take(zc, down))
             del zc
-        Gt = np.empty((top.size, nb, rows, lp1), dtype=np.int64)
-        Mt = np.empty((top.size, nb, rows + 1), dtype=np.int64)
+        Gt = np.empty((rows, lp1, nb, top.size), dtype=np.int64)
+        Mt = np.empty((rows + 1, nb, top.size), dtype=np.int64)
         for k in range(rows + 1):
             # least budgets, row k: u covered, passing its threshold test ...
             if k:
-                P = lp1 - np.count_nonzero(Grow <= t_r[:, :, None], axis=2)
+                P = lp1 - np.count_nonzero(Grow <= t_r, axis=0)
             else:
-                P = np.full((m, nb), none, dtype=np.int64)
-                P[end & free] = 1  # ... or a leaf the outlier
+                P = np.full((nb, m), none, dtype=np.int64)
+                P[:, end & free] = 1  # ... or a leaf the outlier
             # ... or u the outlier, with some of the parts below it in
             # light subtrees
-            K = min(k, U.shape[2] - 1) if lpar.size else 0
+            K = min(k, U.shape[0] - 1) if lpar.size else 0
             if K:
-                W = (U[:, :, 1:K + 1] + Mh[:, :, k - K:k][:, :, ::-1]).min(axis=2)
+                W = (U[1:K + 1] + Mh[k - K:k][::-1]).min(axis=0)
                 sub = lpar[lfree]
-                P[sub] = np.minimum(P[sub], W[lfree] + 1)
+                P[:, sub] = np.minimum(np.take(P, sub, axis=-1), W[:, lfree] + 1)
             P += Q
-            Mrow = np.minimum(np.minimum.accumulate(P[::-1], axis=0)[::-1] - Q, none)
-            Mt[:, :, k] = Mrow[top]
+            Mrow = np.minimum(np.minimum.accumulate(P[:, ::-1], axis=-1)[:, ::-1] - Q, none)
+            Mt[k] = np.take(Mrow, top, axis=-1)
             if k == rows:
                 break
             # cut-charge rows, row i = k
             i = k
-            cut = budgets >= Mrow[1:, :, None]
-            e_h = e_r[1:, :, None]
-            D = np.empty((m, nb, lp1), dtype=np.int64)
+            cut = budgets >= Mrow[:, 1:]
+            e_h = e_r[:, 1:]
+            D = np.empty((lp1, nb, m), dtype=np.int64)
             if z is None:
-                D[:-1] = np.where(cut, e_h, _NP_INF)
+                D[..., :-1] = np.where(cut, e_h, _NP_INF)
             else:
                 # z is finite: at no budget, every light child joins u
-                shift = np.maximum(budgets - Mrow[1:, :, None], 0)
-                D[:-1] = np.where(cut, e_h + np.take_along_axis(z[:-1], shift, axis=2),
-                                  _NP_INF)
-            D[end] = 0 if i == 0 else _NP_INF  # a leaf: its own part alone
-            I = min(i, Z.shape[2] - 1) if lpar.size else 0
+                shift = np.maximum(budgets - Mrow[:, 1:], 0)
+                D[..., :-1] = np.where(cut, e_h + np.take_along_axis(z[..., :-1], shift, axis=0),
+                                       _NP_INF)
+            D[..., end] = 0 if i == 0 else _NP_INF  # a leaf: its own part alone
+            I = min(i, Z.shape[0] - 1) if lpar.size else 0
             if I:
-                B = _min_plus_budget(Z[:, :, I:0:-1], Xh[:, :, i - I:i]).min(axis=2)
-                D[lpar] = np.minimum(D[lpar], B)
+                B = _min_plus_budget(Z[I:0:-1], Xh[i - I:i]).min(axis=0)
+                D[..., lpar] = np.minimum(np.take(D, lpar, axis=-1), B)
             if z is not None:
                 for (v, down), zv in zip(steps, zs):
-                    D[v] = np.minimum(D[v], _min_plus_budget(zv, D[down]))
+                    D[..., v] = np.minimum(_take(D, v), _min_plus_budget(zv, _take(D, down)))
             elif top.size == 1:
-                D = np.minimum.accumulate(D[::-1], axis=0)[::-1]
+                D = np.minimum.accumulate(D[..., ::-1], axis=-1)[..., ::-1]
             else:
                 for paths, dst, src in _path_buckets(rnd):
-                    D[dst] = np.minimum.accumulate(D[paths], axis=1).reshape(
-                        -1, nb, lp1)[src]
+                    scanned = np.minimum.accumulate(np.take(D, paths, axis=-1), axis=-1)
+                    D[..., dst] = np.take(scanned.reshape(lp1, nb, -1), src, axis=-1)
             Grow = D
-            Gt[:, :, i] = Grow[top]
+            Gt[i] = np.take(Grow, top, axis=-1)
             if lpar.size:
-                Mh[:, :, i] = Mrow[h]
-                g = Grow[h]
-                e = e_r[h][:, :, None]
-                Xh[:, :, i] = np.where((budgets >= Mrow[h][:, :, None]) & (e <= g), e, g)
-    return Mt[0]
+                Mh[i] = np.take(Mrow, h, axis=-1)
+                g = np.take(Grow, h, axis=-1)
+                e = np.take(e_r, h, axis=-1)
+                Xh[i] = np.where((budgets >= Mh[i]) & (e <= g), e, g)
+    return Mt[..., 0].T
 
 
 def available() -> bool:
@@ -507,26 +552,43 @@ def _forb_array(tree, forbidden_ids):
 # 150-16,501 vertices, with parts up to n (n <= 2000), up to 20 outliers
 # and potentials that make z non-zero, the peak of one threshold's sweep
 # stayed within 65% of the level figure and 33% of the chain figure.
+#
+# The level sweep's first run on a tree also keeps one fold plan per
+# level that holds a merge round (``_cached_plan`` keeps no empty plan),
+# and the figure prices them: ``_PLAN_ROUND_BYTES`` per merge round (its
+# index arrays' headers and the plan's list, tuple and key) and
+# ``_PLAN_CHILD_WORDS`` int64 per child folded.  Without them the first
+# sweep's peak reached 1.5x the figure on a 5000-vertex caterpillar and
+# 3.7x on a 20,000-vertex one, whose plans measured 1.8 and 7.4 MB (790
+# bytes per merge round).  A chain sweep keeps at most one plan per
+# round, and its scans' indices, within its row arrays.
 _LEVEL_COPIES = 32
 _CHAIN_ROW_COPIES = 12
 _CHAIN_TABLE_COPIES = 6
 _VERTEX_WORDS = 8
 _FIXED_BYTES = 1 << 20
+_PLAN_ROUND_BYTES = 1 << 10
+_PLAN_CHILD_WORDS = 3
 
 
 def _level_stats(dense):
     """Per tree level: width, largest subtree, children in the level below
-    and merge rounds of their fold (cached with the dense arrays)."""
+    and merge rounds of their fold; and the bytes of the fold plans the
+    level sweep keeps (cached with the dense arrays)."""
     if "level_stats" not in dense:
         level_end = np.asarray(dense["level_end"])
         width = np.diff(level_end, prepend=0)
         kids = np.maximum.reduceat(dense["cend"] - dense["cstart"],
                                    level_end - width)
+        children = np.append(width[1:], 0)
+        merges = np.ceil(np.log2(np.maximum(kids, 1)))
         dense["level_stats"] = {
             "width": width,
             "size": dense["level_size"],
-            "children": np.append(width[1:], 0),
-            "merges": np.ceil(np.log2(np.maximum(kids, 1))),
+            "children": children,
+            "merges": merges,
+            "plan_bytes": int(_PLAN_ROUND_BYTES * merges.sum()
+                              + 8 * _PLAN_CHILD_WORDS * children[merges > 0].sum()),
         }
     return dense["level_stats"]
 
@@ -557,10 +619,10 @@ def _round_stats(tree):
 def _sweep_bytes(tree, kappa: int, lam: int) -> int:
     """Bytes one threshold's level sweep may hold at once, beyond the
     fixed ``_FIXED_BYTES``: ``_LEVEL_COPIES`` copies of the largest level
-    table and ``_VERTEX_WORDS`` int64 per vertex."""
+    table, ``_VERTEX_WORDS`` int64 per vertex and the fold plans."""
     st = _level_stats(tree.dense_arrays())
     cells = int((st["width"] * np.minimum(kappa, st["size"])).max()) * (lam + 1)
-    return 8 * (_LEVEL_COPIES * cells + _VERTEX_WORDS * tree.vertex_count)
+    return 8 * (_LEVEL_COPIES * cells + _VERTEX_WORDS * tree.vertex_count) + st["plan_bytes"]
 
 
 def _chain_bytes(tree, kappa: int, lam: int) -> int:
@@ -598,6 +660,19 @@ def _chain_bytes(tree, kappa: int, lam: int) -> int:
 # outliers and 1-16 thresholds, with and without potentials.  On 149
 # other such sweeps one estimate in two was within 0.85-1.4x of the
 # measured time.
+#
+# Those sweeps laid their tables out vertex-first.  On 158 level and 159
+# chain sweeps of the vertex-last kernels, drawn the same way (sizes
+# log-uniform), estimate over time had quartiles 1.02, 1.22 and 1.72 for
+# the level sweep (59% within 0.85-1.4x) and 0.92, 1.48 and 2.24 for the
+# chain sweep (27%).  A least-squares refit of the chain constants on
+# 247 more sweeps brought the held-out chain estimates to 0.83, 1.05 and
+# 1.25 (56% within), but ranked the lanes worse beyond 10^4 vertices: a
+# 10^5-vertex star at 2 parts went to the chain sweep (29 ms, against
+# 21 ms in the level sweep), and on the benchmark's decide-large and
+# optimize-exact trees (seed 7, in one process) decisions took 3% and 9%
+# longer.  Refitting both lanes took them 4.5% longer and 1% shorter.
+# The rule ranks lanes and sizes search rounds, so the constants stay.
 #
 # The Python sweep is not priced: it decides only where no numpy sweep
 # engages.  It is faster on trees of a few dozen vertices, but no
@@ -640,18 +715,22 @@ def _numpy_terms(tree, kappa):
         ch = _round_stats(tree)
         crows = np.minimum(kappa, ch["size"])
         light = np.minimum(crows, ch["below_size"] + 1)
-        doubling = ch["steps"] * crows
+        doubling = ch["steps"] * crows * ch["m"]
         multi = ch["paths"] > 1
+        lit = ch["lpar"] > 0  # rounds with light children
         return {
             "level": (rows.size, int((lv["width"] * rows + lv["children"] * child_rows).sum()))
                      + _fold_terms(rows, child_rows, lv["children"], lv["merges"]),
             "chain": (crows.size, int((crows + 1).sum()), int((ch["m"] * (crows + 1)).sum()),
-                      int((crows * (ch["lpar"] > 0)).sum()),
+                      int((crows * lit).sum()),
                       float((ch["lpar"] * crows * (light - 1)).sum()))
                      + _fold_terms(crows, light, ch["below_paths"], ch["merges"]),
-            # cells of the doubling scans, in rounds of several paths (z
-            # all zero), and in every round (z non-zero)
-            "steps": (int((doubling * multi * ch["m"]).sum()), int((doubling * ch["m"]).sum())),
+            # cells of the scans of rounds of several paths with z all
+            # zero; where z can be non-zero, of the doubling scans of the
+            # rounds with light children and the scans of those of several
+            # paths without
+            "steps": (int((doubling * multi).sum()), int((doubling * lit).sum()),
+                      int((doubling * (multi & ~lit)).sum())),
         }
 
     return _cached(dense, "numpy_terms", kappa, build)
@@ -669,10 +748,12 @@ def _chain_us(tree, kappa, lam, thresholds, use_pot):
     terms = _numpy_terms(tree, kappa)
     rounds, rows, cells, lcalls, lpairs, fcalls, fpairs = terms["chain"]
     lp1 = lam + 1
-    # with potentials and outliers z can be non-zero: every round runs a
-    # doubling scan of budget products
+    # with potentials and outliers z can be non-zero: a round with light
+    # children then runs a doubling scan of budget products (a round
+    # without keeps z implicit)
     z = use_pot and lam > 0 and int(tree.dense_arrays()["p_sub"][0]) > 0
-    step_cells = terms["steps"][1] * lp1 if z else terms["steps"][0]
+    multi, lit, multi_unlit = terms["steps"]
+    step_cells = lit * lp1 + multi_unlit if z else multi
     c = _CHAIN_US
     return (c[0] * rounds + c[1] * rows + c[2] * lp1 * thresholds * cells
             + c[3] * lp1 * lcalls + c[4] * lp1 * lp1 * thresholds * lpairs

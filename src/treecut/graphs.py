@@ -195,17 +195,33 @@ class WeightedGraph:
 
     def expansion(self, part, use_potentials: bool = False) -> Fraction:
         """Exact edge expansion of a vertex set in this graph."""
-        idxs = {self._idx(v) for v in part}
-        if not idxs:
+        return self.expansions((part,), use_potentials)[0]
+
+    def expansions(self, parts, use_potentials: bool = False) -> tuple:
+        """Exact edge expansions of disjoint vertex sets in this graph, in
+        one pass over the edges: each vertex is labelled with its part,
+        and an edge whose ends differ in label charges the parts of both."""
+        members = [{self._idx(v) for v in part} for part in parts]
+        if not all(members):
             raise InvalidInput("expansion of the empty set is undefined")
-        cut = Fraction(0)
+        label = [-1] * len(self.ids)
+        for j, idxs in enumerate(members):
+            for i in idxs:
+                label[i] = j
+        cut = [0] * len(members)
         for ui, vi, cost, _d in self.edges:
-            if (ui in idxs) != (vi in idxs):
-                cut += cost
-        weight = sum(self.weights[i] for i in idxs)
-        if use_potentials:
-            cut += sum(self.potentials[i] for i in idxs)
-        return cut / weight
+            a, b = label[ui], label[vi]
+            if a != b:
+                if a >= 0:
+                    cut[a] += cost
+                if b >= 0:
+                    cut[b] += cost
+        out = []
+        for j, idxs in enumerate(members):
+            if use_potentials:
+                cut[j] += sum(self.potentials[i] for i in idxs)
+            out.append(Fraction(cut[j]) / sum(self.weights[i] for i in idxs))
+        return tuple(out)
 
 
 def tree_as_graph(tree: RootedTree) -> WeightedGraph:

@@ -588,8 +588,7 @@ def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
     if not feasible or wit is None:
         return feasible, None
 
-    expansions = tuple(graph.expansion(p, use_potentials=use_potentials)
-                       for p in wit.parts)
+    expansions = graph.expansions(wit.parts, use_potentials=use_potentials)
     witness = Subpartition(wit.parts, frozenset(wit.residue | s1),
                            expansions, max(expansions))
     return True, witness

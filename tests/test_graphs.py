@@ -51,6 +51,40 @@ class TestWeightedGraph:
         assert g.expansion({"a", "b"}) == Fraction(3, 2)
         assert g.expansion({"a", "b", "c"}) == 0
 
+    def test_expansions_of_disjoint_parts_in_one_pass(self):
+        # against expansion part by part and against its definition (the
+        # cut edges' costs, plus the potentials, over the weight), on
+        # random graphs with Fraction and int values; vertices outside
+        # every part
+        rng = random.Random(41)
+
+        def value():
+            return rng.choice((rng.randint(1, 9), Fraction(rng.randint(1, 9), rng.randint(2, 7))))
+
+        for trial in range(60):
+            n = rng.randint(1, 25)
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.3]
+            g = WeightedGraph([(i, value(), rng.choice((0, value()))) for i in range(n)],
+                              [(u, v, value(), None) for u, v in pairs])
+            order = rng.sample(range(n), n)
+            cuts = sorted(rng.sample(range(1, n + 1), rng.randint(1, n)))
+            parts = [set(order[lo:hi]) for lo, hi in zip([0] + cuts, cuts)
+                     if rng.random() < 0.8]
+            for use_pot in (False, True):
+                want = []
+                for part in parts:
+                    cut = sum((c for u, v, c, _ in g.edge_records() if (u in part) != (v in part)),
+                              Fraction(0))
+                    if use_pot:
+                        cut += sum(g.potential(v) for v in part)
+                    want.append(cut / sum(g.weight(v) for v in part))
+                got = g.expansions(parts, use_potentials=use_pot)
+                assert got == tuple(want) == tuple(
+                    g.expansion(p, use_potentials=use_pot) for p in parts)
+                assert all(type(x) is Fraction for x in got)
+        with pytest.raises(InvalidInput):
+            g.expansions([{0}, set()])
+
     def test_components(self):
         g = WeightedGraph([(v, 1, 0) for v in "abcd"],
                           [("a", "b", 1, None), ("c", "d", 1, None)])

@@ -338,25 +338,27 @@ class TestLaneAgreement:
             rows = rng.randint(1, ky + kx)
             Y, X = ([[rng.choice((inf, rng.randint(-9, 9))) for _ in range(lp1)]
                      for _ in range(k)] for k in (ky, kx))
-            got = _fastlane._min_plus_gamma(np.array([[Y]]), np.array([[X]]), rows)
+            got = _fastlane._min_plus_gamma(np.array(Y)[:, :, None, None],
+                                            np.array(X)[:, :, None, None], rows)
             want = [[min([Y[i][lp] + X[c - i][l - lp]
                           for i in range(min(c + 1, ky)) for lp in range(l + 1)
                           if c - i < kx and Y[i][lp] < inf and X[c - i][l - lp] < inf],
                          default=inf)
                      for l in range(lp1)] for c in range(rows)]
-            assert got[0, 0].tolist() == want
+            assert got[:, :, 0, 0].tolist() == want
 
             none = lp1
             U = [rng.randint(0, none) for _ in range(ky)]
             M = [rng.randint(0, none) for _ in range(kx)]
-            got = _fastlane._min_plus_mu(np.array([[U]]), np.array([[M]]), rows, none)
+            got = _fastlane._min_plus_mu(np.array(U)[:, None, None], np.array(M)[:, None, None],
+                                         rows, none)
             want = [min([none] + [U[i] + M[k - i] for i in range(min(k + 1, ky))
                                   if k - i < kx])
                     for k in range(rows)]
-            assert got[0, 0].tolist() == want
+            assert got[:, 0, 0].tolist() == want
 
     def test_numpy_kernel_folds_each_run(self):
-        # a sum fold whose merge grows axis 2, as merged subtrees hold more
+        # a sum fold whose merge grows axis 0, as merged subtrees hold more
         # parts: unmerged items are padded with the fill value
         rng = random.Random(24)
         for _ in range(20):
@@ -364,17 +366,17 @@ class TestLaneAgreement:
             values = [rng.randint(0, 99) for _ in range(sum(counts))]
 
             def merge(a, b):
-                grown = np.zeros(a[0].shape[:2] + (a[0].shape[2] + 1,), dtype=np.int64)
-                grown[:, :, 0] = a[0][:, :, 0] + b[0][:, :, 0]
+                grown = np.zeros((a[0].shape[0] + 1,) + a[0].shape[1:], dtype=np.int64)
+                grown[0] = a[0][0] + b[0][0]
                 return (grown,)
 
             (got,) = _fastlane._fold_runs(
                 _fastlane._fold_plan(np.array(counts)),
-                (np.array(values).reshape(-1, 1, 1),), (0,), merge)
+                (np.array(values).reshape(1, 1, -1),), (0,), merge)
             ends = np.cumsum(counts).tolist()
-            assert got[:, 0, 0].tolist() == [sum(values[e - c:e])
-                                             for c, e in zip(counts, ends)]
-            assert got.shape[2] == 1 + (max(counts) - 1).bit_length()
+            assert got[0, 0].tolist() == [sum(values[e - c:e])
+                                          for c, e in zip(counts, ends)]
+            assert got.shape[0] == 1 + (max(counts) - 1).bit_length()
 
     def test_tables_over_the_size_gate_fall_back(self):
         # outliers = n on a 20000-vertex star: the leaves' level alone
@@ -437,6 +439,30 @@ class TestLaneAgreement:
                     finally:
                         tracemalloc.stop()
                     assert peak <= bound, (name, sweep.__name__, kappa, lam, peak, bound)
+
+    def test_first_sweep_peak_stays_within_the_memory_figure(self):
+        # the first sweep on a tree also builds what it keeps with the
+        # dense arrays (the level sweep's fold plan per level, the chain
+        # sweep's per round and its scans' indices); 5000-vertex trees,
+        # where a caterpillar has 2500 levels, each swept on a fresh tree
+        n = 5000
+        shapes = (("star", n + 1), ("path", n), ("caterpillar", n), ("random", n))
+        sweeps = ((_fastlane._np_sweep, _fastlane._sweep_bytes),
+                  (_fastlane._chain_sweep, _fastlane._chain_bytes))
+        a, b = np.array([1]), np.array([3])
+        for (shape, size), (kappa, lam), (sweep, figure) in itertools.product(
+                shapes, ((2, 0), (3, 2), (20, 5)), sweeps):
+            t = _shaped_tree(random.Random(size), size, shape, True)
+            t.heavy_paths()
+            bound = _fastlane._FIXED_BYTES + figure(t, kappa, lam)
+            dense, forb = t.dense_arrays(), _fastlane._forb_array(t, ())
+            tracemalloc.start()
+            try:
+                sweep(dense, forb, a, b, kappa, lam, True)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound, (shape, sweep.__name__, kappa, lam, peak, bound)
 
     def test_lanes_for_deep_thin_wide_and_oversized_trees(self, monkeypatch):
         # values over the int64 bound go to the Python sweep, deep, thin
@@ -640,11 +666,20 @@ class TestChainSweep:
             lp1 = rng.randint(1, 6)
             z, x = ([rng.choice((inf, rng.randint(-9, 9))) for _ in range(lp1)]
                     for _ in range(2))
-            got = _fastlane._min_plus_budget(np.array([z]), np.array([x]))
-            assert got[0].tolist() == [
+            got = _fastlane._min_plus_budget(np.array(z)[:, None, None],
+                                             np.array(x)[:, None, None])
+            assert got[:, 0, 0].tolist() == [
                 min([z[lp] + x[l - lp] for lp in range(l + 1)
                      if z[lp] < inf and x[l - lp] < inf], default=inf)
                 for l in range(lp1)]
+
+    def test_a_path_is_priced_alike_with_and_without_potentials(self):
+        # a path is one round with no light children, so its z stays
+        # implicit and potentials add no doubling scan to run or to price
+        t = _shaped_tree(random.Random(31), 2000, "path", True)
+        for kappa, lam in ((3, 2), (2, 0), (20, 5)):
+            assert _fastlane._chain_us(t, kappa, lam, 1, True) \
+                == _fastlane._chain_us(t, kappa, lam, 1, False)
 
     def test_k_max_on_a_deep_tree_takes_the_chain_sweep(self, monkeypatch):
         # parts = n and 20 outliers on a 60-vertex caterpillar: the chain
