@@ -116,12 +116,18 @@ def _min_plus_budget(z, x):
 def _min_plus_gamma(Y, X, rows):
     """``out[c, l] = min Y[i, lp] + X[c - i, l - lp]`` for ``c < rows``,
     over shifted cut-charge rows (axis 0; row ``i`` holds ``i + 1``
-    parts) and budgets (axis 1)."""
+    parts) and budgets (axis 1), saturated as ``_min_plus_budget`` is
+    (once: saturating commutes with the minimum)."""
+    lp1 = Y.shape[1]
     out = np.full((rows,) + Y.shape[1:], _NP_INF)
+    tmp = np.empty((min(X.shape[0], rows),) + X.shape[1:], dtype=np.int64)
     for i in range(min(Y.shape[0], rows)):
         span = min(X.shape[0], rows - i)
-        dst = out[i:i + span]
-        np.minimum(dst, _min_plus_budget(Y[i], X[:span]), out=dst)
+        for lp in range(lp1):
+            dst, t = out[i:i + span, lp:], tmp[:span, lp:]
+            np.add(Y[i, lp], X[:span, :lp1 - lp], out=t)
+            np.minimum(dst, t, out=dst)
+    np.putmask(out, out >= _SAFE_LIMIT, _NP_INF)
     return out
 
 
