@@ -82,10 +82,10 @@ _MAX_TABLE_BYTES = 1 << 31
 # A level's cut-charge table is laid out ``(rows, lam + 1, thresholds,
 # vertices)`` and its least budgets ``(rows + 1, thresholds, vertices)``,
 # so each product, test and count runs along the whole level (see the
-# module docstring).  Row merges work along axis 0 and the budget product
-# along axis -3.  Gathers of vertices go through ``np.take(x, idx,
-# axis=-1)``, which keeps the vertex axis innermost; ``x[..., idx]``
-# would lay the gathered axis out outermost in memory.
+# module docstring), and row merges work along axis 0.  Gathers of
+# vertices go through ``np.take(x, idx, axis=-1)``, which keeps the
+# vertex axis innermost; ``x[..., idx]`` would lay the gathered axis out
+# outermost in memory.
 #
 # Finite values stay inside (-2^60, 2^60) by ``_bound_ok``.  Infinity is
 # 2^61, so a sum with an infinite operand is at least 2^60 (even when the
@@ -94,23 +94,6 @@ _MAX_TABLE_BYTES = 1 << 31
 
 _NP_INF = np.int64(1) << np.int64(61)
 _NP_CHUNK_BYTES = 1 << 25
-
-
-def _min_plus_budget(z, x):
-    """``out[l] = min z[lp] + x[l - lp]`` over ``lp <= l``: the (min,+)
-    product over the budget axis (-3, before thresholds and vertices),
-    broadcast over the axes before it, with sums at or over 2^60 reset to
-    infinity."""
-    lp1 = z.shape[-3]
-    out = z[..., :1, :, :] + x
-    if lp1 > 1:
-        tmp = np.empty_like(out)
-        for lp in range(1, lp1):
-            dst, t = out[..., lp:, :, :], tmp[..., lp:, :, :]
-            np.add(z[..., lp:lp + 1, :, :], x[..., :lp1 - lp, :, :], out=t)
-            np.minimum(dst, t, out=dst)
-    np.putmask(out, out >= _SAFE_LIMIT, _NP_INF)
-    return out
 
 
 def _min_plus_gamma(Y, X, rows):
@@ -333,8 +316,8 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
 # thresholds, vertices)``, a row of least budgets and the q's ``(thresholds,
 # vertices)``, and the tables of the path tops and of the vertices with
 # light children ``(rows, lam + 1, thresholds, vertices)``, so that each
-# scan, product and test runs along the round's vertices, and the scans
-# accumulate along the last axis.
+# scan, product and test runs along the round's vertices: the scans
+# accumulate along the last axis, and budget products work along axis -3.
 #
 # * M: the maps x -> min(P, q + x) compose by adding q's, so M_u[k] is the
 #   least P_t + (the q's from u down to t) over t at or below u.  That is
@@ -355,6 +338,23 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
 # z is finite and non-increasing in the budget, as every cut-charge row
 # is, so z * C_h[i] is e_h + z[l - M_h[i]]: one gather.  Every (min,+)
 # product saturates to infinity, as in the level sweep.
+
+
+def _min_plus_budget(z, x):
+    """``out[l] = min z[lp] + x[l - lp]`` over ``lp <= l``: the (min,+)
+    product over the budget axis (-3, before thresholds and vertices),
+    broadcast over the axes before it, with sums at or over 2^60 reset to
+    infinity."""
+    lp1 = z.shape[-3]
+    out = z[..., :1, :, :] + x
+    if lp1 > 1:
+        tmp = np.empty_like(out)
+        for lp in range(1, lp1):
+            dst, t = out[..., lp:, :, :], tmp[..., lp:, :, :]
+            np.add(z[..., lp:lp + 1, :, :], x[..., :lp1 - lp, :, :], out=t)
+            np.minimum(dst, t, out=dst)
+    np.putmask(out, out >= _SAFE_LIMIT, _NP_INF)
+    return out
 
 
 def _doubling_steps(rnd):
@@ -669,16 +669,17 @@ def _chain_bytes(tree, kappa: int, lam: int) -> int:
 #
 # Those sweeps laid their tables out vertex-first.  On 158 level and 159
 # chain sweeps of the vertex-last kernels, drawn the same way (sizes
-# log-uniform), estimate over time had quartiles 1.02, 1.22 and 1.72 for
-# the level sweep (59% within 0.85-1.4x) and 0.92, 1.48 and 2.24 for the
-# chain sweep (27%).  A least-squares refit of the chain constants on
-# 247 more sweeps brought the held-out chain estimates to 0.83, 1.05 and
-# 1.25 (56% within), but ranked the lanes worse beyond 10^4 vertices: a
-# 10^5-vertex star at 2 parts went to the chain sweep (29 ms, against
-# 21 ms in the level sweep), and on the benchmark's decide-large and
-# optimize-exact trees (seed 7, in one process) decisions took 3% and 9%
-# longer.  Refitting both lanes took them 4.5% longer and 1% shorter.
-# The rule ranks lanes and sizes search rounds, so the constants stay.
+# log-uniform), estimate over time had quartiles 1.20, 1.52 and 1.96 for
+# the level sweep (39% within 0.85-1.4x) and 1.06, 1.58 and 2.45 for the
+# chain sweep (31%).  A refit of both by the same procedure, on 246 level
+# and 247 chain sweeps more, brought the held-out quartiles to 0.87,
+# 1.07 and 1.36 (58% within) and 0.85, 1.02 and 1.32 (56%), but ranked
+# the lanes worse past the sample's sizes: a 10^5-vertex star at 2 parts
+# went to the chain sweep (28.5 ms, against 19.9 ms in the level sweep),
+# and the benchmark's decide-large trees took 2% longer (optimize-exact
+# 5% and kmax-wide 6% shorter; seed 7, in one process).  The rule is
+# there to rank the lanes, so these constants stay until a fit covers
+# 10^5-vertex trees.
 #
 # The Python sweep is not priced: it decides only where no numpy sweep
 # engages.  It is faster on trees of a few dozen vertices, but no
