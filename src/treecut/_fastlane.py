@@ -83,9 +83,12 @@ _MAX_TABLE_BYTES = 1 << 31
 # vertices)`` and its least budgets ``(rows + 1, thresholds, vertices)``,
 # so each product, test and count runs along the whole level (see the
 # module docstring), and row merges work along axis 0.  Gathers of
-# vertices go through ``np.take(x, idx, axis=-1)``, which keeps the
-# vertex axis innermost; ``x[..., idx]`` would lay the gathered axis out
-# outermost in memory.
+# vertices go through ``x.take(idx, axis=-1)``, which keeps the vertex
+# axis innermost; ``x[..., idx]`` would lay the gathered axis out
+# outermost in memory.  The sweeps call ndarray methods and ufunc
+# reductions (``x.take``, ``A.sum``, ``np.minimum.reduce``, ``np.empty``
+# then ``fill``) rather than their ``np.`` wrappers, whose Python-level
+# dispatch costs more than the C work on small trees.
 #
 # Finite values stay inside (-2^60, 2^60) by ``_bound_ok``.  Infinity is
 # 2^61, so a sum with an infinite operand is at least 2^60 (even when the
@@ -102,7 +105,8 @@ def _min_plus_gamma(Y, X, rows):
     parts) and budgets (axis 1), saturated as ``_min_plus_budget`` is
     (once: saturating commutes with the minimum)."""
     lp1 = Y.shape[1]
-    out = np.full((rows,) + Y.shape[1:], _NP_INF)
+    out = np.empty((rows,) + Y.shape[1:], dtype=np.int64)
+    out.fill(_NP_INF)
     tmp = np.empty((min(X.shape[0], rows),) + X.shape[1:], dtype=np.int64)
     for i in range(min(Y.shape[0], rows)):
         span = min(X.shape[0], rows - i)
@@ -118,7 +122,8 @@ def _min_plus_mu(U, M, rows, none):
     """``out[k] = min U[i] + M[k - i]`` for ``k < rows`` (axis 0): the
     least budget with which two groups of subtrees hold ``k`` parts
     between them."""
-    out = np.full((rows,) + U.shape[1:], none, dtype=U.dtype)
+    out = np.empty((rows,) + U.shape[1:], dtype=U.dtype)
+    out.fill(none)
     for i in range(min(U.shape[0], rows)):
         span = min(M.shape[0], rows - i)
         dst = out[i:i + span]
@@ -130,14 +135,10 @@ def _grow(a, rows, fill):
     """``a`` with axis 0 padded to ``rows`` entries of ``fill``."""
     if a.shape[0] >= rows:
         return a
-    out = np.full((rows,) + a.shape[1:], fill, dtype=a.dtype)
+    out = np.empty((rows,) + a.shape[1:], dtype=a.dtype)
     out[:a.shape[0]] = a
+    out[a.shape[0]:].fill(fill)
     return out
-
-
-def _take(x, idx):
-    """``x[..., idx]`` for a slice or an index array, vertex axis last."""
-    return x[..., idx] if isinstance(idx, slice) else np.take(x, idx, axis=-1)
 
 
 def _fold_plan(counts):
@@ -146,7 +147,7 @@ def _fold_plan(counts):
     and which of the kept ones take a merge output."""
     plan = []
     while counts.max() > 1:
-        rank = np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+        rank = np.arange(int(counts.sum())) - np.repeat(counts.cumsum() - counts, counts)
         left = rank % 2 == 0
         pair = left & (rank + 1 < np.repeat(counts, counts))
         keep = np.flatnonzero(left)
@@ -176,9 +177,9 @@ def _fold_runs(plan, items, fills, merge):
     whose axis 0 may grow in a merge; unmerged items are padded with
     ``fills`` to match."""
     for li, keep, slot in plan:
-        merged = merge(tuple(np.take(x, li, axis=-1) for x in items),
-                       tuple(np.take(x, li + 1, axis=-1) for x in items))
-        items = tuple(_grow(np.take(x, keep, axis=-1), mx.shape[0], fill)
+        merged = merge(tuple(x.take(li, axis=-1) for x in items),
+                       tuple(x.take(li + 1, axis=-1) for x in items))
+        items = tuple(_grow(x.take(keep, axis=-1), mx.shape[0], fill)
                       for x, mx, fill in zip(items, merged, fills))
         for x, mx in zip(items, merged):
             x[..., slot] = mx
@@ -268,10 +269,12 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
         rows = min(cap, int(dense["level_size"][d]))
         # a childless vertex folds nothing: its own part alone, and no
         # parts among its children
-        Y = np.full((rows, lp1, nb, width), _NP_INF)
+        Y = np.empty((rows, lp1, nb, width), dtype=np.int64)
         Y[0] = 0
-        U = np.full((rows + 1, nb, width), none, dtype=np.int64)
+        Y[1:].fill(_NP_INF)
+        U = np.empty((rows + 1, nb, width), dtype=np.int64)
         U[0] = 0
+        U[1:].fill(none)
         if G is not None:
             counts = kids[lo:hi]
             par = np.flatnonzero(counts)
@@ -282,7 +285,7 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
             U[:Uf.shape[0], ..., par] = Uf
         m = np.empty((rows + 1, nb, width), dtype=np.int64)
         m[0] = none
-        m[1:] = lp1 - np.count_nonzero(Y <= thr[:, lo:hi], axis=1)
+        m[1:] = lp1 - (Y <= thr[:, lo:hi]).sum(axis=1)
         np.minimum(m, np.where(forb[lo:hi] == 0, U + 1, none), out=m)
         G, M = Y, m
     return M[..., 0].T
@@ -312,7 +315,7 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
 # at once, from each path's leaf up.
 #
 # As in the level sweep, the round's vertices come last: a row array
-# (the row being scanned, z, the composite z's) is ``(lam + 1,
+# (the row being scanned, the z's and composite z's) is ``(lam + 1,
 # thresholds, vertices)``, a row of least budgets and the q's ``(thresholds,
 # vertices)``, and the tables of the path tops and of the vertices with
 # light children ``(rows, lam + 1, thresholds, vertices)``, so that each
@@ -327,17 +330,38 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
 #   none.  Q is at most m (lam + 1) for a round of m vertices, which the
 #   memory gate keeps under 2^31 / (8 * _CHAIN_ROW_COPIES) (each row array
 #   holds m (lam + 1) cells), far inside int64.
-# * G: with z all zeros (no potentials, no outliers, or no light child)
-#   the map is x -> min(x, D), so a row is a suffix minimum of D per
-#   path: one accumulate when the round is one path, else one per bucket
-#   of paths of similar length.  Else the maps x -> z * x min D compose as
-#   (z1, D1)(z2, D2) = (z1 * z2, z1 * D2 min D1), and a doubling scan
-#   takes ceil(log2(longest path)) steps, with the composite z's built
-#   once per round.
+# * G: where z is all zeros the map is x -> min(x, D), so the rows of a
+#   round whose z's are all zero (no potentials, no outliers, or no light
+#   child with potential) are the plain suffix minima SP of D per path:
+#   one accumulate when the round is one path, else one per bucket of
+#   paths of similar length.  Else z is 0 at no budget and non-increasing,
+#   so z <= 0 and z * x <= x, and every G_u is at most min D over u and
+#   everything below it on its path.  Hence:
+#
+#   - a position u whose z is zero has G_u = min(SP_u, G_s), for s the
+#     nearest position at or below u on its path whose z is non-zero
+#     (SP_u alone if there is none);
+#   - a position s whose z is non-zero maps x -> z_s * x min D'_s, with
+#     D'_s = min(D_s, z_s * SP_{s+1}), on x = G_t for t the next such
+#     position below s on its path (and is constant, D'_s, at the last).
+#     Where s + 1 is itself t, SP_{s+1} >= G_t adds nothing, and D'_s is
+#     D_s.
+#
+#   So the sweep composes maps at the non-zero positions alone, with a
+#   doubling scan over each path's sequence of them (``_z_chains``):
+#   (z1, D1)(z2, D2) = (z1 * z2, z1 * D2 min D1) takes ceil(log2(their
+#   count on the longest path)) steps, usually 0-2, with the composite
+#   z's built once per round.  The row is then SP, lowered to G_s above
+#   each non-zero s.  The plain D before the scan leaves z * C_h out:
+#   where z is zero it is C_h, and where it is not, G_s is at most it.
+#   z can be non-zero only at a vertex with a light child of positive
+#   subtree potential, since a negative cut charge needs potential (the
+#   cost rule counts those vertices, ``_round_stats``).
 #
 # z is finite and non-increasing in the budget, as every cut-charge row
-# is, so z * C_h[i] is e_h + z[l - M_h[i]]: one gather.  Every (min,+)
-# product saturates to infinity, as in the level sweep.
+# is, so z * C_h[i] is e_h + z[l - M_h[i]]: one gather, at the non-zero
+# positions.  Every (min,+) product saturates to infinity, as in the
+# level sweep.
 
 
 def _min_plus_budget(z, x):
@@ -357,25 +381,45 @@ def _min_plus_budget(z, x):
     return out
 
 
-def _doubling_steps(rnd):
-    """Per step of a doubling scan over a round, the round positions at
-    least ``d`` steps above their path's leaf and the positions ``d``
-    steps below them, for ``d = 1, 2, 4, ...`` (slices when the round is
-    one path; cached in the round)."""
-    if "steps" not in rnd:
-        reach = rnd["reach"]
-        m = reach.size
-        steps = []
-        d = 1
-        while d <= reach.max():
-            if rnd["top"].size == 1:
-                steps.append((slice(0, m - d), slice(d, m)))
-            else:
-                v = np.flatnonzero(reach >= d)
-                steps.append((v, v + d))
-            d *= 2
-        rnd["steps"] = steps
-    return rnd["steps"]
+def _z_chains(z, lpar, top, m):
+    """The maps of a round's non-zero z's, composed once per sweep (see
+    the chain comment), or None when every z is zero.  ``z`` is
+    ``(lam + 1, thresholds, light parents)``, one z per round position in
+    ``lpar``; ``top`` the round positions of the path tops and ``m`` the
+    round's size.
+
+    Returns the non-zero positions ``nz`` and their z's; the indices into
+    them ``need`` whose heavy child is not in ``nz`` (their D' reads the
+    plain suffix minimum there), with those z's; per doubling step the
+    indices, those ``d`` further down the path and the composite z's; and
+    the round positions ``fix`` with a non-zero position at or below them
+    on their path, with the index ``near`` of the nearest one."""
+    nzl = np.flatnonzero(z.reshape(-1, lpar.size).any(axis=0))
+    if not nzl.size:
+        return None
+    nz = lpar[nzl]
+    zn = z.take(nzl, axis=-1)
+    k = nz.size
+    path = np.searchsorted(top, nz, side="right") - 1
+    last = np.append(path[1:] != path[:-1], True)
+    ends = np.flatnonzero(last)
+    at = np.arange(k)
+    reach = ends[np.searchsorted(ends, at)] - at  # steps to the path's last nz
+    zc = zn.copy()
+    zc[..., last] = _NP_INF  # the last map of a path is constant
+    steps = []
+    d = 1
+    while d <= reach.max():
+        v = np.flatnonzero(reach >= d)
+        zv = zc.take(v, axis=-1)
+        steps.append((v, v + d, zv))
+        zc[..., v] = _min_plus_budget(zv, zc.take(v + d, axis=-1))
+        d *= 2
+    need = np.flatnonzero(np.append(nz[1:] != nz[:-1] + 1, True))
+    pos = np.arange(m)
+    src = np.minimum(np.searchsorted(nz, pos), k - 1)
+    fix = np.flatnonzero((nz[src] >= pos) & (pos >= top[path[src]]))
+    return nz, zn, need, zn.take(need, axis=-1), steps, fix, src[fix]
 
 
 def _path_buckets(rnd):
@@ -421,89 +465,86 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
         vert, top, lpar = rnd["vert"], rnd["top"], rnd["lpar"]
         m = vert.size
         rows = min(cap, int(size[vert[top]].max()))
-        e_r, t_r = np.take(eps, vert, axis=-1), np.take(thr, vert, axis=-1)
+        e_r, t_r = eps.take(vert, axis=-1), thr.take(vert, axis=-1)
         free = forb[vert] == 0
         end = rnd["reach"] == 0
         q = np.ones((nb, m), dtype=np.int64)
-        z = None  # the all-zero z's stay implicit
+        chains = None  # the all-zero z's stay implicit
         if lpar.size:
             below = rounds[r + 1]
-            Z, U = _fold_children(Gt, Mt, np.take(eps, below["vert"][below["top"]], axis=-1),
+            Z, U = _fold_children(Gt, Mt, eps.take(below["vert"][below["top"]], axis=-1),
                                   _cached_plan(dense, ("round", r), rnd["lcount"]),
                                   rows, cap, none)
             Gt = Mt = None
             q[:, lpar] = np.minimum(U[0] + 1, none)
-            if Z[0].any():
-                z = np.zeros((lp1, nb, m), dtype=np.int64)
-                z[..., lpar] = Z[0]
+            chains = _z_chains(Z[0], lpar, top, m)
             h = lpar + 1  # their heavy children
             lfree = free[lpar]
             Xh = np.empty((rows, lp1, nb, lpar.size), dtype=np.int64)
             Mh = np.empty((rows, nb, lpar.size), dtype=np.int64)
+        if chains is not None:
+            nz, zn, need, zneed, steps, fix, near = chains
+            e_nz = e_r.take(nz + 1, axis=-1)
         q[:, end | ~free] = none
-        Q = np.cumsum(q, axis=-1) - q
-        zs = []
-        if z is not None:
-            steps = _doubling_steps(rnd)
-            zc = z.copy()
-            zc[..., end] = _NP_INF  # a leaf's map is constant
-            for v, down in steps:
-                zs.append(np.array(_take(zc, v)))  # a copy: zc changes below
-                zc[..., v] = _min_plus_budget(zs[-1], _take(zc, down))
-            del zc
+        Q = q.cumsum(axis=-1) - q
         Gt = np.empty((rows, lp1, nb, top.size), dtype=np.int64)
         Mt = np.empty((rows + 1, nb, top.size), dtype=np.int64)
         for k in range(rows + 1):
             # least budgets, row k: u covered, passing its threshold test ...
             if k:
-                P = lp1 - np.count_nonzero(Grow <= t_r, axis=0)
+                P = lp1 - (Grow <= t_r).sum(axis=0)
             else:
-                P = np.full((nb, m), none, dtype=np.int64)
+                P = np.empty((nb, m), dtype=np.int64)
+                P.fill(none)
                 P[:, end & free] = 1  # ... or a leaf the outlier
             # ... or u the outlier, with some of the parts below it in
             # light subtrees
             K = min(k, U.shape[0] - 1) if lpar.size else 0
             if K:
-                W = (U[1:K + 1] + Mh[k - K:k][::-1]).min(axis=0)
+                W = np.minimum.reduce(U[1:K + 1] + Mh[k - K:k][::-1])
                 sub = lpar[lfree]
-                P[:, sub] = np.minimum(np.take(P, sub, axis=-1), W[:, lfree] + 1)
+                P[:, sub] = np.minimum(P.take(sub, axis=-1), W[:, lfree] + 1)
             P += Q
             Mrow = np.minimum(np.minimum.accumulate(P[:, ::-1], axis=-1)[:, ::-1] - Q, none)
-            Mt[k] = np.take(Mrow, top, axis=-1)
+            Mt[k] = Mrow.take(top, axis=-1)
             if k == rows:
                 break
-            # cut-charge rows, row i = k
+            # cut-charge rows, row i = k: D with z = 0 ...
             i = k
-            cut = budgets >= Mrow[:, 1:]
-            e_h = e_r[:, 1:]
             D = np.empty((lp1, nb, m), dtype=np.int64)
-            if z is None:
-                D[..., :-1] = np.where(cut, e_h, _NP_INF)
-            else:
-                # z is finite: at no budget, every light child joins u
-                shift = np.maximum(budgets - Mrow[:, 1:], 0)
-                D[..., :-1] = np.where(cut, e_h + np.take_along_axis(z[..., :-1], shift, axis=0),
-                                       _NP_INF)
+            D[..., :-1] = np.where(budgets >= Mrow[:, 1:], e_r[:, 1:], _NP_INF)
             D[..., end] = 0 if i == 0 else _NP_INF  # a leaf: its own part alone
             I = min(i, Z.shape[0] - 1) if lpar.size else 0
             if I:
-                B = _min_plus_budget(Z[I:0:-1], Xh[i - I:i]).min(axis=0)
-                D[..., lpar] = np.minimum(np.take(D, lpar, axis=-1), B)
-            if z is not None:
-                for (v, down), zv in zip(steps, zs):
-                    D[..., v] = np.minimum(_take(D, v), _min_plus_budget(zv, _take(D, down)))
-            elif top.size == 1:
+                B = np.minimum.reduce(_min_plus_budget(Z[I:0:-1], Xh[i - I:i]))
+                D[..., lpar] = np.minimum(D.take(lpar, axis=-1), B)
+            if chains is not None:
+                # ... and where z is non-zero, z * C_h[i]
+                Mn = Mrow.take(nz + 1, axis=-1)
+                shift = np.maximum(budgets - Mn, 0)
+                Dn = np.minimum(D.take(nz, axis=-1), np.where(
+                    budgets >= Mn, e_nz + np.take_along_axis(zn, shift, axis=0), _NP_INF))
+            # the suffix minima of D along each path
+            if top.size == 1:
                 D = np.minimum.accumulate(D[..., ::-1], axis=-1)[..., ::-1]
             else:
                 for paths, dst, src in _path_buckets(rnd):
-                    scanned = np.minimum.accumulate(np.take(D, paths, axis=-1), axis=-1)
-                    D[..., dst] = np.take(scanned.reshape(lp1, nb, -1), src, axis=-1)
+                    scanned = np.minimum.accumulate(D.take(paths, axis=-1), axis=-1)
+                    D[..., dst] = scanned.reshape(lp1, nb, -1).take(src, axis=-1)
+            if chains is not None:
+                if need.size:
+                    Dn[..., need] = np.minimum(Dn.take(need, axis=-1), _min_plus_budget(
+                        zneed, D.take(nz.take(need) + 1, axis=-1)))
+                for v, down, zv in steps:
+                    Dn[..., v] = np.minimum(Dn.take(v, axis=-1),
+                                            _min_plus_budget(zv, Dn.take(down, axis=-1)))
+                D[..., fix] = np.minimum(D.take(fix, axis=-1), Dn.take(near, axis=-1))
             Grow = D
-            Gt[i] = np.take(Grow, top, axis=-1)
+            Gt[i] = Grow.take(top, axis=-1)
             if lpar.size:
-                Mh[i] = np.take(Mrow, h, axis=-1)
-                g = np.take(Grow, h, axis=-1)
-                e = np.take(e_r, h, axis=-1)
+                Mh[i] = Mrow.take(h, axis=-1)
+                g = Grow.take(h, axis=-1)
+                e = e_r.take(h, axis=-1)
                 Xh[i] = np.where((budgets >= Mh[i]) & (e <= g), e, g)
     return Mt[..., 0].T
 
@@ -544,12 +585,14 @@ def _forb_array(tree, forbidden_ids):
 #
 # Chain sweep, per round: ``_CHAIN_ROW_COPIES`` row arrays of (lam + 1)
 # cells per vertex (the row being scanned, its cut choices and gathers,
-# the doubling scan's operands) plus one per doubling step for the
-# composite z's; ``_CHAIN_TABLE_COPIES`` tables of min(kappa, largest
-# subtree in the round) rows for each path top and each vertex with light
-# children (the tops' output, the heavy children's rows that the light
-# products read, Z and its products); and, while the light children are
-# folded, ``_LEVEL_COPIES`` copies of their tables, as in a level.
+# its suffix minima and the minima taken back from the composed maps)
+# plus, per doubling step of the composition, (lam + 1) cells for each
+# vertex where z can be non-zero, for the composite z's;
+# ``_CHAIN_TABLE_COPIES`` tables of min(kappa, largest subtree in the
+# round) rows for each path top and each vertex with light children
+# (the tops' output, the heavy children's rows that the light products
+# read, Z and its products); and, while the light children are folded,
+# ``_LEVEL_COPIES`` copies of their tables, as in a level.
 #
 # Both allow ``_VERTEX_WORDS`` int64 per vertex for the charges,
 # thresholds, per-round sums and their temporaries, and ``_FIXED_BYTES``
@@ -558,6 +601,10 @@ def _forb_array(tree, forbidden_ids):
 # 150-16,501 vertices, with parts up to n (n <= 2000), up to 20 outliers
 # and potentials that make z non-zero, the peak of one threshold's sweep
 # stayed within 65% of the level figure and 33% of the chain figure.
+# With the chain figure's composite z's counted only where z can be
+# non-zero, the chain sweep's peak on caterpillars, random trees, brooms,
+# spiders and stars of 150-5000 vertices with potentials, at (3, 20),
+# (n, 3), (2, 0), (3, 2) and (20, 5), stayed within 25% of it.
 #
 # The level sweep's first run on a tree also keeps one fold plan per
 # level that holds a merge round (``_cached_plan`` keeps no empty plan),
@@ -601,13 +648,26 @@ def _level_stats(dense):
 
 def _round_stats(tree):
     """Per heavy-path round: vertices, paths, vertices with light
-    children, largest subtree, doubling steps, and the paths and largest
-    subtree of the round below (cached with the dense arrays)."""
+    children, largest subtree, doubling steps of its plain scan, and the
+    paths and largest subtree of the round below; and the vertices where
+    z can be non-zero (with a light child of positive subtree potential)
+    with the doubling steps of their composition, the most of them on one
+    path less one, in bits (cached with the dense arrays)."""
     dense = tree.dense_arrays()
     if "round_stats" not in dense:
         rounds = tree.heavy_paths()
         size = np.array([dense["size"][r["vert"][r["top"]]].max() for r in rounds])
         paths = np.array([r["top"].size for r in rounds])
+        zk = np.zeros(len(rounds), dtype=np.int64)
+        zsteps = np.zeros(len(rounds), dtype=np.int64)
+        for j, (here, below) in enumerate(zip(rounds, rounds[1:])):
+            charged = dense["p_sub"][below["vert"][below["top"]]] > 0
+            first = here["lcount"].cumsum() - here["lcount"]
+            zpos = here["lpar"][np.add.reduceat(charged, first) > 0]
+            if zpos.size:
+                per_path = np.bincount(np.searchsorted(here["top"], zpos, side="right"))
+                zk[j] = zpos.size
+                zsteps[j] = int(per_path.max() - 1).bit_length()
         dense["round_stats"] = {
             "m": np.array([r["vert"].size for r in rounds]),
             "paths": paths,
@@ -618,6 +678,8 @@ def _round_stats(tree):
             "below_size": np.append(size[1:], 0),
             "merges": np.array([np.ceil(np.log2(r["lcount"].max())) if r["lpar"].size
                                 else 0 for r in rounds]),
+            "zk": zk,
+            "zsteps": zsteps,
         }
     return dense["round_stats"]
 
@@ -636,7 +698,7 @@ def _chain_bytes(tree, kappa: int, lam: int) -> int:
     ``_FIXED_BYTES``: the largest round's row arrays, tables and light
     fold, and ``_VERTEX_WORDS`` int64 per vertex."""
     st = _round_stats(tree)
-    cells = (st["m"] * (_CHAIN_ROW_COPIES + st["steps"])
+    cells = (st["m"] * _CHAIN_ROW_COPIES + st["zk"] * st["zsteps"]
              + _CHAIN_TABLE_COPIES * (st["paths"] + st["lpar"]) * np.minimum(kappa, st["size"])
              + _LEVEL_COPIES * st["below_paths"] * np.minimum(kappa, st["below_size"] + 1))
     return 8 * (int(cells.max()) * (lam + 1) + _VERTEX_WORDS * tree.vertex_count)
@@ -654,8 +716,10 @@ def _chain_bytes(tree, kappa: int, lam: int) -> int:
 # * the chain sweep: per round; per table row of a round (the numpy calls
 #   of one row of all its paths); per row cell of a round, per threshold;
 #   per numpy call and cell pair of the light products; per cell of the
-#   doubling scans (a budget product per step where potentials can make z
-#   non-zero); per numpy call and cell pair of the light folds.
+#   scans of rounds of several paths and, where potentials can make z
+#   non-zero, of the budget products that compose its maps and the row
+#   arrays that take their minima back; per numpy call and cell pair of
+#   the light folds.
 #
 # A level is thus priced by its width, and a round by its vertices, its
 # rows and its longest path.  The constants were fitted by least squares
@@ -688,8 +752,8 @@ def _chain_bytes(tree, kappa: int, lam: int) -> int:
 _LEVEL_US = (73, 51, 0.020, 13, 0.0020)  # sweep, level, cell, merge call
 #                                          and cell pair
 _CHAIN_US = (75, 43, 0.027, 10, 0.014, 0.00024, 21, 0.0041)  # round, row,
-#   row cell, light product call and cell pair, doubling step cell, light
-#   fold call and cell pair
+#   row cell, light product call and cell pair, scan and composition
+#   cell, light fold call and cell pair
 
 
 def _fold_terms(rows, child_rows, children, merges):
@@ -722,7 +786,6 @@ def _numpy_terms(tree, kappa):
         ch = _round_stats(tree)
         crows = np.minimum(kappa, ch["size"])
         light = np.minimum(crows, ch["below_size"] + 1)
-        doubling = ch["steps"] * crows * ch["m"]
         multi = ch["paths"] > 1
         lit = ch["lpar"] > 0  # rounds with light children
         return {
@@ -732,12 +795,13 @@ def _numpy_terms(tree, kappa):
                       int((crows * lit).sum()),
                       float((ch["lpar"] * crows * (light - 1)).sum()))
                      + _fold_terms(crows, light, ch["below_paths"], ch["merges"]),
-            # cells of the scans of rounds of several paths with z all
-            # zero; where z can be non-zero, of the doubling scans of the
-            # rounds with light children and the scans of those of several
-            # paths without
-            "steps": (int((doubling * multi).sum()), int((doubling * lit).sum()),
-                      int((doubling * (multi & ~lit)).sum())),
+            # cells of the plain scans of rounds of several paths; where z
+            # can be non-zero, of the budget products that compose its
+            # maps (one per doubling step and one for D') and of the
+            # row arrays that take their minima back
+            "steps": (int((ch["steps"] * crows * ch["m"] * multi).sum()),
+                      int((crows * ch["zk"] * (ch["zsteps"] + 1)).sum()),
+                      int((crows * ch["m"] * (ch["zk"] > 0)).sum())),
         }
 
     return _cached(dense, "numpy_terms", kappa, build)
@@ -755,12 +819,12 @@ def _chain_us(tree, kappa, lam, thresholds, use_pot):
     terms = _numpy_terms(tree, kappa)
     rounds, rows, cells, lcalls, lpairs, fcalls, fpairs = terms["chain"]
     lp1 = lam + 1
-    # with potentials and outliers z can be non-zero: a round with light
-    # children then runs a doubling scan of budget products (a round
-    # without keeps z implicit)
+    # with potentials and outliers z can be non-zero, where a light child
+    # has positive subtree potential: those maps are composed by budget
+    # products, and the rest keep z implicit
     z = use_pot and lam > 0 and int(tree.dense_arrays()["p_sub"][0]) > 0
-    multi, lit, multi_unlit = terms["steps"]
-    step_cells = lit * lp1 + multi_unlit if z else multi
+    multi, products, fixes = terms["steps"]
+    step_cells = multi + (products * lp1 + fixes if z else 0)
     c = _CHAIN_US
     return (c[0] * rounds + c[1] * rows + c[2] * lp1 * thresholds * cells
             + c[3] * lp1 * lcalls + c[4] * lp1 * lp1 * thresholds * lpairs

@@ -32,6 +32,7 @@ from .errors import (
 from .search import Forest
 from .tree import (
     RootedTree,
+    build_forest,
     build_rooted_forest,
     json_columns,
     json_vertices_edges,
@@ -443,6 +444,7 @@ def forest_from_graph(graph: WeightedGraph):
     id).  Raises :class:`NotForestAfterDeletion` if the graph has a cycle."""
     if graph.vertex_count == 0:
         raise EmptyGraph("cannot build a forest with no vertices")
-    return Forest(tuple(build_rooted_forest(
-        list(zip(graph.ids, graph.weights, graph.potentials)),
-        [(u, v, cost) for u, v, cost, _d in graph.edge_records()])))
+    edges = graph.edges
+    return Forest(tuple(build_forest(
+        graph.ids, graph.weights, graph.potentials, [e[0] for e in edges],
+        [e[1] for e in edges], [e[2] for e in edges])))

@@ -9,7 +9,7 @@ part and spends no outlier unit, so the sweeps fold the trees' least
 budgets there by a (min,+) product over the part count and read the
 answer at the part budget (``decide_forest``).  The semi-supervised
 reduction deletes the required outliers and hands the remaining forest,
-built by ``tree.build_rooted_forest``, to ``decide_forest``.
+built by ``tree.build_forest``, to ``decide_forest``.
 
 Exact minimization never enumerates candidate ratios.  Every achievable
 maximum expansion is a fraction whose reduced denominator is at most the
@@ -65,7 +65,7 @@ from .errors import (
     UnknownVertexId,
 )
 from .solver import ProblemSpec, _root_least, decide, decide_batch, solve
-from .tree import ForestLayout, RootedTree, build_rooted_forest, forest_layout, part_cap
+from .tree import ForestLayout, RootedTree, build_forest, forest_layout, part_cap
 from .values import parse_rational
 from .witness import (Subpartition, make_subpartition, reconstruct_subpartition,
                       sorted_ids)
@@ -557,27 +557,34 @@ def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
             f"outlier budget {outliers} cannot cover {len(s1)} required outliers")
 
     out = {graph.index[v] for v in s1}
-    ids = graph.ids
-    survivors = [i for i in range(len(ids)) if i not in out]
+    n = graph.vertex_count
+    survivors = [i for i in range(n) if i not in out]
     if not survivors:
         return False, None
 
-    # by index, in the graph's vertex and edge order
-    extra_potential = [0] * len(ids)
-    forest_edges = []
+    # by index, in the graph's vertex and edge order; survivors get local
+    # indices, and deleted vertices -1
+    local = [-1] * n
+    for j, i in enumerate(survivors):
+        local[i] = j
+    extra_potential = [0] * n
+    us, vs, costs = [], [], []
     for ui, vi, cost, _dist in graph.edges:
-        if ui in out:
-            if vi not in out:
+        lu, lv = local[ui], local[vi]
+        if lu < 0:
+            if lv >= 0:
                 extra_potential[vi] += cost
-        elif vi in out:
+        elif lv < 0:
             extra_potential[ui] += cost
         else:
-            forest_edges.append((ids[ui], ids[vi], cost))
+            us.append(lu)
+            vs.append(lv)
+            costs.append(cost)
 
-    trees = build_rooted_forest(
-        [(ids[i], graph.weights[i],
-          extra_potential[i] + (graph.potentials[i] if use_potentials else 0))
-         for i in survivors], forest_edges)
+    own = graph.potentials if use_potentials else [0] * n
+    trees = build_forest([graph.ids[i] for i in survivors],
+                         [graph.weights[i] for i in survivors],
+                         [extra_potential[i] + own[i] for i in survivors], us, vs, costs)
     # trees, and so the witness's parts, go by least id as a string
     trees.sort(key=lambda t: str(t.ids[0]))
 

@@ -24,15 +24,21 @@ from .errors import (
     ParseError,
     UnknownVertexId,
 )
-from .values import format_rational, parse_number, parse_numbers, parse_rational
+from .values import (
+    format_rational,
+    least_numerator,
+    parse_number,
+    parse_numbers,
+    parse_rational,
+)
 
 
 class RootedTree:
     """Immutable rooted tree with per-vertex weights, parent-edge costs and
     optional potentials, plus subtree aggregates and a bottom-up order.
 
-    Do not call the constructor directly; use :func:`build_rooted_tree` or
-    :func:`tree_from_json`.
+    Do not call the constructor directly; use :func:`build_rooted_tree`,
+    :func:`build_forest` or :func:`tree_from_json`.
 
     The builder's BFS order (``_bfs``) lists each vertex's children as one
     contiguous range, in input edge order: the children of BFS position
@@ -403,8 +409,20 @@ def _flat_build(vertices, edges, root):
     us = [index[edge[0]] for edge in edges]
     vs = [index[edge[1]] for edge in edges]
 
-    # CSR adjacency by counting sort: the arcs of vertex x lead to nbr
-    # at cost arc_cost over [start[x], start[x + 1]), in input edge order
+    start, nbr, arc_cost = _csr(n, us, vs, costs)
+    parent = [-1] * n
+    costs = [0] * n  # the root keeps its virtual edge of cost 0
+    bfs, cend, level_end = _walk(index[root], start, nbr, arc_cost, bytearray(n),
+                                 parent, costs)
+    if len(bfs) != n:
+        return None
+    return _summed(ids, index, parent, bfs, cend, level_end, scale, weights, costs, potentials)
+
+
+def _csr(n, us, vs, costs):
+    """The adjacency of ``n`` vertices by counting sort: the arcs of vertex
+    x lead to ``nbr`` at cost ``arc_cost`` over ``[start[x], start[x +
+    1])``, in input edge order."""
     fill = [0] * n
     for u in us:
         fill[u] += 1
@@ -412,6 +430,7 @@ def _flat_build(vertices, edges, root):
         fill[v] += 1
     start = list(accumulate(fill, initial=0))
     fill = start[:-1]
+    m = len(us)
     nbr = [0] * (2 * m)
     arc_cost = [0] * (2 * m)
     for u, v, c in zip(us, vs, costs):
@@ -423,14 +442,17 @@ def _flat_build(vertices, edges, root):
         fill[v] = k + 1
         nbr[k] = u
         arc_cost[k] = c
+    return start, nbr, arc_cost
 
-    # BFS: each vertex appends its unseen neighbours, its children, as one
-    # range of the order; a depth ends where the one before it was done
-    top = index[root]
-    seen = bytearray(n)
+
+def _walk(top, start, nbr, arc_cost, seen, parent, pcost):
+    """The BFS order from ``top`` over the vertices not ``seen``, with its
+    children ends and depth ends (see :class:`RootedTree`); marks the
+    vertices it reaches seen and sets their ``parent`` and parent-edge
+    cost ``pcost``.  Each vertex appends its unseen neighbours, its
+    children, as one range of the order, and a depth ends where the one
+    before it was done."""
     seen[top] = 1
-    parent = [-1] * n
-    costs = [0] * n  # the root keeps its virtual edge of cost 0
     bfs = [top]
     cend = []
     level_end = []
@@ -444,15 +466,18 @@ def _flat_build(vertices, edges, root):
             if not seen[v]:
                 seen[v] = 1
                 parent[v] = u
-                costs[v] = arc_cost[k]
+                pcost[v] = arc_cost[k]
                 bfs.append(v)
         cend.append(len(bfs))
-    if len(bfs) != n:
-        return None
-    level_end.append(n)
+    level_end.append(len(bfs))
+    return bfs, cend, level_end
 
+
+def _summed(ids, index, parent, bfs, cend, level_end, scale, weights, costs, potentials):
+    """The :class:`RootedTree` of a BFS walk, its subtree aggregates
+    summed in one reverse pass."""
     w_sub = weights[:]
-    size = [1] * n
+    size = [1] * len(weights)
     below = bfs[:0:-1]  # children before parents, root left out
     for u in below:
         p = parent[u]
@@ -525,7 +550,106 @@ def build_rooted_forest(vertices, edges) -> list:
     order of their first vertex.
 
     Raises :class:`NotForestAfterDeletion` if the edges close a cycle.
+
+    The ids are mapped to indices once, and :func:`build_forest` builds
+    every tree in one pass over the index columns.
     """
+    ids = [entry[0] for entry in vertices]
+    index = dict(zip(ids, range(len(ids))))
+    if len(index) == len(ids):  # a repeated id names its last vertex in the edges
+        try:
+            us = [index[edge[0]] for edge in edges]
+            vs = [index[edge[1]] for edge in edges]
+        except (KeyError, TypeError):
+            pass  # an undeclared endpoint: the union-find raises for it
+        else:
+            return build_forest(ids, [entry[1] for entry in vertices],
+                                [entry[2] if len(entry) == 3 else 0 for entry in vertices],
+                                us, vs, [edge[2] for edge in edges])
+    return _forest_by_components(vertices, edges)
+
+
+def build_forest(ids, weights, potentials, us, vs, costs) -> list:
+    """:func:`build_rooted_forest` on columns: the vertices' ``ids``,
+    ``weights`` and ``potentials``, and each edge's endpoints ``us``, ``vs``
+    as indices into them, with its ``cost``.
+
+    One pass over the columns, as :func:`build_rooted_tree` makes for one
+    tree: each column is read once, one CSR adjacency holds every edge,
+    each vertex's arcs in input edge order, and one BFS per component
+    gives the parents, the children ranges and the depths.  The BFS starts
+    are the vertices by decreasing weight, the first in input order among
+    equal weights, so the first unseen start of each component is its
+    heaviest vertex.  The input is a forest iff it has as many edges as
+    vertices less trees, so no union-find is needed.  Each tree keeps its
+    own scale, the least common multiple of its own denominators.
+
+    Where a check fails, the union-find and per-component builds of
+    :func:`_forest_by_components` run instead and name the fault.
+    """
+    try:
+        trees = _flat_forest(ids, weights, potentials, us, vs, costs)
+    except (KeyError, TypeError, ValueError):
+        trees = None
+    if trees is None:
+        trees = _forest_by_components(
+            list(zip(ids, weights, potentials)),
+            [(ids[u], ids[v], c) for u, v, c in zip(us, vs, costs)])
+    return trees
+
+
+def _flat_forest(ids, weights, potentials, us, vs, costs):
+    """The trees of :func:`build_forest`, or None when a check fails."""
+    n, m = len(ids), len(us)
+    if not n or not len(weights) == len(potentials) == n or not len(vs) == len(costs) == m:
+        return None
+    weights, dw = _column(weights)
+    potentials, dp = _column(potentials)
+    costs, dc = _column(costs)
+    # a column of ints has denominator 1, and min needs no Fraction there
+    least = [min if d == 1 else least_numerator for d in (dw, dp, dc)]
+    if least[0](weights) <= 0 or least[1](potentials) < 0 or (m and least[2](costs) < 0):
+        return None
+
+    start, nbr, arc_cost = _csr(n, us, vs, costs)
+    # one BFS per component, from its heaviest vertex (sorted is stable)
+    seen = bytearray(n)
+    parent = [-1] * n
+    pcost = [0] * n  # each root keeps its virtual edge of cost 0
+    walks = []  # per component: its vertices, BFS order, children and depth ends
+    for top in sorted(range(n), key=weights.__getitem__, reverse=True):
+        if not seen[top]:
+            bfs, cend, level_end = _walk(top, start, nbr, arc_cost, seen, parent, pcost)
+            walks.append((sorted(bfs), bfs, cend, level_end))
+    if m != n - len(walks):
+        return None  # a cycle, a self-loop or a repeated edge
+
+    # trees by first vertex, each with its vertices in input order and
+    # scaled by the least common multiple of its own denominators
+    walks.sort(key=lambda walk: walk[0][0])
+    loc = [0] * (n + 1)
+    loc[n] = -1  # a root's parent, -1, reads loc[-1]
+    ints = dw == dp == dc == 1
+    trees = []
+    for members, bfs, cend, level_end in walks:
+        for j, v in enumerate(members):
+            loc[v] = j
+        ids_t = [ids[v] for v in members]
+        columns = ([weights[v] for v in members], [pcost[v] for v in members],
+                   [potentials[v] for v in members])
+        scale = 1 if ints else math.lcm(*{x.denominator for column in columns
+                                          for x in column if type(x) is not int})
+        trees.append(_summed(ids_t, dict(zip(ids_t, range(len(ids_t)))),
+                             [loc[parent[v]] for v in members], [loc[v] for v in bfs],
+                             cend, level_end, scale,
+                             *(_scaled(column, scale) for column in columns)))
+    return trees
+
+
+def _forest_by_components(vertices, edges) -> list:
+    """:func:`build_rooted_forest` by a union-find over the edges and one
+    :func:`build_rooted_tree` per component, which names the first fault:
+    the first edge that closes a cycle, then the trees' own faults."""
     index = {entry[0]: i for i, entry in enumerate(vertices)}
     parent = list(range(len(vertices)))
 

@@ -8,18 +8,23 @@ tuples keyed by those Fractions.  ``ReferenceGraph`` subclasses
 ``WeightedGraph`` with only its constructor replaced, so every other
 method, and every function that takes a graph, runs the library's code on
 Fraction values.
+
+``reference_forest`` is the forest builder ``treecut.tree`` used before
+its one-pass build: a union-find over the edges, then one
+``build_rooted_tree`` per component, rooted at its heaviest vertex.
 """
 
 from treecut.errors import (
     DuplicateEdge,
     InvalidInput,
     NonPositiveVertexWeight,
+    NotForestAfterDeletion,
     SelfLoop,
     UnknownVertexId,
 )
 from treecut.graphs import WeightedGraph
 from treecut.search import Forest
-from treecut.tree import build_rooted_forest
+from treecut.tree import build_rooted_tree
 from treecut.values import parse_rational
 from treecut.witness import sorted_ids
 
@@ -105,9 +110,42 @@ def reference_acceptance(graph) -> list:
     return chosen
 
 
+def reference_forest(vertices, edges) -> list:
+    """One tree per component of ``vertices`` ``(id, weight, potential)``
+    and ``edges`` ``(u, v, cost)``: each keeps its vertices and edges in
+    input order and is rooted at its heaviest vertex, the first of equal
+    ones; trees by first vertex.  A cycle raises at the first edge that
+    closes one."""
+    index = {entry[0]: i for i, entry in enumerate(vertices)}
+    parent = list(range(len(vertices)))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v, _cost in edges:
+        ru, rv = find(index[u]), find(index[v])
+        if ru == rv:
+            raise NotForestAfterDeletion(
+                f"cycle through {u!r}-{v!r}; the graph is not a forest")
+        parent[ru] = rv
+
+    members = {}
+    for i, entry in enumerate(vertices):
+        members.setdefault(find(i), []).append(entry)
+    comp_edges = {}
+    for edge in edges:
+        comp_edges.setdefault(find(index[edge[0]]), []).append(edge)
+    return [build_rooted_tree(group, comp_edges.get(comp, ()),
+                              max(group, key=lambda entry: entry[1])[0])
+            for comp, group in members.items()]
+
+
 def reference_spanning_tree(graph):
-    trees = build_rooted_forest(list(zip(graph.ids, graph.weights, graph.potentials)),
-                                reference_acceptance(graph))
+    trees = reference_forest(list(zip(graph.ids, graph.weights, graph.potentials)),
+                             reference_acceptance(graph))
     if len(trees) == 1:
         return trees[0]
     return Forest(tuple(trees))

@@ -12,6 +12,7 @@ import pytest
 from _graphs import (
     ReferenceGraph,
     reference_acceptance,
+    reference_forest,
     reference_order,
     reference_spanning_tree,
 )
@@ -29,6 +30,7 @@ from treecut import (
 from treecut import graphs
 from treecut.cli import main
 from treecut.graphs import _distance_ranks, _kruskal_edges, graph_from_csv, graph_from_json
+from treecut.tree import build_forest, build_rooted_forest
 
 # every denominator divides 100, so each value has an exact decimal and
 # an exact shortest float repr
@@ -334,3 +336,117 @@ class TestErrorParity:
                 monkeypatch.setattr(graphs, "WeightedGraph", graph_class)
                 got.add(_raised(graph_from_csv, p))
         assert len(got) == 1, got
+
+
+_TREE_FIELDS = ("ids", "index", "root", "parent_idx", "children_idx", "order_idx", "scale",
+                "weight_scaled", "cost_scaled", "potential_scaled", "subtree_weight_scaled",
+                "subtree_potential_scaled", "subtree_size", "_bfs", "_cend", "_level_end")
+
+
+def _fields(trees):
+    return [{f: getattr(t, f) for f in _TREE_FIELDS} for t in trees]
+
+
+def _forest_instance(rng):
+    """Vertices ``(id, weight, potential)`` and edges ``(u, v, cost)`` of a
+    random forest: trees of 1-9 vertices (isolated vertices among them),
+    ids shuffled across the trees, of one type or of mixed types, weights
+    from a few values so that the heaviest vertex often ties, and values
+    as ints or Fractions whose denominators differ from tree to tree."""
+    trees = [rng.randint(1, 9) for _ in range(rng.randint(1, 6))]
+    n = sum(trees)
+    kind = rng.choice(("int", "str", "mixed"))
+    labels = rng.sample(range(1000), n)
+    ids = [x if kind == "int" or (kind == "mixed" and x % 2) else f"v{x}" for x in labels]
+    members = []
+    for size in trees:
+        members.append([ids.pop() for _ in range(size)])
+    vertices, edges = [], []
+    for group in members:
+        q = rng.choice((1, 1, 2, 3, 4, 6))
+
+        def value(low, q=q):
+            x = Fraction(rng.randint(low, 6), q)
+            return x.numerator if x.denominator == 1 and rng.random() < 0.7 else x
+
+        vertices += [(v, value(1) if rng.random() < 0.5 else rng.choice((2, 3)),
+                      value(0) if rng.random() < 0.4 else 0) for v in group]
+        edges += [(group[rng.randrange(i)], group[i], value(0)) if rng.random() < 0.5
+                  else (group[i], group[rng.randrange(i)], value(0))
+                  for i in range(1, len(group))]
+    rng.shuffle(vertices)
+    rng.shuffle(edges)
+    return vertices, edges
+
+
+def _columns(vertices, edges):
+    index = {v: i for i, (v, _w, _p) in enumerate(vertices)}
+    return ([v for v, _w, _p in vertices], [w for _v, w, _p in vertices],
+            [p for _v, _w, p in vertices], [index[u] for u, _v, _c in edges],
+            [index[v] for _u, v, _c in edges], [c for _u, _v, c in edges])
+
+
+class TestForestBuilderMatchesReference:
+    """``build_rooted_forest`` and ``build_forest`` against the union-find
+    and per-component builds of ``tests/_graphs.py``."""
+
+    def test_random_forests(self):
+        rng = random.Random(1206)
+        scales = set()
+        for _ in range(400):
+            vertices, edges = _forest_instance(rng)
+            want = _fields(reference_forest(vertices, edges))
+            assert _fields(build_rooted_forest(vertices, edges)) == want
+            assert _fields(build_forest(*_columns(vertices, edges))) == want
+            scales.add(tuple(t["scale"] for t in want))
+        assert any(len(set(s)) > 1 for s in scales)  # trees of one forest, own scales
+
+    def test_ties_for_the_heaviest_vertex_go_to_the_first(self):
+        vertices = [("a", 1, 0), ("b", 3, 0), ("c", 3, 0), ("d", 3, 0), ("e", 2, 0)]
+        edges = [("a", "c", 1), ("d", "e", 1), ("c", "b", 1)]
+        trees = build_rooted_forest(vertices, edges)
+        assert [t.root_id for t in trees] == ["b", "d"]
+        assert _fields(trees) == _fields(reference_forest(vertices, edges))
+
+    def test_graph_forests(self):
+        rng = random.Random(1207)
+        for _ in range(150):
+            ids = _ids(rng, rng.randint(1, 14))
+            g = WeightedGraph(_vertices(rng, ids), _random_forest(rng, ids, False))
+            want = reference_forest(list(zip(g.ids, g.weights, g.potentials)),
+                                    [(u, v, c) for u, v, c, _d in g.edge_records()])
+            assert _fields(forest_from_graph(g).trees) == _fields(want)
+
+    @pytest.mark.parametrize("fault", [
+        "cycle", "self-loop", "repeated edge", "zero weight", "negative potential",
+        "negative cost", "unparseable cost", "unknown endpoint"])
+    def test_faults_raise_as_the_reference(self, fault):
+        rng = random.Random(1208)
+        for _ in range(40):
+            vertices, edges = _forest_instance(rng)
+            ids = [v for v, _w, _p in vertices]
+            u, v = rng.choice(ids), rng.choice(ids)
+            at = rng.randint(0, len(edges))
+            i = rng.randrange(len(vertices))
+            if fault == "cycle" and u != v:
+                edges += [(u, v, 1), (v, u, 2)]
+            elif fault == "self-loop":
+                edges.insert(at, (u, u, 1))
+            elif fault == "repeated edge" and edges:
+                x = edges[at - 1]
+                edges.insert(at, (x[1], x[0], x[2]))
+            elif fault == "zero weight":
+                vertices[i] = (vertices[i][0], 0, 0)
+            elif fault == "negative potential":
+                vertices[i] = (vertices[i][0], 1, Fraction(-1, 2))
+            elif fault in ("negative cost", "unparseable cost") and edges:
+                x = edges[at - 1]
+                edges[at - 1] = x[:2] + (-1 if fault == "negative cost" else "1/x",)
+            elif fault == "unknown endpoint":
+                edges.insert(at, (u, "nowhere", 1))
+            else:
+                continue
+            want = _raised(reference_forest, vertices, edges)
+            assert _raised(build_rooted_forest, vertices, edges) == want
+            if fault != "unknown endpoint":
+                assert _raised(build_forest, *_columns(vertices, edges)) == want

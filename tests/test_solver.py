@@ -30,11 +30,12 @@ from treecut import _fastlane, solver
 from treecut.tree import part_cap
 
 
-def _shaped_tree(rng, n, shape, use_pot):
+def _shaped_tree(rng, n, shape, use_pot, potential=None):
     """A tree of ``n`` vertices rooted at vertex 0, the end of any path
     or spine: a path, a star, a caterpillar (legs on the first half), a
     broom (a handle, then a star at its end), a spider (up to five legs
-    from the root) or a random recursive tree."""
+    from the root) or a random recursive tree.  Potentials are 0-4 with
+    ``use_pot``, or ``potential(rng)`` per vertex where that is given."""
     half = max(1, n // 2)
     if shape == "path":
         parents = list(range(n - 1))
@@ -49,8 +50,10 @@ def _shaped_tree(rng, n, shape, use_pot):
         parents = [0 if i <= legs else i - legs for i in range(1, n)]
     else:
         parents = [rng.randrange(i) for i in range(1, n)]
+    if potential is None:
+        potential = (lambda rng: rng.randint(0, 4)) if use_pot else (lambda rng: 0)
     return build_rooted_tree(
-        [(i, rng.randint(1, 5), rng.randint(0, 4) if use_pot else 0) for i in range(n)],
+        [(i, rng.randint(1, 5), potential(rng)) for i in range(n)],
         [(p, i, rng.randint(1, 5)) for i, p in enumerate(parents, start=1)], 0)
 
 
@@ -655,6 +658,85 @@ class TestChainSweep:
                 t.dense_arrays(), _fastlane._forb_array(t, forb),
                 np.array([xi.numerator]), np.array([xi.denominator]), kappa, lam, use_pot)
             assert got[0].tolist() == [min(w, lam + 1) for w in solver._least_budgets(t, spec)]
+
+    @pytest.mark.parametrize("potentials", ["sparse", "dense", "zero"])
+    def test_sparse_dense_and_zero_potentials_match_the_python_lane(self, monkeypatch,
+                                                                     potentials):
+        # z is non-zero at a few positions of a round (sparse), at most of
+        # those with light children (dense) or nowhere (zero, though the
+        # sweep takes potentials): trees and forest layouts, 1-4
+        # thresholds and forbidden vertices.  The maps composed where z is
+        # non-zero, and only there, give the least-budget sweep's rows
+        potential = {"sparse": lambda rng: rng.randint(4, 12) if rng.random() < 0.08 else 0,
+                     "dense": lambda rng: rng.randint(2, 8),
+                     "zero": lambda rng: 0}[potentials]
+        composed = []  # light parents and non-zero positions per round
+        z_chains = _fastlane._z_chains
+
+        def spy(z, lpar, *args):
+            chains = z_chains(z, lpar, *args)
+            composed.append((lpar.size, 0 if chains is None else chains[0].size))
+            return chains
+
+        monkeypatch.setattr(_fastlane, "_z_chains", spy)
+        rng = random.Random(32)
+        for trial in range(90):
+            shapes = [_SHAPES[(trial + j) % len(_SHAPES)] for j in range(rng.randint(1, 4))]
+            trees = [_shaped_tree(rng, rng.randint(1, 60), shape, True, potential)
+                     for shape in shapes]
+            if trial % 3:
+                t = trees[0]
+            else:
+                t = Forest(tuple(build_rooted_tree(
+                    [((j, v), x.weight(v), x.potential(v)) for v in x.ids],
+                    [((j, x.parent_of(v)), (j, v), x.parent_edge_cost(v))
+                     for v in x.ids if x.parent_of(v) is not None], (j, x.root_id))
+                    for j, x in enumerate(trees))).layout
+            n = t.vertex_count
+            forb = frozenset(v for v in t.ids if rng.random() < 0.1)
+            kappa = rng.randint(1, min(n, 12))
+            lam = min(rng.randint(0, 6), n)
+            xis = [Fraction(rng.randint(0, 4), rng.randint(2, 6))
+                   for _ in range(rng.randint(1, 4))]
+            t.heavy_paths()
+            got = _fastlane._chain_sweep(
+                t.dense_arrays(), _fastlane._forb_array(t, forb),
+                np.array([x.numerator for x in xis]), np.array([x.denominator for x in xis]),
+                kappa, lam, True).tolist()
+            for xi, row in zip(xis, got):
+                spec = ProblemSpec(xi, kappa, lam, True, forb)
+                assert row == [min(w, lam + 1) for w in solver._least_budgets(t, spec)]
+        light, nonzero = map(sum, zip(*composed))
+        rounds = sum(1 for _l, k in composed if k)
+        if potentials == "zero":
+            assert light and not nonzero
+        elif potentials == "sparse":
+            assert rounds >= 20 and nonzero < 0.3 * light
+        else:
+            assert rounds >= 20 and nonzero > 0.5 * light
+
+    def test_potentials_on_heavy_paths_alone_are_priced_as_none(self):
+        # z can be non-zero only where a light child has positive subtree
+        # potential: with potentials on round 0's heavy path alone, no map
+        # is composed, and the chain sweep is priced as without potentials
+        rng = random.Random(33)
+        for shape in _SHAPES:
+            plain = _shaped_tree(rng, 500, shape, False)
+            dense = plain.dense_arrays()
+            on_path = {plain.ids[plain._bfs[p]] for p in plain.heavy_paths()[0]["vert"]}
+            t = build_rooted_tree(
+                [(v, plain.weight(v), 3 if v in on_path else 0) for v in plain.ids],
+                [(plain.parent_of(v), v, plain.parent_edge_cost(v))
+                 for v in plain.ids if v != plain.root_id], plain.root_id)
+            everywhere = _shaped_tree(random.Random(34), 500, shape, True)
+            for kappa, lam, nb in ((3, 2, 1), (5, 3, 4), (20, 5, 2)):
+                want = _fastlane._chain_us(plain, kappa, lam, nb, False)
+                assert _fastlane._chain_us(t, kappa, lam, nb, True) == want
+                assert _fastlane._chain_us(t, kappa, lam, nb, False) == want
+                if shape not in ("path", "spider"):
+                    assert _fastlane._chain_us(everywhere, kappa, lam, nb, True) \
+                        > _fastlane._chain_us(everywhere, kappa, lam, nb, False)
+            assert dense["size"].tolist() == t.dense_arrays()["size"].tolist()
 
     def test_budget_product(self):
         # against its definition, on rows with infinite cells and negative
