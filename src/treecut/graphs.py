@@ -32,10 +32,9 @@ from .errors import (
 from .search import Forest
 from .tree import (
     RootedTree,
+    _json_vertices_edges,
     build_forest,
-    build_rooted_forest,
     json_columns,
-    json_vertices_edges,
     tree_from_json,
 )
 from .values import least_numerator, parse_number, parse_numbers
@@ -227,15 +226,25 @@ class WeightedGraph:
 
 def tree_as_graph(tree: RootedTree) -> WeightedGraph:
     """View a rooted tree as a weighted graph (the virtual root edge is
-    dropped).  Requires strictly positive edge costs."""
-    vertices = [(vid, tree.weight(vid), tree.potential(vid))
-                for vid in tree.ids]
-    edges = []
-    for u in tree._bfs_order():
-        for c in tree.children_idx[u]:
-            edges.append((tree.ids[u], tree.ids[c],
-                          Fraction(tree.cost_scaled[c], tree.scale), None))
-    return WeightedGraph(vertices, edges)
+    dropped): vertices ordered by id as the constructor orders them, edges
+    from parent to child in BFS order.
+
+    The graph is filled from the tree's index columns, which the tree
+    builder has checked already, so an edge of cost 0 stays: the positive
+    cost the constructor asks for is the one a similarity spanning tree
+    needs for its distance 1/cost."""
+    # parse_numbers makes integral values ints, as the constructor stores them
+    graph = WeightedGraph.__new__(WeightedGraph)
+    graph.ids = sorted_ids(tree.ids)
+    graph.index = dict(zip(graph.ids, range(len(graph.ids))))
+    graph.weights = parse_numbers([tree.weight(vid) for vid in graph.ids])
+    graph.potentials = parse_numbers([tree.potential(vid) for vid in graph.ids])
+    children = tree._bfs[1:]
+    costs = parse_numbers([Fraction(tree.cost_scaled[c], tree.scale) for c in children])
+    at = [graph.index[vid] for vid in tree.ids]  # tree index -> graph index
+    graph.edges = [(at[tree.parent_idx[c]], at[c], cost, None)
+                   for c, cost in zip(children, costs)]
+    return graph
 
 
 def graph_from_json(data: dict) -> WeightedGraph:
@@ -243,7 +252,7 @@ def graph_from_json(data: dict) -> WeightedGraph:
         raise ParseError("graph JSON needs 'vertices' and 'edges'")
     columns = json_columns(data, distance=True)
     if columns is None:
-        return WeightedGraph(*json_vertices_edges(data, distance=True))
+        return WeightedGraph(*_json_vertices_edges(data, distance=True))
     return WeightedGraph._from_columns(*columns)
 
 
@@ -390,8 +399,7 @@ def similarity_spanning_tree(graph: WeightedGraph):
     go to the tree builder as they are."""
     if graph.vertex_count == 0:
         raise EmptyGraph("cannot build a spanning tree with no vertices")
-    trees = build_rooted_forest(list(zip(graph.ids, graph.weights, graph.potentials)),
-                                _kruskal_edges(graph))
+    trees = build_forest(graph.ids, graph.weights, graph.potentials, *_kruskal_edges(graph))
     if len(trees) == 1:
         return trees[0]
     return Forest(tuple(trees))
@@ -403,7 +411,11 @@ def _distance_ranks(edges) -> list:
     edge_slot = [slots.setdefault((cost, dist), len(slots))
                  for _ui, _vi, cost, dist in edges]
     # Fraction(1, cost), not 1 / cost: an int cost would give a float
-    dists = [Fraction(1, cost) if dist is None else dist for cost, dist in slots]
+    try:
+        dists = [Fraction(1, cost) if dist is None else dist for cost, dist in slots]
+    except ZeroDivisionError:  # a tree's edge of cost 0 (tree_as_graph)
+        raise InvalidInput("a similarity spanning tree needs positive edge costs, got 0") \
+            from None
     order = sorted(range(len(dists)), key=dists.__getitem__)
     slot_rank = [0] * len(dists)
     rank = 0
@@ -413,8 +425,9 @@ def _distance_ranks(edges) -> list:
     return [slot_rank[s] for s in edge_slot]
 
 
-def _kruskal_edges(graph: WeightedGraph) -> list:
-    """The spanning forest's edges ``(u, v, cost)`` in acceptance order."""
+def _kruskal_edges(graph: WeightedGraph) -> tuple[list, list, list]:
+    """The spanning forest's edges in acceptance order, as the columns
+    ``(us, vs, costs)`` with endpoints as indices into ``graph.ids``."""
     ranked = [(rank, ui, vi, eidx) if ui <= vi else (rank, vi, ui, eidx)
               for eidx, (rank, (ui, vi, _c, _d))
               in enumerate(zip(_distance_ranks(graph.edges), graph.edges))]
@@ -428,14 +441,16 @@ def _kruskal_edges(graph: WeightedGraph) -> list:
             x = parent[x]
         return x
 
-    chosen = []  # (u, v, cost) in acceptance order
+    us, vs, costs = [], [], []
     for _r, _lo, _hi, eidx in ranked:
         ui, vi, cost, _dd = graph.edges[eidx]
         ru, rv = find(ui), find(vi)
         if ru != rv:
             parent[ru] = rv
-            chosen.append((graph.ids[ui], graph.ids[vi], cost))
-    return chosen
+            us.append(ui)
+            vs.append(vi)
+            costs.append(cost)
+    return us, vs, costs
 
 
 def forest_from_graph(graph: WeightedGraph):

@@ -38,7 +38,8 @@ class RootedTree:
     optional potentials, plus subtree aggregates and a bottom-up order.
 
     Do not call the constructor directly; use :func:`build_rooted_tree`,
-    :func:`build_forest` or :func:`tree_from_json`.
+    :func:`tree_from_json` or :func:`build_forest`, which all run one flat
+    pass, or :func:`forest_layout` for a :class:`ForestLayout`.
 
     The builder's BFS order (``_bfs``) lists each vertex's children as one
     contiguous range, in input edge order: the children of BFS position
@@ -356,67 +357,43 @@ def build_rooted_tree(vertices, edges, root) -> RootedTree:
     self-loop, duplicate edge, negative cost), then the edge count and
     connectivity.
 
-    One flat pass over lists of ints: the columns are read once (a
-    column of ints is neither parsed nor scaled), the adjacency is a
-    counting-sorted CSR with each vertex's arcs in input edge order, one
-    BFS over it gives the parents, the children as contiguous ranges of
-    the BFS order and the depths, and one reverse pass sums the subtree
-    aggregates.  Memory: building a 10^5-vertex path with integer
-    columns peaks at most 600 bytes per vertex above its input
-    (``tracemalloc``; 509 measured on CPython 3.11, about 330 of them
-    kept by the tree), most of it Python ints and the ``index`` dict.
+    The tuples are read into columns, and the flat pass of
+    :func:`build_forest` builds the tree from them with one walk from the
+    root.  Memory: building a 10^5-vertex path with integer columns peaks
+    at most 600 bytes per vertex above its input (``tracemalloc``; 453
+    measured on CPython 3.11, about 330 of them kept by the tree), most of
+    it Python ints and the ``index`` dict.
     """
     if not isinstance(vertices, (list, tuple)):
         vertices = list(vertices)
     if not isinstance(edges, (list, tuple)):
         edges = list(edges)
+    tree = None
     try:
-        tree = _flat_build(vertices, edges, root)
+        shapes = set(map(len, vertices))
+        if shapes <= {2, 3} and set(map(len, edges)) <= {3}:
+            potentials = ([0] * len(vertices) if shapes == {2} else
+                          [entry[2] if len(entry) == 3 else 0 for entry in vertices])
+            tree = _rooted([entry[0] for entry in vertices], [entry[1] for entry in vertices],
+                           potentials, [edge[0] for edge in edges],
+                           [edge[1] for edge in edges], [edge[2] for edge in edges], root)
     except (KeyError, TypeError, ValueError):
-        tree = None
+        pass  # a malformed entry, named below
     if tree is None:
         _raise_first_fault(vertices, edges, root)
     return tree
 
 
-def _flat_build(vertices, edges, root):
-    """The tree, or None when a check fails: the checks together hold
-    exactly when the input is a valid tree.  With n - 1 edges all reached
-    from the root, no edge can be a self-loop or a duplicate."""
-    n = len(vertices)
-    m = n - 1
-    shapes = set(map(len, vertices))
-    if not n or len(edges) != m or not shapes <= {2, 3} \
-            or not set(map(len, edges)) <= {3}:
+def _rooted(ids, weights, potentials, us, vs, costs, root):
+    """The tree of :func:`build_rooted_tree` on columns, with the edges'
+    endpoints and the ``root`` given by id, or None when a check fails."""
+    try:
+        index = dict(zip(ids, range(len(ids))))
+        trees = _flat_forest(ids, weights, potentials, [index[u] for u in us],
+                             [index[v] for v in vs], costs, index[root], index)
+    except (KeyError, TypeError, ValueError):
         return None
-    ids = [entry[0] for entry in vertices]
-    index = dict(zip(ids, range(n)))
-    if len(index) != n or root not in index:
-        return None
-    weights, dw = _column([entry[1] for entry in vertices])
-    if shapes == {2}:
-        potentials, dp = [0] * n, 1
-    else:
-        potentials, dp = _column([entry[2] if len(entry) == 3 else 0
-                                  for entry in vertices])
-    costs, dc = _column([edge[2] for edge in edges])
-    scale = math.lcm(dw, dp, dc)
-    weights = _scaled(weights, scale)
-    potentials = _scaled(potentials, scale)
-    costs = _scaled(costs, scale)
-    if min(weights) <= 0 or min(potentials) < 0 or (m and min(costs) < 0):
-        return None
-    us = [index[edge[0]] for edge in edges]
-    vs = [index[edge[1]] for edge in edges]
-
-    start, nbr, arc_cost = _csr(n, us, vs, costs)
-    parent = [-1] * n
-    costs = [0] * n  # the root keeps its virtual edge of cost 0
-    bfs, cend, level_end = _walk(index[root], start, nbr, arc_cost, bytearray(n),
-                                 parent, costs)
-    if len(bfs) != n:
-        return None
-    return _summed(ids, index, parent, bfs, cend, level_end, scale, weights, costs, potentials)
+    return trees and trees[0]
 
 
 def _csr(n, us, vs, costs):
@@ -539,50 +516,27 @@ def _raise_first_fault(vertices, edges, root):
     raise NotATree("edges do not connect all vertices")
 
 
-def build_rooted_forest(vertices, edges) -> list:
+def build_forest(ids, weights, potentials, us, vs, costs) -> list:
     """Build one :class:`RootedTree` per connected component of an acyclic
-    graph.
-
-    ``vertices`` is a sequence of ``(id, weight, potential)`` with numeric
-    weights; ``edges`` of ``(u, v, cost)`` between declared vertices.  Each
-    tree keeps its vertices and its edges in the given order and is rooted
-    at its heaviest vertex, ties going to the first; trees come out in
-    order of their first vertex.
+    graph given as columns: the vertices' ``ids``, ``weights`` and
+    ``potentials``, and each edge's endpoints ``us``, ``vs`` as indices
+    into them, with its ``cost``.  Each tree keeps its vertices and its
+    edges in the given order and is rooted at its heaviest vertex, ties
+    going to the first; trees come out in order of their first vertex.
 
     Raises :class:`NotForestAfterDeletion` if the edges close a cycle.
 
-    The ids are mapped to indices once, and :func:`build_forest` builds
-    every tree in one pass over the index columns.
-    """
-    ids = [entry[0] for entry in vertices]
-    index = dict(zip(ids, range(len(ids))))
-    if len(index) == len(ids):  # a repeated id names its last vertex in the edges
-        try:
-            us = [index[edge[0]] for edge in edges]
-            vs = [index[edge[1]] for edge in edges]
-        except (KeyError, TypeError):
-            pass  # an undeclared endpoint: the union-find raises for it
-        else:
-            return build_forest(ids, [entry[1] for entry in vertices],
-                                [entry[2] if len(entry) == 3 else 0 for entry in vertices],
-                                us, vs, [edge[2] for edge in edges])
-    return _forest_by_components(vertices, edges)
-
-
-def build_forest(ids, weights, potentials, us, vs, costs) -> list:
-    """:func:`build_rooted_forest` on columns: the vertices' ``ids``,
-    ``weights`` and ``potentials``, and each edge's endpoints ``us``, ``vs``
-    as indices into them, with its ``cost``.
-
-    One pass over the columns, as :func:`build_rooted_tree` makes for one
-    tree: each column is read once, one CSR adjacency holds every edge,
-    each vertex's arcs in input edge order, and one BFS per component
-    gives the parents, the children ranges and the depths.  The BFS starts
-    are the vertices by decreasing weight, the first in input order among
-    equal weights, so the first unseen start of each component is its
-    heaviest vertex.  The input is a forest iff it has as many edges as
-    vertices less trees, so no union-find is needed.  Each tree keeps its
-    own scale, the least common multiple of its own denominators.
+    One flat pass over the columns: each column is read once (a column of
+    ints is neither parsed nor scaled), one counting-sorted CSR adjacency
+    holds every edge, each vertex's arcs in input edge order, and one BFS
+    per component gives the parents, the children as contiguous ranges of
+    the BFS order and the depths; one reverse pass per tree sums the
+    subtree aggregates.  The BFS starts are the vertices by decreasing
+    weight, the first in input order among equal weights, so the first
+    unseen start of each component is its heaviest vertex.  The input is a
+    forest iff it has as many edges as vertices less trees, so no
+    union-find is needed.  Each tree keeps its own scale, the least common
+    multiple of its own denominators.
 
     Where a check fails, the union-find and per-component builds of
     :func:`_forest_by_components` run instead and name the fault.
@@ -598,8 +552,12 @@ def build_forest(ids, weights, potentials, us, vs, costs) -> list:
     return trees
 
 
-def _flat_forest(ids, weights, potentials, us, vs, costs):
-    """The trees of :func:`build_forest`, or None when a check fails."""
+def _flat_forest(ids, weights, potentials, us, vs, costs, root=None, index=None):
+    """The trees of :func:`build_forest`, or None when a check fails.
+
+    With a ``root`` index, the one walk starts there, and only a tree
+    passes: the walk must reach every vertex.  ``index`` maps the ids to
+    their indices where the caller has built that map already."""
     n, m = len(ids), len(us)
     if not n or not len(weights) == len(potentials) == n or not len(vs) == len(costs) == m:
         return None
@@ -613,25 +571,36 @@ def _flat_forest(ids, weights, potentials, us, vs, costs):
 
     start, nbr, arc_cost = _csr(n, us, vs, costs)
     # one BFS per component, from its heaviest vertex (sorted is stable)
+    tops = [root] if root is not None else sorted(range(n), key=weights.__getitem__,
+                                                  reverse=True)
     seen = bytearray(n)
     parent = [-1] * n
     pcost = [0] * n  # each root keeps its virtual edge of cost 0
-    walks = []  # per component: its vertices, BFS order, children and depth ends
-    for top in sorted(range(n), key=weights.__getitem__, reverse=True):
-        if not seen[top]:
-            bfs, cend, level_end = _walk(top, start, nbr, arc_cost, seen, parent, pcost)
-            walks.append((sorted(bfs), bfs, cend, level_end))
-    if m != n - len(walks):
-        return None  # a cycle, a self-loop or a repeated edge
+    # per component: its BFS order, children ends and depth ends
+    walks = [_walk(top, start, nbr, arc_cost, seen, parent, pcost)
+             for top in tops if not seen[top]]
+    if 0 in seen or m != n - len(walks):
+        return None  # a vertex unreached, a cycle, a self-loop or a repeated edge
+
+    if len(walks) == 1:
+        # one tree holds every vertex and edge in input order: sum it in place
+        if index is None:
+            index = dict(zip(ids, range(n)))
+        if len(index) != n:
+            return None  # a repeated id
+        scale = math.lcm(dw, dp, dc)
+        return [_summed(ids, index, parent, *walks[0], scale, _scaled(weights, scale),
+                        _scaled(pcost, scale), _scaled(potentials, scale))]
 
     # trees by first vertex, each with its vertices in input order and
     # scaled by the least common multiple of its own denominators
-    walks.sort(key=lambda walk: walk[0][0])
+    walks.sort(key=lambda walk: min(walk[0]))
     loc = [0] * (n + 1)
     loc[n] = -1  # a root's parent, -1, reads loc[-1]
     ints = dw == dp == dc == 1
     trees = []
-    for members, bfs, cend, level_end in walks:
+    for bfs, cend, level_end in walks:
+        members = sorted(bfs)
         for j, v in enumerate(members):
             loc[v] = j
         ids_t = [ids[v] for v in members]
@@ -647,7 +616,7 @@ def _flat_forest(ids, weights, potentials, us, vs, costs):
 
 
 def _forest_by_components(vertices, edges) -> list:
-    """:func:`build_rooted_forest` by a union-find over the edges and one
+    """:func:`build_forest` by a union-find over the edges and one
     :func:`build_rooted_tree` per component, which names the first fault:
     the first edge that closes a cycle, then the trees' own faults."""
     index = {entry[0]: i for i, entry in enumerate(vertices)}
@@ -877,24 +846,13 @@ def json_columns(data: dict, distance: bool = False):
     return ids, weights, potentials, us, vs, costs, dists
 
 
-def json_vertices_edges(data: dict, distance: bool = False):
+def _json_vertices_edges(data: dict, distance: bool = False):
     """The vertices ``(id, weight, potential)`` and edges ``(u, v, cost)``
     of a tree or graph JSON object, numbers read by ``parse_number``; with
     ``distance``, each edge ends with its ``distance`` or None.
 
-    Read a column at a time by :func:`json_columns`; the per-entry reader
-    runs only when that fails, to raise the first fault in input order."""
-    columns = json_columns(data, distance)
-    if columns is None:
-        return _json_vertices_edges(data, distance)
-    ids, weights, potentials, us, vs, costs, dists = columns
-    edges = zip(us, vs, costs, dists) if distance else zip(us, vs, costs)
-    return list(zip(ids, weights, potentials)), list(edges)
-
-
-def _json_vertices_edges(data: dict, distance: bool = False):
-    """:func:`json_vertices_edges` one entry and one value at a time,
-    raising :class:`ParseError` for the first fault in input order."""
+    :func:`json_columns` one entry and one value at a time, raising
+    :class:`ParseError` for the first fault in input order."""
     vertices = []
     for i, v in _json_entries(data, "vertices", "vertex", ("id", "weight")):
         try:
@@ -928,4 +886,11 @@ def tree_from_json(data: dict) -> RootedTree:
         root = _json_id(data["root"])
     except ValueError as exc:
         raise ParseError(f"root: {exc}") from exc
-    return build_rooted_tree(*json_vertices_edges(data), root)
+    columns = json_columns(data)
+    if columns is None:
+        return build_rooted_tree(*_json_vertices_edges(data), root)
+    ids, weights, potentials, us, vs, costs, _ = columns
+    tree = _rooted(ids, weights, potentials, us, vs, costs, root)
+    if tree is None:
+        _raise_first_fault(list(zip(ids, weights, potentials)), list(zip(us, vs, costs)), root)
+    return tree

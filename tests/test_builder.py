@@ -225,6 +225,9 @@ class TestInvalidInput:
         ([("a", True)], [], "a"),
         ([(["a"], 1)], [], ["a"]),
         ([("a", 1), ("b", 1)], [(["a"], "b", 1)], "a"),
+        # n - 1 edges, but a triangle leaves "a" out of the walk from "b"
+        ([("a", 1), ("b", 1), ("c", 1), ("d", 1)],
+         [("b", "c", 1), ("c", "d", 1), ("d", "b", 1)], "b"),
     ])
     def test_single_faults_raise_as_the_reference(self, vertices, edges, root):
         want = _outcome(reference_build, vertices, edges, root)

@@ -115,6 +115,23 @@ class TestDecide:
         data = json.loads(out)
         assert data["witness"]["residue"] == ["b"]
 
+    def test_require_outlier_on_tree_with_zero_cost_edge(self, capsys, tmp_path):
+        # a cost of 0 is valid on a tree, with the flag as without it
+        p = tmp_path / "abcd.json"
+        p.write_text(json.dumps({
+            "root": "a",
+            "vertices": [{"id": v, "weight": 1} for v in "abcd"],
+            "edges": [{"u": "a", "v": "b", "cost": 1}, {"u": "b", "v": "c", "cost": 0},
+                      {"u": "c", "v": "d", "cost": 1}],
+        }))
+        base = ["decide", "--xi", "1", "--parts", "1", "--outliers", "1", "--input", str(p)]
+        assert run_cli(capsys, *base)[0] == 0
+        code, out, err = run_cli(capsys, *base, "--require-outlier", "d")
+        assert (code, err) == (0, "")
+        witness = json.loads(out)["witness"]
+        assert witness["residue"] == ["d"]
+        assert witness["max_expansion"] == "1/3"  # c's edge to d, over a, b, c
+
     def test_potentials_flag_on_graph_input(self, capsys, tmp_path):
         # vertex potentials count only with --potentials, as for optimize
         p = tmp_path / "abc.json"

@@ -30,7 +30,7 @@ from treecut import (
 from treecut import graphs
 from treecut.cli import main
 from treecut.graphs import _distance_ranks, _kruskal_edges, graph_from_csv, graph_from_json
-from treecut.tree import build_forest, build_rooted_forest
+from treecut.tree import build_forest, build_rooted_tree
 
 # every denominator divides 100, so each value has an exact decimal and
 # an exact shortest float repr
@@ -87,6 +87,12 @@ def _random_forest(rng, ids, overrides):
     return edges
 
 
+def _accepted(graph):
+    """``_kruskal_edges``' index columns as ``(u, v, cost)`` id triples."""
+    us, vs, costs = _kruskal_edges(graph)
+    return [(graph.ids[u], graph.ids[v], c) for u, v, c in zip(us, vs, costs)]
+
+
 def _trees_json(result):
     trees = result.trees if isinstance(result, Forest) else (result,)
     return [t.to_json() for t in trees]
@@ -108,7 +114,7 @@ class TestMatchesFractionReference:
             g, ref = WeightedGraph(vertices, edges), ReferenceGraph(vertices, edges)
             assert _values_as_parsed(g)
             assert g.weights == ref.weights and g.edges == ref.edges
-            assert _kruskal_edges(g) == reference_acceptance(ref)
+            assert _accepted(g) == reference_acceptance(ref)
             assert _trees_json(similarity_spanning_tree(g)) == \
                 _trees_json(reference_spanning_tree(ref))
 
@@ -219,7 +225,7 @@ class TestExactRanking:
                            ("b", "c", 10 ** 31, None)])
         ranks = _distance_ranks(g.edges)
         assert ranks == [2, 1, 0]
-        assert _kruskal_edges(g) == [("b", "c", 10 ** 31), ("a", "c", big + 1)]
+        assert _accepted(g) == [("b", "c", 10 ** 31), ("a", "c", big + 1)]
         assert similarity_spanning_tree(g).total_edge_cost() == 10 ** 31 + big + 1
 
     @pytest.mark.parametrize("explicit_first", [True, False])
@@ -233,10 +239,10 @@ class TestExactRanking:
         ranks = _distance_ranks(g.edges)
         assert ranks[0] == ranks[1] == 1 and ranks[2] == 0
         kept = ("a", "c", 7) if explicit_first else ("a", "c", 2)
-        assert _kruskal_edges(g) == [("a", "b", 100), kept]
+        assert _accepted(g) == [("a", "b", 100), kept]
         ref = ReferenceGraph([(v, 1, 0) for v in "abc"],
                              [cost_edge, dist_edge, ("a", "b", 100, None)])
-        assert reference_acceptance(ref) == _kruskal_edges(g)
+        assert reference_acceptance(ref) == _accepted(g)
 
     def test_twenty_thousand_distinct_costs(self):
         # worst case for the ranking: every distance is its own rank
@@ -254,7 +260,7 @@ class TestExactRanking:
         ranks = _distance_ranks(g.edges)
         assert sorted(ranks) == list(range(len(edges)))
         assert [e for _r, e in sorted(zip(ranks, range(len(edges))))] == reference_order(ref)
-        assert _kruskal_edges(g) == reference_acceptance(ref)
+        assert _accepted(g) == reference_acceptance(ref)
 
 
 def _faults():
@@ -387,8 +393,8 @@ def _columns(vertices, edges):
 
 
 class TestForestBuilderMatchesReference:
-    """``build_rooted_forest`` and ``build_forest`` against the union-find
-    and per-component builds of ``tests/_graphs.py``."""
+    """``build_forest`` against the union-find and per-component builds of
+    ``tests/_graphs.py``."""
 
     def test_random_forests(self):
         rng = random.Random(1206)
@@ -396,15 +402,19 @@ class TestForestBuilderMatchesReference:
         for _ in range(400):
             vertices, edges = _forest_instance(rng)
             want = _fields(reference_forest(vertices, edges))
-            assert _fields(build_rooted_forest(vertices, edges)) == want
             assert _fields(build_forest(*_columns(vertices, edges))) == want
+            if len(want) == 1:
+                # one walk covers every vertex: the same tree as a rooted
+                # build from the heaviest vertex, the first of equal ones
+                root = max(vertices, key=lambda entry: entry[1])[0]
+                assert _fields([build_rooted_tree(vertices, edges, root)]) == want
             scales.add(tuple(t["scale"] for t in want))
         assert any(len(set(s)) > 1 for s in scales)  # trees of one forest, own scales
 
     def test_ties_for_the_heaviest_vertex_go_to_the_first(self):
         vertices = [("a", 1, 0), ("b", 3, 0), ("c", 3, 0), ("d", 3, 0), ("e", 2, 0)]
         edges = [("a", "c", 1), ("d", "e", 1), ("c", "b", 1)]
-        trees = build_rooted_forest(vertices, edges)
+        trees = build_forest(*_columns(vertices, edges))
         assert [t.root_id for t in trees] == ["b", "d"]
         assert _fields(trees) == _fields(reference_forest(vertices, edges))
 
@@ -419,7 +429,7 @@ class TestForestBuilderMatchesReference:
 
     @pytest.mark.parametrize("fault", [
         "cycle", "self-loop", "repeated edge", "zero weight", "negative potential",
-        "negative cost", "unparseable cost", "unknown endpoint"])
+        "negative cost", "unparseable cost"])
     def test_faults_raise_as_the_reference(self, fault):
         rng = random.Random(1208)
         for _ in range(40):
@@ -442,11 +452,7 @@ class TestForestBuilderMatchesReference:
             elif fault in ("negative cost", "unparseable cost") and edges:
                 x = edges[at - 1]
                 edges[at - 1] = x[:2] + (-1 if fault == "negative cost" else "1/x",)
-            elif fault == "unknown endpoint":
-                edges.insert(at, (u, "nowhere", 1))
             else:
                 continue
             want = _raised(reference_forest, vertices, edges)
-            assert _raised(build_rooted_forest, vertices, edges) == want
-            if fault != "unknown endpoint":
-                assert _raised(build_forest, *_columns(vertices, edges)) == want
+            assert _raised(build_forest, *_columns(vertices, edges)) == want

@@ -169,6 +169,15 @@ class TestSpanningTree:
         assert {frozenset((u, v)) for u, v, _c, _d in _tree_edges(back)} == \
                {frozenset(("a", "b")), frozenset(("b", "c"))}
 
+    def test_tree_with_zero_cost_edge(self):
+        # a valid tree, but its similarity distance 1/cost is undefined
+        t = build_rooted_tree([("a", 1), ("b", 1), ("c", 1)],
+                              [("a", "b", 0), ("b", "c", 2)], "a")
+        g = tree_as_graph(t)
+        assert [c for _u, _v, c, _d in g.edge_records()] == [0, 2]
+        with pytest.raises(InvalidInput, match="positive edge costs"):
+            similarity_spanning_tree(g)
+
     def test_tie_break_is_deterministic(self):
         g = WeightedGraph([(v, 1, 0) for v in "abc"],
                           [("b", "c", 1, None), ("a", "c", 1, None),

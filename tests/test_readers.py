@@ -14,7 +14,7 @@ from treecut import ParseError, WeightedGraph
 from treecut import graphs, tree
 from treecut.cli import main
 from treecut.graphs import graph_from_csv, graph_from_json, load_instance
-from treecut.tree import _json_vertices_edges, json_vertices_edges, tree_from_json
+from treecut.tree import tree_from_json
 from treecut.values import format_rational, parse_number, parse_numbers
 
 # -- tokens --------------------------------------------------------------------
@@ -229,12 +229,15 @@ def per_entry(monkeypatch):
 
 @pytest.fixture()
 def no_per_entry(monkeypatch):
-    """Fail the test if a per-entry function runs."""
+    """Fail the test if a per-entry function runs: the per-entry readers,
+    the tree builder on tuples, and the fault finder behind both builders."""
     def refuse(*args, **kwargs):
         raise AssertionError("a per-entry reader ran on a valid document")
     with monkeypatch.context() as m:
         m.setattr(tree, "_json_vertices_edges", refuse)
-        m.setattr(graphs, "json_vertices_edges", refuse)
+        m.setattr(tree, "build_rooted_tree", refuse)
+        m.setattr(tree, "_raise_first_fault", refuse)
+        m.setattr(graphs, "_json_vertices_edges", refuse)
         m.setattr(graphs, "_csv_edges", refuse)
         m.setattr(WeightedGraph, "__init__", refuse)
         yield
@@ -249,10 +252,6 @@ class TestReaderParity:
             doc = _doc(rng, "tree")
             if rng.random() < 0.6:
                 _inject(rng, doc, rng.choice(_FAULTS))
-            for distance in (False, True):
-                got = _outcome(json_vertices_edges, doc, distance)
-                want = _outcome(_json_vertices_edges, doc, distance)
-                assert _typed(got) == _typed(want)
             got = _outcome(tree_from_json, doc)
             want = per_entry(tree_from_json, doc)
             if got[0] == "value" and want[0] == "value":
