@@ -8,7 +8,11 @@ over flat int64 arrays with numpy, by one of two sweeps:
 * the chain sweep (``_chain_sweep``): one batch per heavy-path round (at
   most ``log2(n) + 1`` of them) and table row, scanning all heavy paths of
   the round at once, so that paths and caterpillars, with as many levels
-  as vertices, take a few batches.
+  as vertices, take a few batches.  A round whose longest path is shorter
+  than its table rows (bushy trees at large part counts, as in ``k_max``)
+  runs instead one batch per step up its paths, each a level sweep's
+  batch for the positions that many steps above their leaf, and a round
+  of single leaves takes its tables in closed form (``_round_kind``).
 
 They are used only when a conservative a-priori bound proves every
 intermediate value fits in 64 bits, so results are exact whenever they
@@ -90,6 +94,15 @@ _MAX_TABLE_BYTES = 1 << 31
 # then ``fill``) rather than their ``np.`` wrappers, whose Python-level
 # dispatch costs more than the C work on small trees.
 #
+# The (min,+) products over rows loop over the operand with fewer rows,
+# in blocks (``_block_rows``): a block's sums against the other operand
+# are written through a strided view (``_diagonals``) that lands each at
+# the row it adds to, and one minimum over the block folds them.  A block
+# takes about ``_BLOCK_CELLS`` cells per call, so a wide level, or a
+# product of a few rows, keeps one row per call while a narrow product of
+# many rows (a step of the chain sweep, the last merges of a star's
+# leaves) takes a few calls.
+#
 # Finite values stay inside (-2^60, 2^60) by ``_bound_ok``.  Infinity is
 # 2^61, so a sum with an infinite operand is at least 2^60 (even when the
 # other operand is a negative charge) and is reset to infinity, and two
@@ -97,23 +110,65 @@ _MAX_TABLE_BYTES = 1 << 31
 
 _NP_INF = np.int64(1) << np.int64(61)
 _NP_CHUNK_BYTES = 1 << 25
+_BLOCK_CELLS = 1 << 14
+_BLOCK_ROWS = 8
+
+
+def _block_rows(left, span, cells):
+    """Rows of the looped operand that one block of a (min,+) product
+    takes, of ``left`` still to loop over, against ``span`` rows of the
+    other of ``cells`` cells each: as many as keep a call near
+    ``_BLOCK_CELLS`` cells, at most ``span``; one row where that is under
+    ``_BLOCK_ROWS``, since a few rows' calls cost less than a block's fill
+    and fold."""
+    b = min(left, span, _BLOCK_CELLS // (span * cells))
+    return b if b >= _BLOCK_ROWS else 1
+
+
+def _diagonals(b, span, shape, fill):
+    """A ``(b, span + b - 1) + shape`` buffer of ``fill``, and a view of it
+    whose row ``j`` starts at column ``j``: sums written through the view
+    land at the product row they add to, and a minimum over axis 0 of the
+    buffer folds the block."""
+    W = np.empty((b, span + b - 1) + shape, dtype=np.int64)
+    W.fill(fill)
+    V = np.ndarray((b, span) + shape, np.int64, W, 0,
+                   (W.strides[0] + W.strides[1],) + W.strides[1:])
+    return W, V
 
 
 def _min_plus_gamma(Y, X, rows):
     """``out[c, l] = min Y[i, lp] + X[c - i, l - lp]`` for ``c < rows``,
     over shifted cut-charge rows (axis 0; row ``i`` holds ``i + 1``
     parts) and budgets (axis 1), saturated as ``_min_plus_budget`` is
-    (once: saturating commutes with the minimum)."""
+    (once: saturating commutes with the minimum).  The loop runs over the
+    operand with fewer rows, a block of ``_block_rows`` per step."""
+    if X.shape[0] < Y.shape[0]:
+        Y, X = X, Y
     lp1 = Y.shape[1]
     out = np.empty((rows,) + Y.shape[1:], dtype=np.int64)
     out.fill(_NP_INF)
     tmp = np.empty((min(X.shape[0], rows),) + X.shape[1:], dtype=np.int64)
-    for i in range(min(Y.shape[0], rows)):
+    loop = min(Y.shape[0], rows)
+    cells = tmp[0].size
+    i = 0
+    while i < loop:
         span = min(X.shape[0], rows - i)
-        for lp in range(lp1):
-            dst, t = out[i:i + span, lp:], tmp[:span, lp:]
-            np.add(Y[i, lp], X[:span, :lp1 - lp], out=t)
-            np.minimum(dst, t, out=dst)
+        b = _block_rows(loop - i, span, cells) if loop - i >= _BLOCK_ROWS else 1
+        if b == 1:
+            for lp in range(lp1):
+                dst, t = out[i:i + span, lp:], tmp[:span, lp:]
+                np.add(Y[i, lp], X[:span, :lp1 - lp], out=t)
+                np.minimum(dst, t, out=dst)
+        else:
+            W, V = _diagonals(b, span, X.shape[1:], _NP_INF)
+            top = min(rows - i, span + b - 1)
+            for lp in range(lp1):
+                np.add(Y[i:i + b, lp, None, None], X[None, :span, :lp1 - lp],
+                       out=V[:, :, lp:])
+                dst = out[i:i + top, lp:]
+                np.minimum(dst, np.minimum.reduce(W[:, :top, lp:], axis=0), out=dst)
+        i += b
     np.putmask(out, out >= _SAFE_LIMIT, _NP_INF)
     return out
 
@@ -121,13 +176,26 @@ def _min_plus_gamma(Y, X, rows):
 def _min_plus_mu(U, M, rows, none):
     """``out[k] = min U[i] + M[k - i]`` for ``k < rows`` (axis 0): the
     least budget with which two groups of subtrees hold ``k`` parts
-    between them."""
+    between them.  Looped as ``_min_plus_gamma``."""
+    if M.shape[0] < U.shape[0]:
+        U, M = M, U
     out = np.empty((rows,) + U.shape[1:], dtype=U.dtype)
     out.fill(none)
-    for i in range(min(U.shape[0], rows)):
+    loop = min(U.shape[0], rows)
+    i = 0
+    while i < loop:
         span = min(M.shape[0], rows - i)
-        dst = out[i:i + span]
-        np.minimum(dst, U[i] + M[:span], out=dst)
+        b = _block_rows(loop - i, span, M[0].size) if loop - i >= _BLOCK_ROWS else 1
+        if b == 1:
+            dst = out[i:i + span]
+            np.minimum(dst, U[i] + M[:span], out=dst)
+        else:
+            W, V = _diagonals(b, span, M.shape[1:], none)
+            np.add(U[i:i + b, None], M[None, :span], out=V)
+            top = min(rows - i, span + b - 1)
+            dst = out[i:i + top]
+            np.minimum(dst, np.minimum.reduce(W[:, :top], axis=0), out=dst)
+        i += b
     return out
 
 
@@ -201,17 +269,22 @@ def _charges(dense, a_arr, b_arr, use_pot):
     return eps, thr
 
 
+def _cut_or_join(G, M, e, kappa):
+    """Children's cut-charge rows ``G`` as their parent's fold takes them:
+    a child joins its parent's part, or its edge is cut at charge ``e``
+    with its least budgets ``M`` (at most ``kappa`` rows)."""
+    # a child cut off with all its s vertices as parts fills row s
+    G = _grow(G, min(kappa, G.shape[0] + 1), _NP_INF)
+    budgets = np.arange(G.shape[1])[:, None, None]
+    cut = (budgets >= M[:G.shape[0], None]) & (e <= G)
+    return np.where(cut, e, G)
+
+
 def _fold_children(G, M, e, plan, rows, kappa, none):
     """Children's tables folded per parent: ``G``, ``M`` and ``e`` are the
     children's cut-charge rows, least budgets and edge charges, in runs of
     siblings that ``plan`` pairs; the folds keep at most ``rows`` rows
     (``rows + 1`` least budgets)."""
-    # a child cut off with all its s vertices as parts fills row s; the
-    # child joins its parent's part, or its edge is cut at charge e
-    G = _grow(G, min(kappa, G.shape[0] + 1), _NP_INF)
-    budgets = np.arange(G.shape[1])[:, None, None]
-    cut = (budgets >= M[:G.shape[0], None]) & (e <= G)
-
     def merge(left, right):
         # a subtree of s vertices holds at most s parts, so the rows that
         # can be finite add up, up to ``rows``
@@ -220,7 +293,32 @@ def _fold_children(G, M, e, plan, rows, kappa, none):
                 _min_plus_mu(left[1], right[1],
                              min(rows + 1, left[1].shape[0] + right[1].shape[0] - 1), none))
 
-    return _fold_runs(plan, (np.where(cut, e, G), M), (_NP_INF, none), merge)
+    return _fold_runs(plan, (_cut_or_join(G, M, e, kappa), M), (_NP_INF, none), merge)
+
+
+def _least_rows(Y, U, thr, free, none):
+    """Least budgets by part count of vertices whose children folded to
+    cut-charge rows ``Y`` and least budgets ``U``: the least budget with
+    which the part topped at the vertex passes its threshold test
+    ``thr``, or, where ``free``, the vertex the outlier (``none`` where
+    neither can be had)."""
+    m = np.empty((Y.shape[0] + 1,) + Y.shape[2:], dtype=np.int64)
+    m[0] = none
+    m[1:] = none - (Y <= thr).sum(axis=1)
+    np.minimum(m, np.where(free, U + 1, none), out=m)
+    return m
+
+
+def _leaf_tables(thr, free, lp1):
+    """Cut-charge rows and least budgets of leaves, in closed form: their
+    own part alone at no charge, and 0 parts with the leaf the outlier
+    (budget 1, where free) or 1 part that passes iff ``thr >= 0``."""
+    none = lp1
+    G = np.zeros((1, lp1) + thr.shape, dtype=np.int64)
+    M = np.empty((2,) + thr.shape, dtype=np.int64)
+    M[0] = np.where(free, 1, none)
+    M[1] = np.where(thr >= 0, 0, none)
+    return G, M
 
 
 def _fold_least(M, plan, kappa, none):
@@ -283,11 +381,7 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
                                     rows, cap, none)
             Y[:Yf.shape[0], ..., par] = Yf
             U[:Uf.shape[0], ..., par] = Uf
-        m = np.empty((rows + 1, nb, width), dtype=np.int64)
-        m[0] = none
-        m[1:] = lp1 - (Y <= thr[:, lo:hi]).sum(axis=1)
-        np.minimum(m, np.where(forb[lo:hi] == 0, U + 1, none), out=m)
-        G, M = Y, m
+        G, M = Y, _least_rows(Y, U, thr[:, lo:hi], forb[lo:hi] == 0, none)
     return M[..., 0].T
 
 
@@ -362,6 +456,23 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
 # is, so z * C_h[i] is e_h + z[l - M_h[i]]: one gather, at the non-zero
 # positions.  Every (min,+) product saturates to infinity, as in the
 # level sweep.
+#
+# Step rounds.  A scan makes rows + 1 passes over its round, however short
+# its paths; at ``k_max``'s parts = n a 13-position round of a 150-vertex
+# tree would take 151.  A round whose longest path is shorter than its
+# rows (``_round_kind``) runs instead one step per path position, from the
+# leaves up: step j runs a level's recurrences on the positions j steps
+# above their path's leaf, with the light fold as one more child.  Each
+# heavy child is cut or joined as ``_fold_children`` takes a child
+# (``_cut_or_join``), one ``_min_plus_gamma`` and one ``_min_plus_mu``
+# merge it with Z and U over all rows at once, and the least budgets
+# follow as in a level (``_least_rows``).  z needs no composition there:
+# it is row 0 of Z inside the product.  Paths go longest first
+# (``_step_plan``), so the positions of step j are a prefix of step j -
+# 1's, their heavy children, and the paths that end at step j hand their
+# tops' tables to the round's output.  Step 0 is the paths' leaves, and a
+# round of single leaves is step 0 alone: both take their tables in
+# closed form (``_leaf_tables``).
 
 
 def _min_plus_budget(z, x):
@@ -444,6 +555,84 @@ def _path_buckets(rnd):
     return rnd["buckets"]
 
 
+def _round_kind(rnd, rows):
+    """How the chain sweep runs a round of ``rows`` table rows: ``"leaf"``
+    when every path is a single leaf (tables in closed form), ``"step"``
+    when its longest path is shorter than ``rows`` (step by step up the
+    paths) and ``"scan"`` otherwise (row by row along the paths)."""
+    longest = int(rnd["reach"].max()) + 1
+    if longest == 1:
+        return "leaf"
+    return "step" if longest < rows else "scan"
+
+
+def _step_plan(rnd):
+    """The steps of a round's paths, longest paths first (cached in the
+    round): the path order (indices into ``top``) and, per step ``j``, the
+    round positions ``j`` steps above their path's leaf (one per path
+    longer than ``j``, in that order), which of them have light children
+    and at which index of ``lpar``."""
+    if "step_plan" not in rnd:
+        top, lpar = rnd["top"], rnd["lpar"]
+        length = rnd["reach"][top] + 1
+        order = np.argsort(-length, kind="stable")
+        length = length[order]
+        leaf = top[order] + length - 1
+        steps = []
+        for j in range(int(length[0])):
+            pos = leaf[:np.searchsorted(-length, -j)] - j
+            li = np.flatnonzero(np.isin(pos, lpar))
+            steps.append((pos, li, np.searchsorted(lpar, pos[li])))
+        rnd["step_plan"] = order, steps
+    return rnd["step_plan"]
+
+
+def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1):
+    """The tables of a round's path tops, built step by step up its paths
+    (see the chain comment): ``Z`` and ``U`` are the light folds of the
+    round's ``lpar`` (or None), and ``e_r``, ``t_r``, ``free`` and
+    ``size_r`` its vertices' charges, threshold tests, freedom to be an
+    outlier and subtree sizes."""
+    none = lp1
+    order, steps = _step_plan(rnd)
+    nb = t_r.shape[0]
+    Gt = np.empty((rows, lp1, nb, order.size), dtype=np.int64)
+    Gt.fill(_NP_INF)
+    Mt = np.empty((rows + 1, nb, order.size), dtype=np.int64)
+    Mt.fill(none)
+    for j, (pos, li, lz) in enumerate(steps):
+        p = pos.size
+        if not j:
+            G, M = _leaf_tables(t_r.take(pos, axis=-1), free[pos], lp1)
+        else:
+            # the heavy children, cut or joined, and the light folds (one
+            # part of zero charge, and no parts, where there are none)
+            X = _cut_or_join(G[..., :p], M[..., :p], e_r.take(pos + 1, axis=-1), kappa)
+            rows_j = min(kappa, int(size_r[pos].max()))
+            if li.size:
+                Zs = np.empty((Z.shape[0], lp1, nb, p), dtype=np.int64)
+                Zs[0] = 0
+                Zs[1:].fill(_NP_INF)
+                Zs[..., li] = Z.take(lz, axis=-1)
+                Us = np.empty((U.shape[0], nb, p), dtype=np.int64)
+                Us[0] = 0
+                Us[1:].fill(none)
+                Us[..., li] = U.take(lz, axis=-1)
+                G = _min_plus_gamma(Zs, X, rows_j)
+                Uu = _min_plus_mu(Us, M[..., :p], rows_j + 1, none)
+            else:
+                # the heavy children alone (whose rows, sized for their whole
+                # step, may pass this one's)
+                G = _grow(X[:rows_j], rows_j, _NP_INF)
+                Uu = _grow(M[:rows_j + 1, ..., :p], rows_j + 1, none)
+            M = _least_rows(G, Uu, t_r.take(pos, axis=-1), free[pos], none)
+        # the paths of exactly j + 1 vertices end here, at their tops
+        rest = steps[j + 1][0].size if j + 1 < len(steps) else 0
+        Gt[:G.shape[0], ..., order[rest:p]] = G[..., rest:]
+        Mt[:M.shape[0], ..., order[rest:p]] = M[..., rest:]
+    return Gt, Mt
+
+
 def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
     """``_np_sweep``'s answer from the chain sweep, over the heavy-path
     rounds that ``RootedTree.heavy_paths`` keeps in ``dense``."""
@@ -467,15 +656,24 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
         rows = min(cap, int(size[vert[top]].max()))
         e_r, t_r = eps.take(vert, axis=-1), thr.take(vert, axis=-1)
         free = forb[vert] == 0
-        end = rnd["reach"] == 0
-        q = np.ones((nb, m), dtype=np.int64)
-        chains = None  # the all-zero z's stay implicit
+        kind = _round_kind(rnd, rows)
+        if kind == "leaf":
+            Gt, Mt = _leaf_tables(t_r, free, lp1)
+            continue
+        Z = U = None
         if lpar.size:
             below = rounds[r + 1]
             Z, U = _fold_children(Gt, Mt, eps.take(below["vert"][below["top"]], axis=-1),
                                   _cached_plan(dense, ("round", r), rnd["lcount"]),
                                   rows, cap, none)
             Gt = Mt = None
+        if kind == "step":
+            Gt, Mt = _step_round(rnd, rows, cap, Z, U, e_r, t_r, free, size[vert], lp1)
+            continue
+        end = rnd["reach"] == 0
+        q = np.ones((nb, m), dtype=np.int64)
+        chains = None  # the all-zero z's stay implicit
+        if lpar.size:
             q[:, lpar] = np.minimum(U[0] + 1, none)
             chains = _z_chains(Z[0], lpar, top, m)
             h = lpar + 1  # their heavy children
@@ -592,11 +790,16 @@ def _forb_array(tree, forbidden_ids):
 # round) rows for each path top and each vertex with light children
 # (the tops' output, the heavy children's rows that the light products
 # read, Z and its products); and, while the light children are folded,
-# ``_LEVEL_COPIES`` copies of their tables, as in a level.
+# ``_LEVEL_COPIES`` copies of their tables, as in a level.  A step round
+# holds, besides its tops' tables and the light fold, a few tables of its
+# step's positions (at most its paths) and rows, within the same
+# ``_CHAIN_TABLE_COPIES``.
 #
 # Both allow ``_VERTEX_WORDS`` int64 per vertex for the charges,
-# thresholds, per-round sums and their temporaries, and ``_FIXED_BYTES``
-# that do not grow with the tree.  Measured with tracemalloc (numpy 2.4)
+# thresholds, per-round sums and their temporaries, ``_BLOCK_BYTES`` for
+# one product block (at most ``2 * _BLOCK_CELLS`` cells, and its minimum,
+# at most ``_BLOCK_CELLS``), and ``_FIXED_BYTES`` that do not grow with
+# the tree.  Measured with tracemalloc (numpy 2.4)
 # on stars, paths, caterpillars, random trees, brooms and spiders of
 # 150-16,501 vertices, with parts up to n (n <= 2000), up to 20 outliers
 # and potentials that make z non-zero, the peak of one threshold's sweep
@@ -604,7 +807,12 @@ def _forb_array(tree, forbidden_ids):
 # With the chain figure's composite z's counted only where z can be
 # non-zero, the chain sweep's peak on caterpillars, random trees, brooms,
 # spiders and stars of 150-5000 vertices with potentials, at (3, 20),
-# (n, 3), (2, 0), (3, 2) and (20, 5), stayed within 25% of it.
+# (n, 3), (2, 0), (3, 2) and (20, 5), stayed within 25% of it.  With step
+# rounds and product blocks, the chain sweep's peak on stars, paths,
+# caterpillars, random trees, brooms, spiders and three-tree forests of
+# 150 and 400 vertices, at (3, 20), (n, 3) and (n, 0), with and without
+# potentials, stayed within 97% of its figure (the level sweep's within
+# 107%), the fixed bytes not counted.
 #
 # The level sweep's first run on a tree also keeps one fold plan per
 # level that holds a merge round (``_cached_plan`` keeps no empty plan),
@@ -622,6 +830,7 @@ _VERTEX_WORDS = 8
 _FIXED_BYTES = 1 << 20
 _PLAN_ROUND_BYTES = 1 << 10
 _PLAN_CHILD_WORDS = 3
+_BLOCK_BYTES = 3 * 8 * _BLOCK_CELLS
 
 
 def _level_stats(dense):
@@ -648,11 +857,12 @@ def _level_stats(dense):
 
 def _round_stats(tree):
     """Per heavy-path round: vertices, paths, vertices with light
-    children, largest subtree, doubling steps of its plain scan, and the
-    paths and largest subtree of the round below; and the vertices where
-    z can be non-zero (with a light child of positive subtree potential)
-    with the doubling steps of their composition, the most of them on one
-    path less one, in bits (cached with the dense arrays)."""
+    children, largest subtree, longest path, doubling steps of its plain
+    scan, and the paths and largest subtree of the round below; and the
+    vertices where z can be non-zero (with a light child of positive
+    subtree potential) with the doubling steps of their composition, the
+    most of them on one path less one, in bits (cached with the dense
+    arrays)."""
     dense = tree.dense_arrays()
     if "round_stats" not in dense:
         rounds = tree.heavy_paths()
@@ -670,6 +880,7 @@ def _round_stats(tree):
                 zsteps[j] = int(per_path.max() - 1).bit_length()
         dense["round_stats"] = {
             "m": np.array([r["vert"].size for r in rounds]),
+            "longest": np.array([int(r["reach"].max()) + 1 for r in rounds]),
             "paths": paths,
             "lpar": np.array([r["lpar"].size for r in rounds]),
             "size": size,
@@ -684,13 +895,35 @@ def _round_stats(tree):
     return dense["round_stats"]
 
 
+def _step_stats(tree, rounds, light):
+    """Per step of the heavy-path ``rounds`` (indices) in turn: its
+    positions, the largest subtree among them and among the step's below
+    (0 at step 0), and the rows of the light folds its products take
+    (``light`` per round, 1 where no position of the step has light
+    children)."""
+    dense = tree.dense_arrays()
+    stats = [[], [], [], []]
+    for j in rounds:
+        rnd = tree.heavy_paths()[j]
+        reach = rnd["reach"]
+        steps = int(reach.max()) + 1
+        big = np.zeros(steps, dtype=np.int64)
+        np.maximum.at(big, reach, dense["size"][rnd["vert"]])
+        lit = np.bincount(reach[rnd["lpar"]], minlength=steps) > 0
+        for out, x in zip(stats, (np.bincount(reach), big, np.append(0, big[:-1]),
+                                  np.where(lit, light[j], 1))):
+            out.append(x)
+    return [np.concatenate(x) if x else np.zeros(0, dtype=np.int64) for x in stats]
+
+
 def _sweep_bytes(tree, kappa: int, lam: int) -> int:
     """Bytes one threshold's level sweep may hold at once, beyond the
     fixed ``_FIXED_BYTES``: ``_LEVEL_COPIES`` copies of the largest level
     table, ``_VERTEX_WORDS`` int64 per vertex and the fold plans."""
     st = _level_stats(tree.dense_arrays())
     cells = int((st["width"] * np.minimum(kappa, st["size"])).max()) * (lam + 1)
-    return 8 * (_LEVEL_COPIES * cells + _VERTEX_WORDS * tree.vertex_count) + st["plan_bytes"]
+    return (8 * (_LEVEL_COPIES * cells + _VERTEX_WORDS * tree.vertex_count)
+            + st["plan_bytes"] + _BLOCK_BYTES)
 
 
 def _chain_bytes(tree, kappa: int, lam: int) -> int:
@@ -701,7 +934,7 @@ def _chain_bytes(tree, kappa: int, lam: int) -> int:
     cells = (st["m"] * _CHAIN_ROW_COPIES + st["zk"] * st["zsteps"]
              + _CHAIN_TABLE_COPIES * (st["paths"] + st["lpar"]) * np.minimum(kappa, st["size"])
              + _LEVEL_COPIES * st["below_paths"] * np.minimum(kappa, st["below_size"] + 1))
-    return 8 * (int(cells.max()) * (lam + 1) + _VERTEX_WORDS * tree.vertex_count)
+    return 8 * (int(cells.max()) * (lam + 1) + _VERTEX_WORDS * tree.vertex_count) + _BLOCK_BYTES
 
 
 # -- the cost rule -----------------------------------------------------------
@@ -719,10 +952,19 @@ def _chain_bytes(tree, kappa: int, lam: int) -> int:
 #   scans of rounds of several paths and, where potentials can make z
 #   non-zero, of the budget products that compose its maps and the row
 #   arrays that take their minima back; per numpy call and cell pair of
-#   the light folds.
+#   the light folds;
+# * a step round of the chain sweep, in place of its rows, row cells,
+#   light products and scans: the level sweep's constants over its steps,
+#   per step, per cell of a step's tables and of its heavy children's,
+#   per numpy call of its products (one per block of rows, as
+#   ``_block_rows`` takes them) and per cell pair.
 #
 # A level is thus priced by its width, and a round by its vertices, its
-# rows and its longest path.  The constants were fitted by least squares
+# rows and its longest path.  Two prices stay as they were with no refit,
+# so that the rule ranks the lanes near the crossover as before: a leaf
+# round keeps a scan's (its closed form takes less), and a step round
+# the composition's where potentials can make z non-zero (it composes
+# nothing).  The constants were fitted by least squares
 # on the logarithm of the time, over 247 timed sweeps of each kind (the
 # best of three) on one 2-core VM (Python 3.11.7, numpy 2.4.6): paths,
 # stars, caterpillars, brooms, spiders and random recursive trees of
@@ -781,27 +1023,47 @@ def _numpy_terms(tree, kappa):
 
     def build():
         lv = _level_stats(dense)
-        rows = np.minimum(kappa, lv["size"])
+        rows_l = np.minimum(kappa, lv["size"])
         child_rows = np.minimum(kappa, np.append(lv["size"][1:], 0) + 1)
         ch = _round_stats(tree)
         crows = np.minimum(kappa, ch["size"])
         light = np.minimum(crows, ch["below_size"] + 1)
         multi = ch["paths"] > 1
         lit = ch["lpar"] > 0  # rounds with light children
+        # how each round runs (``_round_kind``): a step round has none of
+        # the scan's terms, and a leaf round keeps a scan's price (see the
+        # cost-rule comment)
+        leaf = ch["longest"] == 1
+        stepped = ~leaf & (ch["longest"] < crows)
+        scan = ~leaf & ~stepped
+        width, size, prev, z = _step_stats(tree, np.flatnonzero(stepped), light)
+        rows = np.minimum(kappa, size)
+        below = np.minimum(kappa, prev + 1)  # the heavy children's rows, grown by one
+        merge = prev > 0  # step 0 takes the leaves in closed form
         return {
-            "level": (rows.size, int((lv["width"] * rows + lv["children"] * child_rows).sum()))
-                     + _fold_terms(rows, child_rows, lv["children"], lv["merges"]),
-            "chain": (crows.size, int((crows + 1).sum()), int((ch["m"] * (crows + 1)).sum()),
-                      int((crows * lit).sum()),
-                      float((ch["lpar"] * crows * (light - 1)).sum()))
+            "level": (rows_l.size, int((lv["width"] * rows_l + lv["children"] * child_rows).sum()))
+                     + _fold_terms(rows_l, child_rows, lv["children"], lv["merges"]),
+            "chain": (crows.size, int((crows + 1)[~stepped].sum()),
+                      int((ch["m"] * (crows + 1))[~stepped].sum()),
+                      int((crows * lit)[scan].sum()),
+                      float((ch["lpar"] * crows * (light - 1))[scan].sum()))
                      + _fold_terms(crows, light, ch["below_paths"], ch["merges"]),
             # cells of the plain scans of rounds of several paths; where z
             # can be non-zero, of the budget products that compose its
             # maps (one per doubling step and one for D') and of the
-            # row arrays that take their minima back
-            "steps": (int((ch["steps"] * crows * ch["m"] * multi).sum()),
-                      int((crows * ch["zk"] * (ch["zsteps"] + 1)).sum()),
-                      int((crows * ch["m"] * (ch["zk"] > 0)).sum())),
+            # row arrays that take their minima back (a step round keeps
+            # that price, see the cost-rule comment)
+            "steps": (int((ch["steps"] * crows * ch["m"] * multi)[scan].sum()),
+                      int((crows * ch["zk"] * (ch["zsteps"] + 1))[~leaf].sum()),
+                      int((crows * ch["m"] * (ch["zk"] > 0))[~leaf].sum())),
+            # the steps of step rounds, priced as levels: their count and
+            # cells (the leaves' step, as a level of leaves, included), and
+            # per merging step its width and the rows of the operand its
+            # products loop over and of the other, within the step's rows
+            "stepped": (width.size,
+                        int((width * np.where(merge, rows + below, 3)).sum()),
+                        width[merge], np.minimum(z, below)[merge],
+                        np.minimum(np.maximum(z, below), rows)[merge]),
         }
 
     return _cached(dense, "numpy_terms", kappa, build)
@@ -826,10 +1088,18 @@ def _chain_us(tree, kappa, lam, thresholds, use_pot):
     multi, products, fixes = terms["steps"]
     step_cells = multi + (products * lp1 + fixes if z else 0)
     c = _CHAIN_US
+    levels, level_cells, width, loop, other = terms["stepped"]
+    # a step's products take blocks of rows of the operand they loop over
+    block = np.minimum(np.minimum(loop, other), _BLOCK_CELLS // (other * lp1 * thresholds * width))
+    block[block < _BLOCK_ROWS] = 1
+    cl = _LEVEL_US
     return (c[0] * rounds + c[1] * rows + c[2] * lp1 * thresholds * cells
             + c[3] * lp1 * lcalls + c[4] * lp1 * lp1 * thresholds * lpairs
             + c[5] * lp1 * thresholds * step_cells
-            + c[6] * lp1 * fcalls + c[7] * lp1 * lp1 * thresholds * fpairs)
+            + c[6] * lp1 * fcalls + c[7] * lp1 * lp1 * thresholds * fpairs
+            + cl[1] * levels + cl[2] * lp1 * thresholds * level_cells
+            + cl[3] * lp1 * int((-(-loop // block)).sum())
+            + cl[4] * lp1 * lp1 * thresholds * float((width * loop * other).sum()))
 
 
 def fits(tree, xis, kappa: int, lam: int) -> bool:

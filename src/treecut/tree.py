@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter
 
 from .errors import (
     InvalidInput,
@@ -357,12 +358,13 @@ def build_rooted_tree(vertices, edges, root) -> RootedTree:
     self-loop, duplicate edge, negative cost), then the edge count and
     connectivity.
 
-    The tuples are read into columns, and the flat pass of
-    :func:`build_forest` builds the tree from them with one walk from the
-    root.  Memory: building a 10^5-vertex path with integer columns peaks
-    at most 600 bytes per vertex above its input (``tracemalloc``; 453
-    measured on CPython 3.11, about 330 of them kept by the tree), most of
-    it Python ints and the ``index`` dict.
+    The tuples are read into columns, the endpoints straight into their
+    indices, and the flat pass of :func:`build_forest` builds the tree
+    from them with one walk from the root.  Memory: building a 10^5-vertex
+    path with integer columns peaks at most 600 bytes per vertex above its
+    input (``tracemalloc``; 437 measured on CPython 3.11, about 330 of
+    them kept by the tree), most of it Python ints and the ``index``
+    dict.
     """
     if not isinstance(vertices, (list, tuple)):
         vertices = list(vertices)
@@ -374,9 +376,10 @@ def build_rooted_tree(vertices, edges, root) -> RootedTree:
         if shapes <= {2, 3} and set(map(len, edges)) <= {3}:
             potentials = ([0] * len(vertices) if shapes == {2} else
                           [entry[2] if len(entry) == 3 else 0 for entry in vertices])
+            # the endpoints go to indices straight from the tuples
             tree = _rooted([entry[0] for entry in vertices], [entry[1] for entry in vertices],
-                           potentials, [edge[0] for edge in edges],
-                           [edge[1] for edge in edges], [edge[2] for edge in edges], root)
+                           potentials, map(itemgetter(0), edges), map(itemgetter(1), edges),
+                           [edge[2] for edge in edges], root)
     except (KeyError, TypeError, ValueError):
         pass  # a malformed entry, named below
     if tree is None:
@@ -386,7 +389,8 @@ def build_rooted_tree(vertices, edges, root) -> RootedTree:
 
 def _rooted(ids, weights, potentials, us, vs, costs, root):
     """The tree of :func:`build_rooted_tree` on columns, with the edges'
-    endpoints and the ``root`` given by id, or None when a check fails."""
+    endpoints (any iterables) and the ``root`` given by id, or None when a
+    check fails."""
     try:
         index = dict(zip(ids, range(len(ids))))
         trees = _flat_forest(ids, weights, potentials, [index[u] for u in us],

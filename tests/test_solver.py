@@ -19,6 +19,7 @@ from treecut import (
     build_rooted_tree,
     decide,
     decide_batch,
+    decide_forest,
     edge_charge,
     k_max,
     min_xi,
@@ -30,12 +31,13 @@ from treecut import _fastlane, solver
 from treecut.tree import part_cap
 
 
-def _shaped_tree(rng, n, shape, use_pot, potential=None):
+def _shaped_tree(rng, n, shape, use_pot, potential=None, legs=None):
     """A tree of ``n`` vertices rooted at vertex 0, the end of any path
     or spine: a path, a star, a caterpillar (legs on the first half), a
-    broom (a handle, then a star at its end), a spider (up to five legs
-    from the root) or a random recursive tree.  Potentials are 0-4 with
-    ``use_pot``, or ``potential(rng)`` per vertex where that is given."""
+    broom (a handle, then a star at its end), a spider (``legs`` legs from
+    the root, or one to five) or a random recursive tree.  Potentials are
+    0-4 with ``use_pot``, or ``potential(rng)`` per vertex where that is
+    given."""
     half = max(1, n // 2)
     if shape == "path":
         parents = list(range(n - 1))
@@ -46,7 +48,7 @@ def _shaped_tree(rng, n, shape, use_pot, potential=None):
     elif shape == "broom":
         parents = list(range(half - 1)) + [half - 1] * (n - half)
     elif shape == "spider":
-        legs = rng.randint(1, 5)
+        legs = legs or rng.randint(1, 5)
         parents = [0 if i <= legs else i - legs for i in range(1, n)]
     else:
         parents = [rng.randrange(i) for i in range(1, n)]
@@ -420,13 +422,25 @@ class TestLaneAgreement:
                                                     for _ in range(half, n)],
             "random": [rng.randrange(i) for i in range(1, n)],
             "broom": [0] + list(range(1, half - 1)) + [0] * (n - half),
+            "spider": [0 if i <= 5 else i - 5 for i in range(1, n)],
         }
         sweeps = ((_fastlane._np_sweep, _fastlane._sweep_bytes),
                   (_fastlane._chain_sweep, _fastlane._chain_bytes))
-        for name, parents in shapes.items():
-            t = build_rooted_tree([(i, rng.randint(1, 3), i % 4) for i in range(n)],
-                                  [(p, i, rng.randint(1, 3))
-                                   for i, p in enumerate(parents, 1)], 0)
+        trees = {name: build_rooted_tree([(i, rng.randint(1, 3), i % 4) for i in range(n)],
+                                         [(p, i, rng.randint(1, 3))
+                                          for i, p in enumerate(parents, 1)], 0)
+                 for name, parents in shapes.items()}
+        # a three-tree forest's layout: a random tree, a star and a
+        # caterpillar of n / 3 vertices each under a virtual root
+        third = n // 3
+        trees["forest"] = Forest(tuple(build_rooted_tree(
+            [((j, i), rng.randint(1, 3), i % 4) for i in range(third)],
+            [((j, p), (j, i), rng.randint(1, 3)) for i, p in enumerate(parents, 1)], (j, 0))
+            for j, parents in enumerate((
+                [rng.randrange(i) for i in range(1, third)], [0] * (third - 1),
+                list(range(third // 2 - 1)) + [rng.randrange(third // 2)
+                                               for _ in range(third // 2, third)])))).layout
+        for name, t in trees.items():
             t.heavy_paths()
             dense = t.dense_arrays()
             forb = _fastlane._forb_array(t, ())
@@ -714,6 +728,76 @@ class TestChainSweep:
             assert rounds >= 20 and nonzero < 0.3 * light
         else:
             assert rounds >= 20 and nonzero > 0.5 * light
+
+    def test_step_and_leaf_rounds_match_the_python_lane(self, monkeypatch):
+        # parts from about n/2 to n make a round's tables taller than its
+        # longest path, so it runs step by step up its paths, and rounds
+        # of single leaves take their tables in closed form: stars, brooms,
+        # spiders, caterpillars and random trees of 20-150 vertices, 0-5
+        # outliers, forbidden vertices (leaves among them), 1-4 thresholds
+        # (threshold 0 fails every leaf's test), with and without
+        # potentials; and three-tree forests, whose layouts also decide
+        # through decide_forest
+        kinds = []
+        round_kind = _fastlane._round_kind
+        monkeypatch.setattr(_fastlane, "_round_kind",
+                            lambda *args: kinds.append(round_kind(*args)) or kinds[-1])
+        rng = random.Random(35)
+        shapes = ("star", "broom", "spider", "caterpillar", "random")
+        ran = {"step": 0, "leaf": 0}
+        for trial in range(60):
+            use_pot = trial % 2 == 0
+            forest = None
+            if trial % 6 == 5:
+                sizes = (rng.randint(8, 30), rng.randint(8, 40), rng.randint(8, 50))
+                trees = [_shaped_tree(rng, m, shape, use_pot)
+                         for m, shape in zip(sizes, ("star", "broom", "caterpillar"))]
+                forest = Forest(tuple(build_rooted_tree(
+                    [((j, v), x.weight(v), x.potential(v)) for v in x.ids],
+                    [((j, x.parent_of(v)), (j, v), x.parent_edge_cost(v))
+                     for v in x.ids if x.parent_of(v) is not None], (j, x.root_id))
+                    for j, x in enumerate(trees)))
+                t = forest.layout
+            else:
+                shape = shapes[trial % len(shapes)]
+                t = _shaped_tree(rng, rng.randint(20, 150), shape, use_pot,
+                                 legs=rng.randint(2, 5))
+            n = t.vertex_count
+            forb = frozenset(v for v in t.ids if rng.random() < 0.15)
+            kappa = rng.randint(n // 2 + 2, n)
+            lam = rng.randint(0, 5)
+            xis = [Fraction(rng.randint(0, 6), rng.randint(1, 8))
+                   for _ in range(rng.randint(1, 4))]
+            if trial % 3 == 0:
+                xis[0] = Fraction(0)
+            t.heavy_paths()
+            kinds.clear()
+            got = _fastlane._chain_sweep(
+                t.dense_arrays(), _fastlane._forb_array(t, forb),
+                np.array([x.numerator for x in xis]), np.array([x.denominator for x in xis]),
+                kappa, lam, use_pot).tolist()
+            for xi, row in zip(xis, got):
+                spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
+                assert row == [min(w, lam + 1) for w in solver._least_budgets(t, spec)]
+            # every input's tallest round runs step by step; stars,
+            # brooms and caterpillars, and forests of them, hang single
+            # leaves (a spider's legs and a random tree's deepest paths
+            # need not be leaves)
+            assert "step" in kinds, (trial, kinds)
+            if forest is not None or shapes[trial % len(shapes)] in (
+                    "star", "broom", "caterpillar"):
+                assert "leaf" in kinds, (trial, kinds)
+            for kind in ran:
+                ran[kind] += kind in kinds
+            if forest is not None:
+                spec = ProblemSpec(xis[-1], kappa, lam, use_pot, forb)
+                with monkeypatch.context() as patch:
+                    _force_sweep(patch, "chain")
+                    want = decide_forest(forest, spec, want_witness=False)
+                with monkeypatch.context() as patch:
+                    patch.setattr(_fastlane, "_sweep_costs", lambda *args: {})
+                    assert decide_forest(forest, spec, want_witness=False) == want
+        assert ran["step"] == 60 and ran["leaf"] >= 40
 
     def test_potentials_on_heavy_paths_alone_are_priced_as_none(self):
         # z can be non-zero only where a light child has positive subtree
