@@ -1,32 +1,27 @@
 """Int64 decision kernel.
 
 Compute the same decisions as ``treecut.solver`` (no backtracking records)
-over flat int64 arrays with numpy, by one of two sweeps:
+over flat int64 arrays with numpy, by the chain sweep (``_chain_sweep``):
+one batch of array operations per heavy-path round (at most ``log2(n) +
+1`` of them), over all heavy paths of the round at once, so that paths
+and caterpillars, with as many levels as vertices, take a few batches.
+A round runs in one of three ways (``_round_kind``): row by row, one scan
+along its paths per table row; step by step up its paths when its
+longest path is shorter than its table rows (bushy trees at large part
+counts, as in ``k_max``), each step a batch for the positions that many
+steps above their leaf; and, for a round of single leaves, in closed
+form.
 
-* the level sweep (``_np_sweep``): one batch of array operations per tree
-  level, for all vertices of the level at once;
-* the chain sweep (``_chain_sweep``): one batch per heavy-path round (at
-  most ``log2(n) + 1`` of them) and table row, scanning all heavy paths of
-  the round at once, so that paths and caterpillars, with as many levels
-  as vertices, take a few batches.  A round whose longest path is shorter
-  than its table rows (bushy trees at large part counts, as in ``k_max``)
-  runs instead one batch per step up its paths, each a level sweep's
-  batch for the positions that many steps above their leaf, and a round
-  of single leaves takes its tables in closed form (``_round_kind``).
-
-They are used only when a conservative a-priori bound proves every
-intermediate value fits in 64 bits, so results are exact whenever they
-engage; otherwise (values over the bound, a sweep whose memory figure,
-``_sweep_bytes`` or ``_chain_bytes``, is over ``_MAX_TABLE_BYTES``)
-callers fall back to the Python least-budget sweep of ``treecut.solver``,
-exact at any size.  Witnesses do not come from them: ``treecut.solver.solve``
-runs that Python sweep keeping its tables, and ``treecut.witness`` replays
-them.  One cost rule, ``lane``, prices the two numpy sweeps from the
-tree's shape, the budgets and the threshold count, and names the cheaper
-that engages, or the Python sweep when neither does; ``root_row`` and
-``decide_many`` run the sweep it names and return None for the Python
-one, and ``treecut.search`` sizes its bisection rounds by its estimates
-(``cost_us``, ``fits``).
+The sweep is used only when a conservative a-priori bound proves every
+intermediate value fits in 64 bits, so results are exact whenever it
+engages; otherwise (values over the bound, or a memory figure,
+``_chain_bytes``, over ``_MAX_TABLE_BYTES``) ``root_row`` and
+``decide_many`` return None and callers fall back to the Python
+least-budget sweep of ``treecut.solver``, exact at any size.  Witnesses do
+not come from the kernel: ``treecut.solver.solve`` runs that Python sweep
+keeping its tables, and ``treecut.witness`` replays them.  A cost rule
+(``cost_us``) prices the sweep from the tree's shape, the budgets and the
+threshold count; ``treecut.search`` sizes its bisection rounds by it.
 
 Any finite table value is a sum of at most ``parts + outliers`` edge
 charges, so ``(parts + outliers + 2) * max_charge`` bounds every quantity
@@ -34,20 +29,20 @@ the kernel compares or adds.
 
 Vertices arrive relabeled in BFS order (see ``RootedTree.dense_arrays``):
 position 0 is the root, every vertex's children occupy the contiguous
-range ``[cstart[u], cend[u])``, each depth is a contiguous range, and
-scanning positions downward visits children before parents.  A forest's
-layout marks position 0 ``virtual_root``: both sweeps then end by folding
-the trees' least budgets alone (``_fold_least``), with no cut-charge rows.
+range ``[cstart[u], cend[u])``, and scanning positions downward visits
+children before parents.  A forest's layout marks position 0
+``virtual_root``: the sweep then ends by folding the trees' least budgets
+alone (``_fold_least``), with no cut-charge rows.
 
-Every array of both sweeps puts the vertex axis last: cut-charge tables
+Every array of the sweep puts the vertex axis last: cut-charge tables
 are ``(rows, lam + 1, thresholds, vertices)``, least budgets ``(rows + 1,
-thresholds, vertices)``, charges ``(thresholds, vertices)`` and the chain
-sweep's row arrays ``(lam + 1, thresholds, vertices)``.  Once the part
-and outlier budgets are fixed the work per vertex is constant, so the
-sweeps' time goes to moving numpy data: with the many vertices of a level
-or round innermost and contiguous, each (min,+) product, threshold test
-and scan walks long runs of memory, where a vertex-first layout gives
-every numpy call runs of ``lam + 1`` cells.  Only the returned rows are
+thresholds, vertices)``, charges ``(thresholds, vertices)`` and the row
+arrays of a scan ``(lam + 1, thresholds, vertices)``.  Once the part and
+outlier budgets are fixed the work per vertex is constant, so the sweep's
+time goes to moving numpy data: with the many vertices of a round
+innermost and contiguous, each (min,+) product, threshold test and scan
+walks long runs of memory, where a vertex-first layout gives every numpy
+call runs of ``lam + 1`` cells.  Only the returned rows are
 ``(thresholds, parts + 1)``.
 """
 
@@ -64,44 +59,42 @@ _SAFE_LIMIT = 1 << 60
 _MAX_TABLE_BYTES = 1 << 31
 
 
-# -- the level sweep --------------------------------------------------------
+# -- tables and their folds -------------------------------------------------
 #
-# The same recurrences, one tree level per step, deepest level first.
 # Three facts keep the batches small.  mu is monotone in the outlier
 # budget, so a vertex's mu grid is stored as the least sufficient budget
 # per part count (over ``lam`` when no budget in range suffices), and
 # combining the children's mu grids becomes a (min,+) convolution over k
 # alone.  Both folds over children are associative and commutative, so
-# every vertex of a level folds its children in pairs, all at once, in
-# ceil(log2(degree)) rounds; decisions do not depend on the fold order
-# (witnesses would, and they come from the Python sweep).  A subtree of s
-# vertices holds at most s parts, so a level's tables and each merge's
-# output keep only the rows its subtree sizes can fill (the tree-knapsack
-# bound), which keeps ``k_max`` on a 3000-vertex star to a 2 MB peak
-# where full ``parts + 1`` rows would take 518 MB.  Below a virtual root
-# no vertex keeps more rows than a tree of the forest can hold parts in
-# a feasible split (``_row_cap``): rows up to the cap read only rows up
-# to it, so the root's fold is the same for every part count.
+# the light children of a round's vertices fold in pairs, all at once, in
+# ceil(log2(degree)) rounds (``_fold_children``); decisions do not depend
+# on the fold order (witnesses would, and they come from the Python
+# sweep).  A subtree of s vertices holds at most s parts, so every table
+# and each merge's output keep only the rows its subtree sizes can fill
+# (the tree-knapsack bound).  Below a virtual root no vertex keeps more
+# rows than a tree of the forest can hold parts in a feasible split
+# (``_row_cap``): rows up to the cap read only rows up to it, so the
+# root's fold is the same for every part count.
 #
-# A level's cut-charge table is laid out ``(rows, lam + 1, thresholds,
-# vertices)`` and its least budgets ``(rows + 1, thresholds, vertices)``,
-# so each product, test and count runs along the whole level (see the
-# module docstring), and row merges work along axis 0.  Gathers of
-# vertices go through ``x.take(idx, axis=-1)``, which keeps the vertex
-# axis innermost; ``x[..., idx]`` would lay the gathered axis out
-# outermost in memory.  The sweeps call ndarray methods and ufunc
-# reductions (``x.take``, ``A.sum``, ``np.minimum.reduce``, ``np.empty``
-# then ``fill``) rather than their ``np.`` wrappers, whose Python-level
-# dispatch costs more than the C work on small trees.
+# A table is laid out ``(rows, lam + 1, thresholds, vertices)`` and least
+# budgets ``(rows + 1, thresholds, vertices)``, so each product, test and
+# count runs along all the vertices at once (see the module docstring),
+# and row merges work along axis 0.  Gathers of vertices go through
+# ``x.take(idx, axis=-1)``, which keeps the vertex axis innermost;
+# ``x[..., idx]`` would lay the gathered axis out outermost in memory.
+# The sweep calls ndarray methods and ufunc reductions (``x.take``,
+# ``A.sum``, ``np.minimum.reduce``, ``np.empty`` then ``fill``) rather than
+# their ``np.`` wrappers, whose Python-level dispatch costs more than the
+# C work on small trees.
 #
 # The (min,+) products over rows loop over the operand with fewer rows,
 # in blocks (``_block_rows``): a block's sums against the other operand
 # are written through a strided view (``_diagonals``) that lands each at
 # the row it adds to, and one minimum over the block folds them.  A block
-# takes about ``_BLOCK_CELLS`` cells per call, so a wide level, or a
+# takes about ``_BLOCK_CELLS`` cells per call, so a wide fold, or a
 # product of a few rows, keeps one row per call while a narrow product of
-# many rows (a step of the chain sweep, the last merges of a star's
-# leaves) takes a few calls.
+# many rows (a step of a round, the last merges of a star's leaves) takes
+# a few calls.
 #
 # Finite values stay inside (-2^60, 2^60) by ``_bound_ok``.  Infinity is
 # 2^61, so a sum with an infinite operand is at least 2^60 (even when the
@@ -226,8 +219,8 @@ def _fold_plan(counts):
 
 def _cached_plan(dense, key, counts):
     """``_fold_plan(counts)``, kept with the dense arrays under ``key`` (a
-    tree level or heavy-path round, whose counts never change) when it
-    holds a merge round; an empty plan costs one ``max`` to rebuild, less
+    heavy-path round, whose counts never change) when it holds a merge
+    round; an empty plan costs one ``max`` to rebuild, less
     than the entry that would keep it."""
     plans = dense.setdefault("fold_plans", {})
     plan = plans.get(key)
@@ -344,56 +337,15 @@ def _row_cap(dense, kappa, lam):
     return max(1, part_cap(trees, kappa, lam))
 
 
-def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
-    """Least sufficient outlier budget at the root, ``out[j, k]`` for
-    threshold ``a_arr[j] / b_arr[j]`` and ``k`` parts; a value over
-    ``lam`` marks an infeasible cell.  The level sweep."""
-    level_end = dense["level_end"]
-    kids = dense["cend"] - dense["cstart"]
-    eps, thr = _charges(dense, a_arr, b_arr, use_pot)
-    nb = a_arr.shape[0]
-    lp1 = lam + 1
-    none = lp1
-    cap = _row_cap(dense, kappa, lam)
-    # the level below: shifted cut-charge rows (row i holds i + 1 parts,
-    # for i below the subtree size) and least budgets by part count
-    G = M = None
-    for d in range(len(level_end) - 1, -1, -1):
-        if not d and dense.get("virtual_root"):
-            return _fold_least(M, _cached_plan(dense, ("level", 0), kids[:1]), kappa, none)
-        lo = level_end[d - 1] if d else 0
-        hi = level_end[d]
-        width = hi - lo
-        rows = min(cap, int(dense["level_size"][d]))
-        # a childless vertex folds nothing: its own part alone, and no
-        # parts among its children
-        Y = np.empty((rows, lp1, nb, width), dtype=np.int64)
-        Y[0] = 0
-        Y[1:].fill(_NP_INF)
-        U = np.empty((rows + 1, nb, width), dtype=np.int64)
-        U[0] = 0
-        U[1:].fill(none)
-        if G is not None:
-            counts = kids[lo:hi]
-            par = np.flatnonzero(counts)
-            Yf, Uf = _fold_children(G, M, eps[:, hi:level_end[d + 1]],
-                                    _cached_plan(dense, ("level", d), counts[par]),
-                                    rows, cap, none)
-            Y[:Yf.shape[0], ..., par] = Yf
-            U[:Uf.shape[0], ..., par] = Uf
-        G, M = Y, _least_rows(Y, U, thr[:, lo:hi], forb[lo:hi] == 0, none)
-    return M[..., 0].T
-
-
 # -- the chain sweep --------------------------------------------------------
 #
-# The same recurrences, one heavy-path round per step (see
-# ``RootedTree.heavy_paths``), deepest round first.  A path vertex u with
-# heavy child h folds its light children first, exactly as the level
-# sweep folds a level's children: Z (cut-charge rows) and U (least
-# budgets); without light children Z is row 0 of zeros and U = [0, none,
-# ...].  With z = Z[0], X_h[i][l] = min(G_h[i][l], e_h if l >= M_h[i]),
-# and (*) the (min,+) product over the budget:
+# The recurrences of ``treecut.solver``, one heavy-path round per step
+# (see ``RootedTree.heavy_paths``), deepest round first.  A path vertex u
+# with heavy child h folds its light children first, in pairs
+# (``_fold_children``): Z (cut-charge rows) and U (least budgets);
+# without light children Z is row 0 of zeros and U = [0, none, ...].
+# With z = Z[0], X_h[i][l] = min(G_h[i][l], e_h if l >= M_h[i]), and (*)
+# the (min,+) product over the budget:
 #
 #   G_u[i] = z * G_h[i]  min  D_u[i],
 #            D_u[i] = z * C_h[i]  min  min_{i' >= 1} Z[i'] * X_h[i - i'],
@@ -408,13 +360,13 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
 # and each row is one scan of affine maps along all paths of the round
 # at once, from each path's leaf up.
 #
-# As in the level sweep, the round's vertices come last: a row array
-# (the row being scanned, the z's and composite z's) is ``(lam + 1,
-# thresholds, vertices)``, a row of least budgets and the q's ``(thresholds,
-# vertices)``, and the tables of the path tops and of the vertices with
-# light children ``(rows, lam + 1, thresholds, vertices)``, so that each
-# scan, product and test runs along the round's vertices: the scans
-# accumulate along the last axis, and budget products work along axis -3.
+# The round's vertices come last: a row array (the row being scanned,
+# the z's and composite z's) is ``(lam + 1, thresholds, vertices)``, a row
+# of least budgets and the q's ``(thresholds, vertices)``, and the tables
+# of the path tops and of the vertices with light children ``(rows, lam +
+# 1, thresholds, vertices)``, so that each scan, product and test runs
+# along the round's vertices: the scans accumulate along the last axis,
+# and budget products work along axis -3.
 #
 # * M: the maps x -> min(P, q + x) compose by adding q's, so M_u[k] is the
 #   least P_t + (the q's from u down to t) over t at or below u.  That is
@@ -454,19 +406,18 @@ def _np_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
 #
 # z is finite and non-increasing in the budget, as every cut-charge row
 # is, so z * C_h[i] is e_h + z[l - M_h[i]]: one gather, at the non-zero
-# positions.  Every (min,+) product saturates to infinity, as in the
-# level sweep.
+# positions.  Every (min,+) product saturates to infinity.
 #
 # Step rounds.  A scan makes rows + 1 passes over its round, however short
 # its paths; at ``k_max``'s parts = n a 13-position round of a 150-vertex
 # tree would take 151.  A round whose longest path is shorter than its
 # rows (``_round_kind``) runs instead one step per path position, from the
-# leaves up: step j runs a level's recurrences on the positions j steps
-# above their path's leaf, with the light fold as one more child.  Each
+# leaves up: step j runs the recurrences on the positions j steps above
+# their path's leaf, with the light fold as one more child.  Each
 # heavy child is cut or joined as ``_fold_children`` takes a child
 # (``_cut_or_join``), one ``_min_plus_gamma`` and one ``_min_plus_mu``
 # merge it with Z and U over all rows at once, and the least budgets
-# follow as in a level (``_least_rows``).  z needs no composition there:
+# follow from the merged rows (``_least_rows``).  z needs no composition there:
 # it is row 0 of Z inside the product.  Paths go longest first
 # (``_step_plan``), so the positions of step j are a prefix of step j -
 # 1's, their heavy children, and the paths that end at step j hand their
@@ -633,16 +584,123 @@ def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1):
     return Gt, Mt
 
 
+class _Recent:
+    """The last ``keep`` rows a scan wrote, in order: row ``i`` goes in at
+    ``i % keep`` and ``i % keep + keep`` of a buffer of twice that many, so
+    that the rows before ``i`` lie contiguous below ``i % keep + keep``."""
+
+    def __init__(self, keep, shape):
+        self.keep = max(keep, 1)
+        self.buf = np.empty((2 * self.keep,) + shape, dtype=np.int64)
+
+    def put(self, i, row):
+        j = i % self.keep
+        self.buf[j] = row
+        self.buf[j + self.keep] = row
+
+    def last(self, i, count):
+        """Rows ``i - count`` to ``i - 1``, ``count <= keep``."""
+        end = i % self.keep + self.keep
+        return self.buf[end - count:end]
+
+
+def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1):
+    """The tables of a round's path tops, row by row along its paths (see
+    the chain comment).  Arguments as ``_step_round``'s."""
+    none = lp1
+    nb = t_r.shape[0]
+    budgets = np.arange(lp1)[:, None, None]
+    top, lpar = rnd["top"], rnd["lpar"]
+    m = rnd["vert"].size
+    end = rnd["reach"] == 0
+    q = np.ones((nb, m), dtype=np.int64)
+    chains = None  # the all-zero z's stay implicit
+    if lpar.size:
+        q[:, lpar] = np.minimum(U[0] + 1, none)
+        chains = _z_chains(Z[0], lpar, top, m)
+        h = lpar + 1  # their heavy children
+        lfree = free[lpar]
+        # the heavy children's last rows that the light products read
+        Xh = _Recent(Z.shape[0] - 1, (lp1, nb, lpar.size))
+        Mh = _Recent(U.shape[0] - 1, (nb, lpar.size))
+    if chains is not None:
+        nz, zn, need, zneed, steps, fix, near = chains
+        e_nz = e_r.take(nz + 1, axis=-1)
+    q[:, end | ~free] = none
+    Q = q.cumsum(axis=-1) - q
+    Gt = np.empty((rows, lp1, nb, top.size), dtype=np.int64)
+    Mt = np.empty((rows + 1, nb, top.size), dtype=np.int64)
+    for k in range(rows + 1):
+        # least budgets, row k: u covered, passing its threshold test ...
+        if k:
+            P = lp1 - (Grow <= t_r).sum(axis=0)
+        else:
+            P = np.empty((nb, m), dtype=np.int64)
+            P.fill(none)
+            P[:, end & free] = 1  # ... or a leaf the outlier
+        # ... or u the outlier, with some of the parts below it in
+        # light subtrees
+        K = min(k, U.shape[0] - 1) if lpar.size else 0
+        if K:
+            W = np.minimum.reduce(U[1:K + 1] + Mh.last(k, K)[::-1])
+            sub = lpar[lfree]
+            P[:, sub] = np.minimum(P.take(sub, axis=-1), W[:, lfree] + 1)
+        P += Q
+        Mrow = np.minimum(np.minimum.accumulate(P[:, ::-1], axis=-1)[:, ::-1] - Q, none)
+        Mt[k] = Mrow.take(top, axis=-1)
+        if k == rows:
+            break
+        # cut-charge rows, row i = k: D with z = 0 ...
+        i = k
+        D = np.empty((lp1, nb, m), dtype=np.int64)
+        D[..., :-1] = np.where(budgets >= Mrow[:, 1:], e_r[:, 1:], _NP_INF)
+        D[..., end] = 0 if i == 0 else _NP_INF  # a leaf: its own part alone
+        I = min(i, Z.shape[0] - 1) if lpar.size else 0
+        if I:
+            B = np.minimum.reduce(_min_plus_budget(Z[I:0:-1], Xh.last(i, I)))
+            D[..., lpar] = np.minimum(D.take(lpar, axis=-1), B)
+        if chains is not None:
+            # ... and where z is non-zero, z * C_h[i]
+            Mn = Mrow.take(nz + 1, axis=-1)
+            shift = np.maximum(budgets - Mn, 0)
+            Dn = np.minimum(D.take(nz, axis=-1), np.where(
+                budgets >= Mn, e_nz + np.take_along_axis(zn, shift, axis=0), _NP_INF))
+        # the suffix minima of D along each path
+        if top.size == 1:
+            D = np.minimum.accumulate(D[..., ::-1], axis=-1)[..., ::-1]
+        else:
+            for paths, dst, src in _path_buckets(rnd):
+                scanned = np.minimum.accumulate(D.take(paths, axis=-1), axis=-1)
+                D[..., dst] = scanned.reshape(lp1, nb, -1).take(src, axis=-1)
+        if chains is not None:
+            if need.size:
+                Dn[..., need] = np.minimum(Dn.take(need, axis=-1), _min_plus_budget(
+                    zneed, D.take(nz.take(need) + 1, axis=-1)))
+            for v, down, zv in steps:
+                Dn[..., v] = np.minimum(Dn.take(v, axis=-1),
+                                        _min_plus_budget(zv, Dn.take(down, axis=-1)))
+            D[..., fix] = np.minimum(D.take(fix, axis=-1), Dn.take(near, axis=-1))
+        Grow = D
+        Gt[i] = Grow.take(top, axis=-1)
+        if lpar.size:
+            mh = Mrow.take(h, axis=-1)
+            Mh.put(i, mh)
+            g = Grow.take(h, axis=-1)
+            e = e_r.take(h, axis=-1)
+            Xh.put(i, np.where((budgets >= mh) & (e <= g), e, g))
+    return Gt, Mt
+
+
 def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
-    """``_np_sweep``'s answer from the chain sweep, over the heavy-path
-    rounds that ``RootedTree.heavy_paths`` keeps in ``dense``."""
+    """Least sufficient outlier budget at the root, ``out[j, k]`` for
+    threshold ``a_arr[j] / b_arr[j]`` and ``k`` parts (a value over ``lam``
+    marks an infeasible cell), over the heavy-path rounds that
+    ``RootedTree.heavy_paths`` keeps in ``dense``."""
     rounds = dense["rounds"]
     eps, thr = _charges(dense, a_arr, b_arr, use_pot)
     size = dense["size"]
-    nb = a_arr.shape[0]
     lp1 = lam + 1
     none = lp1
-    budgets = np.arange(lp1)[:, None, None]
     cap = _row_cap(dense, kappa, lam)
     Gt = Mt = None  # the round below's path tops: cut-charge rows, least budgets
     for r in range(len(rounds) - 1, -1, -1):
@@ -651,9 +709,8 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
             # the root alone: below it, each tree tops a path
             return _fold_least(Mt, _cached_plan(dense, ("round", 0), rnd["lcount"]),
                                kappa, none)
-        vert, top, lpar = rnd["vert"], rnd["top"], rnd["lpar"]
-        m = vert.size
-        rows = min(cap, int(size[vert[top]].max()))
+        vert = rnd["vert"]
+        rows = min(cap, int(size[vert[rnd["top"]]].max()))
         e_r, t_r = eps.take(vert, axis=-1), thr.take(vert, axis=-1)
         free = forb[vert] == 0
         kind = _round_kind(rnd, rows)
@@ -661,7 +718,7 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
             Gt, Mt = _leaf_tables(t_r, free, lp1)
             continue
         Z = U = None
-        if lpar.size:
+        if rnd["lpar"].size:
             below = rounds[r + 1]
             Z, U = _fold_children(Gt, Mt, eps.take(below["vert"][below["top"]], axis=-1),
                                   _cached_plan(dense, ("round", r), rnd["lcount"]),
@@ -669,81 +726,8 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
             Gt = Mt = None
         if kind == "step":
             Gt, Mt = _step_round(rnd, rows, cap, Z, U, e_r, t_r, free, size[vert], lp1)
-            continue
-        end = rnd["reach"] == 0
-        q = np.ones((nb, m), dtype=np.int64)
-        chains = None  # the all-zero z's stay implicit
-        if lpar.size:
-            q[:, lpar] = np.minimum(U[0] + 1, none)
-            chains = _z_chains(Z[0], lpar, top, m)
-            h = lpar + 1  # their heavy children
-            lfree = free[lpar]
-            Xh = np.empty((rows, lp1, nb, lpar.size), dtype=np.int64)
-            Mh = np.empty((rows, nb, lpar.size), dtype=np.int64)
-        if chains is not None:
-            nz, zn, need, zneed, steps, fix, near = chains
-            e_nz = e_r.take(nz + 1, axis=-1)
-        q[:, end | ~free] = none
-        Q = q.cumsum(axis=-1) - q
-        Gt = np.empty((rows, lp1, nb, top.size), dtype=np.int64)
-        Mt = np.empty((rows + 1, nb, top.size), dtype=np.int64)
-        for k in range(rows + 1):
-            # least budgets, row k: u covered, passing its threshold test ...
-            if k:
-                P = lp1 - (Grow <= t_r).sum(axis=0)
-            else:
-                P = np.empty((nb, m), dtype=np.int64)
-                P.fill(none)
-                P[:, end & free] = 1  # ... or a leaf the outlier
-            # ... or u the outlier, with some of the parts below it in
-            # light subtrees
-            K = min(k, U.shape[0] - 1) if lpar.size else 0
-            if K:
-                W = np.minimum.reduce(U[1:K + 1] + Mh[k - K:k][::-1])
-                sub = lpar[lfree]
-                P[:, sub] = np.minimum(P.take(sub, axis=-1), W[:, lfree] + 1)
-            P += Q
-            Mrow = np.minimum(np.minimum.accumulate(P[:, ::-1], axis=-1)[:, ::-1] - Q, none)
-            Mt[k] = Mrow.take(top, axis=-1)
-            if k == rows:
-                break
-            # cut-charge rows, row i = k: D with z = 0 ...
-            i = k
-            D = np.empty((lp1, nb, m), dtype=np.int64)
-            D[..., :-1] = np.where(budgets >= Mrow[:, 1:], e_r[:, 1:], _NP_INF)
-            D[..., end] = 0 if i == 0 else _NP_INF  # a leaf: its own part alone
-            I = min(i, Z.shape[0] - 1) if lpar.size else 0
-            if I:
-                B = np.minimum.reduce(_min_plus_budget(Z[I:0:-1], Xh[i - I:i]))
-                D[..., lpar] = np.minimum(D.take(lpar, axis=-1), B)
-            if chains is not None:
-                # ... and where z is non-zero, z * C_h[i]
-                Mn = Mrow.take(nz + 1, axis=-1)
-                shift = np.maximum(budgets - Mn, 0)
-                Dn = np.minimum(D.take(nz, axis=-1), np.where(
-                    budgets >= Mn, e_nz + np.take_along_axis(zn, shift, axis=0), _NP_INF))
-            # the suffix minima of D along each path
-            if top.size == 1:
-                D = np.minimum.accumulate(D[..., ::-1], axis=-1)[..., ::-1]
-            else:
-                for paths, dst, src in _path_buckets(rnd):
-                    scanned = np.minimum.accumulate(D.take(paths, axis=-1), axis=-1)
-                    D[..., dst] = scanned.reshape(lp1, nb, -1).take(src, axis=-1)
-            if chains is not None:
-                if need.size:
-                    Dn[..., need] = np.minimum(Dn.take(need, axis=-1), _min_plus_budget(
-                        zneed, D.take(nz.take(need) + 1, axis=-1)))
-                for v, down, zv in steps:
-                    Dn[..., v] = np.minimum(Dn.take(v, axis=-1),
-                                            _min_plus_budget(zv, Dn.take(down, axis=-1)))
-                D[..., fix] = np.minimum(D.take(fix, axis=-1), Dn.take(near, axis=-1))
-            Grow = D
-            Gt[i] = Grow.take(top, axis=-1)
-            if lpar.size:
-                Mh[i] = Mrow.take(h, axis=-1)
-                g = Grow.take(h, axis=-1)
-                e = e_r.take(h, axis=-1)
-                Xh[i] = np.where((budgets >= Mh[i]) & (e <= g), e, g)
+        else:
+            Gt, Mt = _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1)
     return Mt[..., 0].T
 
 
@@ -771,98 +755,59 @@ def _forb_array(tree, forbidden_ids):
     return forb
 
 
-# Memory figures, per threshold.
+# Memory figures, per threshold.  Per round the chain sweep holds:
 #
-# Level sweep: a level's table holds width x min(kappa, largest subtree
-# in the level) x (lam + 1) int64 cells; while it is built, the level
-# below (grown by a row), the cut choices, the pairs and outputs of each
-# merge round of ``_fold_runs`` and the sums inside ``_min_plus_gamma``
-# coexist with it, and the least-budget arrays add up to two cells per
-# table row.  The figure allows ``_LEVEL_COPIES`` copies of the largest
-# level table.
+# * ``_CHAIN_ROW_COPIES`` row arrays of (lam + 1) cells per vertex (the
+#   row being scanned, its cut choices and gathers, its suffix minima and
+#   the minima taken back from the composed maps) plus, per doubling step
+#   of the composition, (lam + 1) cells for each vertex where z can be
+#   non-zero, for the composite z's;
+# * ``_CHAIN_TABLE_COPIES`` tables of min(kappa, largest subtree in the
+#   round) rows for each path top (the tops' output and, in a step round,
+#   the tables of a step's positions, at most its paths, and rows);
+# * as many tables of the light folds' rows for each vertex with light
+#   children (Z, its products and, in a scan, the heavy children's rows
+#   that the light products read, of which ``_Recent`` keeps the last Z
+#   rows twice): a light child's rows, grown by one, doubled per merge
+#   round of the fold, within the round's rows;
+# * while the light children are folded, ``_FOLD_COPIES`` copies of their
+#   tables (grown by a row), for the cut choices and the pairs and outputs
+#   of each merge round of ``_fold_runs``.
 #
-# Chain sweep, per round: ``_CHAIN_ROW_COPIES`` row arrays of (lam + 1)
-# cells per vertex (the row being scanned, its cut choices and gathers,
-# its suffix minima and the minima taken back from the composed maps)
-# plus, per doubling step of the composition, (lam + 1) cells for each
-# vertex where z can be non-zero, for the composite z's;
-# ``_CHAIN_TABLE_COPIES`` tables of min(kappa, largest subtree in the
-# round) rows for each path top and each vertex with light children
-# (the tops' output, the heavy children's rows that the light products
-# read, Z and its products); and, while the light children are folded,
-# ``_LEVEL_COPIES`` copies of their tables, as in a level.  A step round
-# holds, besides its tops' tables and the light fold, a few tables of its
-# step's positions (at most its paths) and rows, within the same
-# ``_CHAIN_TABLE_COPIES``.
+# The figure allows besides ``_VERTEX_WORDS`` int64 per vertex for the
+# charges, thresholds, per-round sums and their temporaries,
+# ``_BLOCK_BYTES`` for one product block (at most ``2 * _BLOCK_CELLS``
+# cells, and its minimum, at most ``_BLOCK_CELLS``), and ``_FIXED_BYTES``
+# that do not grow with the tree.  The first sweep on a tree also keeps
+# one fold plan per round, its scans' indices and its steps' positions.
 #
-# Both allow ``_VERTEX_WORDS`` int64 per vertex for the charges,
-# thresholds, per-round sums and their temporaries, ``_BLOCK_BYTES`` for
-# one product block (at most ``2 * _BLOCK_CELLS`` cells, and its minimum,
-# at most ``_BLOCK_CELLS``), and ``_FIXED_BYTES`` that do not grow with
-# the tree.  Measured with tracemalloc (numpy 2.4)
-# on stars, paths, caterpillars, random trees, brooms and spiders of
-# 150-16,501 vertices, with parts up to n (n <= 2000), up to 20 outliers
-# and potentials that make z non-zero, the peak of one threshold's sweep
-# stayed within 65% of the level figure and 33% of the chain figure.
-# With the chain figure's composite z's counted only where z can be
-# non-zero, the chain sweep's peak on caterpillars, random trees, brooms,
-# spiders and stars of 150-5000 vertices with potentials, at (3, 20),
-# (n, 3), (2, 0), (3, 2) and (20, 5), stayed within 25% of it.  With step
-# rounds and product blocks, the chain sweep's peak on stars, paths,
-# caterpillars, random trees, brooms, spiders and three-tree forests of
-# 150 and 400 vertices, at (3, 20), (n, 3) and (n, 0), with and without
-# potentials, stayed within 97% of its figure (the level sweep's within
-# 107%), the fixed bytes not counted.
-#
-# The level sweep's first run on a tree also keeps one fold plan per
-# level that holds a merge round (``_cached_plan`` keeps no empty plan),
-# and the figure prices them: ``_PLAN_ROUND_BYTES`` per merge round (its
-# index arrays' headers and the plan's list, tuple and key) and
-# ``_PLAN_CHILD_WORDS`` int64 per child folded.  Without them the first
-# sweep's peak reached 1.5x the figure on a 5000-vertex caterpillar and
-# 3.7x on a 20,000-vertex one, whose plans measured 1.8 and 7.4 MB (790
-# bytes per merge round).  A chain sweep keeps at most one plan per
-# round, and its scans' indices, within its row arrays.
-_LEVEL_COPIES = 32
+# Measured with tracemalloc (numpy 2.4) on the first sweep of fresh trees
+# with potentials: on stars, random recursive trees, brooms, spiders and
+# caterpillars of 5000 and 20,000 vertices at (60, 10), (20, 5), (3, 2),
+# (2, 0) and, at 5000 vertices, (n, 3), the peak of one threshold's sweep
+# stayed within 69% of the figure.  On those shapes and paths of 150-2000
+# vertices at (3, 20), (n, 3), (n, 0), (2, 0), (3, 2), (20, 5) and (100,
+# 20), with and without potentials, it reached 112% of the figure, by at
+# most 52 KB, at (n, 0) on trees of 150-2000 vertices, where the product
+# block is most of the figure; ``_FIXED_BYTES`` covers that.  On a
+# caterpillar of 2000 or 5000 vertices the figure is 1.04-1.05x the peak
+# at (n, 0) and 2.2x at (n, 3).
 _CHAIN_ROW_COPIES = 12
 _CHAIN_TABLE_COPIES = 6
+_FOLD_COPIES = 8
 _VERTEX_WORDS = 8
 _FIXED_BYTES = 1 << 20
-_PLAN_ROUND_BYTES = 1 << 10
-_PLAN_CHILD_WORDS = 3
 _BLOCK_BYTES = 3 * 8 * _BLOCK_CELLS
-
-
-def _level_stats(dense):
-    """Per tree level: width, largest subtree, children in the level below
-    and merge rounds of their fold; and the bytes of the fold plans the
-    level sweep keeps (cached with the dense arrays)."""
-    if "level_stats" not in dense:
-        level_end = np.asarray(dense["level_end"])
-        width = np.diff(level_end, prepend=0)
-        kids = np.maximum.reduceat(dense["cend"] - dense["cstart"],
-                                   level_end - width)
-        children = np.append(width[1:], 0)
-        merges = np.ceil(np.log2(np.maximum(kids, 1)))
-        dense["level_stats"] = {
-            "width": width,
-            "size": dense["level_size"],
-            "children": children,
-            "merges": merges,
-            "plan_bytes": int(_PLAN_ROUND_BYTES * merges.sum()
-                              + 8 * _PLAN_CHILD_WORDS * children[merges > 0].sum()),
-        }
-    return dense["level_stats"]
 
 
 def _round_stats(tree):
     """Per heavy-path round: vertices, paths, vertices with light
     children, largest subtree, longest path, doubling steps of its plain
-    scan, and the paths and largest subtree of the round below; and the
-    vertices where z can be non-zero (with a light child of positive
-    subtree potential) with the doubling steps of their composition, the
-    most of them on one path less one, in bits (cached with the dense
-    arrays)."""
+    scan, the paths and largest subtree of the round below and the merge
+    rounds of their fold; and the vertices where z can be non-zero (with a
+    light child of positive subtree potential) with the doubling steps of
+    their composition, the most of them on one path less one, in bits
+    (cached with the dense arrays)."""
     dense = tree.dense_arrays()
     if "round_stats" not in dense:
         rounds = tree.heavy_paths()
@@ -887,7 +832,7 @@ def _round_stats(tree):
             "steps": np.array([int(r["reach"].max()).bit_length() for r in rounds]),
             "below_paths": np.append(paths[1:], 0),
             "below_size": np.append(size[1:], 0),
-            "merges": np.array([np.ceil(np.log2(r["lcount"].max())) if r["lpar"].size
+            "merges": np.array([int(r["lcount"].max() - 1).bit_length() if r["lpar"].size
                                 else 0 for r in rounds]),
             "zk": zk,
             "zsteps": zsteps,
@@ -916,86 +861,61 @@ def _step_stats(tree, rounds, light):
     return [np.concatenate(x) if x else np.zeros(0, dtype=np.int64) for x in stats]
 
 
-def _sweep_bytes(tree, kappa: int, lam: int) -> int:
-    """Bytes one threshold's level sweep may hold at once, beyond the
-    fixed ``_FIXED_BYTES``: ``_LEVEL_COPIES`` copies of the largest level
-    table, ``_VERTEX_WORDS`` int64 per vertex and the fold plans."""
-    st = _level_stats(tree.dense_arrays())
-    cells = int((st["width"] * np.minimum(kappa, st["size"])).max()) * (lam + 1)
-    return (8 * (_LEVEL_COPIES * cells + _VERTEX_WORDS * tree.vertex_count)
-            + st["plan_bytes"] + _BLOCK_BYTES)
-
-
 def _chain_bytes(tree, kappa: int, lam: int) -> int:
     """Bytes one threshold's chain sweep may hold at once, beyond the fixed
     ``_FIXED_BYTES``: the largest round's row arrays, tables and light
     fold, and ``_VERTEX_WORDS`` int64 per vertex."""
     st = _round_stats(tree)
+    rows = np.minimum(kappa, st["size"])
+    child = np.minimum(kappa, st["below_size"] + 1)
+    light = np.minimum(rows, ((child - 1) << st["merges"]) + 1)
     cells = (st["m"] * _CHAIN_ROW_COPIES + st["zk"] * st["zsteps"]
-             + _CHAIN_TABLE_COPIES * (st["paths"] + st["lpar"]) * np.minimum(kappa, st["size"])
-             + _LEVEL_COPIES * st["below_paths"] * np.minimum(kappa, st["below_size"] + 1))
+             + _CHAIN_TABLE_COPIES * (st["paths"] * rows + st["lpar"] * light)
+             + _FOLD_COPIES * st["below_paths"] * child)
     return 8 * (int(cells.max()) * (lam + 1) + _VERTEX_WORDS * tree.vertex_count) + _BLOCK_BYTES
 
 
 # -- the cost rule -----------------------------------------------------------
 #
-# Each numpy sweep's time is priced as a sum of counts the code can
-# observe, each times a constant in microseconds:
+# ``treecut.search`` sizes its bisection rounds by the sweep's estimated
+# time: a sum of counts the code can observe, each times a constant in
+# microseconds, ``_CHAIN_US``: per round; per table row of a round (the
+# numpy calls of one row of all its paths); per row cell of a round, per
+# threshold; per numpy call and cell pair of the light products; per cell
+# of the scans of rounds of several paths and, where potentials can make
+# z non-zero, of the budget products that compose its maps and the row
+# arrays that take their minima back; per numpy call and cell pair of the
+# light folds.  A step round is priced, in place of its rows, row cells,
+# light products and scans, over its steps by ``_STEP_US``: per step, per
+# cell of a step's tables and of its heavy children's, per numpy call of
+# its products (one per block of rows, as ``_block_rows`` takes them) and
+# per cell pair.  A round is thus priced by its vertices, its rows and its
+# longest path.
 #
-# * the level sweep: per sweep; per level; per table cell of each level
-#   and of its children, per threshold; per numpy call of the merge rounds
-#   (one per table row and budget); per cell pair of the merges, per
-#   threshold;
-# * the chain sweep: per round; per table row of a round (the numpy calls
-#   of one row of all its paths); per row cell of a round, per threshold;
-#   per numpy call and cell pair of the light products; per cell of the
-#   scans of rounds of several paths and, where potentials can make z
-#   non-zero, of the budget products that compose its maps and the row
-#   arrays that take their minima back; per numpy call and cell pair of
-#   the light folds;
-# * a step round of the chain sweep, in place of its rows, row cells,
-#   light products and scans: the level sweep's constants over its steps,
-#   per step, per cell of a step's tables and of its heavy children's,
-#   per numpy call of its products (one per block of rows, as
-#   ``_block_rows`` takes them) and per cell pair.
+# Two prices stay as they were with no refit: a leaf round keeps a scan's
+# (its closed form takes less), and a step round the composition's where
+# potentials can make z non-zero (it composes nothing).  ``_CHAIN_US`` was
+# fitted by least squares on the logarithm of the time, over 247 timed
+# sweeps (the best of three) on one 2-core VM (Python 3.11.7, numpy 2.4.6):
+# paths, stars, caterpillars, brooms, spiders and random recursive trees
+# of 3-10,000 vertices, 1-20 parts (up to n below 3000 vertices), 0-10
+# outliers and 1-16 thresholds, with and without potentials.  On 149 other
+# such sweeps one estimate in two was within 0.85-1.4x of the measured
+# time.  Those sweeps laid their tables out vertex-first; on 159 sweeps of
+# the vertex-last kernel, drawn the same way (sizes log-uniform), estimate
+# over time had quartiles 1.06, 1.58 and 2.45 (31% within 0.85-1.4x).
+# ``_STEP_US`` holds the constants an earlier sweep, one batch per tree
+# level, was fitted with the same way, per level, cell, merge call and
+# cell pair, since a step runs a level's batch; they were not refit for
+# steps.  A search compares only estimates of one tree at several round
+# widths, so the constants stay until a fit covers step rounds.
 #
-# A level is thus priced by its width, and a round by its vertices, its
-# rows and its longest path.  Two prices stay as they were with no refit,
-# so that the rule ranks the lanes near the crossover as before: a leaf
-# round keeps a scan's (its closed form takes less), and a step round
-# the composition's where potentials can make z non-zero (it composes
-# nothing).  The constants were fitted by least squares
-# on the logarithm of the time, over 247 timed sweeps of each kind (the
-# best of three) on one 2-core VM (Python 3.11.7, numpy 2.4.6): paths,
-# stars, caterpillars, brooms, spiders and random recursive trees of
-# 3-10,000 vertices, 1-20 parts (up to n below 3000 vertices), 0-10
-# outliers and 1-16 thresholds, with and without potentials.  On 149
-# other such sweeps one estimate in two was within 0.85-1.4x of the
-# measured time.
-#
-# Those sweeps laid their tables out vertex-first.  On 158 level and 159
-# chain sweeps of the vertex-last kernels, drawn the same way (sizes
-# log-uniform), estimate over time had quartiles 1.20, 1.52 and 1.96 for
-# the level sweep (39% within 0.85-1.4x) and 1.06, 1.58 and 2.45 for the
-# chain sweep (31%).  A refit of both by the same procedure, on 246 level
-# and 247 chain sweeps more, brought the held-out quartiles to 0.87,
-# 1.07 and 1.36 (58% within) and 0.85, 1.02 and 1.32 (56%), but ranked
-# the lanes worse past the sample's sizes: a 10^5-vertex star at 2 parts
-# went to the chain sweep (28.5 ms, against 19.9 ms in the level sweep),
-# and the benchmark's decide-large trees took 2% longer (optimize-exact
-# 5% and kmax-wide 6% shorter; seed 7, in one process).  The rule is
-# there to rank the lanes, so these constants stay until a fit covers
-# 10^5-vertex trees.
-#
-# The Python sweep is not priced: it decides only where no numpy sweep
-# engages.  It is faster on trees of a few dozen vertices, but no
-# workload that times decisions holds one, and its estimate was the
-# loosest of the three.
-_LEVEL_US = (73, 51, 0.020, 13, 0.0020)  # sweep, level, cell, merge call
-#                                          and cell pair
+# The Python sweep is not priced: it decides only where the numpy sweep
+# does not engage, and ``cost_us`` gives it 0.
 _CHAIN_US = (75, 43, 0.027, 10, 0.014, 0.00024, 21, 0.0041)  # round, row,
 #   row cell, light product call and cell pair, scan and composition
 #   cell, light fold call and cell pair
+_STEP_US = (51, 0.020, 13, 0.0020)  # step, cell, product call and cell pair
 
 
 def _fold_terms(rows, child_rows, children, merges):
@@ -1010,75 +930,55 @@ def _fold_terms(rows, child_rows, children, merges):
     return calls, pairs
 
 
-def _cached(dense, key, kappa, build):
-    """``build()``, kept with the dense arrays per ``key`` and ``kappa``."""
-    cache = dense.setdefault(key, {})
-    if kappa not in cache:
-        cache[kappa] = build()
+def _chain_terms(tree, kappa):
+    """The counts ``_chain_us`` prices, per part budget (cached with the
+    dense arrays)."""
+    cache = tree.dense_arrays().setdefault("chain_terms", {})
+    if kappa in cache:
+        return cache[kappa]
+    ch = _round_stats(tree)
+    crows = np.minimum(kappa, ch["size"])
+    light = np.minimum(crows, ch["below_size"] + 1)
+    multi = ch["paths"] > 1
+    lit = ch["lpar"] > 0  # rounds with light children
+    # how each round runs (``_round_kind``): a step round has none of the
+    # scan's terms, and a leaf round keeps a scan's price (see the
+    # cost-rule comment)
+    leaf = ch["longest"] == 1
+    stepped = ~leaf & (ch["longest"] < crows)
+    scan = ~leaf & ~stepped
+    width, size, prev, z = _step_stats(tree, np.flatnonzero(stepped), light)
+    rows = np.minimum(kappa, size)
+    below = np.minimum(kappa, prev + 1)  # the heavy children's rows, grown by one
+    merge = prev > 0  # step 0 takes the leaves in closed form
+    cache[kappa] = {
+        "chain": (crows.size, int((crows + 1)[~stepped].sum()),
+                  int((ch["m"] * (crows + 1))[~stepped].sum()),
+                  int((crows * lit)[scan].sum()),
+                  float((ch["lpar"] * crows * (light - 1))[scan].sum()))
+                 + _fold_terms(crows, light, ch["below_paths"], ch["merges"]),
+        # cells of the plain scans of rounds of several paths; where z can
+        # be non-zero, of the budget products that compose its maps (one
+        # per doubling step and one for D') and of the row arrays that take
+        # their minima back (a step round keeps that price, see the
+        # cost-rule comment)
+        "steps": (int((ch["steps"] * crows * ch["m"] * multi)[scan].sum()),
+                  int((crows * ch["zk"] * (ch["zsteps"] + 1))[~leaf].sum()),
+                  int((crows * ch["m"] * (ch["zk"] > 0))[~leaf].sum())),
+        # the steps of step rounds: their count and cells (the leaves'
+        # step included), and per merging step its width and the rows of
+        # the operand its products loop over and of the other, within the
+        # step's rows
+        "stepped": (width.size,
+                    int((width * np.where(merge, rows + below, 3)).sum()),
+                    width[merge], np.minimum(z, below)[merge],
+                    np.minimum(np.maximum(z, below), rows)[merge]),
+    }
     return cache[kappa]
 
 
-def _numpy_terms(tree, kappa):
-    dense = tree.dense_arrays()
-
-    def build():
-        lv = _level_stats(dense)
-        rows_l = np.minimum(kappa, lv["size"])
-        child_rows = np.minimum(kappa, np.append(lv["size"][1:], 0) + 1)
-        ch = _round_stats(tree)
-        crows = np.minimum(kappa, ch["size"])
-        light = np.minimum(crows, ch["below_size"] + 1)
-        multi = ch["paths"] > 1
-        lit = ch["lpar"] > 0  # rounds with light children
-        # how each round runs (``_round_kind``): a step round has none of
-        # the scan's terms, and a leaf round keeps a scan's price (see the
-        # cost-rule comment)
-        leaf = ch["longest"] == 1
-        stepped = ~leaf & (ch["longest"] < crows)
-        scan = ~leaf & ~stepped
-        width, size, prev, z = _step_stats(tree, np.flatnonzero(stepped), light)
-        rows = np.minimum(kappa, size)
-        below = np.minimum(kappa, prev + 1)  # the heavy children's rows, grown by one
-        merge = prev > 0  # step 0 takes the leaves in closed form
-        return {
-            "level": (rows_l.size, int((lv["width"] * rows_l + lv["children"] * child_rows).sum()))
-                     + _fold_terms(rows_l, child_rows, lv["children"], lv["merges"]),
-            "chain": (crows.size, int((crows + 1)[~stepped].sum()),
-                      int((ch["m"] * (crows + 1))[~stepped].sum()),
-                      int((crows * lit)[scan].sum()),
-                      float((ch["lpar"] * crows * (light - 1))[scan].sum()))
-                     + _fold_terms(crows, light, ch["below_paths"], ch["merges"]),
-            # cells of the plain scans of rounds of several paths; where z
-            # can be non-zero, of the budget products that compose its
-            # maps (one per doubling step and one for D') and of the
-            # row arrays that take their minima back (a step round keeps
-            # that price, see the cost-rule comment)
-            "steps": (int((ch["steps"] * crows * ch["m"] * multi)[scan].sum()),
-                      int((crows * ch["zk"] * (ch["zsteps"] + 1))[~leaf].sum()),
-                      int((crows * ch["m"] * (ch["zk"] > 0))[~leaf].sum())),
-            # the steps of step rounds, priced as levels: their count and
-            # cells (the leaves' step, as a level of leaves, included), and
-            # per merging step its width and the rows of the operand its
-            # products loop over and of the other, within the step's rows
-            "stepped": (width.size,
-                        int((width * np.where(merge, rows + below, 3)).sum()),
-                        width[merge], np.minimum(z, below)[merge],
-                        np.minimum(np.maximum(z, below), rows)[merge]),
-        }
-
-    return _cached(dense, "numpy_terms", kappa, build)
-
-
-def _level_us(tree, kappa, lam, thresholds):
-    levels, cells, calls, pairs = _numpy_terms(tree, kappa)["level"]
-    lp1 = lam + 1
-    c = _LEVEL_US
-    return (c[0] + c[1] * levels + c[2] * lp1 * thresholds * cells + c[3] * lp1 * calls
-            + c[4] * lp1 * lp1 * thresholds * pairs)
-
-
 def _chain_us(tree, kappa, lam, thresholds, use_pot):
-    terms = _numpy_terms(tree, kappa)
+    terms = _chain_terms(tree, kappa)
     rounds, rows, cells, lcalls, lpairs, fcalls, fpairs = terms["chain"]
     lp1 = lam + 1
     # with potentials and outliers z can be non-zero, where a light child
@@ -1092,103 +992,77 @@ def _chain_us(tree, kappa, lam, thresholds, use_pot):
     # a step's products take blocks of rows of the operand they loop over
     block = np.minimum(np.minimum(loop, other), _BLOCK_CELLS // (other * lp1 * thresholds * width))
     block[block < _BLOCK_ROWS] = 1
-    cl = _LEVEL_US
+    s = _STEP_US
     return (c[0] * rounds + c[1] * rows + c[2] * lp1 * thresholds * cells
             + c[3] * lp1 * lcalls + c[4] * lp1 * lp1 * thresholds * lpairs
             + c[5] * lp1 * thresholds * step_cells
             + c[6] * lp1 * fcalls + c[7] * lp1 * lp1 * thresholds * fpairs
-            + cl[1] * levels + cl[2] * lp1 * thresholds * level_cells
-            + cl[3] * lp1 * int((-(-loop // block)).sum())
-            + cl[4] * lp1 * lp1 * thresholds * float((width * loop * other).sum()))
+            + s[0] * levels + s[1] * lp1 * thresholds * level_cells
+            + s[2] * lp1 * int((-(-loop // block)).sum())
+            + s[3] * lp1 * lp1 * thresholds * float((width * loop * other).sum()))
 
 
 def fits(tree, xis, kappa: int, lam: int) -> bool:
-    """Whether a numpy sweep may take thresholds ``xis``: no value it
+    """Whether the numpy sweep may take thresholds ``xis``: no value it
     computes may come near 2^60 (``_bound_ok`` on their largest numerator
     and denominator)."""
     return _bound_ok(tree, max(x.numerator for x in xis),
                      max(x.denominator for x in xis), kappa, lam)
 
 
-def _sweep_costs(tree, xis, kappa: int, lam: int, use_pot: bool) -> dict:
-    """Estimated microseconds of each numpy sweep that engages, by name
-    (``"level"``, ``"chain"``): none when a value may come near 2^60, and
-    a sweep only when one threshold's memory figure stays under
+def _engages(tree, xis, kappa: int, lam: int) -> bool:
+    """Whether the numpy sweep answers thresholds ``xis`` (some): they
+    ``fit`` and one threshold's memory figure stays under
     ``_MAX_TABLE_BYTES``.  The bound runs first, so that oversized ints
-    never reach ``dense_arrays``.  No threshold engages none."""
-    if not xis or not fits(tree, xis, kappa, lam):
-        return {}
-    costs = {}
-    if _sweep_bytes(tree, kappa, lam) <= _MAX_TABLE_BYTES:
-        costs["level"] = _level_us(tree, kappa, lam, len(xis))
-    if _chain_bytes(tree, kappa, lam) <= _MAX_TABLE_BYTES:
-        costs["chain"] = _chain_us(tree, kappa, lam, len(xis), use_pot)
-    return costs
-
-
-def lane(tree, xis, kappa: int, lam: int, use_pot: bool = False) -> str:
-    """The sweep to answer thresholds ``xis`` with: ``"level"`` or
-    ``"chain"``, whichever the cost rule prices lower among those that
-    engage, or ``"python"`` (the least-budget sweep of ``treecut.solver``)
-    when neither does."""
-    costs = _sweep_costs(tree, xis, kappa, lam, use_pot)
-    return min(costs, key=costs.get) if costs else "python"
+    never reach ``dense_arrays``."""
+    return (bool(xis) and fits(tree, xis, kappa, lam)
+            and _chain_bytes(tree, kappa, lam) <= _MAX_TABLE_BYTES)
 
 
 def cost_us(tree, xis, kappa: int, lam: int, use_pot: bool = False) -> float:
-    """Estimated microseconds of the sweep that ``lane`` names; 0 for the
-    Python sweep, which is not priced."""
-    return min(_sweep_costs(tree, xis, kappa, lam, use_pot).values(), default=0)
-
-
-def _numpy_sweep(tree, xis, kappa, lam, use_pot):
-    """The cheaper numpy sweep that engages, with its memory figure, or
-    None."""
-    picked = lane(tree, xis, kappa, lam, use_pot)
-    if picked == "python":
-        return None
-    if picked == "chain":
-        return _chain_sweep, _chain_bytes(tree, kappa, lam)
-    return _np_sweep, _sweep_bytes(tree, kappa, lam)
+    """Estimated microseconds of the sweep that answers thresholds
+    ``xis``: the numpy sweep's where it engages, else 0 for the Python
+    sweep, which is not priced."""
+    if not _engages(tree, xis, kappa, lam):
+        return 0
+    return _chain_us(tree, kappa, lam, len(xis), use_pot)
 
 
 def root_row(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
              forbidden_ids) -> list | None:
     """Least outlier budget at the root per part count: a list of
     ``kappa + 1`` Python ints, ``lam + 1`` where no budget up to ``lam``
-    suffices, as ``treecut.solver._least_budgets`` returns, from the
-    cheaper numpy sweep.  None when neither can engage."""
-    picked = _numpy_sweep(tree, (xi,), kappa, lam, use_pot)
-    if picked is None:
+    suffices, as ``treecut.solver._least_budgets`` returns, from the numpy
+    sweep.  None when it cannot engage."""
+    if not _engages(tree, (xi,), kappa, lam):
         return None
-    return picked[0](tree.dense_arrays(), _forb_array(tree, forbidden_ids),
-                     np.array([xi.numerator], dtype=np.int64),
-                     np.array([xi.denominator], dtype=np.int64),
-                     kappa, lam, use_pot)[0].tolist()
+    return _chain_sweep(tree.dense_arrays(), _forb_array(tree, forbidden_ids),
+                        np.array([xi.numerator], dtype=np.int64),
+                        np.array([xi.denominator], dtype=np.int64),
+                        kappa, lam, use_pot)[0].tolist()
 
 
 def decide_many(tree, xis, kappa: int, lam: int, use_pot: bool,
                 forbidden_ids) -> list | None:
-    """Batched decisions over thresholds, or None when no numpy sweep can
-    engage (any single threshold out of bounds disqualifies the batch).
-    Thresholds share each sweep, in chunks small enough that the sweep's
-    memory figure (per threshold) stays within ``_NP_CHUNK_BYTES``."""
+    """Batched decisions over thresholds, or None when the numpy sweep
+    cannot engage (any single threshold out of bounds disqualifies the
+    batch).  Thresholds share each sweep, in chunks small enough that the
+    sweep's memory figure (per threshold) stays within
+    ``_NP_CHUNK_BYTES``."""
     if not xis:
         return []
-    picked = _numpy_sweep(tree, xis, kappa, lam, use_pot)
-    if picked is None:
+    if not _engages(tree, xis, kappa, lam):
         return None
-    sweep, figure = picked
     dense = tree.dense_arrays()
     forb = _forb_array(tree, forbidden_ids)
-    chunk = max(1, _NP_CHUNK_BYTES // figure)
+    chunk = max(1, _NP_CHUNK_BYTES // _chain_bytes(tree, kappa, lam))
     out = []
     for j in range(0, len(xis), chunk):
         part = xis[j:j + chunk]
-        least = sweep(dense, forb,
-                      np.array([x.numerator for x in part], dtype=np.int64),
-                      np.array([x.denominator for x in part], dtype=np.int64),
-                      kappa, lam, use_pot)
+        least = _chain_sweep(dense, forb,
+                             np.array([x.numerator for x in part], dtype=np.int64),
+                             np.array([x.denominator for x in part], dtype=np.int64),
+                             kappa, lam, use_pot)
         out.extend(bool(v) for v in least[:, kappa] <= lam)
     return out
 

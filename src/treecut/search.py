@@ -36,7 +36,7 @@ Either way the verification reads both answers from the cache.
 
 The bisection runs in rounds (``_bisect``): a round of j halvings decides
 the 2^j - 1 evenly spaced inner thresholds of the bracket in one batched
-sweep (``solver.decide_batch``), which a numpy sweep can take for less
+sweep (``solver.decide_batch``), which the numpy sweep can take for less
 than j sweeps of one threshold, and keeps the cell between the last
 ``no`` and the first ``yes``.  The cost rule picks the j with the least
 estimated time per halving, once per search, on a tree or a forest's
@@ -229,8 +229,8 @@ def _round(probe, lo, hi, need, width, tree, spec, exact):
     j (at most ``_MAX_HALVINGS`` and ``need``) is ``width``, or when that
     is None, the j whose sweep of the floors ``probe`` will decide on
     ``tree`` (a forest's layout, for a forest) the cost rule prices lowest
-    per halving.  The Python sweep, which decides where no numpy sweep
-    engages, is priced at 0 and so halves once per sweep.
+    per halving.  The Python sweep, which decides where the numpy sweep
+    does not engage, is priced at 0 and so halves once per sweep.
 
     In exact mode, a bracket ``(lo, hi]`` that holds no more fractions of
     the probe's order than the round has thresholds gets a finishing round

@@ -32,19 +32,17 @@ expands them into a 0/1 grid.  A forest is decided as one tree, its
 ``tree.ForestLayout``: there the root is virtual, never tops a part and
 spends no outlier unit, and every sweep folds only the trees' least
 budgets at it, a (min,+) product over the part count with no cut-charge
-table.  The least budgets come from one of three sweeps (``decide_batch``
-batches the numpy ones):
+table.  The least budgets come from one of two sweeps (``decide_batch``
+batches the numpy one):
 
-* the numpy int64 level sweep of ``treecut._fastlane``, one batch of
-  array operations per tree level: wide, shallow trees;
-* its chain sweep, one batch per heavy-path round and table row: deep,
-  thin trees such as paths and caterpillars;
+* the numpy int64 chain sweep of ``treecut._fastlane``, one batch of
+  array operations per heavy-path round, row by row or step by step up
+  its paths;
 * this module's least-budget sweep (``_least_budgets``), one vertex at a
-  time on Python ints: only where no numpy sweep engages, for values
-  over the int64 bound or tables over the kernel's memory gate.
+  time on Python ints: only where the numpy sweep does not engage, for
+  values over the int64 bound or tables over the kernel's memory gate.
 
-The cost rule ``_fastlane.lane`` picks the cheaper numpy sweep that
-engages.  The int64 kernel engages only when a conservative bound proves
+The int64 kernel engages only when a conservative bound proves
 64-bit arithmetic cannot overflow.  Witnesses come from the Python sweep:
 ``solve`` runs it keeping every vertex's tables and partial folds, and
 ``treecut.witness`` replays one witness top down from them.
@@ -93,7 +91,7 @@ class ProblemSpec:
 
 # -- the least-budget sweep -------------------------------------------------
 #
-# The DP in the small state of the numpy sweeps (see ``treecut._fastlane``):
+# The DP in the small state of the numpy sweep (see ``treecut._fastlane``):
 #
 # * mu is monotone in the outlier budget, so a vertex keeps only the least
 #   sufficient budget per part count (``lam + 1`` when no budget in range
@@ -304,8 +302,8 @@ def solve(tree: RootedTree, spec: ProblemSpec) -> WitnessTables:
 def _root_least(tree: RootedTree, spec: ProblemSpec) -> list:
     """Least outlier budget at the root per part count, ``kappa + 1``
     Python ints with ``lam + 1`` for "no budget suffices" (``kappa`` and
-    ``lam`` clamped to the vertex count), from a numpy sweep, or from the
-    Python sweep where none engages."""
+    ``lam`` clamped to the vertex count), from the numpy sweep, or from the
+    Python sweep where it does not engage."""
     from . import _fastlane
 
     n = tree.vertex_count

@@ -98,7 +98,7 @@ class RootedTree:
     @property
     def children_idx(self) -> list:
         """Each vertex's children, in input edge order (built on first use
-        and cached; the numpy sweeps never ask for it)."""
+        and cached; the numpy sweep never asks for it)."""
         if self._children is None:
             bfs = self._bfs
             children = [None] * len(bfs)
@@ -202,10 +202,7 @@ class RootedTree:
         Vertices are relabeled by BFS position, which makes each vertex's
         children a contiguous range ``[cstart, cend)`` and the bottom-up
         sweep a plain descending scan, so the kernel streams memory
-        sequentially.  BFS also keeps each depth contiguous: depth 0 is
-        position 0, depth ``d > 0`` occupies ``[level_end[d-1],
-        level_end[d])``, and the children of one depth are exactly the
-        next.  ``level_size`` holds each depth's largest subtree size.
+        sequentially.
         """
         if self._dense_cache is None:
             import numpy as np
@@ -217,18 +214,14 @@ class RootedTree:
             cstart = np.empty_like(cend)
             cstart[0] = 1
             cstart[1:] = cend[:-1]
-            size = np.array(self.subtree_size, dtype=np.int64)[bfs]
-            level_end = self._level_end
             self._dense_cache = {
-                "level_size": np.maximum.reduceat(size, [0] + level_end[:-1]),
-                "size": size,
+                "size": np.array(self.subtree_size, dtype=np.int64)[bfs],
                 "pos": pos,
                 "w_sub": np.array(self.subtree_weight_scaled, dtype=np.int64)[bfs],
                 "p_sub": np.array(self.subtree_potential_scaled, dtype=np.int64)[bfs],
                 "c_edge": np.array(self.cost_scaled, dtype=np.int64)[bfs],
                 "cstart": cstart,
                 "cend": cend,
-                "level_end": list(level_end),
             }
         return self._dense_cache
 

@@ -7,7 +7,7 @@ children lists.  It checks and raises as it reads, so its first error is
 by construction the first fault in input order.  It returns the tree's
 public fields as a dict; ``reference_dense`` builds ``dense_arrays`` from
 them the way the old ``RootedTree.dense_arrays`` did, walking the
-children lists and the levels.
+children lists.
 """
 
 import math
@@ -155,19 +155,12 @@ def reference_dense(fields: dict) -> dict:
     pos[bfs] = np.arange(bfs.size)
     counts = np.array([len(c) for c in fields["children_idx"]], dtype=np.int64)[bfs]
     cend = 1 + counts.cumsum()
-    below = cend.tolist()
-    level_end = [1]
-    while level_end[-1] < bfs.size:
-        level_end.append(below[level_end[-1] - 1])
-    size = np.array(fields["subtree_size"], dtype=np.int64)[bfs]
     return {
-        "level_size": np.maximum.reduceat(size, [0] + level_end[:-1]),
-        "size": size,
+        "size": np.array(fields["subtree_size"], dtype=np.int64)[bfs],
         "pos": pos,
         "w_sub": np.array(fields["subtree_weight_scaled"], dtype=np.int64)[bfs],
         "p_sub": np.array(fields["subtree_potential_scaled"], dtype=np.int64)[bfs],
         "c_edge": np.array(fields["cost_scaled"], dtype=np.int64)[bfs],
         "cstart": cend - counts,
         "cend": cend,
-        "level_end": level_end,
     }

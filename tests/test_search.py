@@ -947,8 +947,8 @@ class TestForest:
             raise AssertionError("work ran for an infeasible part count")
 
         for owner, name in ((search, "forest_layout"), (search, "_opening_bound"),
-                            (_fastlane, "_sweep_costs"), (_fastlane, "_np_sweep"),
-                            (_fastlane, "_chain_sweep"), (solver, "_least_budgets")):
+                            (_fastlane, "_engages"), (_fastlane, "_chain_sweep"),
+                            (solver, "_least_budgets")):
             monkeypatch.setattr(owner, name, ran)
         for outliers in (0, 1, 2):
             for want_witness in (True, False):

@@ -62,14 +62,6 @@ def _shaped_tree(rng, n, shape, use_pot, potential=None, legs=None):
 _SHAPES = ("path", "star", "caterpillar", "broom", "spider", "random")
 
 
-def _force_sweep(monkeypatch, sweep):
-    """Make ``_fastlane`` answer with the numpy sweep ``sweep`` ("level"
-    or "chain") wherever it engages, whatever the cost rule prices."""
-    costs = _fastlane._sweep_costs
-    monkeypatch.setattr(_fastlane, "_sweep_costs", lambda *args: {
-        name: us for name, us in costs(*args).items() if name == sweep})
-
-
 def _scaled_star():
     """The unit star with every quantity scaled by 2^200, over the int64
     bound."""
@@ -294,19 +286,11 @@ class TestLaneAgreement:
     @pytest.mark.parametrize("chunk_bytes", [None, 1])
     def test_numpy_kernel_matches_python_lane(self, monkeypatch, chunk_bytes):
         # call the kernel directly, on every shape, the deep and tiny ones
-        # the solver hands to the Python lane too, through each numpy
-        # sweep.  Potentials make cut charges negative, so an infinite
-        # cell plus a charge must stay infinite.  chunk_bytes=1 sweeps one
-        # threshold at a time.
+        # the solver hands to the Python lane too.  Potentials make cut
+        # charges negative, so an infinite cell plus a charge must stay
+        # infinite.  chunk_bytes=1 sweeps one threshold at a time.
         if chunk_bytes is not None:
             monkeypatch.setattr(_fastlane, "_NP_CHUNK_BYTES", chunk_bytes)
-        for sweep in ("level", "chain"):
-            with monkeypatch.context() as patch:
-                _force_sweep(patch, sweep)
-                self._numpy_kernel_matches_grid()
-
-    @staticmethod
-    def _numpy_kernel_matches_grid():
         rng = random.Random(22)
         for trial in range(60):
             n = rng.randint(1, 60)
@@ -384,7 +368,7 @@ class TestLaneAgreement:
             assert got.shape[0] == 1 + (max(counts) - 1).bit_length()
 
     def test_tables_over_the_size_gate_fall_back(self):
-        # outliers = n on a 20000-vertex star: the leaves' level alone
+        # outliers = n on a 20000-vertex star: the leaves' tables alone
         # would hold 20000 x 20001 int64 cells, 3.2 GB
         n = 20000
         t = build_rooted_tree([(i, 1) for i in range(n)],
@@ -393,8 +377,9 @@ class TestLaneAgreement:
         assert _fastlane.decide_many(t, [Fraction(1)], n, n, False, ()) is None
 
     def test_kernel_takes_k_max_on_a_wide_star(self, monkeypatch):
-        # parts = n on a 16,500-leaf star: every level table is n cells
-        # wide or less, so the kernel engages (n (n + 1) cells would not fit)
+        # parts = n on a 16,500-leaf star: the centre's tables hold n rows
+        # and each leaf's one or two, so the kernel engages (n (n + 1)
+        # cells would not fit)
         leaves = 16500
         star = star_tree(leaves=range(1, leaves + 1), center=0)
         rows = []
@@ -409,9 +394,9 @@ class TestLaneAgreement:
         assert len(rows) == 1 and rows[0] is not None
 
     def test_sweep_peak_stays_within_the_memory_figure(self):
-        # tracemalloc sees numpy's buffers; parts up to n, both numpy
-        # sweeps, and potentials that make the chain sweep's z non-zero
-        # (its doubling scans keep composite z's)
+        # tracemalloc sees numpy's buffers; parts up to n, and potentials
+        # that make the chain sweep's z non-zero (its doubling scans keep
+        # composite z's)
         rng = random.Random(25)
         n = 150
         half = n // 2
@@ -424,8 +409,6 @@ class TestLaneAgreement:
             "broom": [0] + list(range(1, half - 1)) + [0] * (n - half),
             "spider": [0 if i <= 5 else i - 5 for i in range(1, n)],
         }
-        sweeps = ((_fastlane._np_sweep, _fastlane._sweep_bytes),
-                  (_fastlane._chain_sweep, _fastlane._chain_bytes))
         trees = {name: build_rooted_tree([(i, rng.randint(1, 3), i % 4) for i in range(n)],
                                          [(p, i, rng.randint(1, 3))
                                           for i, p in enumerate(parents, 1)], 0)
@@ -447,57 +430,72 @@ class TestLaneAgreement:
             for (kappa, lam), (xi, use_pot) in itertools.product(
                     ((3, 20), (n, 3)), ((Fraction(3), False), (Fraction(1, 3), True))):
                 a, b = np.array([xi.numerator]), np.array([xi.denominator])
-                for sweep, figure in sweeps:
-                    bound = _fastlane._FIXED_BYTES + figure(t, kappa, lam)
-                    tracemalloc.start()
-                    try:
-                        sweep(dense, forb, a, b, kappa, lam, use_pot)
-                        _, peak = tracemalloc.get_traced_memory()
-                    finally:
-                        tracemalloc.stop()
-                    assert peak <= bound, (name, sweep.__name__, kappa, lam, peak, bound)
+                bound = _fastlane._FIXED_BYTES + _fastlane._chain_bytes(t, kappa, lam)
+                tracemalloc.start()
+                try:
+                    _fastlane._chain_sweep(dense, forb, a, b, kappa, lam, use_pot)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= bound, (name, kappa, lam, peak, bound)
 
     def test_first_sweep_peak_stays_within_the_memory_figure(self):
         # the first sweep on a tree also builds what it keeps with the
-        # dense arrays (the level sweep's fold plan per level, the chain
-        # sweep's per round and its scans' indices); 5000-vertex trees,
-        # where a caterpillar has 2500 levels, each swept on a fresh tree
+        # dense arrays (its fold plan per round and its scans' indices);
+        # 5000-vertex trees, each swept on a fresh tree
         n = 5000
         shapes = (("star", n + 1), ("path", n), ("caterpillar", n), ("random", n))
-        sweeps = ((_fastlane._np_sweep, _fastlane._sweep_bytes),
-                  (_fastlane._chain_sweep, _fastlane._chain_bytes))
         a, b = np.array([1]), np.array([3])
-        for (shape, size), (kappa, lam), (sweep, figure) in itertools.product(
-                shapes, ((2, 0), (3, 2), (20, 5)), sweeps):
+        for (shape, size), (kappa, lam) in itertools.product(
+                shapes, ((2, 0), (3, 2), (20, 5))):
             t = _shaped_tree(random.Random(size), size, shape, True)
             t.heavy_paths()
-            bound = _fastlane._FIXED_BYTES + figure(t, kappa, lam)
+            bound = _fastlane._FIXED_BYTES + _fastlane._chain_bytes(t, kappa, lam)
             dense, forb = t.dense_arrays(), _fastlane._forb_array(t, ())
             tracemalloc.start()
             try:
-                sweep(dense, forb, a, b, kappa, lam, True)
+                _fastlane._chain_sweep(dense, forb, a, b, kappa, lam, True)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= bound, (shape, sweep.__name__, kappa, lam, peak, bound)
+            assert peak <= bound, (shape, kappa, lam, peak, bound)
+
+    def test_step_round_figure_follows_its_peak(self):
+        # parts = n on a 2000-vertex caterpillar: its spine is one step
+        # round of 2000 rows, whose steps each hold one position's tables,
+        # and its light folds hold a leaf's rows; the figure prices what
+        # the rounds hold, not every light parent at the spine's rows
+        t = _shaped_tree(random.Random(36), 2000, "caterpillar", True)
+        t.heavy_paths()
+        forb = _fastlane._forb_array(t, ())
+        for lam in (0, 3):
+            tracemalloc.start()
+            try:
+                _fastlane._chain_sweep(t.dense_arrays(), forb, np.array([1]), np.array([3]),
+                                       2000, lam, True)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= _fastlane._FIXED_BYTES + _fastlane._chain_bytes(t, 2000, lam) \
+                <= _fastlane._FIXED_BYTES + 4 * peak, (lam, peak)
 
     def test_lanes_for_deep_thin_wide_and_oversized_trees(self, monkeypatch):
-        # values over the int64 bound go to the Python sweep, deep, thin
-        # trees to the chain sweep and wide, shallow ones to the level sweep
+        # values over the int64 bound go to the Python sweep, and deep,
+        # thin trees and wide, shallow ones alike to the numpy sweep
         one = [Fraction(1)]
-        assert _fastlane.lane(_scaled_star(), one, 2, 1) == "python"
+        assert not _fastlane._engages(_scaled_star(), one, 2, 1)
         n = 100_000
         rng = random.Random(28)
-        assert _fastlane.lane(path_tree(range(n), root=0), one, 5, 3) == "chain"
+        assert _fastlane._engages(path_tree(range(n), root=0), one, 5, 3)
         caterpillar = _shaped_tree(rng, n // 10, "caterpillar", False)
-        assert _fastlane.lane(caterpillar, one, 5, 3) == "chain"
-        assert _fastlane.lane(star_tree(leaves=range(1, n), center=0), one, 2, 0) == "level"
+        assert _fastlane._engages(caterpillar, one, 5, 3)
+        assert _fastlane._engages(star_tree(leaves=range(1, n), center=0), one, 2, 0)
 
         # every lane answers as the grid does
         n = 200
-        trees = {"chain": path_tree(range(n), root=0), "level": star_tree(leaves=range(n)),
+        trees = {"path": path_tree(range(n), root=0), "star": star_tree(leaves=range(n)),
                  "python": _scaled_star()}
-        calls = []  # the trees a numpy sweep answered
+        calls = []  # the trees the numpy sweep answered
         for name in ("root_row", "decide_many"):
             lane = getattr(_fastlane, name)
 
@@ -509,27 +507,25 @@ class TestLaneAgreement:
 
             monkeypatch.setattr(_fastlane, name, record)
         spec = ProblemSpec(1, 2, 1)
-        for want, t in trees.items():
-            assert _fastlane.lane(t, [spec.xi], 2, 1) == want
+        for t in trees.values():
             assert root_feasibility(t, spec) == [
                 list(r) for r in _grid.solve(t, spec, record_choices=False).root_row()]
             assert decide_batch(t, spec, [0, 1]) == [
                 decide(t, spec.with_xi(x)) for x in (0, 1)]
         lane_trees = [name for name, t in trees.items() if any(c is t for c in calls)]
-        assert lane_trees == ["chain", "level"]
+        assert lane_trees == ["path", "star"]
 
     def test_every_path_returns_the_same_types(self):
         # root_feasibility returns a list of lists of 0/1 Python ints, and
-        # decide/decide_batch exact bools, from the level sweep (a star),
-        # the chain sweep (a path) and the least-budget sweep (over the
-        # int64 bound) alike
+        # decide/decide_batch exact bools, from the numpy sweep (a star and
+        # a path) and the least-budget sweep (over the int64 bound) alike
         n = 200
-        trees = {"level": star_tree(leaves=range(n)), "chain": path_tree(range(n), root=0),
+        trees = {"star": star_tree(leaves=range(n)), "path": path_tree(range(n), root=0),
                  "python": _scaled_star()}
         spec = ProblemSpec(1, 2, 1)
-        for want, t in trees.items():
-            assert _fastlane.lane(t, [spec.xi], 2, 1) == want
-        assert _fastlane.root_row(trees["python"], spec.xi, 2, 1, False, ()) is None
+        for name, t in trees.items():
+            assert (_fastlane.root_row(t, spec.xi, 2, 1, False, ()) is None) \
+                == (name == "python")
         for t in trees.values():
             row = root_feasibility(t, spec)
             assert type(row) is list and len(row) == 3
@@ -545,8 +541,9 @@ class TestLaneAgreement:
 
 
 class TestPythonLane:
-    """The least-budget sweep decides wherever no numpy sweep engages:
-    both memory figures over the gate, or a value over the int64 bound."""
+    """The least-budget sweep decides wherever the numpy sweep does not
+    engage: its memory figure over the gate, or a value over the int64
+    bound."""
 
     def test_tables_over_the_gate_take_the_python_sweep(self, monkeypatch):
         rng = random.Random(41)
@@ -563,7 +560,7 @@ class TestPythonLane:
                 spec = ProblemSpec(Fraction(rng.randint(0, 12), rng.randint(1, 4)),
                                    parts, lam, use_pot)
                 xis = [Fraction(j, 2) for j in range(8)]
-                assert _fastlane.lane(t, xis, parts, lam, use_pot) == "python"
+                assert not _fastlane._engages(t, xis, parts, lam)
                 assert _fastlane.cost_us(t, xis, parts, lam, use_pot) == 0
                 runs.clear()
                 assert decide(t, spec) == _grid.solve(t, spec, record_choices=False).feasible
@@ -577,7 +574,7 @@ class TestPythonLane:
 
     def test_a_threshold_over_the_bound_falls_back_alone(self, monkeypatch):
         # one threshold past the int64 bound takes the batch off the numpy
-        # sweeps; decided one by one, those that fit still reach root_row
+        # sweep; decided one by one, those that fit still reach root_row
         t = _shaped_tree(random.Random(43), 30, "random", True)
         spec = ProblemSpec(1, 3, 2, True)
         huge = Fraction(1 << 62)
@@ -625,7 +622,6 @@ class TestChainSweep:
         # light subtrees cut off to outliers make z non-zero), forbidden
         # vertices (which break the least-budget scan), parts from 1 to n
         # and up to 7 outliers
-        _force_sweep(monkeypatch, "chain")
         rng = random.Random(26)
         for trial in range(240):
             shape = _SHAPES[trial % len(_SHAPES)]
@@ -791,11 +787,9 @@ class TestChainSweep:
                 ran[kind] += kind in kinds
             if forest is not None:
                 spec = ProblemSpec(xis[-1], kappa, lam, use_pot, forb)
+                want = decide_forest(forest, spec, want_witness=False)
                 with monkeypatch.context() as patch:
-                    _force_sweep(patch, "chain")
-                    want = decide_forest(forest, spec, want_witness=False)
-                with monkeypatch.context() as patch:
-                    patch.setattr(_fastlane, "_sweep_costs", lambda *args: {})
+                    patch.setattr(_fastlane, "_MAX_TABLE_BYTES", 0)
                     assert decide_forest(forest, spec, want_witness=False) == want
         assert ran["step"] == 60 and ran["leaf"] >= 40
 
@@ -853,7 +847,6 @@ class TestChainSweep:
         rng = random.Random(27)
         n = 60
         t = _shaped_tree(rng, n, "caterpillar", False)
-        assert _fastlane.lane(t, [Fraction(3)], n, 20) == "chain"
         ran = []
         sweep = _fastlane._chain_sweep
         monkeypatch.setattr(_fastlane, "_chain_sweep",
@@ -980,7 +973,7 @@ class TestLeastBudgetSweep:
         t = path_tree(range(40), weights=[1 + i % 3 for i in range(40)],
                       costs=[1 + i % 4 for i in range(39)], root=0)
         spec = ProblemSpec(0, 3, 2, forbidden_outliers=frozenset({5, 17}))
-        assert _fastlane.lane(t, [Fraction(0)], 3, 2) == "chain"
+        assert _fastlane._engages(t, [Fraction(0)], 3, 2)
         xis = [Fraction(a, b) for a in range(0, 9) for b in (1, 2, 5)]
         singles = [decide(t, spec.with_xi(x)) for x in xis]
         assert decide_batch(t, spec, xis) == singles
@@ -1005,13 +998,12 @@ def _forest(rng, sizes, use_pot):
 
 
 def _numpy_least(tree, forb, xis, kappa, lam, use_pot):
-    """Least budgets at the root from each numpy sweep, called directly:
-    level first, then chain."""
+    """Least budgets at the root from the numpy sweep, called directly."""
     tree.heavy_paths()
-    args = (tree.dense_arrays(), _fastlane._forb_array(tree, forb),
-            np.array([x.numerator for x in xis]), np.array([x.denominator for x in xis]),
-            kappa, lam, use_pot)
-    return [sweep(*args).tolist() for sweep in (_fastlane._np_sweep, _fastlane._chain_sweep)]
+    return _fastlane._chain_sweep(
+        tree.dense_arrays(), _fastlane._forb_array(tree, forb),
+        np.array([x.numerator for x in xis]), np.array([x.denominator for x in xis]),
+        kappa, lam, use_pot).tolist()
 
 
 class TestForestLayout:
@@ -1023,8 +1015,7 @@ class TestForestLayout:
         # trees' sizes, single-vertex trees; then forests with several
         # trees of more than lam vertices, which cap every tree's rows
         # (tree.part_cap), at kappa from below their count up to n;
-        # directly, and through root_row and decide_many forced onto each
-        # numpy sweep.  solve keeps no table below the root with more rows
+        # directly, and through root_row and decide_many.  solve keeps no table below the root with more rows
         # than the cap
         rng = random.Random(90)
         binds = too_few = 0
@@ -1049,12 +1040,12 @@ class TestForestLayout:
             too_few += not cap
             cap = max(cap, 1)
             xis = [Fraction(rng.randint(0, 12), rng.randint(1, 5)) for _ in range(3)]
-            level, chain = _numpy_least(layout, forb, xis, kappa, lam, use_pot)
-            for xi, row_level, row_chain in zip(xis, level, chain):
+            rows = _numpy_least(layout, forb, xis, kappa, lam, use_pot)
+            for xi, row in zip(xis, rows):
                 spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
                 want = _grid.forest_folds(forest, spec)[1][-1]
                 assert solver._least_budgets(layout, spec) == want
-                assert row_level == row_chain == want
+                assert row == want
             tables = solve(layout, ProblemSpec(xis[0], kappa, lam, use_pot, forb))
             lp1 = lam + 1
             for u in range(n):
@@ -1062,13 +1053,9 @@ class TestForestLayout:
                 for Y, U, X in tables.folds[u] or ():
                     held += [len(Y) // lp1, len(X) // lp1, len(U) - 1]
                 assert max(held) <= cap
-            for sweep, rows in (("level", level), ("chain", chain)):
-                with monkeypatch.context() as patch:
-                    _force_sweep(patch, sweep)
-                    assert _fastlane.root_row(layout, xis[0], kappa, lam, use_pot,
-                                              forb) == rows[0]
-                    assert _fastlane.decide_many(layout, xis, kappa, lam, use_pot, forb) \
-                        == [row[kappa] <= lam for row in rows]
+            assert _fastlane.root_row(layout, xis[0], kappa, lam, use_pot, forb) == rows[0]
+            assert _fastlane.decide_many(layout, xis, kappa, lam, use_pot, forb) \
+                == [row[kappa] <= lam for row in rows]
         assert binds >= 100 and too_few >= 8
 
     def test_one_tree_gives_its_own_least_budgets(self):
@@ -1084,7 +1071,7 @@ class TestForestLayout:
             spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
             want = solver._least_budgets(t, spec)
             assert solver._least_budgets(layout, spec) == want
-            assert _numpy_least(layout, forb, [xi], kappa, lam, use_pot) == [[want], [want]]
+            assert _numpy_least(layout, forb, [xi], kappa, lam, use_pot) == [want]
 
     def test_virtual_root_tops_no_part_and_spends_no_budget(self):
         # n single-vertex trees at xi = 0: n parts, or n - 1 parts and one
@@ -1094,7 +1081,7 @@ class TestForestLayout:
         for lam in (0, 1, 2):
             want = [max(0, n - k) if n - k <= lam else lam + 1 for k in range(n + 1)]
             assert solver._least_budgets(layout, ProblemSpec(0, n, lam)) == want
-            assert _numpy_least(layout, (), [Fraction(0)], n, lam, False) == [[want], [want]]
+            assert _numpy_least(layout, (), [Fraction(0)], n, lam, False) == [want]
         tables = solve(layout, ProblemSpec(0, n, 1))
         assert tables.G[layout.root] is None
         assert tables.M[layout.root] == [2, 2, 2, 2, 2, 2, 2, 2, 1, 0]
@@ -1115,10 +1102,9 @@ class TestForestLayout:
         spec = ProblemSpec(0, 700, 2)
         xis = [Fraction(i, 4) for i in range(1, 16)]
         ran = []
-        for name in ("_np_sweep", "_chain_sweep"):
-            sweep = getattr(_fastlane, name)
-            monkeypatch.setattr(_fastlane, name,
-                                lambda *args, sweep=sweep: ran.append(sweep) or sweep(*args))
+        sweep = _fastlane._chain_sweep
+        monkeypatch.setattr(_fastlane, "_chain_sweep",
+                            lambda *args: ran.append(sweep) or sweep(*args))
         got = decide_batch(layout, spec, xis)
         assert len(ran) == 1
         # the answers turn to yes once, where the Python sweep turns
