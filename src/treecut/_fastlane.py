@@ -1,6 +1,6 @@
 """Int64 decision kernel.
 
-Compute the same decisions as ``treecut.solver`` (no backtracking records)
+Compute the same least budgets and tables as ``treecut.solver``
 over flat int64 arrays with numpy, by the chain sweep (``_chain_sweep``):
 one batch of array operations per heavy-path round (at most ``log2(n) +
 1`` of them), over all heavy paths of the round at once, so that paths
@@ -17,9 +17,11 @@ intermediate value fits in 64 bits, so results are exact whenever it
 engages; otherwise (values over the bound, or a memory figure,
 ``_chain_bytes``, over ``_MAX_TABLE_BYTES``) ``root_row`` and
 ``decide_many`` return None and callers fall back to the Python
-least-budget sweep of ``treecut.solver``, exact at any size.  Witnesses do
-not come from the kernel: ``treecut.solver.solve`` runs that Python sweep
-keeping its tables, and ``treecut.witness`` replays them.  A cost rule
+least-budget sweep of ``treecut.solver``, exact at any size.  Witnesses
+come from the kernel too: for one threshold, ``witness_tables`` keeps the
+rows every round builds, which are every vertex's tables, and
+``treecut.solver.solve`` hands them to the replay of ``treecut.witness``
+(or, where the sweep does not engage, the Python sweep's).  A cost rule
 (``cost_us``) prices the sweep from the tree's shape, the budgets and the
 threshold count; ``treecut.search`` sizes its bisection rounds by it.
 
@@ -67,9 +69,9 @@ _MAX_TABLE_BYTES = 1 << 31
 # combining the children's mu grids becomes a (min,+) convolution over k
 # alone.  Both folds over children are associative and commutative, so
 # the light children of a round's vertices fold in pairs, all at once, in
-# ceil(log2(degree)) rounds (``_fold_children``); decisions do not depend
-# on the fold order (witnesses would, and they come from the Python
-# sweep).  A subtree of s vertices holds at most s parts, so every table
+# ceil(log2(degree)) rounds (``_fold_children``); no table depends on
+# the fold order (a witness's choices do, and the replay folds a vertex's
+# children again, left to right, where it splits a cell between them).  A subtree of s vertices holds at most s parts, so every table
 # and each merge's output keep only the rows its subtree sizes can fill
 # (the tree-knapsack bound).  Below a virtual root no vertex keeps more
 # rows than a tree of the forest can hold parts in a feasible split
@@ -538,12 +540,14 @@ def _step_plan(rnd):
     return rnd["step_plan"]
 
 
-def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1):
+def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1, keep=None):
     """The tables of a round's path tops, built step by step up its paths
     (see the chain comment): ``Z`` and ``U`` are the light folds of the
     round's ``lpar`` (or None), and ``e_r``, ``t_r``, ``free`` and
     ``size_r`` its vertices' charges, threshold tests, freedom to be an
-    outlier and subtree sizes."""
+    outlier and subtree sizes.  A list ``keep`` takes each step's
+    positions (in the dense layout) with their tables (see
+    ``witness_tables``)."""
     none = lp1
     order, steps = _step_plan(rnd)
     nb = t_r.shape[0]
@@ -577,6 +581,8 @@ def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1):
                 G = _grow(X[:rows_j], rows_j, _NP_INF)
                 Uu = _grow(M[:rows_j + 1, ..., :p], rows_j + 1, none)
             M = _least_rows(G, Uu, t_r.take(pos, axis=-1), free[pos], none)
+        if keep is not None:
+            keep.append((rnd["vert"][pos], G, M))
         # the paths of exactly j + 1 vertices end here, at their tops
         rest = steps[j + 1][0].size if j + 1 < len(steps) else 0
         Gt[:G.shape[0], ..., order[rest:p]] = G[..., rest:]
@@ -604,9 +610,10 @@ class _Recent:
         return self.buf[end - count:end]
 
 
-def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1):
+def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, keep=None):
     """The tables of a round's path tops, row by row along its paths (see
-    the chain comment).  Arguments as ``_step_round``'s."""
+    the chain comment).  Arguments as ``_step_round``'s; ``keep`` takes
+    the rows of every position of the round."""
     none = lp1
     nb = t_r.shape[0]
     budgets = np.arange(lp1)[:, None, None]
@@ -630,6 +637,10 @@ def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1):
     Q = q.cumsum(axis=-1) - q
     Gt = np.empty((rows, lp1, nb, top.size), dtype=np.int64)
     Mt = np.empty((rows + 1, nb, top.size), dtype=np.int64)
+    if keep is not None:
+        Gk = np.empty((rows, lp1, nb, m), dtype=np.int64)
+        Mk = np.empty((rows + 1, nb, m), dtype=np.int64)
+        keep.append((rnd["vert"], Gk, Mk))
     for k in range(rows + 1):
         # least budgets, row k: u covered, passing its threshold test ...
         if k:
@@ -648,6 +659,8 @@ def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1):
         P += Q
         Mrow = np.minimum(np.minimum.accumulate(P[:, ::-1], axis=-1)[:, ::-1] - Q, none)
         Mt[k] = Mrow.take(top, axis=-1)
+        if keep is not None:
+            Mk[k] = Mrow
         if k == rows:
             break
         # cut-charge rows, row i = k: D with z = 0 ...
@@ -682,6 +695,8 @@ def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1):
             D[..., fix] = np.minimum(D.take(fix, axis=-1), Dn.take(near, axis=-1))
         Grow = D
         Gt[i] = Grow.take(top, axis=-1)
+        if keep is not None:
+            Gk[i] = Grow
         if lpar.size:
             mh = Mrow.take(h, axis=-1)
             Mh.put(i, mh)
@@ -691,11 +706,13 @@ def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1):
     return Gt, Mt
 
 
-def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
+def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot, keep=None):
     """Least sufficient outlier budget at the root, ``out[j, k]`` for
     threshold ``a_arr[j] / b_arr[j]`` and ``k`` parts (a value over ``lam``
     marks an infeasible cell), over the heavy-path rounds that
-    ``RootedTree.heavy_paths`` keeps in ``dense``."""
+    ``RootedTree.heavy_paths`` keeps in ``dense``.  A list ``keep`` takes
+    the tables the rounds build, as ``(positions, G, M)`` with the
+    positions on the last axis (see ``witness_tables``)."""
     rounds = dense["rounds"]
     eps, thr = _charges(dense, a_arr, b_arr, use_pot)
     size = dense["size"]
@@ -716,6 +733,8 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
         kind = _round_kind(rnd, rows)
         if kind == "leaf":
             Gt, Mt = _leaf_tables(t_r, free, lp1)
+            if keep is not None:
+                keep.append((vert, Gt, Mt))
             continue
         Z = U = None
         if rnd["lpar"].size:
@@ -725,9 +744,9 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot):
                                   rows, cap, none)
             Gt = Mt = None
         if kind == "step":
-            Gt, Mt = _step_round(rnd, rows, cap, Z, U, e_r, t_r, free, size[vert], lp1)
+            Gt, Mt = _step_round(rnd, rows, cap, Z, U, e_r, t_r, free, size[vert], lp1, keep)
         else:
-            Gt, Mt = _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1)
+            Gt, Mt = _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, keep)
     return Mt[..., 0].T
 
 
@@ -864,15 +883,49 @@ def _step_stats(tree, rounds, light):
 def _chain_bytes(tree, kappa: int, lam: int) -> int:
     """Bytes one threshold's chain sweep may hold at once, beyond the fixed
     ``_FIXED_BYTES``: the largest round's row arrays, tables and light
-    fold, and ``_VERTEX_WORDS`` int64 per vertex."""
+    fold, and ``_VERTEX_WORDS`` int64 per vertex (cached with the dense
+    arrays)."""
+    cache = tree.dense_arrays().setdefault("chain_bytes", {})
+    if (kappa, lam) not in cache:
+        st = _round_stats(tree)
+        rows = np.minimum(kappa, st["size"])
+        child = np.minimum(kappa, st["below_size"] + 1)
+        light = np.minimum(rows, ((child - 1) << st["merges"]) + 1)
+        cells = (st["m"] * _CHAIN_ROW_COPIES + st["zk"] * st["zsteps"]
+                 + _CHAIN_TABLE_COPIES * (st["paths"] * rows + st["lpar"] * light)
+                 + _FOLD_COPIES * st["below_paths"] * child)
+        cache[kappa, lam] = (8 * (int(cells.max()) * (lam + 1)
+                                  + _VERTEX_WORDS * tree.vertex_count) + _BLOCK_BYTES)
+    return cache[kappa, lam]
+
+
+# The tables ``witness_tables`` keeps, beyond the sweep's own figure: a
+# round's rows of every position in int64, ``m (rows + 1) (lam + 2)``
+# cells for a round of m positions, with a gathered copy of them while
+# they become lists; and every vertex's tables as lists of Python ints,
+# ``min(rows, size) (lam + 2) + 1`` cells.  A list cell takes
+# ``_KEPT_CELL_BYTES``: its slot and, for values past 256, an int object
+# (32 bytes allocated on CPython 3.11 for values under 2^60); each vertex
+# ``_KEPT_VERTEX_BYTES`` for the headers of its two lists.  Measured with
+# tracemalloc (numpy 2.4) on stars, paths, caterpillars, brooms, spiders
+# and random recursive trees of 2000 and 10,000 vertices at (3, 2), (2,
+# 0) and (20, 5), and of 600 vertices at (n, 3) and (n, 0), with
+# potentials, the figure was 1.3-4.3x the peak.
+_KEPT_CELL_BYTES = 40
+_KEPT_VERTEX_BYTES = 128
+
+
+def _kept_bytes(tree, kappa: int, lam: int) -> int:
+    """Bytes ``witness_tables`` may hold at once, beyond the fixed
+    ``_FIXED_BYTES``: the sweep's figure (``_chain_bytes``), the largest
+    round's kept rows and every vertex's lists."""
+    dense = tree.dense_arrays()
+    rows = np.minimum(_row_cap(dense, kappa, lam), dense["size"])
     st = _round_stats(tree)
-    rows = np.minimum(kappa, st["size"])
-    child = np.minimum(kappa, st["below_size"] + 1)
-    light = np.minimum(rows, ((child - 1) << st["merges"]) + 1)
-    cells = (st["m"] * _CHAIN_ROW_COPIES + st["zk"] * st["zsteps"]
-             + _CHAIN_TABLE_COPIES * (st["paths"] * rows + st["lpar"] * light)
-             + _FOLD_COPIES * st["below_paths"] * child)
-    return 8 * (int(cells.max()) * (lam + 1) + _VERTEX_WORDS * tree.vertex_count) + _BLOCK_BYTES
+    largest = int((st["m"] * (np.minimum(kappa, st["size"]) + 1)).max())
+    cells = int(rows.sum()) * (lam + 2) + rows.size
+    return (_chain_bytes(tree, kappa, lam) + 16 * largest * (lam + 2)
+            + _KEPT_CELL_BYTES * cells + _KEPT_VERTEX_BYTES * rows.size)
 
 
 # -- the cost rule -----------------------------------------------------------
@@ -1040,6 +1093,60 @@ def root_row(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
                         np.array([xi.numerator], dtype=np.int64),
                         np.array([xi.denominator], dtype=np.int64),
                         kappa, lam, use_pot)[0].tolist()
+
+
+def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
+                   forbidden_ids, inf: int) -> tuple | None:
+    """Every vertex's cut-charge table and least budgets at threshold
+    ``xi``, as ``treecut.solver._least_budgets`` keeps them for a witness,
+    from one chain sweep that keeps the rows its rounds build: per tree
+    index, ``G`` a flat list of ``min(cap, size)`` rows of ``lam + 1``
+    Python ints (``cap`` the row cap, ``_row_cap``) and ``M`` one more
+    least budget than that, ``lam + 1`` where none suffices.  A virtual
+    root has no ``G`` (None) and its trees' least budgets folded as its
+    ``M``.  Infeasible cells hold ``inf``, the Python sweep's infinity,
+    which is under the int64 bound.  None when the sweep cannot engage
+    or the figure of what it keeps (``_kept_bytes``) is over
+    ``_MAX_TABLE_BYTES``."""
+    if (not _engages(tree, (xi,), kappa, lam)
+            or _kept_bytes(tree, kappa, lam) > _MAX_TABLE_BYTES):
+        return None
+    dense = tree.dense_arrays()
+    keep = []
+    least = _chain_sweep(dense, _forb_array(tree, forbidden_ids),
+                         np.array([xi.numerator], dtype=np.int64),
+                         np.array([xi.denominator], dtype=np.int64),
+                         kappa, lam, use_pot, keep)
+    if "bfs" not in dense:
+        dense["bfs"] = np.argsort(dense["pos"])  # the tree index at each position
+    index, size = dense["bfs"], dense["size"]
+    cap = _row_cap(dense, kappa, lam)
+    lp1 = lam + 1
+    G = [None] * size.size
+    M = [None] * size.size
+    for vert, g, m in keep:
+        # (rows, ..., positions) to one list of cells per position, in the
+        # rows its subtree fills: the positions of a round in runs of
+        # equal row counts
+        rows = np.minimum(cap, size[vert])
+        order = np.argsort(rows, kind="stable")
+        ends = np.append(np.flatnonzero(np.diff(rows[order])) + 1, order.size)
+        start = 0
+        for end in ends.tolist():
+            sel = order[start:end]
+            r = int(rows[sel[0]])
+            cells = g[:r].take(sel, axis=-1)
+            # small ints add faster than 2^61
+            np.minimum(cells, inf, out=cells)
+            cells = cells.reshape(r * lp1, -1).T.tolist()
+            least_rows = m[:r + 1].take(sel, axis=-1).reshape(r + 1, -1).T.tolist()
+            for u, gu, mu in zip(index[vert[sel]].tolist(), cells, least_rows):
+                G[u] = gu
+                M[u] = mu
+            start = end
+    if dense.get("virtual_root"):
+        M[int(index[0])] = np.minimum(least[0], lp1).tolist()
+    return G, M
 
 
 def decide_many(tree, xis, kappa: int, lam: int, use_pot: bool,

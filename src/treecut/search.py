@@ -67,7 +67,7 @@ from .errors import (
 from .solver import ProblemSpec, _root_least, decide, decide_batch, solve
 from .tree import ForestLayout, RootedTree, build_forest, forest_layout, part_cap
 from .values import parse_rational
-from .witness import (Subpartition, make_subpartition, reconstruct_subpartition,
+from .witness import (Subpartition, _indexed_subpartition, reconstruct_subpartition,
                       sorted_ids)
 
 
@@ -178,21 +178,27 @@ class _Prober:
     garbage.
 
     Each threshold is replaced by its Farey floor of order ``limit``
-    (``floor``) before it is cached, deduplicated, counted and decided.
-    ``fn`` decides a list of thresholds in one call.  ``calls`` counts the
-    distinct floors decided and ``sweeps`` the calls of ``fn``."""
+    (``floor``, memoized, since a round's floors are taken to price it
+    and again to decide it) before it is cached, deduplicated, counted
+    and decided.  ``fn`` decides a list of thresholds in one call.
+    ``calls`` counts the distinct floors decided and ``sweeps`` the calls
+    of ``fn``."""
 
     def __init__(self, fn, limit: int):
         self.fn = fn
         self.limit = limit
         self.cache = {}
+        self.floors = {}
         self.calls = 0
         self.sweeps = 0
         self.max_no = None
         self.min_yes = None
 
     def floor(self, x: Fraction) -> Fraction:
-        return _farey_bracket(x, self.limit)[0]
+        f = self.floors.get(x)
+        if f is None:
+            f = self.floors[x] = _farey_bracket(x, self.limit)[0]
+        return f
 
     def __call__(self, xis) -> list[bool]:
         xis = [self.floor(x) for x in xis]
@@ -355,8 +361,8 @@ def _balanced_partition(tree: RootedTree, parts: int, use_potentials: bool):
     for u in reversed(tree.order_idx):  # parents precede children
         h = u if parent[u] < 0 or is_cut[u] else head[parent[u]]
         head[u] = h
-        groups.setdefault(h, []).append(tree.ids[u])
-    return make_subpartition(tree, groups.values(), frozenset(), use_potentials)
+        groups.setdefault(h, set()).add(u)
+    return _indexed_subpartition(tree, groups.values(), (), use_potentials)
 
 
 def _opening_bound(trees, parts: int, use_potentials: bool):
@@ -512,10 +518,11 @@ def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True):
 
     One decision on the forest's layout, where the virtual root folds the
     trees' least budgets: ``C'[k] = min C[kp] + B[k - kp]``, one (min,+)
-    product over the part count per tree.  Only when it is feasible and a
-    witness is wanted does one ``solve`` of the layout keep the tables,
-    from which the replay splits the budgets back, giving each tree, last
-    first, the fewest parts left to the trees before it that still fit.
+    product over the part count per tree.  When a witness is wanted, one
+    ``solve`` of the layout keeps the tables, which answer the decision
+    too, and from which the replay splits the budgets back, giving each
+    tree, last first, the fewest parts left to the trees before it that
+    still fit.
     Below the root no tree keeps rows for more parts than it can hold in
     a feasible split (``tree.part_cap``).  When more trees must hold a
     part than ``spec.parts`` allows, the answer is no before the layout
@@ -523,11 +530,12 @@ def decide_forest(forest: Forest, spec: ProblemSpec, want_witness: bool = True):
     if _too_few_parts(forest.trees, spec.parts, spec.outliers):  # an empty forest too
         return False, None
     layout = forest.layout
-    if not decide(layout, spec):
-        return False, None
     if not want_witness:
-        return True, None
-    return True, reconstruct_subpartition(layout, spec, solve(layout, spec))
+        return decide(layout, spec), None
+    tables = solve(layout, spec)
+    if not tables.feasible:
+        return False, None
+    return True, reconstruct_subpartition(layout, spec, tables)
 
 
 def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,

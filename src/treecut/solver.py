@@ -43,9 +43,11 @@ batches the numpy one):
   values over the int64 bound or tables over the kernel's memory gate.
 
 The int64 kernel engages only when a conservative bound proves
-64-bit arithmetic cannot overflow.  Witnesses come from the Python sweep:
-``solve`` runs it keeping every vertex's tables and partial folds, and
-``treecut.witness`` replays one witness top down from them.
+64-bit arithmetic cannot overflow.  Witnesses come from every vertex's
+tables at one threshold: ``solve`` takes them from one numpy sweep that
+keeps the rows its rounds build, or from the Python sweep where that does
+not engage, and ``treecut.witness`` replays one witness top down from
+them.
 """
 
 from __future__ import annotations
@@ -103,8 +105,8 @@ class ProblemSpec:
 #   gives way to the most parts a tree holds in a feasible split
 #   (``tree.part_cap``), and rows up to that read only rows up to it;
 # * a decision drops a vertex's tables once its parent has read them;
-#   ``solve`` keeps them, with the partial folds over each vertex's
-#   children, for the witness replay.
+#   ``solve``, where the numpy sweep does not engage, keeps them for the
+#   witness replay.
 #
 # Cut-charge tables are flat row-major lists of Python ints, exact at any
 # size.  An infeasible cell holds ``inf`` or more plus charges, still
@@ -114,21 +116,18 @@ class ProblemSpec:
 
 
 class WitnessTables:
-    """The tables ``solve`` keeps of the least-budget sweep, from which
-    ``treecut.witness`` replays a witness without rerunning any fold.
+    """Every vertex's tables at one threshold, from which
+    ``treecut.witness`` replays a witness.
 
     Per vertex ``u``: ``G[u]``, its flat cut-charge table with ``lam + 1``
-    columns (row i holds i + 1 parts, u's own among them); ``M[u]``, its
-    least budgets by part count; and, when u has children ``c0, c1, ...``,
-    ``folds[u][i - 1] = (Y, U, X)`` for each ``i >= 1``: the cut-charge
-    table and least budgets of the children before ``ci`` folded together,
-    and ``ci``'s table as a child of u (row i holds i + 1 parts, u's
-    among them, whether ci joins u's part or its edge is cut).  A virtual
-    root keeps no cut-charge table, and ``folds[root][i - 1]`` holds only
-    the least budgets of the trees before tree i folded together.
-    ``eps`` is each parent edge's cut charge, ``thr`` each vertex's
-    threshold test.
-    ``feasible`` answers the decision problem at the spec's budgets.
+    columns (row i holds i + 1 parts, u's own among them), and ``M[u]``,
+    its least budgets by part count.  A virtual root keeps no cut-charge
+    table.  ``eps`` is each parent edge's cut charge, ``thr`` each
+    vertex's threshold test, and ``inf`` a value at or below every
+    infeasible cell and above every finite one.  The replay recomputes
+    the partial folds over a vertex's children where it splits a cell
+    between them.  ``feasible`` answers the decision problem at the
+    spec's budgets.
     """
 
     def __init__(self, tree: RootedTree, spec: ProblemSpec):
@@ -141,6 +140,27 @@ class WitnessTables:
         if self.spec.parts > self.tree.vertex_count:
             return False
         return self.M[self.tree.root][self.spec.parts] <= self.lam
+
+
+def _charges(tree: RootedTree, spec: ProblemSpec):
+    """The charge of cutting each parent edge, the threshold test of a
+    part topped at each vertex (a leaf passes it iff thr >= 0), and the
+    sweep's infinity."""
+    a, b = spec.xi.numerator, spec.xi.denominator
+    w_sub = tree.subtree_weight_scaled
+    c_s = tree.cost_scaled
+    if spec.use_potentials:
+        eps = [a * w + b * (c - p)
+               for w, c, p in zip(w_sub, c_s, tree.subtree_potential_scaled)]
+    else:
+        eps = [a * w + b * c for w, c in zip(w_sub, c_s)]
+    thr = [e - 2 * b * c for e, c in zip(eps, c_s)]
+    # a cell sums the charges of cut vertices none of which lies below
+    # another, so a finite cell lies in [-b * P, a * W + b * C] and a
+    # threshold is at most a * W: over W, C, P, totals of weight, cost
+    # and potential, a cell holding inf stays above both
+    c_total, p_total = tree.scaled_totals()
+    return eps, thr, a * w_sub[tree.root] + b * (c_total + p_total) + 1
 
 
 def _min_plus_plan(ny: int, nx: int, rows: int, cols: int) -> list:
@@ -158,8 +178,8 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
     """Least outlier budget at the root per part count: ``out[k]`` for
     ``k <= kappa`` is the smallest ``l <= lam`` with ``mu[root][k][l]``, or
     ``lam + 1`` when there is none (``kappa`` and ``lam`` clamped to the
-    vertex count).  With ``keep``, every vertex's tables and partial folds
-    are stored there instead of being dropped.  A virtual root only folds
+    vertex count).  With ``keep``, every vertex's tables are stored there
+    instead of being dropped.  A virtual root only folds
     its children's least budgets, whose rows stop at ``tree.part_cap``."""
     n = tree.vertex_count
     for v in spec.forbidden_outliers:
@@ -169,9 +189,6 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
     kappa = min(spec.parts, n)
     lam = min(spec.outliers, n)
     lp1 = none = lam + 1
-    a, b = spec.xi.numerator, spec.xi.denominator
-    w_sub = tree.subtree_weight_scaled
-    c_s = tree.cost_scaled
     size = tree.subtree_size
     children = tree.children_idx
     root = tree.root
@@ -181,20 +198,7 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
         # the trees' rows add up to kappa or more, so the root keeps
         # kappa + 1 entries
         cap = max(1, part_cap([size[v] for v in children[root]], kappa, lam))
-    # the charge of cutting each parent edge, and the threshold test of a
-    # part topped at each vertex (a leaf passes it iff thr >= 0)
-    if spec.use_potentials:
-        eps = [a * w + b * (c - p)
-               for w, c, p in zip(w_sub, c_s, tree.subtree_potential_scaled)]
-    else:
-        eps = [a * w + b * c for w, c in zip(w_sub, c_s)]
-    thr = [e - 2 * b * c for e, c in zip(eps, c_s)]
-    # a cell sums the charges of cut vertices none of which lies below
-    # another, so a finite cell lies in [-b * P, a * W + b * C] and a
-    # threshold is at most a * W: over W, C, P, totals of weight, cost
-    # and potential, a cell holding inf stays above both
-    c_total, p_total = tree.scaled_totals()
-    inf = a * w_sub[tree.root] + b * (c_total + p_total) + 1
+    eps, thr, inf = _charges(tree, spec)
 
     cut_plans = {}   # rows -> (row, column) of each flat cell
     gamma_plans = {}
@@ -209,10 +213,9 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
         return [min([U[p] + mv[q] for p, q in cell]) for cell in plan]
 
     leaf = [0] * lp1
-    slots = len(w_sub)  # a virtual root's entry too
+    slots = len(size)  # a virtual root's entry too
     G = [None] * slots   # cut-charge tables
     M = [None] * slots   # least budgets by part count
-    folds = [None] * slots if keep is not None else None
     order = tree.order_idx
     if tree.virtual_root:
         order = order[:-1]  # the root comes last
@@ -224,11 +227,10 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
             M[u] = [none if u in forb else 1, 0 if thr[u] >= 0 else none]
             continue
         Y = U = None
-        kept = [] if folds is not None else None
         for v in kids:
             e = eps[v]
             g, mv = G[v], M[v]
-            if kept is None:
+            if keep is None:
                 G[v] = M[v] = None
             # row i (i + 1 parts with u's): the child joins u's part, or
             # its edge is cut at charge e with i parts in its subtree;
@@ -243,9 +245,6 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
             if Y is None:
                 Y, U = X, mv
                 continue
-            if kept is not None:
-                # U goes unused with no outlier budget: no vertex is residue
-                kept.append((Y, U, X))
             ry = len(Y) // lp1
             plan = gamma_plans.get((ry, rx))
             if plan is None:
@@ -254,8 +253,6 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
             Y = [min([Y[p] + X[q] for p, q in cell]) for cell in plan]
             if lam:
                 U = fold_mu(U, mv, cap + 1)
-        if kept:
-            folds[u] = kept
         # u covered: the least budget whose cut charge passes the threshold
         # test (charges fall as the budget grows) ...
         t = thr[u]
@@ -274,28 +271,37 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
     if tree.virtual_root:
         # no part, no outlier unit: the trees' least budgets folded alone
         U, *rest = (M[v] for v in children[root])
-        kept = []
         for mv in rest:
-            kept.append(U)
             U = fold_mu(U, mv, kappa + 1)
         M[root] = [min(x, none) for x in U]
-        if folds is not None:
-            folds[root] = kept
     if keep is not None:
-        keep.G, keep.M, keep.folds, keep.eps, keep.thr = G, M, folds, eps, thr
+        keep.G, keep.M = G, M
+        keep.eps, keep.thr, keep.inf = eps, thr, inf
     return M[root]
 
 
 def solve(tree: RootedTree, spec: ProblemSpec) -> WitnessTables:
-    """Run the least-budget sweep keeping every vertex's tables.
+    """Every vertex's tables at the spec's threshold, for a witness.
 
     ``tables.feasible`` answers the decision problem, and
     ``treecut.witness.reconstruct_subpartition`` replays a witness from
-    the tables.  Takes the sweep's time; the tables kept are the ones the
-    sweep builds, at most three cut-charge tables per vertex.
+    the tables.  They come from one numpy chain sweep that keeps the rows
+    its rounds build (``_fastlane.witness_tables``), or where that does
+    not engage from the Python sweep, which keeps each vertex's tables
+    instead of dropping them.  Both give the same tables, bar the value
+    an infeasible cell holds.
     """
+    from . import _fastlane
+
     tables = WitnessTables(tree, spec)
-    _least_budgets(tree, spec, keep=tables)
+    tables.eps, tables.thr, tables.inf = _charges(tree, spec)
+    kept = _fastlane.witness_tables(tree, spec.xi, min(spec.parts, tree.vertex_count),
+                                    tables.lam, spec.use_potentials,
+                                    spec.forbidden_outliers, tables.inf)
+    if kept is None:
+        _least_budgets(tree, spec, keep=tables)
+    else:
+        tables.G, tables.M = kept
     return tables
 
 

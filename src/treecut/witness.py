@@ -1,9 +1,11 @@
 """Witness subpartitions: reconstruction from DP tables and validation.
 
 A witness is an explicit list of vertex sets.  Reconstruction replays the
-least-budget sweep top down from the tables ``treecut.solver.solve``
-keeps: at each cell it visits it reads the choice off the kept tables and
-partial folds, under fixed tie-breaking, and never reruns a fold.
+sweep top down from every vertex's tables, which ``treecut.solver.solve``
+keeps: at each cell it visits it reads the choice off the tables under
+fixed tie-breaking.  Where it splits a cell between a vertex's children it
+folds their tables again, left to right, but only the cells up to the
+one it splits, which read no others.
 Validation re-checks every problem constraint from scratch with exact
 arithmetic and reports violations as data.
 """
@@ -12,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import EmptyPart, TableMismatch
-from .solver import ProblemSpec, WitnessTables
+from .solver import ProblemSpec, WitnessTables, _min_plus_plan
 from .tree import RootedTree
 
 
@@ -55,7 +58,11 @@ def expansion(tree: RootedTree, part, use_potentials: bool = False) -> Fraction:
     """Exact edge expansion of a vertex set, measured in the full tree:
     boundary cost (plus the set's potential when enabled) over the set's
     weight.  The virtual root edge never contributes."""
-    idxs = {tree._idx(v) for v in part}
+    return _expansion(tree, {tree._idx(v) for v in part}, use_potentials)
+
+
+def _expansion(tree: RootedTree, idxs: set, use_potentials: bool) -> Fraction:
+    """``expansion`` of the vertices at tree indices ``idxs``."""
     if not idxs:
         raise EmptyPart("expansion of the empty set is undefined")
     cut = 0
@@ -85,6 +92,16 @@ def make_subpartition(tree: RootedTree, parts, residue,
     return Subpartition(parts, frozenset(residue), expansions, max(expansions))
 
 
+def _indexed_subpartition(tree: RootedTree, parts, residue,
+                          use_potentials: bool) -> Subpartition:
+    """``make_subpartition`` of vertex sets given by tree index, priced
+    from the indices."""
+    ids = tree.ids
+    expansions = tuple(_expansion(tree, p, use_potentials) for p in parts)
+    return Subpartition(tuple(frozenset(ids[i] for i in p) for p in parts),
+                        frozenset(ids[i] for i in residue), expansions, max(expansions))
+
+
 def reconstruct_subpartition(tree: RootedTree, spec: ProblemSpec,
                              tables: WitnessTables):
     """Rebuild one witness from the tables, or return None if infeasible.
@@ -98,11 +115,8 @@ def reconstruct_subpartition(tree: RootedTree, spec: ProblemSpec,
         raise TableMismatch("tables were computed for a different spec")
     if not tables.feasible:
         return None
-    parts_idx, residue_idx = _collect(tables, spec.parts, tables.lam)
-    ids = tree.ids
-    parts = [frozenset(ids[i] for i in p) for p in parts_idx]
-    residue = frozenset(ids[i] for i in residue_idx)
-    return make_subpartition(tree, parts, residue, spec.use_potentials)
+    parts, residue = _collect(tables, spec.parts, tables.lam)
+    return _indexed_subpartition(tree, parts, residue, spec.use_potentials)
 
 
 def _collect(tables: WitnessTables, k0: int, l0: int):
@@ -115,12 +129,15 @@ def _collect(tables: WitnessTables, k0: int, l0: int):
     ``gamma`` grows an existing part downward through a cut-charge cell,
     splitting ``(k, l)`` across the children and cutting or keeping each
     child edge.  Children are visited in order, so parts come out in a
-    fixed order.
+    fixed order.  A split reads the children before each child folded
+    together, as the sweep folds them left to right, in the cells up to
+    the task's own (``_least_folds``, ``_charge_folds``).
     """
     tree = tables.tree
     children_of = tree.children_idx
+    size = tree.subtree_size
     lp1 = tables.lam + 1
-    G, M, folds, eps, thr = tables.G, tables.M, tables.folds, tables.eps, tables.thr
+    G, M, eps, thr = tables.G, tables.M, tables.eps, tables.thr
     parts: list[set] = []
     residue: set = set()
     # task: (is_gamma, vertex, k, l, part_slot)
@@ -143,9 +160,10 @@ def _collect(tables: WitnessTables, k0: int, l0: int):
                 continue
             residue.add(u)
             ck, cl = k, l - 1
+            if d > 1:
+                folds = _least_folds([M[v] for v in kids], k)
             for ci in range(d - 1, 0, -1):
-                _, U, _ = folds[u][ci - 1]
-                kp, lp = _residue_split(U, M[kids[ci]], ck)
+                kp, lp = _residue_split(folds[ci - 1], M[kids[ci]], ck)
                 # pushed deepest-child first, so pops run in child order
                 stack.append((False, kids[ci], ck - kp, cl - lp, -1))
                 ck, cl = kp, lp
@@ -158,11 +176,17 @@ def _collect(tables: WitnessTables, k0: int, l0: int):
                 continue
             ck, cl = k, l
             portions = []
-            for ci in range(d - 1, 0, -1):
-                Y, _, X = folds[u][ci - 1]
-                kp, lp = _part_split(Y, X, ck, cl, lp1)
-                portions.append((ci, ck + 1 - kp, cl - lp))
-                ck, cl = kp, lp
+            if d > 1 and k == 1 and l == 0:
+                # u's part alone at no budget: every split is (1, 0)
+                portions = [(ci, 1, 0) for ci in range(d - 1, 0, -1)]
+            elif d > 1:
+                X = [_child_cells(G[v], M[v], eps[v], min(k, size[v] + 1), l, lp1,
+                                  tables.inf) for v in kids]
+                folds = _charge_folds(X, k, l + 1)
+                for ci in range(d - 1, 0, -1):
+                    kp, lp = _part_split(folds[ci - 1], X[ci], ck, cl, l + 1)
+                    portions.append((ci, ck + 1 - kp, cl - lp))
+                    ck, cl = kp, lp
             portions.append((0, ck, cl))
             for ci, pk, pl in portions:
                 child = kids[ci]
@@ -185,9 +209,10 @@ def _tree_tasks(tables: WitnessTables, k: int, l: int) -> list:
     tree = tables.tree
     kids = tree.children_idx[tree.root]
     size = tree.subtree_size
+    folds = _least_folds([tables.M[v] for v in kids], k)
     tasks = []
     for ci in range(len(kids) - 1, 0, -1):
-        C, B = tables.folds[tree.root][ci - 1], tables.M[kids[ci]]
+        C, B = folds[ci - 1], tables.M[kids[ci]]
         kp = next(kp for kp in range(max(0, k + 1 - len(B)), min(k + 1, len(C)))
                   if C[kp] + B[k - kp] <= l)
         tasks.append((False, kids[ci], k - kp, min(l - C[kp], size[kids[ci]]), -1))
@@ -196,18 +221,72 @@ def _tree_tasks(tables: WitnessTables, k: int, l: int) -> list:
     return tasks
 
 
-def _part_split(Y, X, k: int, l: int, lp1: int):
+@lru_cache(maxsize=None)
+def _plan(ny: int, nx: int, rows: int, cols: int) -> list:
+    """``solver._min_plus_plan`` of a product's shape, kept: the replay's
+    products come in a few small shapes."""
+    return _min_plus_plan(ny, nx, rows, cols)
+
+
+def _least_folds(Ms, k: int) -> list:
+    """The least budgets ``Ms`` of children folded left to right: entry
+    ``i - 1`` is those of the first ``i`` children together, for ``i``
+    below their count, by part count up to ``k``.  A fold takes the least
+    sum of one entry of each side per part count; where the sweep kept
+    more part counts, the ones up to ``k`` read only these."""
+    U = Ms[0][:k + 1]
+    folds = [U]
+    for mv in Ms[1:-1]:
+        plan = _plan(len(U), len(mv), min(k + 1, len(U) + len(mv) - 1), 1)
+        U = [min([U[p] + mv[q] for p, q in cell]) for cell in plan]
+        folds.append(U)
+    return folds
+
+
+def _child_cells(g, m, e, rows: int, l: int, lp1: int, inf) -> list:
+    """A child's cut-charge table as its parent's fold takes it, in its
+    first ``rows`` rows and budgets up to ``l``: the child joins the
+    parent's part (its own table ``g`` of ``lp1`` columns, ``inf`` in the
+    rows past it), or its edge is cut at charge ``e`` with its least
+    budgets ``m``.  Row i holds i + 1 parts, the parent's among them."""
+    out = []
+    for i in range(rows):
+        row = g[i * lp1:i * lp1 + l + 1] or [inf] * (l + 1)
+        need = m[i]
+        out += row[:need]
+        out += [e if e < x else x for x in row[need:]]
+    return out
+
+
+def _charge_folds(X, k: int, w: int) -> list:
+    """The children's cut-charge tables ``X`` (``w`` columns) folded left
+    to right: entry ``i - 1`` is the first ``i`` children's together, for
+    ``i`` below their count, in rows below ``k``.  A cell takes the least
+    sum of one cell of each side at no more parts and no more budget, so
+    the cells kept read only kept cells."""
+    Y = X[0]
+    folds = [Y]
+    for x in X[1:-1]:
+        ry, rx = len(Y) // w, len(x) // w
+        plan = _plan(ry, rx, min(k, ry + rx - 1), w)
+        Y = [min([Y[p] + x[q] for p, q in cell]) for cell in plan]
+        folds.append(Y)
+    return folds
+
+
+def _part_split(Y, X, k: int, l: int, w: int):
     """The split of a cut-charge cell ``(k, l)`` between the children
-    folded so far (``Y``) and the next one (``X``): the first strict
-    minimum of ``Y[kp][lp] + X[k + 1 - kp][l - lp]`` over ``lp`` in
-    ``0..l`` (outer) and ``kp`` in ``1..k`` (inner), as parts counted with
-    u's own; rows a table does not hold are infinite."""
-    lo = max(1, k + 1 - len(X) // lp1)
-    hi = min(k, len(Y) // lp1)
+    folded so far (``Y``) and the next one (``X``), both of ``w``
+    columns: the first strict minimum of ``Y[kp][lp] + X[k + 1 - kp][l -
+    lp]`` over ``lp`` in ``0..l`` (outer) and ``kp`` in ``1..k`` (inner),
+    as parts counted with u's own; rows a table does not hold are
+    infinite."""
+    lo = max(1, k + 1 - len(X) // w)
+    hi = min(k, len(Y) // w)
     best = arg = None
     for lp in range(l + 1):
         for kp in range(lo, hi + 1):
-            s = Y[(kp - 1) * lp1 + lp] + X[(k - kp) * lp1 + l - lp]
+            s = Y[(kp - 1) * w + lp] + X[(k - kp) * w + l - lp]
             if best is None or s < best:
                 best, arg = s, (kp, lp)
     return arg

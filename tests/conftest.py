@@ -63,3 +63,20 @@ def broom_tree():
     edges = [("r", f"a{i}", 100) for i in (1, 2, 3)] + \
             [(f"a{i}", f"b{i}", 2) for i in (1, 2, 3)]
     return build_rooted_tree(vertices, edges, "r")
+
+
+def replay_folds(tables, u, k, l):
+    """The folds the witness replay makes at vertex ``u`` for a task of
+    ``k`` parts and budget ``l``: its children's cut-charge tables as u
+    takes them, their left-to-right folds, the fold of all of them, and
+    the left-to-right folds of their least budgets."""
+    from treecut import witness
+
+    tree = tables.tree
+    kids = tree.children_idx[u]
+    X = [witness._child_cells(tables.G[v], tables.M[v], tables.eps[v],
+                              min(k, tree.subtree_size[v] + 1), l, tables.lam + 1,
+                              tables.inf) for v in kids]
+    # a last entry that is never read makes the prefixes run to all of them
+    *prefixes, whole = witness._charge_folds(X + [None], k, l + 1)
+    return X, prefixes, whole, witness._least_folds([tables.M[v] for v in kids], k)

@@ -890,15 +890,17 @@ class TestForest:
         assert ok
         assert len(wit.residue) <= 2
 
-    def test_witness_tables_only_for_feasible_forests(self, monkeypatch):
-        # the layout's least budgets decide first; the tables a witness
-        # needs are built, by one solve of the layout, only once the
-        # virtual root's fold says feasible
+    def test_one_solve_decides_and_keeps_the_witness_tables(self, monkeypatch):
+        # with a witness wanted, one solve of the layout keeps the tables
+        # and answers the decision from them, and no decision runs before
+        # it; without, one decision and no tables
         import treecut.search as search
 
-        solved = []
+        solved, decided = [], []
         monkeypatch.setattr(search, "solve", lambda t, spec: solved.append(t)
                             or solve(t, spec))
+        monkeypatch.setattr(search, "decide", lambda t, spec: decided.append(t)
+                            or decide(t, spec))
         rng = random.Random(45)
         outcomes = set()
         for _ in range(30):
@@ -912,16 +914,21 @@ class TestForest:
             spec = ProblemSpec(Fraction(rng.randint(0, 6), 2), rng.randint(1, 5),
                                rng.randint(0, 2))
             solved.clear()
+            decided.clear()
             ok, wit = decide_forest(forest, spec)
-            assert ok == decide_forest(forest, spec, want_witness=False)[0]
+            # too few parts for the trees is a no before the layout is built
+            early = search._too_few_parts(forest.trees, spec.parts, spec.outliers)
+            assert solved == ([] if early else [forest.layout]) and decided == []
+            solved.clear()
+            assert (ok, None) == decide_forest(forest, spec, want_witness=False)
+            assert solved == [] and decided == ([] if early else [forest.layout])
             outcomes.add(ok)
             if ok:
-                assert solved == [forest.layout]
                 assert len(wit.parts) == spec.parts
                 assert len(wit.residue) <= spec.outliers
                 assert wit.max_expansion <= spec.xi
             else:
-                assert solved == [] and wit is None
+                assert wit is None
         assert outcomes == {True, False}
 
     def test_unknown_forbidden_id_raises_as_on_a_tree(self):

@@ -8,7 +8,7 @@ import pytest
 
 import _brute
 import _grid
-from conftest import broom_tree, path_tree, random_tree, star_tree
+from conftest import broom_tree, path_tree, random_tree, replay_folds, star_tree
 from treecut import (
     INFINITY,
     Forest,
@@ -1006,6 +1006,100 @@ def _numpy_least(tree, forb, xis, kappa, lam, use_pot):
         kappa, lam, use_pot).tolist()
 
 
+def _python_tables(tree, spec):
+    """Every vertex's tables from the Python sweep."""
+    tables = solver.WitnessTables(tree, spec)
+    solver._least_budgets(tree, spec, keep=tables)
+    return tables
+
+
+def _finite_cells(tables):
+    """The tables with every infeasible cell as None: the two sources
+    hold different values there, all above a * W + b * C, the bound of
+    every finite cell (see ``solver._charges``)."""
+    tree, xi = tables.tree, tables.spec.xi
+    top = (xi.numerator * tree.subtree_weight_scaled[tree.root]
+           + xi.denominator * tree.scaled_totals()[0])
+    return ([None if g is None else [x if x <= top else None for x in g] for g in tables.G],
+            tables.M)
+
+
+class TestWitnessTables:
+    """Every vertex's tables at one threshold from the numpy sweep
+    (``_fastlane.witness_tables``), as ``solve`` takes them, against the
+    Python sweep's."""
+
+    def test_both_sources_keep_the_same_tables(self, monkeypatch):
+        # trees of every shape and forests, with potentials and forbidden
+        # outliers, at small budgets (scan rounds), parts = n (step
+        # rounds) and in between; stars' leaves and forests of single
+        # vertices make leaf rounds
+        kinds = []
+        real = _fastlane._round_kind
+        monkeypatch.setattr(_fastlane, "_round_kind",
+                            lambda rnd, rows: kinds.append(real(rnd, rows)) or kinds[-1])
+        rng = random.Random(37)
+        for trial in range(240):
+            use_pot = trial % 3 != 0
+            n = rng.randint(1, 60)
+            if trial % 4 == 3:
+                t = _forest(rng, [rng.randint(1, 12) for _ in range(rng.randint(1, 5))],
+                            use_pot).layout
+                n = t.vertex_count
+            else:
+                t = _shaped_tree(rng, n, _SHAPES[trial % len(_SHAPES)], use_pot)
+            forb = frozenset(v for v in t.ids if rng.random() < 0.15)
+            kappa = rng.choice((1, 2, 3, rng.randint(1, n), n))
+            lam = rng.choice((0, 1, 2, rng.randint(0, n)))
+            xi = Fraction(rng.randint(0, 20), rng.randint(1, 6))
+            spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
+            before = len(kinds)
+            tables = solve(t, spec)
+            assert len(kinds) > before
+            want = _python_tables(t, spec)
+            assert _finite_cells(tables) == _finite_cells(want), (trial, spec)
+            assert (tables.eps, tables.thr, tables.inf) == (want.eps, want.thr, want.inf)
+            assert tables.feasible == want.feasible == decide(t, spec)
+        assert {"scan", "step", "leaf"} <= set(kinds)
+
+    def test_no_numpy_tables_over_the_gates(self, monkeypatch):
+        # values over the int64 bound, or a kept-table figure over the
+        # memory gate, leave the tables to the Python sweep
+        t = _scaled_star()
+        spec = ProblemSpec(1, 2, 1)
+        assert _fastlane.witness_tables(t, spec.xi, 2, 1, False, (), 1) is None
+        assert solve(t, spec).G == _python_tables(t, spec).G
+        t = _shaped_tree(random.Random(38), 40, "random", True)
+        spec = ProblemSpec(Fraction(1, 2), 3, 2, True)
+        inf = solver._charges(t, spec)[2]
+        assert _fastlane.witness_tables(t, spec.xi, 3, 2, True, (), inf) is not None
+        monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", _fastlane._kept_bytes(t, 3, 2) - 1)
+        assert _fastlane._engages(t, (spec.xi,), 3, 2)
+        assert _fastlane.witness_tables(t, spec.xi, 3, 2, True, (), inf) is None
+        assert solve(t, spec).G == _python_tables(t, spec).G
+
+    def test_kept_table_figure_covers_the_peak(self):
+        # tracemalloc sees numpy's buffers and the lists kept; the figure
+        # stays within a few times the peak
+        for shape, n, kappa, lam in (("star", 2000, 3, 2), ("path", 2000, 20, 5),
+                                     ("random", 2000, 3, 2), ("caterpillar", 2000, 2, 0),
+                                     ("spider", 300, 300, 3), ("path", 300, 300, 0),
+                                     ("broom", 300, 300, 3)):
+            t = _shaped_tree(random.Random(n), n, shape, True)
+            t.heavy_paths()
+            spec = ProblemSpec(Fraction(1, 3), kappa, lam, True)
+            inf = solver._charges(t, spec)[2]
+            figure = _fastlane._kept_bytes(t, kappa, lam)
+            tracemalloc.start()
+            try:
+                assert _fastlane.witness_tables(t, spec.xi, kappa, lam, True, (), inf)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= _fastlane._FIXED_BYTES + figure and figure <= 5 * peak, \
+                (shape, kappa, lam)
+
+
 class TestForestLayout:
     """A forest decided as one tree under a virtual root, in every lane,
     against the fold of its trees' least budgets one tree at a time."""
@@ -1050,8 +1144,11 @@ class TestForestLayout:
             lp1 = lam + 1
             for u in range(n):
                 held = [len(tables.G[u]) // lp1, len(tables.M[u]) - 1]
-                for Y, U, X in tables.folds[u] or ():
-                    held += [len(Y) // lp1, len(X) // lp1, len(U) - 1]
+                if len(layout.children_idx[u]) > 1:
+                    # the replay's folds at u's largest task
+                    X, prefixes, whole, least = replay_folds(tables, u, held[1], lam)
+                    held += [len(Y) // lp1 for Y in X + prefixes + [whole]]
+                    held += [len(U) - 1 for U in least]
                 assert max(held) <= cap
             assert _fastlane.root_row(layout, xis[0], kappa, lam, use_pot, forb) == rows[0]
             assert _fastlane.decide_many(layout, xis, kappa, lam, use_pot, forb) \

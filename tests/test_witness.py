@@ -23,6 +23,7 @@ from treecut import (
     solve,
     validate_subpartition,
 )
+from treecut import _fastlane
 from treecut.oracle import EnumerationBudget
 from treecut.tree import part_cap
 from treecut.witness import (
@@ -189,11 +190,43 @@ def _mirrored_tree(rng):
     return build_rooted_tree(vertices, edges, "r")
 
 
+def _table_source(monkeypatch, source):
+    """Make ``solve`` take its tables from ``source``, "numpy" (as it
+    does wherever the numpy sweep engages) or "python" (the numpy sweep
+    held off by a zero memory gate); returns a list that counts the
+    tables the numpy sweep gave."""
+    given = []
+    real = _fastlane.witness_tables
+    if source == "python":
+        monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", 0)
+
+    def spy(*args):
+        out = real(*args)
+        if out is not None:
+            given.append(out)
+        return out
+
+    monkeypatch.setattr(_fastlane, "witness_tables", spy)
+    return given
+
+
 class TestReplayMatchesGrid:
-    def test_witnesses_equal_the_grid_dp_witnesses(self):
-        # the replay from the sweep's tables picks, cell by cell, the choice
-        # the grid DP records (tests/_grid.py), so the two witnesses agree
-        # part for part and in part order, ties included
+    def test_witnesses_equal_the_grid_dp_witnesses(self, monkeypatch):
+        # the replay from the numpy sweep's tables picks, cell by cell,
+        # the choice the grid DP records (tests/_grid.py), so the two
+        # witnesses agree part for part and in part order, ties included
+        given = _table_source(monkeypatch, "numpy")
+        assert self._check_against_grid(random.Random(61), 2000) > 3000
+        assert given
+
+    def test_python_source_witnesses_equal_the_grid_dp_witnesses(self, monkeypatch):
+        # the same replay from the Python sweep's tables
+        given = _table_source(monkeypatch, "python")
+        assert self._check_against_grid(random.Random(66), 600) > 900
+        assert not given
+
+    @staticmethod
+    def _check_against_grid(rng, trials):
         def same_as_grid(t, spec):
             got = reconstruct_subpartition(t, spec, solve(t, spec))
             assert got == _grid.witness(t, spec, _grid.solve(t, spec)), (t.ids, spec)
@@ -217,10 +250,9 @@ class TestReplayMatchesGrid:
         assert sub.parts == (frozenset({"c", "x"}),)
         assert sub.residue == frozenset({"u", "y"})
 
-        rng = random.Random(61)
         budget = EnumerationBudget(max_vertices=12, max_parts=13)
         feasible = 0
-        for trial in range(2000):
+        for trial in range(trials):
             if trial % 4:
                 n = rng.randint(1, 12)
                 use_pot = rng.random() < 0.4
@@ -242,7 +274,7 @@ class TestReplayMatchesGrid:
             for xi in xis:
                 spec = ProblemSpec(xi, parts, outliers, use_pot, forb)
                 feasible += same_as_grid(t, spec) is not None
-        assert feasible > 3000
+        return feasible
 
 
 def _tied_forest(rng, trees, size, use_pot):
@@ -251,14 +283,32 @@ def _tied_forest(rng, trees, size, use_pot):
 
 
 class TestForestFoldMatchesGrid:
-    def test_least_budget_fold_equals_the_grid_fold(self):
+    def test_least_budget_fold_equals_the_grid_fold(self, monkeypatch):
         # the virtual root's fold splits parts and budget across trees as
         # the grid fold's back pointers and the 1-D fold's first fit do
         # (tests/_grid.py), so feasibility and witness agree, part order
-        # included
-        rng = random.Random(64)
+        # included, from the numpy sweep's tables
+        given = _table_source(monkeypatch, "numpy")
+        cases, witnesses, capped, capped_witnesses = self._check_against_grid(
+            random.Random(64), 1000)
+        assert cases > 2500 and witnesses > 1800
+        # the cap binds in more than one case in eight
+        assert capped * 8 > cases and capped_witnesses > 300
+        assert given
+
+    def test_python_source_fold_equals_the_grid_fold(self, monkeypatch):
+        # the same from the Python sweep's tables
+        given = _table_source(monkeypatch, "python")
+        cases, witnesses, capped, capped_witnesses = self._check_against_grid(
+            random.Random(67), 300)
+        assert cases > 700 and witnesses > 500
+        assert capped * 8 > cases and capped_witnesses > 80
+        assert not given
+
+    @staticmethod
+    def _check_against_grid(rng, trials):
         cases = witnesses = capped = capped_witnesses = 0
-        for _ in range(1000):
+        for _ in range(trials):
             use_pot = rng.random() < 0.5
             forest = _tied_forest(rng, rng.randint(2, 5), 5, use_pot)
             total = forest.vertex_count
@@ -286,9 +336,7 @@ class TestForestFoldMatchesGrid:
                 witnesses += got[1] is not None
                 capped += binds
                 capped_witnesses += binds and got[1] is not None
-        assert cases > 2500 and witnesses > 1800
-        # the cap binds in more than one case in eight
-        assert capped * 8 > cases and capped_witnesses > 300
+        return cases, witnesses, capped, capped_witnesses
 
     def test_many_trees_and_large_budgets(self):
         # 200 trees of 1-5 vertices at 50 parts and 20 outliers: the grid
