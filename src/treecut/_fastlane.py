@@ -71,8 +71,9 @@ _MAX_TABLE_BYTES = 1 << 31
 # the light children of a round's vertices fold in pairs, all at once, in
 # ceil(log2(degree)) rounds (``_fold_children``); no table depends on
 # the fold order (a witness's choices do, and the replay folds a vertex's
-# children again, left to right, where it splits a cell between them).  A subtree of s vertices holds at most s parts, so every table
-# and each merge's output keep only the rows its subtree sizes can fill
+# children again, left to right, where it splits a cell between them).
+# A subtree of s vertices holds at most s parts, so every table and each
+# merge's output keep only the rows its subtree sizes can fill
 # (the tree-knapsack bound).  Below a virtual root no vertex keeps more
 # rows than a tree of the forest can hold parts in a feasible split
 # (``_row_cap``): rows up to the cap read only rows up to it, so the
@@ -545,9 +546,8 @@ def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1, keep=None):
     (see the chain comment): ``Z`` and ``U`` are the light folds of the
     round's ``lpar`` (or None), and ``e_r``, ``t_r``, ``free`` and
     ``size_r`` its vertices' charges, threshold tests, freedom to be an
-    outlier and subtree sizes.  A list ``keep`` takes each step's
-    positions (in the dense layout) with their tables (see
-    ``witness_tables``)."""
+    outlier and subtree sizes.  ``keep``, where given, takes each step's
+    positions (in the dense layout) with their tables."""
     none = lp1
     order, steps = _step_plan(rnd)
     nb = t_r.shape[0]
@@ -582,7 +582,7 @@ def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1, keep=None):
                 Uu = _grow(M[:rows_j + 1, ..., :p], rows_j + 1, none)
             M = _least_rows(G, Uu, t_r.take(pos, axis=-1), free[pos], none)
         if keep is not None:
-            keep.append((rnd["vert"][pos], G, M))
+            keep(rnd["vert"][pos], G, M)
         # the paths of exactly j + 1 vertices end here, at their tops
         rest = steps[j + 1][0].size if j + 1 < len(steps) else 0
         Gt[:G.shape[0], ..., order[rest:p]] = G[..., rest:]
@@ -613,7 +613,7 @@ class _Recent:
 def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, keep=None):
     """The tables of a round's path tops, row by row along its paths (see
     the chain comment).  Arguments as ``_step_round``'s; ``keep`` takes
-    the rows of every position of the round."""
+    the tables of every position of the round."""
     none = lp1
     nb = t_r.shape[0]
     budgets = np.arange(lp1)[:, None, None]
@@ -640,7 +640,6 @@ def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, keep=None):
     if keep is not None:
         Gk = np.empty((rows, lp1, nb, m), dtype=np.int64)
         Mk = np.empty((rows + 1, nb, m), dtype=np.int64)
-        keep.append((rnd["vert"], Gk, Mk))
     for k in range(rows + 1):
         # least budgets, row k: u covered, passing its threshold test ...
         if k:
@@ -703,6 +702,8 @@ def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, keep=None):
             g = Grow.take(h, axis=-1)
             e = e_r.take(h, axis=-1)
             Xh.put(i, np.where((budgets >= mh) & (e <= g), e, g))
+    if keep is not None:
+        keep(rnd["vert"], Gk, Mk)
     return Gt, Mt
 
 
@@ -710,9 +711,10 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot, keep=None):
     """Least sufficient outlier budget at the root, ``out[j, k]`` for
     threshold ``a_arr[j] / b_arr[j]`` and ``k`` parts (a value over ``lam``
     marks an infeasible cell), over the heavy-path rounds that
-    ``RootedTree.heavy_paths`` keeps in ``dense``.  A list ``keep`` takes
-    the tables the rounds build, as ``(positions, G, M)`` with the
-    positions on the last axis (see ``witness_tables``)."""
+    ``RootedTree.heavy_paths`` keeps in ``dense``.  ``keep``, where given,
+    is called with the tables of the rounds' positions as they are built,
+    as ``keep(positions, G, M)`` with the positions on the last axis (see
+    ``witness_tables``)."""
     rounds = dense["rounds"]
     eps, thr = _charges(dense, a_arr, b_arr, use_pot)
     size = dense["size"]
@@ -734,7 +736,7 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot, keep=None):
         if kind == "leaf":
             Gt, Mt = _leaf_tables(t_r, free, lp1)
             if keep is not None:
-                keep.append((vert, Gt, Mt))
+                keep(vert, Gt, Mt)
             continue
         Z = U = None
         if rnd["lpar"].size:
@@ -1112,11 +1114,6 @@ def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
             or _kept_bytes(tree, kappa, lam) > _MAX_TABLE_BYTES):
         return None
     dense = tree.dense_arrays()
-    keep = []
-    least = _chain_sweep(dense, _forb_array(tree, forbidden_ids),
-                         np.array([xi.numerator], dtype=np.int64),
-                         np.array([xi.denominator], dtype=np.int64),
-                         kappa, lam, use_pot, keep)
     if "bfs" not in dense:
         dense["bfs"] = np.argsort(dense["pos"])  # the tree index at each position
     index, size = dense["bfs"], dense["size"]
@@ -1124,10 +1121,10 @@ def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
     lp1 = lam + 1
     G = [None] * size.size
     M = [None] * size.size
-    for vert, g, m in keep:
+
+    def keep(vert, g, m):
         # (rows, ..., positions) to one list of cells per position, in the
-        # rows its subtree fills: the positions of a round in runs of
-        # equal row counts
+        # rows its subtree fills: the positions in runs of equal row counts
         rows = np.minimum(cap, size[vert])
         order = np.argsort(rows, kind="stable")
         ends = np.append(np.flatnonzero(np.diff(rows[order])) + 1, order.size)
@@ -1139,11 +1136,16 @@ def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
             # small ints add faster than 2^61
             np.minimum(cells, inf, out=cells)
             cells = cells.reshape(r * lp1, -1).T.tolist()
-            least_rows = m[:r + 1].take(sel, axis=-1).reshape(r + 1, -1).T.tolist()
-            for u, gu, mu in zip(index[vert[sel]].tolist(), cells, least_rows):
+            budgets = m[:r + 1].take(sel, axis=-1).reshape(r + 1, -1).T.tolist()
+            for u, gu, mu in zip(index[vert[sel]].tolist(), cells, budgets):
                 G[u] = gu
                 M[u] = mu
             start = end
+
+    least = _chain_sweep(dense, _forb_array(tree, forbidden_ids),
+                         np.array([xi.numerator], dtype=np.int64),
+                         np.array([xi.denominator], dtype=np.int64),
+                         kappa, lam, use_pot, keep)
     if dense.get("virtual_root"):
         M[int(index[0])] = np.minimum(least[0], lp1).tolist()
     return G, M

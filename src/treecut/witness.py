@@ -184,6 +184,10 @@ def _collect(tables: WitnessTables, k0: int, l0: int):
                                   tables.inf) for v in kids]
                 folds = _charge_folds(X, k, l + 1)
                 for ci in range(d - 1, 0, -1):
+                    if ck == 1 and cl == 0:
+                        # as above, for the children before this one
+                        portions += [(cj, 1, 0) for cj in range(ci, 0, -1)]
+                        break
                     kp, lp = _part_split(folds[ci - 1], X[ci], ck, cl, l + 1)
                     portions.append((ci, ck + 1 - kp, cl - lp))
                     ck, cl = kp, lp

@@ -65,11 +65,26 @@ def broom_tree():
     return build_rooted_tree(vertices, edges, "r")
 
 
+def charge_folds(X, rows, w):
+    """Cut-charge tables ``X`` of ``w`` columns folded left to right, in
+    full and in rows below ``rows``: entry ``i`` folds the first ``i + 1``
+    (a reference for the replay's lazy folds)."""
+    from treecut.solver import _min_plus_plan
+
+    folds = [X[0]]
+    for x in X[1:]:
+        Y = folds[-1]
+        plan = _min_plus_plan(len(Y) // w, len(x) // w,
+                              min(rows, len(Y) // w + len(x) // w - 1), w)
+        folds.append([min([Y[p] + x[q] for p, q in cell]) for cell in plan])
+    return folds
+
+
 def replay_folds(tables, u, k, l):
-    """The folds the witness replay makes at vertex ``u`` for a task of
-    ``k`` parts and budget ``l``: its children's cut-charge tables as u
-    takes them, their left-to-right folds, the fold of all of them, and
-    the left-to-right folds of their least budgets."""
+    """What the witness replay reads at vertex ``u`` for a task of ``k``
+    parts and budget ``l``: its children's cut-charge tables as u takes
+    them, their left-to-right folds (in full, ``charge_folds``), and the
+    left-to-right folds of their least budgets."""
     from treecut import witness
 
     tree = tables.tree
@@ -77,6 +92,4 @@ def replay_folds(tables, u, k, l):
     X = [witness._child_cells(tables.G[v], tables.M[v], tables.eps[v],
                               min(k, tree.subtree_size[v] + 1), l, tables.lam + 1,
                               tables.inf) for v in kids]
-    # a last entry that is never read makes the prefixes run to all of them
-    *prefixes, whole = witness._charge_folds(X + [None], k, l + 1)
-    return X, prefixes, whole, witness._least_folds([tables.M[v] for v in kids], k)
+    return X, charge_folds(X, k, l + 1), witness._least_folds([tables.M[v] for v in kids], k)

@@ -1013,15 +1013,19 @@ def _python_tables(tree, spec):
     return tables
 
 
-def _finite_cells(tables):
-    """The tables with every infeasible cell as None: the two sources
-    hold different values there, all above a * W + b * C, the bound of
-    every finite cell (see ``solver._charges``)."""
+def _finite(tables, cells):
+    """Cut-charge cells with every infeasible one as None: the two
+    sources hold different values there, all above a * W + b * C, the
+    bound of every finite cell (see ``solver._charges``)."""
     tree, xi = tables.tree, tables.spec.xi
     top = (xi.numerator * tree.subtree_weight_scaled[tree.root]
            + xi.denominator * tree.scaled_totals()[0])
-    return ([None if g is None else [x if x <= top else None for x in g] for g in tables.G],
-            tables.M)
+    return [x if x <= top else None for x in cells]
+
+
+def _finite_cells(tables):
+    """Every vertex's tables, with ``_finite`` cut-charge cells."""
+    return [None if g is None else _finite(tables, g) for g in tables.G], tables.M
 
 
 class TestWitnessTables:
@@ -1146,9 +1150,11 @@ class TestForestLayout:
                 held = [len(tables.G[u]) // lp1, len(tables.M[u]) - 1]
                 if len(layout.children_idx[u]) > 1:
                     # the replay's folds at u's largest task
-                    X, prefixes, whole, least = replay_folds(tables, u, held[1], lam)
-                    held += [len(Y) // lp1 for Y in X + prefixes + [whole]]
+                    X, folds, least = replay_folds(tables, u, held[1], lam)
+                    held += [len(Y) // lp1 for Y in X + folds]
                     held += [len(U) - 1 for U in least]
+                    # the last fold holds all of u's children: u's own table
+                    assert _finite(tables, folds[-1]) == _finite(tables, tables.G[u])
                 assert max(held) <= cap
             assert _fastlane.root_row(layout, xis[0], kappa, lam, use_pot, forb) == rows[0]
             assert _fastlane.decide_many(layout, xis, kappa, lam, use_pot, forb) \

@@ -6,7 +6,7 @@ import pytest
 
 import _brute
 import _grid
-from conftest import path_tree, random_tree, star_tree
+from conftest import charge_folds, path_tree, random_tree, star_tree
 from treecut import (
     EmptyPart,
     Forest,
@@ -23,7 +23,7 @@ from treecut import (
     solve,
     validate_subpartition,
 )
-from treecut import _fastlane
+from treecut import _fastlane, witness
 from treecut.oracle import EnumerationBudget
 from treecut.tree import part_cap
 from treecut.witness import (
@@ -400,6 +400,33 @@ class TestWitnessCost:
             tracemalloc.stop()
         assert tables.feasible
         assert retained < 1000 * n
+
+
+class TestRestrictedFolds:
+    def test_folds_up_to_a_cell_equal_the_full_folds_there(self):
+        # the replay folds children's tables only up to its task's (k, l):
+        # those cells equal the full folds' (rows below the cap, every
+        # budget), since a (min,+) cell reads only cells at no more parts
+        # and no more budget
+        rng = random.Random(68)
+        inf = 10 ** 6
+        for _ in range(1500):
+            d, cap, lam = rng.randint(2, 7), rng.randint(1, 5), rng.randint(0, 3)
+            lp1 = lam + 1
+            X = [[inf if rng.random() < 0.2 else rng.randint(-2, 4)
+                  for _ in range(rng.randint(1, cap) * lp1)] for _ in range(d)]
+            Ms = [[rng.randint(0, lp1) for _ in range(rng.randint(1, cap + 1))]
+                  for _ in range(d)]
+            full = charge_folds(X, cap, lp1)
+            k, l = rng.randint(1, cap), rng.randint(0, lam)
+            cut = [[x for i, x in enumerate(Y) if i // lp1 < k and i % lp1 <= l]
+                   for Y in X]
+            got = witness._charge_folds(cut, k, l + 1)
+            assert got == [[x for i, x in enumerate(Y) if i // lp1 < k and i % lp1 <= l]
+                           for Y in full[:d - 1]]
+            least = witness._least_folds(Ms, k)
+            want = witness._least_folds(Ms, cap)
+            assert least == [U[:k + 1] for U in want]
 
 
 class TestValidate:
