@@ -1104,12 +1104,13 @@ def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
     from one chain sweep that keeps the rows its rounds build: per tree
     index, ``G`` a flat list of ``min(cap, size)`` rows of ``lam + 1``
     Python ints (``cap`` the row cap, ``_row_cap``) and ``M`` one more
-    least budget than that, ``lam + 1`` where none suffices.  A virtual
-    root has no ``G`` (None) and its trees' least budgets folded as its
-    ``M``.  Infeasible cells hold ``inf``, the Python sweep's infinity,
-    which is under the int64 bound.  None when the sweep cannot engage
-    or the figure of what it keeps (``_kept_bytes``) is over
-    ``_MAX_TABLE_BYTES``."""
+    least budget than that, ``lam + 1`` where none suffices, with each
+    parent edge's cut charge and each vertex's threshold test.  A
+    virtual root has no ``G`` (None) and its trees' least budgets folded
+    as its ``M``.  Infeasible cells hold ``inf``, the Python sweep's
+    infinity, which is under the int64 bound.  None when the sweep
+    cannot engage or the figure of what it keeps (``_kept_bytes``) is
+    over ``_MAX_TABLE_BYTES``."""
     if (not _engages(tree, (xi,), kappa, lam)
             or _kept_bytes(tree, kappa, lam) > _MAX_TABLE_BYTES):
         return None
@@ -1119,36 +1120,40 @@ def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
     index, size = dense["bfs"], dense["size"]
     cap = _row_cap(dense, kappa, lam)
     lp1 = lam + 1
-    G = [None] * size.size
-    M = [None] * size.size
+    # every position but a virtual root's, in the order the rounds give
+    # them: tree indices and lists of cells
+    kept_at, cells, budgets = [], [], []
 
     def keep(vert, g, m):
         # (rows, ..., positions) to one list of cells per position, in the
         # rows its subtree fills: the positions in runs of equal row counts
         rows = np.minimum(cap, size[vert])
-        order = np.argsort(rows, kind="stable")
-        ends = np.append(np.flatnonzero(np.diff(rows[order])) + 1, order.size)
-        start = 0
-        for end in ends.tolist():
-            sel = order[start:end]
-            r = int(rows[sel[0]])
-            cells = g[:r].take(sel, axis=-1)
+        if rows.min() == rows.max():
+            runs = [(int(rows[0]), slice(None))]
+        else:
+            order = np.argsort(rows, kind="stable")
+            ends = np.flatnonzero(np.diff(rows[order])) + 1
+            runs = [(int(rows[sel[0]]), sel) for sel in np.split(order, ends)]
+        for r, sel in runs:
+            kept_at.append(index[vert[sel]])
             # small ints add faster than 2^61
-            np.minimum(cells, inf, out=cells)
-            cells = cells.reshape(r * lp1, -1).T.tolist()
-            budgets = m[:r + 1].take(sel, axis=-1).reshape(r + 1, -1).T.tolist()
-            for u, gu, mu in zip(index[vert[sel]].tolist(), cells, budgets):
-                G[u] = gu
-                M[u] = mu
-            start = end
+            cells.extend(np.minimum(g[:r, ..., sel], inf).reshape(r * lp1, -1).T.tolist())
+            budgets.extend(m[:r + 1, ..., sel].reshape(r + 1, -1).T.tolist())
 
     least = _chain_sweep(dense, _forb_array(tree, forbidden_ids),
                          np.array([xi.numerator], dtype=np.int64),
                          np.array([xi.denominator], dtype=np.int64),
                          kappa, lam, use_pot, keep)
+    # by tree index; a virtual root's is the last
+    order = np.argsort(np.concatenate(kept_at)).tolist()
+    G = list(map(cells.__getitem__, order))
+    M = list(map(budgets.__getitem__, order))
     if dense.get("virtual_root"):
-        M[int(index[0])] = np.minimum(least[0], lp1).tolist()
-    return G, M
+        G.append(None)
+        M.append(np.minimum(least[0], lp1).tolist())
+    eps, thr = _charges(dense, np.array([xi.numerator]), np.array([xi.denominator]), use_pot)
+    pos = dense["pos"]
+    return G, M, eps[0, pos].tolist(), thr[0, pos].tolist()
 
 
 def decide_many(tree, xis, kappa: int, lam: int, use_pot: bool,

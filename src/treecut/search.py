@@ -195,9 +195,11 @@ class _Prober:
         self.min_yes = None
 
     def floor(self, x: Fraction) -> Fraction:
-        f = self.floors.get(x)
+        # keyed by the ints: a Fraction's hash takes a modular inverse
+        key = x.numerator, x.denominator
+        f = self.floors.get(key)
         if f is None:
-            f = self.floors[x] = _farey_bracket(x, self.limit)[0]
+            f = self.floors[key] = _farey_bracket(x, self.limit)[0]
         return f
 
     def __call__(self, xis) -> list[bool]:

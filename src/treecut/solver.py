@@ -142,10 +142,20 @@ class WitnessTables:
         return self.M[self.tree.root][self.spec.parts] <= self.lam
 
 
+def _infinity(tree: RootedTree, xi: Fraction) -> int:
+    """The sweep's infinity at threshold ``xi``.  A cell sums the charges
+    of cut vertices none of which lies below another, so a finite cell
+    lies in [-b * P, a * W + b * C] and a threshold is at most a * W:
+    over W, C, P, totals of weight, cost and potential, a cell holding
+    inf stays above both."""
+    c_total, p_total = tree.scaled_totals()
+    return (xi.numerator * tree.subtree_weight_scaled[tree.root]
+            + xi.denominator * (c_total + p_total) + 1)
+
+
 def _charges(tree: RootedTree, spec: ProblemSpec):
-    """The charge of cutting each parent edge, the threshold test of a
-    part topped at each vertex (a leaf passes it iff thr >= 0), and the
-    sweep's infinity."""
+    """The charge of cutting each parent edge, and the threshold test of
+    a part topped at each vertex (a leaf passes it iff thr >= 0)."""
     a, b = spec.xi.numerator, spec.xi.denominator
     w_sub = tree.subtree_weight_scaled
     c_s = tree.cost_scaled
@@ -154,13 +164,7 @@ def _charges(tree: RootedTree, spec: ProblemSpec):
                for w, c, p in zip(w_sub, c_s, tree.subtree_potential_scaled)]
     else:
         eps = [a * w + b * c for w, c in zip(w_sub, c_s)]
-    thr = [e - 2 * b * c for e, c in zip(eps, c_s)]
-    # a cell sums the charges of cut vertices none of which lies below
-    # another, so a finite cell lies in [-b * P, a * W + b * C] and a
-    # threshold is at most a * W: over W, C, P, totals of weight, cost
-    # and potential, a cell holding inf stays above both
-    c_total, p_total = tree.scaled_totals()
-    return eps, thr, a * w_sub[tree.root] + b * (c_total + p_total) + 1
+    return eps, [e - 2 * b * c for e, c in zip(eps, c_s)]
 
 
 def _min_plus_plan(ny: int, nx: int, rows: int, cols: int) -> list:
@@ -198,7 +202,8 @@ def _least_budgets(tree: RootedTree, spec: ProblemSpec,
         # the trees' rows add up to kappa or more, so the root keeps
         # kappa + 1 entries
         cap = max(1, part_cap([size[v] for v in children[root]], kappa, lam))
-    eps, thr, inf = _charges(tree, spec)
+    eps, thr = _charges(tree, spec)
+    inf = _infinity(tree, spec.xi)
 
     cut_plans = {}   # rows -> (row, column) of each flat cell
     gamma_plans = {}
@@ -294,14 +299,14 @@ def solve(tree: RootedTree, spec: ProblemSpec) -> WitnessTables:
     from . import _fastlane
 
     tables = WitnessTables(tree, spec)
-    tables.eps, tables.thr, tables.inf = _charges(tree, spec)
+    tables.inf = _infinity(tree, spec.xi)
     kept = _fastlane.witness_tables(tree, spec.xi, min(spec.parts, tree.vertex_count),
                                     tables.lam, spec.use_potentials,
                                     spec.forbidden_outliers, tables.inf)
     if kept is None:
         _least_budgets(tree, spec, keep=tables)
     else:
-        tables.G, tables.M = kept
+        tables.G, tables.M, tables.eps, tables.thr = kept
     return tables
 
 

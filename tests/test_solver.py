@@ -1016,7 +1016,7 @@ def _python_tables(tree, spec):
 def _finite(tables, cells):
     """Cut-charge cells with every infeasible one as None: the two
     sources hold different values there, all above a * W + b * C, the
-    bound of every finite cell (see ``solver._charges``)."""
+    bound of every finite cell (see ``solver._infinity``)."""
     tree, xi = tables.tree, tables.spec.xi
     top = (xi.numerator * tree.subtree_weight_scaled[tree.root]
            + xi.denominator * tree.scaled_totals()[0])
@@ -1075,7 +1075,7 @@ class TestWitnessTables:
         assert solve(t, spec).G == _python_tables(t, spec).G
         t = _shaped_tree(random.Random(38), 40, "random", True)
         spec = ProblemSpec(Fraction(1, 2), 3, 2, True)
-        inf = solver._charges(t, spec)[2]
+        inf = solver._infinity(t, spec.xi)
         assert _fastlane.witness_tables(t, spec.xi, 3, 2, True, (), inf) is not None
         monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", _fastlane._kept_bytes(t, 3, 2) - 1)
         assert _fastlane._engages(t, (spec.xi,), 3, 2)
@@ -1092,7 +1092,7 @@ class TestWitnessTables:
             t = _shaped_tree(random.Random(n), n, shape, True)
             t.heavy_paths()
             spec = ProblemSpec(Fraction(1, 3), kappa, lam, True)
-            inf = solver._charges(t, spec)[2]
+            inf = solver._infinity(t, spec.xi)
             figure = _fastlane._kept_bytes(t, kappa, lam)
             tracemalloc.start()
             try:
