@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .errors import EmptyPart, TableMismatch
 from .solver import ProblemSpec, WitnessTables, _min_plus_plan
@@ -131,18 +130,20 @@ def _collect(tables: WitnessTables, k0: int, l0: int):
     child edge.  Children are visited in order, so parts come out in a
     fixed order.  A split reads the children before each child folded
     together, as the sweep folds them left to right, in the cells up to
-    the task's own (``_least_folds``, ``_charge_folds``).
+    the task's own (``_least_folds``, ``_charge_folds``), from index plans
+    built once per shape in the call.
     """
     tree = tables.tree
     children_of = tree.children_idx
     size = tree.subtree_size
     lp1 = tables.lam + 1
     G, M, eps, thr = tables.G, tables.M, tables.eps, tables.thr
+    plans = {}
     parts: list[set] = []
     residue: set = set()
     # task: (is_gamma, vertex, k, l, part_slot)
     if tree.virtual_root:
-        stack = _tree_tasks(tables, k0, l0)
+        stack = _tree_tasks(tables, k0, l0, plans)
     else:
         stack = [(False, tree.root, k0, l0, -1)]
     while stack:
@@ -161,7 +162,7 @@ def _collect(tables: WitnessTables, k0: int, l0: int):
             residue.add(u)
             ck, cl = k, l - 1
             if d > 1:
-                folds = _least_folds([M[v] for v in kids], k)
+                folds = _least_folds([M[v] for v in kids], k, plans)
             for ci in range(d - 1, 0, -1):
                 kp, lp = _residue_split(folds[ci - 1], M[kids[ci]], ck)
                 # pushed deepest-child first, so pops run in child order
@@ -182,7 +183,7 @@ def _collect(tables: WitnessTables, k0: int, l0: int):
             elif d > 1:
                 X = [_child_cells(G[v], M[v], eps[v], min(k, size[v] + 1), l, lp1,
                                   tables.inf) for v in kids]
-                folds = _charge_folds(X, k, l + 1)
+                folds = _charge_folds(X, k, l + 1, plans)
                 for ci in range(d - 1, 0, -1):
                     if ck == 1 and cl == 0:
                         # as above, for the children before this one
@@ -201,7 +202,7 @@ def _collect(tables: WitnessTables, k0: int, l0: int):
     return parts, residue
 
 
-def _tree_tasks(tables: WitnessTables, k: int, l: int) -> list:
+def _tree_tasks(tables: WitnessTables, k: int, l: int, plans: dict) -> list:
     """A virtual root's split of ``k`` parts and budget ``l`` across the
     trees below it, as ``mu`` tasks with the first tree's on top.  Trees
     are visited last first: each takes the most parts with which the
@@ -213,7 +214,7 @@ def _tree_tasks(tables: WitnessTables, k: int, l: int) -> list:
     tree = tables.tree
     kids = tree.children_idx[tree.root]
     size = tree.subtree_size
-    folds = _least_folds([tables.M[v] for v in kids], k)
+    folds = _least_folds([tables.M[v] for v in kids], k, plans)
     tasks = []
     for ci in range(len(kids) - 1, 0, -1):
         C, B = folds[ci - 1], tables.M[kids[ci]]
@@ -225,25 +226,27 @@ def _tree_tasks(tables: WitnessTables, k: int, l: int) -> list:
     return tasks
 
 
-@lru_cache(maxsize=None)
-def _plan(ny: int, nx: int, rows: int, cols: int) -> list:
-    """``solver._min_plus_plan`` of a product's shape, kept: the replay's
-    products come in a few small shapes."""
-    return _min_plus_plan(ny, nx, rows, cols)
+def _fold(Y, X, rows: int, w: int, plans: dict) -> list:
+    """``out[c][j] = min Y[i][b] + X[c - i][j - b]`` over two flat tables
+    of ``w`` columns, in rows below ``rows``, by the index plan of their
+    shape (``solver._min_plus_plan``), built once into ``plans``."""
+    ry, rx = len(Y) // w, len(X) // w
+    key = ry, rx, rows, w
+    plan = plans.get(key)
+    if plan is None:
+        plan = plans[key] = _min_plus_plan(ry, rx, min(rows, ry + rx - 1), w)
+    return [min([Y[p] + X[q] for p, q in cell]) for cell in plan]
 
 
-def _least_folds(Ms, k: int) -> list:
+def _least_folds(Ms, k: int, plans: dict) -> list:
     """The least budgets ``Ms`` of children folded left to right: entry
     ``i - 1`` is those of the first ``i`` children together, for ``i``
     below their count, by part count up to ``k``.  A fold takes the least
     sum of one entry of each side per part count; where the sweep kept
     more part counts, the ones up to ``k`` read only these."""
-    U = Ms[0][:k + 1]
-    folds = [U]
+    folds = [Ms[0][:k + 1]]
     for mv in Ms[1:-1]:
-        plan = _plan(len(U), len(mv), min(k + 1, len(U) + len(mv) - 1), 1)
-        U = [min([U[p] + mv[q] for p, q in cell]) for cell in plan]
-        folds.append(U)
+        folds.append(_fold(folds[-1], mv, k + 1, 1, plans))
     return folds
 
 
@@ -262,19 +265,15 @@ def _child_cells(g, m, e, rows: int, l: int, lp1: int, inf) -> list:
     return out
 
 
-def _charge_folds(X, k: int, w: int) -> list:
+def _charge_folds(X, k: int, w: int, plans: dict) -> list:
     """The children's cut-charge tables ``X`` (``w`` columns) folded left
     to right: entry ``i - 1`` is the first ``i`` children's together, for
     ``i`` below their count, in rows below ``k``.  A cell takes the least
     sum of one cell of each side at no more parts and no more budget, so
     the cells kept read only kept cells."""
-    Y = X[0]
-    folds = [Y]
+    folds = [X[0]]
     for x in X[1:-1]:
-        ry, rx = len(Y) // w, len(x) // w
-        plan = _plan(ry, rx, min(k, ry + rx - 1), w)
-        Y = [min([Y[p] + x[q] for p, q in cell]) for cell in plan]
-        folds.append(Y)
+        folds.append(_fold(folds[-1], x, k, w, plans))
     return folds
 
 

@@ -92,4 +92,4 @@ def replay_folds(tables, u, k, l):
     X = [witness._child_cells(tables.G[v], tables.M[v], tables.eps[v],
                               min(k, tree.subtree_size[v] + 1), l, tables.lam + 1,
                               tables.inf) for v in kids]
-    return X, charge_folds(X, k, l + 1), witness._least_folds([tables.M[v] for v in kids], k)
+    return X, charge_folds(X, k, l + 1), witness._least_folds([tables.M[v] for v in kids], k, {})

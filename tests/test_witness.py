@@ -421,11 +421,11 @@ class TestRestrictedFolds:
             k, l = rng.randint(1, cap), rng.randint(0, lam)
             cut = [[x for i, x in enumerate(Y) if i // lp1 < k and i % lp1 <= l]
                    for Y in X]
-            got = witness._charge_folds(cut, k, l + 1)
+            got = witness._charge_folds(cut, k, l + 1, {})
             assert got == [[x for i, x in enumerate(Y) if i // lp1 < k and i % lp1 <= l]
                            for Y in full[:d - 1]]
-            least = witness._least_folds(Ms, k)
-            want = witness._least_folds(Ms, cap)
+            least = witness._least_folds(Ms, k, {})
+            want = witness._least_folds(Ms, cap, {})
             assert least == [U[:k + 1] for U in want]
 
 
