@@ -123,11 +123,11 @@ class WitnessTables:
     columns (row i holds i + 1 parts, u's own among them), and ``M[u]``,
     its least budgets by part count.  A virtual root keeps no cut-charge
     table.  ``eps`` is each parent edge's cut charge, ``thr`` each
-    vertex's threshold test, and ``inf`` a value at or below every
-    infeasible cell and above every finite one.  The replay recomputes
-    the partial folds over a vertex's children where it splits a cell
-    between them.  ``feasible`` answers the decision problem at the
-    spec's budgets.
+    vertex's threshold test, and ``inf`` the sweep's infinity
+    (``_infinity``), which stands for the rows a table does not hold.
+    The replay recomputes the partial folds over a vertex's children
+    where it splits a cell between them.  ``feasible`` answers the
+    decision problem at the spec's budgets.
     """
 
     def __init__(self, tree: RootedTree, spec: ProblemSpec):
@@ -293,8 +293,9 @@ def solve(tree: RootedTree, spec: ProblemSpec) -> WitnessTables:
     the tables.  They come from one numpy chain sweep that keeps the rows
     its rounds build (``_fastlane.witness_tables``), or where that does
     not engage from the Python sweep, which keeps each vertex's tables
-    instead of dropping them.  Both give the same tables, bar the value
-    an infeasible cell holds.
+    instead of dropping them.  Both give the same tables, but for the
+    values of infeasible cells: ``inf`` from the numpy sweep, and values
+    above every feasible cell from the Python sweep.
     """
     from . import _fastlane
 

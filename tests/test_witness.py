@@ -384,9 +384,9 @@ class TestWitnessCost:
         assert len(sub.parts) == 3
 
     def test_kept_tables_stay_under_a_kilobyte_per_vertex(self):
-        # the sweep's own tables and partial folds, nothing more: about
-        # 0.47 KB per vertex here (Python 3.11), where full grids with
-        # choice records took 2.4 KB
+        # every vertex's tables, nothing more: about 0.29 KB per vertex
+        # here (Python 3.11; 0.47 KB with the Python sweep's partial
+        # folds), where full grids with choice records took 2.4 KB
         rng = random.Random(62)
         n = 10**4
         t = build_rooted_tree([(i, rng.randint(1, 4)) for i in range(n)],
