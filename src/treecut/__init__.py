@@ -22,6 +22,7 @@ from .errors import (
     RootHasNoParentEdge,
     SelfLoop,
     TableMismatch,
+    TablesTooLarge,
     TreecutError,
     UnknownVertexId,
 )

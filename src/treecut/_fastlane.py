@@ -1,7 +1,7 @@
-"""Int64 decision kernel.
+"""Exact decision kernel.
 
-Compute the same least budgets and tables as ``treecut.solver``
-over flat int64 arrays with numpy, by the chain sweep (``_chain_sweep``):
+Compute the least budgets and tables of the DP that ``treecut.solver``
+describes over flat numpy arrays, by the chain sweep (``_chain_sweep``):
 one batch of array operations per heavy-path round (at most ``log2(n) +
 1`` of them), over all heavy paths of the round at once, so that paths
 and caterpillars, with as many levels as vertices, take a few batches.
@@ -12,22 +12,21 @@ counts, as in ``k_max``), each step a batch for the positions that many
 steps above their leaf; and, for a round of single leaves, in closed
 form.
 
-The sweep is used only when a conservative a-priori bound proves every
-intermediate value fits in 64 bits, so results are exact whenever it
-engages; otherwise (values over the bound, or a memory figure,
-``_chain_bytes``, over ``_MAX_TABLE_BYTES``) ``root_row`` and
-``decide_many`` return None and callers fall back to the Python
-least-budget sweep of ``treecut.solver``, exact at any size.  Witnesses
-come from the kernel too: for one threshold, ``witness_tables`` keeps the
-rows every round builds, which are every vertex's tables, and
-``treecut.solver.solve`` hands them to the replay of ``treecut.witness``
-(or, where the sweep does not engage, the Python sweep's).  A cost rule
-(``cost_us``) prices the sweep from the tree's shape, the budgets and the
-threshold count; ``treecut.search`` sizes its bisection rounds by it.
-
-Any finite table value is a sum of at most ``parts + outliers`` edge
-charges, so ``(parts + outliers + 2) * max_charge`` bounds every quantity
-the kernel compares or adds.
+The sweep is the only DP, exact at any size.  Where a conservative
+a-priori bound (``_bound_ok``) proves every value fits in 64 bits, its
+cut-charge cells are int64; past the bound the same code runs on
+``dtype=object`` arrays of Python ints (``_thresholds`` picks the dtype,
+and ``RootedTree.dense_arrays`` keeps the tree's values as objects only
+when they leave int64).  Least budgets are counts of at most ``lam + 1``
+and stay int64 either way.  A memory figure per threshold
+(``_chain_bytes``, and ``_kept_bytes`` for a witness) bounds what a sweep
+holds; over ``_MAX_TABLE_BYTES`` ``root_row``, ``decide_many`` and
+``witness_tables`` raise ``TablesTooLarge``.  For one threshold,
+``witness_tables`` keeps the rows every round builds, which are every
+vertex's tables, and ``treecut.solver.solve`` hands them to the replay of
+``treecut.witness``.  A cost rule (``cost_us``) prices the int64 sweep
+from the tree's shape, the budgets and the threshold count;
+``treecut.search`` sizes its bisection rounds by it.
 
 Vertices arrive relabeled in BFS order (see ``RootedTree.dense_arrays``):
 position 0 is the root, every vertex's children occupy the contiguous
@@ -50,11 +49,13 @@ call runs of ``lam + 1`` cells.  Only the returned rows are
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import UnknownVertexId
+from .errors import TablesTooLarge, UnknownVertexId
+from .solver import _infinity
 from .tree import part_cap
 
 _SAFE_LIMIT = 1 << 60
@@ -99,12 +100,19 @@ _MAX_TABLE_BYTES = 1 << 31
 # many rows (a step of a round, the last merges of a star's leaves) takes
 # a few calls.
 #
-# Finite values stay inside (-2^60, 2^60) by ``_bound_ok``.  Infinity is
-# 2^61, so a sum with an infinite operand is at least 2^60 (even when the
-# other operand is a negative charge) and is reset to infinity, and two
-# infinities still fit in 63 bits.
+# One infinity serves both dtypes: ``solver._infinity``, for a batch the
+# largest over its thresholds, and every (min,+) product saturates to it
+# (``np.minimum(out, inf, out=out)``).  For a threshold a / b and W, C, P
+# the totals of weight, cost and potential, a cell sums the charges of
+# cut vertices none of which lies below another, so a finite cell lies
+# in [-b * P, a * W + b * C]; an infeasible cell is a sum with an
+# infeasible operand, at least inf - b * P, which inf > a * W + b * (C +
+# P) keeps above every finite cell and every threshold test.  Saturated
+# cells lie in [-b * P, inf], so a sum of two lies in [-2 * inf, 2 * inf];
+# under ``_bound_ok`` 2 * inf < 2^61, so int64 cells never overflow.  On
+# Python ints nothing overflows, and saturating keeps the ints small and
+# the cells equal to the int64 sweep's.
 
-_NP_INF = np.int64(1) << np.int64(61)
 _NP_CHUNK_BYTES = 1 << 25
 _BLOCK_CELLS = 1 << 14
 _BLOCK_ROWS = 8
@@ -121,30 +129,31 @@ def _block_rows(left, span, cells):
     return b if b >= _BLOCK_ROWS else 1
 
 
-def _diagonals(b, span, shape, fill):
+def _diagonals(b, span, shape, fill, dtype):
     """A ``(b, span + b - 1) + shape`` buffer of ``fill``, and a view of it
     whose row ``j`` starts at column ``j``: sums written through the view
     land at the product row they add to, and a minimum over axis 0 of the
-    buffer folds the block."""
-    W = np.empty((b, span + b - 1) + shape, dtype=np.int64)
-    W.fill(fill)
-    V = np.ndarray((b, span) + shape, np.int64, W, 0,
-                   (W.strides[0] + W.strides[1],) + W.strides[1:])
-    return W, V
+    buffer folds the block.  Both reshape one flat array, in which the
+    view's row ``j`` starts ``j (span + b)`` cells in, since numpy builds
+    no object array over another's buffer."""
+    flat = np.empty((b * (span + b),) + shape, dtype=dtype)
+    flat.fill(fill)
+    W = flat[:b * (span + b - 1)].reshape((b, span + b - 1) + shape)
+    return W, flat.reshape((b, span + b) + shape)[:, :span]
 
 
-def _min_plus_gamma(Y, X, rows):
+def _min_plus_gamma(Y, X, rows, inf):
     """``out[c, l] = min Y[i, lp] + X[c - i, l - lp]`` for ``c < rows``,
     over shifted cut-charge rows (axis 0; row ``i`` holds ``i + 1``
-    parts) and budgets (axis 1), saturated as ``_min_plus_budget`` is
-    (once: saturating commutes with the minimum).  The loop runs over the
-    operand with fewer rows, a block of ``_block_rows`` per step."""
+    parts) and budgets (axis 1), saturated to ``inf`` (once: saturating
+    commutes with the minimum).  The loop runs over the operand with
+    fewer rows, a block of ``_block_rows`` per step."""
     if X.shape[0] < Y.shape[0]:
         Y, X = X, Y
     lp1 = Y.shape[1]
-    out = np.empty((rows,) + Y.shape[1:], dtype=np.int64)
-    out.fill(_NP_INF)
-    tmp = np.empty((min(X.shape[0], rows),) + X.shape[1:], dtype=np.int64)
+    out = np.empty((rows,) + Y.shape[1:], dtype=Y.dtype)
+    out.fill(inf)
+    tmp = np.empty((min(X.shape[0], rows),) + X.shape[1:], dtype=Y.dtype)
     loop = min(Y.shape[0], rows)
     cells = tmp[0].size
     i = 0
@@ -157,7 +166,7 @@ def _min_plus_gamma(Y, X, rows):
                 np.add(Y[i, lp], X[:span, :lp1 - lp], out=t)
                 np.minimum(dst, t, out=dst)
         else:
-            W, V = _diagonals(b, span, X.shape[1:], _NP_INF)
+            W, V = _diagonals(b, span, X.shape[1:], inf, Y.dtype)
             top = min(rows - i, span + b - 1)
             for lp in range(lp1):
                 np.add(Y[i:i + b, lp, None, None], X[None, :span, :lp1 - lp],
@@ -165,7 +174,7 @@ def _min_plus_gamma(Y, X, rows):
                 dst = out[i:i + top, lp:]
                 np.minimum(dst, np.minimum.reduce(W[:, :top, lp:], axis=0), out=dst)
         i += b
-    np.putmask(out, out >= _SAFE_LIMIT, _NP_INF)
+    np.minimum(out, inf, out=out)
     return out
 
 
@@ -186,7 +195,7 @@ def _min_plus_mu(U, M, rows, none):
             dst = out[i:i + span]
             np.minimum(dst, U[i] + M[:span], out=dst)
         else:
-            W, V = _diagonals(b, span, M.shape[1:], none)
+            W, V = _diagonals(b, span, M.shape[1:], none, U.dtype)
             np.add(U[i:i + b, None], M[None, :span], out=V)
             top = min(rows - i, span + b - 1)
             dst = out[i:i + top]
@@ -265,18 +274,18 @@ def _charges(dense, a_arr, b_arr, use_pot):
     return eps, thr
 
 
-def _cut_or_join(G, M, e, kappa):
+def _cut_or_join(G, M, e, kappa, inf):
     """Children's cut-charge rows ``G`` as their parent's fold takes them:
     a child joins its parent's part, or its edge is cut at charge ``e``
     with its least budgets ``M`` (at most ``kappa`` rows)."""
     # a child cut off with all its s vertices as parts fills row s
-    G = _grow(G, min(kappa, G.shape[0] + 1), _NP_INF)
+    G = _grow(G, min(kappa, G.shape[0] + 1), inf)
     budgets = np.arange(G.shape[1])[:, None, None]
     cut = (budgets >= M[:G.shape[0], None]) & (e <= G)
     return np.where(cut, e, G)
 
 
-def _fold_children(G, M, e, plan, rows, kappa, none):
+def _fold_children(G, M, e, plan, rows, kappa, none, inf):
     """Children's tables folded per parent: ``G``, ``M`` and ``e`` are the
     children's cut-charge rows, least budgets and edge charges, in runs of
     siblings that ``plan`` pairs; the folds keep at most ``rows`` rows
@@ -285,11 +294,11 @@ def _fold_children(G, M, e, plan, rows, kappa, none):
         # a subtree of s vertices holds at most s parts, so the rows that
         # can be finite add up, up to ``rows``
         return (_min_plus_gamma(left[0], right[0],
-                                min(rows, left[0].shape[0] + right[0].shape[0] - 1)),
+                                min(rows, left[0].shape[0] + right[0].shape[0] - 1), inf),
                 _min_plus_mu(left[1], right[1],
                              min(rows + 1, left[1].shape[0] + right[1].shape[0] - 1), none))
 
-    return _fold_runs(plan, (_cut_or_join(G, M, e, kappa), M), (_NP_INF, none), merge)
+    return _fold_runs(plan, (_cut_or_join(G, M, e, kappa, inf), M), (inf, none), merge)
 
 
 def _least_rows(Y, U, thr, free, none):
@@ -310,7 +319,7 @@ def _leaf_tables(thr, free, lp1):
     own part alone at no charge, and 0 parts with the leaf the outlier
     (budget 1, where free) or 1 part that passes iff ``thr >= 0``."""
     none = lp1
-    G = np.zeros((1, lp1) + thr.shape, dtype=np.int64)
+    G = np.zeros((1, lp1) + thr.shape, dtype=thr.dtype)
     M = np.empty((2,) + thr.shape, dtype=np.int64)
     M[0] = np.where(free, 1, none)
     M[1] = np.where(thr >= 0, 0, none)
@@ -429,11 +438,10 @@ def _row_cap(dense, kappa, lam):
 # closed form (``_leaf_tables``).
 
 
-def _min_plus_budget(z, x):
+def _min_plus_budget(z, x, inf):
     """``out[l] = min z[lp] + x[l - lp]`` over ``lp <= l``: the (min,+)
     product over the budget axis (-3, before thresholds and vertices),
-    broadcast over the axes before it, with sums at or over 2^60 reset to
-    infinity."""
+    broadcast over the axes before it, saturated to ``inf``."""
     lp1 = z.shape[-3]
     out = z[..., :1, :, :] + x
     if lp1 > 1:
@@ -442,11 +450,11 @@ def _min_plus_budget(z, x):
             dst, t = out[..., lp:, :, :], tmp[..., lp:, :, :]
             np.add(z[..., lp:lp + 1, :, :], x[..., :lp1 - lp, :, :], out=t)
             np.minimum(dst, t, out=dst)
-    np.putmask(out, out >= _SAFE_LIMIT, _NP_INF)
+    np.minimum(out, inf, out=out)
     return out
 
 
-def _z_chains(z, lpar, top, m):
+def _z_chains(z, lpar, top, m, inf):
     """The maps of a round's non-zero z's, composed once per sweep (see
     the chain comment), or None when every z is zero.  ``z`` is
     ``(lam + 1, thresholds, light parents)``, one z per round position in
@@ -471,14 +479,14 @@ def _z_chains(z, lpar, top, m):
     at = np.arange(k)
     reach = ends[np.searchsorted(ends, at)] - at  # steps to the path's last nz
     zc = zn.copy()
-    zc[..., last] = _NP_INF  # the last map of a path is constant
+    zc[..., last] = inf  # the last map of a path is constant
     steps = []
     d = 1
     while d <= reach.max():
         v = np.flatnonzero(reach >= d)
         zv = zc.take(v, axis=-1)
         steps.append((v, v + d, zv))
-        zc[..., v] = _min_plus_budget(zv, zc.take(v + d, axis=-1))
+        zc[..., v] = _min_plus_budget(zv, zc.take(v + d, axis=-1), inf)
         d *= 2
     need = np.flatnonzero(np.append(nz[1:] != nz[:-1] + 1, True))
     pos = np.arange(m)
@@ -541,7 +549,7 @@ def _step_plan(rnd):
     return rnd["step_plan"]
 
 
-def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1, keep=None):
+def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1, inf, keep=None):
     """The tables of a round's path tops, built step by step up its paths
     (see the chain comment): ``Z`` and ``U`` are the light folds of the
     round's ``lpar`` (or None), and ``e_r``, ``t_r``, ``free`` and
@@ -551,8 +559,8 @@ def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1, keep=None):
     none = lp1
     order, steps = _step_plan(rnd)
     nb = t_r.shape[0]
-    Gt = np.empty((rows, lp1, nb, order.size), dtype=np.int64)
-    Gt.fill(_NP_INF)
+    Gt = np.empty((rows, lp1, nb, order.size), dtype=t_r.dtype)
+    Gt.fill(inf)
     Mt = np.empty((rows + 1, nb, order.size), dtype=np.int64)
     Mt.fill(none)
     for j, (pos, li, lz) in enumerate(steps):
@@ -562,23 +570,23 @@ def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1, keep=None):
         else:
             # the heavy children, cut or joined, and the light folds (one
             # part of zero charge, and no parts, where there are none)
-            X = _cut_or_join(G[..., :p], M[..., :p], e_r.take(pos + 1, axis=-1), kappa)
+            X = _cut_or_join(G[..., :p], M[..., :p], e_r.take(pos + 1, axis=-1), kappa, inf)
             rows_j = min(kappa, int(size_r[pos].max()))
             if li.size:
-                Zs = np.empty((Z.shape[0], lp1, nb, p), dtype=np.int64)
+                Zs = np.empty((Z.shape[0], lp1, nb, p), dtype=Z.dtype)
                 Zs[0] = 0
-                Zs[1:].fill(_NP_INF)
+                Zs[1:].fill(inf)
                 Zs[..., li] = Z.take(lz, axis=-1)
                 Us = np.empty((U.shape[0], nb, p), dtype=np.int64)
                 Us[0] = 0
                 Us[1:].fill(none)
                 Us[..., li] = U.take(lz, axis=-1)
-                G = _min_plus_gamma(Zs, X, rows_j)
+                G = _min_plus_gamma(Zs, X, rows_j, inf)
                 Uu = _min_plus_mu(Us, M[..., :p], rows_j + 1, none)
             else:
                 # the heavy children alone (whose rows, sized for their whole
                 # step, may pass this one's)
-                G = _grow(X[:rows_j], rows_j, _NP_INF)
+                G = _grow(X[:rows_j], rows_j, inf)
                 Uu = _grow(M[:rows_j + 1, ..., :p], rows_j + 1, none)
             M = _least_rows(G, Uu, t_r.take(pos, axis=-1), free[pos], none)
         if keep is not None:
@@ -595,9 +603,9 @@ class _Recent:
     ``i % keep`` and ``i % keep + keep`` of a buffer of twice that many, so
     that the rows before ``i`` lie contiguous below ``i % keep + keep``."""
 
-    def __init__(self, keep, shape):
+    def __init__(self, keep, shape, dtype):
         self.keep = max(keep, 1)
-        self.buf = np.empty((2 * self.keep,) + shape, dtype=np.int64)
+        self.buf = np.empty((2 * self.keep,) + shape, dtype=dtype)
 
     def put(self, i, row):
         j = i % self.keep
@@ -610,12 +618,13 @@ class _Recent:
         return self.buf[end - count:end]
 
 
-def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, keep=None):
+def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, inf, keep=None):
     """The tables of a round's path tops, row by row along its paths (see
     the chain comment).  Arguments as ``_step_round``'s; ``keep`` takes
     the tables of every position of the round."""
     none = lp1
     nb = t_r.shape[0]
+    cell = t_r.dtype
     budgets = np.arange(lp1)[:, None, None]
     top, lpar = rnd["top"], rnd["lpar"]
     m = rnd["vert"].size
@@ -624,21 +633,21 @@ def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, keep=None):
     chains = None  # the all-zero z's stay implicit
     if lpar.size:
         q[:, lpar] = np.minimum(U[0] + 1, none)
-        chains = _z_chains(Z[0], lpar, top, m)
+        chains = _z_chains(Z[0], lpar, top, m, inf)
         h = lpar + 1  # their heavy children
         lfree = free[lpar]
         # the heavy children's last rows that the light products read
-        Xh = _Recent(Z.shape[0] - 1, (lp1, nb, lpar.size))
-        Mh = _Recent(U.shape[0] - 1, (nb, lpar.size))
+        Xh = _Recent(Z.shape[0] - 1, (lp1, nb, lpar.size), cell)
+        Mh = _Recent(U.shape[0] - 1, (nb, lpar.size), np.int64)
     if chains is not None:
         nz, zn, need, zneed, steps, fix, near = chains
         e_nz = e_r.take(nz + 1, axis=-1)
     q[:, end | ~free] = none
     Q = q.cumsum(axis=-1) - q
-    Gt = np.empty((rows, lp1, nb, top.size), dtype=np.int64)
+    Gt = np.empty((rows, lp1, nb, top.size), dtype=cell)
     Mt = np.empty((rows + 1, nb, top.size), dtype=np.int64)
     if keep is not None:
-        Gk = np.empty((rows, lp1, nb, m), dtype=np.int64)
+        Gk = np.empty((rows, lp1, nb, m), dtype=cell)
         Mk = np.empty((rows + 1, nb, m), dtype=np.int64)
     for k in range(rows + 1):
         # least budgets, row k: u covered, passing its threshold test ...
@@ -664,19 +673,19 @@ def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, keep=None):
             break
         # cut-charge rows, row i = k: D with z = 0 ...
         i = k
-        D = np.empty((lp1, nb, m), dtype=np.int64)
-        D[..., :-1] = np.where(budgets >= Mrow[:, 1:], e_r[:, 1:], _NP_INF)
-        D[..., end] = 0 if i == 0 else _NP_INF  # a leaf: its own part alone
+        D = np.empty((lp1, nb, m), dtype=cell)
+        D[..., :-1] = np.where(budgets >= Mrow[:, 1:], e_r[:, 1:], inf)
+        D[..., end] = 0 if i == 0 else inf  # a leaf: its own part alone
         I = min(i, Z.shape[0] - 1) if lpar.size else 0
         if I:
-            B = np.minimum.reduce(_min_plus_budget(Z[I:0:-1], Xh.last(i, I)))
+            B = np.minimum.reduce(_min_plus_budget(Z[I:0:-1], Xh.last(i, I), inf))
             D[..., lpar] = np.minimum(D.take(lpar, axis=-1), B)
         if chains is not None:
             # ... and where z is non-zero, z * C_h[i]
             Mn = Mrow.take(nz + 1, axis=-1)
             shift = np.maximum(budgets - Mn, 0)
             Dn = np.minimum(D.take(nz, axis=-1), np.where(
-                budgets >= Mn, e_nz + np.take_along_axis(zn, shift, axis=0), _NP_INF))
+                budgets >= Mn, e_nz + np.take_along_axis(zn, shift, axis=0), inf))
         # the suffix minima of D along each path
         if top.size == 1:
             D = np.minimum.accumulate(D[..., ::-1], axis=-1)[..., ::-1]
@@ -687,10 +696,10 @@ def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, keep=None):
         if chains is not None:
             if need.size:
                 Dn[..., need] = np.minimum(Dn.take(need, axis=-1), _min_plus_budget(
-                    zneed, D.take(nz.take(need) + 1, axis=-1)))
+                    zneed, D.take(nz.take(need) + 1, axis=-1), inf))
             for v, down, zv in steps:
                 Dn[..., v] = np.minimum(Dn.take(v, axis=-1),
-                                        _min_plus_budget(zv, Dn.take(down, axis=-1)))
+                                        _min_plus_budget(zv, Dn.take(down, axis=-1), inf))
             D[..., fix] = np.minimum(D.take(fix, axis=-1), Dn.take(near, axis=-1))
         Grow = D
         Gt[i] = Grow.take(top, axis=-1)
@@ -707,15 +716,18 @@ def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, keep=None):
     return Gt, Mt
 
 
-def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot, keep=None):
+def _chain_sweep(tree, forb, xis, kappa, lam, use_pot, keep=None):
     """Least sufficient outlier budget at the root, ``out[j, k]`` for
-    threshold ``a_arr[j] / b_arr[j]`` and ``k`` parts (a value over ``lam``
-    marks an infeasible cell), over the heavy-path rounds that
-    ``RootedTree.heavy_paths`` keeps in ``dense``.  ``keep``, where given,
-    is called with the tables of the rounds' positions as they are built,
-    as ``keep(positions, G, M)`` with the positions on the last axis (see
-    ``witness_tables``)."""
-    rounds = dense["rounds"]
+    threshold ``xis[j]`` and ``k`` parts (a value over ``lam`` marks an
+    infeasible cell), over the heavy-path rounds of ``tree``
+    (``RootedTree.heavy_paths``), with the vertices in ``forb`` (a 0/1
+    array by position, ``_forb_array``) never outliers.  ``keep``, where
+    given, is called with the tables of the rounds' positions as they are
+    built, as ``keep(positions, G, M)`` with the positions on the last
+    axis (see ``witness_tables``)."""
+    rounds = tree.heavy_paths()
+    dense = tree.dense_arrays()
+    a_arr, b_arr, inf = _thresholds(tree, xis, kappa, lam)
     eps, thr = _charges(dense, a_arr, b_arr, use_pot)
     size = dense["size"]
     lp1 = lam + 1
@@ -743,27 +755,41 @@ def _chain_sweep(dense, forb, a_arr, b_arr, kappa, lam, use_pot, keep=None):
             below = rounds[r + 1]
             Z, U = _fold_children(Gt, Mt, eps.take(below["vert"][below["top"]], axis=-1),
                                   _cached_plan(dense, ("round", r), rnd["lcount"]),
-                                  rows, cap, none)
+                                  rows, cap, none, inf)
             Gt = Mt = None
         if kind == "step":
-            Gt, Mt = _step_round(rnd, rows, cap, Z, U, e_r, t_r, free, size[vert], lp1, keep)
+            Gt, Mt = _step_round(rnd, rows, cap, Z, U, e_r, t_r, free, size[vert], lp1, inf,
+                                 keep)
         else:
-            Gt, Mt = _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, keep)
+            Gt, Mt = _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, inf, keep)
     return Mt[..., 0].T
 
 
 def available() -> bool:
-    """True: the int64 kernel needs only numpy, so it exists everywhere."""
+    """True: the kernel needs only numpy, so it exists everywhere."""
     return True
 
 
 def _bound_ok(tree, a: int, b: int, kappa: int, lam: int) -> bool:
-    # (a+1) keeps raw subtree weights storable even at threshold zero; this
-    # must run BEFORE dense_arrays so oversized ints never reach numpy
+    # the charge bounds the infinity of every threshold of numerator at
+    # most a and denominator at most b, so twice that infinity stays under
+    # 2^61 (see the infinity comment); (a + 1) keeps the raw subtree
+    # weights in int64 even at threshold zero
     w_total = tree.subtree_weight_scaled[tree.root]
     c_total, p_total = tree.scaled_totals()
     charge = (a + 1) * w_total + b * (c_total + p_total) + 1
     return (kappa + lam + 2) * charge < _SAFE_LIMIT
+
+
+def _thresholds(tree, xis, kappa: int, lam: int):
+    """The numerators and denominators of thresholds ``xis`` as the sweep
+    computes with them, int64 where they ``fit`` and Python ints (dtype
+    object) past the bound, and the sweep's infinity: the largest of
+    theirs (``solver._infinity``)."""
+    dtype = np.int64 if fits(tree, xis, kappa, lam) else object
+    return (np.array([x.numerator for x in xis], dtype=dtype),
+            np.array([x.denominator for x in xis], dtype=dtype),
+            max(_infinity(tree, x) for x in xis))
 
 
 def _forb_array(tree, forbidden_ids):
@@ -795,12 +821,16 @@ def _forb_array(tree, forbidden_ids):
 #   tables (grown by a row), for the cut choices and the pairs and outputs
 #   of each merge round of ``_fold_runs``.
 #
-# The figure allows besides ``_VERTEX_WORDS`` int64 per vertex for the
+# The figure allows besides ``_VERTEX_WORDS`` cells per vertex for the
 # charges, thresholds, per-round sums and their temporaries,
-# ``_BLOCK_BYTES`` for one product block (at most ``2 * _BLOCK_CELLS``
-# cells, and its minimum, at most ``_BLOCK_CELLS``), and ``_FIXED_BYTES``
-# that do not grow with the tree.  The first sweep on a tree also keeps
-# one fold plan per round, its scans' indices and its steps' positions.
+# ``_BLOCK_HELD`` cells for one product block (at most ``2 *
+# _BLOCK_CELLS`` cells, and its minimum, at most ``_BLOCK_CELLS``), and
+# ``_FIXED_BYTES`` that do not grow with the tree.  The first sweep on a
+# tree also keeps one fold plan per round, its scans' indices and its
+# steps' positions.  A cell takes 8 bytes, and past the int64 bound the
+# int object it points to besides (``_int_bytes``): most cells a sum
+# makes are new ints, none larger than the sweep's infinity, since every
+# product saturates to it.
 #
 # Measured with tracemalloc (numpy 2.4) on the first sweep of fresh trees
 # with potentials: on stars, random recursive trees, brooms, spiders and
@@ -818,7 +848,7 @@ _CHAIN_TABLE_COPIES = 6
 _FOLD_COPIES = 8
 _VERTEX_WORDS = 8
 _FIXED_BYTES = 1 << 20
-_BLOCK_BYTES = 3 * 8 * _BLOCK_CELLS
+_BLOCK_HELD = 3 * _BLOCK_CELLS
 
 
 def _round_stats(tree):
@@ -882,12 +912,21 @@ def _step_stats(tree, rounds, light):
     return [np.concatenate(x) if x else np.zeros(0, dtype=np.int64) for x in stats]
 
 
-def _chain_bytes(tree, kappa: int, lam: int) -> int:
+def _int_bytes(tree, xis, kappa: int, lam: int) -> int:
+    """Bytes of the int object a cell of the sweep at thresholds ``xis``
+    holds beside its 8-byte slot: 0 in int64, and past the bound those of
+    the largest value a cell keeps, the batch's infinity."""
+    a, _, inf = _thresholds(tree, xis, kappa, lam)
+    return 0 if a.dtype == np.int64 else sys.getsizeof(inf)
+
+
+def _chain_bytes(tree, kappa: int, lam: int, int_bytes: int = 0) -> int:
     """Bytes one threshold's chain sweep may hold at once, beyond the fixed
     ``_FIXED_BYTES``: the largest round's row arrays, tables and light
-    fold, and ``_VERTEX_WORDS`` int64 per vertex (cached with the dense
-    arrays)."""
-    cache = tree.dense_arrays().setdefault("chain_bytes", {})
+    fold, ``_VERTEX_WORDS`` cells per vertex and a product block, at ``8 +
+    int_bytes`` bytes a cell (``_int_bytes``; the cell count is cached
+    with the dense arrays)."""
+    cache = tree.dense_arrays().setdefault("chain_cells", {})
     if (kappa, lam) not in cache:
         st = _round_stats(tree)
         rows = np.minimum(kappa, st["size"])
@@ -896,38 +935,41 @@ def _chain_bytes(tree, kappa: int, lam: int) -> int:
         cells = (st["m"] * _CHAIN_ROW_COPIES + st["zk"] * st["zsteps"]
                  + _CHAIN_TABLE_COPIES * (st["paths"] * rows + st["lpar"] * light)
                  + _FOLD_COPIES * st["below_paths"] * child)
-        cache[kappa, lam] = (8 * (int(cells.max()) * (lam + 1)
-                                  + _VERTEX_WORDS * tree.vertex_count) + _BLOCK_BYTES)
-    return cache[kappa, lam]
+        cache[kappa, lam] = (int(cells.max()) * (lam + 1)
+                             + _VERTEX_WORDS * tree.vertex_count + _BLOCK_HELD)
+    return (8 + int_bytes) * cache[kappa, lam]
 
 
 # The tables ``witness_tables`` keeps, beyond the sweep's own figure: a
-# round's rows of every position in int64, ``m (rows + 1) (lam + 2)``
-# cells for a round of m positions, with a gathered copy of them while
-# they become lists; and every vertex's tables as lists of Python ints,
-# ``min(rows, size) (lam + 2) + 1`` cells.  A list cell takes
-# ``_KEPT_CELL_BYTES``: its slot and, for values past 256, an int object
-# (32 bytes allocated on CPython 3.11 for values under 2^60); each vertex
+# round's rows of every position, ``m (rows + 1) (lam + 2)`` cells for a
+# round of m positions, with a gathered copy of them while they become
+# lists; and every vertex's tables as lists of Python ints, ``min(rows,
+# size) (lam + 2) + 1`` cells.  An array cell takes what a sweep's does
+# (``_chain_bytes``).  A list cell takes its 8-byte slot and an int
+# object: for values past 256 in int64, ``_KEPT_INT_BYTES`` (allocated on
+# CPython 3.11 for values under 2^60), and past the bound the int the
+# sweep made, at most ``_int_bytes``.  Each vertex takes
 # ``_KEPT_VERTEX_BYTES`` for the headers of its two lists.  Measured with
 # tracemalloc (numpy 2.4) on stars, paths, caterpillars, brooms, spiders
 # and random recursive trees of 2000 and 10,000 vertices at (3, 2), (2,
 # 0) and (20, 5), and of 600 vertices at (n, 3) and (n, 0), with
-# potentials, the figure was 1.3-4.3x the peak.
-_KEPT_CELL_BYTES = 40
+# potentials, the int64 figure was 1.3-4.3x the peak.
+_KEPT_INT_BYTES = 32
 _KEPT_VERTEX_BYTES = 128
 
 
-def _kept_bytes(tree, kappa: int, lam: int) -> int:
+def _kept_bytes(tree, kappa: int, lam: int, int_bytes: int = 0) -> int:
     """Bytes ``witness_tables`` may hold at once, beyond the fixed
     ``_FIXED_BYTES``: the sweep's figure (``_chain_bytes``), the largest
-    round's kept rows and every vertex's lists."""
+    round's kept rows and every vertex's lists, with ``int_bytes`` as
+    ``_chain_bytes`` takes them."""
     dense = tree.dense_arrays()
     rows = np.minimum(_row_cap(dense, kappa, lam), dense["size"])
     st = _round_stats(tree)
     largest = int((st["m"] * (np.minimum(kappa, st["size"]) + 1)).max())
     cells = int(rows.sum()) * (lam + 2) + rows.size
-    return (_chain_bytes(tree, kappa, lam) + 16 * largest * (lam + 2)
-            + _KEPT_CELL_BYTES * cells + _KEPT_VERTEX_BYTES * rows.size)
+    return (_chain_bytes(tree, kappa, lam, int_bytes) + 2 * (8 + int_bytes) * largest * (lam + 2)
+            + (8 + max(_KEPT_INT_BYTES, int_bytes)) * cells + _KEPT_VERTEX_BYTES * rows.size)
 
 
 # -- the cost rule -----------------------------------------------------------
@@ -965,8 +1007,9 @@ def _kept_bytes(tree, kappa: int, lam: int) -> int:
 # steps.  A search compares only estimates of one tree at several round
 # widths, so the constants stay until a fit covers step rounds.
 #
-# The Python sweep is not priced: it decides only where the numpy sweep
-# does not engage, and ``cost_us`` gives it 0.
+# The sweep on Python ints, past the int64 bound, is not priced:
+# ``cost_us`` gives it 0, so a search there decides one threshold per
+# sweep.
 _CHAIN_US = (75, 43, 0.027, 10, 0.014, 0.00024, 21, 0.0041)  # round, row,
 #   row cell, light product call and cell pair, scan and composition
 #   cell, light fold call and cell pair
@@ -1058,62 +1101,56 @@ def _chain_us(tree, kappa, lam, thresholds, use_pot):
 
 
 def fits(tree, xis, kappa: int, lam: int) -> bool:
-    """Whether the numpy sweep may take thresholds ``xis``: no value it
-    computes may come near 2^60 (``_bound_ok`` on their largest numerator
-    and denominator)."""
+    """Whether the sweep may take thresholds ``xis`` on int64: every sum
+    it computes stays under 2^61 (``_bound_ok`` on their largest
+    numerator and denominator)."""
     return _bound_ok(tree, max(x.numerator for x in xis),
                      max(x.denominator for x in xis), kappa, lam)
 
 
-def _engages(tree, xis, kappa: int, lam: int) -> bool:
-    """Whether the numpy sweep answers thresholds ``xis`` (some): they
-    ``fit`` and one threshold's memory figure stays under
-    ``_MAX_TABLE_BYTES``.  The bound runs first, so that oversized ints
-    never reach ``dense_arrays``."""
-    return (bool(xis) and fits(tree, xis, kappa, lam)
-            and _chain_bytes(tree, kappa, lam) <= _MAX_TABLE_BYTES)
-
-
 def cost_us(tree, xis, kappa: int, lam: int, use_pot: bool = False) -> float:
     """Estimated microseconds of the sweep that answers thresholds
-    ``xis``: the numpy sweep's where it engages, else 0 for the Python
-    sweep, which is not priced."""
-    if not _engages(tree, xis, kappa, lam):
+    ``xis``: the int64 sweep's where they ``fit``, else 0 for the sweep on
+    Python ints, which is not priced."""
+    if not xis or not fits(tree, xis, kappa, lam):
         return 0
     return _chain_us(tree, kappa, lam, len(xis), use_pot)
 
 
+def _gate(figure: int) -> None:
+    """Raise ``TablesTooLarge`` where one threshold's memory figure is over
+    ``_MAX_TABLE_BYTES``."""
+    if figure > _MAX_TABLE_BYTES:
+        raise TablesTooLarge(f"the sweep would hold up to {figure} bytes per threshold, "
+                             f"over the memory gate of {_MAX_TABLE_BYTES} bytes")
+
+
 def root_row(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
-             forbidden_ids) -> list | None:
+             forbidden_ids) -> list:
     """Least outlier budget at the root per part count: a list of
     ``kappa + 1`` Python ints, ``lam + 1`` where no budget up to ``lam``
-    suffices, as ``treecut.solver._least_budgets`` returns, from the numpy
-    sweep.  None when it cannot engage."""
-    if not _engages(tree, (xi,), kappa, lam):
-        return None
-    return _chain_sweep(tree.dense_arrays(), _forb_array(tree, forbidden_ids),
-                        np.array([xi.numerator], dtype=np.int64),
-                        np.array([xi.denominator], dtype=np.int64),
-                        kappa, lam, use_pot)[0].tolist()
+    suffices, from one chain sweep.  Raises ``TablesTooLarge`` where its
+    memory figure is over the gate."""
+    forb = _forb_array(tree, forbidden_ids)
+    _gate(_chain_bytes(tree, kappa, lam, _int_bytes(tree, (xi,), kappa, lam)))
+    return _chain_sweep(tree, forb, (xi,), kappa, lam, use_pot)[0].tolist()
 
 
 def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
-                   forbidden_ids, inf: int) -> tuple | None:
+                   forbidden_ids) -> tuple:
     """Every vertex's cut-charge table and least budgets at threshold
-    ``xi``, as ``treecut.solver._least_budgets`` keeps them for a witness,
-    from one chain sweep that keeps the rows its rounds build: per tree
-    index, ``G`` a flat list of ``min(cap, size)`` rows of ``lam + 1``
+    ``xi``, from one chain sweep that keeps the rows its rounds build: per
+    tree index, ``G`` a flat list of ``min(cap, size)`` rows of ``lam + 1``
     Python ints (``cap`` the row cap, ``_row_cap``) and ``M`` one more
     least budget than that, ``lam + 1`` where none suffices, with each
     parent edge's cut charge and each vertex's threshold test.  A
     virtual root has no ``G`` (None) and its trees' least budgets folded
-    as its ``M``.  Infeasible cells hold ``inf``, the Python sweep's
-    infinity, which is under the int64 bound.  None when the sweep
-    cannot engage or the figure of what it keeps (``_kept_bytes``) is
-    over ``_MAX_TABLE_BYTES``."""
-    if (not _engages(tree, (xi,), kappa, lam)
-            or _kept_bytes(tree, kappa, lam) > _MAX_TABLE_BYTES):
-        return None
+    as its ``M``.  Infeasible cells hold values from above every finite
+    cell up to the sweep's infinity (``solver._infinity``).  Raises
+    ``TablesTooLarge`` where the figure of what it keeps
+    (``_kept_bytes``) is over the gate."""
+    forb = _forb_array(tree, forbidden_ids)
+    _gate(_kept_bytes(tree, kappa, lam, _int_bytes(tree, (xi,), kappa, lam)))
     dense = tree.dense_arrays()
     if "bfs" not in dense:
         dense["bfs"] = np.argsort(dense["pos"])  # the tree index at each position
@@ -1136,14 +1173,10 @@ def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
             runs = [(int(rows[sel[0]]), sel) for sel in np.split(order, ends)]
         for r, sel in runs:
             kept_at.append(index[vert[sel]])
-            # small ints add faster than 2^61
-            cells.extend(np.minimum(g[:r, ..., sel], inf).reshape(r * lp1, -1).T.tolist())
+            cells.extend(g[:r, ..., sel].reshape(r * lp1, -1).T.tolist())
             budgets.extend(m[:r + 1, ..., sel].reshape(r + 1, -1).T.tolist())
 
-    least = _chain_sweep(dense, _forb_array(tree, forbidden_ids),
-                         np.array([xi.numerator], dtype=np.int64),
-                         np.array([xi.denominator], dtype=np.int64),
-                         kappa, lam, use_pot, keep)
+    least = _chain_sweep(tree, forb, (xi,), kappa, lam, use_pot, keep)
     # by tree index; a virtual root's is the last
     order = np.argsort(np.concatenate(kept_at)).tolist()
     G = list(map(cells.__getitem__, order))
@@ -1151,32 +1184,28 @@ def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
     if dense.get("virtual_root"):
         G.append(None)
         M.append(np.minimum(least[0], lp1).tolist())
-    eps, thr = _charges(dense, np.array([xi.numerator]), np.array([xi.denominator]), use_pot)
+    a, b, _ = _thresholds(tree, (xi,), kappa, lam)
+    eps, thr = _charges(dense, a, b, use_pot)
     pos = dense["pos"]
     return G, M, eps[0, pos].tolist(), thr[0, pos].tolist()
 
 
 def decide_many(tree, xis, kappa: int, lam: int, use_pot: bool,
-                forbidden_ids) -> list | None:
-    """Batched decisions over thresholds, or None when the numpy sweep
-    cannot engage (any single threshold out of bounds disqualifies the
-    batch).  Thresholds share each sweep, in chunks small enough that the
-    sweep's memory figure (per threshold) stays within
-    ``_NP_CHUNK_BYTES``."""
+                forbidden_ids) -> list:
+    """Batched decisions over thresholds.  Thresholds share each sweep, in
+    chunks small enough that the sweep's memory figure (per threshold,
+    at the whole batch's cell size) stays within ``_NP_CHUNK_BYTES``; a
+    chunk whose thresholds all fit runs on int64.  Raises
+    ``TablesTooLarge`` where one threshold's figure is over the gate."""
     if not xis:
         return []
-    if not _engages(tree, xis, kappa, lam):
-        return None
-    dense = tree.dense_arrays()
     forb = _forb_array(tree, forbidden_ids)
-    chunk = max(1, _NP_CHUNK_BYTES // _chain_bytes(tree, kappa, lam))
+    figure = _chain_bytes(tree, kappa, lam, _int_bytes(tree, xis, kappa, lam))
+    _gate(figure)
+    chunk = max(1, _NP_CHUNK_BYTES // figure)
     out = []
     for j in range(0, len(xis), chunk):
-        part = xis[j:j + chunk]
-        least = _chain_sweep(dense, forb,
-                             np.array([x.numerator for x in part], dtype=np.int64),
-                             np.array([x.denominator for x in part], dtype=np.int64),
-                             kappa, lam, use_pot)
+        least = _chain_sweep(tree, forb, xis[j:j + chunk], kappa, lam, use_pot)
         out.extend(bool(v) for v in least[:, kappa] <= lam)
     return out
 

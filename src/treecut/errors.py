@@ -74,6 +74,11 @@ class LambdaTooSmall(TreecutError):
     """The outlier budget cannot even cover the must-be-outlier set."""
 
 
+class TablesTooLarge(TreecutError):
+    """The sweep's memory figure for one threshold is over the memory gate
+    (``_fastlane._MAX_TABLE_BYTES``); the message names both."""
+
+
 class MonotonicityViolation(TreecutError):
     """The decision procedure answered inconsistently along a threshold
     sweep; this indicates a solver bug and aborts the search."""

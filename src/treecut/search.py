@@ -237,8 +237,8 @@ def _round(probe, lo, hi, need, width, tree, spec, exact):
     j (at most ``_MAX_HALVINGS`` and ``need``) is ``width``, or when that
     is None, the j whose sweep of the floors ``probe`` will decide on
     ``tree`` (a forest's layout, for a forest) the cost rule prices lowest
-    per halving.  The Python sweep, which decides where the numpy sweep
-    does not engage, is priced at 0 and so halves once per sweep.
+    per halving.  Past the int64 bound the sweep runs on Python ints and
+    is priced at 0, so there a round halves once per sweep.
 
     In exact mode, a bracket ``(lo, hi]`` that holds no more fractions of
     the probe's order than the round has thresholds gets a finishing round

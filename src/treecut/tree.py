@@ -197,16 +197,22 @@ class RootedTree:
         return self._bfs
 
     def dense_arrays(self):
-        """Numpy form of the tree for the int64 kernel (cached).
+        """Numpy form of the tree for the chain sweep of
+        ``treecut._fastlane`` (cached).
 
         Vertices are relabeled by BFS position, which makes each vertex's
         children a contiguous range ``[cstart, cend)`` and the bottom-up
         sweep a plain descending scan, so the kernel streams memory
-        sequentially.
+        sequentially.  Subtree weights, subtree potentials and edge costs
+        are int64, or Python ints (dtype object) where the scaled totals
+        leave int64.
         """
         if self._dense_cache is None:
             import numpy as np
 
+            c_total, p_total = self.scaled_totals()
+            big = max(self.subtree_weight_scaled[self.root], c_total, p_total) >> 63
+            values = object if big else np.int64
             bfs = np.array(self._bfs, dtype=np.int64)
             pos = np.empty_like(bfs)
             pos[bfs] = np.arange(bfs.size)
@@ -217,9 +223,9 @@ class RootedTree:
             self._dense_cache = {
                 "size": np.array(self.subtree_size, dtype=np.int64)[bfs],
                 "pos": pos,
-                "w_sub": np.array(self.subtree_weight_scaled, dtype=np.int64)[bfs],
-                "p_sub": np.array(self.subtree_potential_scaled, dtype=np.int64)[bfs],
-                "c_edge": np.array(self.cost_scaled, dtype=np.int64)[bfs],
+                "w_sub": np.array(self.subtree_weight_scaled, dtype=values)[bfs],
+                "p_sub": np.array(self.subtree_potential_scaled, dtype=values)[bfs],
+                "c_edge": np.array(self.cost_scaled, dtype=values)[bfs],
                 "cstart": cstart,
                 "cend": cend,
             }

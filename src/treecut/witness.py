@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import EmptyPart, TableMismatch
-from .solver import ProblemSpec, WitnessTables, _min_plus_plan
+from .solver import ProblemSpec, WitnessTables
 from .tree import RootedTree
 
 
@@ -226,10 +226,20 @@ def _tree_tasks(tables: WitnessTables, k: int, l: int, plans: dict) -> list:
     return tasks
 
 
+def _min_plus_plan(ny: int, nx: int, rows: int, cols: int) -> list:
+    """Flat index pairs ``(p, q)`` of ``out[c][l] = min Y[i][j] + X[c-i][l-j]``
+    over ``ny`` and ``nx`` rows of ``cols`` columns, one list per output
+    cell ``(c, l)`` with ``c < rows``, in row-major order."""
+    return [[(i * cols + j, (c - i) * cols + l - j)
+             for i in range(max(0, c - nx + 1), min(c + 1, ny))
+             for j in range(l + 1)]
+            for c in range(rows) for l in range(cols)]
+
+
 def _fold(Y, X, rows: int, w: int, plans: dict) -> list:
     """``out[c][j] = min Y[i][b] + X[c - i][j - b]`` over two flat tables
     of ``w`` columns, in rows below ``rows``, by the index plan of their
-    shape (``solver._min_plus_plan``), built once into ``plans``."""
+    shape (``_min_plus_plan``), built once into ``plans``."""
     ry, rx = len(Y) // w, len(X) // w
     key = ry, rx, rows, w
     plan = plans.get(key)

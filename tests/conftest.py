@@ -69,7 +69,7 @@ def charge_folds(X, rows, w):
     """Cut-charge tables ``X`` of ``w`` columns folded left to right, in
     full and in rows below ``rows``: entry ``i`` folds the first ``i + 1``
     (a reference for the replay's lazy folds)."""
-    from treecut.solver import _min_plus_plan
+    from treecut.witness import _min_plus_plan
 
     folds = [X[0]]
     for x in X[1:]:
@@ -93,3 +93,31 @@ def replay_folds(tables, u, k, l):
                               min(k, tree.subtree_size[v] + 1), l, tables.lam + 1,
                               tables.inf) for v in kids]
     return X, charge_folds(X, k, l + 1), witness._least_folds([tables.M[v] for v in kids], k, {})
+
+
+def _rebuilt(t, value, prefix=None):
+    """``t`` with every weight, potential and edge cost ``x`` of the
+    vertex of tree index ``i`` (an edge's is its child's) replaced by
+    ``value(i, kind, x)``, ``kind`` 0, 1 and 2 in that order, and its ids
+    ``(prefix, v)`` where ``prefix`` is given."""
+    name = (lambda v: v) if prefix is None else (lambda v: (prefix, v))
+    index = t.index
+    return build_rooted_tree(
+        [(name(v), value(index[v], 0, t.weight(v)), value(index[v], 1, t.potential(v)))
+         for v in t.ids],
+        [(name(t.parent_of(v)), name(v), value(index[v], 2, t.parent_edge_cost(v)))
+         for v in t.ids if t.parent_of(v) is not None], name(t.root_id))
+
+
+_PRIMES = (53, 59, 61, 67, 71, 73, 79, 83, 89, 97, 101, 103, 107, 109, 113, 127, 131)
+
+
+def past_bound(t, rational, prefix=None):
+    """``t`` past the int64 bound: every quantity times 2^200, which
+    changes no answer; or, ``rational``, divided by primes over 50 in
+    turn, so that the tree's scale, the LCM of the denominators, leaves
+    int64 from about nine vertices on."""
+    if rational:
+        return _rebuilt(t, lambda i, kind, x: x / _PRIMES[(3 * i + 5 * kind) % len(_PRIMES)],
+                        prefix)
+    return _rebuilt(t, lambda i, kind, x: x * (1 << 200), prefix)

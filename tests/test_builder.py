@@ -249,7 +249,7 @@ class TestLazyAndMemory:
     @pytest.mark.parametrize("shape", ["star", "path"])
     def test_numpy_decision_leaves_children_unbuilt(self, shape):
         tree = build_rooted_tree(*_int_tree(10_000, shape))
-        assert _fastlane._engages(tree, (Fraction(5),), 3, 2)
+        assert _fastlane.fits(tree, (Fraction(5),), 3, 2)
         decide(tree, ProblemSpec(5, 3, 2, use_potentials=True))
         assert tree._children is None
         assert tree.children_idx[tree.root] == tree._bfs[1:tree._cend[0]]

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from conftest import path_tree, random_tree, star_tree
 from treecut import (
     ProblemSpec,
+    _fastlane,
     cli,
     make_subpartition,
     min_xi,
@@ -304,6 +306,35 @@ class TestErrors:
                                "--outliers", "0", "--input", str(p))
         assert code == 2
         assert err.startswith("treecut: ") and says in err
+
+
+    @pytest.mark.parametrize("command", ["decide", "optimize", "kmax", "cluster"])
+    def test_tables_over_the_memory_gate(self, capsys, monkeypatch, star_file, command):
+        # a gate one byte: every command exits 2 with the figure and the
+        # gate in its message, and prints no answer
+        monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", 1)
+        args = {"decide": ["--xi", "1", "--parts", "2"], "optimize": ["--parts", "2"],
+                "kmax": ["--xi", "1"], "cluster": ["--parts", "2"]}[command]
+        code, out, err = run_cli(capsys, command, *args, "--outliers", "0",
+                                 "--input", star_file)
+        assert code == 2 and not out
+        assert re.fullmatch(r"treecut: the sweep would hold up to \d+ bytes per threshold, "
+                            r"over the memory gate of 1 bytes\n", err)
+
+    def test_weights_past_the_int64_bound(self, capsys, tmp_path):
+        # weights around 2^70 leave int64: the sweep on Python ints
+        # answers decide and optimize as on the unit path
+        tree = {"root": "a", "vertices": [{"id": v, "weight": 2 ** 70} for v in "abc"],
+                "edges": [{"u": "a", "v": "b", "cost": 2 ** 70},
+                          {"u": "b", "v": "c", "cost": 2 ** 70}]}
+        p = tmp_path / "big.json"
+        p.write_text(json.dumps(tree))
+        code, out, _ = run_cli(capsys, "decide", "--xi", "1", "--parts", "2",
+                               "--outliers", "0", "--input", str(p))
+        assert code == 0 and json.loads(out)["feasible"] is True
+        code, out, _ = run_cli(capsys, "optimize", "--parts", "3", "--outliers", "0",
+                               "--input", str(p))
+        assert code == 0 and json.loads(out)["xi_star"] == "2/1"
 
 
 class TestEntryPoint:

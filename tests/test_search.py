@@ -31,7 +31,7 @@ from treecut import (
     tree_as_graph,
     validate_subpartition,
 )
-from treecut import _fastlane, search, solver
+from treecut import _fastlane, search
 from treecut.oracle import EnumerationBudget
 from treecut.search import (
     _balanced_partition,
@@ -954,8 +954,7 @@ class TestForest:
             raise AssertionError("work ran for an infeasible part count")
 
         for owner, name in ((search, "forest_layout"), (search, "_opening_bound"),
-                            (_fastlane, "_engages"), (_fastlane, "_chain_sweep"),
-                            (solver, "_least_budgets")):
+                            (_fastlane, "cost_us"), (_fastlane, "_chain_sweep")):
             monkeypatch.setattr(owner, name, ran)
         for outliers in (0, 1, 2):
             for want_witness in (True, False):

@@ -8,13 +8,16 @@ import pytest
 
 import _brute
 import _grid
-from conftest import broom_tree, path_tree, random_tree, replay_folds, star_tree
+import _least
+from conftest import (broom_tree, past_bound, path_tree, random_tree, replay_folds,
+                      star_tree)
 from treecut import (
     INFINITY,
     Forest,
     InvalidInput,
     ProblemSpec,
     RootHasNoParentEdge,
+    TablesTooLarge,
     UnknownVertexId,
     build_rooted_tree,
     decide,
@@ -65,10 +68,7 @@ _SHAPES = ("path", "star", "caterpillar", "broom", "spider", "random")
 def _scaled_star():
     """The unit star with every quantity scaled by 2^200, over the int64
     bound."""
-    big = 1 << 200
-    base = star_tree()
-    return build_rooted_tree([(v, base.weight(v) * big) for v in base.vertex_ids()],
-                             [("r", leaf, big) for leaf in ("x", "y", "z")], "r")
+    return past_bound(star_tree(), False)
 
 
 class TestProblemSpec:
@@ -205,6 +205,21 @@ class TestDecide:
         with pytest.raises(UnknownVertexId):
             decide_batch(star_tree(), spec, [0, 1])
 
+    def test_batch_rejects_a_negative_threshold(self):
+        # as decide and k_max do, inside the int64 bound and past it, and
+        # before the part count could answer alone
+        t = path_tree(range(6), root=0)
+        for tree in (t, _scaled_star()):
+            for parts in (2, 9):
+                with pytest.raises(InvalidInput):
+                    decide_batch(tree, ProblemSpec(1, parts, 1), [-1, 1])
+                with pytest.raises(InvalidInput):
+                    decide_batch(tree, ProblemSpec(1, parts, 1), [1, Fraction(-1, 2)])
+            with pytest.raises(InvalidInput):
+                decide(tree, ProblemSpec(1, 2, 1).with_xi(-1))
+            with pytest.raises(InvalidInput):
+                k_max(tree, -1, 1)
+
 
 class TestTableInvariants:
     def test_monotone_in_budget(self):
@@ -266,18 +281,18 @@ class TestLaneAgreement:
         assert batch == singles
 
     def test_huge_numbers_fall_back_to_exact_python(self):
-        # values near 2^200 disqualify the int64 kernel; answers must still
-        # be exact, so scaling every quantity must not change any decision
-        big = 1 << 200
+        # values near 2^200 leave the int64 bound, and the sweep falls back
+        # to exact Python ints: scaling every quantity changes no root row
+        # and no decision
         base = star_tree()
-        scaled_up = build_rooted_tree(
-            [(v, base.weight(v) * big) for v in base.vertex_ids()],
-            [("r", leaf, big) for leaf in ("x", "y", "z")], "r")
+        scaled_up = _scaled_star()
+        assert scaled_up.dense_arrays()["w_sub"].dtype == object
         for kappa, lam, xi in [(2, 0, 1), (4, 0, 3), (4, 0, Fraction(5, 2)),
                                (2, 1, Fraction(1, 3))]:
             spec = ProblemSpec(xi, kappa, lam)
-            assert _fastlane.root_row(scaled_up, spec.xi, min(kappa, 4), lam,
-                                      False, frozenset()) is None
+            assert not _fastlane.fits(scaled_up, [spec.xi], min(kappa, 4), lam)
+            assert _fastlane.root_row(scaled_up, spec.xi, min(kappa, 4), lam, False, ()) \
+                == _fastlane.root_row(base, spec.xi, min(kappa, 4), lam, False, ())
             assert decide(scaled_up, spec) == decide(base, spec)
         spec = ProblemSpec(1, 2, 1)
         assert decide_batch(scaled_up, spec, [0, 1, 3]) == \
@@ -316,25 +331,26 @@ class TestLaneAgreement:
                 == [tab.feasible for tab in tables]
 
     def test_numpy_kernel_min_plus_products(self):
-        # both products against their definitions, on rows with infinite
-        # cells and negative charges, cut to at most ``rows`` rows.  An
-        # infinite cell plus a negative charge must come out exactly
-        # infinite.
+        # both products against their definitions, on int64 and on Python
+        # ints, on rows with infinite cells and negative charges, cut to at
+        # most ``rows`` rows and saturated to inf: an infinite cell plus a
+        # negative charge stays above every finite sum
         rng = random.Random(23)
-        inf = int(_fastlane._NP_INF)
-        for _ in range(40):
+        for trial in range(80):
+            dtype, inf = ((np.int64, 1 << 59), (object, 1 << 200))[trial % 2]
             ky, kx, lp1 = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 4)
             rows = rng.randint(1, ky + kx)
             Y, X = ([[rng.choice((inf, rng.randint(-9, 9))) for _ in range(lp1)]
                      for _ in range(k)] for k in (ky, kx))
-            got = _fastlane._min_plus_gamma(np.array(Y)[:, :, None, None],
-                                            np.array(X)[:, :, None, None], rows)
+            got = _fastlane._min_plus_gamma(np.array(Y, dtype=dtype)[:, :, None, None],
+                                            np.array(X, dtype=dtype)[:, :, None, None],
+                                            rows, inf)
             want = [[min([Y[i][lp] + X[c - i][l - lp]
                           for i in range(min(c + 1, ky)) for lp in range(l + 1)
-                          if c - i < kx and Y[i][lp] < inf and X[c - i][l - lp] < inf],
-                         default=inf)
+                          if c - i < kx] + [inf])
                      for l in range(lp1)] for c in range(rows)]
             assert got[:, :, 0, 0].tolist() == want
+            assert all(x <= 18 or x >= inf - 9 for row in want for x in row)
 
             none = lp1
             U = [rng.randint(0, none) for _ in range(ky)]
@@ -367,19 +383,54 @@ class TestLaneAgreement:
                                           for c, e in zip(counts, ends)]
             assert got.shape[0] == 1 + (max(counts) - 1).bit_length()
 
-    def test_tables_over_the_size_gate_fall_back(self):
+    def test_tables_over_the_size_gate_raise(self):
         # outliers = n on a 20000-vertex star: the leaves' tables alone
-        # would hold 20000 x 20001 int64 cells, 3.2 GB
+        # would hold 20000 x 20001 int64 cells, 3.2 GB.  No sweep runs, and
+        # the error names the figure and the gate
         n = 20000
         t = build_rooted_tree([(i, 1) for i in range(n)],
                               [(0, i, 1) for i in range(1, n)], 0)
-        assert _fastlane.root_row(t, Fraction(1), n, n, False, ()) is None
-        assert _fastlane.decide_many(t, [Fraction(1)], n, n, False, ()) is None
+        figure = _fastlane._chain_bytes(t, n, n)
+        assert figure > _fastlane._MAX_TABLE_BYTES
+        message = f"{figure} bytes .* {_fastlane._MAX_TABLE_BYTES} bytes"
+        with pytest.raises(TablesTooLarge, match=message):
+            _fastlane.root_row(t, Fraction(1), n, n, False, ())
+        with pytest.raises(TablesTooLarge, match=message):
+            _fastlane.decide_many(t, [Fraction(1)], n, n, False, ())
+        with pytest.raises(TablesTooLarge):
+            solve(t, ProblemSpec(1, n, n))
+
+    def test_every_query_over_the_gate_raises(self, monkeypatch):
+        # a gate one byte under one threshold's figure at (3, 2): decide,
+        # decide_batch, root_feasibility, k_max, solve and min_xi raise
+        # TablesTooLarge, inside the int64 bound and past it, and no other
+        # path answers; at the figure a decision answers.  Forests raise too
+        t = _shaped_tree(random.Random(44), 30, "random", True)
+        spec = ProblemSpec(1, 3, 2, True)
+        queries = (lambda t: decide(t, spec), lambda t: decide_batch(t, spec, [0, 1, 2]),
+                   lambda t: root_feasibility(t, spec), lambda t: k_max(t, 1, 2, True),
+                   lambda t: solve(t, spec), lambda t: min_xi(t, 3, 2, use_potentials=True))
+        for tree in (t, past_bound(t, False), past_bound(t, True)):
+            figure = _fastlane._chain_bytes(
+                tree, 3, 2, _fastlane._int_bytes(tree, [spec.xi], 3, 2))
+            monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", figure - 1)
+            for query in queries:
+                with pytest.raises(TablesTooLarge):
+                    query(tree)
+            monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", figure)
+            assert decide(tree, spec) == (_least._least_budgets(tree, spec)[3] <= 2)
+        forest = _forest(random.Random(45), [12, 18], True)
+        monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", 0)
+        for want_witness in (False, True):
+            with pytest.raises(TablesTooLarge):
+                decide_forest(forest, spec, want_witness)
+        with pytest.raises(TablesTooLarge):
+            min_xi(forest, 3, 2, use_potentials=True)
 
     def test_kernel_takes_k_max_on_a_wide_star(self, monkeypatch):
         # parts = n on a 16,500-leaf star: the centre's tables hold n rows
-        # and each leaf's one or two, so the kernel engages (n (n + 1)
-        # cells would not fit)
+        # and each leaf's one or two, so the memory figure stays within the
+        # gate (n (n + 1) cells would not)
         leaves = 16500
         star = star_tree(leaves=range(1, leaves + 1), center=0)
         rows = []
@@ -425,15 +476,13 @@ class TestLaneAgreement:
                                                for _ in range(third // 2, third)])))).layout
         for name, t in trees.items():
             t.heavy_paths()
-            dense = t.dense_arrays()
             forb = _fastlane._forb_array(t, ())
             for (kappa, lam), (xi, use_pot) in itertools.product(
                     ((3, 20), (n, 3)), ((Fraction(3), False), (Fraction(1, 3), True))):
-                a, b = np.array([xi.numerator]), np.array([xi.denominator])
                 bound = _fastlane._FIXED_BYTES + _fastlane._chain_bytes(t, kappa, lam)
                 tracemalloc.start()
                 try:
-                    _fastlane._chain_sweep(dense, forb, a, b, kappa, lam, use_pot)
+                    _fastlane._chain_sweep(t, forb, [xi], kappa, lam, use_pot)
                     _, peak = tracemalloc.get_traced_memory()
                 finally:
                     tracemalloc.stop()
@@ -442,23 +491,31 @@ class TestLaneAgreement:
     def test_first_sweep_peak_stays_within_the_memory_figure(self):
         # the first sweep on a tree also builds what it keeps with the
         # dense arrays (its fold plan per round and its scans' indices);
-        # 5000-vertex trees, each swept on a fresh tree
-        n = 5000
-        shapes = (("star", n + 1), ("path", n), ("caterpillar", n), ("random", n))
-        a, b = np.array([1]), np.array([3])
-        for (shape, size), (kappa, lam) in itertools.product(
-                shapes, ((2, 0), (3, 2), (20, 5))):
+        # 5000-vertex trees, each swept on a fresh tree; and past the int64
+        # bound, where a cell also holds an int object, 600-vertex trees
+        # scaled by 2^200
+        xi = Fraction(1, 3)
+        shapes = ("star", "path", "caterpillar", "random")
+        cases = [(shape, 5000 + (shape == "star"), budgets, False)
+                 for shape, budgets in itertools.product(shapes, ((2, 0), (3, 2), (20, 5)))]
+        cases += [(shape, 600, budgets, True)
+                  for shape, budgets in itertools.product(shapes, ((2, 0), (3, 2)))]
+        cases.append(("star", 600, (20, 5), True))
+        for shape, size, (kappa, lam), big in cases:
             t = _shaped_tree(random.Random(size), size, shape, True)
+            if big:
+                t = past_bound(t, False)
             t.heavy_paths()
-            bound = _fastlane._FIXED_BYTES + _fastlane._chain_bytes(t, kappa, lam)
-            dense, forb = t.dense_arrays(), _fastlane._forb_array(t, ())
+            bound = _fastlane._FIXED_BYTES + _fastlane._chain_bytes(
+                t, kappa, lam, _fastlane._int_bytes(t, [xi], kappa, lam))
+            forb = _fastlane._forb_array(t, ())
             tracemalloc.start()
             try:
-                _fastlane._chain_sweep(dense, forb, a, b, kappa, lam, True)
+                _fastlane._chain_sweep(t, forb, [xi], kappa, lam, True)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= bound, (shape, kappa, lam, peak, bound)
+            assert peak <= bound, (shape, kappa, lam, big, peak, bound)
 
     def test_step_round_figure_follows_its_peak(self):
         # parts = n on a 2000-vertex caterpillar: its spine is one step
@@ -471,8 +528,7 @@ class TestLaneAgreement:
         for lam in (0, 3):
             tracemalloc.start()
             try:
-                _fastlane._chain_sweep(t.dense_arrays(), forb, np.array([1]), np.array([3]),
-                                       2000, lam, True)
+                _fastlane._chain_sweep(t, forb, [Fraction(1, 3)], 2000, lam, True)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -480,52 +536,53 @@ class TestLaneAgreement:
                 <= _fastlane._FIXED_BYTES + 4 * peak, (lam, peak)
 
     def test_lanes_for_deep_thin_wide_and_oversized_trees(self, monkeypatch):
-        # values over the int64 bound go to the Python sweep, and deep,
-        # thin trees and wide, shallow ones alike to the numpy sweep
+        # values over the int64 bound take the sweep on Python ints, and
+        # deep, thin trees and wide, shallow ones alike the int64 sweep,
+        # within the memory gate
         one = [Fraction(1)]
-        assert not _fastlane._engages(_scaled_star(), one, 2, 1)
+        assert not _fastlane.fits(_scaled_star(), one, 2, 1)
         n = 100_000
         rng = random.Random(28)
-        assert _fastlane._engages(path_tree(range(n), root=0), one, 5, 3)
-        caterpillar = _shaped_tree(rng, n // 10, "caterpillar", False)
-        assert _fastlane._engages(caterpillar, one, 5, 3)
-        assert _fastlane._engages(star_tree(leaves=range(1, n), center=0), one, 2, 0)
+        for t, kappa, lam in ((path_tree(range(n), root=0), 5, 3),
+                              (_shaped_tree(rng, n // 10, "caterpillar", False), 5, 3),
+                              (star_tree(leaves=range(1, n), center=0), 2, 0)):
+            assert _fastlane.fits(t, one, kappa, lam)
+            assert _fastlane._chain_bytes(t, kappa, lam) <= _fastlane._MAX_TABLE_BYTES
 
-        # every lane answers as the grid does
+        # both dtypes answer as the grid does
         n = 200
         trees = {"path": path_tree(range(n), root=0), "star": star_tree(leaves=range(n)),
                  "python": _scaled_star()}
-        calls = []  # the trees the numpy sweep answered
-        for name in ("root_row", "decide_many"):
-            lane = getattr(_fastlane, name)
+        seen = []  # each sweep's tree and cell dtype
+        thresholds = _fastlane._thresholds
 
-            def record(*args, lane=lane):
-                out = lane(*args)
-                if out is not None:
-                    calls.append(args[0])
-                return out
+        def record(tree, *args):
+            out = thresholds(tree, *args)
+            seen.append((tree, out[0].dtype))
+            return out
 
-            monkeypatch.setattr(_fastlane, name, record)
+        monkeypatch.setattr(_fastlane, "_thresholds", record)
         spec = ProblemSpec(1, 2, 1)
-        for t in trees.values():
+        for name, t in trees.items():
             assert root_feasibility(t, spec) == [
                 list(r) for r in _grid.solve(t, spec, record_choices=False).root_row()]
             assert decide_batch(t, spec, [0, 1]) == [
                 decide(t, spec.with_xi(x)) for x in (0, 1)]
-        lane_trees = [name for name, t in trees.items() if any(c is t for c in calls)]
-        assert lane_trees == ["path", "star"]
+            want = np.dtype(object if name == "python" else np.int64)
+            assert {d for u, d in seen if u is t} == {want}
 
     def test_every_path_returns_the_same_types(self):
         # root_feasibility returns a list of lists of 0/1 Python ints, and
-        # decide/decide_batch exact bools, from the numpy sweep (a star and
-        # a path) and the least-budget sweep (over the int64 bound) alike
+        # decide/decide_batch exact bools, from the int64 sweep (a star and
+        # a path) and the sweep on Python ints (over the int64 bound) alike
         n = 200
         trees = {"star": star_tree(leaves=range(n)), "path": path_tree(range(n), root=0),
                  "python": _scaled_star()}
         spec = ProblemSpec(1, 2, 1)
         for name, t in trees.items():
-            assert (_fastlane.root_row(t, spec.xi, 2, 1, False, ()) is None) \
-                == (name == "python")
+            assert _fastlane.fits(t, [spec.xi], 2, 1) == (name != "python")
+            row = _fastlane.root_row(t, spec.xi, 2, 1, False, ())
+            assert all(type(x) is int for x in row)
         for t in trees.values():
             row = root_feasibility(t, spec)
             assert type(row) is list and len(row) == 3
@@ -541,69 +598,121 @@ class TestLaneAgreement:
 
 
 class TestPythonLane:
-    """The least-budget sweep decides wherever the numpy sweep does not
-    engage: its memory figure over the gate, or a value over the int64
-    bound."""
+    """The chain sweep on Python ints (dtype object), which decides past
+    the int64 bound, against the grid DP and the reference least-budget
+    sweep (tests/_least.py)."""
 
-    def test_tables_over_the_gate_take_the_python_sweep(self, monkeypatch):
+    def test_values_past_the_bound_take_python_ints(self, monkeypatch):
+        # every shape scaled by 2^200, and with rational weights whose
+        # scale leaves int64: decide, decide_batch and k_max answer as the
+        # grid DP does, one sweep per call, priced at 0
         rng = random.Random(41)
-        monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", 0)
-        least_budgets = solver._least_budgets
-        runs = []
-        monkeypatch.setattr(solver, "_least_budgets",
-                            lambda *args: runs.append(args[1]) or least_budgets(*args))
-        for shape in _SHAPES:
+        sweeps = []
+        chain_sweep = _fastlane._chain_sweep
+        monkeypatch.setattr(_fastlane, "_chain_sweep",
+                            lambda *args: sweeps.append(args) or chain_sweep(*args))
+        for trial, shape in enumerate(_SHAPES * 2):
             use_pot = shape in ("caterpillar", "random")
-            t = _shaped_tree(rng, 9, shape, use_pot)
+            t = past_bound(_shaped_tree(rng, 9, shape, use_pot), trial >= len(_SHAPES))
+            assert t.dense_arrays()["w_sub"].dtype == object
             n = t.vertex_count
             for parts, lam in ((1, 0), (2, 1), (3, 2), (n, 1)):
                 spec = ProblemSpec(Fraction(rng.randint(0, 12), rng.randint(1, 4)),
                                    parts, lam, use_pot)
                 xis = [Fraction(j, 2) for j in range(8)]
-                assert not _fastlane._engages(t, xis, parts, lam)
+                assert not _fastlane.fits(t, xis, parts, lam)
                 assert _fastlane.cost_us(t, xis, parts, lam, use_pot) == 0
-                runs.clear()
+                sweeps.clear()
                 assert decide(t, spec) == _grid.solve(t, spec, record_choices=False).feasible
                 assert decide_batch(t, spec, xis) == [
                     _grid.solve(t, spec.with_xi(x), record_choices=False).feasible for x in xis]
-                assert len(runs) == 1 + len(xis)
+                assert len(sweeps) == 2
                 grid = _grid.solve(t, ProblemSpec(spec.xi, n, lam, use_pot),
                                    record_choices=False).root_row()
                 assert k_max(t, spec.xi, lam, use_pot) == max(
                     (k for k in range(1, n + 1) if grid[k][lam]), default=0)
 
-    def test_a_threshold_over_the_bound_falls_back_alone(self, monkeypatch):
-        # one threshold past the int64 bound takes the batch off the numpy
-        # sweep; decided one by one, those that fit still reach root_row
+    def test_root_rows_past_the_bound_equal_the_reference(self, monkeypatch):
+        # trees of every shape, scaled by 2^200 or with rational weights of
+        # a large scale, and forest layouts of scaled trees: potentials,
+        # forbidden vertices, parts from 1 to n (scan, step and leaf
+        # rounds) and 1-3 thresholds, one sweep on Python ints, against the
+        # reference and, on trees of at most 12 vertices, the grid DP
+        kinds = []
+        round_kind = _fastlane._round_kind
+        monkeypatch.setattr(_fastlane, "_round_kind",
+                            lambda *args: kinds.append(round_kind(*args)) or kinds[-1])
+        rng = random.Random(42)
+        for trial in range(48):
+            use_pot = trial % 3 != 2
+            rational = trial % 2 == 1
+            forest = trial % 4 == 3
+            if forest:
+                trees = [past_bound(_shaped_tree(rng, rng.randint(1, 12), shape, use_pot),
+                                     False, j)
+                         for j, shape in enumerate(rng.sample(_SHAPES, 3))]
+                t = Forest(tuple(trees)).layout
+            else:
+                t = past_bound(_shaped_tree(rng, rng.randint(9, 40), _SHAPES[trial % 6],
+                                             use_pot), rational)
+            n = t.vertex_count
+            forb = frozenset(v for v in t.ids if rng.random() < 0.15)
+            kappa = rng.choice((1, 2, 3, rng.randint(1, n), n))
+            lam = min(rng.randint(0, 5), n)
+            xis = [Fraction(rng.randint(0, 12), rng.randint(1, 5))
+                   for _ in range(rng.randint(1, 3))]
+            assert not _fastlane.fits(t, xis, kappa, lam)
+            got = _numpy_least(t, forb, xis, kappa, lam, use_pot)
+            for xi, row in zip(xis, got):
+                spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
+                assert row == [min(w, lam + 1) for w in _least._least_budgets(t, spec)]
+                if n <= 12 and not forest:
+                    assert _least_row(row, lam) == _table_row(t, spec)
+        assert {"scan", "step", "leaf"} <= set(kinds)
+
+    def test_a_batch_mixing_thresholds_inside_and_past_the_bound(self, monkeypatch):
+        # thresholds with a numerator or a denominator past the int64
+        # bound, among others that fit: decide_batch equals decide at each
+        # threshold and the grid DP, whether the batch shares one sweep (on
+        # Python ints) or takes one per threshold (on int64 but for those
+        # past the bound)
         t = _shaped_tree(random.Random(43), 30, "random", True)
         spec = ProblemSpec(1, 3, 2, True)
-        huge = Fraction(1 << 62)
-        xis = [Fraction(0), Fraction(1, 3), huge, Fraction(5)]
-        assert not _fastlane.fits(t, xis, 3, 2) and _fastlane.fits(t, xis[:2] + xis[3:], 3, 2)
-        answered = {}  # threshold -> whether a numpy sweep answered it
-        root_row = _fastlane.root_row
+        huge = [Fraction(1 << 62), Fraction(1, 1 << 70)]
+        xis = [Fraction(0), Fraction(1, 3), huge[0], Fraction(5), huge[1]]
+        fit = [x for x in xis if x not in huge]
+        assert not _fastlane.fits(t, xis, 3, 2) and _fastlane.fits(t, fit, 3, 2)
+        want = [_grid.solve(t, spec.with_xi(x), record_choices=False).feasible for x in xis]
+        assert want == [decide(t, spec.with_xi(x)) for x in xis]
+        seen = []  # each sweep's thresholds and cell dtype
+        charges = _fastlane._charges
 
-        def record(tree, xi, *args):
-            out = root_row(tree, xi, *args)
-            answered[xi] = out is not None
-            return out
+        def record(dense, a, b, *args):
+            seen.append(([Fraction(p, q) for p, q in zip(a, b)], a.dtype))
+            return charges(dense, a, b, *args)
 
-        monkeypatch.setattr(_fastlane, "root_row", record)
-        assert decide_batch(t, spec, xis) == [
-            _grid.solve(t, spec.with_xi(x), record_choices=False).feasible for x in xis]
-        assert answered == {x: x != huge for x in xis}
+        monkeypatch.setattr(_fastlane, "_charges", record)
+        for chunk_bytes, sweeps in ((1 << 40, [(xis, object)]),
+                                    (1, [([x], object if x in huge else np.int64)
+                                         for x in xis])):
+            monkeypatch.setattr(_fastlane, "_NP_CHUNK_BYTES", chunk_bytes)
+            seen.clear()
+            assert decide_batch(t, spec, xis) == want
+            assert seen == sweeps
 
     def test_search_halves_once_per_python_sweep(self, monkeypatch):
         import treecut.search as search
 
         t = _shaped_tree(random.Random(47), 40, "random", True)
         want = min_xi(t, 3, 2, use_potentials=True)
-        monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", 0)
         sizes = []
         batch = search.decide_batch
         monkeypatch.setattr(search, "decide_batch",
                             lambda tree, spec, xis: sizes.append(len(xis)) or batch(tree, spec, xis))
-        got = min_xi(t, 3, 2, use_potentials=True)
+        # the same tree scaled past the int64 bound: the same optimum and
+        # witness, from sweeps on Python ints that the cost rule prices at
+        # 0
+        got = min_xi(past_bound(t, False), 3, 2, use_potentials=True)
         assert (got.xi_star, got.witness) == (want.xi_star, want.witness)
         # the opening sweep: the bound, its predecessor and one halving
         # below it; then one threshold per sweep, and a finishing round of
@@ -632,14 +741,11 @@ class TestChainSweep:
             kappa = rng.randint(1, n)
             lam = min(rng.randint(0, 7), n)
             xis = [Fraction(rng.randint(0, 12), rng.randint(1, 5)) for _ in range(3)]
-            t.heavy_paths()
             got = _fastlane._chain_sweep(
-                t.dense_arrays(), _fastlane._forb_array(t, forb),
-                np.array([x.numerator for x in xis]), np.array([x.denominator for x in xis]),
-                kappa, lam, use_pot).tolist()
+                t, _fastlane._forb_array(t, forb), xis, kappa, lam, use_pot).tolist()
             for xi, row in zip(xis, got):
                 spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
-                assert row == [min(w, lam + 1) for w in solver._least_budgets(t, spec)]
+                assert row == [min(w, lam + 1) for w in _least._least_budgets(t, spec)]
                 if n <= 12:
                     assert _least_row(row, lam) == _table_row(t, spec)
             assert _fastlane.root_row(t, xis[0], kappa, lam, use_pot, forb) == got[0]
@@ -663,11 +769,9 @@ class TestChainSweep:
             lam = rng.choice((1, 3, 6))
             xi = Fraction(rng.randint(0, 4), rng.randint(1, 3))
             spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
-            t.heavy_paths()
-            got = _fastlane._chain_sweep(
-                t.dense_arrays(), _fastlane._forb_array(t, forb),
-                np.array([xi.numerator]), np.array([xi.denominator]), kappa, lam, use_pot)
-            assert got[0].tolist() == [min(w, lam + 1) for w in solver._least_budgets(t, spec)]
+            got = _fastlane._chain_sweep(t, _fastlane._forb_array(t, forb), [xi], kappa, lam,
+                                         use_pot)
+            assert got[0].tolist() == [min(w, lam + 1) for w in _least._least_budgets(t, spec)]
 
     @pytest.mark.parametrize("potentials", ["sparse", "dense", "zero"])
     def test_sparse_dense_and_zero_potentials_match_the_python_lane(self, monkeypatch,
@@ -708,14 +812,11 @@ class TestChainSweep:
             lam = min(rng.randint(0, 6), n)
             xis = [Fraction(rng.randint(0, 4), rng.randint(2, 6))
                    for _ in range(rng.randint(1, 4))]
-            t.heavy_paths()
             got = _fastlane._chain_sweep(
-                t.dense_arrays(), _fastlane._forb_array(t, forb),
-                np.array([x.numerator for x in xis]), np.array([x.denominator for x in xis]),
-                kappa, lam, True).tolist()
+                t, _fastlane._forb_array(t, forb), xis, kappa, lam, True).tolist()
             for xi, row in zip(xis, got):
                 spec = ProblemSpec(xi, kappa, lam, True, forb)
-                assert row == [min(w, lam + 1) for w in solver._least_budgets(t, spec)]
+                assert row == [min(w, lam + 1) for w in _least._least_budgets(t, spec)]
         light, nonzero = map(sum, zip(*composed))
         rounds = sum(1 for _l, k in composed if k)
         if potentials == "zero":
@@ -766,15 +867,12 @@ class TestChainSweep:
                    for _ in range(rng.randint(1, 4))]
             if trial % 3 == 0:
                 xis[0] = Fraction(0)
-            t.heavy_paths()
             kinds.clear()
             got = _fastlane._chain_sweep(
-                t.dense_arrays(), _fastlane._forb_array(t, forb),
-                np.array([x.numerator for x in xis]), np.array([x.denominator for x in xis]),
-                kappa, lam, use_pot).tolist()
+                t, _fastlane._forb_array(t, forb), xis, kappa, lam, use_pot).tolist()
             for xi, row in zip(xis, got):
                 spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
-                assert row == [min(w, lam + 1) for w in solver._least_budgets(t, spec)]
+                assert row == [min(w, lam + 1) for w in _least._least_budgets(t, spec)]
             # every input's tallest round runs step by step; stars,
             # brooms and caterpillars, and forests of them, hang single
             # leaves (a spider's legs and a random tree's deepest paths
@@ -787,10 +885,8 @@ class TestChainSweep:
                 ran[kind] += kind in kinds
             if forest is not None:
                 spec = ProblemSpec(xis[-1], kappa, lam, use_pot, forb)
-                want = decide_forest(forest, spec, want_witness=False)
-                with monkeypatch.context() as patch:
-                    patch.setattr(_fastlane, "_MAX_TABLE_BYTES", 0)
-                    assert decide_forest(forest, spec, want_witness=False) == want
+                assert decide_forest(forest, spec, want_witness=False) == (
+                    _least._least_budgets(t, spec)[kappa] <= lam, None)
         assert ran["step"] == 60 and ran["leaf"] >= 40
 
     def test_potentials_on_heavy_paths_alone_are_priced_as_none(self):
@@ -817,21 +913,18 @@ class TestChainSweep:
             assert dense["size"].tolist() == t.dense_arrays()["size"].tolist()
 
     def test_budget_product(self):
-        # against its definition, on rows with infinite cells and negative
-        # charges: an infinite cell plus a negative charge must come out
-        # exactly infinite
+        # against its definition, on int64 and on Python ints, on rows
+        # with infinite cells and negative charges, saturated to inf
         rng = random.Random(30)
-        inf = int(_fastlane._NP_INF)
-        for _ in range(40):
+        for trial in range(80):
+            dtype, inf = ((np.int64, 1 << 59), (object, 1 << 200))[trial % 2]
             lp1 = rng.randint(1, 6)
             z, x = ([rng.choice((inf, rng.randint(-9, 9))) for _ in range(lp1)]
                     for _ in range(2))
-            got = _fastlane._min_plus_budget(np.array(z)[:, None, None],
-                                             np.array(x)[:, None, None])
+            got = _fastlane._min_plus_budget(np.array(z, dtype=dtype)[:, None, None],
+                                             np.array(x, dtype=dtype)[:, None, None], inf)
             assert got[:, 0, 0].tolist() == [
-                min([z[lp] + x[l - lp] for lp in range(l + 1)
-                     if z[lp] < inf and x[l - lp] < inf], default=inf)
-                for l in range(lp1)]
+                min([z[lp] + x[l - lp] for lp in range(l + 1)] + [inf]) for l in range(lp1)]
 
     def test_a_path_is_priced_alike_with_and_without_potentials(self):
         # a path is one round with no light children, so its z stays
@@ -851,7 +944,7 @@ class TestChainSweep:
         sweep = _fastlane._chain_sweep
         monkeypatch.setattr(_fastlane, "_chain_sweep",
                             lambda *args: ran.append(args) or sweep(*args))
-        least = solver._least_budgets(t, ProblemSpec(3, n, 20))
+        least = _least._least_budgets(t, ProblemSpec(3, n, 20))
         assert k_max(t, 3, 20) == next((k for k in range(n, 0, -1) if least[k] <= 20), 0)
         assert len(ran) == 1
 
@@ -872,12 +965,11 @@ class TestChainSweep:
                     hi = mid - 1
             assert n * (lo + 2) < 1 << 40
         t = path_tree(range(40), weights=[1 + i % 3 for i in range(40)], root=0)
-        t.heavy_paths()
         for kappa in (1, 5, 40):
             spec = ProblemSpec(Fraction(1, 2), kappa, 40)
-            got = _fastlane._chain_sweep(t.dense_arrays(), _fastlane._forb_array(t, ()),
-                                         np.array([1]), np.array([2]), kappa, 40, False)
-            assert got[0].tolist() == [min(w, 41) for w in solver._least_budgets(t, spec)]
+            got = _fastlane._chain_sweep(t, _fastlane._forb_array(t, ()), [Fraction(1, 2)],
+                                         kappa, 40, False)
+            assert got[0].tolist() == [min(w, 41) for w in _least._least_budgets(t, spec)]
 
 
 def _least_row(least, lam):
@@ -888,7 +980,7 @@ def _least_row(least, lam):
 
 def _sweep_row(tree, spec):
     """Root feasibility bits from the least-budget decision sweep."""
-    return _least_row(solver._least_budgets(tree, spec),
+    return _least_row(_least._least_budgets(tree, spec),
                       min(spec.outliers, tree.vertex_count))
 
 
@@ -897,7 +989,8 @@ def _table_row(tree, spec):
 
 
 class TestLeastBudgetSweep:
-    """The Python decision sweep against the grid DP's root row."""
+    """The reference least-budget sweep (tests/_least.py) against the grid
+    DP's root row."""
 
     @staticmethod
     def _tree(rng, n, shape, use_pot):
@@ -950,7 +1043,7 @@ class TestLeastBudgetSweep:
     def test_unknown_forbidden_id(self):
         spec = ProblemSpec(1, 2, 1, forbidden_outliers=frozenset({"x", "nope"}))
         with pytest.raises(UnknownVertexId):
-            solver._least_budgets(star_tree(), spec)
+            _least._least_budgets(star_tree(), spec)
 
     def test_huge_numbers_stay_exact(self):
         # the 2^200-scaled star is over the int64 bound; the sweep answers it
@@ -973,7 +1066,7 @@ class TestLeastBudgetSweep:
         t = path_tree(range(40), weights=[1 + i % 3 for i in range(40)],
                       costs=[1 + i % 4 for i in range(39)], root=0)
         spec = ProblemSpec(0, 3, 2, forbidden_outliers=frozenset({5, 17}))
-        assert _fastlane._engages(t, [Fraction(0)], 3, 2)
+        assert _fastlane.fits(t, [Fraction(0)], 3, 2)
         xis = [Fraction(a, b) for a in range(0, 9) for b in (1, 2, 5)]
         singles = [decide(t, spec.with_xi(x)) for x in xis]
         assert decide_batch(t, spec, xis) == singles
@@ -998,18 +1091,15 @@ def _forest(rng, sizes, use_pot):
 
 
 def _numpy_least(tree, forb, xis, kappa, lam, use_pot):
-    """Least budgets at the root from the numpy sweep, called directly."""
-    tree.heavy_paths()
-    return _fastlane._chain_sweep(
-        tree.dense_arrays(), _fastlane._forb_array(tree, forb),
-        np.array([x.numerator for x in xis]), np.array([x.denominator for x in xis]),
-        kappa, lam, use_pot).tolist()
+    """Least budgets at the root from the chain sweep, called directly."""
+    return _fastlane._chain_sweep(tree, _fastlane._forb_array(tree, forb), xis,
+                                  kappa, lam, use_pot).tolist()
 
 
 def _python_tables(tree, spec):
-    """Every vertex's tables from the Python sweep."""
+    """Every vertex's tables from the reference least-budget sweep."""
     tables = solver.WitnessTables(tree, spec)
-    solver._least_budgets(tree, spec, keep=tables)
+    _least._least_budgets(tree, spec, keep=tables)
     return tables
 
 
@@ -1029,9 +1119,9 @@ def _finite_cells(tables):
 
 
 class TestWitnessTables:
-    """Every vertex's tables at one threshold from the numpy sweep
+    """Every vertex's tables at one threshold from the chain sweep
     (``_fastlane.witness_tables``), as ``solve`` takes them, against the
-    Python sweep's."""
+    reference least-budget sweep's."""
 
     def test_both_sources_keep_the_same_tables(self, monkeypatch):
         # trees of every shape and forests, with potentials and forbidden
@@ -1066,42 +1156,69 @@ class TestWitnessTables:
             assert tables.feasible == want.feasible == decide(t, spec)
         assert {"scan", "step", "leaf"} <= set(kinds)
 
-    def test_no_numpy_tables_over_the_gates(self, monkeypatch):
-        # values over the int64 bound, or a kept-table figure over the
-        # memory gate, leave the tables to the Python sweep
-        t = _scaled_star()
-        spec = ProblemSpec(1, 2, 1)
-        assert _fastlane.witness_tables(t, spec.xi, 2, 1, False, (), 1) is None
-        assert solve(t, spec).G == _python_tables(t, spec).G
+    def test_tables_past_the_bound_and_over_the_gate(self, monkeypatch):
+        # values over the int64 bound give the reference's tables, on
+        # Python ints: trees of every shape scaled by 2^200 or with
+        # rational weights of a large scale, forests of scaled trees,
+        # potentials, forbidden vertices, scan, step and leaf rounds
+        rng = random.Random(39)
+        for trial in range(36):
+            use_pot = trial % 3 != 0
+            if trial % 4 == 3:
+                t = Forest(tuple(past_bound(_shaped_tree(rng, rng.randint(1, 10), shape,
+                                                          use_pot), False, j)
+                                 for j, shape in enumerate(rng.sample(_SHAPES, 3)))).layout
+            else:
+                t = past_bound(_shaped_tree(rng, rng.randint(9, 30), _SHAPES[trial % 6],
+                                             use_pot), trial % 2 == 1)
+            n = t.vertex_count
+            forb = frozenset(v for v in t.ids if rng.random() < 0.15)
+            spec = ProblemSpec(Fraction(rng.randint(0, 20), rng.randint(1, 6)),
+                               rng.choice((1, 3, n)), rng.choice((0, 2, 5)), use_pot, forb)
+            assert not _fastlane.fits(t, [spec.xi], min(spec.parts, n), spec.outliers)
+            tables = solve(t, spec)
+            want = _python_tables(t, spec)
+            assert _finite_cells(tables) == _finite_cells(want), (trial, spec)
+            assert (tables.eps, tables.thr, tables.inf) == (want.eps, want.thr, want.inf)
+            assert all(type(x) is int for g in tables.G if g for x in g)
+            assert tables.feasible == want.feasible == decide(t, spec)
+        # a kept-table figure over the memory gate raises, though the
+        # sweep's own figure is within it
         t = _shaped_tree(random.Random(38), 40, "random", True)
         spec = ProblemSpec(Fraction(1, 2), 3, 2, True)
-        inf = solver._infinity(t, spec.xi)
-        assert _fastlane.witness_tables(t, spec.xi, 3, 2, True, (), inf) is not None
         monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", _fastlane._kept_bytes(t, 3, 2) - 1)
-        assert _fastlane._engages(t, (spec.xi,), 3, 2)
-        assert _fastlane.witness_tables(t, spec.xi, 3, 2, True, (), inf) is None
-        assert solve(t, spec).G == _python_tables(t, spec).G
+        assert _fastlane._chain_bytes(t, 3, 2) <= _fastlane._MAX_TABLE_BYTES
+        assert decide(t, spec) == (_least._least_budgets(t, spec)[3] <= 2)
+        with pytest.raises(TablesTooLarge):
+            solve(t, spec)
 
     def test_kept_table_figure_covers_the_peak(self):
         # tracemalloc sees numpy's buffers and the lists kept; the figure
-        # stays within a few times the peak
-        for shape, n, kappa, lam in (("star", 2000, 3, 2), ("path", 2000, 20, 5),
-                                     ("random", 2000, 3, 2), ("caterpillar", 2000, 2, 0),
-                                     ("spider", 300, 300, 3), ("path", 300, 300, 0),
-                                     ("broom", 300, 300, 3)):
+        # stays within a few times the peak.  Past the int64 bound (trees
+        # scaled by 2^200) the cells hold int objects, which the figure
+        # prices too
+        xi = Fraction(1, 3)
+        for shape, n, kappa, lam, big in (
+                ("star", 2000, 3, 2, False), ("path", 2000, 20, 5, False),
+                ("random", 2000, 3, 2, False), ("caterpillar", 2000, 2, 0, False),
+                ("spider", 300, 300, 3, False), ("path", 300, 300, 0, False),
+                ("broom", 300, 300, 3, False), ("star", 600, 3, 2, True),
+                ("random", 600, 3, 2, True), ("path", 300, 300, 0, True),
+                ("broom", 200, 200, 3, True)):
             t = _shaped_tree(random.Random(n), n, shape, True)
+            if big:
+                t = past_bound(t, False)
             t.heavy_paths()
-            spec = ProblemSpec(Fraction(1, 3), kappa, lam, True)
-            inf = solver._infinity(t, spec.xi)
-            figure = _fastlane._kept_bytes(t, kappa, lam)
+            figure = _fastlane._kept_bytes(t, kappa, lam,
+                                           _fastlane._int_bytes(t, [xi], kappa, lam))
             tracemalloc.start()
             try:
-                assert _fastlane.witness_tables(t, spec.xi, kappa, lam, True, (), inf)
+                assert _fastlane.witness_tables(t, xi, kappa, lam, True, ())
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
-            assert peak <= _fastlane._FIXED_BYTES + figure and figure <= 5 * peak, \
-                (shape, kappa, lam)
+            assert peak <= _fastlane._FIXED_BYTES + figure, (shape, kappa, lam, big)
+            assert big or figure <= 5 * peak, (shape, kappa, lam)
 
 
 class TestForestLayout:
@@ -1142,7 +1259,7 @@ class TestForestLayout:
             for xi, row in zip(xis, rows):
                 spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
                 want = _grid.forest_folds(forest, spec)[1][-1]
-                assert solver._least_budgets(layout, spec) == want
+                assert _least._least_budgets(layout, spec) == want
                 assert row == want
             tables = solve(layout, ProblemSpec(xis[0], kappa, lam, use_pot, forb))
             lp1 = lam + 1
@@ -1172,8 +1289,8 @@ class TestForestLayout:
             kappa, lam = rng.randint(1, n), min(rng.randint(0, 5), n)
             xi = Fraction(rng.randint(0, 12), rng.randint(1, 5))
             spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
-            want = solver._least_budgets(t, spec)
-            assert solver._least_budgets(layout, spec) == want
+            want = _least._least_budgets(t, spec)
+            assert _least._least_budgets(layout, spec) == want
             assert _numpy_least(layout, forb, [xi], kappa, lam, use_pot) == [want]
 
     def test_virtual_root_tops_no_part_and_spends_no_budget(self):
@@ -1183,7 +1300,7 @@ class TestForestLayout:
         layout = Forest(tuple(build_rooted_tree([(v, 1)], [], v) for v in range(n))).layout
         for lam in (0, 1, 2):
             want = [max(0, n - k) if n - k <= lam else lam + 1 for k in range(n + 1)]
-            assert solver._least_budgets(layout, ProblemSpec(0, n, lam)) == want
+            assert _least._least_budgets(layout, ProblemSpec(0, n, lam)) == want
             assert _numpy_least(layout, (), [Fraction(0)], n, lam, False) == [want]
         tables = solve(layout, ProblemSpec(0, n, 1))
         assert tables.G[layout.root] is None
@@ -1213,7 +1330,7 @@ class TestForestLayout:
         # the answers turn to yes once, where the Python sweep turns
         first = got.index(True)
         assert first and got == [i >= first for i in range(15)]
-        assert [solver._least_budgets(layout, spec.with_xi(x))[700] <= 2
+        assert [_least._least_budgets(layout, spec.with_xi(x))[700] <= 2
                 for x in xis[first - 1:first + 1]] == [False, True]
 
 

@@ -54,7 +54,7 @@ def test_every_name_the_worker_reaches_resolves():
             owner = getattr(owner, part)
 
 
-def test_lane_counts_read_the_sweep_arguments(monkeypatch):
+def test_lane_counts_read_the_sweep_arguments():
     # ``_lane_count`` reads the tree, thresholds and budgets of
     # ``root_row``/``decide_many`` by position; its counts are the cells
     # behind ``solver.cells`` and the engaged ratio.  On a forest's layout
@@ -63,7 +63,7 @@ def test_lane_counts_read_the_sweep_arguments(monkeypatch):
     import random
     from fractions import Fraction
 
-    from conftest import path_tree, random_tree
+    from conftest import past_bound, path_tree, random_tree
     from treecut import Forest, ProblemSpec, _fastlane, decide
     from treecut.solver import decide_batch
     from treecut.tree import part_cap
@@ -87,12 +87,12 @@ def test_lane_counts_read_the_sweep_arguments(monkeypatch):
             tracer.uninstall()
         return [(name, count) for name, _s, _e, _p, _op, count in tracer.spans]
 
+    # past the int64 bound the same calls sweep on Python ints and count
+    # alike
+    scaled = past_bound(tree, False)
+    assert not _fastlane.fits(scaled, [Fraction(1)], 2, 1)
     for instance, budgets, cells in ((tree, spec, 20 * 3 * 2),
-                                     (layout, forest_spec, 18 * 5 * 2)):
+                                     (layout, forest_spec, 18 * 5 * 2),
+                                     (scaled, spec, 20 * 3 * 2)):
         assert traced_counts(instance, budgets) == [("fastlane.root_row", cells),
                                                     ("fastlane.decide_many", 3 * cells)]
-    # no numpy sweep engages: the lanes return None and count nothing
-    monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", 0)
-    assert traced_counts(tree, spec) == [("fastlane.root_row", None),
-                                         ("fastlane.decide_many", None)] + \
-        [("fastlane.root_row", None)] * 3

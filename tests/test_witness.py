@@ -2,11 +2,12 @@ import random
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import _brute
 import _grid
-from conftest import charge_folds, path_tree, random_tree, star_tree
+from conftest import charge_folds, past_bound, path_tree, random_tree, star_tree
 from treecut import (
     EmptyPart,
     Forest,
@@ -191,20 +192,19 @@ def _mirrored_tree(rng):
 
 
 def _table_source(monkeypatch, source):
-    """Make ``solve`` take its tables from ``source``, "numpy" (as it
-    does wherever the numpy sweep engages) or "python" (the numpy sweep
-    held off by a zero memory gate); returns a list that counts the
-    tables the numpy sweep gave."""
-    given = []
+    """Make every sweep run on ``source``, "numpy" (int64, as it does
+    inside the int64 bound) or "python" (Python ints, as past the bound,
+    with the bound held off); returns the set of cell dtypes the witness
+    tables were swept on."""
+    given = set()
     real = _fastlane.witness_tables
+    thresholds = _fastlane._thresholds
     if source == "python":
-        monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", 0)
+        monkeypatch.setattr(_fastlane, "fits", lambda *args: False)
 
     def spy(*args):
-        out = real(*args)
-        if out is not None:
-            given.append(out)
-        return out
+        given.add(thresholds(args[0], [args[1]], *args[2:4])[0].dtype)
+        return real(*args)
 
     monkeypatch.setattr(_fastlane, "witness_tables", spy)
     return given
@@ -217,13 +217,43 @@ class TestReplayMatchesGrid:
         # witnesses agree part for part and in part order, ties included
         given = _table_source(monkeypatch, "numpy")
         assert self._check_against_grid(random.Random(61), 2000) > 3000
-        assert given
+        assert given == {np.dtype(np.int64)}
 
     def test_python_source_witnesses_equal_the_grid_dp_witnesses(self, monkeypatch):
-        # the same replay from the Python sweep's tables
+        # the same replay from the tables of the sweep on Python ints
         given = _table_source(monkeypatch, "python")
         assert self._check_against_grid(random.Random(66), 600) > 900
-        assert not given
+        assert given == {np.dtype(object)}
+
+    def test_witnesses_past_the_bound_equal_the_grid_dp_witnesses(self):
+        # trees and forests with every quantity scaled by 2^200, past the
+        # int64 bound: min_xi finds the unscaled optimum, and the witness
+        # at it is the grid DP's and, on a tree, passes validation
+        rng = random.Random(68)
+        for trial in range(40):
+            use_pot = trial % 2 == 0
+            forest = trial % 4 == 3
+            if forest:
+                base = _tied_forest(rng, rng.randint(2, 3), 4, use_pot)
+                t = Forest(tuple(past_bound(tree, False) for tree in base.trees))
+                ids = [v for tree in t.trees for v in tree.vertex_ids()]
+            else:
+                base = _tied_tree(rng, rng.randint(1, 10), use_pot)
+                t = past_bound(base, False)
+                ids = t.vertex_ids()
+            forb = frozenset(v for v in ids if rng.random() < 0.15)
+            parts, outliers = rng.randint(1, len(ids) + 1), rng.randint(0, 3)
+            got = min_xi(t, parts, outliers, use_potentials=use_pot, forbidden_outliers=forb)
+            assert got.xi_star == min_xi(base, parts, outliers, use_potentials=use_pot,
+                                         forbidden_outliers=forb).xi_star
+            if got.xi_star is None:
+                continue
+            spec = ProblemSpec(got.xi_star, parts, outliers, use_pot, forb)
+            if forest:
+                assert (True, got.witness) == _grid.decide_forest(t, spec)
+            else:
+                assert got.witness == _grid.witness(t, spec, _grid.solve(t, spec))
+                assert validate_subpartition(t, spec, got.witness) == []
 
     @staticmethod
     def _check_against_grid(rng, trials):
@@ -294,16 +324,16 @@ class TestForestFoldMatchesGrid:
         assert cases > 2500 and witnesses > 1800
         # the cap binds in more than one case in eight
         assert capped * 8 > cases and capped_witnesses > 300
-        assert given
+        assert given == {np.dtype(np.int64)}
 
     def test_python_source_fold_equals_the_grid_fold(self, monkeypatch):
-        # the same from the Python sweep's tables
+        # the same from the tables of the sweep on Python ints
         given = _table_source(monkeypatch, "python")
         cases, witnesses, capped, capped_witnesses = self._check_against_grid(
             random.Random(67), 300)
         assert cases > 700 and witnesses > 500
         assert capped * 8 > cases and capped_witnesses > 80
-        assert not given
+        assert given == {np.dtype(object)}
 
     @staticmethod
     def _check_against_grid(rng, trials):
