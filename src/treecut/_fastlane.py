@@ -50,6 +50,8 @@ call runs of ``lam + 1`` cells.  Only the returned rows are
 from __future__ import annotations
 
 import sys
+import threading
+from collections import OrderedDict
 from fractions import Fraction
 
 import numpy as np
@@ -91,14 +93,29 @@ _MAX_TABLE_BYTES = 1 << 31
 # their ``np.`` wrappers, whose Python-level dispatch costs more than the
 # C work on small trees.
 #
-# The (min,+) products over rows loop over the operand with fewer rows,
-# in blocks (``_block_rows``): a block's sums against the other operand
-# are written through a strided view (``_diagonals``) that lands each at
-# the row it adds to, and one minimum over the block folds them.  A block
-# takes about ``_BLOCK_CELLS`` cells per call, so a wide fold, or a
-# product of a few rows, keeps one row per call while a narrow product of
-# many rows (a step of a round, the last merges of a star's leaves) takes
-# a few calls.
+# A (min,+) product over rows (and budgets) whose looped operand, the
+# one with fewer rows, has under ``_BLOCK_ROWS`` rows and whose summed
+# cells fit ``_BLOCK_HELD`` (``_gathers``) is gathered through an index
+# plan (``_plan``): for each output cell the operand cells it pairs,
+# padded to as many pairs per cell as the looped operand has cells, with
+# one take of each operand, one sum, one minimum over the pair axis and
+# the saturation.  That is a few numpy calls where a loop would make two
+# per looped row and budget, and most products of a sweep on trees of a
+# few thousand vertices or fewer, and of ``k_max``'s many small folds,
+# are that small.  A plan depends only on the looped operand's rows,
+# the budgets and the output rows, so the other operand is padded past
+# its own rows with cells whose sums saturate, and one plan, grown to the
+# most output rows asked of it, serves every product of that looped
+# shape.  Plans stay in a cache of at most ``_PLAN_BYTES`` (``_Plans``),
+# least recently used first out: the sweeps of the kmax-wide benchmark
+# workload (seed 7) keep 24 plans, 219 KB.  Larger products
+# loop over the operand with fewer rows, in blocks (``_block_rows``): a
+# block's sums against the other operand are written through a strided
+# view (``_diagonals``) that lands each at the row it adds to, and one
+# minimum over the block folds them.  A block takes about
+# ``_BLOCK_CELLS`` cells per call, so a wide fold keeps one row per call
+# while a narrow product of many rows (a step of a round, the last merges
+# of a star's leaves) takes a few calls.
 #
 # One infinity serves both dtypes: ``solver._infinity``, for a batch the
 # largest over its thresholds, and every (min,+) product saturates to it
@@ -109,9 +126,11 @@ _MAX_TABLE_BYTES = 1 << 31
 # infeasible operand, at least inf - b * P, which inf > a * W + b * (C +
 # P) keeps above every finite cell and every threshold test.  Saturated
 # cells lie in [-b * P, inf], so a sum of two lies in [-2 * inf, 2 * inf];
-# under ``_bound_ok`` 2 * inf < 2^61, so int64 cells never overflow.  On
-# Python ints nothing overflows, and saturating keeps the ints small and
-# the cells equal to the int64 sweep's.
+# a gathered product pads rows with 2 * inf, whose sums lie in (inf, 3 *
+# inf] and so saturate to inf as an absent pair would leave it.  Under
+# ``_bound_ok`` 2 * inf < 2^61, so int64 cells never overflow.  On Python
+# ints nothing overflows, and saturating keeps the ints small and the
+# cells equal to the int64 sweep's.
 
 _NP_CHUNK_BYTES = 1 << 25
 _BLOCK_CELLS = 1 << 14
@@ -142,24 +161,100 @@ def _diagonals(b, span, shape, fill, dtype):
     return W, flat.reshape((b, span + b) + shape)[:, :span]
 
 
+def _plan(loop, lp1, rows):
+    """Index pairs of a (min,+) product of an operand of ``loop`` rows by
+    one of ``rows`` rows (padded past its own rows), both of ``lp1``
+    budgets, into its first ``rows`` rows: two ``(loop * lp1, rows *
+    lp1)`` int32 arrays, over each operand and the output flattened to
+    (row, budget) cells.  Output cell (c, l) pairs row t of the first
+    with row c - t of the second, and budget s with l - s, for every t
+    and s; where t > c or s > l the pair repeats t = c or s = l."""
+    c = np.arange(rows, dtype=np.int32)
+    i = np.minimum(np.arange(loop, dtype=np.int32)[:, None], c)
+    l = np.arange(lp1, dtype=np.int32)
+    s = np.minimum(l[:, None], l)
+    return tuple((r[:, None, :, None] * lp1 + b[:, None, :]).reshape(loop * lp1, rows * lp1)
+                 for r, b in ((i, s), (c - i, l - s)))
+
+
+class _Plans:
+    """``_plan``s by ``(loop, lp1)``, each built for the most rows asked
+    of it so far and sliced to the rows asked, kept while they hold at
+    most ``limit`` bytes: past it the least recently used go.  A lock
+    keeps the cache whole under threads."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.held = 0
+        self.plans = OrderedDict()
+        self.lock = threading.Lock()
+
+    def get(self, loop, lp1, rows):
+        key = loop, lp1
+        n = rows * lp1
+        with self.lock:
+            plan = self.plans.get(key)
+            if plan is None or plan[0].shape[1] < n:
+                if plan is not None:
+                    self.held -= 2 * plan[0].nbytes
+                plan = self.plans[key] = _plan(loop, lp1, rows)
+                self.held += 2 * plan[0].nbytes
+            self.plans.move_to_end(key)
+            while self.held > self.limit and len(self.plans) > 1:
+                self.held -= 2 * self.plans.popitem(last=False)[1][0].nbytes
+        yi, xi = plan
+        return yi[:, :n], xi[:, :n]
+
+
+_PLAN_BYTES = 1 << 18
+_PLANS = _Plans(_PLAN_BYTES)
+
+
+def _gathers(loop, cells):
+    """Whether a (min,+) product whose looped operand has ``loop`` rows,
+    of ``cells`` summed cells, is gathered: under ``_BLOCK_ROWS`` rows,
+    and its temporaries (two takes, numpy's intp copy of the plan and
+    the padded operand, each at most ``cells``) within ``_BLOCK_HELD``."""
+    return loop < _BLOCK_ROWS and 4 * cells <= _BLOCK_HELD
+
+
+def _gathered(a, b, plan, axis, out=None):
+    """``min_j a[plan[0][j]] + b[plan[1][j]]`` along ``axis``: one take of
+    each operand, one sum and one minimum over the pair axis."""
+    s = a.take(plan[0], axis=axis)
+    np.add(s, b.take(plan[1], axis=axis), out=s)
+    return np.minimum.reduce(s, axis=axis, out=out)
+
+
 def _min_plus_gamma(Y, X, rows, inf):
     """``out[c, l] = min Y[i, lp] + X[c - i, l - lp]`` for ``c < rows``,
     over shifted cut-charge rows (axis 0; row ``i`` holds ``i + 1``
     parts) and budgets (axis 1), saturated to ``inf`` (once: saturating
-    commutes with the minimum).  The loop runs over the operand with
-    fewer rows, a block of ``_block_rows`` per step."""
+    commutes with the minimum).  A small product (``_gathers``) is
+    gathered through an index plan (``_plan``); a larger one loops over
+    the operand with fewer rows, a block of ``_block_rows`` per step."""
     if X.shape[0] < Y.shape[0]:
         Y, X = X, Y
     lp1 = Y.shape[1]
     out = np.empty((rows,) + Y.shape[1:], dtype=Y.dtype)
+    ky = min(Y.shape[0], rows)
+    top = min(rows, ky + X.shape[0] - 1)
+    if _gathers(ky, ky * lp1 * top * lp1 * Y[0, 0].size):
+        # the other operand's rows past its own hold 2 * inf, whose sums
+        # exceed inf (see the infinity comment) and saturate to it
+        flat = (-1,) + Y.shape[2:]
+        _gathered(Y[:ky].reshape(flat), _grow(X[:top], top, 2 * inf).reshape(flat),
+                  _PLANS.get(ky, lp1, top), 0, out=out[:top].reshape(flat))
+        out[top:].fill(inf)
+        np.minimum(out, inf, out=out)
+        return out
     out.fill(inf)
     tmp = np.empty((min(X.shape[0], rows),) + X.shape[1:], dtype=Y.dtype)
-    loop = min(Y.shape[0], rows)
     cells = tmp[0].size
     i = 0
-    while i < loop:
+    while i < ky:
         span = min(X.shape[0], rows - i)
-        b = _block_rows(loop - i, span, cells) if loop - i >= _BLOCK_ROWS else 1
+        b = _block_rows(ky - i, span, cells) if ky - i >= _BLOCK_ROWS else 1
         if b == 1:
             for lp in range(lp1):
                 dst, t = out[i:i + span, lp:], tmp[:span, lp:]
@@ -179,29 +274,11 @@ def _min_plus_gamma(Y, X, rows, inf):
 
 
 def _min_plus_mu(U, M, rows, none):
-    """``out[k] = min U[i] + M[k - i]`` for ``k < rows`` (axis 0): the
-    least budget with which two groups of subtrees hold ``k`` parts
-    between them.  Looped as ``_min_plus_gamma``."""
-    if M.shape[0] < U.shape[0]:
-        U, M = M, U
-    out = np.empty((rows,) + U.shape[1:], dtype=U.dtype)
-    out.fill(none)
-    loop = min(U.shape[0], rows)
-    i = 0
-    while i < loop:
-        span = min(M.shape[0], rows - i)
-        b = _block_rows(loop - i, span, M[0].size) if loop - i >= _BLOCK_ROWS else 1
-        if b == 1:
-            dst = out[i:i + span]
-            np.minimum(dst, U[i] + M[:span], out=dst)
-        else:
-            W, V = _diagonals(b, span, M.shape[1:], none, U.dtype)
-            np.add(U[i:i + b, None], M[None, :span], out=V)
-            top = min(rows - i, span + b - 1)
-            dst = out[i:i + top]
-            np.minimum(dst, np.minimum.reduce(W[:, :top], axis=0), out=dst)
-        i += b
-    return out
+    """``out[k] = min U[i] + M[k - i]`` for ``k < rows`` (axis 0), capped
+    at ``none``: the least budget with which two groups of subtrees hold
+    ``k`` parts between them.  ``_min_plus_gamma`` over one budget, with
+    ``none`` for its infinity."""
+    return _min_plus_gamma(U[:, None], M[:, None], rows, none)[:, 0]
 
 
 def _grow(a, rows, fill):
@@ -441,15 +518,19 @@ def _row_cap(dense, kappa, lam):
 def _min_plus_budget(z, x, inf):
     """``out[l] = min z[lp] + x[l - lp]`` over ``lp <= l``: the (min,+)
     product over the budget axis (-3, before thresholds and vertices),
-    broadcast over the axes before it, saturated to ``inf``."""
+    over the axes before it, saturated to ``inf``.  Gathered where
+    ``_gathers`` allows, else one call pair per budget."""
     lp1 = z.shape[-3]
-    out = z[..., :1, :, :] + x
-    if lp1 > 1:
-        tmp = np.empty_like(out)
-        for lp in range(1, lp1):
-            dst, t = out[..., lp:, :, :], tmp[..., lp:, :, :]
-            np.add(z[..., lp:lp + 1, :, :], x[..., :lp1 - lp, :, :], out=t)
-            np.minimum(dst, t, out=dst)
+    if _gathers(1, lp1 * z.size):
+        out = _gathered(z, x, _PLANS.get(1, lp1, 1), z.ndim - 3)
+    else:
+        out = z[..., :1, :, :] + x
+        if lp1 > 1:
+            tmp = np.empty_like(out)
+            for lp in range(1, lp1):
+                dst, t = out[..., lp:, :, :], tmp[..., lp:, :, :]
+                np.add(z[..., lp:lp + 1, :, :], x[..., :lp1 - lp, :, :], out=t)
+                np.minimum(dst, t, out=dst)
     np.minimum(out, inf, out=out)
     return out
 
@@ -824,8 +905,11 @@ def _forb_array(tree, forbidden_ids):
 # The figure allows besides ``_VERTEX_WORDS`` cells per vertex for the
 # charges, thresholds, per-round sums and their temporaries,
 # ``_BLOCK_HELD`` cells for one product block (at most ``2 *
-# _BLOCK_CELLS`` cells, and its minimum, at most ``_BLOCK_CELLS``), and
-# ``_FIXED_BYTES`` that do not grow with the tree.  The first sweep on a
+# _BLOCK_CELLS`` cells, and its minimum, at most ``_BLOCK_CELLS``) or one
+# gathered product (its two takes, numpy's intp copy of its plan and the
+# padded operand, each at most a quarter of it, ``_gathers``), and
+# ``_FIXED_BYTES`` that do not grow with the tree, among them the plan
+# cache's ``_PLAN_BYTES``.  The first sweep on a
 # tree also keeps one fold plan per round, its scans' indices and its
 # steps' positions.  A cell takes 8 bytes, and past the int64 bound the
 # int object it points to besides (``_int_bytes``): most cells a sum
@@ -840,7 +924,11 @@ def _forb_array(tree, forbidden_ids):
 # vertices at (3, 20), (n, 3), (n, 0), (2, 0), (3, 2), (20, 5) and (100,
 # 20), with and without potentials, it reached 112% of the figure, by at
 # most 52 KB, at (n, 0) on trees of 150-2000 vertices, where the product
-# block is most of the figure; ``_FIXED_BYTES`` covers that.  On a
+# block is most of the figure; ``_FIXED_BYTES`` covers that.  Small
+# products gathered, on paths, stars, caterpillars, brooms and random
+# recursive trees of 150, 600 and 2000 vertices at (n, 0), (n, 3), (3,
+# 2), (20, 5), (100, 20) and (2, 0), each swept with an empty plan cache,
+# the peak reached 113% of the figure, by at most 57 KB.  On a
 # caterpillar of 2000 or 5000 vertices the figure is 1.04-1.05x the peak
 # at (n, 0) and 2.2x at (n, 3).
 _CHAIN_ROW_COPIES = 12
@@ -1006,6 +1094,13 @@ def _kept_bytes(tree, kappa: int, lam: int, int_bytes: int = 0) -> int:
 # cell pair, since a step runs a level's batch; they were not refit for
 # steps.  A search compares only estimates of one tree at several round
 # widths, so the constants stay until a fit covers step rounds.
+#
+# Small (min,+) products are gathered in a few numpy calls
+# (``_gathers``), so the terms per numpy call of the light products, the
+# light folds and a step's products count the calls of loops those
+# products skip, and overcount them.  The constants were not
+# refit for it: a search compares only estimates of one tree, and on the
+# optimize-exact benchmark (seed 7) every search kept its sweep count.
 #
 # The sweep on Python ints, past the int64 bound, is not priced:
 # ``cost_us`` gives it 0, so a search there decides one threshold per

@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -77,29 +78,36 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, with_xi=True, with_parts=True)
     p.add_argument("--require-outlier", action="append", default=[],
                    help="comma-separated vertex ids that must be uncovered")
-    p.set_defaults(func=_cmd_decide)
 
     p = sub.add_parser("optimize", help="minimize the expansion threshold")
     common(p, with_parts=True, with_mode=True)
-    p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("kmax", help="largest feasible part count")
     common(p, with_xi=True)
-    p.set_defaults(func=_cmd_kmax)
 
     p = sub.add_parser("cluster", help="spanning tree + optimize on a similarity graph")
     common(p, with_parts=True, with_mode=True)
     p.add_argument("--emit-dot", metavar="PATH", default=None,
                    help="write a DOT rendering of parts and residue")
-    p.set_defaults(func=_cmd_cluster)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built once per process: parsing leaves
+    it unchanged, and every list an option appends to is the parse's
+    own."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up per call, so a handler replaced after the parser was built
+    # still runs
+    handler = {"decide": _cmd_decide, "optimize": _cmd_optimize, "kmax": _cmd_kmax,
+               "cluster": _cmd_cluster}[args.command]
     try:
-        return args.func(args)
+        return handler(args)
     except TreecutError as exc:
         print(f"treecut: {exc}", file=sys.stderr)
         return 2

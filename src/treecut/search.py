@@ -12,21 +12,22 @@ reduction deletes the required outliers and hands the remaining forest,
 built by ``tree.build_forest``, to ``decide_forest``.
 
 Exact minimization never enumerates candidate ratios.  Every achievable
-maximum expansion is a fraction whose reduced denominator is at most the
-scaled total vertex weight W of the largest tree: a member of the Farey
-sequence of order W, extended past 1.  So the decision at a threshold is
-the decision at its Farey floor, the largest such fraction at or below
-it, and the search decides floors only (``_Prober``), which keeps the
-values a sweep computes of the order of the tree's own; the bracket it
-keeps stays dyadic.  The optimum is the least fraction of order W at
-which the decision says yes.  The search opens at an achievable
-threshold: the largest expansion of one explicit partition with no
-residue (see ``_opening_bound``), so a ``no`` there can only mean a
-broken DP.  It decides that threshold, its Farey predecessor and the
-first bisection round below the predecessor in one sweep; if the
-predecessor is infeasible, the threshold is the optimum and no bisection
-runs.  Otherwise the predecessor becomes the upper end and the bisection
-goes on below it.  Once the bracket (lo, hi] holds no more fractions of
+maximum expansion is a fraction whose reduced denominator is at most W,
+the largest over the trees of the scaled total vertex weight divided by
+the gcd of the tree's scaled weights, costs and potentials (``_order``):
+a member of the Farey sequence of order W, extended past 1.  So the
+decision at a threshold is the decision at its Farey floor, the largest
+such fraction at or below it, and the search decides floors only
+(``_Prober``), which keeps the values a sweep computes of the order of
+the tree's own; the bracket it keeps stays dyadic.  The optimum is the
+least fraction of order W at which the decision says yes.  The search
+opens at an achievable threshold: the largest expansion of one explicit
+partition with no residue (see ``_opening_bound``), so a ``no`` there
+can only mean a broken DP.  It decides that threshold, its Farey
+predecessor and the first bisection round below the predecessor in one
+sweep; if the predecessor is infeasible, the threshold is the optimum
+and no bisection runs.  Otherwise the predecessor becomes the upper end
+and the bisection goes on below it.  Once the bracket (lo, hi] holds no more fractions of
 order W than a round has thresholds, the round decides those fractions
 instead, with the one at or below lo (``_farey_run``): the first ``yes``
 is the optimum, and the ``no`` before it is its Farey predecessor.  A
@@ -305,6 +306,16 @@ def _bisect(probe, lo, hi, need, tree, spec, exact):
     return lo, hi
 
 
+def _order(trees) -> int:
+    """The Farey order of the search: a part's expansion is a ratio of
+    sums of its tree's scaled values, all multiples of their gcd g, so
+    its reduced denominator is at most the tree's scaled total weight over
+    g."""
+    return max(t.subtree_weight_scaled[t.root]
+               // math.gcd(*t.weight_scaled, *t.cost_scaled, *t.potential_scaled)
+               for t in trees)
+
+
 def _instance_trees(instance):
     return instance.trees if isinstance(instance, Forest) else (instance,)
 
@@ -406,10 +417,10 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
     open at the largest expansion of an explicit partition
     whenever there are at least as many parts as trees (with fewer, at
     total cost over the least vertex weight), and decide every threshold
-    at its Farey floor of order W.  Exact mode returns the true minimum as
-    a reduced fraction: it decides the opening bound, its predecessor and
-    the first bisection round below that in one sweep, which settles the
-    search when the predecessor is infeasible.
+    at its Farey floor of order W (``_order``).  Exact mode returns the
+    true minimum as a reduced fraction: it decides the opening bound, its
+    predecessor and the first bisection round below that in one sweep,
+    which settles the search when the predecessor is infeasible.
     Otherwise it bisects below the predecessor until the bracket holds no
     more fractions of order W than a round has thresholds, and decides
     those in a finishing round; the least of them that says yes is the
@@ -442,7 +453,7 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
     hi, achievable = _opening_bound(trees, parts, use_potentials)
     spec = spec.with_xi(hi)
     tree = instance.layout if isinstance(instance, Forest) else instance
-    denom_limit = max(t.subtree_weight_scaled[t.root] for t in trees)
+    denom_limit = _order(trees)
     probe = _Prober(lambda xis: decide_batch(tree, spec, xis), denom_limit)
 
     def result(xi_star, witness=None):

@@ -117,6 +117,25 @@ class TestDecide:
         data = json.loads(out)
         assert data["witness"]["residue"] == ["b"]
 
+    def test_repeated_calls_share_no_values(self, capsys, monkeypatch, tmp_path):
+        # one parser serves every call in a process: the lists --forbid and
+        # --require-outlier append to start empty on each call, and a
+        # handler replaced after the parser was built still runs
+        p = tmp_path / "abc.json"
+        p.write_text(json.dumps(path_tree(("a", "b", "c")).to_json()))
+        base = ["decide", "--xi", "1", "--parts", "2", "--outliers", "1", "--input", str(p)]
+        plain = run_cli(capsys, *base)
+        code, out, _ = run_cli(capsys, *base, "--require-outlier", "b", "--forbid", "a,c")
+        assert code == 0 and json.loads(out)["witness"]["residue"] == ["b"]
+        assert run_cli(capsys, *base) == plain
+        assert cli._parser() is cli._parser()
+        seen = []
+        monkeypatch.setattr(cli, "_cmd_decide",
+                            lambda args: seen.append((args.forbid, args.require_outlier)) or 7)
+        assert main(base + ["--forbid", "c", "--require-outlier", "a"]) == 7
+        assert main(base) == 7
+        assert seen == [(["c"], ["a"]), ([], [])]
+
     def test_require_outlier_on_tree_with_zero_cost_edge(self, capsys, tmp_path):
         # a cost of 0 is valid on a tree, with the flag as without it
         p = tmp_path / "abcd.json"

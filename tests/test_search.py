@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import _bisection
 import _brute
 import _grid
-from conftest import broom_tree, path_tree, prufer_edges, random_tree, star_tree
+from conftest import (broom_tree, past_bound, path_tree, prufer_edges, random_tree,
+                      star_tree)
 from treecut import (
     Forest,
     InvalidInput,
@@ -539,6 +540,28 @@ class TestFareyFloor:
                 assert answer == decides(floor), (x, floor)
                 seen.add((answer, floor == x))
         assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+    def test_a_common_factor_leaves_the_order(self):
+        # the order is W over the gcd of the tree's scaled values, so a
+        # tree with every value times 2^200 (past the int64 bound, one
+        # threshold per sweep) is searched at its unscaled twin's order:
+        # the same optimum and witness, in no more sweeps than the twin
+        # decides thresholds
+        rng = random.Random(76)
+        for shape in TestBatchedSearch.SHAPES:
+            t = _shaped_tree(rng, 60, shape, pmax=3)
+            big = past_bound(t, False)
+            g = math.gcd(*t.weight_scaled, *t.cost_scaled, *t.potential_scaled)
+            assert search._order([big]) == search._order([t]) \
+                == t.subtree_weight_scaled[t.root] // g
+            want = min_xi(t, 3, 2, use_potentials=True)
+            got = min_xi(big, 3, 2, use_potentials=True)
+            assert (got.xi_star, got.witness) == (want.xi_star, want.witness)
+            assert got.sweeps <= want.probes, (shape, got.sweeps, want.probes)
+        # a forest's order is its trees' largest
+        trees = [_shaped_tree(rng, 5, "path", prefix=f"t{j}_") for j in range(3)]
+        scaled = [past_bound(t, False, f"s{j}_") for j, t in enumerate(trees)]
+        assert search._order(scaled) == max(search._order([t]) for t in trees)
 
 
 class TestBatchedSearch:

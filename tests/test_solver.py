@@ -334,7 +334,8 @@ class TestLaneAgreement:
         # both products against their definitions, on int64 and on Python
         # ints, on rows with infinite cells and negative charges, cut to at
         # most ``rows`` rows and saturated to inf: an infinite cell plus a
-        # negative charge stays above every finite sum
+        # negative charge stays above every finite sum.  These shapes are
+        # gathered; ``test_min_plus_products_in_every_branch`` loops
         rng = random.Random(23)
         for trial in range(80):
             dtype, inf = ((np.int64, 1 << 59), (object, 1 << 200))[trial % 2]
@@ -361,6 +362,92 @@ class TestLaneAgreement:
                                   if k - i < kx])
                     for k in range(rows)]
             assert got[:, 0, 0].tolist() == want
+
+    @pytest.mark.parametrize("dtype, inf", [(np.int64, 1 << 59), (object, 1 << 200)])
+    def test_min_plus_products_in_every_branch(self, monkeypatch, dtype, inf):
+        # the products above take one gather each; here, against the same
+        # definitions, looped operands of ``_BLOCK_ROWS`` rows or more (in
+        # blocks) and products whose summed cells pass the gather's budget
+        # (row by row, or budget by budget), each over many thresholds and
+        # vertices, beside gathered ones of those shapes
+        gathers = []
+        gathered = _fastlane._gathered
+        monkeypatch.setattr(_fastlane, "_gathered",
+                            lambda *args, **kw: gathers.append(1) or gathered(*args, **kw))
+
+        def gamma(Y, X, rows):
+            out = np.full((rows,) + Y.shape[1:], inf, dtype=dtype)
+            for c, l in itertools.product(range(rows), range(Y.shape[1])):
+                for i, lp in itertools.product(range(min(c + 1, Y.shape[0])), range(l + 1)):
+                    if c - i < X.shape[0]:
+                        out[c, l] = np.minimum(out[c, l], Y[i, lp] + X[c - i, l - lp])
+            return np.minimum(out, inf)
+
+        def mu(U, M, rows, none):
+            out = np.full((rows,) + U.shape[1:], none, dtype=U.dtype)
+            for k, i in itertools.product(range(rows), range(U.shape[0])):
+                if i <= k and k - i < M.shape[0]:
+                    out[k] = np.minimum(out[k], U[i] + M[k - i])
+            return out
+
+        def cells(rng, shape):
+            values = [rng.choice((inf, rng.randint(-9, 9)))
+                      for _ in range(int(np.prod(shape)))]
+            return np.array(values, dtype=dtype).reshape(shape)
+
+        rng = random.Random(41)
+        for loop, rest, gather in (((8, 12), (1, 2), False), ((1, 5), (2, 2000), False),
+                                   ((1, 5), (2, 3), True)):
+            for _ in range(6):
+                ky = rng.randint(*loop)
+                kx, lp1 = rng.randint(ky, ky + 6), rng.randint(2, 4)
+                rows = rng.randint(ky, ky + kx)  # loops over all ky rows
+                Y, X = cells(rng, (ky, lp1) + rest), cells(rng, (kx, lp1) + rest)
+                del gathers[:]
+                got = _fastlane._min_plus_gamma(Y, X, rows, inf)
+                assert len(gathers) == gather
+                assert got.dtype == Y.dtype and got.tolist() == gamma(Y, X, rows).tolist()
+                assert got.tolist() == _fastlane._min_plus_gamma(X, Y, rows, inf).tolist()
+
+                # least budgets have no budget axis: four times the cells
+                # per row keep the second case past the gather's budget
+                none = lp1
+                U, M = (np.array([rng.randint(0, none) for _ in range(4 * k * rest[1])])
+                        .reshape(k, 2, -1) for k in (ky, kx))
+                del gathers[:]
+                got = _fastlane._min_plus_mu(U, M, rows, none)
+                assert len(gathers) == gather
+                assert got.tolist() == mu(U, M, rows, none).tolist()
+
+        # the budget product with a leading axis, as the scan's light
+        # products take it, gathered and budget by budget
+        for lead, vertices, gather in ((3, 2, True), (1, 2000, False), (2, 1500, False)):
+            for lp1 in (2, 4, 6):
+                z, x = (cells(rng, (lead, lp1, 2, vertices)) for _ in range(2))
+                del gathers[:]
+                got = _fastlane._min_plus_budget(z, x, inf)
+                assert len(gathers) == gather
+                want = np.full(z.shape, inf, dtype=dtype)
+                for l in range(lp1):
+                    for lp in range(l + 1):
+                        want[:, l] = np.minimum(want[:, l], z[:, lp] + x[:, l - lp])
+                assert got.tolist() == np.minimum(want, inf).tolist()
+
+    def test_plan_cache_holds_at_most_its_bytes(self):
+        # a plan grows to the most rows asked of it and is sliced to the
+        # rows asked; past the limit the least recently used plans go,
+        # and the cache counts exactly the bytes it holds
+        plans = _fastlane._Plans(20_000)
+        rng = random.Random(42)
+        for _ in range(300):
+            loop, lp1, rows = rng.randint(1, 7), rng.randint(1, 6), rng.randint(1, 40)
+            got = plans.get(loop, lp1, rows)
+            want = _fastlane._plan(loop, lp1, rows)
+            assert [g.tolist() for g in got] == [w.tolist() for w in want]
+            assert plans.held == sum(2 * p[0].nbytes for p in plans.plans.values())
+            assert plans.held <= plans.limit or len(plans.plans) == 1
+            assert next(reversed(plans.plans)) == (loop, lp1)
+        assert _fastlane._PLANS.limit == _fastlane._PLAN_BYTES == 1 << 18
 
     def test_numpy_kernel_folds_each_run(self):
         # a sum fold whose merge grows axis 0, as merged subtrees hold more
@@ -914,7 +1001,8 @@ class TestChainSweep:
 
     def test_budget_product(self):
         # against its definition, on int64 and on Python ints, on rows
-        # with infinite cells and negative charges, saturated to inf
+        # with infinite cells and negative charges, saturated to inf (one
+        # gather; ``test_min_plus_products_in_every_branch`` loops)
         rng = random.Random(30)
         for trial in range(80):
             dtype, inf = ((np.int64, 1 << 59), (object, 1 << 200))[trial % 2]
