@@ -24,8 +24,8 @@ holds; over ``_MAX_TABLE_BYTES`` ``root_row``, ``decide_many`` and
 ``witness_tables`` raise ``TablesTooLarge``.  For one threshold,
 ``witness_tables`` keeps the rows every round builds, which are every
 vertex's tables, and ``treecut.solver.solve`` hands them to the replay of
-``treecut.witness``.  A cost rule (``cost_us``) prices the int64 sweep
-from the tree's shape, the budgets and the threshold count;
+``treecut.witness``.  A cost rule (``cost_us``) prices the int64 sweep,
+affine in the threshold count, from counts of the rounds it runs;
 ``treecut.search`` sizes its bisection rounds by it.
 
 Vertices arrive relabeled in BFS order (see ``RootedTree.dense_arrays``):
@@ -491,7 +491,7 @@ def _row_cap(dense, kappa, lam):
 #   where z is zero it is C_h, and where it is not, G_s is at most it.
 #   z can be non-zero only at a vertex with a light child of positive
 #   subtree potential, since a negative cut charge needs potential (the
-#   cost rule counts those vertices, ``_round_stats``).
+#   memory figure counts those vertices' composite z's, ``_round_stats``).
 #
 # z is finite and non-increasing in the budget, as every cut-charge row
 # is, so z * C_h[i] is e_h + z[l - M_h[i]]: one gather, at the non-zero
@@ -596,6 +596,12 @@ def _path_buckets(rnd):
             buckets.append((rows, rows[real], np.flatnonzero(real)))
         rnd["buckets"] = buckets
     return rnd["buckets"]
+
+
+def _round_rows(dense, rnd, cap):
+    """The table rows of a round: its largest subtree's vertex count,
+    within the row cap ``cap`` (``_row_cap``)."""
+    return min(cap, int(dense["size"][rnd["vert"][rnd["top"]]].max()))
 
 
 def _round_kind(rnd, rows):
@@ -822,7 +828,7 @@ def _chain_sweep(tree, forb, xis, kappa, lam, use_pot, keep=None):
             return _fold_least(Mt, _cached_plan(dense, ("round", 0), rnd["lcount"]),
                                kappa, none)
         vert = rnd["vert"]
-        rows = min(cap, int(size[vert[rnd["top"]]].max()))
+        rows = _round_rows(dense, rnd, cap)
         e_r, t_r = eps.take(vert, axis=-1), thr.take(vert, axis=-1)
         free = forb[vert] == 0
         kind = _round_kind(rnd, rows)
@@ -940,13 +946,13 @@ _BLOCK_HELD = 3 * _BLOCK_CELLS
 
 
 def _round_stats(tree):
-    """Per heavy-path round: vertices, paths, vertices with light
-    children, largest subtree, longest path, doubling steps of its plain
-    scan, the paths and largest subtree of the round below and the merge
-    rounds of their fold; and the vertices where z can be non-zero (with a
-    light child of positive subtree potential) with the doubling steps of
-    their composition, the most of them on one path less one, in bits
-    (cached with the dense arrays)."""
+    """Per heavy-path round, the counts of the memory figures: vertices,
+    paths, vertices with light children, largest subtree, the paths and
+    largest subtree of the round below and the merge rounds of their fold;
+    and the vertices where z can be non-zero (with a light child of
+    positive subtree potential) with the doubling steps of their
+    composition, the most of them on one path less one, in bits (cached
+    with the dense arrays)."""
     dense = tree.dense_arrays()
     if "round_stats" not in dense:
         rounds = tree.heavy_paths()
@@ -964,11 +970,9 @@ def _round_stats(tree):
                 zsteps[j] = int(per_path.max() - 1).bit_length()
         dense["round_stats"] = {
             "m": np.array([r["vert"].size for r in rounds]),
-            "longest": np.array([int(r["reach"].max()) + 1 for r in rounds]),
             "paths": paths,
             "lpar": np.array([r["lpar"].size for r in rounds]),
             "size": size,
-            "steps": np.array([int(r["reach"].max()).bit_length() for r in rounds]),
             "below_paths": np.append(paths[1:], 0),
             "below_size": np.append(size[1:], 0),
             "merges": np.array([int(r["lcount"].max() - 1).bit_length() if r["lpar"].size
@@ -977,27 +981,6 @@ def _round_stats(tree):
             "zsteps": zsteps,
         }
     return dense["round_stats"]
-
-
-def _step_stats(tree, rounds, light):
-    """Per step of the heavy-path ``rounds`` (indices) in turn: its
-    positions, the largest subtree among them and among the step's below
-    (0 at step 0), and the rows of the light folds its products take
-    (``light`` per round, 1 where no position of the step has light
-    children)."""
-    dense = tree.dense_arrays()
-    stats = [[], [], [], []]
-    for j in rounds:
-        rnd = tree.heavy_paths()[j]
-        reach = rnd["reach"]
-        steps = int(reach.max()) + 1
-        big = np.zeros(steps, dtype=np.int64)
-        np.maximum.at(big, reach, dense["size"][rnd["vert"]])
-        lit = np.bincount(reach[rnd["lpar"]], minlength=steps) > 0
-        for out, x in zip(stats, (np.bincount(reach), big, np.append(0, big[:-1]),
-                                  np.where(lit, light[j], 1))):
-            out.append(x)
-    return [np.concatenate(x) if x else np.zeros(0, dtype=np.int64) for x in stats]
 
 
 def _int_bytes(tree, xis, kappa: int, lam: int) -> int:
@@ -1062,137 +1045,52 @@ def _kept_bytes(tree, kappa: int, lam: int, int_bytes: int = 0) -> int:
 
 # -- the cost rule -----------------------------------------------------------
 #
-# ``treecut.search`` sizes its bisection rounds by the sweep's estimated
-# time: a sum of counts the code can observe, each times a constant in
-# microseconds, ``_CHAIN_US``: per round; per table row of a round (the
-# numpy calls of one row of all its paths); per row cell of a round, per
-# threshold; per numpy call and cell pair of the light products; per cell
-# of the scans of rounds of several paths and, where potentials can make
-# z non-zero, of the budget products that compose its maps and the row
-# arrays that take their minima back; per numpy call and cell pair of the
-# light folds.  A step round is priced, in place of its rows, row cells,
-# light products and scans, over its steps by ``_STEP_US``: per step, per
-# cell of a step's tables and of its heavy children's, per numpy call of
-# its products (one per block of rows, as ``_block_rows`` takes them) and
-# per cell pair.  A round is thus priced by its vertices, its rows and its
-# longest path.
-#
-# Two prices stay as they were with no refit: a leaf round keeps a scan's
-# (its closed form takes less), and a step round the composition's where
-# potentials can make z non-zero (it composes nothing).  ``_CHAIN_US`` was
-# fitted by least squares on the logarithm of the time, over 247 timed
-# sweeps (the best of three) on one 2-core VM (Python 3.11.7, numpy 2.4.6):
-# paths, stars, caterpillars, brooms, spiders and random recursive trees
-# of 3-10,000 vertices, 1-20 parts (up to n below 3000 vertices), 0-10
-# outliers and 1-16 thresholds, with and without potentials.  On 149 other
-# such sweeps one estimate in two was within 0.85-1.4x of the measured
-# time.  Those sweeps laid their tables out vertex-first; on 159 sweeps of
-# the vertex-last kernel, drawn the same way (sizes log-uniform), estimate
-# over time had quartiles 1.06, 1.58 and 2.45 (31% within 0.85-1.4x).
-# ``_STEP_US`` holds the constants an earlier sweep, one batch per tree
-# level, was fitted with the same way, per level, cell, merge call and
-# cell pair, since a step runs a level's batch; they were not refit for
-# steps.  A search compares only estimates of one tree at several round
-# widths, so the constants stay until a fit covers step rounds.
-#
-# Small (min,+) products are gathered in a few numpy calls
-# (``_gathers``), so the terms per numpy call of the light products, the
-# light folds and a step's products count the calls of loops those
-# products skip, and overcount them.  The constants were not
-# refit for it: a search compares only estimates of one tree, and on the
-# optimize-exact benchmark (seed 7) every search kept its sweep count.
+# ``treecut.search`` sizes its bisection rounds by the int64 sweep's
+# estimated time, affine in its threshold count t: F + t * V, where F
+# prices the sweep's rounds, the rows its scan rounds pass over and the
+# steps of its step rounds, and V its row cells (``_sweep_counts``).
+# ``_COST_US`` was fitted by non-negative least squares on the relative
+# error, over 748 timed sweeps (the best of 3-7) on one 2-core VM (Python
+# 3.11.7, numpy 2.4.6): paths, stars, caterpillars, brooms, spiders and
+# random recursive trees of 3-10,000 vertices, 1-20 parts (or n, on a
+# fifth of the trees under 300 vertices), 0-10 outliers and 1, 3, 7 or 15
+# thresholds, with and without potentials.  It prices shapes, not numpy
+# calls: on 379 other such sweeps the estimate was 0.24-1.43x the
+# measured time for four in five, low on folds of many light children.
+# But a search compares only estimates of one tree at several round
+# widths, and on those trees the width it picks took 3.8% more time per
+# halving than the fastest, on average, against 3.2% for the 12-constant
+# rule it replaced; a term for the maps potentials compose picked no
+# better.
 #
 # The sweep on Python ints, past the int64 bound, is not priced:
 # ``cost_us`` gives it 0, so a search there decides one threshold per
 # sweep.
-_CHAIN_US = (75, 43, 0.027, 10, 0.014, 0.00024, 21, 0.0041)  # round, row,
-#   row cell, light product call and cell pair, scan and composition
-#   cell, light fold call and cell pair
-_STEP_US = (51, 0.020, 13, 0.0020)  # step, cell, product call and cell pair
+_COST_US = (68, 15, 37, 0.0097)  # round, scanned row, step, row cell per threshold
 
 
-def _fold_terms(rows, child_rows, children, merges):
-    """(numpy calls, cell pairs) of ``_fold_runs`` merges of ``children``
-    tables of ``child_rows`` rows into parents of ``rows`` rows, over
-    ``merges`` rounds, summed over arrays of folds."""
-    calls = pairs = 0
-    for t in range(int(merges.max(initial=0))):
-        span = np.minimum(rows, child_rows << t) * (merges > t)
-        calls += int(span.sum())
-        pairs += float((children * span * span).sum()) / 2 ** (t + 1)
-    return calls, pairs
-
-
-def _chain_terms(tree, kappa):
-    """The counts ``_chain_us`` prices, per part budget (cached with the
-    dense arrays)."""
-    cache = tree.dense_arrays().setdefault("chain_terms", {})
-    if kappa in cache:
-        return cache[kappa]
-    ch = _round_stats(tree)
-    crows = np.minimum(kappa, ch["size"])
-    light = np.minimum(crows, ch["below_size"] + 1)
-    multi = ch["paths"] > 1
-    lit = ch["lpar"] > 0  # rounds with light children
-    # how each round runs (``_round_kind``): a step round has none of the
-    # scan's terms, and a leaf round keeps a scan's price (see the
-    # cost-rule comment)
-    leaf = ch["longest"] == 1
-    stepped = ~leaf & (ch["longest"] < crows)
-    scan = ~leaf & ~stepped
-    width, size, prev, z = _step_stats(tree, np.flatnonzero(stepped), light)
-    rows = np.minimum(kappa, size)
-    below = np.minimum(kappa, prev + 1)  # the heavy children's rows, grown by one
-    merge = prev > 0  # step 0 takes the leaves in closed form
-    cache[kappa] = {
-        "chain": (crows.size, int((crows + 1)[~stepped].sum()),
-                  int((ch["m"] * (crows + 1))[~stepped].sum()),
-                  int((crows * lit)[scan].sum()),
-                  float((ch["lpar"] * crows * (light - 1))[scan].sum()))
-                 + _fold_terms(crows, light, ch["below_paths"], ch["merges"]),
-        # cells of the plain scans of rounds of several paths; where z can
-        # be non-zero, of the budget products that compose its maps (one
-        # per doubling step and one for D') and of the row arrays that take
-        # their minima back (a step round keeps that price, see the
-        # cost-rule comment)
-        "steps": (int((ch["steps"] * crows * ch["m"] * multi)[scan].sum()),
-                  int((crows * ch["zk"] * (ch["zsteps"] + 1))[~leaf].sum()),
-                  int((crows * ch["m"] * (ch["zk"] > 0))[~leaf].sum())),
-        # the steps of step rounds: their count and cells (the leaves'
-        # step included), and per merging step its width and the rows of
-        # the operand its products loop over and of the other, within the
-        # step's rows
-        "stepped": (width.size,
-                    int((width * np.where(merge, rows + below, 3)).sum()),
-                    width[merge], np.minimum(z, below)[merge],
-                    np.minimum(np.maximum(z, below), rows)[merge]),
-    }
-    return cache[kappa]
-
-
-def _chain_us(tree, kappa, lam, thresholds, use_pot):
-    terms = _chain_terms(tree, kappa)
-    rounds, rows, cells, lcalls, lpairs, fcalls, fpairs = terms["chain"]
-    lp1 = lam + 1
-    # with potentials and outliers z can be non-zero, where a light child
-    # has positive subtree potential: those maps are composed by budget
-    # products, and the rest keep z implicit
-    z = use_pot and lam > 0 and int(tree.dense_arrays()["p_sub"][0]) > 0
-    multi, products, fixes = terms["steps"]
-    step_cells = multi + (products * lp1 + fixes if z else 0)
-    c = _CHAIN_US
-    levels, level_cells, width, loop, other = terms["stepped"]
-    # a step's products take blocks of rows of the operand they loop over
-    block = np.minimum(np.minimum(loop, other), _BLOCK_CELLS // (other * lp1 * thresholds * width))
-    block[block < _BLOCK_ROWS] = 1
-    s = _STEP_US
-    return (c[0] * rounds + c[1] * rows + c[2] * lp1 * thresholds * cells
-            + c[3] * lp1 * lcalls + c[4] * lp1 * lp1 * thresholds * lpairs
-            + c[5] * lp1 * thresholds * step_cells
-            + c[6] * lp1 * fcalls + c[7] * lp1 * lp1 * thresholds * fpairs
-            + s[0] * levels + s[1] * lp1 * thresholds * level_cells
-            + s[2] * lp1 * int((-(-loop // block)).sum())
-            + s[3] * lp1 * lp1 * thresholds * float((width * loop * other).sum()))
+def _sweep_counts(tree, kappa, lam):
+    """The counts ``cost_us`` prices, for one sweep at budgets ``(kappa,
+    lam)``: its rounds, the rows its scan rounds pass over (``rows + 1``
+    each), the steps of its step rounds, and its row cells per threshold
+    (per round, its vertices times ``(rows + 1) (lam + 1)``), with each
+    round's kind from ``_round_kind`` (cached with the dense arrays)."""
+    dense = tree.dense_arrays()
+    cache = dense.setdefault("sweep_counts", {})
+    if (kappa, lam) not in cache:
+        cap = _row_cap(dense, kappa, lam)
+        rounds = tree.heavy_paths()
+        scanned = steps = cells = 0
+        for rnd in rounds:
+            rows = _round_rows(dense, rnd, cap)
+            kind = _round_kind(rnd, rows)
+            if kind == "scan":
+                scanned += rows + 1
+            elif kind == "step":
+                steps += int(rnd["reach"].max()) + 1
+            cells += rnd["vert"].size * (rows + 1)
+        cache[kappa, lam] = len(rounds), scanned, steps, cells * (lam + 1)
+    return cache[kappa, lam]
 
 
 def fits(tree, xis, kappa: int, lam: int) -> bool:
@@ -1203,13 +1101,15 @@ def fits(tree, xis, kappa: int, lam: int) -> bool:
                      max(x.denominator for x in xis), kappa, lam)
 
 
-def cost_us(tree, xis, kappa: int, lam: int, use_pot: bool = False) -> float:
+def cost_us(tree, xis, kappa: int, lam: int) -> float:
     """Estimated microseconds of the sweep that answers thresholds
     ``xis``: the int64 sweep's where they ``fit``, else 0 for the sweep on
     Python ints, which is not priced."""
     if not xis or not fits(tree, xis, kappa, lam):
         return 0
-    return _chain_us(tree, kappa, lam, len(xis), use_pot)
+    rounds, scanned, steps, cells = _sweep_counts(tree, kappa, lam)
+    c = _COST_US
+    return c[0] * rounds + c[1] * scanned + c[2] * steps + c[3] * len(xis) * cells
 
 
 def _gate(figure: int) -> None:

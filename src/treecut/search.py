@@ -39,11 +39,13 @@ The bisection runs in rounds (``_bisect``): a round of j halvings decides
 the 2^j - 1 evenly spaced inner thresholds of the bracket in one batched
 sweep (``solver.decide_batch``), which the numpy sweep can take for less
 than j sweeps of one threshold, and keeps the cell between the last
-``no`` and the first ``yes``.  The cost rule picks the j with the least
-estimated time per halving, once per search, on a tree or a forest's
-layout alike.  No round does more halvings than the search still needs,
-so a tolerance search ends on the bracket that one-threshold halvings
-would reach, and its answers and witnesses do not depend on j.
+``no`` and the first ``yes``.  The cost rule (``_fastlane.cost_us``), a
+sweep's time estimated affine in its threshold count, picks the j with
+the least estimated time per halving, once per search, on a tree or a
+forest's layout alike.  No round does more halvings than the search
+still needs, so a tolerance search ends on the bracket that
+one-threshold halvings would reach, and its answers and witnesses do
+not depend on j.
 Zero is decided only while no threshold has said ``no``, since any ``no``
 above zero rules it out: once the bisection has shortened the bracket
 sixteenfold with every answer ``yes``, in a round with a threshold whose
@@ -238,8 +240,10 @@ def _round(probe, lo, hi, need, width, tree, spec, exact):
     j (at most ``_MAX_HALVINGS`` and ``need``) is ``width``, or when that
     is None, the j whose sweep of the floors ``probe`` will decide on
     ``tree`` (a forest's layout, for a forest) the cost rule prices lowest
-    per halving.  Past the int64 bound the sweep runs on Python ints and
-    is priced at 0, so there a round halves once per sweep.
+    per halving: it prices t thresholds F + t V, so rounds are wide where
+    a sweep's fixed part F outweighs its cells' V.  Past the int64 bound
+    the sweep runs on Python ints and is priced at 0, so there a round
+    halves once per sweep.
 
     In exact mode, a bracket ``(lo, hi]`` that holds no more fractions of
     the probe's order than the round has thresholds gets a finishing round
@@ -262,7 +266,7 @@ def _round(probe, lo, hi, need, width, tree, spec, exact):
     if width is None:
         floors = [probe.floor(x) for x in xs]
         width = min(range(1, most + 1), key=lambda j: _fastlane.cost_us(
-            tree, every(floors, j), kappa, lam, spec.use_potentials) / j)
+            tree, every(floors, j), kappa, lam) / j)
         xs = every(xs, width)
     if exact:
         run = _farey_run(lo, hi, probe.limit, len(xs))
@@ -433,8 +437,12 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
     the cache.  The witness attains the returned threshold.
 
     Raises :class:`MonotonicityViolation` when the decisions contradict
-    each other or the explicit partition's threshold.
+    each other or the explicit partition's threshold, and
+    :class:`TablesTooLarge` before any sweep where the witness's tables
+    would be over the memory gate at int64 cells.
     """
+    from . import _fastlane
+
     if mode not in ("exact", "tol"):
         raise InvalidInput(f"mode must be 'exact' or 'tol', got {mode!r}")
     if mode == "tol":
@@ -450,9 +458,14 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
     if _too_few_parts(trees, parts, outliers):
         return OptimizationResult(None, None, 0, mode, tol)
 
+    tree = instance.layout if isinstance(instance, Forest) else instance
+    # the witness's final ``solve`` gates the figure of the tables it keeps;
+    # on int64 cells that figure is the least it can gate, so a search
+    # whose witness cannot pass raises here, before any sweep
+    n = tree.vertex_count
+    _fastlane._gate(_fastlane._kept_bytes(tree, min(parts, n), min(outliers, n)))
     hi, achievable = _opening_bound(trees, parts, use_potentials)
     spec = spec.with_xi(hi)
-    tree = instance.layout if isinstance(instance, Forest) else instance
     denom_limit = _order(trees)
     probe = _Prober(lambda xis: decide_batch(tree, spec, xis), denom_limit)
 

@@ -19,6 +19,7 @@ from treecut import (
     NotForestAfterDeletion,
     PrecollisionError,
     ProblemSpec,
+    TablesTooLarge,
     UnknownVertexId,
     WeightedGraph,
     build_rooted_tree,
@@ -245,6 +246,28 @@ class TestMinXi:
             min_xi(star_tree(), 2, 0, mode="tol")
         with pytest.raises(InvalidInput):
             min_xi(star_tree(), 2, 0, mode="nonsense")
+
+    def test_a_witness_over_the_gate_fails_before_any_sweep(self, monkeypatch):
+        # with the gate between the decision's memory figure and the
+        # witness's, the search raises before its first sweep, where the
+        # final solve would raise after all of them; a decision still
+        # answers at that gate
+        t = _shaped_tree(random.Random(8), 60, "recursive", pmax=3)
+        figure, kept = _fastlane._chain_bytes(t, 3, 2), _fastlane._kept_bytes(t, 3, 2)
+        assert figure < kept
+        monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", (figure + kept) // 2)
+        sweeps = []
+        chain_sweep = _fastlane._chain_sweep
+        monkeypatch.setattr(_fastlane, "_chain_sweep", lambda *args, **kwargs:
+                            sweeps.append(args) or chain_sweep(*args, **kwargs))
+        for mode, tol in (("exact", None), ("tol", Fraction(1, 8))):
+            with pytest.raises(TablesTooLarge):
+                min_xi(t, 3, 2, mode=mode, tol=tol, use_potentials=True)
+            assert not sweeps
+        with pytest.raises(TablesTooLarge):
+            solve(t, ProblemSpec(5, 3, 2, True))
+        assert decide(t, ProblemSpec(5, 3, 2, True)) in (True, False)
+        assert len(sweeps) == 1
 
     def test_exact_on_rational_weights(self):
         t = build_rooted_tree([("a", "1/3"), ("b", "2/5")], [("a", "b", "7/11")], "a")
@@ -658,6 +681,26 @@ class TestBatchedSearch:
         t = _shaped_tree(rng, 1000, "recursive", pmax=3)
         res = self._same(t, 3, 2, use_pot=True)
         assert res.sweeps * 3 <= res.probes
+
+    def test_round_width_follows_the_tree(self, monkeypatch):
+        # the cost rule picks narrow rounds on a path rooted at an end,
+        # one round whose sweep costs little beside its cells, and wide
+        # rounds on a random recursive tree, whose many rounds cost more
+        # than their cells (best of 8 on a 2-core VM: the path's search
+        # took 13 ms at width 1 and 24 ms at width 3, the tree's 45 ms at
+        # width 3 and 75 ms at width 1)
+        rng = random.Random(9)
+        n = 2000
+        path = build_rooted_tree([(i, rng.randint(1, 9), rng.randint(0, 3)) for i in range(n)],
+                                 [(i - 1, i, rng.randint(1, 9)) for i in range(1, n)], 0)
+        assert len(path.heavy_paths()) == 1
+        bushy = _shaped_tree(rng, 1000, "recursive", pmax=3)
+        for tree, narrow in ((path, True), (bushy, False)):
+            rec = _Recorder(monkeypatch)
+            min_xi(tree, 3, 2, use_potentials=True)
+            monkeypatch.undo()
+            widths = {e[1][1] for e in rec.events if e[0] == "round"}
+            assert widths and (max(widths) <= 2 if narrow else min(widths) >= 3), widths
 
 
 class _Recorder:

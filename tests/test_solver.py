@@ -708,7 +708,7 @@ class TestPythonLane:
                                    parts, lam, use_pot)
                 xis = [Fraction(j, 2) for j in range(8)]
                 assert not _fastlane.fits(t, xis, parts, lam)
-                assert _fastlane.cost_us(t, xis, parts, lam, use_pot) == 0
+                assert _fastlane.cost_us(t, xis, parts, lam) == 0
                 sweeps.clear()
                 assert decide(t, spec) == _grid.solve(t, spec, record_choices=False).feasible
                 assert decide_batch(t, spec, xis) == [
@@ -976,28 +976,21 @@ class TestChainSweep:
                     _least._least_budgets(t, spec)[kappa] <= lam, None)
         assert ran["step"] == 60 and ran["leaf"] >= 40
 
-    def test_potentials_on_heavy_paths_alone_are_priced_as_none(self):
-        # z can be non-zero only where a light child has positive subtree
-        # potential: with potentials on round 0's heavy path alone, no map
-        # is composed, and the chain sweep is priced as without potentials
+    def test_cost_is_affine_in_the_threshold_count(self):
+        # on int64 the cost rule prices a sweep of t thresholds F + t * V,
+        # F and V positive and fixed by the tree and budgets; past the
+        # bound it prices nothing
         rng = random.Random(33)
         for shape in _SHAPES:
-            plain = _shaped_tree(rng, 500, shape, False)
-            dense = plain.dense_arrays()
-            on_path = {plain.ids[plain._bfs[p]] for p in plain.heavy_paths()[0]["vert"]}
-            t = build_rooted_tree(
-                [(v, plain.weight(v), 3 if v in on_path else 0) for v in plain.ids],
-                [(plain.parent_of(v), v, plain.parent_edge_cost(v))
-                 for v in plain.ids if v != plain.root_id], plain.root_id)
-            everywhere = _shaped_tree(random.Random(34), 500, shape, True)
-            for kappa, lam, nb in ((3, 2, 1), (5, 3, 4), (20, 5, 2)):
-                want = _fastlane._chain_us(plain, kappa, lam, nb, False)
-                assert _fastlane._chain_us(t, kappa, lam, nb, True) == want
-                assert _fastlane._chain_us(t, kappa, lam, nb, False) == want
-                if shape not in ("path", "spider"):
-                    assert _fastlane._chain_us(everywhere, kappa, lam, nb, True) \
-                        > _fastlane._chain_us(everywhere, kappa, lam, nb, False)
-            assert dense["size"].tolist() == t.dense_arrays()["size"].tolist()
+            t = _shaped_tree(rng, 300, shape, True)
+            for kappa, lam in ((3, 2), (20, 5), (300, 0)):
+                cost = [_fastlane.cost_us(t, [Fraction(j, 7) for j in range(1, nb + 1)],
+                                          kappa, lam) for nb in range(1, 6)]
+                v = cost[1] - cost[0]
+                assert v > 0 and cost[0] > v
+                assert cost == pytest.approx([cost[0] + j * v for j in range(5)])
+            xis = [Fraction(1, 7), Fraction(2, 7)]
+            assert _fastlane.cost_us(past_bound(t, False), xis, 3, 2) == 0
 
     def test_budget_product(self):
         # against its definition, on int64 and on Python ints, on rows
@@ -1013,14 +1006,6 @@ class TestChainSweep:
                                              np.array(x, dtype=dtype)[:, None, None], inf)
             assert got[:, 0, 0].tolist() == [
                 min([z[lp] + x[l - lp] for lp in range(l + 1)] + [inf]) for l in range(lp1)]
-
-    def test_a_path_is_priced_alike_with_and_without_potentials(self):
-        # a path is one round with no light children, so its z stays
-        # implicit and potentials add no doubling scan to run or to price
-        t = _shaped_tree(random.Random(31), 2000, "path", True)
-        for kappa, lam in ((3, 2), (2, 0), (20, 5)):
-            assert _fastlane._chain_us(t, kappa, lam, 1, True) \
-                == _fastlane._chain_us(t, kappa, lam, 1, False)
 
     def test_k_max_on_a_deep_tree_takes_the_chain_sweep(self, monkeypatch):
         # parts = n and 20 outliers on a 60-vertex caterpillar: the chain
