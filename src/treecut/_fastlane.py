@@ -18,10 +18,16 @@ cut-charge cells are int64; past the bound the same code runs on
 ``dtype=object`` arrays of Python ints (``_thresholds`` picks the dtype,
 and ``RootedTree.dense_arrays`` keeps the tree's values as objects only
 when they leave int64).  Least budgets are counts of at most ``lam + 1``
-and stay int64 either way.  A memory figure per threshold
-(``_chain_bytes``, and ``_kept_bytes`` for a witness) bounds what a sweep
-holds; over ``_MAX_TABLE_BYTES`` ``root_row``, ``decide_many`` and
-``witness_tables`` raise ``TablesTooLarge``.  For one threshold,
+and stay int64 either way.  A round keeps a row per part count its
+largest subtree can hold (the tree-knapsack bound); a round below the
+root then hands up its path tops' tables cut after their last feasible
+row (``_trim``), since at a given threshold most of those counts are
+infeasible, and the folds above read the rows cut off as infinite.  A
+memory figure per threshold (``_chain_bytes``, and ``_kept_bytes`` for a
+witness) bounds what a sweep holds; both stay a-priori figures, from the
+subtree sizes alone, which the trim only lowers the peak under.  Over
+``_MAX_TABLE_BYTES`` ``root_row``, ``decide_many`` and ``witness_tables``
+raise ``TablesTooLarge``.  For one threshold,
 ``witness_tables`` keeps the rows every round builds, which are every
 vertex's tables, and ``treecut.solver.solve`` hands them to the replay of
 ``treecut.witness``.  A cost rule (``cost_us``) prices the int64 sweep,
@@ -80,7 +86,18 @@ _MAX_TABLE_BYTES = 1 << 31
 # (the tree-knapsack bound).  Below a virtual root no vertex keeps more
 # rows than a tree of the forest can hold parts in a feasible split
 # (``_row_cap``): rows up to the cap read only rows up to it, so the
-# root's fold is the same for every part count.
+# root's fold is the same for every part count.  At one threshold most
+# of those rows are often infeasible (at parts = n on the kmax-wide
+# benchmark trees, over nine in ten of the row pairs the products of a
+# sweep multiplied held no finite cell), so a round below the root of
+# more than ``_BLOCK_ROWS`` rows hands up its path tops' tables cut after
+# the last row with a feasible cell (``_trim``).  Every reader takes a
+# missing row as infinite, as it takes the rows past a smaller subtree's
+# (``_grow``, ``_cut_or_join``, a gathered product's padding), so the
+# folds, merges and steps above shrink with it; a virtual root's fold is
+# padded back to ``kappa + 1`` least budgets.  The memory figures count
+# the rows the subtree sizes allow, so the trim only lowers the peak
+# under them.
 #
 # A table is laid out ``(rows, lam + 1, thresholds, vertices)`` and least
 # budgets ``(rows + 1, thresholds, vertices)``, so each product, test and
@@ -411,7 +428,20 @@ def _fold_least(M, plan, kappa, none):
         return (_min_plus_mu(left[0], right[0],
                              min(kappa + 1, left[0].shape[0] + right[0].shape[0] - 1), none),)
 
-    return _fold_runs(plan, (M,), (none,), merge)[0][..., 0].T
+    # trimmed trees' rows (``_trim``) may add up to fewer than kappa + 1
+    return _grow(_fold_runs(plan, (M,), (none,), merge)[0][..., 0], kappa + 1, none).T
+
+
+def _trim(G, M, inf, none):
+    """Path-top tables ``G`` and ``M`` cut after the last row with a
+    feasible cell: a cut-charge cell below ``inf`` (row ``i``, ``i + 1``
+    parts) or a least budget below ``none`` (row ``k``, ``k`` parts), at
+    least one cut-charge row.  A fold reads the rows cut off as infinite,
+    as it reads those past a smaller subtree's."""
+    g = np.flatnonzero((G < inf).reshape(G.shape[0], -1).any(axis=1))
+    m = np.flatnonzero((M < none).reshape(M.shape[0], -1).any(axis=1))
+    rows = max(1, g[-1] + 1 if g.size else 0, m[-1] if m.size else 0)
+    return G[:rows], M[:rows + 1]
 
 
 def _row_cap(dense, kappa, lam):
@@ -615,71 +645,95 @@ def _round_kind(rnd, rows):
     return "step" if longest < rows else "scan"
 
 
-def _step_plan(rnd):
+def _step_plan(rnd, size_r):
     """The steps of a round's paths, longest paths first (cached in the
-    round): the path order (indices into ``top``) and, per step ``j``, the
-    round positions ``j`` steps above their path's leaf (one per path
-    longer than ``j``, in that order), which of them have light children
-    and at which index of ``lpar``."""
+    round; ``size_r`` is its vertices' subtree sizes): the path order
+    (indices into ``top``); the round positions of every step in one
+    array, step ``j``'s at ``[bounds[j], bounds[j + 1])``, those ``j``
+    steps above their path's leaf (one per path longer than ``j``, in that
+    order); each position's column of the light folds as ``_step_round``
+    pads them (0 for none, else one past its index in ``lpar``); and per
+    step its largest subtree and whether a position has light children.
+    Nothing in it depends on the part budget."""
     if "step_plan" not in rnd:
         top, lpar = rnd["top"], rnd["lpar"]
         length = rnd["reach"][top] + 1
         order = np.argsort(-length, kind="stable")
         length = length[order]
         leaf = top[order] + length - 1
-        steps = []
-        for j in range(int(length[0])):
-            pos = leaf[:np.searchsorted(-length, -j)] - j
-            li = np.flatnonzero(np.isin(pos, lpar))
-            steps.append((pos, li, np.searchsorted(lpar, pos[li])))
-        rnd["step_plan"] = order, steps
+        counts = np.searchsorted(-length, -np.arange(int(length[0])))  # paths longer than j
+        bounds = np.concatenate(([0], counts.cumsum()))
+        step = np.repeat(np.arange(counts.size), counts)
+        pos = leaf[np.arange(bounds[-1]) - bounds[step]] - step
+        light = np.zeros_like(pos)
+        has = np.isin(pos, lpar)
+        light[has] = np.searchsorted(lpar, pos[has]) + 1
+        starts = bounds[:-1]
+        rnd["step_plan"] = (order, pos, bounds.tolist(), light,
+                            np.maximum.reduceat(size_r[pos], starts).tolist(),
+                            (np.maximum.reduceat(light, starts) > 0).tolist())
     return rnd["step_plan"]
+
+
+def _no_light_first(Z, U, inf, none):
+    """Light folds ``Z`` and ``U`` (cut-charge rows and least budgets,
+    vertices last) led by the fold of no light children: one part at no
+    charge, and no parts at no budget."""
+    z = np.empty(Z.shape[:-1] + (1,), dtype=Z.dtype)
+    z.fill(inf)
+    z[0] = 0
+    u = np.empty(U.shape[:-1] + (1,), dtype=np.int64)
+    u.fill(none)
+    u[0] = 0
+    return np.concatenate((z, Z), axis=-1), np.concatenate((u, U), axis=-1)
 
 
 def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1, inf, keep=None):
     """The tables of a round's path tops, built step by step up its paths
     (see the chain comment): ``Z`` and ``U`` are the light folds of the
-    round's ``lpar`` (or None), and ``e_r``, ``t_r``, ``free`` and
-    ``size_r`` its vertices' charges, threshold tests, freedom to be an
-    outlier and subtree sizes.  ``keep``, where given, takes each step's
-    positions (in the dense layout) with their tables."""
+    round's ``lpar`` led by a column for the positions without light
+    children (``_no_light_first``), so that a step gathers its folds in
+    one take, or None; ``e_r``, ``t_r``, ``free`` and ``size_r`` its
+    vertices' charges, threshold tests, freedom to be an outlier and
+    subtree sizes.  The positions' charges, tests and freedom are taken
+    once for all steps, as ``_step_plan`` lays the steps out.  ``keep``,
+    where given, takes each step's positions (in the dense layout) with
+    their tables."""
     none = lp1
-    order, steps = _step_plan(rnd)
+    order, pos, bounds, light, largest, lit = _step_plan(rnd, size_r)
     nb = t_r.shape[0]
+    E = e_r.take(pos, axis=-1)
+    T = t_r.take(pos, axis=-1)
+    F = free[pos]
     Gt = np.empty((rows, lp1, nb, order.size), dtype=t_r.dtype)
     Gt.fill(inf)
     Mt = np.empty((rows + 1, nb, order.size), dtype=np.int64)
     Mt.fill(none)
-    for j, (pos, li, lz) in enumerate(steps):
-        p = pos.size
+    for j in range(len(largest)):
+        lo, hi = bounds[j], bounds[j + 1]
+        p = hi - lo
         if not j:
-            G, M = _leaf_tables(t_r.take(pos, axis=-1), free[pos], lp1)
+            G, M = _leaf_tables(T[..., lo:hi], F[lo:hi], lp1)
         else:
-            # the heavy children, cut or joined, and the light folds (one
-            # part of zero charge, and no parts, where there are none)
-            X = _cut_or_join(G[..., :p], M[..., :p], e_r.take(pos + 1, axis=-1), kappa, inf)
-            rows_j = min(kappa, int(size_r[pos].max()))
-            if li.size:
-                Zs = np.empty((Z.shape[0], lp1, nb, p), dtype=Z.dtype)
-                Zs[0] = 0
-                Zs[1:].fill(inf)
-                Zs[..., li] = Z.take(lz, axis=-1)
-                Us = np.empty((U.shape[0], nb, p), dtype=np.int64)
-                Us[0] = 0
-                Us[1:].fill(none)
-                Us[..., li] = U.take(lz, axis=-1)
-                G = _min_plus_gamma(Zs, X, rows_j, inf)
-                Uu = _min_plus_mu(Us, M[..., :p], rows_j + 1, none)
+            # the heavy children, step j - 1's first p positions, cut or
+            # joined, and the light folds
+            below = bounds[j - 1]
+            X = _cut_or_join(G[..., :p], M[..., :p], E[..., below:below + p], kappa, inf)
+            rows_j = min(kappa, largest[j])
+            if lit[j]:
+                li = light[lo:hi]
+                G = _min_plus_gamma(Z.take(li, axis=-1), X, rows_j, inf)
+                Uu = _min_plus_mu(U.take(li, axis=-1), M[..., :p], rows_j + 1, none)
             else:
                 # the heavy children alone (whose rows, sized for their whole
                 # step, may pass this one's)
                 G = _grow(X[:rows_j], rows_j, inf)
                 Uu = _grow(M[:rows_j + 1, ..., :p], rows_j + 1, none)
-            M = _least_rows(G, Uu, t_r.take(pos, axis=-1), free[pos], none)
+            M = _least_rows(G, Uu, T[..., lo:hi], F[lo:hi], none)
         if keep is not None:
-            keep(rnd["vert"][pos], G, M)
+            keep(rnd["vert"][pos[lo:hi]], G, M)
         # the paths of exactly j + 1 vertices end here, at their tops
-        rest = steps[j + 1][0].size if j + 1 < len(steps) else 0
+        rest = bounds[j + 2] - hi if j + 2 < len(bounds) else 0
         Gt[:G.shape[0], ..., order[rest:p]] = G[..., rest:]
         Mt[:M.shape[0], ..., order[rest:p]] = M[..., rest:]
     return Gt, Mt
@@ -845,10 +899,14 @@ def _chain_sweep(tree, forb, xis, kappa, lam, use_pot, keep=None):
                                   rows, cap, none, inf)
             Gt = Mt = None
         if kind == "step":
+            if Z is not None:
+                Z, U = _no_light_first(Z, U, inf, none)
             Gt, Mt = _step_round(rnd, rows, cap, Z, U, e_r, t_r, free, size[vert], lp1, inf,
                                  keep)
         else:
             Gt, Mt = _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, inf, keep)
+        if r and rows > _BLOCK_ROWS:
+            Gt, Mt = _trim(Gt, Mt, inf, none)
     return Mt[..., 0].T
 
 
@@ -1112,12 +1170,15 @@ def cost_us(tree, xis, kappa: int, lam: int) -> float:
     return c[0] * rounds + c[1] * scanned + c[2] * steps + c[3] * len(xis) * cells
 
 
-def _gate(figure: int) -> None:
-    """Raise ``TablesTooLarge`` where one threshold's memory figure is over
-    ``_MAX_TABLE_BYTES``."""
+def _gate(figure: int, witness: bool = False) -> None:
+    """Raise ``TablesTooLarge`` where a memory figure is over
+    ``_MAX_TABLE_BYTES``, naming it: one threshold's sweep
+    (``_chain_bytes``) or, with ``witness``, the kept witness tables
+    (``_kept_bytes``)."""
     if figure > _MAX_TABLE_BYTES:
-        raise TablesTooLarge(f"the sweep would hold up to {figure} bytes per threshold, "
-                             f"over the memory gate of {_MAX_TABLE_BYTES} bytes")
+        held = (f"the witness tables would hold {figure} bytes" if witness
+                else f"the sweep would hold up to {figure} bytes per threshold")
+        raise TablesTooLarge(f"{held}, over the memory gate of {_MAX_TABLE_BYTES} bytes")
 
 
 def root_row(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
@@ -1145,7 +1206,7 @@ def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
     ``TablesTooLarge`` where the figure of what it keeps
     (``_kept_bytes``) is over the gate."""
     forb = _forb_array(tree, forbidden_ids)
-    _gate(_kept_bytes(tree, kappa, lam, _int_bytes(tree, (xi,), kappa, lam)))
+    _gate(_kept_bytes(tree, kappa, lam, _int_bytes(tree, (xi,), kappa, lam)), witness=True)
     dense = tree.dense_arrays()
     if "bfs" not in dense:
         dense["bfs"] = np.argsort(dense["pos"])  # the tree index at each position

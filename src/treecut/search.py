@@ -463,7 +463,8 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
     # on int64 cells that figure is the least it can gate, so a search
     # whose witness cannot pass raises here, before any sweep
     n = tree.vertex_count
-    _fastlane._gate(_fastlane._kept_bytes(tree, min(parts, n), min(outliers, n)))
+    _fastlane._gate(_fastlane._kept_bytes(tree, min(parts, n), min(outliers, n)),
+                    witness=True)
     hi, achievable = _opening_bound(trees, parts, use_potentials)
     spec = spec.with_xi(hi)
     denom_limit = _order(trees)

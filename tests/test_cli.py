@@ -329,16 +329,18 @@ class TestErrors:
 
     @pytest.mark.parametrize("command", ["decide", "optimize", "kmax", "cluster"])
     def test_tables_over_the_memory_gate(self, capsys, monkeypatch, star_file, command):
-        # a gate one byte: every command exits 2 with the figure and the
-        # gate in its message, and prints no answer
+        # a gate one byte: every command exits 2 with the figure it
+        # refuses and the gate in its message, and prints no answer.
+        # kmax refuses its sweep; the others the witness tables they keep
         monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", 1)
         args = {"decide": ["--xi", "1", "--parts", "2"], "optimize": ["--parts", "2"],
                 "kmax": ["--xi", "1"], "cluster": ["--parts", "2"]}[command]
         code, out, err = run_cli(capsys, command, *args, "--outliers", "0",
                                  "--input", star_file)
         assert code == 2 and not out
-        assert re.fullmatch(r"treecut: the sweep would hold up to \d+ bytes per threshold, "
-                            r"over the memory gate of 1 bytes\n", err)
+        held = (r"the sweep would hold up to \d+ bytes per threshold" if command == "kmax"
+                else r"the witness tables would hold \d+ bytes")
+        assert re.fullmatch(rf"treecut: {held}, over the memory gate of 1 bytes\n", err)
 
     def test_weights_past_the_int64_bound(self, capsys, tmp_path):
         # weights around 2^70 leave int64: the sweep on Python ints

@@ -997,6 +997,44 @@ class TestForest:
                 assert wit is None
         assert outcomes == {True, False}
 
+    def test_a_witness_over_the_gate_fails_before_any_sweep(self, monkeypatch):
+        # with the gate between the layout's sweep figure and its
+        # kept-table figure, a forest decision that wants a witness raises
+        # in its solve before any sweep, on a forest and on a graph whose
+        # trees are that forest; without the witness one sweep answers
+        rng = random.Random(47)
+        trees = [_shaped_tree(rng, 40, shape, pmax=2, prefix=f"{i}-")
+                 for i, shape in enumerate(("recursive", "caterpillar", "star"))]
+        graph = WeightedGraph(
+            [(v, t.weight(v), t.potential(v)) for t in trees for v in t.vertex_ids()],
+            [(t.parent_of(v), v, t.parent_edge_cost(v), None)
+             for t in trees for v in t.vertex_ids() if t.parent_of(v) is not None])
+        forests = []
+        decide_forest_ = search.decide_forest
+        monkeypatch.setattr(search, "decide_forest", lambda forest, *args, **kwargs:
+                            forests.append(forest) or decide_forest_(forest, *args, **kwargs))
+        spec = ProblemSpec(Fraction(3, 2), 3, 2, True)
+        cases = [(Forest(tuple(trees)),
+                  lambda forest, witness: decide_forest_(forest, spec, witness))]
+        want = decide_semisupervised(graph, (), (), spec.xi, 3, 2, use_potentials=True)[0]
+        cases.append((forests[-1], lambda forest, witness: decide_semisupervised(
+            graph, (), (), spec.xi, 3, 2, witness, use_potentials=True)))
+        sweeps = []
+        chain_sweep = _fastlane._chain_sweep
+        monkeypatch.setattr(_fastlane, "_chain_sweep", lambda *args, **kwargs:
+                            sweeps.append(args) or chain_sweep(*args, **kwargs))
+        for forest, run in cases:
+            layout = forest.layout
+            figure, kept = _fastlane._chain_bytes(layout, 3, 2), _fastlane._kept_bytes(layout, 3, 2)
+            assert figure < kept
+            monkeypatch.setattr(_fastlane, "_MAX_TABLE_BYTES", (figure + kept) // 2)
+            sweeps.clear()
+            with pytest.raises(TablesTooLarge, match="witness tables"):
+                run(forest, True)
+            assert not sweeps
+            assert run(forest, False) == (want, None)
+            assert len(sweeps) == 1
+
     def test_unknown_forbidden_id_raises_as_on_a_tree(self):
         spec = ProblemSpec(1, 2, 0, forbidden_outliers={"zzz"})
         with pytest.raises(UnknownVertexId):

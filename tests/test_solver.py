@@ -27,8 +27,10 @@ from treecut import (
     k_max,
     min_xi,
     oracle_decide,
+    reconstruct_subpartition,
     root_feasibility,
     solve,
+    validate_subpartition,
 )
 from treecut import _fastlane, solver
 from treecut.tree import part_cap
@@ -1043,6 +1045,138 @@ class TestChainSweep:
             got = _fastlane._chain_sweep(t, _fastlane._forb_array(t, ()), [Fraction(1, 2)],
                                          kappa, 40, False)
             assert got[0].tolist() == [min(w, 41) for w in _least._least_budgets(t, spec)]
+
+
+def _spy_on_trims(monkeypatch):
+    """Record each ``_trim`` as (rows before, rows after), and check that
+    the path-top tables every fold reads from the round below end at a
+    feasible row (a cut-charge cell below inf, or a least budget below
+    none) whenever they hold more than ``_BLOCK_ROWS`` rows."""
+    trims = []
+    trim, fold = _fastlane._trim, _fastlane._fold_children
+
+    def trim_spy(G, M, *args):
+        out = trim(G, M, *args)
+        trims.append((G.shape[0], out[0].shape[0]))
+        return out
+
+    def fold_spy(G, M, e, plan, rows, kappa, none, inf):
+        assert M.shape[0] == G.shape[0] + 1
+        if G.shape[0] > _fastlane._BLOCK_ROWS:
+            assert (G[-1] < inf).any() or (M[-1] < none).any()
+        return fold(G, M, e, plan, rows, kappa, none, inf)
+
+    monkeypatch.setattr(_fastlane, "_trim", trim_spy)
+    monkeypatch.setattr(_fastlane, "_fold_children", fold_spy)
+    return trims
+
+
+class TestTrimmedRounds:
+    """Rounds below the root hand up their path tops' tables cut after
+    the last feasible row (``_fastlane._trim``), and step rounds take
+    their positions' constants once per round (``_step_plan``): against
+    the least-budget sweep (tests/_least.py)."""
+
+    _SHAPES = ("random", "caterpillar", "star", "broom", "spider")
+
+    def test_root_rows_and_k_max_at_parts_n(self, monkeypatch):
+        # parts = n on random recursive trees, caterpillars, stars, brooms
+        # and spiders of 20-150 vertices, with and without potentials,
+        # forbidden vertices, 0-5 outliers and 1-3 thresholds; witnesses
+        # at k_max parts, where that is over 8, pass validation
+        trims = _spy_on_trims(monkeypatch)
+        rng = random.Random(40)
+        witnesses = 0
+        for trial in range(40):
+            use_pot = trial % 2 == 0
+            n = rng.randint(20, 150)
+            t = _shaped_tree(rng, n, self._SHAPES[trial % 5], use_pot, legs=rng.randint(2, 5))
+            forb = frozenset(v for v in range(n) if rng.random() < 0.1)
+            lam = trial % 6
+            xis = [Fraction(rng.randint(1, 12), rng.randint(2, 6))
+                   for _ in range(rng.randint(1, 3))]
+            got = _numpy_least(t, forb, xis, n, lam, use_pot)
+            for xi, row in zip(xis, got):
+                spec = ProblemSpec(xi, n, lam, use_pot, forb)
+                want = [min(w, lam + 1) for w in _least._least_budgets(t, spec)]
+                assert row == want, (trial, xi)
+                k = k_max(t, xi, lam, use_pot, forb)
+                assert k == next((k for k in range(n, 0, -1) if want[k] <= lam), 0)
+                if k > 8 and xi == xis[0]:
+                    spec = ProblemSpec(xi, k, lam, use_pot, forb)
+                    sub = reconstruct_subpartition(t, spec, solve(t, spec))
+                    assert validate_subpartition(t, spec, sub) == []
+                    witnesses += 1
+        assert sum(after < before for before, after in trims) >= 40 and witnesses >= 10
+
+    def test_root_rows_past_the_bound(self, monkeypatch):
+        # the same on trees past the int64 bound (scaled by 2^200, or with
+        # rational values of a large scale), whose cells are Python ints
+        trims = _spy_on_trims(monkeypatch)
+        rng = random.Random(41)
+        for trial in range(16):
+            use_pot = trial % 2 == 0
+            n = rng.randint(20, 50)
+            t = past_bound(_shaped_tree(rng, n, self._SHAPES[trial % 5], use_pot,
+                                        legs=rng.randint(2, 4)), trial % 4 >= 2)
+            forb = frozenset(v for v in range(n) if rng.random() < 0.1)
+            lam = rng.randint(0, 5)
+            xi = Fraction(rng.randint(1, 12), rng.randint(2, 6))
+            assert not _fastlane.fits(t, [xi], n, lam)
+            spec = ProblemSpec(xi, n, lam, use_pot, forb)
+            want = [min(w, lam + 1) for w in _least._least_budgets(t, spec)]
+            assert _numpy_least(t, forb, [xi], n, lam, use_pot) == [want], trial
+            assert k_max(t, xi, lam, use_pot, forb) == next(
+                (k for k in range(n, 0, -1) if want[k] <= lam), 0)
+        assert sum(after < before for before, after in trims) >= 8
+
+    def test_a_forest_root_keeps_every_part_count(self, monkeypatch):
+        # forests of 2-4 trees of 20-50 vertices at 9 parts or more: the
+        # trees' trimmed rows fold at the virtual root into kappa + 1
+        # least budgets, and decide_forest answers as the least-budget
+        # sweep does, with a witness of as many parts when it says yes
+        trims = _spy_on_trims(monkeypatch)
+        rng = random.Random(42)
+        yes = 0
+        for trial in range(20):
+            use_pot = trial % 2 == 0
+            forest = _forest(rng, [rng.randint(20, 50) for _ in range(rng.randint(2, 4))],
+                             use_pot)
+            layout = forest.layout
+            n = layout.vertex_count
+            forb = frozenset(v for v in layout.ids if rng.random() < 0.1)
+            kappa = rng.randint(9, n)
+            lam = rng.randint(0, 5)
+            xi = Fraction(rng.randint(1, 12), rng.randint(1, 4))
+            spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
+            [row] = _numpy_least(layout, forb, [xi], kappa, lam, use_pot)
+            assert len(row) == kappa + 1
+            assert row == _least._least_budgets(layout, spec), trial
+            ok, wit = decide_forest(forest, spec)
+            assert ok == (row[kappa] <= lam) and (wit is None) != ok
+            if ok:
+                yes += 1
+                assert len(wit.parts) == kappa and len(wit.residue) <= lam
+                assert wit.max_expansion <= xi
+        assert yes >= 5 and sum(after < before for before, after in trims) >= 10
+
+    def test_one_tree_at_several_part_budgets(self):
+        # the step plan is kept with the tree's rounds and holds nothing
+        # of the part budget: each tree swept at parts = n, then at 9-20
+        # parts, n / 2 and n again answers every budget as the
+        # least-budget sweep does
+        rng = random.Random(43)
+        for trial in range(10):
+            use_pot = trial % 2 == 0
+            n = rng.randint(40, 120)
+            t = _shaped_tree(rng, n, self._SHAPES[trial % 5], use_pot, legs=rng.randint(2, 5))
+            lam = rng.randint(0, 4)
+            xi = Fraction(rng.randint(1, 12), rng.randint(2, 6))
+            for kappa in (n, rng.randint(9, 20), n // 2, n):
+                spec = ProblemSpec(xi, kappa, lam, use_pot)
+                want = [min(w, lam + 1) for w in _least._least_budgets(t, spec)]
+                assert _numpy_least(t, (), [xi], kappa, lam, use_pot) == [want], (trial, kappa)
+                assert decide(t, spec) == (want[kappa] <= lam)
 
 
 def _least_row(least, lam):

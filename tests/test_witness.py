@@ -223,6 +223,36 @@ class TestReplayMatchesGrid:
         # the same replay from the tables of the sweep on Python ints
         given = _table_source(monkeypatch, "python")
         assert self._check_against_grid(random.Random(66), 600) > 900
+        # and at 9-16 parts on trees of 24-36 vertices, whose rounds below
+        # the root hand up their tables cut after the last feasible row
+        # (``_fastlane._trim``)
+        cuts = []
+        trim = _fastlane._trim
+
+        def spy(G, M, *args):
+            out = trim(G, M, *args)
+            cuts.append(out[0].shape[0] < G.shape[0])
+            return out
+
+        monkeypatch.setattr(_fastlane, "_trim", spy)
+        rng = random.Random(67)
+        feasible = 0
+        for trial in range(12):
+            use_pot = trial % 2 == 0
+            t = _tied_tree(rng, rng.randint(24, 36), use_pot)
+            forb = frozenset(v for v in t.vertex_ids() if rng.random() < 0.1)
+            parts, outliers = rng.randint(9, 16), rng.randint(0, 3)
+            floor = min_xi(t, parts, outliers, use_potentials=use_pot,
+                           forbidden_outliers=forb).xi_star
+            for xi in ([Fraction(rng.randint(0, 12), rng.randint(1, 4))] if floor is None
+                       else [floor, floor + Fraction(rng.randint(1, 8), rng.randint(1, 4))]):
+                spec = ProblemSpec(xi, parts, outliers, use_pot, forb)
+                got = reconstruct_subpartition(t, spec, solve(t, spec))
+                assert got == _grid.witness(t, spec, _grid.solve(t, spec)), (t.ids, spec)
+                if got is not None:
+                    assert validate_subpartition(t, spec, got) == []
+                    feasible += 1
+        assert feasible >= 10 and sum(cuts) >= 10
         assert given == {np.dtype(object)}
 
     def test_witnesses_past_the_bound_equal_the_grid_dp_witnesses(self):
