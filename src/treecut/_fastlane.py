@@ -5,12 +5,14 @@ describes over flat numpy arrays, by the chain sweep (``_chain_sweep``):
 one batch of array operations per heavy-path round (at most ``log2(n) +
 1`` of them), over all heavy paths of the round at once, so that paths
 and caterpillars, with as many levels as vertices, take a few batches.
-A round runs in one of three ways (``_round_kind``): row by row, one scan
-along its paths per table row; step by step up its paths when its
-longest path is shorter than its table rows (bushy trees at large part
-counts, as in ``k_max``), each step a batch for the positions that many
-steps above their leaf; and, for a round of single leaves, in closed
-form.
+A round runs in one of three ways: row by row, one scan along its paths
+per table row; step by step up its paths when its longest path is
+shorter than its table rows (bushy trees at large part counts, as in
+``k_max``), each step a batch for the positions that many steps above
+their leaf; and, for a round of single leaves, in closed form.  Which
+way, and how many rows, is worked out once per tree and budgets
+(``_round_plan``), and the same plan gives the memory figures and the
+cost rule their counts.
 
 The sweep is the only DP, exact at any size.  Where a conservative
 a-priori bound (``_bound_ok``) proves every value fits in 64 bits, its
@@ -19,20 +21,22 @@ cut-charge cells are int64; past the bound the same code runs on
 and ``RootedTree.dense_arrays`` keeps the tree's values as objects only
 when they leave int64).  Least budgets are counts of at most ``lam + 1``
 and stay int64 either way.  A round keeps a row per part count its
-largest subtree can hold (the tree-knapsack bound); a round below the
-root then hands up its path tops' tables cut after their last feasible
-row (``_trim``), since at a given threshold most of those counts are
-infeasible, and the folds above read the rows cut off as infinite.  A
-memory figure per threshold (``_chain_bytes``, and ``_kept_bytes`` for a
-witness) bounds what a sweep holds; both stay a-priori figures, from the
-subtree sizes alone, which the trim only lowers the peak under.  Over
+largest subtree can hold (the tree-knapsack bound), within the row cap
+(``kappa``, or below a forest's virtual root ``tree.part_cap``); a round
+below the root then hands up its path tops' tables cut after their last
+feasible row (``_trim``), since at a given threshold most of those
+counts are infeasible, and the folds above read the rows cut off as
+infinite.  A memory figure per threshold (``_chain_bytes``, and
+``_kept_bytes`` for a witness) bounds what a sweep holds; both stay
+a-priori figures, from the plan's rows alone (so a forest layout is
+priced at its row cap), which the trim only lowers the peak under.  Over
 ``_MAX_TABLE_BYTES`` ``root_row``, ``decide_many`` and ``witness_tables``
 raise ``TablesTooLarge``.  For one threshold,
 ``witness_tables`` keeps the rows every round builds, which are every
 vertex's tables, and ``treecut.solver.solve`` hands them to the replay of
 ``treecut.witness``.  A cost rule (``cost_us``) prices the int64 sweep,
-affine in the threshold count, from counts of the rounds it runs;
-``treecut.search`` sizes its bisection rounds by it.
+affine in the threshold count, from the plan's counts of the rounds it
+runs; ``treecut.search`` sizes its bisection rounds by it.
 
 Vertices arrive relabeled in BFS order (see ``RootedTree.dense_arrays``):
 position 0 is the root, every vertex's children occupy the contiguous
@@ -85,8 +89,9 @@ _MAX_TABLE_BYTES = 1 << 31
 # merge's output keep only the rows its subtree sizes can fill
 # (the tree-knapsack bound).  Below a virtual root no vertex keeps more
 # rows than a tree of the forest can hold parts in a feasible split
-# (``_row_cap``): rows up to the cap read only rows up to it, so the
-# root's fold is the same for every part count.  At one threshold most
+# (the row cap of ``_round_plan``): rows up to the cap read only rows up
+# to it, so the root's fold is the same for every part count.  At one
+# threshold most
 # of those rows are often infeasible (at parts = n on the kmax-wide
 # benchmark trees, over nine in ten of the row pairs the products of a
 # sweep multiplied held no finite cell), so a round below the root of
@@ -96,8 +101,8 @@ _MAX_TABLE_BYTES = 1 << 31
 # (``_grow``, ``_cut_or_join``, a gathered product's padding), so the
 # folds, merges and steps above shrink with it; a virtual root's fold is
 # padded back to ``kappa + 1`` least budgets.  The memory figures count
-# the rows the subtree sizes allow, so the trim only lowers the peak
-# under them.
+# the rows the subtree sizes and the row cap allow, so the trim only
+# lowers the peak under them.
 #
 # A table is laid out ``(rows, lam + 1, thresholds, vertices)`` and least
 # budgets ``(rows + 1, thresholds, vertices)``, so each product, test and
@@ -323,20 +328,6 @@ def _fold_plan(counts):
     return plan
 
 
-def _cached_plan(dense, key, counts):
-    """``_fold_plan(counts)``, kept with the dense arrays under ``key`` (a
-    heavy-path round, whose counts never change) when it holds a merge
-    round; an empty plan costs one ``max`` to rebuild, less
-    than the entry that would keep it."""
-    plans = dense.setdefault("fold_plans", {})
-    plan = plans.get(key)
-    if plan is None:
-        plan = _fold_plan(counts)
-        if plan:
-            plans[key] = plan
-    return plan
-
-
 def _fold_runs(plan, items, fills, merge):
     """Fold each run of consecutive items into one item, merging
     neighbours pairwise round by round as ``plan`` (``_fold_plan``) pairs
@@ -444,18 +435,6 @@ def _trim(G, M, inf, none):
     return G[:rows], M[:rows + 1]
 
 
-def _row_cap(dense, kappa, lam):
-    """The most rows a vertex keeps: ``kappa``, or below a virtual root
-    the forest's ``tree.part_cap``; 1 where that is 0, since every root
-    entry is then ``none`` whatever the trees hold.  The trees' rows still
-    add up to ``kappa`` or more, so the root's fold has ``kappa + 1``
-    entries."""
-    if not dense.get("virtual_root"):
-        return kappa
-    trees = dense["size"][dense["cstart"][0]:dense["cend"][0]].tolist()
-    return max(1, part_cap(trees, kappa, lam))
-
-
 # -- the chain sweep --------------------------------------------------------
 #
 # The recurrences of ``treecut.solver``, one heavy-path round per step
@@ -521,7 +500,7 @@ def _row_cap(dense, kappa, lam):
 #   where z is zero it is C_h, and where it is not, G_s is at most it.
 #   z can be non-zero only at a vertex with a light child of positive
 #   subtree potential, since a negative cut charge needs potential (the
-#   memory figure counts those vertices' composite z's, ``_round_stats``).
+#   memory figure counts those vertices' composite z's, ``_round_plan``).
 #
 # z is finite and non-increasing in the budget, as every cut-charge row
 # is, so z * C_h[i] is e_h + z[l - M_h[i]]: one gather, at the non-zero
@@ -530,7 +509,7 @@ def _row_cap(dense, kappa, lam):
 # Step rounds.  A scan makes rows + 1 passes over its round, however short
 # its paths; at ``k_max``'s parts = n a 13-position round of a 150-vertex
 # tree would take 151.  A round whose longest path is shorter than its
-# rows (``_round_kind``) runs instead one step per path position, from the
+# rows (``_round_plan``) runs instead one step per path position, from the
 # leaves up: step j runs the recurrences on the positions j steps above
 # their path's leaf, with the light fold as one more child.  Each
 # heavy child is cut or joined as ``_fold_children`` takes a child
@@ -626,23 +605,6 @@ def _path_buckets(rnd):
             buckets.append((rows, rows[real], np.flatnonzero(real)))
         rnd["buckets"] = buckets
     return rnd["buckets"]
-
-
-def _round_rows(dense, rnd, cap):
-    """The table rows of a round: its largest subtree's vertex count,
-    within the row cap ``cap`` (``_row_cap``)."""
-    return min(cap, int(dense["size"][rnd["vert"][rnd["top"]]].max()))
-
-
-def _round_kind(rnd, rows):
-    """How the chain sweep runs a round of ``rows`` table rows: ``"leaf"``
-    when every path is a single leaf (tables in closed form), ``"step"``
-    when its longest path is shorter than ``rows`` (step by step up the
-    paths) and ``"scan"`` otherwise (row by row along the paths)."""
-    longest = int(rnd["reach"].max()) + 1
-    if longest == 1:
-        return "leaf"
-    return "step" if longest < rows else "scan"
 
 
 def _step_plan(rnd, size_r):
@@ -868,24 +830,23 @@ def _chain_sweep(tree, forb, xis, kappa, lam, use_pot, keep=None):
     axis (see ``witness_tables``)."""
     rounds = tree.heavy_paths()
     dense = tree.dense_arrays()
+    plan = _round_plan(tree, kappa, lam)
+    cap = plan["cap"]
     a_arr, b_arr, inf = _thresholds(tree, xis, kappa, lam)
     eps, thr = _charges(dense, a_arr, b_arr, use_pot)
     size = dense["size"]
     lp1 = lam + 1
     none = lp1
-    cap = _row_cap(dense, kappa, lam)
     Gt = Mt = None  # the round below's path tops: cut-charge rows, least budgets
     for r in range(len(rounds) - 1, -1, -1):
         rnd = rounds[r]
-        if not r and dense.get("virtual_root"):
-            # the root alone: below it, each tree tops a path
-            return _fold_least(Mt, _cached_plan(dense, ("round", 0), rnd["lcount"]),
-                               kappa, none)
+        rows, kind = plan["rounds"][r]
+        if kind == "root":
+            # a virtual root alone: below it, each tree tops a path
+            return _fold_least(Mt, rnd["folds"], kappa, none)
         vert = rnd["vert"]
-        rows = _round_rows(dense, rnd, cap)
         e_r, t_r = eps.take(vert, axis=-1), thr.take(vert, axis=-1)
         free = forb[vert] == 0
-        kind = _round_kind(rnd, rows)
         if kind == "leaf":
             Gt, Mt = _leaf_tables(t_r, free, lp1)
             if keep is not None:
@@ -895,8 +856,7 @@ def _chain_sweep(tree, forb, xis, kappa, lam, use_pot, keep=None):
         if rnd["lpar"].size:
             below = rounds[r + 1]
             Z, U = _fold_children(Gt, Mt, eps.take(below["vert"][below["top"]], axis=-1),
-                                  _cached_plan(dense, ("round", r), rnd["lcount"]),
-                                  rows, cap, none, inf)
+                                  rnd["folds"], rows, cap, none, inf)
             Gt = Mt = None
         if kind == "step":
             if Z is not None:
@@ -954,9 +914,10 @@ def _forb_array(tree, forbidden_ids):
 #   the minima taken back from the composed maps) plus, per doubling step
 #   of the composition, (lam + 1) cells for each vertex where z can be
 #   non-zero, for the composite z's;
-# * ``_CHAIN_TABLE_COPIES`` tables of min(kappa, largest subtree in the
-#   round) rows for each path top (the tops' output and, in a step round,
-#   the tables of a step's positions, at most its paths, and rows);
+# * ``_CHAIN_TABLE_COPIES`` tables of the round's rows (its largest
+#   subtree's vertex count, within the row cap, as ``_round_plan`` counts
+#   them) for each path top (the tops' output and, in a step round, the
+#   tables of a step's positions, at most its paths, and rows);
 # * as many tables of the light folds' rows for each vertex with light
 #   children (Z, its products and, in a scan, the heavy children's rows
 #   that the light products read, of which ``_Recent`` keeps the last Z
@@ -973,12 +934,13 @@ def _forb_array(tree, forbidden_ids):
 # gathered product (its two takes, numpy's intp copy of its plan and the
 # padded operand, each at most a quarter of it, ``_gathers``), and
 # ``_FIXED_BYTES`` that do not grow with the tree, among them the plan
-# cache's ``_PLAN_BYTES``.  The first sweep on a
-# tree also keeps one fold plan per round, its scans' indices and its
-# steps' positions.  A cell takes 8 bytes, and past the int64 bound the
-# int object it points to besides (``_int_bytes``): most cells a sum
-# makes are new ints, none larger than the sweep's infinity, since every
-# product saturates to it.
+# cache's ``_PLAN_BYTES``.  The first round plan of a tree also keeps
+# one fold plan per round, and its first sweep its scans' indices and its
+# steps' positions.  A forest layout is priced at its row cap, the rows
+# its sweep keeps, not at ``kappa``.  A cell takes 8 bytes, and past the
+# int64 bound the int object it points to besides (``_int_bytes``): most
+# cells a sum makes are new ints, none larger than the sweep's infinity,
+# since every product saturates to it.
 #
 # Measured with tracemalloc (numpy 2.4) on the first sweep of fresh trees
 # with potentials: on stars, random recursive trees, brooms, spiders and
@@ -1003,42 +965,83 @@ _FIXED_BYTES = 1 << 20
 _BLOCK_HELD = 3 * _BLOCK_CELLS
 
 
-def _round_stats(tree):
-    """Per heavy-path round, the counts of the memory figures: vertices,
-    paths, vertices with light children, largest subtree, the paths and
-    largest subtree of the round below and the merge rounds of their fold;
-    and the vertices where z can be non-zero (with a light child of
-    positive subtree potential) with the doubling steps of their
-    composition, the most of them on one path less one, in bits (cached
-    with the dense arrays)."""
+def _round_plan(tree, kappa: int, lam: int) -> dict:
+    """What a sweep at budgets ``(kappa, lam)`` does, round by round,
+    worked out once and kept with the dense arrays:
+
+    * ``cap``: the most rows a vertex keeps, ``kappa``, or below a virtual
+      root the forest's ``tree.part_cap`` (1 where that is 0, since every
+      root entry is then ``none`` whatever the trees hold; the trees' rows
+      still add up to ``kappa`` or more, so the root's fold has ``kappa +
+      1`` entries);
+    * ``rounds``: per heavy-path round its table rows, its largest
+      subtree's vertex count within the cap, and how the chain sweep runs
+      it: ``"leaf"`` when every path is a single leaf (tables in closed
+      form), ``"step"`` when its longest path is shorter than its rows
+      (step by step up the paths), ``"scan"`` otherwise (row by row along
+      the paths) and ``"root"`` for a virtual root (its trees' least
+      budgets folded alone);
+    * ``counts``: what ``cost_us`` prices, the rounds, the rows scan
+      rounds pass over (``rows + 1`` each), the steps of step rounds and
+      the row cells per threshold (per round, its vertices times ``(rows
+      + 1) (lam + 1)``);
+    * ``cells``: the cells one threshold's sweep may hold at once, the
+      figure of ``_chain_bytes`` (see the memory-figure comment).
+
+    Each round with light children gets its fold plan (``_fold_plan``)
+    as ``folds``, which no budget changes."""
     dense = tree.dense_arrays()
-    if "round_stats" not in dense:
-        rounds = tree.heavy_paths()
-        size = np.array([dense["size"][r["vert"][r["top"]]].max() for r in rounds])
-        paths = np.array([r["top"].size for r in rounds])
-        zk = np.zeros(len(rounds), dtype=np.int64)
-        zsteps = np.zeros(len(rounds), dtype=np.int64)
-        for j, (here, below) in enumerate(zip(rounds, rounds[1:])):
+    plans = dense.setdefault("round_plans", {})
+    plan = plans.get((kappa, lam))
+    if plan is not None:
+        return plan
+    rounds = tree.heavy_paths()
+    size = dense["size"]
+    virtual = dense.get("virtual_root")
+    cap = (max(1, part_cap(size[dense["cstart"][0]:dense["cend"][0]].tolist(), kappa, lam))
+           if virtual else kappa)
+    largest = [int(size[rnd["vert"][rnd["top"]]].max()) for rnd in rounds] + [0]
+    per_round = []
+    scanned = steps = row_cells = held = 0
+    for r, rnd in enumerate(rounds):
+        rows = min(cap, largest[r])
+        m = rnd["vert"].size
+        longest = int(rnd["reach"].max()) + 1
+        kind = ("root" if virtual and not r else "leaf" if longest == 1
+                else "step" if longest < rows else "scan")
+        per_round.append((rows, kind))
+        if kind == "scan":
+            scanned += rows + 1
+        elif kind == "step":
+            steps += longest
+        row_cells += m * (rows + 1)
+        # the memory figure's cells at this round, over lam + 1 per cell
+        top, lpar = rnd["top"], rnd["lpar"]
+        child = min(cap, largest[r + 1] + 1)  # a light child's rows, grown by one
+        cells = m * _CHAIN_ROW_COPIES + _CHAIN_TABLE_COPIES * top.size * rows
+        if lpar.size:
+            below = rounds[r + 1]
+            if "folds" not in rnd:
+                rnd["folds"] = _fold_plan(rnd["lcount"])
+            merges = int(rnd["lcount"].max() - 1).bit_length()
+            light = min(rows, ((child - 1) << merges) + 1)
+            cells += (_CHAIN_TABLE_COPIES * lpar.size * light
+                      + _FOLD_COPIES * below["top"].size * child)
+            # z can be non-zero where a light child has positive subtree
+            # potential; their composite z's, per doubling step
             charged = dense["p_sub"][below["vert"][below["top"]]] > 0
-            first = here["lcount"].cumsum() - here["lcount"]
-            zpos = here["lpar"][np.add.reduceat(charged, first) > 0]
+            zpos = lpar[np.add.reduceat(charged, rnd["lcount"].cumsum() - rnd["lcount"]) > 0]
             if zpos.size:
-                per_path = np.bincount(np.searchsorted(here["top"], zpos, side="right"))
-                zk[j] = zpos.size
-                zsteps[j] = int(per_path.max() - 1).bit_length()
-        dense["round_stats"] = {
-            "m": np.array([r["vert"].size for r in rounds]),
-            "paths": paths,
-            "lpar": np.array([r["lpar"].size for r in rounds]),
-            "size": size,
-            "below_paths": np.append(paths[1:], 0),
-            "below_size": np.append(size[1:], 0),
-            "merges": np.array([int(r["lcount"].max() - 1).bit_length() if r["lpar"].size
-                                else 0 for r in rounds]),
-            "zk": zk,
-            "zsteps": zsteps,
-        }
-    return dense["round_stats"]
+                per_path = np.bincount(np.searchsorted(top, zpos, side="right"))
+                cells += zpos.size * int(per_path.max() - 1).bit_length()
+        held = max(held, cells)
+    plan = plans[kappa, lam] = {
+        "cap": cap,
+        "rounds": per_round,
+        "counts": (len(rounds), scanned, steps, row_cells * (lam + 1)),
+        "cells": held * (lam + 1) + _VERTEX_WORDS * tree.vertex_count + _BLOCK_HELD,
+    }
+    return plan
 
 
 def _int_bytes(tree, xis, kappa: int, lam: int) -> int:
@@ -1052,29 +1055,19 @@ def _int_bytes(tree, xis, kappa: int, lam: int) -> int:
 def _chain_bytes(tree, kappa: int, lam: int, int_bytes: int = 0) -> int:
     """Bytes one threshold's chain sweep may hold at once, beyond the fixed
     ``_FIXED_BYTES``: the largest round's row arrays, tables and light
-    fold, ``_VERTEX_WORDS`` cells per vertex and a product block, at ``8 +
-    int_bytes`` bytes a cell (``_int_bytes``; the cell count is cached
-    with the dense arrays)."""
-    cache = tree.dense_arrays().setdefault("chain_cells", {})
-    if (kappa, lam) not in cache:
-        st = _round_stats(tree)
-        rows = np.minimum(kappa, st["size"])
-        child = np.minimum(kappa, st["below_size"] + 1)
-        light = np.minimum(rows, ((child - 1) << st["merges"]) + 1)
-        cells = (st["m"] * _CHAIN_ROW_COPIES + st["zk"] * st["zsteps"]
-                 + _CHAIN_TABLE_COPIES * (st["paths"] * rows + st["lpar"] * light)
-                 + _FOLD_COPIES * st["below_paths"] * child)
-        cache[kappa, lam] = (int(cells.max()) * (lam + 1)
-                             + _VERTEX_WORDS * tree.vertex_count + _BLOCK_HELD)
-    return (8 + int_bytes) * cache[kappa, lam]
+    fold, ``_VERTEX_WORDS`` cells per vertex and a product block
+    (``_round_plan``'s cells), at ``8 + int_bytes`` bytes a cell
+    (``_int_bytes``)."""
+    return (8 + int_bytes) * _round_plan(tree, kappa, lam)["cells"]
 
 
 # The tables ``witness_tables`` keeps, beyond the sweep's own figure: a
 # round's rows of every position, ``m (rows + 1) (lam + 2)`` cells for a
 # round of m positions, with a gathered copy of them while they become
-# lists; and every vertex's tables as lists of Python ints, ``min(rows,
-# size) (lam + 2) + 1`` cells.  An array cell takes what a sweep's does
-# (``_chain_bytes``).  A list cell takes its 8-byte slot and an int
+# lists; and every vertex's tables as lists of Python ints, ``min(cap,
+# size) (lam + 2) + 1`` cells (rows and cap as ``_round_plan`` gives
+# them).  An array cell takes what a sweep's does (``_chain_bytes``).  A
+# list cell takes its 8-byte slot and an int
 # object: for values past 256 in int64, ``_KEPT_INT_BYTES`` (allocated on
 # CPython 3.11 for values under 2^60), and past the bound the int the
 # sweep made, at most ``_int_bytes``.  Each vertex takes
@@ -1090,12 +1083,12 @@ _KEPT_VERTEX_BYTES = 128
 def _kept_bytes(tree, kappa: int, lam: int, int_bytes: int = 0) -> int:
     """Bytes ``witness_tables`` may hold at once, beyond the fixed
     ``_FIXED_BYTES``: the sweep's figure (``_chain_bytes``), the largest
-    round's kept rows and every vertex's lists, with ``int_bytes`` as
-    ``_chain_bytes`` takes them."""
-    dense = tree.dense_arrays()
-    rows = np.minimum(_row_cap(dense, kappa, lam), dense["size"])
-    st = _round_stats(tree)
-    largest = int((st["m"] * (np.minimum(kappa, st["size"]) + 1)).max())
+    round's kept rows and every vertex's lists, each at the rows of
+    ``_round_plan``, with ``int_bytes`` as ``_chain_bytes`` takes them."""
+    plan = _round_plan(tree, kappa, lam)
+    rows = np.minimum(plan["cap"], tree.dense_arrays()["size"])
+    largest = max(rnd["vert"].size * (r + 1)
+                  for rnd, (r, _) in zip(tree.heavy_paths(), plan["rounds"]))
     cells = int(rows.sum()) * (lam + 2) + rows.size
     return (_chain_bytes(tree, kappa, lam, int_bytes) + 2 * (8 + int_bytes) * largest * (lam + 2)
             + (8 + max(_KEPT_INT_BYTES, int_bytes)) * cells + _KEPT_VERTEX_BYTES * rows.size)
@@ -1106,7 +1099,9 @@ def _kept_bytes(tree, kappa: int, lam: int, int_bytes: int = 0) -> int:
 # ``treecut.search`` sizes its bisection rounds by the int64 sweep's
 # estimated time, affine in its threshold count t: F + t * V, where F
 # prices the sweep's rounds, the rows its scan rounds pass over and the
-# steps of its step rounds, and V its row cells (``_sweep_counts``).
+# steps of its step rounds, and V its row cells, all four counted by the
+# round plan the sweep runs (``_round_plan``), so a forest layout is
+# priced at its row cap.
 # ``_COST_US`` was fitted by non-negative least squares on the relative
 # error, over 748 timed sweeps (the best of 3-7) on one 2-core VM (Python
 # 3.11.7, numpy 2.4.6): paths, stars, caterpillars, brooms, spiders and
@@ -1127,30 +1122,6 @@ def _kept_bytes(tree, kappa: int, lam: int, int_bytes: int = 0) -> int:
 _COST_US = (68, 15, 37, 0.0097)  # round, scanned row, step, row cell per threshold
 
 
-def _sweep_counts(tree, kappa, lam):
-    """The counts ``cost_us`` prices, for one sweep at budgets ``(kappa,
-    lam)``: its rounds, the rows its scan rounds pass over (``rows + 1``
-    each), the steps of its step rounds, and its row cells per threshold
-    (per round, its vertices times ``(rows + 1) (lam + 1)``), with each
-    round's kind from ``_round_kind`` (cached with the dense arrays)."""
-    dense = tree.dense_arrays()
-    cache = dense.setdefault("sweep_counts", {})
-    if (kappa, lam) not in cache:
-        cap = _row_cap(dense, kappa, lam)
-        rounds = tree.heavy_paths()
-        scanned = steps = cells = 0
-        for rnd in rounds:
-            rows = _round_rows(dense, rnd, cap)
-            kind = _round_kind(rnd, rows)
-            if kind == "scan":
-                scanned += rows + 1
-            elif kind == "step":
-                steps += int(rnd["reach"].max()) + 1
-            cells += rnd["vert"].size * (rows + 1)
-        cache[kappa, lam] = len(rounds), scanned, steps, cells * (lam + 1)
-    return cache[kappa, lam]
-
-
 def fits(tree, xis, kappa: int, lam: int) -> bool:
     """Whether the sweep may take thresholds ``xis`` on int64: every sum
     it computes stays under 2^61 (``_bound_ok`` on their largest
@@ -1165,7 +1136,7 @@ def cost_us(tree, xis, kappa: int, lam: int) -> float:
     Python ints, which is not priced."""
     if not xis or not fits(tree, xis, kappa, lam):
         return 0
-    rounds, scanned, steps, cells = _sweep_counts(tree, kappa, lam)
+    rounds, scanned, steps, cells = _round_plan(tree, kappa, lam)["counts"]
     c = _COST_US
     return c[0] * rounds + c[1] * scanned + c[2] * steps + c[3] * len(xis) * cells
 
@@ -1181,15 +1152,28 @@ def _gate(figure: int, witness: bool = False) -> None:
         raise TablesTooLarge(f"{held}, over the memory gate of {_MAX_TABLE_BYTES} bytes")
 
 
+def _root_rows(tree, xis, kappa: int, lam: int, use_pot: bool, forbidden_ids):
+    """Least outlier budgets at the root, ``(thresholds, kappa + 1)``, a
+    value over ``lam`` where no budget up to it suffices.  Thresholds
+    share each sweep, in chunks small enough that the sweep's memory
+    figure (per threshold, at the whole batch's cell size) stays within
+    ``_NP_CHUNK_BYTES``; a chunk whose thresholds all fit runs on int64.
+    Raises ``TablesTooLarge`` where one threshold's figure is over the
+    gate."""
+    forb = _forb_array(tree, forbidden_ids)
+    figure = _chain_bytes(tree, kappa, lam, _int_bytes(tree, xis, kappa, lam))
+    _gate(figure)
+    chunk = max(1, _NP_CHUNK_BYTES // figure)
+    return np.concatenate([_chain_sweep(tree, forb, xis[j:j + chunk], kappa, lam, use_pot)
+                           for j in range(0, len(xis), chunk)])
+
+
 def root_row(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
              forbidden_ids) -> list:
     """Least outlier budget at the root per part count: a list of
     ``kappa + 1`` Python ints, ``lam + 1`` where no budget up to ``lam``
-    suffices, from one chain sweep.  Raises ``TablesTooLarge`` where its
-    memory figure is over the gate."""
-    forb = _forb_array(tree, forbidden_ids)
-    _gate(_chain_bytes(tree, kappa, lam, _int_bytes(tree, (xi,), kappa, lam)))
-    return _chain_sweep(tree, forb, (xi,), kappa, lam, use_pot)[0].tolist()
+    suffices, from one chain sweep (``_root_rows``)."""
+    return _root_rows(tree, (xi,), kappa, lam, use_pot, forbidden_ids)[0].tolist()
 
 
 def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
@@ -1197,7 +1181,7 @@ def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
     """Every vertex's cut-charge table and least budgets at threshold
     ``xi``, from one chain sweep that keeps the rows its rounds build: per
     tree index, ``G`` a flat list of ``min(cap, size)`` rows of ``lam + 1``
-    Python ints (``cap`` the row cap, ``_row_cap``) and ``M`` one more
+    Python ints (``cap`` the row cap, ``_round_plan``) and ``M`` one more
     least budget than that, ``lam + 1`` where none suffices, with each
     parent edge's cut charge and each vertex's threshold test.  A
     virtual root has no ``G`` (None) and its trees' least budgets folded
@@ -1208,10 +1192,8 @@ def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
     forb = _forb_array(tree, forbidden_ids)
     _gate(_kept_bytes(tree, kappa, lam, _int_bytes(tree, (xi,), kappa, lam)), witness=True)
     dense = tree.dense_arrays()
-    if "bfs" not in dense:
-        dense["bfs"] = np.argsort(dense["pos"])  # the tree index at each position
-    index, size = dense["bfs"], dense["size"]
-    cap = _row_cap(dense, kappa, lam)
+    index, size = dense["bfs"], dense["size"]  # the tree index at each position
+    cap = _round_plan(tree, kappa, lam)["cap"]
     lp1 = lam + 1
     # every position but a virtual root's, in the order the rounds give
     # them: tree indices and lists of cells
@@ -1248,22 +1230,12 @@ def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
 
 def decide_many(tree, xis, kappa: int, lam: int, use_pot: bool,
                 forbidden_ids) -> list:
-    """Batched decisions over thresholds.  Thresholds share each sweep, in
-    chunks small enough that the sweep's memory figure (per threshold,
-    at the whole batch's cell size) stays within ``_NP_CHUNK_BYTES``; a
-    chunk whose thresholds all fit runs on int64.  Raises
-    ``TablesTooLarge`` where one threshold's figure is over the gate."""
+    """Batched decisions over thresholds ``xis``, from their least
+    budgets at the root (``_root_rows``)."""
     if not xis:
         return []
-    forb = _forb_array(tree, forbidden_ids)
-    figure = _chain_bytes(tree, kappa, lam, _int_bytes(tree, xis, kappa, lam))
-    _gate(figure)
-    chunk = max(1, _NP_CHUNK_BYTES // figure)
-    out = []
-    for j in range(0, len(xis), chunk):
-        least = _chain_sweep(tree, forb, xis[j:j + chunk], kappa, lam, use_pot)
-        out.extend(bool(v) for v in least[:, kappa] <= lam)
-    return out
+    least = _root_rows(tree, xis, kappa, lam, use_pot, forbidden_ids)
+    return [bool(v) for v in least[:, kappa] <= lam]
 
 
 def warm_up() -> None:

@@ -67,7 +67,7 @@ from .errors import (
     PrecollisionError,
     UnknownVertexId,
 )
-from .solver import ProblemSpec, _root_least, decide, decide_batch, solve
+from .solver import ProblemSpec, _count, _root_least, decide, decide_batch, solve
 from .tree import ForestLayout, RootedTree, build_forest, forest_layout, part_cap
 from .values import parse_rational
 from .witness import (Subpartition, _indexed_subpartition, reconstruct_subpartition,
@@ -454,6 +454,7 @@ def min_xi(instance, parts: int, outliers: int, mode: str = "exact",
 
     # the budgets are checked before the vertex counts can answer no
     spec = ProblemSpec(0, parts, outliers, use_potentials, forbidden_outliers)
+    parts, outliers = spec.parts, spec.outliers
     trees = _instance_trees(instance)
     if _too_few_parts(trees, parts, outliers):
         return OptimizationResult(None, None, 0, mode, tol)
@@ -534,7 +535,7 @@ def k_max(tree: RootedTree, xi, outliers: int, use_potentials: bool = False,
     spec = ProblemSpec(parse_rational(xi), n, outliers, use_potentials,
                        forbidden_outliers)
     least = _root_least(tree, spec)
-    lam = min(outliers, n)
+    lam = min(spec.outliers, n)
     return next((k for k in range(n, 0, -1) if least[k] <= lam), 0)
 
 
@@ -579,6 +580,7 @@ def decide_semisupervised(graph, required_outliers, forbidden_outliers, xi,
     ``ProblemSpec``.  The returned witness lives on the original graph.
     """
     xi = parse_rational(xi)
+    parts, outliers = _count(parts, "part count"), _count(outliers, "outlier budget")
     s1 = frozenset(required_outliers)
     s2 = frozenset(forbidden_outliers)
     for v in s1 | s2:

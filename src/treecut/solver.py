@@ -48,12 +48,24 @@ takes them from one sweep that keeps the rows its rounds build, and
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InvalidInput, RootHasNoParentEdge
 from .tree import RootedTree
 from .values import ScaledValue, parse_rational
+
+
+def _count(value, what: str) -> int:
+    """A part count or outlier budget as an ``int``: any integer type
+    (``operator.index``) but ``bool``; else ``InvalidInput``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise InvalidInput(f"{what} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -73,6 +85,8 @@ class ProblemSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "xi", parse_rational(self.xi))
+        object.__setattr__(self, "parts", _count(self.parts, "part count"))
+        object.__setattr__(self, "outliers", _count(self.outliers, "outlier budget"))
         object.__setattr__(self, "forbidden_outliers",
                            frozenset(self.forbidden_outliers))
         if self.parts < 1:

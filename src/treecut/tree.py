@@ -166,9 +166,6 @@ class RootedTree:
     def min_weight(self) -> Fraction:
         return Fraction(min(self.weight_scaled), self.scale)
 
-    def has_potentials(self) -> bool:
-        return any(self.potential_scaled)
-
     def scaled_totals(self) -> tuple[int, int]:
         """(total edge cost, total potential) in scaled units, cached."""
         if self._totals_cache is None:
@@ -203,9 +200,10 @@ class RootedTree:
         Vertices are relabeled by BFS position, which makes each vertex's
         children a contiguous range ``[cstart, cend)`` and the bottom-up
         sweep a plain descending scan, so the kernel streams memory
-        sequentially.  Subtree weights, subtree potentials and edge costs
-        are int64, or Python ints (dtype object) where the scaled totals
-        leave int64.
+        sequentially.  ``bfs`` holds the tree index at each position and
+        ``pos`` the position of each tree index.  Subtree weights, subtree
+        potentials and edge costs are int64, or Python ints (dtype object)
+        where the scaled totals leave int64.
         """
         if self._dense_cache is None:
             import numpy as np
@@ -222,6 +220,7 @@ class RootedTree:
             cstart[1:] = cend[:-1]
             self._dense_cache = {
                 "size": np.array(self.subtree_size, dtype=np.int64)[bfs],
+                "bfs": bfs,
                 "pos": pos,
                 "w_sub": np.array(self.subtree_weight_scaled, dtype=values)[bfs],
                 "p_sub": np.array(self.subtree_potential_scaled, dtype=values)[bfs],

@@ -200,4 +200,3 @@ class ScaledValue:
 
 
 INFINITY = ScaledValue(None)
-ZERO = ScaledValue(0)

@@ -157,6 +157,7 @@ def reference_dense(fields: dict) -> dict:
     cend = 1 + counts.cumsum()
     return {
         "size": np.array(fields["subtree_size"], dtype=np.int64)[bfs],
+        "bfs": bfs,
         "pos": pos,
         "w_sub": np.array(fields["subtree_weight_scaled"], dtype=np.int64)[bfs],
         "p_sub": np.array(fields["subtree_potential_scaled"], dtype=np.int64)[bfs],

@@ -23,6 +23,7 @@ from treecut import (
     decide,
     decide_batch,
     decide_forest,
+    decide_semisupervised,
     edge_charge,
     k_max,
     min_xi,
@@ -30,6 +31,7 @@ from treecut import (
     reconstruct_subpartition,
     root_feasibility,
     solve,
+    tree_as_graph,
     validate_subpartition,
 )
 from treecut import _fastlane, solver
@@ -66,11 +68,28 @@ def _shaped_tree(rng, n, shape, use_pot, potential=None, legs=None):
 
 _SHAPES = ("path", "star", "caterpillar", "broom", "spider", "random")
 
+# forest layouts whose row cap (tree.part_cap) binds far below kappa:
+# (trees, vertices per tree, (kappa, lam))
+_CAPPED_LAYOUTS = ((50, 40, (60, 5)), (6, 300, (10, 2)))
+
 
 def _scaled_star():
     """The unit star with every quantity scaled by 2^200, over the int64
     bound."""
     return past_bound(star_tree(), False)
+
+
+def _spy_on_kinds(monkeypatch, kinds):
+    """Append to ``kinds`` the kind of every round of each round plan the
+    sweeps and figures read (``_fastlane._round_plan``)."""
+    plan = _fastlane._round_plan
+
+    def spy(*args):
+        out = plan(*args)
+        kinds.extend(kind for _, kind in out["rounds"])
+        return out
+
+    monkeypatch.setattr(_fastlane, "_round_plan", spy)
 
 
 class TestProblemSpec:
@@ -81,6 +100,27 @@ class TestProblemSpec:
             ProblemSpec(1, 1, -1)
         with pytest.raises(InvalidInput):
             ProblemSpec(-1, 1, 0)
+        # budgets are integers: floats, bools and strings are refused at
+        # the spec, and so by every query that builds one, before any
+        # sweep; numpy integers are taken as ints
+        t = path_tree(("a", "b", "c"), root="a")
+        graph = tree_as_graph(t)
+        queries = (lambda k, lam: ProblemSpec(1, k, lam),
+                   lambda k, lam: decide(t, ProblemSpec(1, k, lam)),
+                   lambda k, lam: min_xi(t, k, lam),
+                   lambda k, lam: decide_semisupervised(graph, (), (), 1, k, lam))
+        for bad in (2.5, 2.0, True, False, "2", Fraction(2), None):
+            for query in queries:
+                for budgets in ((bad, 0), (1, bad)):
+                    with pytest.raises(InvalidInput, match="must be an integer"):
+                        query(*budgets)
+            with pytest.raises(InvalidInput, match="must be an integer"):
+                k_max(t, 1, bad)
+        spec = ProblemSpec(1, np.int64(2), np.int32(1))
+        assert (type(spec.parts), type(spec.outliers)) == (int, int)
+        assert (spec.parts, spec.outliers) == (2, 1)
+        assert decide(t, spec) == decide(t, ProblemSpec(1, 2, 1))
+        assert k_max(t, 1, np.int64(1)) == k_max(t, 1, 1)
 
     def test_xi_coerced_to_fraction(self):
         assert ProblemSpec("1/3", 1, 0).xi == Fraction(1, 3)
@@ -576,10 +616,28 @@ class TestLaneAgreement:
                 finally:
                     tracemalloc.stop()
                 assert peak <= bound, (name, kappa, lam, peak, bound)
+        # forest layouts of many random recursive trees, whose rows stop
+        # at the row cap (tree.part_cap) far below kappa: the figure
+        # counts the rows the sweep keeps, so it stays within a few times
+        # the peak
+        for count, size, (kappa, lam) in _CAPPED_LAYOUTS:
+            for xi, use_pot in ((Fraction(3), False), (Fraction(1, 3), True)):
+                t = _forest(random.Random(count), [size] * count, use_pot, "random").layout
+                t.heavy_paths()
+                forb = _fastlane._forb_array(t, ())
+                figure = _fastlane._chain_bytes(t, kappa, lam)
+                tracemalloc.start()
+                try:
+                    _fastlane._chain_sweep(t, forb, [xi], kappa, lam, use_pot)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak <= _fastlane._FIXED_BYTES + figure, (count, size, use_pot, peak)
+                assert figure <= 5 * peak, (count, size, use_pot, figure, peak)
 
     def test_first_sweep_peak_stays_within_the_memory_figure(self):
-        # the first sweep on a tree also builds what it keeps with the
-        # dense arrays (its fold plan per round and its scans' indices);
+        # the first sweep on a tree also builds what it keeps in its rounds
+        # (its scans' indices and its steps' positions);
         # 5000-vertex trees, each swept on a fresh tree; and past the int64
         # bound, where a cell also holds an int object, 600-vertex trees
         # scaled by 2^200
@@ -728,9 +786,7 @@ class TestPythonLane:
         # rounds) and 1-3 thresholds, one sweep on Python ints, against the
         # reference and, on trees of at most 12 vertices, the grid DP
         kinds = []
-        round_kind = _fastlane._round_kind
-        monkeypatch.setattr(_fastlane, "_round_kind",
-                            lambda *args: kinds.append(round_kind(*args)) or kinds[-1])
+        _spy_on_kinds(monkeypatch, kinds)
         rng = random.Random(42)
         for trial in range(48):
             use_pot = trial % 3 != 2
@@ -925,9 +981,7 @@ class TestChainSweep:
         # potentials; and three-tree forests, whose layouts also decide
         # through decide_forest
         kinds = []
-        round_kind = _fastlane._round_kind
-        monkeypatch.setattr(_fastlane, "_round_kind",
-                            lambda *args: kinds.append(round_kind(*args)) or kinds[-1])
+        _spy_on_kinds(monkeypatch, kinds)
         rng = random.Random(35)
         shapes = ("star", "broom", "spider", "caterpillar", "random")
         ran = {"step": 0, "leaf": 0}
@@ -980,19 +1034,28 @@ class TestChainSweep:
 
     def test_cost_is_affine_in_the_threshold_count(self):
         # on int64 the cost rule prices a sweep of t thresholds F + t * V,
-        # F and V positive and fixed by the tree and budgets; past the
-        # bound it prices nothing
+        # F and V positive and fixed by the tree and budgets, and equal to
+        # the counts of the rounds recounted here from the heavy paths; on
+        # forest layouts at the row cap (tree.part_cap); past the bound it
+        # prices nothing
         rng = random.Random(33)
+        cases = []
         for shape in _SHAPES:
             t = _shaped_tree(rng, 300, shape, True)
-            for kappa, lam in ((3, 2), (20, 5), (300, 0)):
-                cost = [_fastlane.cost_us(t, [Fraction(j, 7) for j in range(1, nb + 1)],
-                                          kappa, lam) for nb in range(1, 6)]
-                v = cost[1] - cost[0]
-                assert v > 0 and cost[0] > v
-                assert cost == pytest.approx([cost[0] + j * v for j in range(5)])
+            cases += [(t, kappa, kappa, lam) for kappa, lam in ((3, 2), (20, 5), (300, 0))]
             xis = [Fraction(1, 7), Fraction(2, 7)]
             assert _fastlane.cost_us(past_bound(t, False), xis, 3, 2) == 0
+        for count, size, (kappa, lam) in _CAPPED_LAYOUTS + ((3, 50, (150, 3)), (4, 30, (2, 1))):
+            forest = _forest(rng, [size] * count, True)
+            cases.append((forest.layout, part_cap([size] * count, kappa, lam), kappa, lam))
+        for t, cap, kappa, lam in cases:
+            cost = [_fastlane.cost_us(t, [Fraction(j, 7) for j in range(1, nb + 1)],
+                                      kappa, lam) for nb in range(1, 6)]
+            v = cost[1] - cost[0]
+            assert v > 0 and cost[0] > v
+            assert cost == pytest.approx([cost[0] + j * v for j in range(5)])
+            assert cost == pytest.approx([_recounted_cost(t, max(cap, 1), lam, nb)
+                                          for nb in range(1, 6)])
 
     def test_budget_product(self):
         # against its definition, on int64 and on Python ints, on rows
@@ -1045,6 +1108,29 @@ class TestChainSweep:
             got = _fastlane._chain_sweep(t, _fastlane._forb_array(t, ()), [Fraction(1, 2)],
                                          kappa, 40, False)
             assert got[0].tolist() == [min(w, 41) for w in _least._least_budgets(t, spec)]
+
+
+def _recounted_cost(tree, cap, lam, nb):
+    """``cost_us`` of a sweep of ``nb`` thresholds with at most ``cap``
+    rows a vertex, from the heavy paths: per round its rows (its largest
+    subtree within the cap), stepped once per position of its longest
+    path where that is shorter than its rows, else scanned ``rows + 1``
+    times, unless every path is a single leaf."""
+    size = tree.dense_arrays()["size"]
+    rounds = tree.heavy_paths()
+    scanned = steps = cells = 0
+    for rnd in rounds:
+        rows = min(cap, int(size[rnd["vert"]].max()))
+        longest = int(rnd["reach"].max()) + 1
+        if longest == 1:
+            pass  # single leaves, in closed form
+        elif longest < rows:
+            steps += longest
+        else:
+            scanned += rows + 1
+        cells += rnd["vert"].size * (rows + 1)
+    c = _fastlane._COST_US
+    return c[0] * len(rounds) + c[1] * scanned + c[2] * steps + c[3] * nb * cells * (lam + 1)
 
 
 def _spy_on_trims(monkeypatch):
@@ -1281,13 +1367,13 @@ class TestLeastBudgetSweep:
         assert any(singles) and not all(singles)
 
 
-def _forest(rng, sizes, use_pot):
-    """One tree of each size, of random shapes, with ids ``(tree, vertex)``
-    and weights and costs over denominators drawn per tree, so that the
-    trees' scaled units differ."""
+def _forest(rng, sizes, use_pot, shape=None):
+    """One tree of each size, of ``shape`` or else of random shapes, with
+    ids ``(tree, vertex)`` and weights and costs over denominators drawn
+    per tree, so that the trees' scaled units differ."""
     trees = []
     for j, n in enumerate(sizes):
-        t = _shaped_tree(rng, n, rng.choice(_SHAPES), use_pot)
+        t = _shaped_tree(rng, n, shape or rng.choice(_SHAPES), use_pot)
         dw, dc = rng.choice((1, 2, 3)), rng.choice((1, 2, 5))
         trees.append(build_rooted_tree(
             [((j, v), t.weight(v) / dw, t.potential(v) / dc) for v in t.vertex_ids()],
@@ -1336,9 +1422,7 @@ class TestWitnessTables:
         # rounds) and in between; stars' leaves and forests of single
         # vertices make leaf rounds
         kinds = []
-        real = _fastlane._round_kind
-        monkeypatch.setattr(_fastlane, "_round_kind",
-                            lambda rnd, rows: kinds.append(real(rnd, rows)) or kinds[-1])
+        _spy_on_kinds(monkeypatch, kinds)
         rng = random.Random(37)
         for trial in range(240):
             use_pot = trial % 3 != 0
@@ -1426,6 +1510,19 @@ class TestWitnessTables:
                 tracemalloc.stop()
             assert peak <= _fastlane._FIXED_BYTES + figure, (shape, kappa, lam, big)
             assert big or figure <= 5 * peak, (shape, kappa, lam)
+        # forest layouts, priced at their row cap (tree.part_cap)
+        for count, size, (kappa, lam) in _CAPPED_LAYOUTS:
+            t = _forest(random.Random(count), [size] * count, True, "random").layout
+            t.heavy_paths()
+            figure = _fastlane._kept_bytes(t, kappa, lam)
+            tracemalloc.start()
+            try:
+                assert _fastlane.witness_tables(t, xi, kappa, lam, True, ())
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= _fastlane._FIXED_BYTES + figure, (count, size, peak)
+            assert figure <= 5 * peak, (count, size, figure, peak)
 
 
 class TestForestLayout:
