@@ -12,7 +12,11 @@ shorter than its table rows (bushy trees at large part counts, as in
 their leaf; and, for a round of single leaves, in closed form.  Which
 way, and how many rows, is worked out once per tree and budgets
 (``_round_plan``), and the same plan gives the memory figures and the
-cost rule their counts.
+cost rule their counts.  Before a round folds its vertices' light
+children, each run of more than 2K + 1 leaf children is raked to its K
+cheapest leaves that pass their threshold test and its K cheapest free
+ones (K the round's rows - 1 plus the outlier budget; see the rake
+comment), which leave every kept cell as it was.
 
 The sweep is the only DP, exact at any size.  Where a conservative
 a-priori bound (``_bound_ok``) proves every value fits in 64 bits, its
@@ -103,6 +107,37 @@ _MAX_TABLE_BYTES = 1 << 31
 # padded back to ``kappa + 1`` least budgets.  The memory figures count
 # the rows the subtree sizes and the row cap allow, so the trim only
 # lowers the peak under them.
+#
+# Wide runs of leaves rake (the rake of Miller and Reif 1985: leaves
+# contract in one step).  A leaf child has three choices: it joins its
+# parent's part, it is the outlier (budget 1, where it is free) or it is
+# a part of its own (where its threshold test passes), and either cut is
+# charged its edge charge e.  A fold keeps rows i <= R - 1 (R the round's
+# rows) and budgets l <= lam, so a kept cell cuts at most K = R - 1 + lam
+# of a run's leaves, and an optimum cuts only leaves among the K cheapest
+# that pass and the K cheapest free ones.  Where an optimum makes a part
+# of a passing leaf outside the first list, at most K - 1 of the list's K
+# leaves, none dearer, are cut besides, so one of them joins; swapping
+# the two changes no count and raises no charge.  Likewise an outlier
+# outside the second list.  So a run of more than 2K + 1 leaf children
+# folds, per threshold, the leaf tables of those 2K leaves, with a
+# blocker (a leaf neither free nor passing, which can only join) in place
+# of the second copy of a leaf in both lists, and one blocker more: its
+# finite cut-charge cells are those of the whole run.  Its least budgets
+# (the run all parts and outliers, its parent the outlier) hold no budget
+# at any kept row, as the whole run's do: more than 2K + 1 leaves in at
+# most R parts leave more than lam outliers, and the blocker can be
+# neither.  Without outliers (lam = 0) the second list is left out and
+# its slots hold blockers.  ``_round_plan`` picks the runs to rake per
+# budget pair, those that at least halve, in rounds whose fold it saves a
+# merge round or half its children (``_rake_plan``, with the fold plan of
+# what is kept); the sweep picks each list per threshold with one
+# ``argpartition`` (``argmin`` for one leaf) over each bucket of raked
+# runs of similar widths (``_rake``), an ineligible leaf keyed at the
+# sweep's infinity, above every charge, on int64 and Python ints alike.
+# A leaf's cut-charge rows are the same whatever its charge, so a rake
+# writes only least budgets and charges; where the round below is all
+# leaves, it builds the tables of the leaves it keeps alone.
 #
 # A table is laid out ``(rows, lam + 1, thresholds, vertices)`` and least
 # budgets ``(rows + 1, thresholds, vertices)``, so each product, test and
@@ -316,14 +351,15 @@ def _grow(a, rows, fill):
 def _fold_plan(counts):
     """Pairing indices of ``_fold_runs`` for runs of ``counts`` items (all
     >= 1): per merge round, the left items of the pairs, the items kept
-    and which of the kept ones take a merge output."""
+    and the indices, among the kept ones, of those that take a merge
+    output."""
     plan = []
     while counts.max() > 1:
         rank = np.arange(int(counts.sum())) - np.repeat(counts.cumsum() - counts, counts)
         left = rank % 2 == 0
         pair = left & (rank + 1 < np.repeat(counts, counts))
         keep = np.flatnonzero(left)
-        plan.append((np.flatnonzero(pair), keep, pair[keep]))
+        plan.append((np.flatnonzero(pair), keep, np.flatnonzero(pair[keep])))
         counts = (counts + 1) // 2
     return plan
 
@@ -384,6 +420,99 @@ def _fold_children(G, M, e, plan, rows, kappa, none, inf):
                              min(rows + 1, left[1].shape[0] + right[1].shape[0] - 1), none))
 
     return _fold_runs(plan, (_cut_or_join(G, M, e, kappa, inf), M), (inf, none), merge)
+
+
+def _rake_plan(tops, counts, leaf, k, lists):
+    """The layout of a round's light children with each wide run's leaves
+    raked to ``2 k + 1`` items (see the rake comment), or None where the
+    round takes no rake.  ``tops`` are the children's positions, in runs of
+    ``counts`` siblings, ``leaf`` marks the leaves among them and
+    ``lists`` is 2, or 1 where no outlier is allowed and the free leaves'
+    list is left out.
+
+    Returns the children kept (indices into the run layout) and their
+    positions; the raked runs' blocker slots (in the kept layout); per
+    bucket of raked runs of similar leaf counts a ``(runs, width)`` array
+    of their leaves' positions, padded with -1, the mask of the real ones
+    and a ``(lists, runs, k)`` array of the slots the cheapest-leaf lists
+    fill; and the fold plan (``_fold_plan``) of the kept layout."""
+    width = 2 * k + 1
+    starts = counts.cumsum() - counts
+    leaves = np.add.reduceat(leaf.astype(np.int64), starts)
+    # rake only where it at least halves a run, and only where that saves
+    # a merge round of the fold or half its children
+    wide = (leaves > width) & (2 * (leaves - width) >= counts)
+    raked_counts = counts - np.where(wide, leaves - width, 0)
+    if not (int(raked_counts.max() - 1).bit_length() < int(counts.max() - 1).bit_length()
+            or 2 * raked_counts.sum() <= counts.sum()):
+        return None
+    run = np.repeat(np.arange(counts.size), counts)
+    seen = leaf.cumsum()
+    rank = seen - np.repeat(seen[starts] - leaf[starts], counts) - 1  # among the run's leaves
+    raked = leaf & wide[run]
+    dropped = raked & (rank >= width)
+    kept = np.flatnonzero(~dropped)
+    slots = (np.cumsum(~dropped) - 1)[raked & ~dropped].reshape(-1, width)
+    # each raked run's leaves, in buckets of counts within a factor of two
+    # (runs of up to 64 leaves share one); at k = 0 every slot blocks
+    cols = tops[raked]
+    count = leaves[wide]
+    first = count.cumsum() - count
+    cls = np.maximum(np.ceil(np.log2(count)), 6).astype(np.int64)
+    buckets = []
+    for c in np.flatnonzero(np.bincount(cls)) if k else ():
+        sel = np.flatnonzero(cls == c)
+        real = np.arange(count[sel].max()) < count[sel][:, None]
+        at = np.full(real.shape, -1, dtype=np.int64)
+        at[real] = cols[(first[sel][:, None] + np.arange(real.shape[1]))[real]]
+        buckets.append((at, real, slots[sel, :lists * k].reshape(sel.size, lists, k)
+                        .transpose(1, 0, 2)))
+    return kept, tops[kept], slots[:, lists * k:].ravel(), buckets, _fold_plan(raked_counts)
+
+
+def _rake(G, M, eps, thr, usable, rake, lp1, inf):
+    """The light children's cut-charge rows, least budgets and edge
+    charges as ``_fold_children`` takes them, laid out by ``rake``
+    (``_rake_plan``): each raked run's leaves replaced per threshold by
+    the ``k`` cheapest that pass their threshold test and the ``k``
+    cheapest free ones (one copy of a leaf in both), as leaf tables, and
+    blockers in the slots left (see the rake comment).  ``G`` and ``M``
+    are the path tops' tables of the round below, None where that round
+    is all leaves; ``eps``, ``thr`` and ``usable`` are the sweep's
+    charges, tests and freedom to be an outlier by position."""
+    kept, tops, blockers, buckets, _ = rake
+    none = lp1
+    if G is None:
+        G, M = _leaf_tables(thr.take(tops, axis=-1), usable[tops], lp1)
+    else:
+        G, M = G.take(kept, axis=-1), M.take(kept, axis=-1)
+    E = eps.take(tops, axis=-1)
+    # a leaf's cut-charge rows are all alike; a blocker only joins
+    M[:2, :, blockers] = none
+    for at, real, slots in buckets:
+        lists, _, k = slots.shape
+        e = eps.take(at, axis=-1)
+        passes = thr.take(at, axis=-1) >= 0
+        free = usable.take(at) & real
+        ok = (passes & real)[None]
+        if lists == 2:
+            ok = np.concatenate((ok, np.broadcast_to(free, ok.shape)))
+        # an ineligible leaf's key is inf, over every charge
+        key = np.where(ok, e, inf)
+        i = (key.argmin(axis=-1)[..., None] if k == 1
+             else key.argpartition(k - 1, axis=-1)[..., :k])
+        valid = np.take_along_axis(ok, i, axis=-1)
+        if lists == 2:
+            mark = np.zeros(passes.shape, dtype=bool)
+            np.put_along_axis(mark, i[0], valid[0], axis=-1)
+            valid[1] &= ~np.take_along_axis(mark, i[1], axis=-1)
+        # (list, thresholds, runs, k) to the slots' (thresholds, list, runs, k)
+        M[0][:, slots] = np.where(valid & np.take_along_axis(free[None, None], i, axis=-1),
+                                  1, none).swapaxes(0, 1)
+        M[1][:, slots] = np.where(valid & np.take_along_axis(passes[None], i, axis=-1),
+                                  0, none).swapaxes(0, 1)
+        E[:, slots] = np.take_along_axis(e[None], i, axis=-1).swapaxes(0, 1)
+    return G, M, E
 
 
 def _least_rows(Y, U, thr, free, none):
@@ -837,6 +966,7 @@ def _chain_sweep(tree, forb, xis, kappa, lam, use_pot, keep=None):
     size = dense["size"]
     lp1 = lam + 1
     none = lp1
+    usable = forb == 0
     Gt = Mt = None  # the round below's path tops: cut-charge rows, least budgets
     for r in range(len(rounds) - 1, -1, -1):
         rnd = rounds[r]
@@ -845,8 +975,10 @@ def _chain_sweep(tree, forb, xis, kappa, lam, use_pot, keep=None):
             # a virtual root alone: below it, each tree tops a path
             return _fold_least(Mt, rnd["folds"], kappa, none)
         vert = rnd["vert"]
+        if kind == "leaf" and keep is None and r and plan["rakes"][r - 1] is not None:
+            continue  # the rake above builds the tables of the leaves it keeps
         e_r, t_r = eps.take(vert, axis=-1), thr.take(vert, axis=-1)
-        free = forb[vert] == 0
+        free = usable[vert]
         if kind == "leaf":
             Gt, Mt = _leaf_tables(t_r, free, lp1)
             if keep is not None:
@@ -854,9 +986,14 @@ def _chain_sweep(tree, forb, xis, kappa, lam, use_pot, keep=None):
             continue
         Z = U = None
         if rnd["lpar"].size:
-            below = rounds[r + 1]
-            Z, U = _fold_children(Gt, Mt, eps.take(below["vert"][below["top"]], axis=-1),
-                                  rnd["folds"], rows, cap, none, inf)
+            rake = plan["rakes"][r]
+            if rake is None:
+                below = rounds[r + 1]
+                e_b, folds = eps.take(below["vert"][below["top"]], axis=-1), rnd["folds"]
+            else:
+                Gt, Mt, e_b = _rake(Gt, Mt, eps, thr, usable, rake, lp1, inf)
+                folds = rake[-1]  # the kept layout's
+            Z, U = _fold_children(Gt, Mt, e_b, folds, rows, cap, none, inf)
             Gt = Mt = None
         if kind == "step":
             if Z is not None:
@@ -898,13 +1035,13 @@ def _thresholds(tree, xis, kappa: int, lam: int):
 
 
 def _forb_array(tree, forbidden_ids):
-    pos = tree.dense_arrays()["pos"]
-    forb = np.zeros(pos.size, dtype=np.uint8)
+    bfs = tree.dense_arrays()["bfs"]
+    forb = np.zeros(bfs.size, dtype=np.uint8)  # by tree index, then by position
     for vid in forbidden_ids:
         if vid not in tree.index:
             raise UnknownVertexId(f"forbidden outlier {vid!r} is not in the tree")
-        forb[pos[tree.index[vid]]] = 1
-    return forb
+        forb[tree.index[vid]] = 1
+    return forb[bfs] if forbidden_ids else forb
 
 
 # Memory figures, per threshold.  Per round the chain sweep holds:
@@ -935,8 +1072,11 @@ def _forb_array(tree, forbidden_ids):
 # padded operand, each at most a quarter of it, ``_gathers``), and
 # ``_FIXED_BYTES`` that do not grow with the tree, among them the plan
 # cache's ``_PLAN_BYTES``.  The first round plan of a tree also keeps
-# one fold plan per round, and its first sweep its scans' indices and its
-# steps' positions.  A forest layout is priced at its row cap, the rows
+# one fold plan per round (of the raked layout where the round rakes),
+# and its first sweep its scans' indices and its steps' positions.  The
+# figure counts the fold of every light child, whose copies stay over a
+# rake's few temporary cells per raked leaf, so a rake only lowers the
+# peak under it.  A forest layout is priced at its row cap, the rows
 # its sweep keeps, not at ``kappa``.  A cell takes 8 bytes, and past the
 # int64 bound the int object it points to besides (``_int_bytes``): most
 # cells a sum makes are new ints, none larger than the sweep's infinity,
@@ -985,11 +1125,13 @@ def _round_plan(tree, kappa: int, lam: int) -> dict:
       rounds pass over (``rows + 1`` each), the steps of step rounds and
       the row cells per threshold (per round, its vertices times ``(rows
       + 1) (lam + 1)``);
+    * ``rakes``: per round, the layout its light children fold in with
+      its wide runs of leaves raked (``_rake_plan``), or None;
     * ``cells``: the cells one threshold's sweep may hold at once, the
       figure of ``_chain_bytes`` (see the memory-figure comment).
 
-    Each round with light children gets its fold plan (``_fold_plan``)
-    as ``folds``, which no budget changes."""
+    Each round with light children that takes no rake gets its fold plan
+    (``_fold_plan``) as ``folds``, which no budget changes."""
     dense = tree.dense_arrays()
     plans = dense.setdefault("round_plans", {})
     plan = plans.get((kappa, lam))
@@ -1001,7 +1143,7 @@ def _round_plan(tree, kappa: int, lam: int) -> dict:
     cap = (max(1, part_cap(size[dense["cstart"][0]:dense["cend"][0]].tolist(), kappa, lam))
            if virtual else kappa)
     largest = [int(size[rnd["vert"][rnd["top"]]].max()) for rnd in rounds] + [0]
-    per_round = []
+    per_round, rakes = [], []
     scanned = steps = row_cells = held = 0
     for r, rnd in enumerate(rounds):
         rows = min(cap, largest[r])
@@ -1019,9 +1161,14 @@ def _round_plan(tree, kappa: int, lam: int) -> dict:
         top, lpar = rnd["top"], rnd["lpar"]
         child = min(cap, largest[r + 1] + 1)  # a light child's rows, grown by one
         cells = m * _CHAIN_ROW_COPIES + _CHAIN_TABLE_COPIES * top.size * rows
+        rake = None
         if lpar.size:
             below = rounds[r + 1]
-            if "folds" not in rnd:
+            tops = below["vert"][below["top"]]
+            if kind != "root":
+                rake = _rake_plan(tops, rnd["lcount"], below["reach"][below["top"]] == 0,
+                                  rows - 1 + lam, 2 if lam else 1)
+            if rake is None and "folds" not in rnd:
                 rnd["folds"] = _fold_plan(rnd["lcount"])
             merges = int(rnd["lcount"].max() - 1).bit_length()
             light = min(rows, ((child - 1) << merges) + 1)
@@ -1029,15 +1176,17 @@ def _round_plan(tree, kappa: int, lam: int) -> dict:
                       + _FOLD_COPIES * below["top"].size * child)
             # z can be non-zero where a light child has positive subtree
             # potential; their composite z's, per doubling step
-            charged = dense["p_sub"][below["vert"][below["top"]]] > 0
+            charged = dense["p_sub"][tops] > 0
             zpos = lpar[np.add.reduceat(charged, rnd["lcount"].cumsum() - rnd["lcount"]) > 0]
             if zpos.size:
                 per_path = np.bincount(np.searchsorted(top, zpos, side="right"))
                 cells += zpos.size * int(per_path.max() - 1).bit_length()
         held = max(held, cells)
+        rakes.append(rake)
     plan = plans[kappa, lam] = {
         "cap": cap,
         "rounds": per_round,
+        "rakes": rakes,
         "counts": (len(rounds), scanned, steps, row_cells * (lam + 1)),
         "cells": held * (lam + 1) + _VERTEX_WORDS * tree.vertex_count + _BLOCK_HELD,
     }
@@ -1223,9 +1372,12 @@ def witness_tables(tree, xi: Fraction, kappa: int, lam: int, use_pot: bool,
         G.append(None)
         M.append(np.minimum(least[0], lp1).tolist())
     a, b, _ = _thresholds(tree, (xi,), kappa, lam)
-    eps, thr = _charges(dense, a, b, use_pot)
-    pos = dense["pos"]
-    return G, M, eps[0, pos].tolist(), thr[0, pos].tolist()
+    charges = []
+    for x in _charges(dense, a, b, use_pot):
+        by_index = np.empty_like(x[0])
+        by_index[index] = x[0]
+        charges.append(by_index.tolist())
+    return G, M, *charges
 
 
 def decide_many(tree, xis, kappa: int, lam: int, use_pot: bool,

@@ -200,8 +200,8 @@ class RootedTree:
         Vertices are relabeled by BFS position, which makes each vertex's
         children a contiguous range ``[cstart, cend)`` and the bottom-up
         sweep a plain descending scan, so the kernel streams memory
-        sequentially.  ``bfs`` holds the tree index at each position and
-        ``pos`` the position of each tree index.  Subtree weights, subtree
+        sequentially.  ``bfs`` holds the tree index at each position.
+        Subtree weights, subtree
         potentials and edge costs are int64, or Python ints (dtype object)
         where the scaled totals leave int64.
         """
@@ -212,8 +212,6 @@ class RootedTree:
             big = max(self.subtree_weight_scaled[self.root], c_total, p_total) >> 63
             values = object if big else np.int64
             bfs = np.array(self._bfs, dtype=np.int64)
-            pos = np.empty_like(bfs)
-            pos[bfs] = np.arange(bfs.size)
             cend = np.array(self._cend, dtype=np.int64)
             cstart = np.empty_like(cend)
             cstart[0] = 1
@@ -221,7 +219,6 @@ class RootedTree:
             self._dense_cache = {
                 "size": np.array(self.subtree_size, dtype=np.int64)[bfs],
                 "bfs": bfs,
-                "pos": pos,
                 "w_sub": np.array(self.subtree_weight_scaled, dtype=values)[bfs],
                 "p_sub": np.array(self.subtree_potential_scaled, dtype=values)[bfs],
                 "c_edge": np.array(self.cost_scaled, dtype=values)[bfs],

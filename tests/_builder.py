@@ -151,14 +151,11 @@ def reference_dense(fields: dict) -> dict:
     import numpy as np
 
     bfs = np.array(list(reversed(fields["order_idx"])), dtype=np.int64)
-    pos = np.empty_like(bfs)
-    pos[bfs] = np.arange(bfs.size)
     counts = np.array([len(c) for c in fields["children_idx"]], dtype=np.int64)[bfs]
     cend = 1 + counts.cumsum()
     return {
         "size": np.array(fields["subtree_size"], dtype=np.int64)[bfs],
         "bfs": bfs,
-        "pos": pos,
         "w_sub": np.array(fields["subtree_weight_scaled"], dtype=np.int64)[bfs],
         "p_sub": np.array(fields["subtree_potential_scaled"], dtype=np.int64)[bfs],
         "c_edge": np.array(fields["cost_scaled"], dtype=np.int64)[bfs],

@@ -1525,6 +1525,124 @@ class TestWitnessTables:
             assert figure <= 5 * peak, (count, size, figure, peak)
 
 
+def _leafy_tree(rng, n, shape, use_pot):
+    """A tree rooted at vertex 0 whose vertices have runs of many leaf
+    children: a star, a broom, a spider of 1-3-vertex legs (leaves and
+    paths among the root's children), a caterpillar with 20-leaf hairs
+    on every spine vertex, or a random recursive tree with a hub of
+    leaves.  Potentials of 0-12 with ``use_pot`` make many leaf charges
+    negative at small thresholds."""
+    if shape == "star":
+        parents = [0] * (n - 1)
+    elif shape == "broom":
+        handle = rng.randint(1, n // 4)
+        parents = list(range(handle - 1)) + [handle - 1] * (n - handle)
+    elif shape == "spider":
+        parents = []
+        while len(parents) < n - 1:
+            for j in range(min(rng.randint(1, 3), n - 1 - len(parents))):
+                parents.append(len(parents) if j else 0)
+    elif shape == "caterpillar":
+        spine = max(1, n // 21)
+        parents = list(range(spine - 1)) + [s for s in range(spine) for _ in range(20)]
+    else:
+        m = n // 3
+        parents = [rng.randrange(i) for i in range(1, m)]
+        parents += [rng.randrange(m)] * (n - m)
+    return build_rooted_tree(
+        [(i, rng.randint(1, 5), rng.randint(0, 12) if use_pot else 0)
+         for i in range(len(parents) + 1)],
+        [(p, i, rng.randint(1, 5)) for i, p in enumerate(parents, start=1)], 0)
+
+
+_LEAFY = ("star", "broom", "spider", "caterpillar", "random")
+
+# (parts, outliers); n stands for the vertex count
+_RAKE_BUDGETS = ((1, 0), (2, 0), (3, 2), (5, 3), ("n", 1))
+
+
+def _spy_on_rakes(monkeypatch):
+    """Record the cell dtype of every rake (``_fastlane._rake``)."""
+    dtypes = []
+    rake = _fastlane._rake
+
+    def spy(G, M, eps, *args):
+        dtypes.append(eps.dtype)
+        return rake(G, M, eps, *args)
+
+    monkeypatch.setattr(_fastlane, "_rake", spy)
+    return dtypes
+
+
+class TestRakedLeaves:
+    """Runs of many leaf children fold only their cheapest leaves
+    (``_fastlane._rake``): root rows and every vertex's tables against
+    the least-budget sweep (tests/_least.py)."""
+
+    @staticmethod
+    def _instances(rng, trials):
+        # every shape and budget, forest layouts of stars, potentials,
+        # forbidden leaves, threshold 0 and trees scaled past the int64
+        # bound
+        for trial in range(trials):
+            use_pot = trial % 3 != 2
+            shape = _LEAFY[trial % len(_LEAFY)]
+            if trial % 6 == 5:
+                t = _forest(rng, [rng.randint(20, 60) for _ in range(rng.randint(1, 4))],
+                            use_pot, "star").layout
+            else:
+                t = _leafy_tree(rng, rng.randint(30, 160), shape, use_pot)
+                if trial % 4 == 3:
+                    t = past_bound(t, False)
+            n = t.vertex_count
+            parts, lam = _RAKE_BUDGETS[trial // len(_LEAFY) % len(_RAKE_BUDGETS)]
+            kappa = min(n if parts == "n" else parts, n)
+            forb = frozenset(v for v in t.ids if rng.random() < 0.2)
+            # at threshold 0 no leaf passes its test
+            xis = [Fraction(0)] * (trial % 3 == 1) + [
+                Fraction(rng.randint(0, 24), rng.randint(1, 4))
+                for _ in range(rng.randint(1, 3))]
+            yield t, forb, xis, kappa, min(lam, n), use_pot
+
+    def test_root_rows_equal_the_reference(self, monkeypatch):
+        dtypes = _spy_on_rakes(monkeypatch)
+        for t, forb, xis, kappa, lam, use_pot in self._instances(random.Random(61), 90):
+            got = _numpy_least(t, forb, xis, kappa, lam, use_pot)
+            for xi, row in zip(xis, got):
+                spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
+                assert row == [min(w, lam + 1) for w in _least._least_budgets(t, spec)], (
+                    t, spec)
+        assert {np.dtype(np.int64), np.dtype(object)} <= set(dtypes)
+
+    def test_witness_tables_equal_the_reference(self, monkeypatch):
+        dtypes = _spy_on_rakes(monkeypatch)
+        for t, forb, xis, kappa, lam, use_pot in self._instances(random.Random(62), 60):
+            spec = ProblemSpec(xis[0], kappa, lam, use_pot, forb)
+            tables = solve(t, spec)
+            want = _python_tables(t, spec)
+            assert _finite_cells(tables) == _finite_cells(want), (t, spec)
+            assert tables.feasible == want.feasible
+        assert {np.dtype(np.int64), np.dtype(object)} <= set(dtypes)
+
+    def test_a_wide_star_folds_its_cheapest_leaves(self, monkeypatch):
+        # at (3, 2) a fold keeps 3 rows and 3 budgets, so K = 3 - 1 + 2 = 4
+        # and the star's 999 leaves fold as 2K + 1 = 9 items
+        folded = []
+        fold = _fastlane._fold_children
+
+        def spy(G, *args):
+            folded.append(G.shape[-1])
+            return fold(G, *args)
+
+        monkeypatch.setattr(_fastlane, "_fold_children", spy)
+        t = _leafy_tree(random.Random(63), 1000, "star", True)
+        for xi in (Fraction(1, 2), Fraction(3), Fraction(12)):
+            spec = ProblemSpec(xi, 3, 2, True)
+            folded.clear()
+            assert decide(t, spec) == (_least._least_budgets(t, spec)[3] <= 2)
+            assert folded == [9]
+
+
 class TestForestLayout:
     """A forest decided as one tree under a virtual root, in every lane,
     against the fold of its trees' least budgets one tree at a time."""

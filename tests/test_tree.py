@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -192,13 +193,20 @@ class TestScaleInstance:
             scale_instance(path_tree(), "-1/2")
 
 
+def _positions(dense):
+    """The dense position of each tree index, from ``bfs``."""
+    pos = np.empty_like(dense["bfs"])
+    pos[dense["bfs"]] = np.arange(pos.size)
+    return pos
+
+
 class TestDenseLayout:
     def test_children_are_contiguous_ranges(self):
         rng = random.Random(3)
         for _ in range(20):
             t = random_tree(rng, rng.randint(1, 14))
             dense = t.dense_arrays()
-            pos = dense["pos"]
+            pos = _positions(dense)
             for u in range(t.vertex_count):
                 kids = t.children_idx[u]
                 pu = pos[u]
@@ -220,7 +228,7 @@ class TestDenseLayout:
         for trial in range(40):
             n = rng.randint(1, 30)
             t = random_tree(rng, n) if trial % 3 else path_tree(range(n), root=0)
-            pos = t.dense_arrays()["pos"]
+            pos = _positions(t.dense_arrays())
             at = {int(p): u for u, p in enumerate(pos)}
             heavy = {u: max(kids, key=lambda c: (t.subtree_size[c], -kids.index(c)))
                      for u, kids in enumerate(t.children_idx) if kids}
