@@ -127,17 +127,15 @@ _MAX_TABLE_BYTES = 1 << 31
 # (the run all parts and outliers, its parent the outlier) hold no budget
 # at any kept row, as the whole run's do: more than 2K + 1 leaves in at
 # most R parts leave more than lam outliers, and the blocker can be
-# neither.  Without outliers (lam = 0) the second list is left out and
-# its slots hold blockers.  ``_round_plan`` picks the runs to rake per
-# budget pair, those that at least halve, in rounds whose fold it saves a
-# merge round or half its children (``_rake_plan``, with the fold plan of
-# what is kept); the sweep picks each list per threshold with one
-# ``argpartition`` (``argmin`` for one leaf) over each bucket of raked
-# runs of similar widths (``_rake``), an ineligible leaf keyed at the
-# sweep's infinity, above every charge, on int64 and Python ints alike.
-# A leaf's cut-charge rows are the same whatever its charge, so a rake
-# writes only least budgets and charges; where the round below is all
-# leaves, it builds the tables of the leaves it keeps alone.
+# neither.  ``_round_plan`` picks the runs to rake per budget pair, those
+# that at least halve (``_rake_plan``, with the fold plan of what is
+# kept); the sweep takes the kept children's tables from the round below
+# and picks each list per threshold with one ``argpartition`` (``argmin``
+# for one leaf) over each bucket of raked runs of similar widths
+# (``_rake``), an ineligible leaf keyed at the sweep's infinity, above
+# every charge, on int64 and Python ints alike.  A leaf's cut-charge rows
+# are the same whatever its charge, so a rake writes only least budgets
+# and charges.
 #
 # A table is laid out ``(rows, lam + 1, thresholds, vertices)`` and least
 # budgets ``(rows + 1, thresholds, vertices)``, so each product, test and
@@ -422,29 +420,23 @@ def _fold_children(G, M, e, plan, rows, kappa, none, inf):
     return _fold_runs(plan, (_cut_or_join(G, M, e, kappa, inf), M), (inf, none), merge)
 
 
-def _rake_plan(tops, counts, leaf, k, lists):
+def _rake_plan(tops, counts, leaf, k):
     """The layout of a round's light children with each wide run's leaves
-    raked to ``2 k + 1`` items (see the rake comment), or None where the
-    round takes no rake.  ``tops`` are the children's positions, in runs of
-    ``counts`` siblings, ``leaf`` marks the leaves among them and
-    ``lists`` is 2, or 1 where no outlier is allowed and the free leaves'
-    list is left out.
+    raked to ``2 k + 1`` items (see the rake comment), or None where no
+    run is wide.  ``tops`` are the children's positions, in runs of
+    ``counts`` siblings, and ``leaf`` marks the leaves among them.
 
     Returns the children kept (indices into the run layout) and their
     positions; the raked runs' blocker slots (in the kept layout); per
     bucket of raked runs of similar leaf counts a ``(runs, width)`` array
-    of their leaves' positions, padded with -1, the mask of the real ones
-    and a ``(lists, runs, k)`` array of the slots the cheapest-leaf lists
-    fill; and the fold plan (``_fold_plan``) of the kept layout."""
+    of their leaves' positions, padded with -1, and a ``(2, runs, k)``
+    array of the slots the two cheapest-leaf lists fill; and the fold plan
+    (``_fold_plan``) of the kept layout."""
     width = 2 * k + 1
     starts = counts.cumsum() - counts
     leaves = np.add.reduceat(leaf.astype(np.int64), starts)
-    # rake only where it at least halves a run, and only where that saves
-    # a merge round of the fold or half its children
-    wide = (leaves > width) & (2 * (leaves - width) >= counts)
-    raked_counts = counts - np.where(wide, leaves - width, 0)
-    if not (int(raked_counts.max() - 1).bit_length() < int(counts.max() - 1).bit_length()
-            or 2 * raked_counts.sum() <= counts.sum()):
+    wide = (leaves > width) & (2 * (leaves - width) >= counts)  # a rake at least halves
+    if not wide.any():
         return None
     run = np.repeat(np.arange(counts.size), counts)
     seen = leaf.cumsum()
@@ -465,47 +457,40 @@ def _rake_plan(tops, counts, leaf, k, lists):
         real = np.arange(count[sel].max()) < count[sel][:, None]
         at = np.full(real.shape, -1, dtype=np.int64)
         at[real] = cols[(first[sel][:, None] + np.arange(real.shape[1]))[real]]
-        buckets.append((at, real, slots[sel, :lists * k].reshape(sel.size, lists, k)
-                        .transpose(1, 0, 2)))
-    return kept, tops[kept], slots[:, lists * k:].ravel(), buckets, _fold_plan(raked_counts)
+        buckets.append((at, slots[sel, :2 * k].reshape(sel.size, 2, k).transpose(1, 0, 2)))
+    return (kept, tops[kept], slots[:, 2 * k:].ravel(), buckets,
+            _fold_plan(counts - np.where(wide, leaves - width, 0)))
 
 
-def _rake(G, M, eps, thr, usable, rake, lp1, inf):
+def _rake(G, M, eps, thr, usable, rake, none, inf):
     """The light children's cut-charge rows, least budgets and edge
     charges as ``_fold_children`` takes them, laid out by ``rake``
     (``_rake_plan``): each raked run's leaves replaced per threshold by
     the ``k`` cheapest that pass their threshold test and the ``k``
     cheapest free ones (one copy of a leaf in both), as leaf tables, and
     blockers in the slots left (see the rake comment).  ``G`` and ``M``
-    are the path tops' tables of the round below, None where that round
-    is all leaves; ``eps``, ``thr`` and ``usable`` are the sweep's
-    charges, tests and freedom to be an outlier by position."""
+    are the path tops' tables of the round below; ``eps``, ``thr`` and
+    ``usable`` are the sweep's charges, tests and freedom to be an
+    outlier by position."""
     kept, tops, blockers, buckets, _ = rake
-    none = lp1
-    if G is None:
-        G, M = _leaf_tables(thr.take(tops, axis=-1), usable[tops], lp1)
-    else:
-        G, M = G.take(kept, axis=-1), M.take(kept, axis=-1)
+    G, M = G.take(kept, axis=-1), M.take(kept, axis=-1)
     E = eps.take(tops, axis=-1)
     # a leaf's cut-charge rows are all alike; a blocker only joins
     M[:2, :, blockers] = none
-    for at, real, slots in buckets:
-        lists, _, k = slots.shape
+    for at, slots in buckets:
+        k, real = slots.shape[-1], at >= 0
         e = eps.take(at, axis=-1)
         passes = thr.take(at, axis=-1) >= 0
         free = usable.take(at) & real
-        ok = (passes & real)[None]
-        if lists == 2:
-            ok = np.concatenate((ok, np.broadcast_to(free, ok.shape)))
+        ok = np.stack((passes & real, np.broadcast_to(free, passes.shape)))
         # an ineligible leaf's key is inf, over every charge
         key = np.where(ok, e, inf)
         i = (key.argmin(axis=-1)[..., None] if k == 1
              else key.argpartition(k - 1, axis=-1)[..., :k])
         valid = np.take_along_axis(ok, i, axis=-1)
-        if lists == 2:
-            mark = np.zeros(passes.shape, dtype=bool)
-            np.put_along_axis(mark, i[0], valid[0], axis=-1)
-            valid[1] &= ~np.take_along_axis(mark, i[1], axis=-1)
+        mark = np.zeros(passes.shape, dtype=bool)
+        np.put_along_axis(mark, i[0], valid[0], axis=-1)
+        valid[1] &= ~np.take_along_axis(mark, i[1], axis=-1)
         # (list, thresholds, runs, k) to the slots' (thresholds, list, runs, k)
         M[0][:, slots] = np.where(valid & np.take_along_axis(free[None, None], i, axis=-1),
                                   1, none).swapaxes(0, 1)
@@ -535,8 +520,10 @@ def _leaf_tables(thr, free, lp1):
     none = lp1
     G = np.zeros((1, lp1) + thr.shape, dtype=thr.dtype)
     M = np.empty((2,) + thr.shape, dtype=np.int64)
-    M[0] = np.where(free, 1, none)
-    M[1] = np.where(thr >= 0, 0, none)
+    # products, not np.where, which is several times slower on scalars
+    np.multiply(free, 1 - none, out=M[0])
+    M[0] += none
+    np.multiply(thr < 0, none, out=M[1])
     return G, M
 
 
@@ -975,15 +962,13 @@ def _chain_sweep(tree, forb, xis, kappa, lam, use_pot, keep=None):
             # a virtual root alone: below it, each tree tops a path
             return _fold_least(Mt, rnd["folds"], kappa, none)
         vert = rnd["vert"]
-        if kind == "leaf" and keep is None and r and plan["rakes"][r - 1] is not None:
-            continue  # the rake above builds the tables of the leaves it keeps
-        e_r, t_r = eps.take(vert, axis=-1), thr.take(vert, axis=-1)
-        free = usable[vert]
+        t_r, free = thr.take(vert, axis=-1), usable[vert]
         if kind == "leaf":
             Gt, Mt = _leaf_tables(t_r, free, lp1)
             if keep is not None:
                 keep(vert, Gt, Mt)
             continue
+        e_r = eps.take(vert, axis=-1)
         Z = U = None
         if rnd["lpar"].size:
             rake = plan["rakes"][r]
@@ -991,7 +976,7 @@ def _chain_sweep(tree, forb, xis, kappa, lam, use_pot, keep=None):
                 below = rounds[r + 1]
                 e_b, folds = eps.take(below["vert"][below["top"]], axis=-1), rnd["folds"]
             else:
-                Gt, Mt, e_b = _rake(Gt, Mt, eps, thr, usable, rake, lp1, inf)
+                Gt, Mt, e_b = _rake(Gt, Mt, eps, thr, usable, rake, none, inf)
                 folds = rake[-1]  # the kept layout's
             Z, U = _fold_children(Gt, Mt, e_b, folds, rows, cap, none, inf)
             Gt = Mt = None
@@ -1071,16 +1056,21 @@ def _forb_array(tree, forbidden_ids):
 # gathered product (its two takes, numpy's intp copy of its plan and the
 # padded operand, each at most a quarter of it, ``_gathers``), and
 # ``_FIXED_BYTES`` that do not grow with the tree, among them the plan
-# cache's ``_PLAN_BYTES``.  The first round plan of a tree also keeps
-# one fold plan per round (of the raked layout where the round rakes),
-# and its first sweep its scans' indices and its steps' positions.  The
-# figure counts the fold of every light child, whose copies stay over a
-# rake's few temporary cells per raked leaf, so a rake only lowers the
-# peak under it.  A forest layout is priced at its row cap, the rows
-# its sweep keeps, not at ``kappa``.  A cell takes 8 bytes, and past the
-# int64 bound the int object it points to besides (``_int_bytes``): most
-# cells a sum makes are new ints, none larger than the sweep's infinity,
-# since every product saturates to it.
+# cache's ``_PLAN_BYTES``.  A tree keeps besides, outside the figure,
+# one fold plan per round that folds unraked, its first sweep's scan
+# indices and step positions, and the round plans of its last
+# ``_KEPT_PLANS`` budget pairs: each a few numbers per round and, per
+# round it rakes, the children kept, their positions and fold plan and
+# the raked leaves' positions, up to about 40 bytes per light child of
+# the round (8-39 on stars, brooms, caterpillars, random recursive trees
+# and trees with a leaf hub of 20,000 vertices, at budgets from (1, 0)
+# to (20, 5)).  The figure counts the fold of every light child, whose
+# copies stay over a rake's few temporary cells per raked leaf, so a rake
+# only lowers the peak under it.  A forest layout is priced at its row
+# cap, the rows its sweep keeps, not at ``kappa``.  A cell takes 8 bytes,
+# and past the int64 bound the int object it points to besides
+# (``_int_bytes``): most cells a sum makes are new ints, none larger than
+# the sweep's infinity, since every product saturates to it.
 #
 # Measured with tracemalloc (numpy 2.4) on the first sweep of fresh trees
 # with potentials: on stars, random recursive trees, brooms, spiders and
@@ -1103,11 +1093,15 @@ _FOLD_COPIES = 8
 _VERTEX_WORDS = 8
 _FIXED_BYTES = 1 << 20
 _BLOCK_HELD = 3 * _BLOCK_CELLS
+# a caller that decides one tree at a few budget pairs in turn keeps
+# their round plans; past this many, the least recently used goes
+_KEPT_PLANS = 4
 
 
 def _round_plan(tree, kappa: int, lam: int) -> dict:
     """What a sweep at budgets ``(kappa, lam)`` does, round by round,
-    worked out once and kept with the dense arrays:
+    worked out once and kept with the dense arrays for the last
+    ``_KEPT_PLANS`` budget pairs:
 
     * ``cap``: the most rows a vertex keeps, ``kappa``, or below a virtual
       root the forest's ``tree.part_cap`` (1 where that is 0, since every
@@ -1133,9 +1127,10 @@ def _round_plan(tree, kappa: int, lam: int) -> dict:
     Each round with light children that takes no rake gets its fold plan
     (``_fold_plan``) as ``folds``, which no budget changes."""
     dense = tree.dense_arrays()
-    plans = dense.setdefault("round_plans", {})
-    plan = plans.get((kappa, lam))
+    plans = dense.setdefault("round_plans", OrderedDict())
+    plan = plans.pop((kappa, lam), None)
     if plan is not None:
+        plans[kappa, lam] = plan  # now the most recently used
         return plan
     rounds = tree.heavy_paths()
     size = dense["size"]
@@ -1167,7 +1162,7 @@ def _round_plan(tree, kappa: int, lam: int) -> dict:
             tops = below["vert"][below["top"]]
             if kind != "root":
                 rake = _rake_plan(tops, rnd["lcount"], below["reach"][below["top"]] == 0,
-                                  rows - 1 + lam, 2 if lam else 1)
+                                  rows - 1 + lam)
             if rake is None and "folds" not in rnd:
                 rnd["folds"] = _fold_plan(rnd["lcount"])
             merges = int(rnd["lcount"].max() - 1).bit_length()
@@ -1190,6 +1185,8 @@ def _round_plan(tree, kappa: int, lam: int) -> dict:
         "counts": (len(rounds), scanned, steps, row_cells * (lam + 1)),
         "cells": held * (lam + 1) + _VERTEX_WORDS * tree.vertex_count + _BLOCK_HELD,
     }
+    if len(plans) > _KEPT_PLANS:
+        plans.popitem(last=False)
     return plan
 
 

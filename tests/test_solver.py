@@ -1642,6 +1642,22 @@ class TestRakedLeaves:
             assert decide(t, spec) == (_least._least_budgets(t, spec)[3] <= 2)
             assert folded == [9]
 
+    def test_a_tree_keeps_the_plans_of_its_last_budgets(self):
+        # each plan holds its raked layouts, so a tree decided at many
+        # budget pairs keeps only the last few, and answers alike at an
+        # evicted pair, whose plan is built again
+        t = _leafy_tree(random.Random(64), 400, "star", True)
+        budgets = [(1, 0), (2, 0), (3, 2), (5, 3), (20, 5), (2, 4)]
+        answers = {}
+        for kappa, lam in budgets + budgets[:2]:
+            spec = ProblemSpec(Fraction(5, 2), kappa, lam, True)
+            answers.setdefault((kappa, lam), decide(t, spec))
+            assert decide(t, spec) == answers[kappa, lam]
+            assert answers[kappa, lam] == (_least._least_budgets(t, spec)[kappa] <= lam)
+        plans = t.dense_arrays()["round_plans"]
+        assert list(plans) == (budgets + budgets[:2])[-_fastlane._KEPT_PLANS:]
+        assert _fastlane._round_plan(t, 2, 0) is plans[2, 0]
+
 
 class TestForestLayout:
     """A forest decided as one tree under a virtual root, in every lane,
