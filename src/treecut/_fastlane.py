@@ -26,14 +26,18 @@ and ``RootedTree.dense_arrays`` keeps the tree's values as objects only
 when they leave int64).  Least budgets are counts of at most ``lam + 1``
 and stay int64 either way.  A round keeps a row per part count its
 largest subtree can hold (the tree-knapsack bound), within the row cap
-(``kappa``, or below a forest's virtual root ``tree.part_cap``); a round
-below the root then hands up its path tops' tables cut after their last
-feasible row (``_trim``), since at a given threshold most of those
-counts are infeasible, and the folds above read the rows cut off as
-infinite.  A memory figure per threshold (``_chain_bytes``, and
+(``kappa``, or below a forest's virtual root ``tree.part_cap``).  At a
+given threshold most of those counts are infeasible, and the sweep
+computes few of their rows: a round below the root hands up its path
+tops' tables cut after their last feasible row (``_trim``), each large
+(min,+) product first cuts its operands after their last finite row, and
+a round of bare paths (no light children) stops its scan after the first
+row that no position can fill, since a path whose suffix holds k + 1
+parts has a suffix that holds k.  The folds above read the rows cut off
+as infinite.  A memory figure per threshold (``_chain_bytes``, and
 ``_kept_bytes`` for a witness) bounds what a sweep holds; both stay
 a-priori figures, from the plan's rows alone (so a forest layout is
-priced at its row cap), which the trim only lowers the peak under.  Over
+priced at its row cap), which the cuts only lower the peak under.  Over
 ``_MAX_TABLE_BYTES`` ``root_row``, ``decide_many`` and ``witness_tables``
 raise ``TablesTooLarge``.  For one threshold,
 ``witness_tables`` keeps the rows every round builds, which are every
@@ -95,18 +99,29 @@ _MAX_TABLE_BYTES = 1 << 31
 # rows than a tree of the forest can hold parts in a feasible split
 # (the row cap of ``_round_plan``): rows up to the cap read only rows up
 # to it, so the root's fold is the same for every part count.  At one
-# threshold most
-# of those rows are often infeasible (at parts = n on the kmax-wide
-# benchmark trees, over nine in ten of the row pairs the products of a
-# sweep multiplied held no finite cell), so a round below the root of
-# more than ``_BLOCK_ROWS`` rows hands up its path tops' tables cut after
-# the last row with a feasible cell (``_trim``).  Every reader takes a
-# missing row as infinite, as it takes the rows past a smaller subtree's
+# threshold most of those rows are often infeasible: at parts = n on the
+# kmax-wide benchmark trees (seed 7), 85% of the row pairs that the
+# cut-charge products of the sweeps multiplied held a row with no finite
+# cell while only rounds were trimmed, and cutting the products' operands
+# as well leaves 42% of the pairs, all the infeasible ones among them in
+# products with an operand or output under ``_BLOCK_ROWS`` rows.  So a
+# round below the root of more than ``_BLOCK_ROWS`` rows hands up its path
+# tops' tables cut after the last row with a feasible cell (``_trim``),
+# and a (min,+) product whose operands and output all have ``_BLOCK_ROWS``
+# rows or more first cuts each operand after its last row with a finite
+# cell (``_min_plus_gamma``); both find that row with ``_rows_under``.  A
+# cut-charge cell is finite where it is under ``over``, per threshold
+# a * W + b * C + 1 (see the infinity comment), computed once per sweep:
+# with potentials an infeasible cell can lie under inf, as low as
+# inf - b * P, but never under ``over``.  The rows cut off from a product's operand add
+# only infeasible sums, so every finite cell of its output stays as it
+# was; an infeasible one may rise to inf.  Every reader takes a missing
+# row as infinite, as it takes the rows past a smaller subtree's
 # (``_grow``, ``_cut_or_join``, a gathered product's padding), so the
 # folds, merges and steps above shrink with it; a virtual root's fold is
 # padded back to ``kappa + 1`` least budgets.  The memory figures count
-# the rows the subtree sizes and the row cap allow, so the trim only
-# lowers the peak under them.
+# the rows the subtree sizes and the row cap allow, so the cuts only lower
+# the peak under them.
 #
 # Wide runs of leaves rake (the rake of Miller and Reif 1985: leaves
 # contract in one step).  A leaf child has three choices: it joins its
@@ -281,13 +296,22 @@ def _gathered(a, b, plan, axis, out=None):
     return np.minimum.reduce(s, axis=axis, out=out)
 
 
-def _min_plus_gamma(Y, X, rows, inf):
+def _min_plus_gamma(Y, X, rows, inf, over=None):
     """``out[c, l] = min Y[i, lp] + X[c - i, l - lp]`` for ``c < rows``,
     over shifted cut-charge rows (axis 0; row ``i`` holds ``i + 1``
     parts) and budgets (axis 1), saturated to ``inf`` (once: saturating
     commutes with the minimum).  A small product (``_gathers``) is
     gathered through an index plan (``_plan``); a larger one loops over
-    the operand with fewer rows, a block of ``_block_rows`` per step."""
+    the operand with fewer rows, a block of ``_block_rows`` per step.
+    Where both operands and the output have ``_BLOCK_ROWS`` rows or more,
+    each operand is first cut after its last row with a finite cell
+    (``_rows_under``): one under ``over``, per threshold the least value
+    above every finite cell, or under ``inf`` where that is not given.
+    The rows past it add only infeasible sums, so every finite cell of
+    the product stays as it was."""
+    if min(Y.shape[0], X.shape[0], rows) >= _BLOCK_ROWS:
+        over = inf if over is None else over
+        Y, X = Y[:_rows_under(Y, over)], X[:_rows_under(X, over)]
     if X.shape[0] < Y.shape[0]:
         Y, X = X, Y
     lp1 = Y.shape[1]
@@ -404,16 +428,17 @@ def _cut_or_join(G, M, e, kappa, inf):
     return np.where(cut, e, G)
 
 
-def _fold_children(G, M, e, plan, rows, kappa, none, inf):
+def _fold_children(G, M, e, plan, rows, kappa, none, inf, over):
     """Children's tables folded per parent: ``G``, ``M`` and ``e`` are the
     children's cut-charge rows, least budgets and edge charges, in runs of
     siblings that ``plan`` pairs; the folds keep at most ``rows`` rows
-    (``rows + 1`` least budgets)."""
+    (``rows + 1`` least budgets), and ``over`` bounds the finite cells as
+    ``_min_plus_gamma`` takes it."""
     def merge(left, right):
         # a subtree of s vertices holds at most s parts, so the rows that
         # can be finite add up, up to ``rows``
         return (_min_plus_gamma(left[0], right[0],
-                                min(rows, left[0].shape[0] + right[0].shape[0] - 1), inf),
+                                min(rows, left[0].shape[0] + right[0].shape[0] - 1), inf, over),
                 _min_plus_mu(left[1], right[1],
                              min(rows + 1, left[1].shape[0] + right[1].shape[0] - 1), none))
 
@@ -539,15 +564,21 @@ def _fold_least(M, plan, kappa, none):
     return _grow(_fold_runs(plan, (M,), (none,), merge)[0][..., 0], kappa + 1, none).T
 
 
-def _trim(G, M, inf, none):
+def _rows_under(A, bound):
+    """The rows of ``A`` (axis 0) through its last with a cell under
+    ``bound`` (which broadcasts against a row), at least one."""
+    live = (A < bound).reshape(A.shape[0], -1).any(axis=1)
+    return max(1, live.size - int(live[::-1].argmax()) if live.any() else 0)
+
+
+def _trim(G, M, over, none):
     """Path-top tables ``G`` and ``M`` cut after the last row with a
-    feasible cell: a cut-charge cell below ``inf`` (row ``i``, ``i + 1``
-    parts) or a least budget below ``none`` (row ``k``, ``k`` parts), at
-    least one cut-charge row.  A fold reads the rows cut off as infinite,
-    as it reads those past a smaller subtree's."""
-    g = np.flatnonzero((G < inf).reshape(G.shape[0], -1).any(axis=1))
-    m = np.flatnonzero((M < none).reshape(M.shape[0], -1).any(axis=1))
-    rows = max(1, g[-1] + 1 if g.size else 0, m[-1] if m.size else 0)
+    feasible cell: a cut-charge cell under ``over``, per threshold the
+    least value above every finite cell (row ``i``, ``i + 1`` parts), or a
+    least budget under ``none`` (row ``k``, ``k`` parts), at least one
+    cut-charge row.  A fold reads the rows cut off as infinite, as it
+    reads those past a smaller subtree's."""
+    rows = max(_rows_under(G, over), _rows_under(M, none) - 1)
     return G[:rows], M[:rows + 1]
 
 
@@ -638,6 +669,16 @@ def _trim(G, M, inf, none):
 # tops' tables to the round's output.  Step 0 is the paths' leaves, and a
 # round of single leaves is step 0 alone: both take their tables in
 # closed form (``_leaf_tables``).
+#
+# Bare rounds.  A scan round with no light children is a set of bare
+# paths, each vertex's subtree a suffix of its path.  Where a suffix holds
+# k + 1 >= 2 parts (its top's part open or closed), the suffix that starts
+# at the top of its second part holds the other k, with no more outliers:
+# so where row k of least budgets (k >= 1) is ``none`` at every position,
+# every row above it is too, and every cut-charge row from k on (k + 1
+# parts) is inf.  The scan then stops and fills those rows, which are
+# exactly what it would have built, since a bare round takes no products.
+# A branching round has no such suffix, and scans every row.
 
 
 def _min_plus_budget(z, x, inf):
@@ -766,17 +807,18 @@ def _no_light_first(Z, U, inf, none):
     return np.concatenate((z, Z), axis=-1), np.concatenate((u, U), axis=-1)
 
 
-def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1, inf, keep=None):
+def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1, inf, over, keep=None):
     """The tables of a round's path tops, built step by step up its paths
     (see the chain comment): ``Z`` and ``U`` are the light folds of the
     round's ``lpar`` led by a column for the positions without light
     children (``_no_light_first``), so that a step gathers its folds in
     one take, or None; ``e_r``, ``t_r``, ``free`` and ``size_r`` its
     vertices' charges, threshold tests, freedom to be an outlier and
-    subtree sizes.  The positions' charges, tests and freedom are taken
-    once for all steps, as ``_step_plan`` lays the steps out.  ``keep``,
-    where given, takes each step's positions (in the dense layout) with
-    their tables."""
+    subtree sizes, and ``over`` bounds the finite cells as
+    ``_min_plus_gamma`` takes it.  The positions' charges, tests and
+    freedom are taken once for all steps, as ``_step_plan`` lays the steps
+    out.  ``keep``, where given, takes each step's positions (in the dense
+    layout) with their tables."""
     none = lp1
     order, pos, bounds, light, largest, lit = _step_plan(rnd, size_r)
     nb = t_r.shape[0]
@@ -800,7 +842,7 @@ def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1, inf, keep=N
             rows_j = min(kappa, largest[j])
             if lit[j]:
                 li = light[lo:hi]
-                G = _min_plus_gamma(Z.take(li, axis=-1), X, rows_j, inf)
+                G = _min_plus_gamma(Z.take(li, axis=-1), X, rows_j, inf, over)
                 Uu = _min_plus_mu(U.take(li, axis=-1), M[..., :p], rows_j + 1, none)
             else:
                 # the heavy children alone (whose rows, sized for their whole
@@ -815,6 +857,19 @@ def _step_round(rnd, rows, kappa, Z, U, e_r, t_r, free, size_r, lp1, inf, keep=N
         Gt[:G.shape[0], ..., order[rest:p]] = G[..., rest:]
         Mt[:M.shape[0], ..., order[rest:p]] = M[..., rest:]
     return Gt, Mt
+
+
+def _path_minima(rnd, D):
+    """A row ``D`` of the round ``rnd`` (positions last) scanned to the
+    suffix minima along each path: one accumulate when the round is one
+    path, else one per bucket of paths of similar length
+    (``_path_buckets``)."""
+    if rnd["top"].size == 1:
+        return np.minimum.accumulate(D[..., ::-1], axis=-1)[..., ::-1]
+    for paths, dst, src in _path_buckets(rnd):
+        scanned = np.minimum.accumulate(D.take(paths, axis=-1), axis=-1)
+        D[..., dst] = scanned.reshape(D.shape[:-1] + (-1,)).take(src, axis=-1)
+    return D
 
 
 class _Recent:
@@ -840,7 +895,8 @@ class _Recent:
 def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, inf, keep=None):
     """The tables of a round's path tops, row by row along its paths (see
     the chain comment).  Arguments as ``_step_round``'s; ``keep`` takes
-    the tables of every position of the round."""
+    the tables of every position of the round.  A round of bare paths
+    stops after the first row that no position can fill."""
     none = lp1
     nb = t_r.shape[0]
     cell = t_r.dtype
@@ -890,6 +946,15 @@ def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, inf, keep=None):
             Mk[k] = Mrow
         if k == rows:
             break
+        if k and not lpar.size and Mrow.item(Mrow.argmin()) == none:
+            # bare paths that hold k parts nowhere hold no more (see the
+            # chain comment)
+            Gt[k:].fill(inf)
+            Mt[k + 1:].fill(none)
+            if keep is not None:
+                Gk[k:].fill(inf)
+                Mk[k + 1:].fill(none)
+            break
         # cut-charge rows, row i = k: D with z = 0 ...
         i = k
         D = np.empty((lp1, nb, m), dtype=cell)
@@ -905,13 +970,7 @@ def _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, inf, keep=None):
             shift = np.maximum(budgets - Mn, 0)
             Dn = np.minimum(D.take(nz, axis=-1), np.where(
                 budgets >= Mn, e_nz + np.take_along_axis(zn, shift, axis=0), inf))
-        # the suffix minima of D along each path
-        if top.size == 1:
-            D = np.minimum.accumulate(D[..., ::-1], axis=-1)[..., ::-1]
-        else:
-            for paths, dst, src in _path_buckets(rnd):
-                scanned = np.minimum.accumulate(D.take(paths, axis=-1), axis=-1)
-                D[..., dst] = scanned.reshape(lp1, nb, -1).take(src, axis=-1)
+        D = _path_minima(rnd, D)
         if chains is not None:
             if need.size:
                 Dn[..., need] = np.minimum(Dn.take(need, axis=-1), _min_plus_budget(
@@ -950,6 +1009,10 @@ def _chain_sweep(tree, forb, xis, kappa, lam, use_pot, keep=None):
     cap = plan["cap"]
     a_arr, b_arr, inf = _thresholds(tree, xis, kappa, lam)
     eps, thr = _charges(dense, a_arr, b_arr, use_pot)
+    # per threshold, the least value above every finite cut-charge cell,
+    # a * W + b * C + 1 (see the infinity comment)
+    over = (a_arr * tree.subtree_weight_scaled[tree.root] + b_arr * tree.scaled_totals()[0]
+            + 1)[:, None]
     size = dense["size"]
     lp1 = lam + 1
     none = lp1
@@ -978,17 +1041,17 @@ def _chain_sweep(tree, forb, xis, kappa, lam, use_pot, keep=None):
             else:
                 Gt, Mt, e_b = _rake(Gt, Mt, eps, thr, usable, rake, none, inf)
                 folds = rake[-1]  # the kept layout's
-            Z, U = _fold_children(Gt, Mt, e_b, folds, rows, cap, none, inf)
+            Z, U = _fold_children(Gt, Mt, e_b, folds, rows, cap, none, inf, over)
             Gt = Mt = None
         if kind == "step":
             if Z is not None:
                 Z, U = _no_light_first(Z, U, inf, none)
             Gt, Mt = _step_round(rnd, rows, cap, Z, U, e_r, t_r, free, size[vert], lp1, inf,
-                                 keep)
+                                 over, keep)
         else:
             Gt, Mt = _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, inf, keep)
         if r and rows > _BLOCK_ROWS:
-            Gt, Mt = _trim(Gt, Mt, inf, none)
+            Gt, Mt = _trim(Gt, Mt, over, none)
     return Mt[..., 0].T
 
 

@@ -668,19 +668,24 @@ class TestLaneAgreement:
         # parts = n on a 2000-vertex caterpillar: its spine is one step
         # round of 2000 rows, whose steps each hold one position's tables,
         # and its light folds hold a leaf's rows; the figure prices what
-        # the rounds hold, not every light parent at the spine's rows
+        # the rounds hold, not every light parent at the spine's rows.
+        # The figure is the same at every threshold, while products cut
+        # their operands' infeasible rows, so it follows the peak of the
+        # costlier threshold, 30, at which more rows are feasible
         t = _shaped_tree(random.Random(36), 2000, "caterpillar", True)
         t.heavy_paths()
         forb = _fastlane._forb_array(t, ())
         for lam in (0, 3):
-            tracemalloc.start()
-            try:
-                _fastlane._chain_sweep(t, forb, [Fraction(1, 3)], 2000, lam, True)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= _fastlane._FIXED_BYTES + _fastlane._chain_bytes(t, 2000, lam) \
-                <= _fastlane._FIXED_BYTES + 4 * peak, (lam, peak)
+            peaks = []
+            for xi in (Fraction(1, 3), Fraction(30)):
+                tracemalloc.start()
+                try:
+                    _fastlane._chain_sweep(t, forb, [xi], 2000, lam, True)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+            assert max(peaks) <= _fastlane._FIXED_BYTES + _fastlane._chain_bytes(t, 2000, lam) \
+                <= _fastlane._FIXED_BYTES + 4 * max(peaks), (lam, peaks)
 
     def test_lanes_for_deep_thin_wide_and_oversized_trees(self, monkeypatch):
         # values over the int64 bound take the sweep on Python ints, and
@@ -1136,8 +1141,9 @@ def _recounted_cost(tree, cap, lam, nb):
 def _spy_on_trims(monkeypatch):
     """Record each ``_trim`` as (rows before, rows after), and check that
     the path-top tables every fold reads from the round below end at a
-    feasible row (a cut-charge cell below inf, or a least budget below
-    none) whenever they hold more than ``_BLOCK_ROWS`` rows."""
+    feasible row (a cut-charge cell under the finite bound the fold
+    takes, or a least budget below none) whenever they hold more than
+    ``_BLOCK_ROWS`` rows."""
     trims = []
     trim, fold = _fastlane._trim, _fastlane._fold_children
 
@@ -1146,11 +1152,11 @@ def _spy_on_trims(monkeypatch):
         trims.append((G.shape[0], out[0].shape[0]))
         return out
 
-    def fold_spy(G, M, e, plan, rows, kappa, none, inf):
+    def fold_spy(G, M, e, plan, rows, kappa, none, inf, over):
         assert M.shape[0] == G.shape[0] + 1
         if G.shape[0] > _fastlane._BLOCK_ROWS:
-            assert (G[-1] < inf).any() or (M[-1] < none).any()
-        return fold(G, M, e, plan, rows, kappa, none, inf)
+            assert (G[-1] < over).any() or (M[-1] < none).any()
+        return fold(G, M, e, plan, rows, kappa, none, inf, over)
 
     monkeypatch.setattr(_fastlane, "_trim", trim_spy)
     monkeypatch.setattr(_fastlane, "_fold_children", fold_spy)
@@ -1263,6 +1269,169 @@ class TestTrimmedRounds:
                 want = [min(w, lam + 1) for w in _least._least_budgets(t, spec)]
                 assert _numpy_least(t, (), [xi], kappa, lam, use_pot) == [want], (trial, kappa)
                 assert decide(t, spec) == (want[kappa] <= lam)
+
+
+def _finite_top(tree, xi):
+    """a * W + b * C at threshold ``xi`` = a / b: the bound of every
+    finite cut-charge cell (see ``solver._infinity``)."""
+    return (xi.numerator * tree.subtree_weight_scaled[tree.root]
+            + xi.denominator * tree.scaled_totals()[0])
+
+
+def _spy_on_unfillable_rows(monkeypatch):
+    """Record the cell dtypes of the (min,+) products whose operands are
+    cut short (``_fastlane._rows_under`` within ``_min_plus_gamma``) and
+    of the scan rounds that stop before their last row (fewer calls of
+    ``_path_minima`` than rows)."""
+    seen = {"cut": set(), "stop": set()}
+    gamma, under = _fastlane._min_plus_gamma, _fastlane._rows_under
+    scan, minima = _fastlane._scan_round, _fastlane._path_minima
+    inside, scanned = [], [0]
+
+    def gamma_spy(Y, *args):
+        inside.append(Y.dtype)
+        try:
+            return gamma(Y, *args)
+        finally:
+            inside.pop()
+
+    def under_spy(A, bound):
+        rows = under(A, bound)
+        if inside and rows < A.shape[0]:
+            seen["cut"].add(A.dtype)
+        return rows
+
+    def minima_spy(*args):
+        scanned[0] += 1
+        return minima(*args)
+
+    def scan_spy(rnd, rows, Z, U, e_r, *args):
+        before = scanned[0]
+        out = scan(rnd, rows, Z, U, e_r, *args)
+        if scanned[0] - before < rows:
+            seen["stop"].add(e_r.dtype)
+        return out
+
+    monkeypatch.setattr(_fastlane, "_min_plus_gamma", gamma_spy)
+    monkeypatch.setattr(_fastlane, "_rows_under", under_spy)
+    monkeypatch.setattr(_fastlane, "_path_minima", minima_spy)
+    monkeypatch.setattr(_fastlane, "_scan_round", scan_spy)
+    return seen
+
+
+class TestUnfillableRows:
+    """Large (min,+) products cut their operands after their last finite
+    row, and a scan round of bare paths stops after the first row that
+    no position can fill: root rows, ``k_max`` and every vertex's finite
+    cells against the least-budget sweep (tests/_least.py), and counts
+    of the work left."""
+
+    _SHAPES = ("path", "star", "broom", "caterpillar", "random")
+
+    def test_root_rows_k_max_and_tables_equal_the_reference(self, monkeypatch):
+        # paths, stars, brooms, caterpillars and random recursive trees of
+        # 100-400 vertices (up to 200 for stars at parts = n and for trees
+        # past the bound), at parts = n, (20, 5) and (60, 10), with
+        # potentials, forbidden vertices and one tree in four past the
+        # int64 bound, at thresholds from a quarter to four times the
+        # tree's cost over its weight
+        seen = _spy_on_unfillable_rows(monkeypatch)
+        rng = random.Random(71)
+        for trial in range(30):
+            shape = self._SHAPES[trial % 5]
+            budget = ("n", (20, 5), (60, 10))[trial // 5 % 3]
+            big = trial % 4 == 3
+            n = rng.randint(100, 200 if big or shape == "star" and budget == "n" else 400)
+            use_pot = trial % 3 != 2
+            t = _shaped_tree(rng, n, shape, use_pot, legs=rng.randint(2, 5))
+            if big:
+                t = past_bound(t, trial % 8 == 7)
+            kappa, lam = (n, rng.randint(0, 2)) if budget == "n" else budget
+            forb = frozenset(v for v in range(n) if rng.random() < 0.1)
+            xi = Fraction(sum(t.cost_scaled), t.subtree_weight_scaled[t.root]) * Fraction(
+                rng.choice((1, 2, 4, 8, 16)), 4)
+            spec = ProblemSpec(xi, kappa, lam, use_pot, forb)
+            want = _python_tables(t, spec)
+            row = [min(w, lam + 1) for w in want.M[t.root]]
+            assert _numpy_least(t, forb, [xi], kappa, lam, use_pot) == [row], (trial, spec)
+            if kappa == n:
+                assert k_max(t, xi, lam, use_pot, forb) == next(
+                    (k for k in range(n, 0, -1) if row[k] <= lam), 0), trial
+            tables = solve(t, spec)
+            assert _finite_cells(tables) == _finite_cells(want), (trial, spec)
+            assert tables.feasible == want.feasible
+        both = {np.dtype(np.int64), np.dtype(object)}
+        assert seen["cut"] >= both and seen["stop"] >= both
+
+    def test_trims_cut_at_the_finite_bound(self, monkeypatch):
+        # with potentials an infeasible cell can lie under inf (as low as
+        # inf - b * P), but never under a * W + b * C: each trim of
+        # 150-vertex random recursive trees at (150, 3) and threshold 2/3
+        # ends at a row with a cell under that bound, or a least budget
+        # within the outlier budget
+        kept = []
+        trim = _fastlane._trim
+
+        def spy(G, M, *args):
+            out = trim(G, M, *args)
+            kept.append(out)
+            return out
+
+        monkeypatch.setattr(_fastlane, "_trim", spy)
+        xi, lam = Fraction(2, 3), 3
+        rng = random.Random(72)
+        for trial in range(4):
+            t = _shaped_tree(rng, 150, "random", True)
+            spec = ProblemSpec(xi, 150, lam, True)
+            del kept[:]
+            assert _numpy_least(t, (), [xi], 150, lam, True) == [
+                [min(w, lam + 1) for w in _least._least_budgets(t, spec)]]
+            top = _finite_top(t, xi)
+            assert kept
+            for G, M in kept:
+                assert G.shape[0] == 1 or (G[-1] <= top).any() or (M[-1] <= lam).any(), trial
+
+    def test_a_path_scans_only_the_rows_it_can_fill(self, monkeypatch):
+        # at a threshold under every edge's cost over twice the total
+        # weight no part but the root's passes its test, so a 2000-vertex
+        # path at (60, 10) holds at most 1 part, and its scan stops by
+        # row 2 of 60
+        scanned = []
+        minima = _fastlane._path_minima
+        monkeypatch.setattr(_fastlane, "_path_minima",
+                            lambda *args: scanned.append(1) or minima(*args))
+        rng = random.Random(73)
+        for use_pot in (False, True):
+            t = _shaped_tree(rng, 2000, "path", use_pot)
+            xi = Fraction(min(c for c in t.cost_scaled if c), 4 * t.subtree_weight_scaled[t.root])
+            spec = ProblemSpec(xi, 60, 10, use_pot)
+            del scanned[:]
+            row = _numpy_least(t, (), [xi], 60, 10, use_pot)[0]
+            assert len(scanned) <= 3
+            assert row == [min(w, 11) for w in _least._least_budgets(t, spec)]
+            assert set(row[2:]) == {11} and (use_pot or row[1] == 0)
+
+    def test_k_max_multiplies_few_rows(self, monkeypatch):
+        # k_max at parts = n on a 400-vertex random recursive tree: the
+        # rows of the looped operands of the (min,+) products that loop
+        # (``_gathers`` says no), summed: 613 with operands cut after their
+        # last finite row, 3033 with every operand whole
+        looped = []
+        gathers = _fastlane._gathers
+
+        def spy(loop, cells):
+            out = gathers(loop, cells)
+            if not out:
+                looped.append(loop)
+            return out
+
+        monkeypatch.setattr(_fastlane, "_gathers", spy)
+        t = _shaped_tree(random.Random(74), 400, "random", False)
+        xi = Fraction(sum(t.cost_scaled), t.subtree_weight_scaled[t.root])
+        k = k_max(t, xi, 2)
+        want = _least._least_budgets(t, ProblemSpec(xi, 400, 2))
+        assert k == next((k for k in range(400, 0, -1) if want[k] <= 2), 0)
+        assert sum(looped) <= 700, sum(looped)
 
 
 def _least_row(least, lam):
@@ -1400,9 +1569,7 @@ def _finite(tables, cells):
     """Cut-charge cells with every infeasible one as None: the two
     sources hold different values there, all above a * W + b * C, the
     bound of every finite cell (see ``solver._infinity``)."""
-    tree, xi = tables.tree, tables.spec.xi
-    top = (xi.numerator * tree.subtree_weight_scaled[tree.root]
-           + xi.denominator * tree.scaled_totals()[0])
+    top = _finite_top(tables.tree, tables.spec.xi)
     return [x if x <= top else None for x in cells]
 
 
