@@ -28,14 +28,13 @@ and stay int64 either way.  A round keeps a row per part count its
 largest subtree can hold (the tree-knapsack bound), within the row cap
 (``kappa``, or below a forest's virtual root ``tree.part_cap``).  At a
 given threshold most of those counts are infeasible, and the sweep
-computes few of their rows: a round below the root hands up its path
-tops' tables cut after their last feasible row (``_trim``), each large
-(min,+) product first cuts its operands after their last finite row, and
-a round of bare paths (no light children) stops its scan after the first
-row that no position can fill, since a path whose suffix holds k + 1
-parts has a suffix that holds k.  The folds above read the rows cut off
-as infinite.  A memory figure per threshold (``_chain_bytes``, and
-``_kept_bytes`` for a witness) bounds what a sweep holds; both stay
+computes few of their rows: each large (min,+) product first cuts its
+operands after their last finite row, since the rows past it add only
+infeasible sums, and a round of bare paths (no light children) stops
+its scan after the first row that no position can fill, since a path
+whose suffix holds k + 1 parts has a suffix that holds k.  A memory
+figure per threshold (``_chain_bytes``, and ``_kept_bytes`` for a
+witness) bounds what a sweep holds; both stay
 a-priori figures, from the plan's rows alone (so a forest layout is
 priced at its row cap), which the cuts only lower the peak under.  Over
 ``_MAX_TABLE_BYTES`` ``root_row``, ``decide_many`` and ``witness_tables``
@@ -102,26 +101,21 @@ _MAX_TABLE_BYTES = 1 << 31
 # threshold most of those rows are often infeasible: at parts = n on the
 # kmax-wide benchmark trees (seed 7), 85% of the row pairs that the
 # cut-charge products of the sweeps multiplied held a row with no finite
-# cell while only rounds were trimmed, and cutting the products' operands
-# as well leaves 42% of the pairs, all the infeasible ones among them in
-# products with an operand or output under ``_BLOCK_ROWS`` rows.  So a
-# round below the root of more than ``_BLOCK_ROWS`` rows hands up its path
-# tops' tables cut after the last row with a feasible cell (``_trim``),
-# and a (min,+) product whose operands and output all have ``_BLOCK_ROWS``
-# rows or more first cuts each operand after its last row with a finite
-# cell (``_min_plus_gamma``); both find that row with ``_rows_under``.  A
-# cut-charge cell is finite where it is under ``over``, per threshold
-# a * W + b * C + 1 (see the infinity comment), computed once per sweep:
-# with potentials an infeasible cell can lie under inf, as low as
-# inf - b * P, but never under ``over``.  The rows cut off from a product's operand add
-# only infeasible sums, so every finite cell of its output stays as it
-# was; an infeasible one may rise to inf.  Every reader takes a missing
-# row as infinite, as it takes the rows past a smaller subtree's
-# (``_grow``, ``_cut_or_join``, a gathered product's padding), so the
-# folds, merges and steps above shrink with it; a virtual root's fold is
-# padded back to ``kappa + 1`` least budgets.  The memory figures count
-# the rows the subtree sizes and the row cap allow, so the cuts only lower
-# the peak under them.
+# cell, and cutting the products' operands leaves 42% of the pairs, all
+# the infeasible ones among them in products with an operand or output
+# under ``_BLOCK_ROWS`` rows.  So a (min,+) product whose operands and
+# output all have ``_BLOCK_ROWS`` rows or more first cuts each operand
+# after its last row with a finite cell (``_min_plus_gamma``, which finds
+# that row with ``_rows_under``).  A cut-charge cell is finite where it
+# is under ``over``, per threshold a * W + b * C + 1 (see the infinity
+# comment), computed once per sweep: with potentials an infeasible cell
+# can lie under inf, as low as inf - b * P, but never under ``over``.
+# The rows cut off from an operand add only infeasible sums, so every
+# finite cell of the output stays as it was; an infeasible one may rise
+# to inf.  The output keeps its rows, so the folds, merges and steps
+# above see the shapes they would without the cut.  The memory figures
+# count the rows the subtree sizes and the row cap allow, so the cuts
+# only lower the peak under them.
 #
 # Wide runs of leaves rake (the rake of Miller and Reif 1985: leaves
 # contract in one step).  A leaf child has three choices: it joins its
@@ -296,7 +290,7 @@ def _gathered(a, b, plan, axis, out=None):
     return np.minimum.reduce(s, axis=axis, out=out)
 
 
-def _min_plus_gamma(Y, X, rows, inf, over=None):
+def _min_plus_gamma(Y, X, rows, inf, over):
     """``out[c, l] = min Y[i, lp] + X[c - i, l - lp]`` for ``c < rows``,
     over shifted cut-charge rows (axis 0; row ``i`` holds ``i + 1``
     parts) and budgets (axis 1), saturated to ``inf`` (once: saturating
@@ -306,11 +300,10 @@ def _min_plus_gamma(Y, X, rows, inf, over=None):
     Where both operands and the output have ``_BLOCK_ROWS`` rows or more,
     each operand is first cut after its last row with a finite cell
     (``_rows_under``): one under ``over``, per threshold the least value
-    above every finite cell, or under ``inf`` where that is not given.
+    above every finite cell (``inf`` where nothing tighter is known).
     The rows past it add only infeasible sums, so every finite cell of
     the product stays as it was."""
     if min(Y.shape[0], X.shape[0], rows) >= _BLOCK_ROWS:
-        over = inf if over is None else over
         Y, X = Y[:_rows_under(Y, over)], X[:_rows_under(X, over)]
     if X.shape[0] < Y.shape[0]:
         Y, X = X, Y
@@ -356,8 +349,8 @@ def _min_plus_mu(U, M, rows, none):
     """``out[k] = min U[i] + M[k - i]`` for ``k < rows`` (axis 0), capped
     at ``none``: the least budget with which two groups of subtrees hold
     ``k`` parts between them.  ``_min_plus_gamma`` over one budget, with
-    ``none`` for its infinity."""
-    return _min_plus_gamma(U[:, None], M[:, None], rows, none)[:, 0]
+    ``none`` for its infinity and its finite bound."""
+    return _min_plus_gamma(U[:, None], M[:, None], rows, none, none)[:, 0]
 
 
 def _grow(a, rows, fill):
@@ -560,8 +553,7 @@ def _fold_least(M, plan, kappa, none):
         return (_min_plus_mu(left[0], right[0],
                              min(kappa + 1, left[0].shape[0] + right[0].shape[0] - 1), none),)
 
-    # trimmed trees' rows (``_trim``) may add up to fewer than kappa + 1
-    return _grow(_fold_runs(plan, (M,), (none,), merge)[0][..., 0], kappa + 1, none).T
+    return _fold_runs(plan, (M,), (none,), merge)[0][..., 0].T
 
 
 def _rows_under(A, bound):
@@ -569,17 +561,6 @@ def _rows_under(A, bound):
     ``bound`` (which broadcasts against a row), at least one."""
     live = (A < bound).reshape(A.shape[0], -1).any(axis=1)
     return max(1, live.size - int(live[::-1].argmax()) if live.any() else 0)
-
-
-def _trim(G, M, over, none):
-    """Path-top tables ``G`` and ``M`` cut after the last row with a
-    feasible cell: a cut-charge cell under ``over``, per threshold the
-    least value above every finite cell (row ``i``, ``i + 1`` parts), or a
-    least budget under ``none`` (row ``k``, ``k`` parts), at least one
-    cut-charge row.  A fold reads the rows cut off as infinite, as it
-    reads those past a smaller subtree's."""
-    rows = max(_rows_under(G, over), _rows_under(M, none) - 1)
-    return G[:rows], M[:rows + 1]
 
 
 # -- the chain sweep --------------------------------------------------------
@@ -1050,8 +1031,6 @@ def _chain_sweep(tree, forb, xis, kappa, lam, use_pot, keep=None):
                                  over, keep)
         else:
             Gt, Mt = _scan_round(rnd, rows, Z, U, e_r, t_r, free, lp1, inf, keep)
-        if r and rows > _BLOCK_ROWS:
-            Gt, Mt = _trim(Gt, Mt, over, none)
     return Mt[..., 0].T
 
 

@@ -223,18 +223,18 @@ class TestReplayMatchesGrid:
         # the same replay from the tables of the sweep on Python ints
         given = _table_source(monkeypatch, "python")
         assert self._check_against_grid(random.Random(66), 600) > 900
-        # and at 9-16 parts on trees of 24-36 vertices, whose rounds below
-        # the root hand up their tables cut after the last feasible row
-        # (``_fastlane._trim``)
+        # and at 9-16 parts on trees of 24-36 vertices, whose large
+        # products cut their operands after the last finite row
+        # (``_fastlane._rows_under``)
         cuts = []
-        trim = _fastlane._trim
+        under = _fastlane._rows_under
 
-        def spy(G, M, *args):
-            out = trim(G, M, *args)
-            cuts.append(out[0].shape[0] < G.shape[0])
-            return out
+        def spy(A, bound):
+            rows = under(A, bound)
+            cuts.append(rows < A.shape[0])
+            return rows
 
-        monkeypatch.setattr(_fastlane, "_trim", spy)
+        monkeypatch.setattr(_fastlane, "_rows_under", spy)
         rng = random.Random(67)
         feasible = 0
         for trial in range(12):
@@ -252,7 +252,7 @@ class TestReplayMatchesGrid:
                 if got is not None:
                     assert validate_subpartition(t, spec, got) == []
                     feasible += 1
-        assert feasible >= 10 and sum(cuts) >= 10
+        assert feasible >= 10 and sum(cuts) >= 1900
         assert given == {np.dtype(object)}
 
     def test_witnesses_past_the_bound_equal_the_grid_dp_witnesses(self):
